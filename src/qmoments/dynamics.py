@@ -84,19 +84,6 @@ class MomentState:
                 out[i] = self.moments[var[1]]
         return out
 
-    @classmethod
-    def from_vector(cls, y, layout, hbar, order, classical_mode=False):
-        q = p = 0.0
-        moments = {}
-        for value, var in zip(y, layout):
-            if var[0] == "q":
-                q = value
-            elif var[0] == "p":
-                p = value
-            else:
-                moments[var[1]] = value
-        return cls(q, p, moments, hbar, order, classical_mode, validate=False)
-
     def __repr__(self):
         return (
             f"MomentState(q={self.q:g}, p={self.p:g}, order={self.order}, "
@@ -199,11 +186,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def state(self, i: int) -> MomentState:
-        return MomentState.from_vector(
-            self.ys[i], self.layout, self.hbar, self.order, self.classical_mode
-        )
-
     def column(self, var) -> np.ndarray:
         return self.ys[:, self.layout.index(var)]
 
@@ -221,10 +203,16 @@ class Trajectory:
             yield [t, *self.ys[i], self.energy[i], self.casimir[i], self.margin[i]]
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(self.header()) + "\n")
-            for row in self.rows():
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_table(path, self.header(), self.rows())
+
+
+def write_table(path, header, rows):
+    """CSV with floats at 17 significant digits, which round-trip exactly;
+    string cells are written as they are."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
 def monitors(state: MomentState, h) -> tuple:

@@ -86,17 +86,6 @@ def to_jsonable(idx: MomentIndex) -> list:
     return [list(pair) for pair in idx]
 
 
-def from_jsonable(data) -> MomentIndex:
-    return tuple((int(a), int(b)) for a, b in data)
-
-
-def pair_swapped(idx: MomentIndex) -> MomentIndex:
-    """Index with the two canonical pairs exchanged (two-pair indices)."""
-    if len(idx) != 2:
-        raise ValueError("pair_swapped needs a two-pair index")
-    return (idx[1], idx[0])
-
-
 def index_pairs(max_order: int, npairs: int = 1):
     """Unordered pairs (i1 <= i2 by sort order) of indices up to max_order."""
     idxs = iter_indices(max_order, npairs)

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,9 +31,9 @@ from .casimir_darboux import (
 from .dynamics import (
     IntegrationError,
     IntegratorConfig,
-    MomentState,
     init_gaussian,
     integrate,
+    write_table,
 )
 from .effective_hamiltonian import PolynomialPotential, build_heff, equations_of_motion
 from .moment_algebra import build_bracket_table
@@ -313,27 +314,60 @@ def _echo_inputs(cfg) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Dynamical scenarios
+# Moment dynamics: one field builder, one initial-state constructor and one
+# integration path shared by every trajectory scenario
 # ---------------------------------------------------------------------------
 
 
-def _build_field(cfg):
-    pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    h = build_heff(pot, cfg["order"])
-    table = build_bracket_table(cfg["order"], 1)
-    return pot, h, equations_of_motion(h, table)
+@lru_cache(maxsize=16)
+def _field(potential: tuple, mass, order: int):
+    h = build_heff(PolynomialPotential(potential, mass), order)
+    return equations_of_motion(h, build_bracket_table(order, 1))
 
 
-def _initial_state(cfg) -> MomentState:
+def moment_field(cfg):
+    """Equations of motion for the config's potential, mass and order.
+
+    Memoized per process, so a sweep builds its field once rather than once
+    per cell.
+    """
+    return _field(tuple(cfg["potential"]), cfg["mass"], cfg["order"])
+
+
+def _casimir(cfg) -> float:
+    return cfg["casimir"] if cfg["casimir"] is not None else 0.25 * cfg["hbar"] ** 2
+
+
+def _initial_state(cfg, **overrides):
+    """Gaussian (Wick) state at the config's order; ``overrides`` replace
+    any of q0, p0, sigma and ps0."""
+    c = {**cfg, **overrides}
     return init_gaussian(
-        cfg["q0"],
-        cfg["p0"],
-        cfg["sigma"],
-        cfg["ps0"],
+        c["q0"],
+        c["p0"],
+        c["sigma"],
+        c["ps0"],
         cfg["hbar"],
         cfg["order"],
         casimir=cfg["casimir"],
         classical_mode=cfg["classical_mode"],
+    )
+
+
+def _samples(cfg) -> np.ndarray:
+    t0, t1 = cfg["t_span"]
+    return np.linspace(t0, t1, cfg["samples"])
+
+
+def _trajectory(cfg, state0, times=None, events=None):
+    """Integrate the config's moment field from ``state0``.
+
+    With ``times`` the run spans and samples exactly those times; without,
+    it spans ``t_span`` and records the solver's own steps.
+    """
+    span = (times[0], times[-1]) if times is not None else tuple(cfg["t_span"])
+    return integrate(
+        moment_field(cfg), state0, span, integrator_config(cfg), t_eval=times, events=events
     )
 
 
@@ -349,112 +383,79 @@ def _drifts(traj) -> dict:
     }
 
 
-def run_free(cfg, out_dir) -> tuple:
-    _, h, field = _build_field(cfg)
-    state0 = _initial_state(cfg)
-    t0, t1 = cfg["t_span"]
-    traj = integrate(
-        field,
-        state0,
-        (t0, t1),
-        integrator_config(cfg),
-        t_eval=np.linspace(t0, t1, cfg["samples"]),
-    )
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    traj.write_csv(csv_path)
-    s_num = np.sqrt(traj.column(("D", indices.single(2, 0))))
+def _checks(cfg, ok, **figures) -> dict:
+    return {**figures, "threshold": cfg["check_threshold"], "passed": ok}
+
+
+def _summary(cfg, traj, ok, artifacts=None, head=None, **body) -> dict:
+    """Summary of a trajectory scenario: echoed inputs, ``head``, monitors,
+    the scenario's ``body`` sections in order, artifacts and the ok flag."""
+    return {
+        "scenario": cfg["scenario"],
+        "inputs": _echo_inputs(cfg),
+        **(head or {}),
+        "monitors": _drifts(traj),
+        **body,
+        "artifacts": artifacts or {"trajectory_csv": "trajectory.csv"},
+        "ok": bool(ok),
+    }
+
+
+_COLUMNS = {
+    "Delta_q2": ("D", indices.single(2, 0)),
+    "Delta_qp": ("D", indices.single(1, 1)),
+    "Delta_p2": ("D", indices.single(0, 2)),
+    "q": ("q", 0),
+    "p": ("p", 0),
+}
+
+
+def run_free(cfg, out_dir) -> dict:
+    traj = _trajectory(cfg, _initial_state(cfg), _samples(cfg))
+    traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     # exact free solution: Delta(q^2) is quadratic in t; for ps0 = 0 this is
     # the growth law s0 sqrt(1 + C t^2 / (m^2 s0^4))
     m = float(cfg["mass"])
-    dq2_0 = traj.ys[0][traj.layout.index(("D", indices.single(2, 0)))]
-    dqp_0 = traj.ys[0][traj.layout.index(("D", indices.single(1, 1)))]
-    dp2_0 = traj.ys[0][traj.layout.index(("D", indices.single(0, 2)))]
-    tau = traj.times - t0
-    s_ref = np.sqrt(dq2_0 + 2 * dqp_0 * tau / m + dp2_0 * tau**2 / m**2)
+    dq2, dqp, dp2 = (traj.column(_COLUMNS[c]) for c in ("Delta_q2", "Delta_qp", "Delta_p2"))
+    tau = traj.times - cfg["t_span"][0]
+    s_ref = np.sqrt(dq2[0] + 2 * dqp[0] * tau / m + dp2[0] * tau**2 / m**2)
     if cfg["ps0"] == 0:
-        growth = free_particle_s(tau, math.sqrt(dq2_0), traj.casimir[0], m)
+        growth = free_particle_s(tau, math.sqrt(dq2[0]), traj.casimir[0], m)
         assert np.max(np.abs(growth - s_ref)) < 1e-12 * float(np.max(s_ref))
-    deviation = float(np.max(np.abs(s_num - s_ref) / s_ref))
+    deviation = float(np.max(np.abs(np.sqrt(dq2) - s_ref) / s_ref))
     ok = deviation <= cfg["check_threshold"]
-    summary = {
-        "scenario": "free",
-        "inputs": _echo_inputs(cfg),
-        "monitors": _drifts(traj),
-        "checks": {
-            "max_rel_deviation_from_closed_form": deviation,
-            "threshold": cfg["check_threshold"],
-            "passed": ok,
-        },
-        "artifacts": {"trajectory_csv": os.path.basename(csv_path)},
-        "ok": bool(ok),
-    }
-    return summary, traj
-
-
-def run_harmonic(cfg, out_dir) -> tuple:
-    _, h, field = _build_field(cfg)
-    state0 = _initial_state(cfg)
-    t0, t1 = cfg["t_span"]
-    traj = integrate(
-        field,
-        state0,
-        (t0, t1),
-        integrator_config(cfg),
-        t_eval=np.linspace(t0, t1, cfg["samples"]),
+    return _summary(
+        cfg, traj, ok, checks=_checks(cfg, ok, max_rel_deviation_from_closed_form=deviation)
     )
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    traj.write_csv(csv_path)
+
+
+def run_harmonic(cfg, out_dir) -> dict:
+    traj = _trajectory(cfg, _initial_state(cfg), _samples(cfg))
+    traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     drifts = _drifts(traj)
     ok = (
         drifts["energy_drift"] <= cfg["check_threshold"]
         and drifts["casimir_drift"] <= 10 * cfg["check_threshold"]
     )
-    summary = {
-        "scenario": "harmonic",
-        "inputs": _echo_inputs(cfg),
-        "monitors": drifts,
-        "checks": {
-            "threshold": cfg["check_threshold"],
-            "passed": ok,
-        },
-        "artifacts": {"trajectory_csv": os.path.basename(csv_path)},
-        "ok": bool(ok),
-    }
-    return summary, traj
-
-
-def equilibrium_moments(pot: PolynomialPotential, q0: float, casimir: float):
-    """Second moments at the fluctuation equilibrium above q0."""
-    model = AdiabaticModel(pot, casimir)
-    s0 = s0_of_q(model, q0)
-    dq2, dqp, dp2 = from_darboux(DarbouxState1D(s0, 0.0, casimir))
-    return {
-        indices.single(2, 0): dq2,
-        indices.single(1, 1): dqp,
-        indices.single(0, 2): dp2,
-    }
+    return _summary(cfg, traj, ok, checks=_checks(cfg, ok))
 
 
 def tunneling_cell(cfg, q0: float, energy: float):
-    """Classify one (q0, energy) cell: bypassed, trapped or error."""
-    pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    h = build_heff(pot, cfg["order"])
-    table = build_bracket_table(cfg["order"], 1)
-    field = equations_of_motion(h, table)
-    casimir = cfg["casimir"] if cfg["casimir"] is not None else 0.25 * cfg["hbar"] ** 2
-    barrier_q, barrier_v = cubic_barrier(pot)
+    """Classify one (q0, energy) cell: bypassed, trapped or error.
+
+    The cell starts at q0 in the Gaussian state of equilibrium width
+    s0(q0), with the momentum that gives it the requested energy.
+    """
+    h = moment_field(cfg).hamiltonian
+    barrier_q, barrier_v = cubic_barrier(h.potential)
     record = {"q0": q0, "energy": energy}
     try:
-        moments = equilibrium_moments(pot, q0, casimir)
-        rest = h.evaluate(
-            MomentState(q0, 0.0, moments, cfg["hbar"], cfg["order"], cfg["classical_mode"], validate=False)
-        )
+        s0 = s0_of_q(AdiabaticModel(h.potential, _casimir(cfg)), q0)
+        state0 = _initial_state(cfg, q0=q0, p0=0.0, sigma=s0, ps0=0.0)
+        rest = h.evaluate(state0)
         if energy < rest:
             raise ValueError(f"energy {energy:g} below the rest energy {rest:g} at q0")
-        p0 = math.sqrt(2.0 * float(cfg["mass"]) * (energy - rest))
-        state0 = MomentState(
-            q0, p0, moments, cfg["hbar"], cfg["order"], cfg["classical_mode"]
-        )
+        state0.p = math.sqrt(2.0 * float(cfg["mass"]) * (energy - rest))
         stop = barrier_q + cfg["stop_margin"]
 
         def crossed(t, y):
@@ -462,24 +463,13 @@ def tunneling_cell(cfg, q0: float, energy: float):
 
         crossed.terminal = True
         crossed.direction = 1
-        traj = integrate(
-            field,
-            state0,
-            tuple(cfg["t_span"]),
-            integrator_config(cfg),
-            events=[crossed],
-        )
-        drifts = _drifts(traj)
-        bypassed = traj.info.get("status") == 1
+        traj = _trajectory(cfg, state0, events=[crossed])
         record.update(
-            {
-                "classification": "bypassed" if bypassed else "trapped",
-                "max_q": float(np.max(traj.ys[:, 0])),
-                "t_final": float(traj.times[-1]),
-                "energy_drift": drifts["energy_drift"],
-                "casimir_drift": drifts["casimir_drift"],
-                "below_classical_barrier": bool(energy < barrier_v),
-            }
+            classification="bypassed" if traj.info.get("status") == 1 else "trapped",
+            max_q=float(np.max(traj.ys[:, 0])),
+            t_final=float(traj.times[-1]),
+            below_classical_barrier=bool(energy < barrier_v),
+            **_drifts(traj),
         )
         return record, traj
     except (IntegrationError, NoEquilibriumError, ValueError) as exc:
@@ -545,37 +535,24 @@ def effective_saddle(pot: PolynomialPotential, casimir: float):
     return points[-1]
 
 
-def run_cubic_tunneling(cfg, out_dir) -> tuple:
-    pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    barrier_q, barrier_v = cubic_barrier(pot)
+def run_cubic_tunneling(cfg, out_dir) -> dict:
+    barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
     record, traj = tunneling_cell(cfg, cfg["q0"], cfg["energy"])
     if traj is None:
         raise IntegrationError("tunneling run failed: " + record.get("reason", ""))
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    traj.write_csv(csv_path)
+    traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     ok = (
         record["classification"] == "bypassed"
         and record["energy_drift"] <= cfg["check_threshold"]
     )
-    summary = {
-        "scenario": "cubic-tunneling",
-        "inputs": _echo_inputs(cfg),
-        "barrier": {"position": barrier_q, "height": barrier_v},
-        "monitors": {
-            "energy_drift": record["energy_drift"],
-            "casimir_drift": record["casimir_drift"],
-            "margin_min": float(np.min(traj.margin)),
-        },
-        "checks": {
-            "classification": record["classification"],
-            "below_classical_barrier": record["below_classical_barrier"],
-            "threshold": cfg["check_threshold"],
-            "passed": ok,
-        },
-        "artifacts": {"trajectory_csv": os.path.basename(csv_path)},
-        "ok": bool(ok),
-    }
-    return summary, traj
+    checks = _checks(
+        cfg,
+        ok,
+        classification=record["classification"],
+        below_classical_barrier=record["below_classical_barrier"],
+    )
+    head = {"barrier": {"position": barrier_q, "height": barrier_v}}
+    return _summary(cfg, traj, ok, head=head, checks=checks)
 
 
 def _sweep_values(spec, field):
@@ -596,11 +573,15 @@ def _sweep_cell_worker(args):
     return record
 
 
+_GRID_COLUMNS = ("q0", "energy", "classification", "max_q", "t_final", "energy_drift", "casimir_drift")
+
+
 def run_sweep(cfg, out_dir) -> dict:
     """Grid of tunneling runs with per-cell classification.
 
     Cells are independent and may run in parallel; results are merged in
     grid order so the CSV is deterministic regardless of worker count.
+    Error cells carry nan in every figure column.
     """
     sweep = cfg.get("sweep")
     if not sweep:
@@ -617,46 +598,26 @@ def run_sweep(cfg, out_dir) -> dict:
     else:
         records = [_sweep_cell_worker(c) for c in cells]
 
-    grid_path = os.path.join(out_dir, "sweep_grid.csv")
-    with open(grid_path, "w", encoding="utf-8") as fh:
-        fh.write("q0,energy,classification,max_q,t_final,energy_drift,casimir_drift\n")
-        for rec in records:
-            if rec["classification"] == "error":
-                fh.write(
-                    f"{rec['q0']:.17g},{rec['energy']:.17g},error,nan,nan,nan,nan\n"
-                )
-            else:
-                fh.write(
-                    ",".join(
-                        [
-                            f"{rec['q0']:.17g}",
-                            f"{rec['energy']:.17g}",
-                            rec["classification"],
-                            f"{rec['max_q']:.17g}",
-                            f"{rec['t_final']:.17g}",
-                            f"{rec['energy_drift']:.17g}",
-                            f"{rec['casimir_drift']:.17g}",
-                        ]
-                    )
-                    + "\n"
-                )
+    write_table(
+        os.path.join(out_dir, "sweep_grid.csv"),
+        _GRID_COLUMNS,
+        ([rec.get(k, math.nan) for k in _GRID_COLUMNS] for rec in records),
+    )
     counts = {"bypassed": 0, "trapped": 0, "error": 0}
     for rec in records:
         counts[rec["classification"]] += 1
-    pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    barrier_q, barrier_v = cubic_barrier(pot)
+    barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
     drifts = [r["energy_drift"] for r in records if r["classification"] != "error"]
-    summary = {
+    return {
         "scenario": "cubic-tunneling-sweep",
         "inputs": _echo_inputs(cfg),
         "barrier": {"position": barrier_q, "height": barrier_v},
         "grid": {"q0_count": len(q0s), "energy_count": len(energies)},
         "classification_counts": counts,
         "max_energy_drift": float(max(drifts)) if drifts else None,
-        "artifacts": {"grid_csv": os.path.basename(grid_path)},
+        "artifacts": {"grid_csv": "sweep_grid.csv"},
         "ok": bool(counts["bypassed"] > 0 and counts["trapped"] > 0),
     }
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +683,9 @@ def run_brackets_dump(cfg, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
-    """Evolve the named scenario with the wavefunction solver and export
-    extracted moments in the trajectory CSV schema."""
+def _oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> tuple:
+    """(summary, columns) of a wavefunction-oracle run; ``columns`` maps
+    each CSV column name to its samples."""
     if name not in _ORACLE_DEFAULTS:
         raise ConfigError(f"scenario: oracle supports {', '.join(_ORACLE_DEFAULTS)}")
     cfg = dict(_DEFAULTS)
@@ -732,7 +693,6 @@ def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
     cfg.update(cfg_overrides or {})
     cfg["scenario"] = name
     pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    h = build_heff(pot, cfg["order"])
     grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
     wf = gaussian_wavepacket(grid, cfg["q0"], cfg["p0"], cfg["sigma"], cfg["hbar"], cfg["mass"])
     t0, t1 = cfg["t_span"]
@@ -758,24 +718,47 @@ def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
             + [state.moments[idx] for idx in layout_idx]
             + [energy, casimir, margin]
         )
-    csv_path = os.path.join(out_dir, "oracle_trajectory.csv")
     header = ["t", "q", "p"] + [indices.csv_name(i) for i in layout_idx] + [
         "energy",
         "casimir",
         "margin",
     ]
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(os.path.join(out_dir, "oracle_trajectory.csv"), header, rows)
     summary = {
         "scenario": f"oracle-{name}",
         "inputs": _echo_inputs(cfg),
         "extraction_quality_max": quality_max,
-        "artifacts": {"oracle_csv": os.path.basename(csv_path)},
+        "artifacts": {"oracle_csv": "oracle_trajectory.csv"},
         "ok": True,
     }
-    return summary
+    return summary, dict(zip(header, np.array(rows).T))
+
+
+def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
+    """Evolve the named scenario with the wavefunction solver and export
+    extracted moments in the trajectory CSV schema."""
+    return _oracle(name, cfg_overrides, out_dir)[0]
+
+
+def oracle_deviations(oracle: dict, moments: dict) -> dict:
+    """Largest |oracle - moments| per column of ``moments``, relative to
+    the largest magnitude of the moment column.
+
+    A centroid at rest has no magnitude of its own, so the q and p scales
+    are floored at sqrt(eps) times the packet width sqrt(max Delta(q^2))
+    or sqrt(max Delta(p^2)): rounding stays a negligible deviation, while
+    a real centroid offset still reads as a large one.
+    """
+    rel = math.sqrt(np.finfo(float).eps)
+    floors = {
+        "q": rel * math.sqrt(np.max(moments["Delta_q2"])),
+        "p": rel * math.sqrt(np.max(moments["Delta_p2"])),
+    }
+    out = {}
+    for col, b in moments.items():
+        scale = max(float(np.max(np.abs(b))), floors.get(col, 1e-12))
+        out[col] = float(np.max(np.abs(oracle[col] - b)) / scale)
+    return out
 
 
 def run_oracle_diff(cfg, out_dir) -> dict:
@@ -785,81 +768,27 @@ def run_oracle_diff(cfg, out_dir) -> dict:
     step-resolved times the oracle actually reached, so the diff never
     aliases time-grid rounding into a moment deviation.
     """
-    oracle_summary = run_oracle(
+    oracle_summary, oracle = _oracle(
         "free" if not cfg["potential"] else "harmonic",
-        {
-            k: cfg[k]
-            for k in (
-                "potential",
-                "grid_points",
-                "x_min",
-                "x_max",
-                "dt",
-                "t_span",
-                "samples",
-                "q0",
-                "p0",
-                "sigma",
-                "hbar",
-                "mass",
-                "order",
-            )
-        },
+        {k: cfg[k] for k in (*_ORACLE_DEFAULTS["free"], "q0", "p0", "sigma", "hbar", "mass", "order")},
         out_dir,
     )
-    oracle_rows = _read_csv(os.path.join(out_dir, "oracle_trajectory.csv"))
-    times = np.array([r["t"] for r in oracle_rows])
-    _, h, field = _build_field(cfg)
-    state0 = _initial_state(cfg)
-    traj = integrate(
-        field, state0, (times[0], times[-1]), integrator_config(cfg), t_eval=times
-    )
+    traj = _trajectory(cfg, _initial_state(cfg), oracle["t"])
     traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
-    deviations = {}
-    for col in ("Delta_q2", "Delta_qp", "Delta_p2", "q", "p"):
-        a = np.array([r[col] for r in oracle_rows])
-        b = traj.column(_column_var(col))
-        scale = max(float(np.max(np.abs(b))), 1e-12)
-        deviations[col] = float(np.max(np.abs(a - b)) / scale)
+    deviations = oracle_deviations(
+        oracle, {col: traj.column(var) for col, var in _COLUMNS.items()}
+    )
     worst = max(deviations.values())
     ok = worst <= cfg["check_threshold"]
-    summary = {
-        "scenario": "oracle-diff",
-        "inputs": _echo_inputs(cfg),
-        "monitors": _drifts(traj),
-        "oracle_quality": oracle_summary["extraction_quality_max"],
-        "deviations": deviations,
-        "checks": {"max_rel_deviation": worst, "threshold": cfg["check_threshold"], "passed": ok},
-        "artifacts": {
-            "trajectory_csv": "trajectory.csv",
-            "oracle_csv": "oracle_trajectory.csv",
-        },
-        "ok": bool(ok),
-    }
-    return summary
-
-
-def _column_var(col):
-    if col == "q":
-        return ("q", 0)
-    if col == "p":
-        return ("p", 0)
-    mapping = {
-        "Delta_q2": indices.single(2, 0),
-        "Delta_qp": indices.single(1, 1),
-        "Delta_p2": indices.single(0, 2),
-    }
-    return ("D", mapping[col])
-
-
-def _read_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            values = line.strip().split(",")
-            rows.append({k: float(v) for k, v in zip(header, values)})
-    return rows
+    return _summary(
+        cfg,
+        traj,
+        ok,
+        {"trajectory_csv": "trajectory.csv", "oracle_csv": "oracle_trajectory.csv"},
+        oracle_quality=oracle_summary["extraction_quality_max"],
+        deviations=deviations,
+        checks=_checks(cfg, ok, max_rel_deviation=worst),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -870,41 +799,29 @@ def _read_csv(path):
 def adiabatic_compare_run(cfg):
     """Shared machinery for the adiabatic comparison.
 
-    The full order-2 trajectory starts at a turning point on the
-    first-order slaved manifold s = s0(q) + delta_s, so the comparison
-    isolates the slaving error rather than an initial transient.  The
-    slaved fluctuation is evaluated along the full trajectory's q(t);
-    the independently integrated adiabatic q(t) quantifies the
-    back-reaction error.
+    The full moment trajectory starts at a turning point on the
+    first-order slaved manifold s = s0(q) + delta_s, in the Gaussian state
+    of that width, so the comparison isolates the slaving error rather
+    than an initial transient.  The slaved fluctuation is evaluated along
+    the full trajectory's q(t); the independently integrated adiabatic
+    q(t) quantifies the back-reaction error.
     """
     from .adiabatic import adiabatic_acceleration, delta_s_correction
 
     pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    casimir = cfg["casimir"] if cfg["casimir"] is not None else 0.25 * cfg["hbar"] ** 2
-    model = AdiabaticModel(pot, casimir, order=1)
-    h = build_heff(pot, cfg["order"])
-    table = build_bracket_table(cfg["order"], 1)
-    field = equations_of_motion(h, table)
+    model = AdiabaticModel(pot, _casimir(cfg), order=1)
     q0 = cfg["amplitude"]
     s_init = s0_of_q(model, q0)
     if cfg["adiabatic_order"] >= 1:
         s_init += delta_s_correction(model, q0, 0.0, adiabatic_acceleration(model, q0, 0.0))
-    dq2, dqp, dp2 = from_darboux(DarbouxState1D(s_init, 0.0, casimir))
-    moments = {
-        indices.single(2, 0): dq2,
-        indices.single(1, 1): dqp,
-        indices.single(0, 2): dp2,
-    }
-    state0 = MomentState(q0, 0.0, moments, cfg["hbar"], cfg["order"], cfg["classical_mode"])
-    t0, t1 = cfg["t_span"]
-    times = np.linspace(t0, t1, cfg["samples"])
-    traj = integrate(field, state0, (t0, t1), integrator_config(cfg), t_eval=times)
+    times = _samples(cfg)
+    traj = _trajectory(cfg, _initial_state(cfg, q0=q0, p0=0.0, sigma=s_init, ps0=0.0), times)
     _, q_ad, _, _, _ = integrate_adiabatic(
-        model, q0, 0.0, (t0, t1), times, rtol=cfg["rtol"], atol=cfg["atol"]
+        model, q0, 0.0, tuple(cfg["t_span"]), times, rtol=cfg["rtol"], atol=cfg["atol"]
     )
-    s_full = np.sqrt(traj.column(("D", indices.single(2, 0))))
-    q_full = traj.column(("q", 0))
-    qdot_full = traj.column(("p", 0)) / float(cfg["mass"])
+    s_full = np.sqrt(traj.column(_COLUMNS["Delta_q2"]))
+    q_full = traj.column(_COLUMNS["q"])
+    qdot_full = traj.column(_COLUMNS["p"]) / float(cfg["mass"])
     s_ad0 = np.array([s0_of_q(model, q) for q in q_full])
     ds = np.array(
         [
@@ -922,23 +839,15 @@ def adiabatic_compare_run(cfg):
 
 
 def run_adiabatic_compare(cfg, out_dir) -> dict:
-    """Full order-2 moment dynamics against the adiabatic approximation."""
+    """Full moment dynamics against the adiabatic approximation."""
     traj, times, q_full, s_full, q_ad, s_ad0, s_ad1, errors = adiabatic_compare_run(cfg)
-    csv_path = os.path.join(out_dir, "adiabatic_compare.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("t,q_full,s_full,q_adiabatic,s_adiabatic0,s_adiabatic1\n")
-        for row in zip(times, q_full, s_full, q_ad, s_ad0, s_ad1):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    summary = {
-        "scenario": "adiabatic-compare",
-        "inputs": _echo_inputs(cfg),
-        "monitors": _drifts(traj),
-        "errors": errors,
-        "artifacts": {"compare_csv": os.path.basename(csv_path)},
-        "ok": True,
-    }
+    write_table(
+        os.path.join(out_dir, "adiabatic_compare.csv"),
+        ("t", "q_full", "s_full", "q_adiabatic", "s_adiabatic0", "s_adiabatic1"),
+        zip(times, q_full, s_full, q_ad, s_ad0, s_ad1),
+    )
     write_json(os.path.join(out_dir, "adiabatic_errors.json"), errors)
-    return summary
+    return _summary(cfg, traj, True, {"compare_csv": "adiabatic_compare.csv"}, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -952,42 +861,42 @@ def transform_trajectory(in_path, out_path, target: str, mass: float = 1.0):
     if not rows:
         raise ConfigError("input: empty trajectory")
     cols = set(rows[0])
-    with open(out_path, "w", encoding="utf-8") as fh:
-        if target == "darboux":
-            _need(cols, {"t", "Delta_q2", "Delta_qp", "Delta_p2"}, "darboux")
-            fh.write("t,s,p_s,casimir\n")
-            for r in rows:
-                d = to_darboux(r["Delta_q2"], r["Delta_qp"], r["Delta_p2"])
-                fh.write(
-                    f"{r['t']:.17g},{d.s:.17g},{d.p_s:.17g},{d.casimir:.17g}\n"
-                )
-        elif target == "plane":
-            _need(cols, {"t", "Delta_q2", "Delta_qp", "Delta_p2"}, "plane")
-            ts = np.array([r["t"] for r in rows])
-            darboux = [
-                to_darboux(r["Delta_q2"], r["Delta_qp"], r["Delta_p2"]) for r in rows
-            ]
-            casimir = darboux[0].casimir
-            states = lift_trajectory(
-                ts,
-                np.array([d.s for d in darboux]),
-                np.array([d.p_s for d in darboux]),
-                casimir,
-                mass,
-            )
-            fh.write("t,X,Y,p_X,p_Y,p_phi\n")
-            for t, ps in zip(ts, states):
-                fh.write(
-                    f"{t:.17g},{ps.x:.17g},{ps.y:.17g},{ps.p_x:.17g},{ps.p_y:.17g},{ps.p_phi:.17g}\n"
-                )
-        elif target == "moments":
-            _need(cols, {"t", "s", "p_s", "casimir"}, "moments")
-            fh.write("t,Delta_q2,Delta_qp,Delta_p2\n")
-            for r in rows:
-                m = from_darboux(DarbouxState1D(r["s"], r["p_s"], r["casimir"]))
-                fh.write(f"{r['t']:.17g}," + ",".join(f"{v:.17g}" for v in m) + "\n")
-        else:
-            raise ConfigError("to: must be darboux, plane or moments")
+    if target in ("darboux", "plane"):
+        _need(cols, {"t", "Delta_q2", "Delta_qp", "Delta_p2"}, target)
+        ts = [r["t"] for r in rows]
+        darboux = [to_darboux(r["Delta_q2"], r["Delta_qp"], r["Delta_p2"]) for r in rows]
+    if target == "darboux":
+        header = ("t", "s", "p_s", "casimir")
+        out = [(t, d.s, d.p_s, d.casimir) for t, d in zip(ts, darboux)]
+    elif target == "plane":
+        states = lift_trajectory(
+            np.array(ts),
+            np.array([d.s for d in darboux]),
+            np.array([d.p_s for d in darboux]),
+            darboux[0].casimir,
+            mass,
+        )
+        header = ("t", "X", "Y", "p_X", "p_Y", "p_phi")
+        out = [(t, ps.x, ps.y, ps.p_x, ps.p_y, ps.p_phi) for t, ps in zip(ts, states)]
+    elif target == "moments":
+        _need(cols, {"t", "s", "p_s", "casimir"}, "moments")
+        header = ("t", "Delta_q2", "Delta_qp", "Delta_p2")
+        out = [
+            (r["t"], *from_darboux(DarbouxState1D(r["s"], r["p_s"], r["casimir"]))) for r in rows
+        ]
+    else:
+        raise ConfigError("to: must be darboux, plane or moments")
+    write_table(out_path, header, out)
+
+
+def _read_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = []
+        for line in fh:
+            values = line.strip().split(",")
+            rows.append({k: float(v) for k, v in zip(header, values)})
+    return rows
 
 
 def _need(cols, needed, target):
@@ -1003,24 +912,22 @@ def _need(cols, needed, target):
 # ---------------------------------------------------------------------------
 
 
+_RUNNERS = {
+    "free": run_free,
+    "harmonic": run_harmonic,
+    "cubic-tunneling": run_cubic_tunneling,
+    "two-dof-limit": run_two_dof_limit,
+    "adiabatic-compare": run_adiabatic_compare,
+    "brackets-dump": run_brackets_dump,
+    "oracle-diff": run_oracle_diff,
+}
+
+
 def run_scenario(cfg: dict, out_dir: str) -> dict:
+    runner = _RUNNERS.get(cfg["scenario"])
+    if runner is None:
+        raise ConfigError(f"scenario: {cfg['scenario']} is not runnable via simulate")
     os.makedirs(out_dir, exist_ok=True)
-    scenario = cfg["scenario"]
-    if scenario == "free":
-        summary, _ = run_free(cfg, out_dir)
-    elif scenario == "harmonic":
-        summary, _ = run_harmonic(cfg, out_dir)
-    elif scenario == "cubic-tunneling":
-        summary, _ = run_cubic_tunneling(cfg, out_dir)
-    elif scenario == "two-dof-limit":
-        summary = run_two_dof_limit(cfg, out_dir)
-    elif scenario == "adiabatic-compare":
-        summary = run_adiabatic_compare(cfg, out_dir)
-    elif scenario == "brackets-dump":
-        summary = run_brackets_dump(cfg, out_dir)
-    elif scenario == "oracle-diff":
-        summary = run_oracle_diff(cfg, out_dir)
-    else:
-        raise ConfigError(f"scenario: {scenario} is not runnable via simulate")
+    summary = runner(cfg, out_dir)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

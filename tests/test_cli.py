@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmoments.cli import main
-from qmoments.scenarios import ConfigError, resolve_config, run_sweep
+from qmoments.scenarios import ConfigError, oracle_deviations, resolve_config, run_sweep
 
 
 def write_cfg(tmp_path, name, payload):
@@ -194,22 +194,52 @@ def test_oracle_subcommand(tmp_path):
 
 
 def test_oracle_diff_scenario(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        "od.json",
-        {
-            "scenario": "oracle-diff",
-            "q0": 1.0,
-            "grid_points": 2048,
-            "t_span": [0.0, 1.0],
-            "samples": 6,
-            "check_threshold": 5e-4,
-        },
-    )
-    out = tmp_path / "od"
-    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    """A moving centroid and one at rest (q0 = p0 = 0) both match the
+    oracle; a real centroid offset from the one at rest does not."""
+    for q0 in (1.0, 0.0):
+        cfg = write_cfg(
+            tmp_path,
+            f"od{q0}.json",
+            {
+                "scenario": "oracle-diff",
+                "q0": q0,
+                "grid_points": 2048,
+                "t_span": [0.0, 1.0],
+                "samples": 6,
+                "check_threshold": 5e-4,
+            },
+        )
+        out = tmp_path / f"od{q0}"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["checks"]["max_rel_deviation"] < 5e-4
+    oracle = np.genfromtxt(out / "oracle_trajectory.csv", delimiter=",", names=True)
+    moments = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+    cols = ("Delta_q2", "Delta_qp", "Delta_p2", "q", "p")
+    moment_cols = {c: moments[c] for c in cols}
+    oracle_cols = {c: oracle[c] for c in cols}
+    assert not moment_cols["q"].any() and not moment_cols["p"].any()
+    oracle_cols["q"] = oracle_cols["q"] + 1e-6 * np.sqrt(moment_cols["Delta_q2"])
+    assert oracle_deviations(oracle_cols, moment_cols)["q"] > 5e-4
+
+
+@pytest.mark.parametrize(
+    "command, cfg, artifact, column",
+    [
+        ("simulate", {"scenario": "cubic-tunneling", "t_span": [0.0, 10.0]}, "trajectory.csv", "Delta_q3"),
+        ("adiabatic-compare", {"t_span": [0.0, 2.0], "samples": 21}, "adiabatic_compare.csv", "s_full"),
+    ],
+    ids=["cubic-tunneling", "adiabatic-compare"],
+)
+def test_equilibrium_initial_states_at_order_3(tmp_path, command, cfg, artifact, column):
+    """Tunneling and adiabatic runs start in Gaussian states at every order."""
+    path = write_cfg(tmp_path, "o3.json", dict(cfg, order=3))
+    out = tmp_path / "o3"
+    assert main([command, "--config", path, "--out-dir", str(out)]) == 0
+    assert column in (out / artifact).read_text().splitlines()[0].split(",")
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["checks"]["max_rel_deviation"] < 5e-4
+    assert summary["inputs"]["order"] == 3
+    assert summary["monitors"]["energy_drift"] < 1e-8
 
 
 def test_two_dof_limit_scenario(tmp_path):
