@@ -37,7 +37,6 @@ from .moment_algebra import (
     build_bracket_table,
     closed_form_bracket,
     kcoeff,
-    poisson_bracket,
 )
 from .schrodinger import Grid, WaveFunction, evolve, gaussian_wavepacket, moments_from_wavefunction
 from .weyl_algebra import OperatorPoly, bracket_oracle, expectation, weyl_symmetrize
@@ -78,7 +77,6 @@ __all__ = [
     "lift_to_plane",
     "moments_from_wavefunction",
     "monitors",
-    "poisson_bracket",
     "s0_of_q",
     "to_darboux",
     "two_dof_position_moments",

@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         if args.command == "brackets":
             from .moment_algebra import build_bracket_table
 
-            table = build_bracket_table(args.order, args.pairs, validate=True)
+            table = build_bracket_table(args.order, args.pairs)
             payload = dumps_json(table.to_jsonable())
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:

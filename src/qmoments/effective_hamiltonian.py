@@ -12,9 +12,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
+
 from . import indices
 from .exact import MomentPolynomial
-from .moment_algebra import BracketTable, poisson_bracket
+from .moment_algebra import closed_form_bracket, leibniz_bracket
 
 
 class PolynomialPotential:
@@ -38,16 +40,17 @@ class PolynomialPotential:
             coeffs = [i * c for i, c in enumerate(coeffs)][1:]
         return coeffs
 
-    def value(self, q: float, derivative: int = 0) -> float:
+    def value(self, q, derivative: int = 0):
+        """Horner evaluation at a float or elementwise on an array of q."""
         coeffs = self.derivative_coefficients(derivative)
         acc = 0.0
         for c in reversed(coeffs):
             acc = acc * q + float(c)
         return acc
 
-    def as_polynomial(self, derivative: int = 0, npairs: int = 1) -> MomentPolynomial:
-        poly = MomentPolynomial.zero(npairs)
-        q = MomentPolynomial.q(0, npairs)
+    def as_polynomial(self, derivative: int = 0) -> MomentPolynomial:
+        poly = MomentPolynomial.zero()
+        q = MomentPolynomial.q()
         for k, c in enumerate(self.derivative_coefficients(derivative)):
             if c:
                 poly = poly + (q**k).scale(c)
@@ -78,7 +81,10 @@ class CallablePotential:
         self.mass = Fraction(mass)
         self.degree = degree
 
-    def value(self, q: float, derivative: int = 0) -> float:
+    def value(self, q, derivative: int = 0):
+        """The callback at a float, or called per element of an array of q."""
+        if np.ndim(q):
+            return np.array([float(self._derivatives(x, derivative)) for x in q])
         return float(self._derivatives(q, derivative))
 
 
@@ -143,19 +149,19 @@ class EffectiveHamiltonian:
         return total
 
     @lru_cache(maxsize=4)
-    def moment_polynomial(self, npairs: int = 1) -> MomentPolynomial:
+    def moment_polynomial(self) -> MomentPolynomial:
         """H_eff as an exact polynomial in q, p and the moment symbols."""
         if not isinstance(self.potential, PolynomialPotential):
             raise TypeError("symbolic form requires a polynomial potential")
-        p = MomentPolynomial.p(0, npairs)
+        p = MomentPolynomial.p()
         heff = (p * p).scale(Fraction(1, 2) / self.mass)
-        heff = heff + self.potential.as_polynomial(0, npairs)
+        heff = heff + self.potential.as_polynomial(0)
         heff = heff + MomentPolynomial.moment(indices.single(0, 2)).scale(
             Fraction(1, 2) / self.mass
         )
         top = min(self.truncation_order, self.potential.degree)
         for a in range(2, top + 1):
-            coupling = self.potential.as_polynomial(a, npairs).scale(
+            coupling = self.potential.as_polynomial(a).scale(
                 Fraction(1, factorial(a))
             )
             heff = heff + coupling * MomentPolynomial.moment(indices.single(a, 0))
@@ -206,18 +212,17 @@ class MomentVectorField:
         return ns["ham"]
 
 
-def equations_of_motion(
-    h: EffectiveHamiltonian, table: BracketTable
-) -> MomentVectorField:
+def equations_of_motion(h: EffectiveHamiltonian) -> MomentVectorField:
     """Xdot = {X, H_eff} for every state coordinate, closed by truncation.
 
-    The q and p equations pick up moment back-reaction through the
-    (q, p)-dependence of the coupling coefficients; bracket results are
-    filtered by the semiclassical truncation rule so the system closes.
+    H_eff holds only Delta(p^2) and Delta(q^a), so the Leibniz rule needs
+    one column of moment brackets; the closed form supplies exactly those
+    (tests prove it equal to the oracle).  The q and p equations pick up
+    moment back-reaction through the (q, p)-dependence of the coupling
+    coefficients; results are filtered by the semiclassical truncation rule
+    so the system closes.
     """
-    if table.truncation_order < h.truncation_order:
-        raise ValueError("bracket table order below Hamiltonian order")
-    heff = h.moment_polynomial(table.npairs)
+    heff = h.moment_polynomial()
     layout = [("q", 0), ("p", 0)]
     layout += [("D", idx) for idx in indices.iter_indices(h.truncation_order, 1)]
     exprs = []
@@ -225,9 +230,9 @@ def equations_of_motion(
         if var[0] == "D":
             f = MomentPolynomial.moment(var[1])
         elif var[0] == "q":
-            f = MomentPolynomial.q(var[1], table.npairs)
+            f = MomentPolynomial.q()
         else:
-            f = MomentPolynomial.p(var[1], table.npairs)
-        xdot = poisson_bracket(f, heff, table)
+            f = MomentPolynomial.p()
+        xdot = leibniz_bracket(f, heff, closed_form_bracket)
         exprs.append(xdot.truncate(h.truncation_order))
     return MomentVectorField(layout, exprs, h)

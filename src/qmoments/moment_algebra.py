@@ -1,10 +1,11 @@
 """Closed-form moment brackets and truncation-aware bracket tables.
 
-The fast path evaluates the closed-form bracket of two single-pair moments
-(bilinear terms plus a K-coefficient sum); multi-pair brackets distribute
-the commutator across canonical pairs at the operator level.  Every entry
-can be validated against the first-principles ``bracket_oracle``, which is
-authoritative: if a closed form disagrees, a ConventionMismatchWarning is
+The equations of motion evaluate the closed-form bracket of two single-pair
+moments (bilinear terms plus a K-coefficient sum) for exactly the pairs the
+Leibniz rule touches; multi-pair brackets distribute the commutator across
+canonical pairs at the operator level.  Every ``BracketTable`` entry is
+validated against the first-principles ``bracket_oracle``, which is
+authoritative: if a fast form disagrees, a ConventionMismatchWarning is
 emitted and the oracle value is used.
 
 Sign convention.  Evaluating the K sum literally with weights
@@ -65,23 +66,13 @@ def kcoeff(n: int, a: int, b: int, c: int, d: int) -> Fraction:
     return Fraction(total)
 
 
-def closed_form_bracket(m1, m2, check: bool = True) -> MomentPolynomial:
-    """Closed-form {Delta(m1), Delta(m2)} for single-pair moments.
-
-    With ``check`` the (cached) result is reconciled against the oracle and
-    falls back to the oracle value on a convention mismatch.
-    """
+@lru_cache(maxsize=None)
+def closed_form_bracket(m1, m2) -> MomentPolynomial:
+    """Closed-form {Delta(m1), Delta(m2)} for single-pair moments (cached)."""
     if len(m1) != 1 or len(m2) != 1:
         raise MomentAlgebraError("closed form applies to single-pair moments")
     if indices.order(m1) < 2 or indices.order(m2) < 2:
         raise MomentAlgebraError("closed form applies to moments of order >= 2")
-    if check:
-        return validated_bracket(m1, m2)
-    return _closed_form_raw(m1, m2)
-
-
-@lru_cache(maxsize=None)
-def _closed_form_raw(m1, m2) -> MomentPolynomial:
     (a, b), (c, d) = m1[0], m2[0]
     result = MomentPolynomial.moment(((a, b - 1),)) * MomentPolynomial.moment(
         ((c - 1, d),)
@@ -155,9 +146,7 @@ def _op_derivative(op: OperatorPoly, pair: int, kind: str) -> OperatorPoly:
 
 @lru_cache(maxsize=None)
 def _reconciled(m1, m2) -> MomentPolynomial:
-    fast = (
-        _closed_form_raw(m1, m2) if len(m1) == 1 else operator_bracket(m1, m2)
-    )
+    fast = closed_form_bracket(m1, m2) if len(m1) == 1 else operator_bracket(m1, m2)
     oracle = bracket_oracle(m1, m2)
     if fast == oracle:
         return oracle
@@ -170,22 +159,13 @@ def _reconciled(m1, m2) -> MomentPolynomial:
     return oracle
 
 
-def validated_bracket(m1, m2) -> MomentPolynomial:
-    """Oracle-reconciled bracket for moments on any number of pairs."""
-    key1, key2 = sorted((m1, m2))
-    value = _reconciled(key1, key2)
-    if (key1, key2) != (m1, m2):
-        return -value
-    return value
-
-
 class BracketTable:
     """Antisymmetric table of moment brackets at a truncation order.
 
     Entries are stored for canonically ordered index pairs; lookups flip the
     sign for the reversed order.  Stored polynomials are truncated by the
-    semiclassical hbar-order filter, and ``validated`` records which entries
-    were confirmed against the oracle.
+    semiclassical hbar-order filter.  Every entry is reconciled against the
+    oracle before it is stored, which ``validated`` records per entry.
     """
 
     def __init__(self, truncation_order: int, npairs: int):
@@ -198,11 +178,11 @@ class BracketTable:
     def moment_indices(self):
         return indices.iter_indices(self.truncation_order, self.npairs)
 
-    def store(self, m1, m2, poly: MomentPolynomial, validated: bool):
+    def store(self, m1, m2, poly: MomentPolynomial):
         if (m2, m1) in self.entries:
             raise MomentAlgebraError("duplicate table entry")
         self.entries[(m1, m2)] = poly
-        self.validated[(m1, m2)] = validated
+        self.validated[(m1, m2)] = True
 
     def lookup(self, m1, m2) -> MomentPolynomial:
         if m1 == m2:
@@ -217,9 +197,6 @@ class BracketTable:
             "missing bracket for %s, %s (table order %d)"
             % (indices.pretty(m1), indices.pretty(m2), self.truncation_order)
         )
-
-    def __contains__(self, idx):
-        return any(idx in pair for pair in self.entries)
 
     def to_jsonable(self) -> dict:
         entries = []
@@ -240,14 +217,12 @@ class BracketTable:
 
 
 @lru_cache(maxsize=None)
-def build_bracket_table(
-    truncation_order: int, npairs: int = 1, validate: bool = True
-) -> BracketTable:
-    """Brackets of all moment index pairs up to the truncation order.
+def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
+    """Oracle-validated brackets of all moment index pairs up to the order.
 
     Single-pair entries use the closed form, multi-pair entries the
-    operator-level Leibniz assembly; with ``validate`` each entry is checked
-    against ``bracket_oracle`` once and flagged.  Results are cached per
+    operator-level Leibniz assembly; each entry is checked against
+    ``bracket_oracle`` once and flagged.  Results are cached per
     configuration and the table is immutable afterwards.
     """
     if truncation_order < 2:
@@ -265,33 +240,17 @@ def build_bracket_table(
     table = BracketTable(truncation_order, npairs)
     for i, m1 in enumerate(idxs):
         for m2 in idxs[i + 1 :]:
-            if validate:
-                poly = _reconciled(m1, m2)
-                ok = True
-            elif npairs == 1:
-                poly = _closed_form_raw(m1, m2)
-                ok = False
-            else:
-                poly = operator_bracket(m1, m2)
-                ok = False
-            table.store(m1, m2, poly.truncate(truncation_order), ok)
+            table.store(m1, m2, _reconciled(m1, m2).truncate(truncation_order))
     return table
 
 
-def poisson_bracket(
-    f: MomentPolynomial, g: MomentPolynomial, table: BracketTable
-) -> MomentPolynomial:
-    """Leibniz extension of the bracket to moment polynomials.
+def leibniz_bracket(f: MomentPolynomial, g: MomentPolynomial, pair_bracket):
+    """Bilinear Leibniz bracket given {Delta_i, Delta_j} = pair_bracket.
 
     Includes the canonical {q_i, p_i} = 1 contribution of the basic
-    variables; moments are Poisson orthogonal to q and p.  Unknown moment
-    symbols raise with the missing index named.
+    variables; moments are Poisson orthogonal to q and p.  Only the moment
+    pairs (x, y) with x in f and y in g are passed to ``pair_bracket``.
     """
-    return leibniz_bracket(f, g, table.lookup)
-
-
-def leibniz_bracket(f: MomentPolynomial, g: MomentPolynomial, pair_bracket):
-    """Bilinear Leibniz bracket given {Delta_i, Delta_j} = pair_bracket."""
     if f.npairs != g.npairs:
         raise MomentAlgebraError("operands live on different pair counts")
     npairs = f.npairs

@@ -321,8 +321,7 @@ def _echo_inputs(cfg) -> dict:
 
 @lru_cache(maxsize=16)
 def _field(potential: tuple, mass, order: int):
-    h = build_heff(PolynomialPotential(potential, mass), order)
-    return equations_of_motion(h, build_bracket_table(order, 1))
+    return equations_of_motion(build_heff(PolynomialPotential(potential, mass), order))
 
 
 def moment_field(cfg):
@@ -665,7 +664,7 @@ def run_two_dof_limit(cfg, out_dir) -> dict:
 
 
 def run_brackets_dump(cfg, out_dir) -> dict:
-    table = build_bracket_table(cfg["table_order"], cfg["pairs"], validate=True)
+    table = build_bracket_table(cfg["table_order"], cfg["pairs"])
     payload = table.to_jsonable()
     path = os.path.join(out_dir, "brackets.json")
     write_json(path, payload)

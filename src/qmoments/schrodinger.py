@@ -101,7 +101,7 @@ def hamiltonian_apply(wf: WaveFunction, potential) -> np.ndarray:
     lap[1:-1] = psi[2:] - 2.0 * psi[1:-1] + psi[:-2]
     lap[0] = psi[1] - 2.0 * psi[0]  # hard wall: psi = 0 beyond the edge
     lap[-1] = psi[-2] - 2.0 * psi[-1]
-    v = np.array([potential.value(xi) for xi in wf.grid.x])
+    v = potential.value(wf.grid.x)
     return -(wf.hbar**2) / (2.0 * wf.mass) * lap / dx2 + v * psi
 
 
@@ -133,7 +133,7 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int, support_check: 
             stacklevel=2,
         )
     n = grid.n_points
-    v = np.array([potential.value(xi) for xi in grid.x])
+    v = potential.value(grid.x)
     kin = hbar**2 / (2.0 * mass * grid.dx**2)
     h_main = 2.0 * kin + v
     h_off = -kin * np.ones(n - 1)

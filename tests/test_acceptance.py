@@ -55,7 +55,7 @@ def test_criterion_01_bracket_oracle_equivalence():
     assert closed_form_bracket(single(1, 1), single(0, 2)) == D(single(0, 2), 2)
     checked = 0
     for m1, m2 in indices.index_pairs(6, 1):
-        assert closed_form_bracket(m1, m2, check=False) == bracket_oracle(m1, m2), (
+        assert closed_form_bracket(m1, m2) == bracket_oracle(m1, m2), (
             f"single-pair mismatch at {m1}, {m2}"
         )
         checked += 1
@@ -95,7 +95,7 @@ def test_criterion_02_jacobi_identity():
 def test_criterion_03_free_particle_vs_closed_form():
     """sqrt(Delta(q^2))(t) matches the fluctuation growth law to 1e-8."""
     h = build_heff(PolynomialPotential([], mass=1), 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 10, 201)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(rtol=1e-10, atol=1e-13), t_eval=times)
@@ -111,7 +111,7 @@ def test_criterion_04_casimir_conservation():
     worst = 0.0
     for coeffs, span in (([], (0, 10)), ([0, 0, 0.5], (0, 10))):
         h = build_heff(PolynomialPotential(coeffs, mass=1), 2)
-        field = equations_of_motion(h, build_bracket_table(2, 1))
+        field = equations_of_motion(h)
         state0 = init_gaussian(1.0, 0.5, 1.0, 0.2, 1.0, 2)
         traj = integrate(field, state0, span, cfg, t_eval=np.linspace(*span, 201))
         drift = float(np.max(np.abs(traj.casimir - traj.casimir[0])) / traj.casimir[0])
@@ -133,7 +133,7 @@ def test_criterion_05_wavefunction_oracle_cross_validation(tmp_path):
     )
     data = np.genfromtxt(tmp_path / "oracle_trajectory.csv", delimiter=",", names=True)
     h = build_heff(PolynomialPotential([0, 0, 0.5], mass=1), 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(1.0, 0.0, 1.0, 0.0, 1.0, 2)
     traj = integrate(
         field, state0, (data["t"][0], data["t"][-1]),
@@ -184,7 +184,7 @@ def test_criterion_06_centrifugal_lift():
         ref = d.p_s**2 / (2 * mass) + d.casimir / (2 * mass * d.s**2)
         worst = max(worst, abs(ke - ref) / abs(ref))
     h = build_heff(PolynomialPotential([], mass=1), 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 10, 2001)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=times)
@@ -291,7 +291,7 @@ def test_criterion_10_classical_mode_contrast():
     """With the admissibility floor at C = 0 a classical free state does
     not spread: s(t) = s(0) to 1e-10."""
     h = build_heff(PolynomialPotential([], mass=1), 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0.0, 0.7, 1.3, 0.0, 1.0, 2, casimir=0.0, classical_mode=True)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=np.linspace(0, 10, 101))
     s = np.sqrt(traj.column(("D", single(2, 0))))

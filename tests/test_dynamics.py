@@ -24,12 +24,11 @@ from qmoments.effective_hamiltonian import (
 )
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
-from qmoments.moment_algebra import build_bracket_table
 
 
 def _free_field(mass=1.0, order=2):
     h = build_heff(PolynomialPotential([], mass=mass), order)
-    return h, equations_of_motion(h, build_bracket_table(order, 1))
+    return h, equations_of_motion(h)
 
 
 def test_init_gaussian_minimal():
@@ -107,7 +106,7 @@ def test_harmonic_breathing_period_and_monitors():
     """sigma=1 packet in a unit well: Delta(q^2)(t) = 1 - 0.75 sin^2 t."""
     pot = PolynomialPotential([0, 0, 0.5], mass=1)
     h = build_heff(pot, 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 2 * math.pi, 101)
     traj = integrate(field, state0, (0, 2 * math.pi), IntegratorConfig(), t_eval=times)
@@ -131,7 +130,7 @@ def test_rk4_fourth_order_convergence():
     """Halving the fixed step shrinks the closed-form error ~16x."""
     pot = PolynomialPotential([0, 0, 0.5], mass=1)
     h = build_heff(pot, 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
 
     def max_err(step):
@@ -157,7 +156,7 @@ def test_classical_mode_no_spreading():
 def test_quantum_admissibility_preserved():
     pot = PolynomialPotential([0, 0, 0.5, -0.05])
     h = build_heff(pot, 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0.2, 0.5, 0.9, -0.3, 1.0, 2)
     traj = integrate(field, state0, (0, 8), IntegratorConfig(), t_eval=np.linspace(0, 8, 81))
     assert np.min(traj.margin) > -1e-10
@@ -166,7 +165,7 @@ def test_quantum_admissibility_preserved():
 def test_free_order_4_preserves_gaussian_closure():
     """The order-4 free system keeps Delta(q^4) = 3 Delta(q^2)^2."""
     h = build_heff(PolynomialPotential([], mass=1), 4)
-    field = equations_of_motion(h, build_bracket_table(4, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 4)
     traj = integrate(field, state0, (0, 5), IntegratorConfig(), t_eval=np.linspace(0, 5, 51))
     dq2 = traj.column(("D", single(2, 0)))
@@ -183,8 +182,7 @@ def test_cubic_order_4_hbar_terms_and_energy():
 
     pot = PolynomialPotential([0, 0, Fraction(1, 2), Fraction(-1, 10)], mass=1)
     h = build_heff(pot, 4)
-    table = build_bracket_table(4, 1)
-    field = equations_of_motion(h, table)
+    field = equations_of_motion(h)
     dp3 = field.expression(("D", single(0, 3)))
     # the constant term is (V'''/6) * (3 hbar^2/2) = -3 hbar^2/20
     assert dp3.terms[(2, ())] == MomentPolynomial.constant(
@@ -208,7 +206,7 @@ def test_non_finite_blowup_reports_last_time():
     # inverted quadratic: moments blow up in finite time at machine scale
     pot = PolynomialPotential([0, 0, -8.0])
     h = build_heff(pot, 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     with pytest.raises(IntegrationError):
         integrate(field, state0, (0, 200), IntegratorConfig(rtol=1e-6, atol=1e-9))

@@ -16,10 +16,19 @@ from qmoments.effective_hamiltonian import (
 )
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
-from qmoments.moment_algebra import build_bracket_table
+from qmoments.moment_algebra import build_bracket_table, leibniz_bracket
 from qmoments.schrodinger import Grid, energy_expectation, gaussian_wavepacket
 
 D = MomentPolynomial.moment
+CUBIC = [0, 0, Fraction(1, 2), Fraction(-1, 10)]
+QUARTIC = [0, 0, Fraction(1, 2), 0, Fraction(1, 20)]
+
+
+def _coordinate(var) -> MomentPolynomial:
+    """The state coordinate ``var`` of a field layout as a polynomial."""
+    if var[0] == "D":
+        return D(var[1])
+    return MomentPolynomial.q() if var[0] == "q" else MomentPolynomial.p()
 
 
 def test_free_particle_couplings():
@@ -98,10 +107,17 @@ def test_linearity_of_build_heff():
             )
 
 
+def test_potential_value_on_arrays_is_elementwise():
+    x = np.linspace(-2.0, 3.0, 7)
+    callback = CallablePotential(lambda q, k: [math.cos(q), -math.sin(q)][k])
+    for pot in (PolynomialPotential(CUBIC), PolynomialPotential([]), callback):
+        elementwise = [pot.value(float(xi)) for xi in x]
+        assert np.array_equal(np.broadcast_to(pot.value(x), x.shape), elementwise)
+
+
 def test_equations_of_motion_free_particle():
     h = build_heff(PolynomialPotential([], mass=2), 2)
-    table = build_bracket_table(2, 1)
-    field = equations_of_motion(h, table)
+    field = equations_of_motion(h)
     assert field.expression(("D", single(2, 0))) == D(single(1, 1), 1)  # 2/m with m=2
     assert field.expression(("p", 0)).is_zero
     assert field.expression(("D", single(0, 2))).is_zero
@@ -112,8 +128,7 @@ def test_equations_of_motion_cubic_back_reaction():
     """dp/dt = -V'(q) - V'''(q) Delta(q^2)/2 at second order."""
     pot = PolynomialPotential([0, 0, Fraction(1, 2), Fraction(-1, 10)])
     h = build_heff(pot, 2)
-    table = build_bracket_table(2, 1)
-    field = equations_of_motion(h, table)
+    field = equations_of_motion(h)
     q = MomentPolynomial.q()
     expected = (
         -pot.as_polynomial(1)
@@ -128,7 +143,7 @@ def test_equations_of_motion_cubic_back_reaction():
 def test_energy_conserved_along_trajectory():
     pot = PolynomialPotential([0, 0, 0.5, -0.05])
     h = build_heff(pot, 2)
-    field = equations_of_motion(h, build_bracket_table(2, 1))
+    field = equations_of_motion(h)
     state0 = init_gaussian(0.3, 0.8, 0.8, 0.1, 1.0, 2)
     traj = integrate(field, state0, (0, 6), IntegratorConfig(), t_eval=np.linspace(0, 6, 61))
     drift = np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0])
@@ -139,19 +154,25 @@ def test_quadratic_exactness_no_truncation_remainder():
     """At order 2 a quadratic Hamiltonian closes with no dropped terms."""
     h = build_heff(PolynomialPotential([0, 0, 0.5], mass=1), 2)
     table = build_bracket_table(2, 1)
-    field = equations_of_motion(h, table)
+    field = equations_of_motion(h)
     heff = h.moment_polynomial()
-    from qmoments.moment_algebra import poisson_bracket
-
     for var, expr in zip(field.layout, field.exprs):
-        if var[0] == "D":
-            f = D(var[1])
-        elif var[0] == "q":
-            f = MomentPolynomial.q()
-        else:
-            f = MomentPolynomial.p()
-        untruncated = poisson_bracket(f, heff, table)
+        untruncated = leibniz_bracket(_coordinate(var), heff, table.lookup)
         assert untruncated == expr
+
+
+@pytest.mark.parametrize("coefficients", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_equations_of_motion_match_oracle_validated_table(order, coefficients):
+    """The closed-form EOM equals the Leibniz bracket over the
+    oracle-validated table for every state coordinate."""
+    h = build_heff(PolynomialPotential(coefficients), order)
+    field = equations_of_motion(h)
+    heff = h.moment_polynomial()
+    table = build_bracket_table(order, 1)
+    for var in field.layout:
+        expected = leibniz_bracket(_coordinate(var), heff, table.lookup).truncate(order)
+        assert field.expression(var) == expected, var
 
 
 def test_callable_potential_finite_difference_validation():

@@ -16,7 +16,6 @@ from qmoments.moment_algebra import (
     kcoeff,
     leibniz_bracket,
     operator_bracket,
-    poisson_bracket,
 )
 from qmoments.weyl_algebra import bracket_oracle
 
@@ -43,7 +42,7 @@ def test_closed_form_second_order_block():
 
 
 def test_closed_form_matches_oracle_with_bilinear_terms():
-    got = closed_form_bracket(single(2, 1), single(1, 2), check=False)
+    got = closed_form_bracket(single(2, 1), single(1, 2))
     assert got == bracket_oracle(single(2, 1), single(1, 2))
     # bilinear products survive here:
     expected = (
@@ -57,7 +56,7 @@ def test_closed_form_matches_oracle_with_bilinear_terms():
 
 def test_closed_form_oracle_equivalence_order_5():
     for m1, m2 in indices.index_pairs(5, 1):
-        assert closed_form_bracket(m1, m2, check=False) == bracket_oracle(m1, m2)
+        assert closed_form_bracket(m1, m2) == bracket_oracle(m1, m2)
 
 
 def test_closed_form_requires_single_pair_moments():
@@ -76,24 +75,27 @@ def test_validated_bracket_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         build_bracket_table.cache_clear()
-        build_bracket_table(3, 1, validate=True)
+        build_bracket_table(3, 1)
 
 
 def test_convention_mismatch_warns_and_falls_back(monkeypatch):
-    """A closed form that disagrees with the oracle is reported and the
-    oracle value is used instead."""
+    """A table entry whose closed form disagrees with the oracle is
+    reported and stored with the oracle value instead."""
     from qmoments import moment_algebra as ma
-    from qmoments.moment_algebra import ConventionMismatchWarning, validated_bracket
+    from qmoments.moment_algebra import ConventionMismatchWarning
 
+    build_bracket_table.cache_clear()
     ma._reconciled.cache_clear()
     monkeypatch.setattr(
-        ma, "_closed_form_raw", lambda m1, m2: MomentPolynomial.zero(1)
+        ma, "closed_form_bracket", lambda m1, m2: MomentPolynomial.zero(1)
     )
     try:
         with pytest.warns(ConventionMismatchWarning):
-            got = validated_bracket(single(2, 0), single(0, 2))
+            table = build_bracket_table(2, 1)
+        got = table.lookup(single(2, 0), single(0, 2))
         assert got == bracket_oracle(single(2, 0), single(0, 2))
     finally:
+        build_bracket_table.cache_clear()
         ma._reconciled.cache_clear()
 
 
@@ -150,17 +152,17 @@ def test_poisson_bracket_basic_variables():
     table = build_bracket_table(2, 1)
     q = MomentPolynomial.q()
     p = MomentPolynomial.p()
-    assert poisson_bracket(q * q, p * p, table) == q * p * 4
-    assert poisson_bracket(q, p, table) == MomentPolynomial.constant(1, 1)
-    assert poisson_bracket(D(single(2, 0)), q, table).is_zero
+    assert leibniz_bracket(q * q, p * p, table.lookup) == q * p * 4
+    assert leibniz_bracket(q, p, table.lookup) == MomentPolynomial.constant(1, 1)
+    assert leibniz_bracket(D(single(2, 0)), q, table.lookup).is_zero
 
 
 def test_poisson_bracket_casimir_is_central():
     table = build_bracket_table(2, 1)
     casimir = D(single(2, 0)) * D(single(0, 2)) - D(single(1, 1)) * D(single(1, 1))
     for idx in table.moment_indices:
-        assert poisson_bracket(casimir, D(idx), table).is_zero
-    assert poisson_bracket(casimir, MomentPolynomial.q(), table).is_zero
+        assert leibniz_bracket(casimir, D(idx), table.lookup).is_zero
+    assert leibniz_bracket(casimir, MomentPolynomial.q(), table.lookup).is_zero
 
 
 def test_poisson_bracket_antisymmetry_randomized():
@@ -183,7 +185,7 @@ def test_poisson_bracket_antisymmetry_randomized():
 
     for _ in range(20):
         f, g = random_poly(), random_poly()
-        assert poisson_bracket(f, g, table) == -poisson_bracket(g, f, table)
+        assert leibniz_bracket(f, g, table.lookup) == -leibniz_bracket(g, f, table.lookup)
 
 
 def test_poisson_bracket_jacobi_exact_at_order_2():
@@ -196,9 +198,9 @@ def test_poisson_bracket_jacobi_exact_at_order_2():
     for _ in range(12):
         f, g, h = (rng.choice(symbols) * rng.choice(symbols) for _ in range(3))
         total = (
-            poisson_bracket(f, poisson_bracket(g, h, table), table)
-            + poisson_bracket(g, poisson_bracket(h, f, table), table)
-            + poisson_bracket(h, poisson_bracket(f, g, table), table)
+            leibniz_bracket(f, leibniz_bracket(g, h, table.lookup), table.lookup)
+            + leibniz_bracket(g, leibniz_bracket(h, f, table.lookup), table.lookup)
+            + leibniz_bracket(h, leibniz_bracket(f, g, table.lookup), table.lookup)
         )
         assert total.is_zero
 
@@ -219,8 +221,8 @@ def test_poisson_bracket_numeric_antisymmetry():
         + MomentPolynomial.p() * MomentPolynomial.p()
     )
     g = D(single(0, 2)) * D(single(2, 0)) + MomentPolynomial.q().scale(rng.uniform(-1, 1))
-    fg = poisson_bracket(f, g, table).evaluate(1.0, basic, values)
-    gf = poisson_bracket(g, f, table).evaluate(1.0, basic, values)
+    fg = leibniz_bracket(f, g, table.lookup).evaluate(1.0, basic, values)
+    gf = leibniz_bracket(g, f, table.lookup).evaluate(1.0, basic, values)
     assert abs(fg + gf) <= 1e-12 * max(abs(fg), 1.0)
 
 
