@@ -98,6 +98,10 @@ def main(argv=None) -> int:
         if args.command == "brackets":
             from .moment_algebra import build_bracket_table
 
+            if args.order < 2:
+                raise ConfigError(f"--order: truncation order must be >= 2, got {args.order}")
+            if args.pairs < 1:
+                raise ConfigError(f"--pairs: number of pairs must be >= 1, got {args.pairs}")
             table = build_bracket_table(args.order, args.pairs)
             payload = dumps_json(table.to_jsonable())
             if args.out:

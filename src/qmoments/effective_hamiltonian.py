@@ -41,9 +41,13 @@ class PolynomialPotential:
         return coeffs
 
     def value(self, q, derivative: int = 0):
-        """Horner evaluation at a float or elementwise on an array of q."""
+        """Horner evaluation at a float or elementwise on an array of q.
+
+        Horner starts from ``0.0 * q``, so an array of q gives an array of
+        its shape even when the polynomial (or the derivative) is zero.
+        """
         coeffs = self.derivative_coefficients(derivative)
-        acc = 0.0
+        acc = 0.0 * q
         for c in reversed(coeffs):
             acc = acc * q + float(c)
         return acc

@@ -747,11 +747,23 @@ def oracle_deviations(oracle: dict, moments: dict) -> dict:
     are floored at sqrt(eps) times the packet width sqrt(max Delta(q^2))
     or sqrt(max Delta(p^2)): rounding stays a negligible deviation, while
     a real centroid offset still reads as a large one.
+
+    Nor has the covariance of an uncorrelated packet (the harmonic ground
+    state keeps Delta(qp) = 0).  Cauchy-Schwarz bounds |Delta(qp)| by
+    sqrt(Delta(q^2) Delta(p^2)), so the Delta_qp scale is floored at a
+    tenth of sqrt(max Delta(q^2) max Delta(p^2)).  The oracle's
+    discretisation error, at most about 2e-5 of that bound at 2048 or
+    4096 points and dt = 1e-3, then reads as at most about 2e-4, while an
+    offset of 1e-3 of the bound reads as 1e-2.  The default free and harmonic packets reach
+    |Delta(qp)| of 0.71 and 0.37 of the bound, above the floor, so their
+    deviations are unchanged.
     """
+    max_q2, max_p2 = np.max(moments["Delta_q2"]), np.max(moments["Delta_p2"])
     rel = math.sqrt(np.finfo(float).eps)
     floors = {
-        "q": rel * math.sqrt(np.max(moments["Delta_q2"])),
-        "p": rel * math.sqrt(np.max(moments["Delta_p2"])),
+        "q": rel * math.sqrt(max_q2),
+        "p": rel * math.sqrt(max_p2),
+        "Delta_qp": 0.1 * math.sqrt(max_q2 * max_p2),
     }
     out = {}
     for col, b in moments.items():

@@ -180,6 +180,16 @@ def test_brackets_dump(tmp_path, capsys):
     assert '"entries"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [(["--order", "1"], "--order"), (["--order", "0"], "--order"), (["--order", "-2"], "--order"),
+     (["--order", "2", "--pairs", "0"], "--pairs"), (["--order", "2", "--pairs", "-1"], "--pairs")],
+)
+def test_brackets_rejects_bad_arguments(capsys, args, flag):
+    assert main(["brackets", *args]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+
+
 def test_oracle_subcommand(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -194,33 +204,43 @@ def test_oracle_subcommand(tmp_path):
 
 
 def test_oracle_diff_scenario(tmp_path):
-    """A moving centroid and one at rest (q0 = p0 = 0) both match the
-    oracle; a real centroid offset from the one at rest does not."""
-    for q0 in (1.0, 0.0):
+    """A moving centroid, one at rest (q0 = p0 = 0) and the uncorrelated
+    harmonic ground state all match the oracle; a real centroid offset
+    from the one at rest, or a Delta_qp offset from the ground state's
+    zero covariance, does not."""
+    cols = ("Delta_q2", "Delta_qp", "Delta_p2", "q", "p")
+    runs = {}
+    for name, extra in (("moving", {"q0": 1.0}), ("rest", {"q0": 0.0}), ("ground", {"sigma": 0.7071067811865476})):
         cfg = write_cfg(
             tmp_path,
-            f"od{q0}.json",
+            f"od-{name}.json",
             {
                 "scenario": "oracle-diff",
-                "q0": q0,
+                **extra,
                 "grid_points": 2048,
                 "t_span": [0.0, 1.0],
                 "samples": 6,
                 "check_threshold": 5e-4,
             },
         )
-        out = tmp_path / f"od{q0}"
+        out = tmp_path / f"od-{name}"
         assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"]["max_rel_deviation"] < 5e-4
-    oracle = np.genfromtxt(out / "oracle_trajectory.csv", delimiter=",", names=True)
-    moments = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
-    cols = ("Delta_q2", "Delta_qp", "Delta_p2", "q", "p")
-    moment_cols = {c: moments[c] for c in cols}
-    oracle_cols = {c: oracle[c] for c in cols}
+        oracle = np.genfromtxt(out / "oracle_trajectory.csv", delimiter=",", names=True)
+        moments = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+        runs[name] = ({c: oracle[c] for c in cols}, {c: moments[c] for c in cols})
+
+    oracle_cols, moment_cols = runs["rest"]
     assert not moment_cols["q"].any() and not moment_cols["p"].any()
     oracle_cols["q"] = oracle_cols["q"] + 1e-6 * np.sqrt(moment_cols["Delta_q2"])
     assert oracle_deviations(oracle_cols, moment_cols)["q"] > 5e-4
+
+    oracle_cols, moment_cols = runs["ground"]
+    bound = np.sqrt(np.max(moment_cols["Delta_q2"]) * np.max(moment_cols["Delta_p2"]))
+    assert np.max(np.abs(moment_cols["Delta_qp"])) < 1e-12 * bound
+    oracle_cols["Delta_qp"] = oracle_cols["Delta_qp"] + 1e-3 * bound
+    assert oracle_deviations(oracle_cols, moment_cols)["Delta_qp"] > 5e-4
 
 
 @pytest.mark.parametrize(

@@ -112,7 +112,10 @@ def test_potential_value_on_arrays_is_elementwise():
     callback = CallablePotential(lambda q, k: [math.cos(q), -math.sin(q)][k])
     for pot in (PolynomialPotential(CUBIC), PolynomialPotential([]), callback):
         elementwise = [pot.value(float(xi)) for xi in x]
-        assert np.array_equal(np.broadcast_to(pot.value(x), x.shape), elementwise)
+        values = pot.value(x)
+        assert np.shape(values) == x.shape
+        assert np.array_equal(values, elementwise)
+    assert np.array_equal(PolynomialPotential(CUBIC).value(x, 4), np.zeros_like(x))
 
 
 def test_equations_of_motion_free_particle():
