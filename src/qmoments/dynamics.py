@@ -190,13 +190,7 @@ class Trajectory:
         return self.ys[:, self.layout.index(var)]
 
     def header(self) -> list:
-        names = []
-        for var in self.layout:
-            if var[0] in ("q", "p"):
-                names.append(var[0])
-            else:
-                names.append(indices.csv_name(var[1]))
-        return ["t"] + names + ["energy", "casimir", "margin"]
+        return ["t"] + [_csv_name(var) for var in self.layout] + ["energy", "casimir", "margin"]
 
     def rows(self):
         for i, t in enumerate(self.times):
@@ -220,13 +214,18 @@ def monitors(state: MomentState, h) -> tuple:
     return (h.evaluate(state), state.casimir(), state.margin())
 
 
+def _csv_name(var) -> str:
+    return var[0] if var[0] in ("q", "p") else indices.csv_name(var[1])
+
+
 def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=None, events=None) -> Trajectory:
     """Integrate a moment vector field and record conservation monitors.
 
     The adaptive method keeps the local error below the configured
     tolerances; a step budget and finite-state checks guard runaway
-    trajectories and report the last good time on failure.  The fixed-step
-    method records every step and ignores ``t_eval``.
+    trajectories.  A failure names the last good time, the truncation order
+    and the component at fault.  The fixed-step method records every step
+    and ignores ``t_eval``.
     """
     layout = field.layout
     y0 = state0.to_vector(layout)
@@ -239,7 +238,14 @@ def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=
         times, ys = _rk4_fixed(rhs, y0, t0, t1, cfg.step, cfg.max_steps)
         info = {"status": 0, "nfev": 4 * (len(times) - 1)}
     else:
-        state = {"nfev": 0, "t_last": t0}
+        state = {"nfev": 0, "t_last": t0, "out": None}
+
+        def failure(message, component):
+            last = state["t_last"]
+            return IntegrationError(
+                f"{message} (last good time t={last:.6g}, order {state0.order}, {component})",
+                last_time=last,
+            )
 
         def guarded(t, y):
             state["nfev"] += 1
@@ -251,10 +257,13 @@ def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=
             out = rhs(t, y)
             for v in out:
                 if not math.isfinite(v):
-                    raise IntegrationError(
-                        f"non-finite state at t={t:.6g}", last_time=state["t_last"]
+                    i = next(j for j, w in enumerate(out) if not math.isfinite(w))
+                    raise failure(
+                        f"non-finite state at t={t:.6g}",
+                        f"first non-finite component {_csv_name(layout[i])}",
                     )
             state["t_last"] = t
+            state["out"] = out
             return out
 
         sol = solve_ivp(
@@ -269,7 +278,11 @@ def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=
             dense_output=False,
         )
         if sol.status < 0:
-            raise IntegrationError(sol.message, last_time=sol.t[-1] if len(sol.t) else t0)
+            rates = np.abs(state["out"])
+            i = int(np.argmax(rates))
+            raise failure(
+                sol.message, f"largest |dX/dt| {rates[i]:.3g} in {_csv_name(layout[i])}"
+            )
         times, ys = sol.t, sol.y.T
         info = {
             "status": sol.status,

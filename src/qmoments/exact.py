@@ -54,16 +54,6 @@ class GaussianRational:
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
     def mul_ipow(self, k: int) -> "GaussianRational":
         """Multiply by i**k."""
         k %= 4
@@ -74,9 +64,6 @@ class GaussianRational:
         if k == 2:
             return GaussianRational(-self.re, -self.im)
         return GaussianRational(self.im, -self.re)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -106,12 +93,23 @@ def _coerce(x) -> GaussianRational:
     return GaussianRational(x)
 
 
-GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
+
+
+def _accumulate(terms: dict, key, c) -> None:
+    """Add ``c`` to ``terms[key]``, dropping the key when the sum is zero."""
+    acc = terms.get(key)
+    s = c if acc is None else acc + c
+    if s.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
 
 
 # Variables of a MomentPolynomial: ("q", pair), ("p", pair) or ("D", index).
 # The string tags sort against each other, so mixed tuples are orderable.
+# The bracket oracle (weyl_algebra) uses raw expectation values instead: each
+# variable is an exponent tuple ((a_1, b_1), ..., (a_n, b_n)).
 
 
 def qvar(pair: int = 0):
@@ -191,12 +189,7 @@ class MomentPolynomial:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            acc = terms.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            _accumulate(terms, key, c)
         return MomentPolynomial(self.npairs, terms)
 
     def __sub__(self, other):
@@ -224,14 +217,7 @@ class MomentPolynomial:
         terms = {}
         for (h1, v1), c1 in self.terms.items():
             for (h2, v2), c2 in other.terms.items():
-                key = (h1 + h2, _merge_vars(v1, v2))
-                c = c1 * c2
-                acc = terms.get(key)
-                s = c if acc is None else acc + c
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                _accumulate(terms, (h1 + h2, _merge_vars(v1, v2)), c1 * c2)
         return MomentPolynomial(self.npairs, terms)
 
     __rmul__ = __mul__
@@ -267,13 +253,6 @@ class MomentPolynomial:
                 terms[k] = GaussianRational(c.im)
         return MomentPolynomial(self.npairs, terms)
 
-    def real_part(self) -> "MomentPolynomial":
-        terms = {}
-        for k, c in self.terms.items():
-            if c.re:
-                terms[k] = GaussianRational(c.re)
-        return MomentPolynomial(self.npairs, terms)
-
     # -- calculus and structure -------------------------------------------
 
     def diff(self, var) -> "MomentPolynomial":
@@ -287,14 +266,7 @@ class MomentPolynomial:
                         new_vars = (
                             vars_[:i] + ((v, power - 1),) + vars_[i + 1 :]
                         )
-                    key = (h, new_vars)
-                    add = c * power
-                    acc = terms.get(key)
-                    s = add if acc is None else acc + add
-                    if s.is_zero:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
+                    _accumulate(terms, (h, new_vars), c * power)
                     break
         return MomentPolynomial(self.npairs, terms)
 
@@ -304,9 +276,6 @@ class MomentPolynomial:
             for v, _ in vars_:
                 out.add(v)
         return out
-
-    def moment_symbols(self) -> set:
-        return {v[1] for v in self.variables() if v[0] == "D"}
 
     def uses_basic(self) -> bool:
         return any(v[0] in ("q", "p") for v in self.variables())
@@ -445,3 +414,25 @@ def _merge_vars(v1, v2):
     for v, power in v2:
         merged[v] = merged.get(v, 0) + power
     return tuple(sorted(merged.items()))
+
+
+def leibniz(f: MomentPolynomial, g: MomentPolynomial, var_bracket) -> MomentPolynomial:
+    """Bracket of two polynomials from the brackets of their variables.
+
+    Sums df/dx * dg/dy * var_bracket(x, y) over the variables x of ``f`` and
+    y of ``g``; pairs whose bracket is None or zero are skipped, and each
+    partial of ``g`` is computed once.
+    """
+    result = MomentPolynomial.zero(f.npairs)
+    partials_g = {}
+    gvars = sorted(g.variables())
+    for x in sorted(f.variables()):
+        fx = f.diff(x)
+        for y in gvars:
+            bracket = var_bracket(x, y)
+            if bracket is None or bracket.is_zero:
+                continue
+            if y not in partials_g:
+                partials_g[y] = g.diff(y)
+            result = result + fx * partials_g[y] * bracket
+    return result

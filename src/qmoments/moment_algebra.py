@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import indices
-from .exact import GaussianRational, MomentPolynomial
+from .exact import GaussianRational, MomentPolynomial, _accumulate, leibniz
 from .weyl_algebra import OperatorPoly, bracket_oracle, expectation, weyl_monomial
 
 
@@ -133,14 +133,7 @@ def _op_derivative(op: OperatorPoly, pair: int, kind: str) -> OperatorPoly:
         new_pair = list(exps[pair])
         new_pair[slot] = e - 1
         new_exps = exps[:pair] + (tuple(new_pair),) + exps[pair + 1 :]
-        key = (h, new_exps)
-        add = c * e
-        cur = terms.get(key)
-        s = add if cur is None else cur + add
-        if s.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = s
+        _accumulate(terms, (h, new_exps), c * e)
     return OperatorPoly(op.npairs, terms)
 
 
@@ -253,23 +246,7 @@ def leibniz_bracket(f: MomentPolynomial, g: MomentPolynomial, pair_bracket):
     """
     if f.npairs != g.npairs:
         raise MomentAlgebraError("operands live on different pair counts")
-    npairs = f.npairs
-    result = MomentPolynomial.zero(npairs)
-    fvars = sorted(f.variables())
-    gvars = sorted(g.variables())
-    for x in fvars:
-        fx = f.diff(x)
-        if fx.is_zero:
-            continue
-        for y in gvars:
-            bracket = _var_bracket(x, y, pair_bracket, npairs)
-            if bracket is None or bracket.is_zero:
-                continue
-            gy = g.diff(y)
-            if gy.is_zero:
-                continue
-            result = result + fx * gy * bracket
-    return result
+    return leibniz(f, g, lambda x, y: _var_bracket(x, y, pair_bracket, f.npairs))
 
 
 def _var_bracket(x, y, pair_bracket, npairs):

@@ -540,9 +540,12 @@ def run_cubic_tunneling(cfg, out_dir) -> dict:
     if traj is None:
         raise IntegrationError("tunneling run failed: " + record.get("reason", ""))
     traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
+    # The state must stay admissible: the Heisenberg margin may dip below
+    # zero only by the 10x allowance run_harmonic gives the Casimir drift.
     ok = (
         record["classification"] == "bypassed"
         and record["energy_drift"] <= cfg["check_threshold"]
+        and record["margin_min"] >= -10 * cfg["check_threshold"] * float(traj.casimir[0])
     )
     checks = _checks(
         cfg,

@@ -8,12 +8,13 @@ cached triangular change-of-basis table; expectation values of Weyl-ordered
 centered monomials are the moment symbols Delta(q^a p^b).
 
 The module also provides ``bracket_oracle``, a first-principles evaluation
-of the Poisson bracket of two moments: each moment is expanded into raw
-expectation values of operator monomials, the defining bracket
-{<A>, <B>} = <[A, B]>/(i*hbar) is applied pairwise through the symbolic
-commutator together with the Leibniz rule, and the result is re-expressed
-through Weyl-ordered central moments.  Every closed-form bracket in the
-package is validated against this oracle.
+of the Poisson bracket of two moments: each moment is expanded into a
+``MomentPolynomial`` whose variables are raw expectation values of
+operator monomials, the defining bracket {<A>, <B>} = <[A, B]>/(i*hbar)
+of two such variables comes from the symbolic commutator, ``exact.leibniz``
+extends it to the polynomials, and the result is re-expressed through
+Weyl-ordered central moments.  Every closed-form bracket in the package is
+validated against this oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .exact import (
     GR_ONE,
     GaussianRational,
     MomentPolynomial,
+    _accumulate,
     _coerce,
-    _merge_vars,
+    leibniz,
 )
 
 
@@ -89,12 +91,7 @@ class OperatorPoly:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            acc = terms.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            _accumulate(terms, key, c)
         return OperatorPoly(self.npairs, terms)
 
     def __sub__(self, other):
@@ -122,14 +119,7 @@ class OperatorPoly:
             for (h2, e2), c2 in other.terms.items():
                 base = c1 * c2
                 for extra_h, exps, factor in _normal_products(e1, e2):
-                    key = (h1 + h2 + extra_h, exps)
-                    c = base * factor
-                    acc = terms.get(key)
-                    s = c if acc is None else acc + c
-                    if s.is_zero:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
+                    _accumulate(terms, (h1 + h2 + extra_h, exps), base * factor)
         return OperatorPoly(self.npairs, terms)
 
     def commutator(self, other) -> "OperatorPoly":
@@ -149,11 +139,6 @@ class OperatorPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(a + b for a, b in exps) for _, exps in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorPoly):
@@ -299,14 +284,7 @@ def _normal_in_weyl(a: int, b: int):
         if (al, be) == (a, b):
             continue
         for (h2, target), c2 in _normal_in_weyl(al, be):
-            key = (h + h2, target)
-            add = -(c * c2)
-            cur = acc.get(key)
-            s = add if cur is None else cur + add
-            if s.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            _accumulate(acc, (h + h2, target), -(c * c2))
     return tuple(sorted(acc.items()))
 
 
@@ -349,91 +327,9 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
 #
 # State-space coordinates for the oracle are the raw expectation values
 # E[alpha] = <prod_i q_i^{a_i} p_i^{b_i}> of normal-ordered, uncentered
-# monomials (alpha is an exps tuple).  A central moment is a polynomial in
-# these coordinates; brackets descend from <[A,B]>/(i*hbar) on the
-# coordinates plus the Leibniz rule.
-
-
-class _EPoly:
-    """Polynomial in raw expectation values with hbar-graded coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def constant(cls, c, hbar_power: int = 0):
-        c = _coerce(c)
-        if c.is_zero:
-            return cls({})
-        return cls({(hbar_power, ()): c})
-
-    @classmethod
-    def variable(cls, alpha, coeff=GR_ONE, hbar_power: int = 0):
-        return cls({(hbar_power, ((alpha, 1),)): coeff})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = terms.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return _EPoly(terms)
-
-    def __mul__(self, other):
-        terms = {}
-        for (h1, v1), c1 in self.terms.items():
-            for (h2, v2), c2 in other.terms.items():
-                key = (h1 + h2, _merge_vars(v1, v2))
-                c = c1 * c2
-                acc = terms.get(key)
-                s = c if acc is None else acc + c
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
-        return _EPoly(terms)
-
-    def scale(self, factor):
-        factor = _coerce(factor)
-        if factor.is_zero:
-            return _EPoly({})
-        return _EPoly({k: c * factor for k, c in self.terms.items()})
-
-    def diff(self, alpha):
-        terms = {}
-        for (h, vars_), c in self.terms.items():
-            for i, (v, power) in enumerate(vars_):
-                if v == alpha:
-                    if power == 1:
-                        new_vars = vars_[:i] + vars_[i + 1 :]
-                    else:
-                        new_vars = vars_[:i] + ((v, power - 1),) + vars_[i + 1 :]
-                    key = (h, new_vars)
-                    add = c * power
-                    acc = terms.get(key)
-                    s = add if acc is None else acc + add
-                    if s.is_zero:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
-                    break
-        return _EPoly(terms)
-
-    def variables(self):
-        out = set()
-        for (_h, vars_) in self.terms:
-            for v, _ in vars_:
-                out.add(v)
-        return out
-
-    @property
-    def is_zero(self):
-        return not self.terms
+# monomials (alpha is an exps tuple).  A central moment is a MomentPolynomial
+# whose variables are these coordinates; brackets descend from
+# <[A,B]>/(i*hbar) on the coordinates plus the Leibniz rule.
 
 
 def _is_trivial(alpha) -> bool:
@@ -449,7 +345,7 @@ def _uncentered_expectation_epoly(idx):
     polynomial in the E-coordinates.
     """
     npairs = len(idx)
-    result = _EPoly({})
+    terms = {}
     for (h, exps), c in weyl_monomial(idx).terms.items():
         per_pair = []
         for pair, (al, be) in enumerate(exps):
@@ -478,9 +374,8 @@ def _uncentered_expectation_epoly(idx):
                 vars_[v] = vars_.get(v, 0) + power
             if not _is_trivial(raw_alpha):
                 vars_[raw_alpha] = vars_.get(raw_alpha, 0) + 1
-            term = _EPoly({(h, tuple(sorted(vars_.items()))): coeff})
-            result = result + term
-    return result
+            _accumulate(terms, (h, tuple(sorted(vars_.items()))), coeff)
+    return MomentPolynomial(npairs, terms)
 
 
 def _basic_alpha(pair, npairs, kind):
@@ -492,101 +387,52 @@ def _basic_alpha(pair, npairs, kind):
 
 @lru_cache(maxsize=None)
 def _epoly_pair_bracket(x, y):
-    """{E[x], E[y]} = <[T_x, T_y]>/(i*hbar) as a linear _EPoly."""
-    tx = OperatorPoly.monomial(x)
-    ty = OperatorPoly.monomial(y)
-    comm = tx.commutator(ty)
-    if comm.is_zero:
-        return _EPoly({})
-    comm = comm.divide_ihbar()
-    result = _EPoly({})
-    for (h, exps), c in comm.terms.items():
-        if _is_trivial(exps):
-            result = result + _EPoly.constant(c, h)
-        else:
-            result = result + _EPoly.variable(exps, c, h)
-    return result
-
-
-def _epoly_bracket(f: _EPoly, g: _EPoly) -> _EPoly:
-    result = _EPoly({})
-    fvars = sorted(f.variables())
-    gvars = sorted(g.variables())
-    partials_f = {x: f.diff(x) for x in fvars}
-    partials_g = {y: g.diff(y) for y in gvars}
-    for x in fvars:
-        fx = partials_f[x]
-        if fx.is_zero:
-            continue
-        for y in gvars:
-            if x == y:
-                continue
-            pi = _pair_bracket_canonical(x, y)
-            if pi.is_zero:
-                continue
-            gy = partials_g[y]
-            if gy.is_zero:
-                continue
-            result = result + fx * gy * pi
-    return result
+    """{E[x], E[y]} = <[T_x, T_y]>/(i*hbar), linear in the E-coordinates."""
+    comm = OperatorPoly.monomial(x).commutator(OperatorPoly.monomial(y))
+    return MomentPolynomial(
+        len(x),
+        {
+            (h, () if _is_trivial(exps) else ((exps, 1),)): c
+            for (h, exps), c in comm.divide_ihbar().terms.items()
+        },
+    )
 
 
 def _pair_bracket_canonical(x, y):
     if x <= y:
         return _epoly_pair_bracket(x, y)
-    return _epoly_pair_bracket(y, x).scale(GaussianRational(-1))
+    return -_epoly_pair_bracket(y, x)
 
 
 @lru_cache(maxsize=None)
 def _evar_as_moments(alpha) -> MomentPolynomial:
-    """Raw expectation E[alpha] rewritten in q, p and central moments."""
+    """Raw expectation E[alpha] rewritten in q, p and central moments.
+
+    Each factor q-hat^j p-hat^k is expanded binomially around (q, p); the
+    centered part goes through ``expectation``.
+    """
     npairs = len(alpha)
     result = MomentPolynomial.zero(npairs)
-    per_pair = []
-    for pair, (j, k) in enumerate(alpha):
-        opts = []
-        for al in range(j + 1):
-            for be in range(k + 1):
-                coeff = GaussianRational(comb(j, al) * comb(k, be))
-                opts.append((pair, al, be, j - al, k - be, coeff))
-        per_pair.append(opts)
+    per_pair = [
+        [(pair, al, be, j - al, k - be) for al in range(j + 1) for be in range(k + 1)]
+        for pair, (j, k) in enumerate(alpha)
+    ]
     for combo in itertools.product(*per_pair):
-        coeff = GR_ONE
-        centered = []
-        qp_vars = {}
-        for pair, al, be, qpow, ppow, c_i in combo:
-            coeff = coeff * c_i
-            centered.append((al, be))
+        coeff = 1
+        basic = {}
+        for pair, al, be, qpow, ppow in combo:
+            coeff *= comb(al + qpow, al) * comb(be + ppow, be)
             if qpow:
-                qp_vars[("q", pair)] = qpow
+                basic[("q", pair)] = qpow
             if ppow:
-                qp_vars[("p", pair)] = ppow
-        conversions = [_normal_in_weyl(al, be) for al, be in centered]
-        for conv in itertools.product(*conversions):
-            c2 = coeff
-            total_h = 0
-            widx = []
-            for (h_i, pair_weyl), c_i in conv:
-                c2 = c2 * c_i
-                total_h += h_i
-                widx.append(pair_weyl)
-            mono = MomentPolynomial.moment(tuple(widx)).scale(c2)
-            if mono.is_zero:
-                continue
-            shifted_terms = {}
-            for (hk, v), cc in mono.terms.items():
-                key = (hk + total_h, _merge_vars(v, tuple(sorted(qp_vars.items()))))
-                acc = shifted_terms.get(key)
-                s = cc if acc is None else acc + cc
-                if s.is_zero:
-                    shifted_terms.pop(key, None)
-                else:
-                    shifted_terms[key] = s
-            result = result + MomentPolynomial(npairs, shifted_terms)
+                basic[("p", pair)] = ppow
+        centered = tuple((al, be) for _, al, be, _, _ in combo)
+        qp = MomentPolynomial(npairs, {(0, tuple(sorted(basic.items()))): GR_ONE})
+        result = result + expectation(OperatorPoly.monomial(centered, coeff)) * qp
     return result
 
 
-def _epoly_to_moments(e: _EPoly, npairs: int) -> MomentPolynomial:
+def _epoly_to_moments(e: MomentPolynomial, npairs: int) -> MomentPolynomial:
     result = MomentPolynomial.zero(npairs)
     for (h, vars_), c in e.terms.items():
         term = MomentPolynomial.constant(c, npairs, hbar_power=h)
@@ -598,12 +444,12 @@ def _epoly_to_moments(e: _EPoly, npairs: int) -> MomentPolynomial:
     return result
 
 
-def _index_as_epoly(idx) -> _EPoly:
+def _index_as_epoly(idx) -> MomentPolynomial:
     n = indices.order(idx)
     if n == 0:
-        return _EPoly.constant(GR_ONE)
+        return MomentPolynomial.constant(GR_ONE, len(idx))
     if n == 1:
-        return _EPoly.variable(idx)
+        return MomentPolynomial.variable(idx, len(idx))
     return _uncentered_expectation_epoly(idx)
 
 
@@ -621,7 +467,7 @@ def bracket_oracle(m1, m2) -> MomentPolynomial:
         raise ValueError("moment indices live on different pair counts")
     f = _index_as_epoly(m1)
     g = _index_as_epoly(m2)
-    raw = _epoly_bracket(f, g)
+    raw = leibniz(f, g, _pair_bracket_canonical)
     result = _epoly_to_moments(raw, npairs)
     if indices.order(m1) >= 2 and indices.order(m2) >= 2:
         if not result.is_real:

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +77,34 @@ def test_cubic_tunneling_scenario(tmp_path):
     assert summary["checks"]["classification"] == "bypassed"
     assert summary["checks"]["below_classical_barrier"] is True
     assert summary["barrier"]["height"] == pytest.approx(1 / (54 * 0.1**2))
+
+
+def test_cubic_tunneling_inadmissible_state_fails(tmp_path):
+    """At order 4 the default run bypasses with a small energy drift but
+    leaves the admissible states; the check must fail on the margin."""
+    cfg = write_cfg(tmp_path, "c4.json", {"scenario": "cubic-tunneling", "order": 4})
+    out = tmp_path / "c4"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["classification"] == "bypassed"
+    assert summary["monitors"]["energy_drift"] <= summary["checks"]["threshold"]
+    assert summary["monitors"]["margin_min"] < -1.0
+    assert summary["checks"]["passed"] is False
+
+
+def test_integration_failure_names_time_order_and_component(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "blow.json",
+        {"scenario": "harmonic", "potential": [0, 0, 0.5, -1.0], "q0": 1.0, "t_span": [0, 20]},
+    )
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("runtime error: Required step size")
+    match = re.search(r"last good time t=(\S+), order 2, largest \|dX/dt\| \S+ in (\w+)\)$", err)
+    assert match, err
+    assert 1.0 < float(match.group(1)) < 20.0
+    assert match.group(2) in ("q", "p", "Delta_q2", "Delta_qp", "Delta_p2")
 
 
 def test_sweep_smoke_grid(tmp_path):
@@ -178,6 +208,13 @@ def test_brackets_dump(tmp_path, capsys):
     # stdout variant
     assert main(["brackets", "--order", "2", "--pairs", "1"]) == 0
     assert '"entries"' in capsys.readouterr().out
+    # the exact bytes of two larger dumps
+    for args, digest in [
+        (["--order", "4"], "caed983d76a933bebe203c3bb2534dffd08e23fad8e66b1b97dadb23b2ea13c9"),
+        (["--order", "2", "--pairs", "2"], "8999c0a2264e4f4d0a422eecbf98e1c5ac10c545d670a0a498b7a1d5cdbba062"),
+    ]:
+        assert main(["brackets", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

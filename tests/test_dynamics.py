@@ -208,8 +208,16 @@ def test_non_finite_blowup_reports_last_time():
     h = build_heff(pot, 2)
     field = equations_of_motion(h)
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
-    with pytest.raises(IntegrationError):
+    with pytest.raises(IntegrationError) as excinfo:
         integrate(field, state0, (0, 200), IntegratorConfig(rtol=1e-6, atol=1e-9))
+    err = excinfo.value
+    assert 0 < err.last_time < 200
+    message = str(err)
+    assert message.startswith("non-finite state at t=")
+    assert f"last good time t={err.last_time:.6g}" in message
+    assert "order 2" in message
+    names = {"q", "p", "Delta_q2", "Delta_qp", "Delta_p2"}
+    assert message.rstrip(")").split("first non-finite component ")[1] in names
 
 
 def test_trajectory_requires_increasing_times():
