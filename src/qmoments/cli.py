@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a classification sweep")
     swp.add_argument("--config", required=True)
     swp.add_argument("--out-dir", default=None)
-    swp.add_argument("--jobs", type=int, default=None)
 
     brk = sub.add_parser("brackets", help="dump a validated bracket table as JSON")
     brk.add_argument("--order", type=int, required=True)
@@ -86,8 +85,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             raw = _load_config(args.config)
             cfg = resolve_config(raw, scenario="cubic-tunneling")
-            if args.jobs is not None:
-                cfg["jobs"] = args.jobs
             out_dir = args.out_dir or cfg.get("out_dir", ".")
             os.makedirs(out_dir, exist_ok=True)
             summary = run_sweep(cfg, out_dir)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import indices
 
@@ -218,16 +217,64 @@ def _csv_name(var) -> str:
     return var[0] if var[0] in ("q", "p") else indices.csv_name(var[1])
 
 
-def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=None, events=None) -> Trajectory:
+def _failure(message, last_time, order, component) -> IntegrationError:
+    """Every integration failure names what happened, the last good time,
+    the truncation order and the component at fault."""
+    last_time = float(last_time)
+    return IntegrationError(
+        f"{message} (last good time t={last_time:.6g}, order {order}, {component})",
+        last_time=last_time,
+    )
+
+
+def _largest_rate(layout, out) -> str:
+    rates = np.abs(out)
+    i = int(np.argmax(rates))
+    return f"largest |dX/dt| {rates[i]:.3g} in {_csv_name(layout[i])}"
+
+
+def _first_non_finite(layout, values) -> str:
+    i = next(j for j, w in enumerate(values) if not math.isfinite(w))
+    return f"first non-finite component {_csv_name(layout[i])}"
+
+
+def _monitored(field, state0, times, ys, energy, info) -> Trajectory:
+    layout = field.layout
+    i_q2 = layout.index(("D", indices.single(2, 0)))
+    i_qp = layout.index(("D", indices.single(1, 1)))
+    i_p2 = layout.index(("D", indices.single(0, 2)))
+    casimir = ys[:, i_q2] * ys[:, i_p2] - ys[:, i_qp] ** 2
+    return Trajectory(
+        times,
+        ys,
+        layout,
+        state0.hbar,
+        state0.order,
+        state0.classical_mode,
+        energy,
+        casimir,
+        info,
+    )
+
+
+def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, events=None):
     """Integrate a moment vector field and record conservation monitors.
 
-    The adaptive method keeps the local error below the configured
-    tolerances; a step budget and finite-state checks guard runaway
-    trajectories.  A failure names the last good time, the truncation order
-    and the component at fault.  The fixed-step method records every step
-    and ignores ``t_eval``.
+    One ``MomentState`` is integrated by scipy's RK45 (or the fixed-step
+    method) into a Trajectory.  A sequence of states, such as the cells of
+    a sweep, is integrated together by ``_integrate_batch`` into a
+    TrajectoryBatch.  The adaptive method keeps the local error below the
+    configured tolerances; a step budget and finite-state checks guard
+    runaway trajectories.  A failure names the last good time, the
+    truncation order and the component at fault.  The fixed-step method
+    records every step and ignores ``t_eval``.
     """
+    if not isinstance(state0, MomentState):
+        if t_eval is not None:
+            raise ValueError("a batch of states records its own steps; t_eval is not supported")
+        return _integrate_batch(field, list(state0), t_span, cfg, events)
     layout = field.layout
+    order = state0.order
     y0 = state0.to_vector(layout)
     rhs = field.compiled(state0.hbar)
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -235,32 +282,30 @@ def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=
     if cfg.method == "rk4":
         if events:
             raise ValueError("events require the adaptive method")
-        times, ys = _rk4_fixed(rhs, y0, t0, t1, cfg.step, cfg.max_steps)
+        times, ys = _rk4_fixed(rhs, y0, t0, t1, cfg.step, cfg.max_steps, layout, order)
         info = {"status": 0, "nfev": 4 * (len(times) - 1)}
     else:
-        state = {"nfev": 0, "t_last": t0, "out": None}
+        from scipy.integrate import solve_ivp
 
-        def failure(message, component):
-            last = state["t_last"]
-            return IntegrationError(
-                f"{message} (last good time t={last:.6g}, order {state0.order}, {component})",
-                last_time=last,
-            )
+        state = {"nfev": 0, "t_last": t0, "out": None}
 
         def guarded(t, y):
             state["nfev"] += 1
             if state["nfev"] > cfg.max_steps:
-                raise IntegrationError(
+                raise _failure(
                     f"step budget exhausted ({cfg.max_steps} evaluations)",
-                    last_time=state["t_last"],
+                    state["t_last"],
+                    order,
+                    _largest_rate(layout, state["out"]),
                 )
             out = rhs(t, y)
             for v in out:
                 if not math.isfinite(v):
-                    i = next(j for j, w in enumerate(out) if not math.isfinite(w))
-                    raise failure(
+                    raise _failure(
                         f"non-finite state at t={t:.6g}",
-                        f"first non-finite component {_csv_name(layout[i])}",
+                        state["t_last"],
+                        order,
+                        _first_non_finite(layout, out),
                     )
             state["t_last"] = t
             state["out"] = out
@@ -278,11 +323,7 @@ def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=
             dense_output=False,
         )
         if sol.status < 0:
-            rates = np.abs(state["out"])
-            i = int(np.argmax(rates))
-            raise failure(
-                sol.message, f"largest |dX/dt| {rates[i]:.3g} in {_csv_name(layout[i])}"
-            )
+            raise _failure(sol.message, state["t_last"], order, _largest_rate(layout, state["out"]))
         times, ys = sol.t, sol.y.T
         info = {
             "status": sol.status,
@@ -291,30 +332,18 @@ def integrate(field, state0: MomentState, t_span, cfg: IntegratorConfig, t_eval=
         }
 
     energy_fn = field.energy_function(state0.hbar)
-    i_q2 = layout.index(("D", indices.single(2, 0)))
-    i_qp = layout.index(("D", indices.single(1, 1)))
-    i_p2 = layout.index(("D", indices.single(0, 2)))
     energy = np.array([energy_fn(y) for y in ys])
-    casimir = ys[:, i_q2] * ys[:, i_p2] - ys[:, i_qp] ** 2
-    return Trajectory(
-        times,
-        ys,
-        layout,
-        state0.hbar,
-        state0.order,
-        state0.classical_mode,
-        energy,
-        casimir,
-        info,
-    )
+    return _monitored(field, state0, times, ys, energy, info)
 
 
-def _rk4_fixed(rhs, y0, t0, t1, step, max_steps):
+def _rk4_fixed(rhs, y0, t0, t1, step, max_steps, layout, order):
     n = max(1, int(round((t1 - t0) / step)))
     if 4 * n > max_steps:
-        raise IntegrationError(
+        raise _failure(
             f"fixed-step plan needs {4*n} evaluations, budget is {max_steps}",
-            last_time=t0,
+            t0,
+            order,
+            _largest_rate(layout, rhs(t0, y0)),
         )
     h = (t1 - t0) / n
     y = np.asarray(y0, dtype=float)
@@ -329,7 +358,278 @@ def _rk4_fixed(rhs, y0, t0, t1, step, max_steps):
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at t={t:.6g}", last_time=t - h)
+            raise _failure(f"non-finite state at t={t:.6g}", t - h, order, _first_non_finite(layout, y))
         times.append(t)
         ys.append(y.copy())
     return np.array(times), np.array(ys)
+
+
+# ---------------------------------------------------------------------------
+# Batched Dormand-Prince 5(4)
+# ---------------------------------------------------------------------------
+
+# The tableau, error weights and quartic dense-output matrix of
+# scipy.integrate.RK45, written out so that the batch path needs no scipy
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6; Shampine's c6).
+_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_A = np.array(
+    [
+        [0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    ]
+)
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DP_P = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+# scipy's step-size control: safety factor, factor bounds, error exponent
+# -1/(4 + 1) and the message of a step below 10 spacings of t
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# scipy locates events with brentq at xtol = rtol = 4 EPS
+_EVENT_TOL = 4 * np.finfo(float).eps
+
+
+class TrajectoryBatch(list):
+    """Results of one batched integration, in input order: a Trajectory
+    per state, or the IntegrationError that stopped it.  ``info["nfev"]``
+    counts the batched right-hand-side calls."""
+
+    def __init__(self, results, info):
+        super().__init__(results)
+        self.info = info
+
+
+def _combine(coeffs, ks):
+    """sum_j coeffs[j] * ks[j] over stacked stages ``ks`` (stage, component,
+    cell).  NumPy reduces an outer axis term by term in index order, so a
+    cell's bytes do not depend on the other cells of its batch."""
+    return np.add.reduce(coeffs[:, None, None] * ks[: len(coeffs)], axis=0)
+
+
+def _rms(x):
+    """RMS over the components (axis 0), summed in component order: a
+    reduction over axis 0 of a one-cell array would be pairwise."""
+    squares = x * x
+    total = squares[0] + squares[1]
+    for row in squares[2:]:
+        total += row
+    return np.sqrt(total) / len(x) ** 0.5
+
+
+def _initial_step(evaluate, t0, t1, y0, f0, rtol, atol):
+    """scipy's select_initial_step for RK45, cell by cell."""
+    interval = t1 - t0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), interval)
+    f1 = evaluate(t0 + h0, y0 + h0 * f0, np.empty_like(y0))
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (1 / 5),
+    )
+    return np.minimum(np.minimum(100 * h0, h1), interval)
+
+
+def _dense_output(t_old, step, y_old, ks):
+    """Quartic interpolant of one step per cell, as scipy's RkDenseOutput."""
+    q = [_combine(column, ks) for column in _DP_P.T]
+
+    def interp(t):
+        x = (t - t_old) / step
+        power = x
+        total = q[0] * power
+        for qk in q[1:]:
+            power = power * x
+            total += qk * power
+        return y_old + step * total
+
+    return interp
+
+
+def _event_root(event, interp, lo, hi, g_lo, g_hi):
+    """Bisect event(t, interp(t)) = 0 on [lo, hi] per cell, to the width
+    4 EPS (1 + |t|) of scipy's brentq; an endpoint where the event is 0 is
+    the root, the lower one first."""
+    active = (g_lo != 0) & (g_hi != 0)
+    while True:
+        active &= hi - lo >= _EVENT_TOL * (1 + np.abs(hi))
+        if not active.any():
+            return np.where(g_lo == 0, lo, hi)
+        mid = lo + 0.5 * (hi - lo)
+        g_mid = event(mid, interp(mid))
+        right = active & (np.sign(g_mid) == np.sign(g_lo))
+        lo, g_lo = np.where(right, mid, lo), np.where(right, g_mid, g_lo)
+        hi = np.where(active & ~right, mid, hi)
+
+
+def _crossing(g, g_new, direction):
+    """scipy's find_active_events for one event over the cells."""
+    if direction > 0:
+        return (g <= 0) & (g_new >= 0)
+    if direction < 0:
+        return (g >= 0) & (g_new <= 0)
+    return _crossing(g, g_new, 1) | _crossing(g, g_new, -1)
+
+
+def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, events) -> TrajectoryBatch:
+    """Dormand-Prince 5(4) over many states at once, with scipy RK45's step
+    control cell by cell.
+
+    Every cell has its own step size, rejection rule, step budget,
+    finiteness check and terminal event, and leaves the active set when it
+    reaches t1, crosses an event or fails; the rest carry on.  All
+    arithmetic is elementwise or summed in a fixed order, so a cell's
+    trajectory has the same bytes in a batch of any size.
+    """
+    if not states:
+        return TrajectoryBatch([], {"nfev": 0})
+    if cfg.method != "rk45":
+        raise ValueError("a batch of states requires the adaptive method")
+    events = list(events or ())
+    if len(events) > 1 or not all(getattr(ev, "terminal", False) for ev in events):
+        raise ValueError("a batch supports one terminal event")
+    event = events[0] if events else None
+    layout, first = field.layout, states[0]
+    order = first.order
+    rhs = field.compiled(first.hbar)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n = len(states)
+    results = [None] * n
+    status = np.zeros(n, dtype=int)
+    cell_nfev = np.zeros(n, dtype=int)
+
+    # The active set: cell ids and their integrator state, one column per
+    # cell.  Cells only leave it, so every active cell has taken part in
+    # each of the ``nfev`` batched evaluations: that is its own count.
+    ids = np.arange(n)
+    t = np.full(n, t0)
+    y = np.ascontiguousarray(np.array([s.to_vector(layout) for s in states]).T)
+    dead = np.zeros(n, dtype=bool)
+    t_last, f_last = t, None  # the last good evaluation of every live cell
+    nfev = 0
+    rows = [(ids, t, y)]
+
+    def fail(j, message, component):
+        results[ids[j]] = _failure(message, t_last[j], order, component)
+        dead[j] = True
+
+    def evaluate(ts, ys, out):
+        """rhs for the active set into ``out``; fails every live cell when
+        the budget is spent, before the call, and those with a non-finite
+        derivative after it."""
+        nonlocal nfev, t_last, f_last
+        nfev += 1
+        if nfev > cfg.max_steps:
+            budget = f"step budget exhausted ({cfg.max_steps} evaluations)"
+            for j in np.flatnonzero(~dead):
+                fail(j, budget, _largest_rate(layout, f_last[:, j]))
+        # the generated code indexes y[i] many times; a list of the rows
+        # hands out the same views without building new ones
+        for i, v in enumerate(rhs(ts, list(ys))):
+            out[i] = v
+        if not math.isfinite(out.sum()):
+            for j in np.flatnonzero(~np.isfinite(out).all(axis=0) & ~dead):
+                fail(j, f"non-finite state at t={ts[j]:.6g}", _first_non_finite(layout, out[:, j]))
+        t_last, f_last = ts, out
+        return out
+
+    # every step of a cell is at least 10 spacings of t; no step above
+    # this bound is below that
+    min_step_bound = 10 * (np.finfo(float).eps * max(abs(t0), abs(t1)) + np.finfo(float).smallest_subnormal)
+    with np.errstate(all="ignore"):
+        f = evaluate(t, y, np.empty_like(y))
+        h = _initial_step(evaluate, t0, t1, y, f, cfg.rtol, cfg.atol)
+        g = event(t, y) if event else np.zeros(n)
+        fresh = np.ones(n, dtype=bool)
+        while len(ids):
+            # a new step is at least 10 spacings of t long; a retry below
+            # that fails the cell
+            if h.min() <= min_step_bound:
+                min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+                h = np.where(fresh, np.maximum(h, min_step), h)
+                for j in np.flatnonzero((h < min_step) & ~dead):
+                    fail(j, _TOO_SMALL_STEP, _largest_rate(layout, f_last[:, j]))
+            t_new = np.minimum(t + h, t1)
+            step = t_new - t
+            ks = np.empty((7,) + y.shape)
+            ks[0] = f
+            for i in range(1, 6):
+                evaluate(t + _DP_C[i] * step, y + step * _combine(_DP_A[i, :i], ks), ks[i])
+            y_new = y + step * _combine(_DP_B, ks)
+            evaluate(t_new, y_new, ks[6])
+            scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
+            error = _rms(step * _combine(_DP_E, ks) / scale)
+            # error 0 gives an infinite growth, capped like any other; no
+            # growth in a step that had a rejection
+            growth = _SAFETY * error**_ERROR_EXPONENT
+            accepted = (error < 1) & ~dead
+            cap = np.where(fresh, _MAX_FACTOR, 1.0)
+            h = step * np.where(accepted, np.minimum(cap, growth), np.maximum(_MIN_FACTOR, growth))
+            fresh = accepted
+
+            # a terminal event ends the cell's step at its root instead
+            t_rec, y_rec = t_new, y_new
+            stopped = np.zeros(len(ids), dtype=bool)
+            if event:
+                g_new = event(t_new, y_new)
+                stopped = accepted & _crossing(g, g_new, getattr(event, "direction", 0))
+                if stopped.any():
+                    sel = np.flatnonzero(stopped)
+                    interp = _dense_output(t[sel], step[sel], y[:, sel], ks[..., sel])
+                    root = _event_root(event, interp, t[sel], t_new[sel], g[sel], g_new[sel])
+                    t_rec, y_rec = t_new.copy(), y_new.copy()
+                    t_rec[sel], y_rec[:, sel] = root, interp(root)
+                g = np.where(accepted, g_new, g)
+
+            if accepted.all():
+                rows.append((ids, t_rec, y_rec))
+                t, y, f = t_new, y_new, ks[-1]
+            else:
+                rows.append((ids[accepted], t_rec[accepted], y_rec[:, accepted]))
+                t = np.where(accepted, t_new, t)
+                y = np.where(accepted, y_new, y)
+                f = np.where(accepted, ks[-1], f)
+
+            done = dead | stopped | (accepted & (t_new >= t1))
+            if done.any():
+                ended = done & ~dead
+                status[ids[ended]] = stopped[ended]
+                cell_nfev[ids[ended]] = nfev
+                keep = ~done
+                ids, t, y, f, h, fresh, dead, g, t_last, f_last = (
+                    a[..., keep] for a in (ids, t, y, f, h, fresh, dead, g, t_last, f_last)
+                )
+
+    # each cell's rows in time order, with its monitors
+    cells = np.concatenate([r[0] for r in rows])
+    by_cell = np.argsort(cells, kind="stable")
+    times = np.concatenate([r[1] for r in rows])[by_cell]
+    ys = np.concatenate([r[2] for r in rows], axis=1)[:, by_cell]
+    energy = field.energy_function(first.hbar)(ys)
+    ys = ys.T
+    counts = np.bincount(cells, minlength=n)
+    ends = np.cumsum(counts)
+    for i, (start, end) in enumerate(zip(ends - counts, ends)):
+        if results[i] is None:
+            info = {"status": int(status[i]), "nfev": int(cell_nfev[i])}
+            results[i] = _monitored(
+                field, states[i], times[start:end], ys[start:end], energy[start:end], info
+            )
+    return TrajectoryBatch(results, {"nfev": nfev})

@@ -186,10 +186,6 @@ class MomentVectorField:
         self.positions = {var: i for i, var in enumerate(self.layout)}
         self._compiled = {}
 
-    @property
-    def dimension(self) -> int:
-        return len(self.layout)
-
     def expression(self, var) -> MomentPolynomial:
         return self.exprs[self.positions[var]]
 

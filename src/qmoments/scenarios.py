@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -131,7 +130,6 @@ _SCENARIO_DEFAULTS = {
         "stop_margin": 0.5,
         "check_threshold": 1e-8,
         "sweep": None,
-        "jobs": 1,
     },
     "two-dof-limit": {
         "alpha": 0.4,
@@ -251,8 +249,6 @@ def _validate(cfg):
             "stop_margin",
             "must be >= 0",
         )
-    if "jobs" in cfg and cfg["jobs"] is not None:
-        _require(isinstance(cfg["jobs"], int) and cfg["jobs"] >= 1, "jobs", "must be an integer >= 1")
     if "amplitude" in cfg:
         _require(
             isinstance(cfg["amplitude"], (int, float)) and cfg["amplitude"] > 0,
@@ -359,7 +355,8 @@ def _samples(cfg) -> np.ndarray:
 
 
 def _trajectory(cfg, state0, times=None, events=None):
-    """Integrate the config's moment field from ``state0``.
+    """Integrate the config's moment field from ``state0``, one state or a
+    list of them (see ``dynamics.integrate``).
 
     With ``times`` the run spans and samples exactly those times; without,
     it spans ``t_span`` and records the solver's own steps.
@@ -439,41 +436,58 @@ def run_harmonic(cfg, out_dir) -> dict:
     return _summary(cfg, traj, ok, checks=_checks(cfg, ok))
 
 
-def tunneling_cell(cfg, q0: float, energy: float):
-    """Classify one (q0, energy) cell: bypassed, trapped or error.
-
-    The cell starts at q0 in the Gaussian state of equilibrium width
-    s0(q0), with the momentum that gives it the requested energy.
-    """
+def _tunneling_start(cfg, q0: float, energy: float):
+    """Initial state of a tunneling cell: the Gaussian state of equilibrium
+    width s0(q0) at q0, with the momentum that gives it the requested
+    energy.  Raises NoEquilibriumError or ValueError if there is none."""
     h = moment_field(cfg).hamiltonian
-    barrier_q, barrier_v = cubic_barrier(h.potential)
+    s0 = s0_of_q(AdiabaticModel(h.potential, _casimir(cfg)), q0)
+    state0 = _initial_state(cfg, q0=q0, p0=0.0, sigma=s0, ps0=0.0)
+    rest = h.evaluate(state0)
+    if energy < rest:
+        raise ValueError(f"energy {energy:g} below the rest energy {rest:g} at q0")
+    state0.p = math.sqrt(2.0 * float(cfg["mass"]) * (energy - rest))
+    return state0
+
+
+def _crossing_event(barrier_q, cfg):
+    """Terminal event: q crosses the barrier plus ``stop_margin`` upward."""
+    stop = barrier_q + cfg["stop_margin"]
+
+    def crossed(t, y):
+        return y[0] - stop
+
+    crossed.terminal = True
+    crossed.direction = 1
+    return crossed
+
+
+def _cell_record(q0, energy, barrier_v, outcome) -> dict:
+    """Sweep-grid record of one cell from its Trajectory, or from the error
+    that stopped it."""
     record = {"q0": q0, "energy": energy}
+    if isinstance(outcome, Exception):
+        record.update({"classification": "error", "reason": str(outcome)})
+        return record
+    record.update(
+        classification="bypassed" if outcome.info.get("status") == 1 else "trapped",
+        max_q=float(np.max(outcome.ys[:, 0])),
+        t_final=float(outcome.times[-1]),
+        below_classical_barrier=bool(energy < barrier_v),
+        **_drifts(outcome),
+    )
+    return record
+
+
+def tunneling_cell(cfg, q0: float, energy: float):
+    """Classify one (q0, energy) cell: bypassed, trapped or error."""
+    barrier_q, barrier_v = cubic_barrier(moment_field(cfg).hamiltonian.potential)
     try:
-        s0 = s0_of_q(AdiabaticModel(h.potential, _casimir(cfg)), q0)
-        state0 = _initial_state(cfg, q0=q0, p0=0.0, sigma=s0, ps0=0.0)
-        rest = h.evaluate(state0)
-        if energy < rest:
-            raise ValueError(f"energy {energy:g} below the rest energy {rest:g} at q0")
-        state0.p = math.sqrt(2.0 * float(cfg["mass"]) * (energy - rest))
-        stop = barrier_q + cfg["stop_margin"]
-
-        def crossed(t, y):
-            return y[0] - stop
-
-        crossed.terminal = True
-        crossed.direction = 1
-        traj = _trajectory(cfg, state0, events=[crossed])
-        record.update(
-            classification="bypassed" if traj.info.get("status") == 1 else "trapped",
-            max_q=float(np.max(traj.ys[:, 0])),
-            t_final=float(traj.times[-1]),
-            below_classical_barrier=bool(energy < barrier_v),
-            **_drifts(traj),
-        )
-        return record, traj
+        state0 = _tunneling_start(cfg, q0, energy)
+        traj = _trajectory(cfg, state0, events=[_crossing_event(barrier_q, cfg)])
     except (IntegrationError, NoEquilibriumError, ValueError) as exc:
-        record.update({"classification": "error", "reason": str(exc)})
-        return record, None
+        return _cell_record(q0, energy, barrier_v, exc), None
+    return _cell_record(q0, energy, barrier_v, traj), traj
 
 
 def cubic_barrier(pot: PolynomialPotential):
@@ -569,22 +583,35 @@ def _sweep_values(spec, field):
     return [float(v) for v in values]
 
 
-def _sweep_cell_worker(args):
-    cfg, q0, energy = args
-    record, _ = tunneling_cell(cfg, q0, energy)
-    return record
-
-
 _GRID_COLUMNS = ("q0", "energy", "classification", "max_q", "t_final", "energy_drift", "casimir_drift")
 
 
-def run_sweep(cfg, out_dir) -> dict:
-    """Grid of tunneling runs with per-cell classification.
+def sweep_records(cfg, q0s, energies) -> list:
+    """Records of the (q0, energy) grid cells, q0-major.
 
-    Cells are independent and may run in parallel; results are merged in
-    grid order so the CSV is deterministic regardless of worker count.
-    Error cells carry nan in every figure column.
+    Every cell that has an initial state is integrated in one batch (one
+    ``integrate`` call); a cell's record does not depend on the other cells
+    of the grid.
     """
+    barrier_q, barrier_v = cubic_barrier(moment_field(cfg).hamiltonian.potential)
+    cells = [(q0, e) for q0 in q0s for e in energies]
+    starts = []
+    for q0, e in cells:
+        try:
+            starts.append(_tunneling_start(cfg, q0, e))
+        except (NoEquilibriumError, ValueError) as exc:
+            starts.append(exc)
+    states = [s for s in starts if not isinstance(s, Exception)]
+    runs = iter(_trajectory(cfg, states, events=[_crossing_event(barrier_q, cfg)]))
+    return [
+        _cell_record(q0, e, barrier_v, s if isinstance(s, Exception) else next(runs))
+        for (q0, e), s in zip(cells, starts)
+    ]
+
+
+def run_sweep(cfg, out_dir) -> dict:
+    """Grid of tunneling runs with per-cell classification (see
+    ``sweep_records``).  Error cells carry nan in every figure column."""
     sweep = cfg.get("sweep")
     if not sweep:
         raise ConfigError("sweep: missing sweep ranges")
@@ -592,14 +619,7 @@ def run_sweep(cfg, out_dir) -> dict:
         raise ConfigError("sweep: expected exactly the keys 'q0' and 'energy'")
     q0s = _sweep_values(sweep["q0"], "q0")
     energies = _sweep_values(sweep["energy"], "energy")
-    cells = [(cfg, q0, e) for q0 in q0s for e in energies]
-    jobs = int(cfg.get("jobs") or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_sweep_cell_worker, cells, chunksize=8))
-    else:
-        records = [_sweep_cell_worker(c) for c in cells]
-
+    records = sweep_records(cfg, q0s, energies)
     write_table(
         os.path.join(out_dir, "sweep_grid.csv"),
         _GRID_COLUMNS,

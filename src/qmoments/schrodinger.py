@@ -12,7 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import indices
 from .weyl_algebra import _weyl_in_normal
@@ -66,12 +65,6 @@ class WaveFunction:
     def normalized(self) -> "WaveFunction":
         return WaveFunction(self.grid, self.values / self.norm, self.hbar, self.mass)
 
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
-    def expectation_x(self) -> float:
-        return float(np.trapezoid(self.grid.x * self.density(), dx=self.grid.dx))
-
     def apply_momentum(self, subtract: float = 0.0) -> np.ndarray:
         """(-i hbar d/dx - subtract) applied via the centered stencil."""
         return -1j * self.hbar * np.gradient(self.values, self.grid.dx, edge_order=2) - (
@@ -122,6 +115,8 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int, support_check: 
     local error per step.  Support is monitored: a wavepacket whose 5-sigma
     interval touches the walls raises a BoundaryContactWarning.
     """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     if dt <= 0 or steps < 0:
         raise ValueError("dt must be positive and steps non-negative")
     grid = psi0.grid

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,19 +172,91 @@ def test_sweep_straddling_effective_saddle_has_both_classes(tmp_path):
     assert counts["trapped"] == 1 and counts["bypassed"] == 1
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    base = {
-        "scenario": "cubic-tunneling",
-        "sweep": {"q0": [0.15, 0.25], "energy": [0.9, 1.5]},
-        "t_span": [0.0, 30.0],
-    }
-    (tmp_path / "serial").mkdir()
-    (tmp_path / "parallel").mkdir()
-    run_sweep(resolve_config(dict(base, jobs=1)), str(tmp_path / "serial"))
-    run_sweep(resolve_config(dict(base, jobs=2)), str(tmp_path / "parallel"))
-    assert (tmp_path / "serial" / "sweep_grid.csv").read_bytes() == (
-        tmp_path / "parallel" / "sweep_grid.csv"
-    ).read_bytes()
+@pytest.mark.parametrize("order", [2, 3])
+def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, order):
+    """Every row of a 2x4 grid has the same bytes when its cells run as
+    one-cell sweeps, as a 1x4 row sweep and in the full grid."""
+    q0s, energies = [0.15, 0.25], [0.9, 1.2, 1.5, 1.8]
+    base = {"scenario": "cubic-tunneling", "order": order, "t_span": [0.0, 30.0]}
+
+    def grid_rows(name, q0s, energies):
+        out = tmp_path / name
+        out.mkdir()
+        run_sweep(resolve_config(dict(base, sweep={"q0": q0s, "energy": energies})), str(out))
+        return (out / "sweep_grid.csv").read_text().splitlines()[1:]
+
+    full = grid_rows("full", q0s, energies)
+    assert {line.split(",")[2] for line in full} == {"bypassed", "trapped"}
+    for i, q0 in enumerate(q0s):
+        row = full[4 * i : 4 * i + 4]
+        assert grid_rows(f"row{i}", [q0], energies) == row
+        for j, energy in enumerate(energies):
+            assert grid_rows(f"cell{i}{j}", [q0], [energy]) == [row[j]]
+
+
+def test_sweep_matches_the_scipy_path_cell_by_cell():
+    """The batched sweep classifies as tunneling_cell (scipy's RK45) does,
+    on a grid with unreachable cells and cells that exhaust max_steps; its
+    bypassed cells stop at the same time and its error cells give the same
+    reasons."""
+    from qmoments.scenarios import sweep_records, tunneling_cell
+
+    cfg = resolve_config({"scenario": "cubic-tunneling", "t_span": [0.0, 20.0], "max_steps": 3000})
+    q0s, energies = [0.2, 0.5], [0.1, 1.0, 1.2, 1.8]
+    records = sweep_records(cfg, q0s, energies)
+    classes = [r["classification"] for r in records]
+    assert classes == ["error", "error", "bypassed", "bypassed"] * 2
+    for record in records:
+        ref, _ = tunneling_cell(cfg, record["q0"], record["energy"])
+        assert record["classification"] == ref["classification"]
+        if record["classification"] == "bypassed":
+            assert record["t_final"] == pytest.approx(ref["t_final"], rel=1e-6)
+            assert record["max_q"] == pytest.approx(ref["max_q"], rel=1e-6)
+        elif record["energy"] == 0.1:
+            assert record["reason"] == ref["reason"]
+            assert record["reason"].startswith("energy 0.1 below the rest energy")
+        else:
+            ours, theirs = record["reason"], ref["reason"]
+            assert ours.startswith("step budget exhausted (3000 evaluations) (last good time t=")
+            assert ours.split(", ")[1:] == theirs.split(", ")[1:]  # order and component
+            t_ours, t_theirs = (float(r.split("t=")[1].split(",")[0]) for r in (ours, theirs))
+            assert t_ours == pytest.approx(t_theirs, rel=1e-3)
+
+
+def test_sweep_jobs_option_is_gone(tmp_path):
+    cfg = {"scenario": "cubic-tunneling", "sweep": {"q0": [0.2], "energy": [1.8]}}
+    path = write_cfg(tmp_path, "s.json", cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", path, "--jobs", "2"])
+    assert exc.value.code == 2
+    path = write_cfg(tmp_path, "jobs.json", dict(cfg, jobs=1))
+    assert main(["sweep", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
+    import qmoments
+
+    cfg = write_cfg(
+        tmp_path,
+        "s.json",
+        {"scenario": "cubic-tunneling", "sweep": {"q0": [0.2], "energy": [1.8]}, "t_span": [0, 10]},
+    )
+    script = (
+        "import sys\n"
+        "from qmoments.cli import main\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        f"main(['sweep', '--config', {cfg!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "main(['brackets', '--order', '2'])\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qmoments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[False, False, False]"
+    assert (tmp_path / "out" / "sweep_grid.csv").exists()
 
 
 def test_sweep_records_unreachable_cells_as_errors(tmp_path):

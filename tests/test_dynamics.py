@@ -1,6 +1,7 @@
 """Moment states, Gaussian initialization, integration and monitors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,20 +195,46 @@ def test_cubic_order_4_hbar_terms_and_energy():
     assert drift < 1e-10
 
 
+_FAILURE = re.compile(r"^(.*) \(last good time t=(\S+), order (\d+), (.*)\)$")
+_NAMES = {"q", "p", "Delta_q2", "Delta_qp", "Delta_p2"}
+
+
+def _failure_parts(err):
+    """(what happened, last good time, order, component) of a failure."""
+    match = _FAILURE.match(str(err))
+    assert match, str(err)
+    head, last, order, component = match.groups()
+    assert last == f"{err.last_time:.6g}"
+    return head, float(last), int(order), component
+
+
 def test_step_budget_exhaustion():
     h, field = _free_field()
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
-    with pytest.raises(IntegrationError) as err:
-        integrate(field, state0, (0, 10), IntegratorConfig(max_steps=10))
-    assert err.value.last_time is not None
+    for cfg, expected in (
+        (IntegratorConfig(max_steps=10), "step budget exhausted (10 evaluations)"),
+        (
+            IntegratorConfig(method="rk4", step=0.1, max_steps=10),
+            "fixed-step plan needs 400 evaluations, budget is 10",
+        ),
+    ):
+        with pytest.raises(IntegrationError) as err:
+            integrate(field, state0, (0, 10), cfg)
+        head, last, order, component = _failure_parts(err.value)
+        assert head == expected
+        assert 0 <= last < 10 and order == 2
+        # the free Gaussian at rest moves only through Delta(qp)' = Delta(p^2)
+        assert component == "largest |dX/dt| 0.25 in Delta_qp"
+
+
+def _blowup():
+    # inverted quadratic: moments blow up in finite time at machine scale
+    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, -8.0]), 2))
+    return field, init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
 
 
 def test_non_finite_blowup_reports_last_time():
-    # inverted quadratic: moments blow up in finite time at machine scale
-    pot = PolynomialPotential([0, 0, -8.0])
-    h = build_heff(pot, 2)
-    field = equations_of_motion(h)
-    state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
+    field, state0 = _blowup()
     with pytest.raises(IntegrationError) as excinfo:
         integrate(field, state0, (0, 200), IntegratorConfig(rtol=1e-6, atol=1e-9))
     err = excinfo.value
@@ -218,6 +245,70 @@ def test_non_finite_blowup_reports_last_time():
     assert "order 2" in message
     names = {"q", "p", "Delta_q2", "Delta_qp", "Delta_p2"}
     assert message.rstrip(")").split("first non-finite component ")[1] in names
+
+
+def test_rk4_non_finite_names_time_order_and_component():
+    field, state0 = _blowup()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+        integrate(field, state0, (0, 200), IntegratorConfig(method="rk4", step=0.05))
+    head, last, order, component = _failure_parts(err.value)
+    t_bad = float(head.removeprefix("non-finite state at t="))
+    assert 0 < last < t_bad < 200 and t_bad == pytest.approx(last + 0.05, rel=1e-5)
+    assert order == 2
+    assert component.removeprefix("first non-finite component ") in _NAMES
+
+
+def test_batch_tableau_is_scipy_rk45():
+    from scipy.integrate import RK45
+
+    from qmoments import dynamics
+
+    for ours, theirs in (
+        (dynamics._DP_A, RK45.A),
+        (dynamics._DP_B, RK45.B),
+        (dynamics._DP_C, RK45.C),
+        (dynamics._DP_E, RK45.E),
+        (dynamics._DP_P, RK45.P),
+    ):
+        assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+
+
+def test_batch_failures_read_like_the_scalar_ones():
+    """A one-state batch fails with the message the scipy path gives, up to
+    rounding in the reported times."""
+    field, state0 = _blowup()
+    free_h, free_field = _free_field()
+    free0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
+    for fld, state, span, cfg in (
+        (field, state0, (0, 200), IntegratorConfig(rtol=1e-6, atol=1e-9)),
+        (free_field, free0, (0, 10), IntegratorConfig(max_steps=10)),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+            integrate(fld, state, span, cfg)
+        (batch_err,) = integrate(fld, [state], span, cfg)
+        assert isinstance(batch_err, IntegrationError)
+        ours, theirs = _failure_parts(batch_err), _failure_parts(err.value)
+        assert ours[0].split("=")[0] == theirs[0].split("=")[0]
+        assert ours[1] == pytest.approx(theirs[1], rel=1e-3)
+        assert ours[2:] == theirs[2:]
+
+
+def test_batch_matches_scipy_harmonic():
+    """Batched cells take scipy's steps up to rounding in the error norm,
+    land on the scipy path's end state within the tolerance, and carry
+    their own step counts and monitors."""
+    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5]), 3))
+    states = [init_gaussian(q0, 0.3, 0.8, 0.0, 1.0, 3) for q0 in (0.0, 0.5, 1.5)]
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-11)
+    batch = integrate(field, states, (0, 5), cfg)
+    for state, traj in zip(states, batch):
+        ref = integrate(field, state, (0, 5), cfg)
+        assert traj.info["status"] == 0 and traj.times[-1] == ref.times[-1] == 5
+        assert 0 < traj.info["nfev"] <= batch.info["nfev"]
+        assert abs(traj.info["nfev"] - ref.info["nfev"]) <= 0.05 * ref.info["nfev"]
+        assert np.allclose(traj.ys[-1], ref.ys[-1], rtol=1e-6, atol=1e-8)
+        assert np.allclose(traj.energy, traj.energy[0], rtol=1e-8)
+        assert traj.casimir[0] == ref.casimir[0]
 
 
 def test_trajectory_requires_increasing_times():
