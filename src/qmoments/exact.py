@@ -35,21 +35,32 @@ class GaussianRational:
 
     def __add__(self, other):
         other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _gr(a + c if a and c else a or c, b + d if b and d else b or d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b = self.re, self.im
+        return _gr(-a if a else a, -b if b else b)
 
     def __mul__(self, other):
+        # Coefficients of the exact algebra are almost always purely real or
+        # purely imaginary; those products take one Fraction product.
         other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            if not d:
+                return _gr(a * c, _ZERO)
+            if not c:
+                return _gr(_ZERO, a * d)
+        elif not a:
+            if not d:
+                return _gr(_ZERO, b * c)
+            if not c:
+                return _gr(-(b * d), _ZERO)
+        return _gr(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -60,10 +71,10 @@ class GaussianRational:
         if k == 0:
             return self
         if k == 1:
-            return GaussianRational(-self.im, self.re)
+            return _gr(-self.im, self.re)
         if k == 2:
-            return GaussianRational(-self.re, -self.im)
-        return GaussianRational(self.im, -self.re)
+            return -self
+        return _gr(self.im, -self.re)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -73,7 +84,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction, so it must hash like one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def as_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
@@ -85,6 +97,17 @@ class GaussianRational:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+_ZERO = Fraction(0)
+
+
+def _gr(re: Fraction, im: Fraction) -> GaussianRational:
+    """GaussianRational from two Fractions, without __init__'s coercion."""
+    z = object.__new__(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 def _coerce(x) -> GaussianRational:
@@ -423,7 +446,7 @@ def leibniz(f: MomentPolynomial, g: MomentPolynomial, var_bracket) -> MomentPoly
     y of ``g``; pairs whose bracket is None or zero are skipped, and each
     partial of ``g`` is computed once.
     """
-    result = MomentPolynomial.zero(f.npairs)
+    terms = {}
     partials_g = {}
     gvars = sorted(g.variables())
     for x in sorted(f.variables()):
@@ -434,5 +457,6 @@ def leibniz(f: MomentPolynomial, g: MomentPolynomial, var_bracket) -> MomentPoly
                 continue
             if y not in partials_g:
                 partials_g[y] = g.diff(y)
-            result = result + fx * partials_g[y] * bracket
-    return result
+            for key, c in (fx * partials_g[y] * bracket).terms.items():
+                _accumulate(terms, key, c)
+    return MomentPolynomial(f.npairs, terms)

@@ -96,6 +96,10 @@ SCENARIOS = (
     "oracle-diff",
 )
 
+# The closed-form EOM brackets are proven equal to the oracle up to this
+# order (acceptance criterion 01); higher orders are refused.
+MAX_ORDER = 7
+
 _DEFAULTS = {
     "mass": 1.0,
     "hbar": 1.0,
@@ -213,7 +217,11 @@ def _require(cond, field, message):
 def _validate(cfg):
     _require(isinstance(cfg["mass"], (int, float)) and cfg["mass"] > 0, "mass", "must be > 0")
     _require(isinstance(cfg["hbar"], (int, float)) and cfg["hbar"] > 0, "hbar", "must be > 0")
-    _require(isinstance(cfg["order"], int) and cfg["order"] >= 2, "order", "must be an integer >= 2")
+    _require(
+        isinstance(cfg["order"], int) and 2 <= cfg["order"] <= MAX_ORDER,
+        "order",
+        f"must be an integer in 2..{MAX_ORDER}",
+    )
     _require(isinstance(cfg["sigma"], (int, float)) and cfg["sigma"] > 0, "sigma", "must be > 0")
     cas = cfg["casimir"]
     _require(cas is None or (isinstance(cas, (int, float)) and cas >= 0), "casimir", "must be >= 0 or null")

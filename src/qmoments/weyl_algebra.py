@@ -296,7 +296,7 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
     and the order-zero moment is the constant 1.  With ``require_real`` a
     residual imaginary coefficient reports a non-Hermitian input.
     """
-    result = MomentPolynomial.zero(op.npairs)
+    terms = {}
     for (h, exps), c in op.terms.items():
         conversions = [_normal_in_weyl(a, b) for a, b in exps]
         for combo in itertools.product(*conversions):
@@ -307,13 +307,10 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
                 coeff = coeff * c_i
                 total_h += h_i
                 widx.append(pair_weyl)
-            mono = MomentPolynomial.moment(tuple(widx)).scale(coeff)
-            if not mono.is_zero:
-                shifted = MomentPolynomial(
-                    op.npairs,
-                    {(hk + total_h, v): cc for (hk, v), cc in mono.terms.items()},
-                )
-                result = result + shifted
+            mono = MomentPolynomial.moment(tuple(widx), coeff)
+            for (hk, v), cc in mono.terms.items():
+                _accumulate(terms, (hk + total_h, v), cc)
+    result = MomentPolynomial(op.npairs, terms)
     if require_real and not result.is_real:
         raise NonHermitianError(
             "expectation of a non-Hermitian operator: %r" % result.imag_part()
@@ -433,15 +430,16 @@ def _evar_as_moments(alpha) -> MomentPolynomial:
 
 
 def _epoly_to_moments(e: MomentPolynomial, npairs: int) -> MomentPolynomial:
-    result = MomentPolynomial.zero(npairs)
+    terms = {}
     for (h, vars_), c in e.terms.items():
         term = MomentPolynomial.constant(c, npairs, hbar_power=h)
         for alpha, power in vars_:
             sub = _evar_as_moments(alpha)
             for _ in range(power):
                 term = term * sub
-        result = result + term
-    return result
+        for key, cc in term.terms.items():
+            _accumulate(terms, key, cc)
+    return MomentPolynomial(npairs, terms)
 
 
 def _index_as_epoly(idx) -> MomentPolynomial:

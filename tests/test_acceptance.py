@@ -35,7 +35,7 @@ from qmoments.moment_algebra import (
     leibniz_bracket,
     operator_bracket,
 )
-from qmoments.scenarios import resolve_config, run_oracle, run_sweep, tunneling_cell
+from qmoments.scenarios import MAX_ORDER, resolve_config, run_oracle, run_sweep, tunneling_cell
 from qmoments.weyl_algebra import bracket_oracle
 
 D = MomentPolynomial.moment
@@ -48,7 +48,10 @@ def report(number, ok, detail):
 
 def test_criterion_01_bracket_oracle_equivalence():
     """Closed forms equal the oracle exactly: one pair to order 6, two
-    pairs to order 4, including the second-order bracket block."""
+    pairs to order 4, including the second-order bracket block, and the
+    column the equations of motion use at the highest order a config may
+    ask for (7): every moment of order <= 7 against Delta(p^2) and
+    Delta(q^a), a = 2..7."""
     t0 = time.monotonic()
     assert closed_form_bracket(single(2, 0), single(0, 2)) == D(single(1, 1), 4)
     assert closed_form_bracket(single(2, 0), single(1, 1)) == D(single(2, 0), 2)
@@ -64,6 +67,14 @@ def test_criterion_01_bracket_oracle_equivalence():
             f"two-pair mismatch at {m1}, {m2}"
         )
         checked += 1
+    column = build_heff(PolynomialPotential([0] * MAX_ORDER + [1]), MAX_ORDER).coupling_orders()
+    for m1 in indices.iter_indices(MAX_ORDER, 1):
+        for m2 in column:
+            if m1 != m2:
+                assert closed_form_bracket(m1, m2) == bracket_oracle(m1, m2), (
+                    f"EOM-column mismatch at {m1}, {m2}"
+                )
+                checked += 1
     # the stored tables reconcile every entry against the oracle as well
     assert all(build_bracket_table(6, 1).validated.values())
     assert all(build_bracket_table(4, 2).validated.values())

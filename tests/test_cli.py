@@ -54,6 +54,9 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     assert "whoops" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, "bad3.json", {"scenario": "not-a-scenario"})
     assert main(["simulate", "--config", cfg]) == 2
+    cfg = write_cfg(tmp_path, "bad4.json", {"scenario": "free", "order": 8})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "order: must be an integer in 2..7" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_file(tmp_path, capsys):
@@ -283,10 +286,12 @@ def test_brackets_dump(tmp_path, capsys):
     # stdout variant
     assert main(["brackets", "--order", "2", "--pairs", "1"]) == 0
     assert '"entries"' in capsys.readouterr().out
-    # the exact bytes of two larger dumps
+    # the exact bytes of larger dumps, the benchmark's two tables included
     for args, digest in [
         (["--order", "4"], "caed983d76a933bebe203c3bb2534dffd08e23fad8e66b1b97dadb23b2ea13c9"),
         (["--order", "2", "--pairs", "2"], "8999c0a2264e4f4d0a422eecbf98e1c5ac10c545d670a0a498b7a1d5cdbba062"),
+        (["--order", "5"], "6c62fab1d4774215bcb5800114632454f6bd38f96f6d96c2bb05bbb93cf6bfea"),
+        (["--order", "3", "--pairs", "2"], "d0992501bb091609ce31bbe3c39bac7fde66d4ea7a010b6489c93db5cd070854"),
     ]:
         assert main(["brackets", *args, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -68,6 +68,42 @@ def test_multiply_associative_randomized():
         assert (a * b) * c == a * (b * c)
 
 
+def test_gaussian_rational_arithmetic_matches_the_pair_formulas():
+    """Every zero/nonzero pattern of the operands' real and imaginary parts,
+    with mixed signs, gives exactly the (re, im) reference formulas."""
+    rng = random.Random(11)
+
+    def part(nonzero):
+        if not nonzero:
+            return Fraction(0)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    for pattern in itertools.product((False, True), repeat=4):
+        for _ in range(10):
+            a, b, c, d = (part(nonzero) for nonzero in pattern)
+            x, y = GR(a, b), GR(c, d)
+            for got, want in [
+                (x * y, (a * c - b * d, a * d + b * c)),
+                (x + y, (a + c, b + d)),
+                (x - y, (a - c, b - d)),
+                (-x, (-a, -b)),
+                (x * 3, (3 * a, 3 * b)),
+                (x.mul_ipow(1), (-b, a)),
+                (x.mul_ipow(2), (-a, -b)),
+                (x.mul_ipow(3), (b, -a)),
+            ]:
+                assert (got.re, got.im) == want, (pattern, a, b, c, d)
+                assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+def test_gaussian_rational_hashes_like_an_equal_number():
+    assert GR(2) == 2 and hash(GR(2)) == hash(2)
+    assert 2 in {GR(2)} and GR(2) in {2}
+    assert hash(GR(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    assert {GR(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
+    assert hash(GR(1, 2)) == hash(GR(Fraction(2, 2), 2))
+
+
 def test_weyl_symmetrize_covariance():
     # average of QP and PQ, normal ordered via the multiply oracle
     q = OperatorPoly.position()
