@@ -13,6 +13,7 @@ import sys
 
 from .dynamics import IntegrationError
 from .scenarios import (
+    MAX_ORDER,
     ConfigError,
     dumps_json,
     resolve_config,
@@ -95,8 +96,8 @@ def main(argv=None) -> int:
         if args.command == "brackets":
             from .moment_algebra import build_bracket_table
 
-            if args.order < 2:
-                raise ConfigError(f"--order: truncation order must be >= 2, got {args.order}")
+            if not 2 <= args.order <= MAX_ORDER:
+                raise ConfigError(f"--order: truncation order must be in 2..{MAX_ORDER}, got {args.order}")
             if args.pairs < 1:
                 raise ConfigError(f"--pairs: number of pairs must be >= 1, got {args.pairs}")
             table = build_bracket_table(args.order, args.pairs)

@@ -190,7 +190,13 @@ class MomentVectorField:
         return self.exprs[self.positions[var]]
 
     def compiled(self, hbar: float):
-        """rhs(t, y) callable generated once per hbar value."""
+        """rhs(t, y) callable generated once per hbar value.
+
+        ``y`` is anything indexable by layout slot: the single-state
+        integrator passes a list of Python floats, the batch integrator a
+        list of row arrays (one value per cell).  It returns a list of the
+        derivatives in layout order.
+        """
         key = float(hbar)
         fn = self._compiled.get(key)
         if fn is None:

@@ -300,7 +300,8 @@ def test_brackets_dump(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, flag",
     [(["--order", "1"], "--order"), (["--order", "0"], "--order"), (["--order", "-2"], "--order"),
-     (["--order", "2", "--pairs", "0"], "--pairs"), (["--order", "2", "--pairs", "-1"], "--pairs")],
+     (["--order", "2", "--pairs", "0"], "--pairs"), (["--order", "2", "--pairs", "-1"], "--pairs"),
+     (["--order", "8"], "--order")],
 )
 def test_brackets_rejects_bad_arguments(capsys, args, flag):
     assert main(["brackets", *args]) == 2

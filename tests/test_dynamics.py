@@ -311,6 +311,64 @@ def test_batch_matches_scipy_harmonic():
         assert traj.casimir[0] == ref.casimir[0]
 
 
+def test_rhs_on_floats_matches_the_ndarray_call():
+    """The generated field gives the same bits on a list of Python floats
+    as on the ndarray it came from, at every order up to the ceiling."""
+    rng = np.random.default_rng(8)
+    for coeffs in ([0, 0, 0.5, 0, 0.05], [0, 0, 0.5, -0.1]):
+        for order in range(2, 8):
+            field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
+            rhs = field.compiled(1.0)
+            for y in rng.uniform(-2.0, 2.0, size=(50, len(field.layout))):
+                on_floats = np.array(rhs(0.0, y.tolist()))
+                on_array = np.array(rhs(0.0, y))
+                assert on_floats.tobytes() == on_array.tobytes(), (coeffs, order)
+
+
+def test_scalar_path_matches_an_ndarray_fed_solve_ivp():
+    """integrate's samples and energies have the bytes of a solve_ivp run
+    whose right-hand side is fed the ndarray."""
+    from scipy.integrate import solve_ivp
+
+    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5))
+    state0 = init_gaussian(0.17, 0.5, 0.7, order=5)
+    t_eval = np.linspace(0.0, 2.0, 21)
+    cfg = IntegratorConfig()
+    traj = integrate(field, state0, (0.0, 2.0), cfg, t_eval=t_eval)
+    ref = solve_ivp(
+        field.compiled(1.0),
+        (0.0, 2.0),
+        state0.to_vector(field.layout),
+        method="RK45",
+        rtol=cfg.rtol,
+        atol=cfg.atol,
+        t_eval=t_eval,
+    )
+    assert traj.info["nfev"] == ref.nfev
+    assert np.array_equal(traj.ys, ref.y.T)
+    energy_fn = field.energy_function(1.0)
+    assert np.array_equal(traj.energy, [energy_fn(y) for y in ref.y.T])
+
+
+def test_float_power_overflow_reads_like_float64():
+    """float ** int raises OverflowError where float64 gives inf: a blow-up
+    through q**3 still fails as a non-finite state, and an energy past the
+    float range still reads inf."""
+    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0, 0, -1.0]), 2))
+    state0 = init_gaussian(1.0, 1.0, 0.5, order=2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+        integrate(field, state0, (0, 100), IntegratorConfig(method="rk4", step=0.01))
+    assert str(err.value) == (
+        "non-finite state at t=0.59 (last good time t=0.58, order 2, first non-finite component q)"
+    )
+    sextic = equations_of_motion(build_heff(PolynomialPotential([0] * 6 + [1e-300]), 2))
+    with np.errstate(over="ignore"):
+        traj = integrate(
+            sextic, init_gaussian(1e52, 0.0, 1.0, order=2), (0, 1e-3), IntegratorConfig(method="rk4")
+        )
+    assert np.isfinite(traj.ys).all() and np.isinf(traj.energy).all()
+
+
 def test_trajectory_requires_increasing_times():
     with pytest.raises(ValueError):
         Trajectory(
