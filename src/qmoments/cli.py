@@ -13,16 +13,21 @@ import sys
 
 from .dynamics import IntegrationError
 from .scenarios import (
-    MAX_ORDER,
+    ORACLE_DEFAULTS,
     ConfigError,
     dumps_json,
     resolve_config,
     run_oracle,
     run_scenario,
     run_sweep,
+    table_bound,
     transform_trajectory,
     write_json,
 )
+
+# The commands that run one resolved config, and the scenario each forces
+# (None: the config's own).
+_CONFIG_COMMANDS = {"simulate": None, "sweep": "cubic-tunneling", "adiabatic-compare": "adiabatic-compare"}
 
 
 def _load_config(path: str) -> dict:
@@ -56,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     brk.add_argument("--out", default=None, help="output path (default: stdout)")
 
     orc = sub.add_parser("oracle", help="run a wavefunction-oracle scenario")
-    orc.add_argument("--scenario", required=True, choices=["free", "harmonic"])
+    orc.add_argument("--scenario", required=True, choices=list(ORACLE_DEFAULTS))
     orc.add_argument("--config", default=None)
     orc.add_argument("--out-dir", default=".")
 
@@ -75,31 +80,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            raw = _load_config(args.config)
-            cfg = resolve_config(raw)
-            out_dir = args.out_dir or cfg.get("out_dir", ".")
-            summary = run_scenario(cfg, out_dir)
-            print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
-            return 0 if summary["ok"] else 1
-
-        if args.command == "sweep":
-            raw = _load_config(args.config)
-            cfg = resolve_config(raw, scenario="cubic-tunneling")
-            out_dir = args.out_dir or cfg.get("out_dir", ".")
-            os.makedirs(out_dir, exist_ok=True)
-            summary = run_sweep(cfg, out_dir)
-            write_json(os.path.join(out_dir, "summary.json"), summary)
+        if args.command in _CONFIG_COMMANDS:
+            raw = _load_config(args.config) if args.config else {}
+            cfg = resolve_config(raw, scenario=_CONFIG_COMMANDS[args.command])
+            out_dir = args.out_dir or cfg["out_dir"]
+            if args.command == "sweep":
+                os.makedirs(out_dir, exist_ok=True)
+                summary = run_sweep(cfg, out_dir)
+                write_json(os.path.join(out_dir, "summary.json"), summary)
+            else:
+                summary = run_scenario(cfg, out_dir)
             print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
             return 0 if summary["ok"] else 1
 
         if args.command == "brackets":
             from .moment_algebra import build_bracket_table
 
-            if not 2 <= args.order <= MAX_ORDER:
-                raise ConfigError(f"--order: truncation order must be in 2..{MAX_ORDER}, got {args.order}")
-            if args.pairs < 1:
-                raise ConfigError(f"--pairs: number of pairs must be >= 1, got {args.pairs}")
+            table_bound(args.order, args.pairs, "--order", "--pairs")
             table = build_bracket_table(args.order, args.pairs)
             payload = dumps_json(table.to_jsonable())
             if args.out:
@@ -120,14 +117,6 @@ def main(argv=None) -> int:
         if args.command == "transform":
             transform_trajectory(args.input, args.output, args.to, mass=args.mass)
             return 0
-
-        if args.command == "adiabatic-compare":
-            raw = _load_config(args.config) if args.config else {}
-            cfg = resolve_config(raw, scenario="adiabatic-compare")
-            out_dir = args.out_dir or cfg.get("out_dir", ".")
-            summary = run_scenario(cfg, out_dir)
-            print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
-            return 0 if summary["ok"] else 1
 
         raise ConfigError(f"command: unknown {args.command!r}")
     except ConfigError as exc:

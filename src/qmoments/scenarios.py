@@ -30,13 +30,21 @@ from .casimir_darboux import (
 from .dynamics import (
     IntegrationError,
     IntegratorConfig,
+    Trajectory,
     init_gaussian,
     integrate,
     write_table,
 )
 from .effective_hamiltonian import PolynomialPotential, build_heff, equations_of_motion
 from .moment_algebra import build_bracket_table
-from .schrodinger import Grid, energy_expectation, evolve, gaussian_wavepacket, moments_from_wavefunction
+from .schrodinger import (
+    MAX_EXTRACTION_ORDER,
+    Grid,
+    energy_expectation,
+    evolve,
+    gaussian_wavepacket,
+    moments_from_wavefunction,
+)
 
 
 class ConfigError(ValueError):
@@ -85,16 +93,6 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
-
-SCENARIOS = (
-    "free",
-    "harmonic",
-    "cubic-tunneling",
-    "two-dof-limit",
-    "adiabatic-compare",
-    "brackets-dump",
-    "oracle-diff",
-)
 
 # The closed-form EOM brackets are proven equal to the oracle up to this
 # order (acceptance criterion 01); higher orders are refused.
@@ -165,7 +163,8 @@ _SCENARIO_DEFAULTS = {
     },
 }
 
-_ORACLE_DEFAULTS = {
+# Defaults of the ``oracle`` command's scenarios, the choices of its --scenario.
+ORACLE_DEFAULTS = {
     "free": {
         "potential": [],
         "grid_points": 4096,
@@ -187,24 +186,26 @@ _ORACLE_DEFAULTS = {
 }
 
 
-def resolve_config(raw: dict, scenario: str | None = None) -> dict:
-    """Apply defaults and validate; raises ConfigError naming the field."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: must be a JSON object")
-    cfg = dict(raw)
-    scenario = scenario or cfg.get("scenario")
-    if scenario is None:
-        raise ConfigError("scenario: missing")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario: unknown name {scenario!r} (choose from {', '.join(SCENARIOS)})")
-    cfg["scenario"] = scenario
-    merged = dict(_DEFAULTS)
-    merged.update(_SCENARIO_DEFAULTS.get(scenario, {}))
-    known = set(merged) | {"scenario"}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown config key")
-    merged.update(cfg)
+def resolve_config(raw: dict, scenario: str | None = None, defaults: dict = _SCENARIO_DEFAULTS) -> dict:
+    """``_DEFAULTS``, then the scenario's entry of ``defaults``, then ``raw``;
+    unknown keys and invalid values raise ConfigError naming the field.
+
+    ``scenario``, when given, overrides the config's own.  Every config of
+    ``simulate``, ``sweep``, ``adiabatic-compare`` and (with
+    ``ORACLE_DEFAULTS``) ``oracle`` passes through here.
+    """
+    _require(isinstance(raw, dict), "config", "must be a JSON object")
+    scenario = scenario or raw.get("scenario")
+    _require(scenario is not None, "scenario", "missing")
+    _require(
+        isinstance(scenario, str) and scenario in defaults,
+        "scenario",
+        f"unknown name {scenario!r} (choose from {', '.join(defaults)})",
+    )
+    merged = {**_DEFAULTS, **defaults[scenario]}
+    for key in raw:
+        _require(key in merged or key == "scenario", key, "unknown config key")
+    merged.update(raw, scenario=scenario)
     _validate(merged)
     return merged
 
@@ -214,13 +215,26 @@ def _require(cond, field, message):
         raise ConfigError(f"{field}: {message}")
 
 
+def table_bound(order, pairs, order_field, pairs_field):
+    """Refuse a bracket table of truncation order outside 2..MAX_ORDER or of
+    fewer than one pair, naming the fields as the caller spells them."""
+    _require(
+        isinstance(order, int) and 2 <= order <= MAX_ORDER,
+        order_field,
+        f"truncation order must be in 2..{MAX_ORDER}, got {order!r}",
+    )
+    _require(isinstance(pairs, int) and pairs >= 1, pairs_field, f"number of pairs must be >= 1, got {pairs!r}")
+
+
 def _validate(cfg):
     _require(isinstance(cfg["mass"], (int, float)) and cfg["mass"] > 0, "mass", "must be > 0")
     _require(isinstance(cfg["hbar"], (int, float)) and cfg["hbar"] > 0, "hbar", "must be > 0")
+    # a config with a grid runs the wavefunction oracle, which extracts fewer orders
+    top = MAX_EXTRACTION_ORDER if "grid_points" in cfg else MAX_ORDER
     _require(
-        isinstance(cfg["order"], int) and 2 <= cfg["order"] <= MAX_ORDER,
+        isinstance(cfg["order"], int) and 2 <= cfg["order"] <= top,
         "order",
-        f"must be an integer in 2..{MAX_ORDER}",
+        f"must be an integer in 2..{top}",
     )
     _require(isinstance(cfg["sigma"], (int, float)) and cfg["sigma"] > 0, "sigma", "must be > 0")
     cas = cfg["casimir"]
@@ -273,16 +287,7 @@ def _validate(cfg):
             "must be a non-empty list of positive numbers",
         )
     if "table_order" in cfg:
-        _require(
-            isinstance(cfg["table_order"], int) and cfg["table_order"] >= 2,
-            "table_order",
-            "must be an integer >= 2",
-        )
-        _require(
-            isinstance(cfg["pairs"], int) and cfg["pairs"] >= 1,
-            "pairs",
-            "must be an integer >= 1",
-        )
+        table_bound(cfg["table_order"], cfg["pairs"], "table_order", "pairs")
     if "grid_points" in cfg:
         _require(
             isinstance(cfg["grid_points"], int) and cfg["grid_points"] >= 64,
@@ -713,61 +718,49 @@ def run_brackets_dump(cfg, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> tuple:
-    """(summary, columns) of a wavefunction-oracle run; ``columns`` maps
-    each CSV column name to its samples."""
-    if name not in _ORACLE_DEFAULTS:
-        raise ConfigError(f"scenario: oracle supports {', '.join(_ORACLE_DEFAULTS)}")
-    cfg = dict(_DEFAULTS)
-    cfg.update(_ORACLE_DEFAULTS[name])
-    cfg.update(cfg_overrides or {})
-    cfg["scenario"] = name
+def wavefunction_trajectory(cfg) -> tuple:
+    """(Trajectory, worst extraction quality) of the config's Gaussian
+    packet under Crank-Nicolson, one sample per ``_samples`` time.
+
+    Each sample is taken at the step-resolved time the solver actually
+    reaches, and that time is the one recorded.
+    """
     pot = PolynomialPotential(cfg["potential"], cfg["mass"])
     grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
     wf = gaussian_wavepacket(grid, cfg["q0"], cfg["p0"], cfg["sigma"], cfg["hbar"], cfg["mass"])
-    t0, t1 = cfg["t_span"]
-    times = np.linspace(t0, t1, cfg["samples"])
-    dt = cfg["dt"]
-    rows = []
+    dt, current_t = cfg["dt"], cfg["t_span"][0]
+    times, ys, energy, casimir = [], [], [], []
     quality_max = 0.0
-    current_t = t0
-    layout_idx = indices.iter_indices(cfg["order"], 1)
-    for target in times:
+    for target in _samples(cfg):
         steps = int(round((target - current_t) / dt))
         if steps > 0:
             wf = evolve(pot, wf, dt, steps)
             current_t += steps * dt
         state, quality = moments_from_wavefunction(wf, cfg["order"])
         quality_max = max(quality_max, quality)
-        energy = energy_expectation(wf, pot)
-        casimir = state.casimir()
-        margin = casimir - 0.25 * cfg["hbar"] ** 2
-        # the time column records the step-resolved time actually reached
-        rows.append(
-            [current_t, state.q, state.p]
-            + [state.moments[idx] for idx in layout_idx]
-            + [energy, casimir, margin]
-        )
-    header = ["t", "q", "p"] + [indices.csv_name(i) for i in layout_idx] + [
-        "energy",
-        "casimir",
-        "margin",
-    ]
-    write_table(os.path.join(out_dir, "oracle_trajectory.csv"), header, rows)
-    summary = {
-        "scenario": f"oracle-{name}",
-        "inputs": _echo_inputs(cfg),
-        "extraction_quality_max": quality_max,
-        "artifacts": {"oracle_csv": "oracle_trajectory.csv"},
-        "ok": True,
-    }
-    return summary, dict(zip(header, np.array(rows).T))
+        times.append(current_t)
+        ys.append(state.to_vector())
+        energy.append(energy_expectation(wf, pot))
+        casimir.append(state.casimir())
+    traj = Trajectory(
+        times, ys, state.layout(), state.hbar, state.order, state.classical_mode, energy, casimir
+    )
+    return traj, quality_max
 
 
 def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
     """Evolve the named scenario with the wavefunction solver and export
     extracted moments in the trajectory CSV schema."""
-    return _oracle(name, cfg_overrides, out_dir)[0]
+    cfg = resolve_config({} if cfg_overrides is None else cfg_overrides, name, ORACLE_DEFAULTS)
+    traj, quality = wavefunction_trajectory(cfg)
+    traj.write_csv(os.path.join(out_dir, "oracle_trajectory.csv"))
+    return {
+        "scenario": f"oracle-{name}",
+        "inputs": _echo_inputs(cfg),
+        "extraction_quality_max": quality,
+        "artifacts": {"oracle_csv": "oracle_trajectory.csv"},
+        "ok": True,
+    }
 
 
 def oracle_deviations(oracle: dict, moments: dict) -> dict:
@@ -810,15 +803,12 @@ def run_oracle_diff(cfg, out_dir) -> dict:
     step-resolved times the oracle actually reached, so the diff never
     aliases time-grid rounding into a moment deviation.
     """
-    oracle_summary, oracle = _oracle(
-        "free" if not cfg["potential"] else "harmonic",
-        {k: cfg[k] for k in (*_ORACLE_DEFAULTS["free"], "q0", "p0", "sigma", "hbar", "mass", "order")},
-        out_dir,
-    )
-    traj = _trajectory(cfg, _initial_state(cfg), oracle["t"])
+    oracle, quality = wavefunction_trajectory(cfg)
+    oracle.write_csv(os.path.join(out_dir, "oracle_trajectory.csv"))
+    traj = _trajectory(cfg, _initial_state(cfg), oracle.times)
     traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
     deviations = oracle_deviations(
-        oracle, {col: traj.column(var) for col, var in _COLUMNS.items()}
+        *({col: t.column(var) for col, var in _COLUMNS.items()} for t in (oracle, traj))
     )
     worst = max(deviations.values())
     ok = worst <= cfg["check_threshold"]
@@ -827,7 +817,7 @@ def run_oracle_diff(cfg, out_dir) -> dict:
         traj,
         ok,
         {"trajectory_csv": "trajectory.csv", "oracle_csv": "oracle_trajectory.csv"},
-        oracle_quality=oracle_summary["extraction_quality_max"],
+        oracle_quality=quality,
         deviations=deviations,
         checks=_checks(cfg, ok, max_rel_deviation=worst),
     )

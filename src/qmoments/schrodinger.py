@@ -16,6 +16,9 @@ import numpy as np
 from . import indices
 from .weyl_algebra import _weyl_in_normal
 
+# Repeated differencing loses accuracy; moments are extracted up to this order.
+MAX_EXTRACTION_ORDER = 4
+
 
 class ResolutionError(ValueError):
     pass
@@ -104,7 +107,7 @@ def energy_expectation(wf: WaveFunction, potential) -> float:
     return float(val.real)
 
 
-def evolve(potential, psi0: WaveFunction, dt: float, steps: int, support_check: bool = True) -> WaveFunction:
+def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction:
     """Crank-Nicolson propagation over ``steps`` time steps.
 
     The scheme is the Cayley form (1 + i dt H / 2 hbar) psi' =
@@ -152,12 +155,10 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int, support_check: 
         psi, info = zgttrs(*factors, rhs)
         if info != 0:
             raise np.linalg.LinAlgError(f"Crank-Nicolson solve failed (zgttrs info={info})")
-        if support_check and (step % check_every == check_every - 1):
+        if step % check_every == check_every - 1:
             _check_support(grid, rows, psi)
-    out = WaveFunction(grid, psi, hbar, mass)
-    if support_check:
-        _check_support(grid, rows, psi)
-    return out
+    _check_support(grid, rows, psi)
+    return WaveFunction(grid, psi, hbar, mass)
 
 
 def _support_rows(grid: Grid) -> np.ndarray:
@@ -187,14 +188,14 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
     change of basis then yields the Weyl moments.  The largest residual
     imaginary part is returned as a quality metric (and warned about above
     ``quality_tol``).  Accuracy degrades with repeated differencing; orders
-    above 4 are rejected.
+    above ``MAX_EXTRACTION_ORDER`` are rejected.
 
     Returns (MomentState, quality).
     """
     from .dynamics import MomentState
 
-    if order > 4:
-        raise ValueError("moment extraction is limited to order <= 4")
+    if order > MAX_EXTRACTION_ORDER:
+        raise ValueError(f"moment extraction is limited to order <= {MAX_EXTRACTION_ORDER}")
     grid, dx = wf.grid, wf.grid.dx
     psi = wf.values
     dens = np.abs(psi) ** 2

@@ -57,6 +57,14 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad4.json", {"scenario": "free", "order": 8})
     assert main(["simulate", "--config", cfg]) == 2
     assert "order: must be an integer in 2..7" in capsys.readouterr().err
+    # the bracket-table bound of `brackets --order`, and the oracle's
+    # extraction limit whenever a config runs the oracle
+    cfg = write_cfg(tmp_path, "bad5.json", {"scenario": "brackets-dump", "table_order": 8})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "table_order: truncation order must be in 2..7, got 8" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "bad6.json", {"scenario": "oracle-diff", "order": 5})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "order: must be an integer in 2..4" in capsys.readouterr().err
 
 
 def test_simulate_missing_config_file(tmp_path, capsys):
@@ -319,6 +327,25 @@ def test_oracle_subcommand(tmp_path):
     lines = (out / "oracle_trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,q,p,Delta_q2,Delta_qp,Delta_p2,energy,casimir,margin"
     assert len(lines) == 6
+    for name, digest in [
+        ("oracle_trajectory.csv", "ef09c1b674404d87369044e0f107d635b8fde6aaece39796330f59754a2c22ca"),
+        ("oracle_summary.json", "cce95f1072b7622730fa8488f47635edfa17c8ea4221d978ec934a3463751be6"),
+    ]:
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [({"bogus": 1}, "bogus"), ({"grid_points": 10}, "grid_points"), ({"order": 5}, "order"), ([1], "config")],
+    ids=["unknown-key", "grid_points", "order", "not-an-object"],
+)
+def test_oracle_config_errors_exit_2(tmp_path, capsys, payload, field):
+    """Oracle configs pass the same gate as simulate configs."""
+    cfg = write_cfg(tmp_path, "o.json", payload)
+    out = tmp_path / "o"
+    assert main(["oracle", "--scenario", "free", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (out / "oracle_trajectory.csv").exists()
 
 
 def test_oracle_diff_scenario(tmp_path):
