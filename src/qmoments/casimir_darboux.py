@@ -117,50 +117,20 @@ def free_particle_s(t, s0: float, casimir: float, mass: float):
 def lift_trajectory(times, s, p_s, casimir: float, mass: float, phi0: float = 0.0):
     """Lift a sampled (s, p_s) trajectory to the plane.
 
-    The spurious angle advances with phi_dot = sqrt(C)/(m s^2); the
-    quadrature uses composite Simpson on the sample grid, so a smooth,
-    densely sampled trajectory lifts to the plane with matching accuracy.
-    Returns a list of PlaneState samples.
+    The spurious angle advances with phi_dot = sqrt(C)/(m s^2), integrated
+    by scipy's cumulative Simpson rule on the sample grid (the trapezoid
+    rule for two samples), so a smooth, densely sampled trajectory lifts to
+    the plane with matching accuracy.  Returns a list of PlaneState samples.
     """
+    # imported here: every command imports this module, only the plane lift integrates
+    from scipy.integrate import cumulative_simpson
+
     times = np.asarray(times, dtype=float)
     s = np.asarray(s, dtype=float)
     p_s = np.asarray(p_s, dtype=float)
     rate = math.sqrt(casimir) / (mass * s**2)
-    phi = phi0 + _cumulative_simpson(times, rate)
-    out = []
-    for si, psi, phii in zip(s, p_s, phi):
-        out.append(lift_to_plane(DarbouxState1D(si, psi, casimir), phii))
-    return out
-
-
-def _cumulative_simpson(x, f):
-    """Cumulative integral of samples f(x); Simpson panels, parabolic tail."""
-    n = len(x)
-    out = np.zeros(n)
-    i = 0
-    while i + 2 <= n - 1:
-        h1 = x[i + 1] - x[i]
-        h2 = x[i + 2] - x[i + 1]
-        f0, f1, f2 = f[i], f[i + 1], f[i + 2]
-        whole = ((h1 + h2) / 6.0) * (
-            f0 * (2 - h2 / h1) + f1 * (h1 + h2) ** 2 / (h1 * h2) + f2 * (2 - h1 / h2)
-        )
-        out[i + 1] = out[i] + _panel_half(h1, h2, f0, f1, f2)
-        out[i + 2] = out[i] + whole
-        i += 2
-    if i + 1 == n - 1:  # odd tail: parabola through the last three samples
-        h1 = x[i] - x[i - 1]
-        h2 = x[i + 1] - x[i]
-        back = _panel_half(h2, h1, f[i + 1], f[i], f[i - 1])
-        out[i + 1] = out[i] + back
-    return out
-
-
-def _panel_half(h1, h2, f0, f1, f2):
-    # integral of the interpolating parabola over the first subinterval
-    a = (f2 - f0 - (h1 + h2) / h1 * (f1 - f0)) / (h2 * (h1 + h2))
-    b = (f1 - f0) / h1 - a * h1
-    return a * h1**3 / 3.0 + b * h1**2 / 2.0 + f0 * h1
+    phi = phi0 + cumulative_simpson(rate, x=times, initial=0.0)
+    return [lift_to_plane(DarbouxState1D(si, psi, casimir), phii) for si, psi, phii in zip(s, p_s, phi)]
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ def main(argv=None) -> int:
             cfg = resolve_config(raw, scenario=_CONFIG_COMMANDS[args.command])
             out_dir = args.out_dir or cfg["out_dir"]
             if args.command == "sweep":
-                os.makedirs(out_dir, exist_ok=True)
                 summary = run_sweep(cfg, out_dir)
                 write_json(os.path.join(out_dir, "summary.json"), summary)
             else:
@@ -108,7 +107,6 @@ def main(argv=None) -> int:
 
         if args.command == "oracle":
             overrides = _load_config(args.config) if args.config else {}
-            os.makedirs(args.out_dir, exist_ok=True)
             summary = run_oracle(args.scenario, overrides, args.out_dir)
             write_json(os.path.join(args.out_dir, "oracle_summary.json"), summary)
             print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))

@@ -21,6 +21,12 @@ class AdmissibilityError(ValueError):
     pass
 
 
+def uncertainty_floor(hbar, classical_mode=False) -> float:
+    """Lower bound of Delta(q^2)*Delta(p^2) - Delta(qp)^2: hbar^2/4, or the
+    classical 0 in ``classical_mode``."""
+    return 0.0 if classical_mode else 0.25 * hbar**2
+
+
 class MomentState:
     """Basic expectation values plus central moments up to order N.
 
@@ -41,7 +47,7 @@ class MomentState:
 
     @property
     def margin_floor(self) -> float:
-        return 0.0 if self.classical_mode else 0.25 * self.hbar**2
+        return uncertainty_floor(self.hbar, self.classical_mode)
 
     def casimir(self) -> float:
         return (
@@ -67,9 +73,7 @@ class MomentState:
             )
 
     def layout(self):
-        return (("q", 0), ("p", 0)) + tuple(
-            ("D", idx) for idx in indices.iter_indices(self.order, 1)
-        )
+        return indices.state_layout(self.order)
 
     def to_vector(self, layout=None) -> np.ndarray:
         layout = layout or self.layout()
@@ -133,7 +137,7 @@ def init_gaussian(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if casimir is None:
-        casimir = 0.25 * hbar**2
+        casimir = uncertainty_floor(hbar)
     if casimir < 0:
         raise AdmissibilityError("casimir must be non-negative")
     sxx = sigma**2
@@ -165,9 +169,11 @@ class IntegratorConfig:
 
 
 class Trajectory:
-    """Sampled solution with per-sample conservation monitors."""
+    """Sampled solution with per-sample conservation monitors: the energy
+    it is given, and the Casimir and uncertainty margin of its own
+    second-moment columns."""
 
-    def __init__(self, times, ys, layout, hbar, order, classical_mode, energy, casimir, info=None):
+    def __init__(self, times, ys, layout, hbar, order, classical_mode, energy, info=None):
         self.times = np.asarray(times)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
@@ -177,9 +183,9 @@ class Trajectory:
         self.order = order
         self.classical_mode = classical_mode
         self.energy = np.asarray(energy)
-        self.casimir = np.asarray(casimir)
-        floor = 0.0 if classical_mode else 0.25 * hbar**2
-        self.margin = self.casimir - floor
+        q2, qp, p2 = (self.column(("D", indices.single(a, b))) for a, b in ((2, 0), (1, 1), (0, 2)))
+        self.casimir = q2 * p2 - qp**2
+        self.margin = self.casimir - uncertainty_floor(hbar, classical_mode)
         self.info = info or {}
 
     def __len__(self):
@@ -236,25 +242,6 @@ def _largest_rate(layout, out) -> str:
 def _first_non_finite(layout, values) -> str:
     i = next(j for j, w in enumerate(values) if not math.isfinite(w))
     return f"first non-finite component {_csv_name(layout[i])}"
-
-
-def _monitored(field, state0, times, ys, energy, info) -> Trajectory:
-    layout = field.layout
-    i_q2 = layout.index(("D", indices.single(2, 0)))
-    i_qp = layout.index(("D", indices.single(1, 1)))
-    i_p2 = layout.index(("D", indices.single(0, 2)))
-    casimir = ys[:, i_q2] * ys[:, i_p2] - ys[:, i_qp] ** 2
-    return Trajectory(
-        times,
-        ys,
-        layout,
-        state0.hbar,
-        state0.order,
-        state0.classical_mode,
-        energy,
-        casimir,
-        info,
-    )
 
 
 def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, events=None):
@@ -337,7 +324,7 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, events=
         energy = np.array([energy_fn(y) for y in ys.tolist()])
     except OverflowError:  # see _on_floats
         energy = np.array([energy_fn(y) for y in ys])
-    return _monitored(field, state0, times, ys, energy, info)
+    return Trajectory(times, ys, layout, state0.hbar, order, state0.classical_mode, energy, info)
 
 
 def _on_floats(rhs, t, y):
@@ -646,7 +633,15 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, events) -> Tr
     for i, (start, end) in enumerate(zip(ends - counts, ends)):
         if results[i] is None:
             info = {"status": int(status[i]), "nfev": int(cell_nfev[i])}
-            results[i] = _monitored(
-                field, states[i], times[start:end], ys[start:end], energy[start:end], info
+            state = states[i]
+            results[i] = Trajectory(
+                times[start:end],
+                ys[start:end],
+                layout,
+                state.hbar,
+                state.order,
+                state.classical_mode,
+                energy[start:end],
+                info,
             )
     return TrajectoryBatch(results, {"nfev": nfev})

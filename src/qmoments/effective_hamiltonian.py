@@ -229,8 +229,7 @@ def equations_of_motion(h: EffectiveHamiltonian) -> MomentVectorField:
     so the system closes.
     """
     heff = h.moment_polynomial()
-    layout = [("q", 0), ("p", 0)]
-    layout += [("D", idx) for idx in indices.iter_indices(h.truncation_order, 1)]
+    layout = indices.state_layout(h.truncation_order)
     exprs = []
     for var in layout:
         if var[0] == "D":

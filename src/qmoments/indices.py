@@ -41,6 +41,12 @@ def iter_indices(max_order: int, npairs: int = 1, min_order: int = 2) -> list:
     return out
 
 
+def state_layout(max_order: int) -> tuple:
+    """Slots of the one-pair state vector: q, p, then every moment of order
+    2..max_order in sort order."""
+    return (("q", 0), ("p", 0)) + tuple(("D", idx) for idx in iter_indices(max_order, 1))
+
+
 def _compositions(total, slots):
     if slots == 1:
         yield (total,)

@@ -3,15 +3,15 @@
 The equations of motion evaluate the closed-form bracket of two single-pair
 moments (bilinear terms plus a K-coefficient sum) for exactly the pairs the
 Leibniz rule touches; multi-pair brackets distribute the commutator across
-canonical pairs at the operator level.  Every ``BracketTable`` entry is
-validated against the first-principles ``bracket_oracle``, which is
-authoritative: if a fast form disagrees, a ConventionMismatchWarning is
-emitted and the oracle value is used.
+canonical pairs at the operator level.  ``BracketTable`` entries are
+computed by the first-principles ``bracket_oracle`` alone, which is
+authoritative; the tests prove the closed form and the operator-level
+assembly equal to it.
 
 Sign convention.  Evaluating the K sum literally with weights
 (i*hbar/2)^(n-1) yields {Delta(q^2), Delta(p^2)} = -4*Delta(qp) plus a
 spurious imaginary constant from n = 2, while the direct derivation from
-the defining bracket gives +4*Delta(qp).  Reconciliation against the oracle
+the defining bracket gives +4*Delta(qp).  Comparison with the oracle
 fixes the convention used here: even n (imaginary prefactor after grading)
 is dropped and the whole printed expression changes sign, i.e.
 
@@ -25,7 +25,6 @@ This reproduces the oracle exactly for all orders exercised by the tests.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -37,10 +36,6 @@ from .weyl_algebra import OperatorPoly, bracket_oracle, expectation, weyl_monomi
 
 class MomentAlgebraError(ValueError):
     pass
-
-
-class ConventionMismatchWarning(UserWarning):
-    """A closed-form bracket disagreed with the oracle and was replaced."""
 
 
 MAX_TABLE_ENTRIES = 50_000
@@ -137,28 +132,13 @@ def _op_derivative(op: OperatorPoly, pair: int, kind: str) -> OperatorPoly:
     return OperatorPoly(op.npairs, terms)
 
 
-@lru_cache(maxsize=None)
-def _reconciled(m1, m2) -> MomentPolynomial:
-    fast = closed_form_bracket(m1, m2) if len(m1) == 1 else operator_bracket(m1, m2)
-    oracle = bracket_oracle(m1, m2)
-    if fast == oracle:
-        return oracle
-    warnings.warn(
-        "convention mismatch for {%s, %s}; using the oracle value"
-        % (indices.pretty(m1), indices.pretty(m2)),
-        ConventionMismatchWarning,
-        stacklevel=2,
-    )
-    return oracle
-
-
 class BracketTable:
     """Antisymmetric table of moment brackets at a truncation order.
 
     Entries are stored for canonically ordered index pairs; lookups flip the
     sign for the reversed order.  Stored polynomials are truncated by the
-    semiclassical hbar-order filter.  Every entry is reconciled against the
-    oracle before it is stored, which ``validated`` records per entry.
+    semiclassical hbar-order filter.  ``validated`` records per entry that
+    the oracle computed it.
     """
 
     def __init__(self, truncation_order: int, npairs: int):
@@ -211,12 +191,11 @@ class BracketTable:
 
 @lru_cache(maxsize=None)
 def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
-    """Oracle-validated brackets of all moment index pairs up to the order.
+    """Brackets of all moment index pairs up to the order, each computed
+    once by ``bracket_oracle``.
 
-    Single-pair entries use the closed form, multi-pair entries the
-    operator-level Leibniz assembly; each entry is checked against
-    ``bracket_oracle`` once and flagged.  Results are cached per
-    configuration and the table is immutable afterwards.
+    Results are cached per configuration and the table is immutable
+    afterwards.
     """
     if truncation_order < 2:
         raise MomentAlgebraError("truncation order must be >= 2")
@@ -233,7 +212,7 @@ def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
     table = BracketTable(truncation_order, npairs)
     for i, m1 in enumerate(idxs):
         for m2 in idxs[i + 1 :]:
-            table.store(m1, m2, _reconciled(m1, m2).truncate(truncation_order))
+            table.store(m1, m2, bracket_oracle(m1, m2).truncate(truncation_order))
     return table
 
 

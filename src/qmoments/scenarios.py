@@ -33,6 +33,7 @@ from .dynamics import (
     Trajectory,
     init_gaussian,
     integrate,
+    uncertainty_floor,
     write_table,
 )
 from .effective_hamiltonian import PolynomialPotential, build_heff, equations_of_motion
@@ -215,6 +216,10 @@ def _require(cond, field, message):
         raise ConfigError(f"{field}: {message}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float))
+
+
 def table_bound(order, pairs, order_field, pairs_field):
     """Refuse a bracket table of truncation order outside 2..MAX_ORDER or of
     fewer than one pair, naming the fields as the caller spells them."""
@@ -227,8 +232,8 @@ def table_bound(order, pairs, order_field, pairs_field):
 
 
 def _validate(cfg):
-    _require(isinstance(cfg["mass"], (int, float)) and cfg["mass"] > 0, "mass", "must be > 0")
-    _require(isinstance(cfg["hbar"], (int, float)) and cfg["hbar"] > 0, "hbar", "must be > 0")
+    _require(_is_number(cfg["mass"]) and cfg["mass"] > 0, "mass", "must be > 0")
+    _require(_is_number(cfg["hbar"]) and cfg["hbar"] > 0, "hbar", "must be > 0")
     # a config with a grid runs the wavefunction oracle, which extracts fewer orders
     top = MAX_EXTRACTION_ORDER if "grid_points" in cfg else MAX_ORDER
     _require(
@@ -236,53 +241,50 @@ def _validate(cfg):
         "order",
         f"must be an integer in 2..{top}",
     )
-    _require(isinstance(cfg["sigma"], (int, float)) and cfg["sigma"] > 0, "sigma", "must be > 0")
+    _require(_is_number(cfg["sigma"]) and cfg["sigma"] > 0, "sigma", "must be > 0")
     cas = cfg["casimir"]
-    _require(cas is None or (isinstance(cas, (int, float)) and cas >= 0), "casimir", "must be >= 0 or null")
-    if cas is not None and not cfg["classical_mode"]:
-        _require(
-            cas >= 0.25 * cfg["hbar"] ** 2 - 1e-15,
-            "casimir",
-            "below hbar^2/4 requires classical_mode",
-        )
+    _require(cas is None or (_is_number(cas) and cas >= 0), "casimir", "must be >= 0 or null")
+    _require(
+        cas is None or cas >= uncertainty_floor(cfg["hbar"], cfg["classical_mode"]) - 1e-15,
+        "casimir",
+        "below hbar^2/4 requires classical_mode",
+    )
     span = cfg["t_span"]
     _require(
-        isinstance(span, (list, tuple)) and len(span) == 2 and span[1] > span[0],
+        isinstance(span, (list, tuple)) and len(span) == 2 and all(map(_is_number, span)) and span[1] > span[0],
         "t_span",
         "must be [t0, t1] with t1 > t0",
     )
     _require(isinstance(cfg["samples"], int) and cfg["samples"] >= 2, "samples", "must be an integer >= 2")
     _require(cfg["method"] in ("rk45", "rk4"), "method", "must be 'rk45' or 'rk4'")
     for key in ("rtol", "atol", "step"):
-        _require(isinstance(cfg[key], (int, float)) and cfg[key] > 0, key, "must be > 0")
+        _require(_is_number(cfg[key]) and cfg[key] > 0, key, "must be > 0")
     _require(isinstance(cfg["max_steps"], int) and cfg["max_steps"] > 0, "max_steps", "must be a positive integer")
     if "potential" in cfg:
         pot = cfg["potential"]
         _require(
-            isinstance(pot, list) and all(isinstance(c, (int, float)) for c in pot),
+            isinstance(pot, list) and all(_is_number(c) for c in pot),
             "potential",
             "must be a list of numbers (coefficients of q^0..q^d)",
         )
+    if "check_threshold" in cfg:
+        _require(
+            _is_number(cfg["check_threshold"]) and cfg["check_threshold"] >= 0,
+            "check_threshold",
+            "must be a number >= 0",
+        )
     if "energy" in cfg:
-        _require(isinstance(cfg["energy"], (int, float)), "energy", "must be a number")
+        _require(_is_number(cfg["energy"]), "energy", "must be a number")
     if "stop_margin" in cfg:
-        _require(
-            isinstance(cfg["stop_margin"], (int, float)) and cfg["stop_margin"] >= 0,
-            "stop_margin",
-            "must be >= 0",
-        )
+        _require(_is_number(cfg["stop_margin"]) and cfg["stop_margin"] >= 0, "stop_margin", "must be >= 0")
     if "amplitude" in cfg:
-        _require(
-            isinstance(cfg["amplitude"], (int, float)) and cfg["amplitude"] > 0,
-            "amplitude",
-            "must be > 0",
-        )
+        _require(_is_number(cfg["amplitude"]) and cfg["amplitude"] > 0, "amplitude", "must be > 0")
     if "adiabatic_order" in cfg:
         _require(cfg["adiabatic_order"] in (0, 1), "adiabatic_order", "must be 0 or 1")
     if "epsilons" in cfg:
         eps = cfg["epsilons"]
         _require(
-            isinstance(eps, list) and eps and all(isinstance(e, (int, float)) and e > 0 for e in eps),
+            isinstance(eps, list) and eps and all(_is_number(e) and e > 0 for e in eps),
             "epsilons",
             "must be a non-empty list of positive numbers",
         )
@@ -294,10 +296,14 @@ def _validate(cfg):
             "grid_points",
             "must be an integer >= 64",
         )
-        _require(
-            isinstance(cfg["dt"], (int, float)) and cfg["dt"] > 0, "dt", "must be > 0"
-        )
+        _require(_is_number(cfg["dt"]) and cfg["dt"] > 0, "dt", "must be > 0")
+        for key in ("x_min", "x_max"):
+            _require(_is_number(cfg[key]), key, "must be a number")
         _require(cfg["x_max"] > cfg["x_min"], "x_max", "must exceed x_min")
+        # the oracle's packet is a pure Gaussian with ps0 = 0 and C = hbar^2/4
+        _require(cfg["ps0"] == 0, "ps0", "the wavefunction oracle's Gaussian packet has ps0 = 0")
+        _require(cas is None, "casimir", "the wavefunction oracle's Gaussian packet has C = hbar^2/4; use null")
+        _require(not cfg["classical_mode"], "classical_mode", "the wavefunction oracle is quantum; use false")
 
 
 def integrator_config(cfg) -> IntegratorConfig:
@@ -343,7 +349,7 @@ def moment_field(cfg):
 
 
 def _casimir(cfg) -> float:
-    return cfg["casimir"] if cfg["casimir"] is not None else 0.25 * cfg["hbar"] ** 2
+    return cfg["casimir"] if cfg["casimir"] is not None else uncertainty_floor(cfg["hbar"])
 
 
 def _initial_state(cfg, **overrides):
@@ -632,6 +638,8 @@ def run_sweep(cfg, out_dir) -> dict:
         raise ConfigError("sweep: expected exactly the keys 'q0' and 'energy'")
     q0s = _sweep_values(sweep["q0"], "q0")
     energies = _sweep_values(sweep["energy"], "energy")
+    barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
+    os.makedirs(out_dir, exist_ok=True)
     records = sweep_records(cfg, q0s, energies)
     write_table(
         os.path.join(out_dir, "sweep_grid.csv"),
@@ -641,7 +649,6 @@ def run_sweep(cfg, out_dir) -> dict:
     counts = {"bypassed": 0, "trapped": 0, "error": 0}
     for rec in records:
         counts[rec["classification"]] += 1
-    barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
     drifts = [r["energy_drift"] for r in records if r["classification"] != "error"]
     return {
         "scenario": "cubic-tunneling-sweep",
@@ -729,7 +736,7 @@ def wavefunction_trajectory(cfg) -> tuple:
     grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
     wf = gaussian_wavepacket(grid, cfg["q0"], cfg["p0"], cfg["sigma"], cfg["hbar"], cfg["mass"])
     dt, current_t = cfg["dt"], cfg["t_span"][0]
-    times, ys, energy, casimir = [], [], [], []
+    times, ys, energy = [], [], []
     quality_max = 0.0
     for target in _samples(cfg):
         steps = int(round((target - current_t) / dt))
@@ -741,10 +748,7 @@ def wavefunction_trajectory(cfg) -> tuple:
         times.append(current_t)
         ys.append(state.to_vector())
         energy.append(energy_expectation(wf, pot))
-        casimir.append(state.casimir())
-    traj = Trajectory(
-        times, ys, state.layout(), state.hbar, state.order, state.classical_mode, energy, casimir
-    )
+    traj = Trajectory(times, ys, state.layout(), state.hbar, state.order, state.classical_mode, energy)
     return traj, quality_max
 
 
@@ -752,6 +756,7 @@ def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
     """Evolve the named scenario with the wavefunction solver and export
     extracted moments in the trajectory CSV schema."""
     cfg = resolve_config({} if cfg_overrides is None else cfg_overrides, name, ORACLE_DEFAULTS)
+    os.makedirs(out_dir, exist_ok=True)
     traj, quality = wavefunction_trajectory(cfg)
     traj.write_csv(os.path.join(out_dir, "oracle_trajectory.csv"))
     return {

@@ -13,8 +13,8 @@ of the Poisson bracket of two moments: each moment is expanded into a
 operator monomials, the defining bracket {<A>, <B>} = <[A, B]>/(i*hbar)
 of two such variables comes from the symbolic commutator, ``exact.leibniz``
 extends it to the polynomials, and the result is re-expressed through
-Weyl-ordered central moments.  Every closed-form bracket in the package is
-validated against this oracle.
+Weyl-ordered central moments.  The tests prove every closed-form bracket
+in the package equal to this oracle; bracket tables store its values.
 """
 
 from __future__ import annotations

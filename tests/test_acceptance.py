@@ -75,7 +75,7 @@ def test_criterion_01_bracket_oracle_equivalence():
                     f"EOM-column mismatch at {m1}, {m2}"
                 )
                 checked += 1
-    # the stored tables reconcile every entry against the oracle as well
+    # the stored tables hold the oracle's bracket of every entry
     assert all(build_bracket_table(6, 1).validated.values())
     assert all(build_bracket_table(4, 2).validated.values())
     elapsed = time.monotonic() - t0

@@ -65,6 +65,20 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad6.json", {"scenario": "oracle-diff", "order": 5})
     assert main(["simulate", "--config", cfg]) == 2
     assert "order: must be an integer in 2..4" in capsys.readouterr().err
+    # fields compared or thresholded as numbers must be numbers, refused
+    # before any file is written
+    for i, (payload, field) in enumerate(
+        [
+            ({"scenario": "oracle-diff", "x_min": "a"}, "x_min"),
+            ({"scenario": "free", "t_span": ["a", 1]}, "t_span"),
+            ({"scenario": "free", "check_threshold": "x"}, "check_threshold"),
+        ]
+    ):
+        out = tmp_path / f"typed{i}"
+        cfg = write_cfg(tmp_path, f"typed{i}.json", payload)
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out.exists()
 
 
 def test_simulate_missing_config_file(tmp_path, capsys):
@@ -348,6 +362,40 @@ def test_oracle_config_errors_exit_2(tmp_path, capsys, payload, field):
     assert not (out / "oracle_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [({"ps0": 0.5}, "ps0"), ({"casimir": 0.3}, "casimir"), ({"classical_mode": True}, "classical_mode")],
+    ids=["ps0", "casimir", "classical_mode"],
+)
+def test_oracle_refuses_states_it_cannot_represent(tmp_path, capsys, payload, field):
+    """The oracle's packet is the pure Gaussian with ps0 = 0 and C = hbar^2/4,
+    so a config that runs the oracle may not ask for another state."""
+    base = {"scenario": "oracle-diff", "grid_points": 1024, "t_span": [0, 0.5], "samples": 6}
+    cfg = write_cfg(tmp_path, "od.json", {**base, **payload})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "od")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    cfg = write_cfg(tmp_path, "o.json", payload)
+    assert main(["oracle", "--scenario", "free", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["oracle", "--scenario", "free"], {"bogus": 1}),
+        (["sweep"], {"sweep": {"q0": [], "energy": [1.0]}}),
+        (["sweep"], {"potential": [0.0, 0.0, 0.5], "sweep": {"q0": [0.2], "energy": [1.0]}}),
+    ],
+    ids=["oracle-unknown-key", "sweep-empty-range", "sweep-no-barrier"],
+)
+def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_oracle_diff_scenario(tmp_path):
     """A moving centroid, one at rest (q0 = p0 = 0) and the uncorrelated
     harmonic ground state all match the oracle; a real centroid offset
@@ -441,6 +489,17 @@ def test_transform_plane_conserves_p_phi(tmp_path):
     ]) == 0
     data = np.genfromtxt(plane, delimiter=",", names=True)
     assert np.allclose(data["p_phi"], 0.5, atol=1e-9)
+
+
+def test_transform_plane_two_samples_is_finite(tmp_path):
+    """Two samples are one trapezoid panel of the angle integral."""
+    cfg = write_cfg(tmp_path, "free.json", {"scenario": "free", "samples": 2, "t_span": [0.0, 0.1]})
+    out = tmp_path / "f"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    plane = tmp_path / "plane.csv"
+    assert main(["transform", "--to", "plane", "--input", str(out / "trajectory.csv"), "--output", str(plane)]) == 0
+    data = np.genfromtxt(plane, delimiter=",", skip_header=1)
+    assert data.shape == (2, 6) and np.isfinite(data).all()
 
 
 def test_transform_missing_columns(tmp_path, capsys):

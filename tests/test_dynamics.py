@@ -379,7 +379,6 @@ def test_trajectory_requires_increasing_times():
             2,
             False,
             np.zeros(3),
-            np.ones(3),
         )
 
 

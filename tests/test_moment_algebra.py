@@ -78,25 +78,25 @@ def test_validated_bracket_emits_no_warning():
         build_bracket_table(3, 1)
 
 
-def test_convention_mismatch_warns_and_falls_back(monkeypatch):
-    """A table entry whose closed form disagrees with the oracle is
-    reported and stored with the oracle value instead."""
+def test_tables_never_consult_the_closed_forms(monkeypatch):
+    """Every table entry is the oracle's bracket, truncated at the table
+    order; closed forms that return zero change nothing."""
     from qmoments import moment_algebra as ma
-    from qmoments.moment_algebra import ConventionMismatchWarning
 
+    zero = lambda m1, m2: MomentPolynomial.zero(len(m1))
+    monkeypatch.setattr(ma, "closed_form_bracket", zero)
+    monkeypatch.setattr(ma, "operator_bracket", zero)
     build_bracket_table.cache_clear()
-    ma._reconciled.cache_clear()
-    monkeypatch.setattr(
-        ma, "closed_form_bracket", lambda m1, m2: MomentPolynomial.zero(1)
-    )
     try:
-        with pytest.warns(ConventionMismatchWarning):
-            table = build_bracket_table(2, 1)
-        got = table.lookup(single(2, 0), single(0, 2))
-        assert got == bracket_oracle(single(2, 0), single(0, 2))
+        for order, npairs in [(2, 1), (3, 1), (2, 2)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = build_bracket_table(order, npairs)
+            assert table.entries
+            for (m1, m2), entry in table.entries.items():
+                assert entry == bracket_oracle(m1, m2).truncate(order)
     finally:
         build_bracket_table.cache_clear()
-        ma._reconciled.cache_clear()
 
 
 def test_table_n2_single_pair_contents():
