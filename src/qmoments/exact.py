@@ -300,9 +300,6 @@ class MomentPolynomial:
                 out.add(v)
         return out
 
-    def uses_basic(self) -> bool:
-        return any(v[0] in ("q", "p") for v in self.variables())
-
     def hbar_order_doubled(self, key) -> int:
         """2x the semiclassical hbar order of one monomial key."""
         h, vars_ = key

@@ -86,6 +86,14 @@ def dumps_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _artifact(out_dir, name) -> str:
+    """Path of the artifact ``name`` in ``out_dir``, which is created at the
+    first write: every refusal comes before it, so a refused config leaves
+    no directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_json(obj) + "\n")
@@ -217,18 +225,23 @@ def _require(cond, field, message):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float))
+    # JSON true/false load as bool, a subclass of int: never a number
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def table_bound(order, pairs, order_field, pairs_field):
     """Refuse a bracket table of truncation order outside 2..MAX_ORDER or of
     fewer than one pair, naming the fields as the caller spells them."""
     _require(
-        isinstance(order, int) and 2 <= order <= MAX_ORDER,
+        _is_int(order) and 2 <= order <= MAX_ORDER,
         order_field,
         f"truncation order must be in 2..{MAX_ORDER}, got {order!r}",
     )
-    _require(isinstance(pairs, int) and pairs >= 1, pairs_field, f"number of pairs must be >= 1, got {pairs!r}")
+    _require(_is_int(pairs) and pairs >= 1, pairs_field, f"number of pairs must be >= 1, got {pairs!r}")
 
 
 def _validate(cfg):
@@ -237,11 +250,14 @@ def _validate(cfg):
     # a config with a grid runs the wavefunction oracle, which extracts fewer orders
     top = MAX_EXTRACTION_ORDER if "grid_points" in cfg else MAX_ORDER
     _require(
-        isinstance(cfg["order"], int) and 2 <= cfg["order"] <= top,
+        _is_int(cfg["order"]) and 2 <= cfg["order"] <= top,
         "order",
         f"must be an integer in 2..{top}",
     )
     _require(_is_number(cfg["sigma"]) and cfg["sigma"] > 0, "sigma", "must be > 0")
+    for key in ("q0", "p0", "ps0"):
+        _require(_is_number(cfg[key]), key, "must be a number")
+    _require(isinstance(cfg["classical_mode"], bool), "classical_mode", "must be true or false")
     cas = cfg["casimir"]
     _require(cas is None or (_is_number(cas) and cas >= 0), "casimir", "must be >= 0 or null")
     _require(
@@ -255,11 +271,11 @@ def _validate(cfg):
         "t_span",
         "must be [t0, t1] with t1 > t0",
     )
-    _require(isinstance(cfg["samples"], int) and cfg["samples"] >= 2, "samples", "must be an integer >= 2")
+    _require(_is_int(cfg["samples"]) and cfg["samples"] >= 2, "samples", "must be an integer >= 2")
     _require(cfg["method"] in ("rk45", "rk4"), "method", "must be 'rk45' or 'rk4'")
     for key in ("rtol", "atol", "step"):
         _require(_is_number(cfg[key]) and cfg[key] > 0, key, "must be > 0")
-    _require(isinstance(cfg["max_steps"], int) and cfg["max_steps"] > 0, "max_steps", "must be a positive integer")
+    _require(_is_int(cfg["max_steps"]) and cfg["max_steps"] > 0, "max_steps", "must be a positive integer")
     if "potential" in cfg:
         pot = cfg["potential"]
         _require(
@@ -280,7 +296,7 @@ def _validate(cfg):
     if "amplitude" in cfg:
         _require(_is_number(cfg["amplitude"]) and cfg["amplitude"] > 0, "amplitude", "must be > 0")
     if "adiabatic_order" in cfg:
-        _require(cfg["adiabatic_order"] in (0, 1), "adiabatic_order", "must be 0 or 1")
+        _require(_is_int(cfg["adiabatic_order"]) and cfg["adiabatic_order"] in (0, 1), "adiabatic_order", "must be 0 or 1")
     if "epsilons" in cfg:
         eps = cfg["epsilons"]
         _require(
@@ -292,7 +308,7 @@ def _validate(cfg):
         table_bound(cfg["table_order"], cfg["pairs"], "table_order", "pairs")
     if "grid_points" in cfg:
         _require(
-            isinstance(cfg["grid_points"], int) and cfg["grid_points"] >= 64,
+            _is_int(cfg["grid_points"]) and cfg["grid_points"] >= 64,
             "grid_points",
             "must be an integer >= 64",
         )
@@ -427,7 +443,7 @@ _COLUMNS = {
 
 def run_free(cfg, out_dir) -> dict:
     traj = _trajectory(cfg, _initial_state(cfg), _samples(cfg))
-    traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
+    traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     # exact free solution: Delta(q^2) is quadratic in t; for ps0 = 0 this is
     # the growth law s0 sqrt(1 + C t^2 / (m^2 s0^4))
     m = float(cfg["mass"])
@@ -446,7 +462,7 @@ def run_free(cfg, out_dir) -> dict:
 
 def run_harmonic(cfg, out_dir) -> dict:
     traj = _trajectory(cfg, _initial_state(cfg), _samples(cfg))
-    traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
+    traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     drifts = _drifts(traj)
     ok = (
         drifts["energy_drift"] <= cfg["check_threshold"]
@@ -572,7 +588,7 @@ def run_cubic_tunneling(cfg, out_dir) -> dict:
     record, traj = tunneling_cell(cfg, cfg["q0"], cfg["energy"])
     if traj is None:
         raise IntegrationError("tunneling run failed: " + record.get("reason", ""))
-    traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
+    traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     # The state must stay admissible: the Heisenberg margin may dip below
     # zero only by the 10x allowance run_harmonic gives the Casimir drift.
     ok = (
@@ -639,10 +655,9 @@ def run_sweep(cfg, out_dir) -> dict:
     q0s = _sweep_values(sweep["q0"], "q0")
     energies = _sweep_values(sweep["energy"], "energy")
     barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
-    os.makedirs(out_dir, exist_ok=True)
     records = sweep_records(cfg, q0s, energies)
     write_table(
-        os.path.join(out_dir, "sweep_grid.csv"),
+        _artifact(out_dir, "sweep_grid.csv"),
         _GRID_COLUMNS,
         ([rec.get(k, math.nan) for k in _GRID_COLUMNS] for rec in records),
     )
@@ -702,14 +717,14 @@ def run_two_dof_limit(cfg, out_dir) -> dict:
         "checks": {"stability_ratio": cfg["stability_ratio"], "passed": ok},
         "ok": bool(ok),
     }
-    write_json(os.path.join(out_dir, "two_dof_limit.json"), summary)
+    write_json(_artifact(out_dir, "two_dof_limit.json"), summary)
     return summary
 
 
 def run_brackets_dump(cfg, out_dir) -> dict:
     table = build_bracket_table(cfg["table_order"], cfg["pairs"])
     payload = table.to_jsonable()
-    path = os.path.join(out_dir, "brackets.json")
+    path = _artifact(out_dir, "brackets.json")
     write_json(path, payload)
     return {
         "scenario": "brackets-dump",
@@ -756,9 +771,8 @@ def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
     """Evolve the named scenario with the wavefunction solver and export
     extracted moments in the trajectory CSV schema."""
     cfg = resolve_config({} if cfg_overrides is None else cfg_overrides, name, ORACLE_DEFAULTS)
-    os.makedirs(out_dir, exist_ok=True)
     traj, quality = wavefunction_trajectory(cfg)
-    traj.write_csv(os.path.join(out_dir, "oracle_trajectory.csv"))
+    traj.write_csv(_artifact(out_dir, "oracle_trajectory.csv"))
     return {
         "scenario": f"oracle-{name}",
         "inputs": _echo_inputs(cfg),
@@ -809,9 +823,9 @@ def run_oracle_diff(cfg, out_dir) -> dict:
     aliases time-grid rounding into a moment deviation.
     """
     oracle, quality = wavefunction_trajectory(cfg)
-    oracle.write_csv(os.path.join(out_dir, "oracle_trajectory.csv"))
+    oracle.write_csv(_artifact(out_dir, "oracle_trajectory.csv"))
     traj = _trajectory(cfg, _initial_state(cfg), oracle.times)
-    traj.write_csv(os.path.join(out_dir, "trajectory.csv"))
+    traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     deviations = oracle_deviations(
         *({col: t.column(var) for col, var in _COLUMNS.items()} for t in (oracle, traj))
     )
@@ -879,11 +893,11 @@ def run_adiabatic_compare(cfg, out_dir) -> dict:
     """Full moment dynamics against the adiabatic approximation."""
     traj, times, q_full, s_full, q_ad, s_ad0, s_ad1, errors = adiabatic_compare_run(cfg)
     write_table(
-        os.path.join(out_dir, "adiabatic_compare.csv"),
+        _artifact(out_dir, "adiabatic_compare.csv"),
         ("t", "q_full", "s_full", "q_adiabatic", "s_adiabatic0", "s_adiabatic1"),
         zip(times, q_full, s_full, q_ad, s_ad0, s_ad1),
     )
-    write_json(os.path.join(out_dir, "adiabatic_errors.json"), errors)
+    write_json(_artifact(out_dir, "adiabatic_errors.json"), errors)
     return _summary(cfg, traj, True, {"compare_csv": "adiabatic_compare.csv"}, errors=errors)
 
 
@@ -964,7 +978,6 @@ def run_scenario(cfg: dict, out_dir: str) -> dict:
     runner = _RUNNERS.get(cfg["scenario"])
     if runner is None:
         raise ConfigError(f"scenario: {cfg['scenario']} is not runnable via simulate")
-    os.makedirs(out_dir, exist_ok=True)
     summary = runner(cfg, out_dir)
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(_artifact(out_dir, "summary.json"), summary)
     return summary

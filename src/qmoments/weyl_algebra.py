@@ -11,10 +11,15 @@ The module also provides ``bracket_oracle``, a first-principles evaluation
 of the Poisson bracket of two moments: each moment is expanded into a
 ``MomentPolynomial`` whose variables are raw expectation values of
 operator monomials, the defining bracket {<A>, <B>} = <[A, B]>/(i*hbar)
-of two such variables comes from the symbolic commutator, ``exact.leibniz``
-extends it to the polynomials, and the result is re-expressed through
-Weyl-ordered central moments.  The tests prove every closed-form bracket
-in the package equal to this oracle; bracket tables store its values.
+of two such variables comes from the symbolic commutator, and
+``exact.leibniz`` extends it to the polynomials.  The result is evaluated
+at the phase-space origin q = p = 0, where each raw expectation value is
+a central moment expression.  That is exact everywhere: central moments
+are Poisson orthogonal to q and p, so their brackets are the same
+polynomial at every point of the classical phase space.  The tests prove
+the origin evaluation equal to the full expansion around (q, p), and every
+closed-form bracket in the package equal to the oracle; bracket tables
+store its values.
 """
 
 from __future__ import annotations
@@ -203,39 +208,32 @@ def _normal_products(e1, e2):
 # ---------------------------------------------------------------------------
 
 
-def _distinct_words(a: int, b: int):
-    """Distinct arrangements of a 'q's and b 'p's."""
-    if a == 0:
-        yield ("p",) * b
-        return
-    if b == 0:
-        yield ("q",) * a
-        return
-    for word in _distinct_words(a - 1, b):
-        yield ("q",) + word
-    for word in _distinct_words(a, b - 1):
-        yield ("p",) + word
+@lru_cache(maxsize=None)
+def _word_sum(a: int, b: int) -> OperatorPoly:
+    """Sum of the distinct words in a (q-hat-q)'s and b (p-hat-p)'s,
+    normal-ordered: the words that start with Q plus those that start with P.
+    """
+    if a == b == 0:
+        return OperatorPoly.identity(1)
+    acc = OperatorPoly.zero(1)
+    if a:
+        acc = acc + OperatorPoly.position() * _word_sum(a - 1, b)
+    if b:
+        acc = acc + OperatorPoly.momentum() * _word_sum(a, b - 1)
+    return acc
 
 
 @lru_cache(maxsize=None)
 def weyl_symmetrize(a: int, b: int) -> OperatorPoly:
     """Average of all (a+b)! orderings of (q-hat-q)^a (p-hat-p)^b.
 
-    Computed over the distinct word arrangements with multiplicity weights
-    (equal words contribute identical summands), then normal-ordered.  The
-    leading monomial (a, b) always carries coefficient 1.
+    Equal words contribute identical summands, so this is the mean of the
+    C(a+b, a) distinct words, normal-ordered.  The leading monomial (a, b)
+    always carries coefficient 1.
     """
     if a < 0 or b < 0:
         raise ValueError("exponents must be non-negative")
-    q = OperatorPoly.position()
-    p = OperatorPoly.momentum()
-    acc = OperatorPoly.zero(1)
-    for word in _distinct_words(a, b):
-        prod = OperatorPoly.identity(1)
-        for letter in word:
-            prod = prod * (q if letter == "q" else p)
-        acc = acc + prod
-    return acc.scale(Fraction(1, comb(a + b, a)))
+    return _word_sum(a, b).scale(Fraction(1, comb(a + b, a)))
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +324,8 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
 # E[alpha] = <prod_i q_i^{a_i} p_i^{b_i}> of normal-ordered, uncentered
 # monomials (alpha is an exps tuple).  A central moment is a MomentPolynomial
 # whose variables are these coordinates; brackets descend from
-# <[A,B]>/(i*hbar) on the coordinates plus the Leibniz rule.
+# <[A,B]>/(i*hbar) on the coordinates plus the Leibniz rule, and are then
+# evaluated at q = p = 0.
 
 
 def _is_trivial(alpha) -> bool:
@@ -402,44 +401,10 @@ def _pair_bracket_canonical(x, y):
 
 
 @lru_cache(maxsize=None)
-def _evar_as_moments(alpha) -> MomentPolynomial:
-    """Raw expectation E[alpha] rewritten in q, p and central moments.
-
-    Each factor q-hat^j p-hat^k is expanded binomially around (q, p); the
-    centered part goes through ``expectation``.
-    """
-    npairs = len(alpha)
-    result = MomentPolynomial.zero(npairs)
-    per_pair = [
-        [(pair, al, be, j - al, k - be) for al in range(j + 1) for be in range(k + 1)]
-        for pair, (j, k) in enumerate(alpha)
-    ]
-    for combo in itertools.product(*per_pair):
-        coeff = 1
-        basic = {}
-        for pair, al, be, qpow, ppow in combo:
-            coeff *= comb(al + qpow, al) * comb(be + ppow, be)
-            if qpow:
-                basic[("q", pair)] = qpow
-            if ppow:
-                basic[("p", pair)] = ppow
-        centered = tuple((al, be) for _, al, be, _, _ in combo)
-        qp = MomentPolynomial(npairs, {(0, tuple(sorted(basic.items()))): GR_ONE})
-        result = result + expectation(OperatorPoly.monomial(centered, coeff)) * qp
-    return result
-
-
-def _epoly_to_moments(e: MomentPolynomial, npairs: int) -> MomentPolynomial:
-    terms = {}
-    for (h, vars_), c in e.terms.items():
-        term = MomentPolynomial.constant(c, npairs, hbar_power=h)
-        for alpha, power in vars_:
-            sub = _evar_as_moments(alpha)
-            for _ in range(power):
-                term = term * sub
-        for key, cc in term.terms.items():
-            _accumulate(terms, key, cc)
-    return MomentPolynomial(npairs, terms)
+def _evar_at_origin(alpha) -> MomentPolynomial:
+    """Raw expectation E[alpha] at q = p = 0, where every raw monomial is
+    its centered one."""
+    return expectation(OperatorPoly.monomial(alpha))
 
 
 def _index_as_epoly(idx) -> MomentPolynomial:
@@ -456,26 +421,31 @@ def bracket_oracle(m1, m2) -> MomentPolynomial:
     """Poisson bracket of two moments, from first principles.
 
     ``m1`` and ``m2`` are moment indices of order >= 2, or order-1 indices
-    standing for the basic expectation values q and p.  The result is exact;
-    for genuine moments it is real and independent of q, p (central moments
-    are Poisson orthogonal to the basic variables).
+    standing for the basic expectation values q and p.  The bracket of the
+    raw-expectation polynomials is evaluated at the phase-space origin
+    q = p = 0: terms holding an order-1 coordinate vanish there, and every
+    other E[alpha] is its centered moment expansion.  This is exact at every
+    point, because central moments are Poisson orthogonal to q and p, so
+    their brackets do not depend on q and p.
     """
     npairs = len(m1)
     if len(m2) != npairs:
         raise ValueError("moment indices live on different pair counts")
-    f = _index_as_epoly(m1)
-    g = _index_as_epoly(m2)
-    raw = leibniz(f, g, _pair_bracket_canonical)
-    result = _epoly_to_moments(raw, npairs)
-    if indices.order(m1) >= 2 and indices.order(m2) >= 2:
-        if not result.is_real:
-            raise AssertionError(
-                "bracket oracle produced an imaginary part for %s, %s"
-                % (indices.pretty(m1), indices.pretty(m2))
-            )
-        if result.uses_basic():
-            raise AssertionError(
-                "bracket oracle produced q/p dependence for %s, %s"
-                % (indices.pretty(m1), indices.pretty(m2))
-            )
+    raw = leibniz(_index_as_epoly(m1), _index_as_epoly(m2), _pair_bracket_canonical)
+    terms = {}
+    for (h, vars_), c in raw.terms.items():
+        if any(indices.order(alpha) == 1 for alpha, _ in vars_):
+            continue
+        term = MomentPolynomial.constant(c, npairs, hbar_power=h)
+        for alpha, power in vars_:
+            for _ in range(power):
+                term = term * _evar_at_origin(alpha)
+        for key, cc in term.terms.items():
+            _accumulate(terms, key, cc)
+    result = MomentPolynomial(npairs, terms)
+    if not result.is_real:
+        raise AssertionError(
+            "bracket oracle produced an imaginary part for %s, %s"
+            % (indices.pretty(m1), indices.pretty(m2))
+        )
     return result

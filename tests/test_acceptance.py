@@ -75,9 +75,11 @@ def test_criterion_01_bracket_oracle_equivalence():
                     f"EOM-column mismatch at {m1}, {m2}"
                 )
                 checked += 1
-    # the stored tables hold the oracle's bracket of every entry
-    assert all(build_bracket_table(6, 1).validated.values())
-    assert all(build_bracket_table(4, 2).validated.values())
+    # every stored table entry is the truncated bracket checked above
+    for (m1, m2), entry in build_bracket_table(6, 1).entries.items():
+        assert entry == closed_form_bracket(m1, m2).truncate(6), f"table mismatch at {m1}, {m2}"
+    for (m1, m2), entry in build_bracket_table(4, 2).entries.items():
+        assert entry == operator_bracket(m1, m2).truncate(4), f"table mismatch at {m1}, {m2}"
     elapsed = time.monotonic() - t0
     report(
         1,

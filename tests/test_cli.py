@@ -65,13 +65,20 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad6.json", {"scenario": "oracle-diff", "order": 5})
     assert main(["simulate", "--config", cfg]) == 2
     assert "order: must be an integer in 2..4" in capsys.readouterr().err
-    # fields compared or thresholded as numbers must be numbers, refused
+    # fields compared or thresholded as numbers must be numbers, a bool is
+    # never a number and classical_mode takes only a bool; all are refused
     # before any file is written
     for i, (payload, field) in enumerate(
         [
             ({"scenario": "oracle-diff", "x_min": "a"}, "x_min"),
             ({"scenario": "free", "t_span": ["a", 1]}, "t_span"),
             ({"scenario": "free", "check_threshold": "x"}, "check_threshold"),
+            ({"scenario": "free", "q0": "a"}, "q0"),
+            ({"scenario": "free", "p0": "a"}, "p0"),
+            ({"scenario": "free", "ps0": "a"}, "ps0"),
+            ({"scenario": "free", "mass": True}, "mass"),
+            ({"scenario": "free", "max_steps": True}, "max_steps"),
+            ({"scenario": "free", "classical_mode": "false", "casimir": 0}, "classical_mode"),
         ]
     ):
         out = tmp_path / f"typed{i}"
@@ -385,8 +392,9 @@ def test_oracle_refuses_states_it_cannot_represent(tmp_path, capsys, payload, fi
         (["oracle", "--scenario", "free"], {"bogus": 1}),
         (["sweep"], {"sweep": {"q0": [], "energy": [1.0]}}),
         (["sweep"], {"potential": [0.0, 0.0, 0.5], "sweep": {"q0": [0.2], "energy": [1.0]}}),
+        (["simulate"], {"scenario": "cubic-tunneling", "potential": [0, 0, 0.5]}),
     ],
-    ids=["oracle-unknown-key", "sweep-empty-range", "sweep-no-barrier"],
+    ids=["oracle-unknown-key", "sweep-empty-range", "sweep-no-barrier", "simulate-no-barrier"],
 )
 def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)

@@ -1,16 +1,20 @@
 """Exact operator algebra and the first-principles bracket oracle."""
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qmoments import indices
-from qmoments.exact import GaussianRational, MomentPolynomial
+from qmoments.exact import GaussianRational, MomentPolynomial, leibniz
 from qmoments.indices import single
 from qmoments.weyl_algebra import (
     OperatorPoly,
+    _index_as_epoly,
+    _pair_bracket_canonical,
     bracket_oracle,
     expectation,
     weyl_monomial,
@@ -134,6 +138,22 @@ def test_weyl_symmetrize_q2p_three_term_average():
     }
 
 
+def test_weyl_symmetrize_is_the_mean_of_every_ordering():
+    """Reference: every ordering of the factors, multiplied out one by one."""
+    q = OperatorPoly.position()
+    p = OperatorPoly.momentum()
+    for a in range(7):
+        for b in range(7 - a):
+            words = set(itertools.permutations("q" * a + "p" * b))
+            acc = OperatorPoly.zero(1)
+            for word in words:
+                prod = OperatorPoly.identity(1)
+                for letter in word:
+                    prod = prod * (q if letter == "q" else p)
+                acc = acc + prod
+            assert weyl_symmetrize(a, b) == acc.scale(Fraction(1, len(words))), (a, b)
+
+
 def test_weyl_leading_coefficient_is_one():
     for a in range(5):
         for b in range(5):
@@ -241,12 +261,81 @@ def test_weyl_monomial_multi_pair_round_trip():
     assert expectation(weyl_monomial(idx)) == MomentPolynomial.moment(idx)
 
 
+# Reference: the oracle's bracket expanded around a general (q, p).  Every
+# raw coordinate is rewritten in q, p and central moments, and the q, p
+# terms must cancel; ``bracket_oracle`` evaluates at q = p = 0 instead.
+
+
+@functools.lru_cache(maxsize=None)
+def _evar_as_moments(alpha) -> MomentPolynomial:
+    """Raw expectation E[alpha] rewritten in q, p and central moments.
+
+    Each factor q-hat^j p-hat^k is expanded binomially around (q, p); the
+    centered part goes through ``expectation``.
+    """
+    npairs = len(alpha)
+    result = MomentPolynomial.zero(npairs)
+    per_pair = [
+        [(pair, al, be, j - al, k - be) for al in range(j + 1) for be in range(k + 1)]
+        for pair, (j, k) in enumerate(alpha)
+    ]
+    for combo in itertools.product(*per_pair):
+        coeff = 1
+        basic = {}
+        for pair, al, be, qpow, ppow in combo:
+            coeff *= math.comb(al + qpow, al) * math.comb(be + ppow, be)
+            if qpow:
+                basic[("q", pair)] = qpow
+            if ppow:
+                basic[("p", pair)] = ppow
+        centered = tuple((al, be) for _, al, be, _, _ in combo)
+        qp = MomentPolynomial(npairs, {(0, tuple(sorted(basic.items()))): GR(1)})
+        result = result + expectation(OperatorPoly.monomial(centered, coeff)) * qp
+    return result
+
+
+def _epoly_to_moments(e: MomentPolynomial, npairs: int) -> MomentPolynomial:
+    result = MomentPolynomial.zero(npairs)
+    for (h, vars_), c in e.terms.items():
+        term = MomentPolynomial.constant(c, npairs, hbar_power=h)
+        for alpha, power in vars_:
+            term = term * _evar_as_moments(alpha) ** power
+        result = result + term
+    return result
+
+
+def _full_expansion_bracket(m1, m2) -> MomentPolynomial:
+    raw = leibniz(_index_as_epoly(m1), _index_as_epoly(m2), _pair_bracket_canonical)
+    return _epoly_to_moments(raw, len(m1))
+
+
 def test_oracle_coordinate_round_trip():
     """Expanding a moment into raw expectation values and re-expressing it
     through central moments is the identity (both conversion layers of the
-    oracle are mutually inverse)."""
-    from qmoments.weyl_algebra import _epoly_to_moments, _index_as_epoly
-
+    reference are mutually inverse)."""
     for idx in indices.iter_indices(4, 1) + indices.iter_indices(3, 2):
         got = _epoly_to_moments(_index_as_epoly(idx), len(idx))
         assert got == MomentPolynomial.moment(idx)
+
+
+def _origin_cases():
+    """Every entry of the `brackets --order 5` and `--order 3 --pairs 2`
+    tables, and every pair with an order-1 index at those sizes."""
+    for order, npairs in ((5, 1), (3, 2)):
+        yield from itertools.combinations(indices.iter_indices(order, npairs), 2)
+        idxs = indices.iter_indices(order, npairs, min_order=1)
+        for m1, m2 in itertools.combinations_with_replacement(idxs, 2):
+            if 1 in (indices.order(m1), indices.order(m2)):
+                yield m1, m2
+
+
+def test_oracle_origin_evaluation_equals_full_expansion():
+    """The bracket does not depend on q and p: the full expansion leaves no
+    q/p term, and the oracle's origin evaluation equals it exactly."""
+    n = 0
+    for m1, m2 in _origin_cases():
+        full = _full_expansion_bracket(m1, m2)
+        assert not any(v[0] in ("q", "p") for v in full.variables()), (m1, m2)
+        assert bracket_oracle(m1, m2) == full, (m1, m2)
+        n += 1
+    assert n == 153 + 435 + 39 + 130
