@@ -258,6 +258,7 @@ def _validate(cfg):
     for key in ("q0", "p0", "ps0"):
         _require(_is_number(cfg[key]), key, "must be a number")
     _require(isinstance(cfg["classical_mode"], bool), "classical_mode", "must be true or false")
+    _require(isinstance(cfg["out_dir"], str), "out_dir", "must be a path string")
     cas = cfg["casimir"]
     _require(cas is None or (_is_number(cas) and cas >= 0), "casimir", "must be >= 0 or null")
     _require(
@@ -297,6 +298,11 @@ def _validate(cfg):
         _require(_is_number(cfg["amplitude"]) and cfg["amplitude"] > 0, "amplitude", "must be > 0")
     if "adiabatic_order" in cfg:
         _require(_is_int(cfg["adiabatic_order"]) and cfg["adiabatic_order"] in (0, 1), "adiabatic_order", "must be 0 or 1")
+    for key in ("alpha", "p_alpha", "beta", "p_beta", "c1", "c2"):
+        if key in cfg:
+            _require(_is_number(cfg[key]), key, "must be a number")
+    if "stability_ratio" in cfg:
+        _require(_is_number(cfg["stability_ratio"]) and cfg["stability_ratio"] > 0, "stability_ratio", "must be > 0")
     if "epsilons" in cfg:
         eps = cfg["epsilons"]
         _require(
@@ -608,9 +614,17 @@ def run_cubic_tunneling(cfg, out_dir) -> dict:
 
 def _sweep_values(spec, field):
     if isinstance(spec, list):
+        _require(all(map(_is_number, spec)), f"sweep.{field}", "must list numbers")
         values = spec
     elif isinstance(spec, dict) and {"min", "max", "count"} <= set(spec):
-        values = list(np.linspace(spec["min"], spec["max"], int(spec["count"])))
+        for key in ("min", "max"):
+            _require(_is_number(spec[key]), f"sweep.{field}.{key}", "must be a number")
+        _require(
+            _is_int(spec["count"]) and spec["count"] >= 1,
+            f"sweep.{field}.count",
+            "must be an integer >= 1",
+        )
+        values = list(np.linspace(spec["min"], spec["max"], spec["count"]))
     else:
         raise ConfigError(f"sweep.{field}: must be a list or {{min, max, count}}")
     if not values:

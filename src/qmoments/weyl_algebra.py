@@ -16,10 +16,14 @@ of two such variables comes from the symbolic commutator, and
 at the phase-space origin q = p = 0, where each raw expectation value is
 a central moment expression.  That is exact everywhere: central moments
 are Poisson orthogonal to q and p, so their brackets are the same
-polynomial at every point of the classical phase space.  The tests prove
-the origin evaluation equal to the full expansion around (q, p), and every
-closed-form bracket in the package equal to the oracle; bracket tables
-store its values.
+polynomial at every point of the classical phase space.  Before the
+Leibniz step each expansion loses its terms whose order-1 coordinates
+E[q_i], E[p_i] have total power >= 2: one partial derivative leaves such a
+term with power >= 1, and the factors dg/dy and {x, y} only add powers, so
+every product made from it vanishes at the origin.  Terms of power 1 stay,
+since they survive when x is that coordinate.  The tests prove the origin
+evaluation equal to the full expansion around (q, p), and every closed-form
+bracket in the package equal to the oracle; bracket tables store its values.
 """
 
 from __future__ import annotations
@@ -417,6 +421,21 @@ def _index_as_epoly(idx) -> MomentPolynomial:
 
 
 @lru_cache(maxsize=None)
+def _index_as_origin_epoly(idx) -> MomentPolynomial:
+    """``_index_as_epoly(idx)`` less its terms of order-1 power >= 2, none of
+    whose Leibniz products survives at the origin (see the module docstring).
+    """
+    return MomentPolynomial(
+        len(idx),
+        {
+            (h, vars_): c
+            for (h, vars_), c in _index_as_epoly(idx).terms.items()
+            if sum(p for alpha, p in vars_ if indices.order(alpha) == 1) < 2
+        },
+    )
+
+
+@lru_cache(maxsize=None)
 def bracket_oracle(m1, m2) -> MomentPolynomial:
     """Poisson bracket of two moments, from first principles.
 
@@ -426,12 +445,20 @@ def bracket_oracle(m1, m2) -> MomentPolynomial:
     q = p = 0: terms holding an order-1 coordinate vanish there, and every
     other E[alpha] is its centered moment expansion.  This is exact at every
     point, because central moments are Poisson orthogonal to q and p, so
-    their brackets do not depend on q and p.
+    their brackets do not depend on q and p.  The Leibniz step runs on
+    ``_index_as_origin_epoly``, which has already dropped the terms with
+    order-1 power >= 2: no product made from them survives at the origin.
+    The order-1 filter below still removes the terms that brackets and
+    partials of the other coordinates leave with an order-1 factor.
     """
     npairs = len(m1)
     if len(m2) != npairs:
         raise ValueError("moment indices live on different pair counts")
-    raw = leibniz(_index_as_epoly(m1), _index_as_epoly(m2), _pair_bracket_canonical)
+    raw = leibniz(
+        _index_as_origin_epoly(m1),
+        _index_as_origin_epoly(m2),
+        _pair_bracket_canonical,
+    )
     terms = {}
     for (h, vars_), c in raw.terms.items():
         if any(indices.order(alpha) == 1 for alpha, _ in vars_):

@@ -79,6 +79,9 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
             ({"scenario": "free", "mass": True}, "mass"),
             ({"scenario": "free", "max_steps": True}, "max_steps"),
             ({"scenario": "free", "classical_mode": "false", "casimir": 0}, "classical_mode"),
+            ({"scenario": "two-dof-limit", "alpha": "x"}, "alpha"),
+            ({"scenario": "two-dof-limit", "stability_ratio": True}, "stability_ratio"),
+            ({"scenario": "free", "out_dir": True}, "out_dir"),
         ]
     ):
         out = tmp_path / f"typed{i}"
@@ -315,12 +318,15 @@ def test_brackets_dump(tmp_path, capsys):
     # stdout variant
     assert main(["brackets", "--order", "2", "--pairs", "1"]) == 0
     assert '"entries"' in capsys.readouterr().out
-    # the exact bytes of larger dumps, the benchmark's two tables included
+    # the exact bytes of larger dumps: the benchmark's two tables and the
+    # largest table on one pair and on two
     for args, digest in [
         (["--order", "4"], "caed983d76a933bebe203c3bb2534dffd08e23fad8e66b1b97dadb23b2ea13c9"),
         (["--order", "2", "--pairs", "2"], "8999c0a2264e4f4d0a422eecbf98e1c5ac10c545d670a0a498b7a1d5cdbba062"),
         (["--order", "5"], "6c62fab1d4774215bcb5800114632454f6bd38f96f6d96c2bb05bbb93cf6bfea"),
         (["--order", "3", "--pairs", "2"], "d0992501bb091609ce31bbe3c39bac7fde66d4ea7a010b6489c93db5cd070854"),
+        (["--order", "7"], "1549f561c6722eae668a0fbd61dde2c0b2a1d6eb191f381171fb2c0a14baf8c3"),
+        (["--order", "4", "--pairs", "2"], "e91b0f621bb996ad1839480b4e767ce9fa1fd0c023714e34b6c09bff73669e46"),
     ]:
         assert main(["brackets", *args, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -386,21 +392,35 @@ def test_oracle_refuses_states_it_cannot_represent(tmp_path, capsys, payload, fi
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+_RANGE = {"min": 0, "max": 1, "count": 4}
+
+
 @pytest.mark.parametrize(
-    "argv, payload",
+    "argv, payload, field",
     [
-        (["oracle", "--scenario", "free"], {"bogus": 1}),
-        (["sweep"], {"sweep": {"q0": [], "energy": [1.0]}}),
-        (["sweep"], {"potential": [0.0, 0.0, 0.5], "sweep": {"q0": [0.2], "energy": [1.0]}}),
-        (["simulate"], {"scenario": "cubic-tunneling", "potential": [0, 0, 0.5]}),
+        (["oracle", "--scenario", "free"], {"bogus": 1}, "bogus"),
+        (["sweep"], {"sweep": {"q0": [], "energy": [1.0]}}, "sweep.q0"),
+        (["sweep"], {"potential": [0.0, 0.0, 0.5], "sweep": {"q0": [0.2], "energy": [1.0]}}, "potential"),
+        (["simulate"], {"scenario": "cubic-tunneling", "potential": [0, 0, 0.5]}, "potential"),
+        (["sweep"], {"sweep": {"q0": {**_RANGE, "count": "x"}, "energy": [1.0]}}, "sweep.q0.count"),
+        (["sweep"], {"sweep": {"q0": [0.2], "energy": {**_RANGE, "min": "a"}}}, "sweep.energy.min"),
+        (["sweep"], {"sweep": {"q0": [0.2, "x"], "energy": [1.0]}}, "sweep.q0"),
     ],
-    ids=["oracle-unknown-key", "sweep-empty-range", "sweep-no-barrier", "simulate-no-barrier"],
+    ids=[
+        "oracle-unknown-key",
+        "sweep-empty-range",
+        "sweep-no-barrier",
+        "simulate-no-barrier",
+        "sweep-count-not-integer",
+        "sweep-min-not-number",
+        "sweep-list-not-numbers",
+    ],
 )
-def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload):
+def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, field):
     cfg = write_cfg(tmp_path, "c.json", payload)
     out = tmp_path / "out"
     assert main([*argv, "--config", cfg, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from qmoments import schrodinger
 from qmoments.casimir_darboux import free_particle_s
 from qmoments.dynamics import init_gaussian
 from qmoments.effective_hamiltonian import PolynomialPotential
@@ -220,6 +221,17 @@ def test_evolve_warns_on_boundary_contact():
     wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
     with pytest.warns(BoundaryContactWarning):
         evolve(FREE, wf, 2e-3, 2500)
+
+
+def test_evolve_checks_support_on_a_fixed_step_cadence(monkeypatch):
+    """A short call is not checked after every step, and the returned state
+    is always checked."""
+    checked = []
+    monkeypatch.setattr(schrodinger, "_check_support", lambda grid, rows, psi: checked.append(psi))
+    grid = Grid(-16, 16, 512)
+    out = evolve(FREE, gaussian_wavepacket(grid, 0.0, 0.0, 1.0), 1e-3, 100)
+    assert 1 <= len(checked) <= 2
+    assert np.array_equal(checked[-1], out.values)
 
 
 def test_evolve_warns_on_coarse_time_step():
