@@ -23,7 +23,6 @@ from .dynamics import (
     Trajectory,
     init_gaussian,
     integrate,
-    monitors,
 )
 from .effective_hamiltonian import (
     EffectiveHamiltonian,
@@ -76,7 +75,6 @@ __all__ = [
     "kcoeff",
     "lift_to_plane",
     "moments_from_wavefunction",
-    "monitors",
     "s0_of_q",
     "to_darboux",
     "two_dof_position_moments",

@@ -214,11 +214,6 @@ def write_table(path, header, rows):
             fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
-def monitors(state: MomentState, h) -> tuple:
-    """(energy, casimir, uncertainty margin) for one state."""
-    return (h.evaluate(state), state.casimir(), state.margin())
-
-
 def _csv_name(var) -> str:
     return var[0] if var[0] in ("q", "p") else indices.csv_name(var[1])
 

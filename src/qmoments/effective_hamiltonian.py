@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-import numpy as np
-
 from . import indices
 from .exact import MomentPolynomial
 from .moment_algebra import closed_form_bracket, leibniz_bracket
@@ -72,34 +70,6 @@ class PolynomialPotential:
         return f"PolynomialPotential({[str(c) for c in self.coefficients]}, mass={self.mass})"
 
 
-class CallablePotential:
-    """Potential given by a derivative callback f(q, k) -> d^k V/dq^k.
-
-    Supported by pointwise evaluation (energies, adiabatic formulas) but not
-    by symbolic equation generation; consistency of the callback is checked
-    against finite differences in the tests only.
-    """
-
-    def __init__(self, derivatives, mass=1, degree=None):
-        self._derivatives = derivatives
-        self.mass = Fraction(mass)
-        self.degree = degree
-
-    def value(self, q, derivative: int = 0):
-        """The callback at a float, or called per element of an array of q."""
-        if np.ndim(q):
-            return np.array([float(self._derivatives(x, derivative)) for x in q])
-        return float(self._derivatives(q, derivative))
-
-
-def finite_difference_derivative(pot, q: float, k: int, h: float = 1e-4) -> float:
-    """Central-difference d^k V/dq^k used to validate derivative callbacks."""
-    if k == 0:
-        return pot.value(q)
-    lower = lambda x: finite_difference_derivative(pot, x, k - 1, h)
-    return (lower(q + h) - lower(q - h)) / (2 * h)
-
-
 class EffectiveHamiltonian:
     """Classical part plus moment couplings at a truncation order."""
 
@@ -116,9 +86,7 @@ class EffectiveHamiltonian:
     def coupling_orders(self):
         """Moment indices with nonzero coupling coefficients."""
         out = [indices.single(0, 2)]
-        degree = getattr(self.potential, "degree", None)
-        top = self.truncation_order if degree is None else min(self.truncation_order, degree)
-        for a in range(2, top + 1):
+        for a in range(2, min(self.truncation_order, self.potential.degree) + 1):
             out.append(indices.single(a, 0))
         return out
 
@@ -155,8 +123,6 @@ class EffectiveHamiltonian:
     @lru_cache(maxsize=4)
     def moment_polynomial(self) -> MomentPolynomial:
         """H_eff as an exact polynomial in q, p and the moment symbols."""
-        if not isinstance(self.potential, PolynomialPotential):
-            raise TypeError("symbolic form requires a polynomial potential")
         p = MomentPolynomial.p()
         heff = (p * p).scale(Fraction(1, 2) / self.mass)
         heff = heff + self.potential.as_polynomial(0)

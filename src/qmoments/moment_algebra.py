@@ -189,6 +189,16 @@ class BracketTable:
         }
 
 
+def table_entries(truncation_order: int, npairs: int) -> int:
+    """Entries of the bracket table: one per unordered pair of the moment
+    indices of orders 2..truncation_order on ``npairs`` pairs."""
+    n_indices = sum(
+        comb(total + 2 * npairs - 1, 2 * npairs - 1)
+        for total in range(2, truncation_order + 1)
+    )
+    return n_indices * (n_indices - 1) // 2
+
+
 @lru_cache(maxsize=None)
 def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
     """Brackets of all moment index pairs up to the order, each computed
@@ -199,11 +209,7 @@ def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
     """
     if truncation_order < 2:
         raise MomentAlgebraError("truncation order must be >= 2")
-    n_indices = sum(
-        comb(total + 2 * npairs - 1, 2 * npairs - 1)
-        for total in range(2, truncation_order + 1)
-    )
-    n_entries = n_indices * (n_indices - 1) // 2
+    n_entries = table_entries(truncation_order, npairs)
     if n_entries > MAX_TABLE_ENTRIES:
         raise MomentAlgebraError(
             f"table with {n_entries} entries exceeds ceiling {MAX_TABLE_ENTRIES}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +38,7 @@ from .dynamics import (
     write_table,
 )
 from .effective_hamiltonian import PolynomialPotential, build_heff, equations_of_motion
-from .moment_algebra import build_bracket_table
+from .moment_algebra import MAX_TABLE_ENTRIES, build_bracket_table, table_entries
 from .schrodinger import (
     MAX_EXTRACTION_ORDER,
     Grid,
@@ -225,8 +226,12 @@ def _require(cond, field, message):
 
 
 def _is_number(x) -> bool:
-    # JSON true/false load as bool, a subclass of int: never a number
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int or float with a finite float value.  JSON true/false load as
+    bool, a subclass of int, NaN/Infinity as float, and an integer beyond
+    the float range has no float: none of them is a number."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return _is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _is_int(x) -> bool:
@@ -234,98 +239,143 @@ def _is_int(x) -> bool:
 
 
 def table_bound(order, pairs, order_field, pairs_field):
-    """Refuse a bracket table of truncation order outside 2..MAX_ORDER or of
-    fewer than one pair, naming the fields as the caller spells them."""
+    """Refuse a bracket table of truncation order outside 2..MAX_ORDER, of
+    fewer than one pair or of more than MAX_TABLE_ENTRIES entries, naming
+    the fields as the caller spells them."""
     _require(
         _is_int(order) and 2 <= order <= MAX_ORDER,
         order_field,
         f"truncation order must be in 2..{MAX_ORDER}, got {order!r}",
     )
     _require(_is_int(pairs) and pairs >= 1, pairs_field, f"number of pairs must be >= 1, got {pairs!r}")
+    entries = table_entries(order, pairs)
+    _require(
+        entries <= MAX_TABLE_ENTRIES,
+        pairs_field,
+        f"table with {entries} entries exceeds ceiling {MAX_TABLE_ENTRIES}",
+    )
+
+
+def _sweep_values(spec, field):
+    if isinstance(spec, list):
+        _require(all(map(_is_number, spec)), f"sweep.{field}", "must list numbers")
+        values = spec
+    elif isinstance(spec, dict) and {"min", "max", "count"} <= set(spec):
+        for key in ("min", "max"):
+            _require(_is_number(spec[key]), f"sweep.{field}.{key}", "must be a number")
+        _require(
+            _is_int(spec["count"]) and spec["count"] >= 1,
+            f"sweep.{field}.count",
+            "must be an integer >= 1",
+        )
+        values = list(np.linspace(spec["min"], spec["max"], spec["count"]))
+    else:
+        raise ConfigError(f"sweep.{field}: must be a list or {{min, max, count}}")
+    if not values:
+        raise ConfigError(f"sweep.{field}: empty range")
+    return [float(v) for v in values]
+
+
+def _is_sweep(spec) -> bool:
+    """None, or exactly the ranges q0 and energy; a bad range raises
+    ConfigError naming it."""
+    if spec is None:
+        return True
+    if not isinstance(spec, dict) or set(spec) != {"q0", "energy"}:
+        return False
+    for axis in ("q0", "energy"):
+        _sweep_values(spec[axis], axis)
+    return True
+
+
+_NUMBER = (_is_number, "must be a number")
+_POSITIVE = (lambda x: _is_number(x) and x > 0, "must be > 0")
+_NON_NEGATIVE = (lambda x: _is_number(x) and x >= 0, "must be a number >= 0")
+_INTEGER = (_is_int, "must be an integer")
+
+# Every config key: a test of its value and the message that refuses it.
+# Which scenario takes a key, and its default, are in the tables above.
+_KEYS = {
+    "mass": _POSITIVE,
+    "hbar": _POSITIVE,
+    "order": (lambda n: _is_int(n) and 2 <= n <= MAX_ORDER, f"must be an integer in 2..{MAX_ORDER}"),
+    "q0": _NUMBER,
+    "p0": _NUMBER,
+    "sigma": _POSITIVE,
+    "ps0": _NUMBER,
+    "casimir": (lambda c: c is None or (_is_number(c) and c >= 0), "must be >= 0 or null"),
+    "classical_mode": (lambda b: isinstance(b, bool), "must be true or false"),
+    "t_span": (
+        lambda s: isinstance(s, (list, tuple)) and len(s) == 2 and all(map(_is_number, s)) and s[1] > s[0],
+        "must be [t0, t1] with t1 > t0",
+    ),
+    "samples": (lambda n: _is_int(n) and n >= 2, "must be an integer >= 2"),
+    "method": (lambda m: m in ("rk45", "rk4"), "must be 'rk45' or 'rk4'"),
+    "rtol": _POSITIVE,
+    "atol": _POSITIVE,
+    "step": _POSITIVE,
+    "max_steps": (lambda n: _is_int(n) and n > 0, "must be a positive integer"),
+    "out_dir": (lambda s: isinstance(s, str), "must be a path string"),
+    "potential": (
+        lambda c: isinstance(c, list) and all(map(_is_number, c)),
+        "must be a list of numbers (coefficients of q^0..q^d)",
+    ),
+    "check_threshold": _NON_NEGATIVE,
+    "energy": _NUMBER,
+    "stop_margin": _NON_NEGATIVE,
+    "sweep": (_is_sweep, "expected exactly the keys 'q0' and 'energy'"),
+    "alpha": _NUMBER,
+    "p_alpha": _NUMBER,
+    "beta": _NUMBER,
+    "p_beta": _NUMBER,
+    "c1": _NUMBER,
+    "c2": _NUMBER,
+    "epsilons": (
+        lambda e: isinstance(e, list) and len(e) > 0 and all(_is_number(x) and x > 0 for x in e),
+        "must be a non-empty list of positive numbers",
+    ),
+    "stability_ratio": _POSITIVE,
+    "amplitude": _POSITIVE,
+    "adiabatic_order": (lambda n: _is_int(n) and n in (0, 1), "must be 0 or 1"),
+    "table_order": _INTEGER,
+    "pairs": _INTEGER,
+    "grid_points": (lambda n: _is_int(n) and n >= 64, "must be an integer >= 64"),
+    "x_min": _NUMBER,
+    "x_max": _NUMBER,
+    "dt": _POSITIVE,
+}
+
+
+def _check(key, value, field=None):
+    """Refuse a ``value`` of config key ``key`` that fails its ``_KEYS``
+    test, naming ``field`` (the key itself unless given)."""
+    test, message = _KEYS[key]
+    _require(test(value), field or key, message)
 
 
 def _validate(cfg):
-    _require(_is_number(cfg["mass"]) and cfg["mass"] > 0, "mass", "must be > 0")
-    _require(_is_number(cfg["hbar"]) and cfg["hbar"] > 0, "hbar", "must be > 0")
-    # a config with a grid runs the wavefunction oracle, which extracts fewer orders
-    top = MAX_EXTRACTION_ORDER if "grid_points" in cfg else MAX_ORDER
-    _require(
-        _is_int(cfg["order"]) and 2 <= cfg["order"] <= top,
-        "order",
-        f"must be an integer in 2..{top}",
-    )
-    _require(_is_number(cfg["sigma"]) and cfg["sigma"] > 0, "sigma", "must be > 0")
-    for key in ("q0", "p0", "ps0"):
-        _require(_is_number(cfg[key]), key, "must be a number")
-    _require(isinstance(cfg["classical_mode"], bool), "classical_mode", "must be true or false")
-    _require(isinstance(cfg["out_dir"], str), "out_dir", "must be a path string")
+    for key, value in cfg.items():
+        if key != "scenario":
+            _check(key, value)
     cas = cfg["casimir"]
-    _require(cas is None or (_is_number(cas) and cas >= 0), "casimir", "must be >= 0 or null")
     _require(
         cas is None or cas >= uncertainty_floor(cfg["hbar"], cfg["classical_mode"]) - 1e-15,
         "casimir",
         "below hbar^2/4 requires classical_mode",
     )
-    span = cfg["t_span"]
-    _require(
-        isinstance(span, (list, tuple)) and len(span) == 2 and all(map(_is_number, span)) and span[1] > span[0],
-        "t_span",
-        "must be [t0, t1] with t1 > t0",
-    )
-    _require(_is_int(cfg["samples"]) and cfg["samples"] >= 2, "samples", "must be an integer >= 2")
-    _require(cfg["method"] in ("rk45", "rk4"), "method", "must be 'rk45' or 'rk4'")
-    for key in ("rtol", "atol", "step"):
-        _require(_is_number(cfg[key]) and cfg[key] > 0, key, "must be > 0")
-    _require(_is_int(cfg["max_steps"]) and cfg["max_steps"] > 0, "max_steps", "must be a positive integer")
-    if "potential" in cfg:
-        pot = cfg["potential"]
-        _require(
-            isinstance(pot, list) and all(_is_number(c) for c in pot),
-            "potential",
-            "must be a list of numbers (coefficients of q^0..q^d)",
-        )
-    if "check_threshold" in cfg:
-        _require(
-            _is_number(cfg["check_threshold"]) and cfg["check_threshold"] >= 0,
-            "check_threshold",
-            "must be a number >= 0",
-        )
-    if "energy" in cfg:
-        _require(_is_number(cfg["energy"]), "energy", "must be a number")
-    if "stop_margin" in cfg:
-        _require(_is_number(cfg["stop_margin"]) and cfg["stop_margin"] >= 0, "stop_margin", "must be >= 0")
-    if "amplitude" in cfg:
-        _require(_is_number(cfg["amplitude"]) and cfg["amplitude"] > 0, "amplitude", "must be > 0")
-    if "adiabatic_order" in cfg:
-        _require(_is_int(cfg["adiabatic_order"]) and cfg["adiabatic_order"] in (0, 1), "adiabatic_order", "must be 0 or 1")
-    for key in ("alpha", "p_alpha", "beta", "p_beta", "c1", "c2"):
-        if key in cfg:
-            _require(_is_number(cfg[key]), key, "must be a number")
-    if "stability_ratio" in cfg:
-        _require(_is_number(cfg["stability_ratio"]) and cfg["stability_ratio"] > 0, "stability_ratio", "must be > 0")
-    if "epsilons" in cfg:
-        eps = cfg["epsilons"]
-        _require(
-            isinstance(eps, list) and eps and all(_is_number(e) and e > 0 for e in eps),
-            "epsilons",
-            "must be a non-empty list of positive numbers",
-        )
-    if "table_order" in cfg:
-        table_bound(cfg["table_order"], cfg["pairs"], "table_order", "pairs")
     if "grid_points" in cfg:
+        # a config with a grid runs the wavefunction oracle, which extracts
+        # fewer orders; its packet is a pure Gaussian with ps0 = 0 and
+        # C = hbar^2/4
         _require(
-            _is_int(cfg["grid_points"]) and cfg["grid_points"] >= 64,
-            "grid_points",
-            "must be an integer >= 64",
+            cfg["order"] <= MAX_EXTRACTION_ORDER, "order", f"must be an integer in 2..{MAX_EXTRACTION_ORDER}"
         )
-        _require(_is_number(cfg["dt"]) and cfg["dt"] > 0, "dt", "must be > 0")
-        for key in ("x_min", "x_max"):
-            _require(_is_number(cfg[key]), key, "must be a number")
         _require(cfg["x_max"] > cfg["x_min"], "x_max", "must exceed x_min")
-        # the oracle's packet is a pure Gaussian with ps0 = 0 and C = hbar^2/4
         _require(cfg["ps0"] == 0, "ps0", "the wavefunction oracle's Gaussian packet has ps0 = 0")
         _require(cas is None, "casimir", "the wavefunction oracle's Gaussian packet has C = hbar^2/4; use null")
         _require(not cfg["classical_mode"], "classical_mode", "the wavefunction oracle is quantum; use false")
+    if "table_order" in cfg:
+        table_bound(cfg["table_order"], cfg["pairs"], "table_order", "pairs")
 
 
 def integrator_config(cfg) -> IntegratorConfig:
@@ -612,26 +662,6 @@ def run_cubic_tunneling(cfg, out_dir) -> dict:
     return _summary(cfg, traj, ok, head=head, checks=checks)
 
 
-def _sweep_values(spec, field):
-    if isinstance(spec, list):
-        _require(all(map(_is_number, spec)), f"sweep.{field}", "must list numbers")
-        values = spec
-    elif isinstance(spec, dict) and {"min", "max", "count"} <= set(spec):
-        for key in ("min", "max"):
-            _require(_is_number(spec[key]), f"sweep.{field}.{key}", "must be a number")
-        _require(
-            _is_int(spec["count"]) and spec["count"] >= 1,
-            f"sweep.{field}.count",
-            "must be an integer >= 1",
-        )
-        values = list(np.linspace(spec["min"], spec["max"], spec["count"]))
-    else:
-        raise ConfigError(f"sweep.{field}: must be a list or {{min, max, count}}")
-    if not values:
-        raise ConfigError(f"sweep.{field}: empty range")
-    return [float(v) for v in values]
-
-
 _GRID_COLUMNS = ("q0", "energy", "classification", "max_q", "t_final", "energy_drift", "casimir_drift")
 
 
@@ -662,10 +692,8 @@ def run_sweep(cfg, out_dir) -> dict:
     """Grid of tunneling runs with per-cell classification (see
     ``sweep_records``).  Error cells carry nan in every figure column."""
     sweep = cfg.get("sweep")
-    if not sweep:
+    if sweep is None:
         raise ConfigError("sweep: missing sweep ranges")
-    if not isinstance(sweep, dict) or set(sweep) != {"q0", "energy"}:
-        raise ConfigError("sweep: expected exactly the keys 'q0' and 'energy'")
     q0s = _sweep_values(sweep["q0"], "q0")
     energies = _sweep_values(sweep["energy"], "energy")
     barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
@@ -922,6 +950,7 @@ def run_adiabatic_compare(cfg, out_dir) -> dict:
 
 def transform_trajectory(in_path, out_path, target: str, mass: float = 1.0):
     """Convert a trajectory CSV between moment, Darboux and plane charts."""
+    _check("mass", mass, "--mass")
     rows = _read_csv(in_path)
     if not rows:
         raise ConfigError("input: empty trajectory")

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -11,7 +13,16 @@ import numpy as np
 import pytest
 
 from qmoments.cli import main
-from qmoments.scenarios import ConfigError, oracle_deviations, resolve_config, run_sweep
+from qmoments.scenarios import (
+    _DEFAULTS,
+    _KEYS,
+    _SCENARIO_DEFAULTS,
+    ORACLE_DEFAULTS,
+    ConfigError,
+    oracle_deviations,
+    resolve_config,
+    run_sweep,
+)
 
 
 def write_cfg(tmp_path, name, payload):
@@ -82,6 +93,15 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
             ({"scenario": "two-dof-limit", "alpha": "x"}, "alpha"),
             ({"scenario": "two-dof-limit", "stability_ratio": True}, "stability_ratio"),
             ({"scenario": "free", "out_dir": True}, "out_dir"),
+            # JSON NaN and Infinity load as floats, which are not numbers, and
+            # an integer beyond the float range has no float
+            ({"scenario": "oracle-diff", "x_max": math.inf}, "x_max"),
+            ({"scenario": "two-dof-limit", "alpha": math.nan}, "alpha"),
+            ({"scenario": "free", "q0": math.nan}, "q0"),
+            ({"scenario": "cubic-tunneling", "energy": math.nan}, "energy"),
+            ({"scenario": "free", "mass": math.inf}, "mass"),
+            ({"scenario": "free", "potential": [0, 0, math.nan]}, "potential"),
+            ({"scenario": "free", "mass": 10**400}, "mass"),
         ]
     ):
         out = tmp_path / f"typed{i}"
@@ -336,7 +356,9 @@ def test_brackets_dump(tmp_path, capsys):
     "args, flag",
     [(["--order", "1"], "--order"), (["--order", "0"], "--order"), (["--order", "-2"], "--order"),
      (["--order", "2", "--pairs", "0"], "--pairs"), (["--order", "2", "--pairs", "-1"], "--pairs"),
-     (["--order", "8"], "--order")],
+     (["--order", "8"], "--order"),
+     # tables above moment_algebra.MAX_TABLE_ENTRIES
+     (["--order", "7", "--pairs", "2"], "--pairs"), (["--order", "2", "--pairs", "40"], "--pairs")],
 )
 def test_brackets_rejects_bad_arguments(capsys, args, flag):
     assert main(["brackets", *args]) == 2
@@ -363,8 +385,9 @@ def test_oracle_subcommand(tmp_path):
 
 @pytest.mark.parametrize(
     "payload, field",
-    [({"bogus": 1}, "bogus"), ({"grid_points": 10}, "grid_points"), ({"order": 5}, "order"), ([1], "config")],
-    ids=["unknown-key", "grid_points", "order", "not-an-object"],
+    [({"bogus": 1}, "bogus"), ({"grid_points": 10}, "grid_points"), ({"order": 5}, "order"), ([1], "config"),
+     ({"dt": math.inf}, "dt")],
+    ids=["unknown-key", "grid_points", "order", "not-an-object", "dt-infinity"],
 )
 def test_oracle_config_errors_exit_2(tmp_path, capsys, payload, field):
     """Oracle configs pass the same gate as simulate configs."""
@@ -405,6 +428,8 @@ _RANGE = {"min": 0, "max": 1, "count": 4}
         (["sweep"], {"sweep": {"q0": {**_RANGE, "count": "x"}, "energy": [1.0]}}, "sweep.q0.count"),
         (["sweep"], {"sweep": {"q0": [0.2], "energy": {**_RANGE, "min": "a"}}}, "sweep.energy.min"),
         (["sweep"], {"sweep": {"q0": [0.2, "x"], "energy": [1.0]}}, "sweep.q0"),
+        (["sweep"], {"sweep": {"q0": [0.2, math.nan], "energy": [1.0]}}, "sweep.q0"),
+        (["simulate"], {"scenario": "brackets-dump", "table_order": 7, "pairs": 2}, "pairs"),
     ],
     ids=[
         "oracle-unknown-key",
@@ -414,6 +439,8 @@ _RANGE = {"min": 0, "max": 1, "count": 4}
         "sweep-count-not-integer",
         "sweep-min-not-number",
         "sweep-list-not-numbers",
+        "sweep-list-nan",
+        "table-over-entry-ceiling",
     ],
 )
 def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, field):
@@ -530,6 +557,17 @@ def test_transform_plane_two_samples_is_finite(tmp_path):
     assert data.shape == (2, 6) and np.isfinite(data).all()
 
 
+@pytest.mark.parametrize("mass", ["0", "-1", "nan", "inf"])
+def test_transform_refuses_bad_mass(tmp_path, capsys, mass):
+    """--mass passes the check of the config key mass."""
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,Delta_q2,Delta_qp,Delta_p2\n0,1.0,0.0,0.25\n1,2.0,1.0,0.25\n")
+    plane = tmp_path / "plane.csv"
+    assert main(["transform", "--to", "plane", "--input", str(traj), "--output", str(plane), "--mass", mass]) == 2
+    assert capsys.readouterr().err.startswith("config error: --mass: ")
+    assert not plane.exists()
+
+
 def test_transform_missing_columns(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,q\n0,1\n")
@@ -564,3 +602,16 @@ def test_resolve_config_rejects_subquantum_casimir():
     # but classical mode admits it
     cfg = resolve_config({"scenario": "free", "casimir": 0.01, "classical_mode": True})
     assert cfg["casimir"] == 0.01
+
+
+def test_every_config_key_has_one_check():
+    """Every key of a default table has its entry in the gate's table, so
+    a new key cannot skip the gate."""
+    keys = set(_DEFAULTS).union(*_SCENARIO_DEFAULTS.values(), *ORACLE_DEFAULTS.values())
+    assert set(_KEYS) == keys
+
+
+def test_readme_config_format_names_every_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config format")[1].split("\n### ")[0]
+    assert sorted(re.findall(r"^\| `(\w+)` \|", section, re.M)) == sorted(_KEYS)

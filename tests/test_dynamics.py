@@ -15,7 +15,6 @@ from qmoments.dynamics import (
     Trajectory,
     init_gaussian,
     integrate,
-    monitors,
 )
 from qmoments.effective_hamiltonian import (
     MomentVectorField,
@@ -88,10 +87,9 @@ def test_monitors_arithmetic():
     state = MomentState(
         0.0, 0.0, {single(2, 0): 4.0, single(1, 1): 2.0, single(0, 2): 2.0}, 1.0, 2
     )
-    energy, casimir, margin = monitors(state, h)
-    assert casimir == pytest.approx(4.0)
-    assert margin == pytest.approx(3.75)
-    assert energy == pytest.approx(1.0)
+    assert state.casimir() == pytest.approx(4.0)
+    assert state.margin() == pytest.approx(3.75)
+    assert h.evaluate(state) == pytest.approx(1.0)
 
 
 def test_free_particle_matches_closed_form():

@@ -1,6 +1,5 @@
 """Effective Hamiltonian construction and generated equations of motion."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +7,9 @@ import pytest
 
 from qmoments.dynamics import MomentState, init_gaussian, integrate, IntegratorConfig
 from qmoments.effective_hamiltonian import (
-    CallablePotential,
     PolynomialPotential,
     build_heff,
     equations_of_motion,
-    finite_difference_derivative,
 )
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
@@ -109,8 +106,7 @@ def test_linearity_of_build_heff():
 
 def test_potential_value_on_arrays_is_elementwise():
     x = np.linspace(-2.0, 3.0, 7)
-    callback = CallablePotential(lambda q, k: [math.cos(q), -math.sin(q)][k])
-    for pot in (PolynomialPotential(CUBIC), PolynomialPotential([]), callback):
+    for pot in (PolynomialPotential(CUBIC), PolynomialPotential([])):
         elementwise = [pot.value(float(xi)) for xi in x]
         values = pot.value(x)
         assert np.shape(values) == x.shape
@@ -177,20 +173,3 @@ def test_equations_of_motion_match_oracle_validated_table(order, coefficients):
         expected = leibniz_bracket(_coordinate(var), heff, table.lookup).truncate(order)
         assert field.expression(var) == expected, var
 
-
-def test_callable_potential_finite_difference_validation():
-    pot = CallablePotential(
-        lambda q, k: [math.sin(q), math.cos(q), -math.sin(q), -math.cos(q), math.sin(q)][k],
-        mass=1.0,
-    )
-    for q in (-0.9, 0.0, 1.3):
-        for k in (1, 2):
-            assert finite_difference_derivative(pot, q, k, h=1e-4) == pytest.approx(
-                pot.value(q, k), abs=1e-6
-            )
-    h = build_heff(pot, 2)
-    # p^2/2m + Delta(p^2)/2m + V(q) + V''(q) Delta(q^2)/2 at the Gaussian state
-    expected = 0.125 + math.sin(0.5) - 0.5 * math.sin(0.5)
-    assert h.evaluate(init_gaussian(0.5, 0.0, 1.0, 0.0, 1.0, 2)) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(TypeError):
-        h.moment_polynomial()
