@@ -27,7 +27,7 @@ from .scenarios import (
 
 # The commands that run one resolved config, and the scenario each forces
 # (None: the config's own).
-_CONFIG_COMMANDS = {"simulate": None, "sweep": "cubic-tunneling", "adiabatic-compare": "adiabatic-compare"}
+_CONFIG_COMMANDS = {"simulate": None, "sweep": "cubic-tunneling-sweep", "adiabatic-compare": "adiabatic-compare"}
 
 
 def _load_config(path: str) -> dict:

@@ -108,41 +108,41 @@ def write_json(path, obj):
 # order (acceptance criterion 01); higher orders are refused.
 MAX_ORDER = 7
 
-_DEFAULTS = {
-    "mass": 1.0,
-    "hbar": 1.0,
-    "order": 2,
-    "q0": 0.0,
-    "p0": 0.0,
-    "sigma": 1.0,
-    "ps0": 0.0,
-    "casimir": None,
-    "classical_mode": False,
-    "t_span": [0.0, 10.0],
-    "samples": 201,
-    "method": "rk45",
-    "rtol": 1e-10,
-    "atol": 1e-13,
-    "step": 1e-3,
-    "max_steps": 2_000_000,
-    "out_dir": ".",
+# A sweep grid has at most this many cells, 64 times the 32x32 grid of
+# acceptance criterion 07.
+MAX_SWEEP_CELLS = 65_536
+
+# Keys that share their defaults, in groups.  Each scenario's entry spreads
+# the groups its run reads and adds its own keys: every key a config may give
+# changes the run, and any other key is refused.
+_MODEL = {"mass": 1.0, "hbar": 1.0, "order": 2}
+_PACKET = {"q0": 0.0, "p0": 0.0, "sigma": 1.0}
+_CASIMIR = {"casimir": None, "classical_mode": False}
+_SOLVER = {"rtol": 1e-10, "atol": 1e-13, "max_steps": 2_000_000}
+_OUT = {"out_dir": "."}
+# free and harmonic: a packet of any ps0 and Casimir, sampled by either method
+_PACKET_RUN = {
+    **_MODEL, **_PACKET, **_CASIMIR, **_SOLVER, **_OUT,
+    "ps0": 0.0, "t_span": [0.0, 10.0], "samples": 201, "method": "rk45", "step": 1e-3, "check_threshold": 1e-8,
 }
+# cubic default: V = q^2/2 - lambda q^3 with lambda = 0.1, giving a classical
+# barrier of height 1/(54 lambda^2) ~ 1.85 at q = 10/3 in hbar = m = 1 units.
+# Documented configuration, not a quoted value.  A run starts at the
+# equilibrium width s0(q0) and records the rk45 steps to the crossing event.
+_TUNNELING = {
+    **_MODEL, **_CASIMIR, **_SOLVER, **_OUT,
+    "potential": [0.0, 0.0, 0.5, -0.1], "t_span": [0.0, 60.0], "stop_margin": 0.5,
+}
+# the wavefunction oracle: a pure Gaussian packet (ps0 = 0, C = hbar^2/4)
+# evolved by Crank-Nicolson on a grid
+_WAVEFUNCTION = {**_MODEL, **_PACKET, "samples": 21, "grid_points": 4096, "dt": 1e-3}
 
 _SCENARIO_DEFAULTS = {
-    "free": {"potential": [], "check_threshold": 1e-8},
-    "harmonic": {"potential": [0.0, 0.0, 0.5], "check_threshold": 1e-8},
-    # cubic default: V = q^2/2 - lambda q^3 with lambda = 0.1, giving a
-    # classical barrier of height 1/(54 lambda^2) ~ 1.85 at q = 10/3 in
-    # hbar = m = 1 units.  Documented configuration, not a quoted value.
-    "cubic-tunneling": {
-        "potential": [0.0, 0.0, 0.5, -0.1],
-        "energy": 1.2,
-        "q0": 0.17,
-        "t_span": [0.0, 60.0],
-        "stop_margin": 0.5,
-        "check_threshold": 1e-8,
-        "sweep": None,
-    },
+    "free": {**_PACKET_RUN, "potential": []},
+    "harmonic": {**_PACKET_RUN, "potential": [0.0, 0.0, 0.5]},
+    "cubic-tunneling": {**_TUNNELING, "q0": 0.17, "energy": 1.2, "check_threshold": 1e-8},
+    # the `sweep` command's scenario, which `simulate` refuses
+    "cubic-tunneling-sweep": {**_TUNNELING, "sweep": None},
     "two-dof-limit": {
         "alpha": 0.4,
         "p_alpha": 0.7,
@@ -152,53 +152,33 @@ _SCENARIO_DEFAULTS = {
         "c2": 2.5,
         "epsilons": [1e-1, 1e-2, 1e-3],
         "stability_ratio": 1.3,
+        **_OUT,
     },
+    # starts at rest at the turning point `amplitude`, on the slaved width
     "adiabatic-compare": {
-        "potential": [0.0, 0.0, 0.5, 0.0, 0.05],
-        "amplitude": 1.0,
-        "t_span": [0.0, 12.0],
-        "samples": 401,
+        **_MODEL, **_CASIMIR, **_SOLVER, **_OUT,
+        "potential": [0.0, 0.0, 0.5, 0.0, 0.05], "amplitude": 1.0, "t_span": [0.0, 12.0], "samples": 401,
         "adiabatic_order": 1,
     },
-    "brackets-dump": {"table_order": 2, "pairs": 1},
+    "brackets-dump": {"table_order": 2, "pairs": 1, **_OUT},
     "oracle-diff": {
-        "potential": [0.0, 0.0, 0.5],
-        "grid_points": 4096,
-        "x_min": -12.0,
-        "x_max": 12.0,
-        "dt": 1e-3,
-        "t_span": [0.0, 2.0],
-        "samples": 21,
-        "check_threshold": 1e-4,
+        **_WAVEFUNCTION, **_SOLVER, **_OUT,
+        "potential": [0.0, 0.0, 0.5], "x_min": -12.0, "x_max": 12.0, "t_span": [0.0, 2.0], "check_threshold": 1e-4,
     },
 }
 
 # Defaults of the ``oracle`` command's scenarios, the choices of its --scenario.
 ORACLE_DEFAULTS = {
-    "free": {
-        "potential": [],
-        "grid_points": 4096,
-        "x_min": -20.0,
-        "x_max": 20.0,
-        "dt": 1e-3,
-        "t_span": [0.0, 2.0],
-        "samples": 21,
-    },
+    "free": {**_WAVEFUNCTION, "potential": [], "x_min": -20.0, "x_max": 20.0, "t_span": [0.0, 2.0]},
     "harmonic": {
-        "potential": [0.0, 0.0, 0.5],
-        "grid_points": 4096,
-        "x_min": -8.0,
-        "x_max": 8.0,
-        "dt": 1e-3,
-        "t_span": [0.0, float(np.pi)],
-        "samples": 21,
+        **_WAVEFUNCTION, "potential": [0.0, 0.0, 0.5], "x_min": -8.0, "x_max": 8.0, "t_span": [0.0, float(np.pi)],
     },
 }
 
 
 def resolve_config(raw: dict, scenario: str | None = None, defaults: dict = _SCENARIO_DEFAULTS) -> dict:
-    """``_DEFAULTS``, then the scenario's entry of ``defaults``, then ``raw``;
-    unknown keys and invalid values raise ConfigError naming the field.
+    """The scenario's entry of ``defaults``, then ``raw``; a key the entry
+    lacks and an invalid value raise ConfigError naming the field.
 
     ``scenario``, when given, overrides the config's own.  Every config of
     ``simulate``, ``sweep``, ``adiabatic-compare`` and (with
@@ -212,7 +192,7 @@ def resolve_config(raw: dict, scenario: str | None = None, defaults: dict = _SCE
         "scenario",
         f"unknown name {scenario!r} (choose from {', '.join(defaults)})",
     )
-    merged = {**_DEFAULTS, **defaults[scenario]}
+    merged = dict(defaults[scenario])
     for key in raw:
         _require(key in merged or key == "scenario", key, "unknown config key")
     merged.update(raw, scenario=scenario)
@@ -264,9 +244,9 @@ def _sweep_values(spec, field):
         for key in ("min", "max"):
             _require(_is_number(spec[key]), f"sweep.{field}.{key}", "must be a number")
         _require(
-            _is_int(spec["count"]) and spec["count"] >= 1,
+            _is_int(spec["count"]) and 1 <= spec["count"] <= MAX_SWEEP_CELLS,
             f"sweep.{field}.count",
-            "must be an integer >= 1",
+            f"must be an integer in 1..{MAX_SWEEP_CELLS}",
         )
         values = list(np.linspace(spec["min"], spec["max"], spec["count"]))
     else:
@@ -277,14 +257,13 @@ def _sweep_values(spec, field):
 
 
 def _is_sweep(spec) -> bool:
-    """None, or exactly the ranges q0 and energy; a bad range raises
-    ConfigError naming it."""
-    if spec is None:
-        return True
+    """Exactly the ranges q0 and energy, of at most MAX_SWEEP_CELLS cells in
+    all; missing or bad ranges raise ConfigError naming them."""
+    _require(spec is not None, "sweep", "missing sweep ranges")
     if not isinstance(spec, dict) or set(spec) != {"q0", "energy"}:
         return False
-    for axis in ("q0", "energy"):
-        _sweep_values(spec[axis], axis)
+    cells = len(_sweep_values(spec["q0"], "q0")) * len(_sweep_values(spec["energy"], "energy"))
+    _require(cells <= MAX_SWEEP_CELLS, "sweep", f"grid of {cells} cells exceeds ceiling {MAX_SWEEP_CELLS}")
     return True
 
 
@@ -357,7 +336,7 @@ def _validate(cfg):
     for key, value in cfg.items():
         if key != "scenario":
             _check(key, value)
-    cas = cfg["casimir"]
+    cas = cfg.get("casimir")
     _require(
         cas is None or cas >= uncertainty_floor(cfg["hbar"], cfg["classical_mode"]) - 1e-15,
         "casimir",
@@ -365,27 +344,19 @@ def _validate(cfg):
     )
     if "grid_points" in cfg:
         # a config with a grid runs the wavefunction oracle, which extracts
-        # fewer orders; its packet is a pure Gaussian with ps0 = 0 and
-        # C = hbar^2/4
+        # fewer orders
         _require(
             cfg["order"] <= MAX_EXTRACTION_ORDER, "order", f"must be an integer in 2..{MAX_EXTRACTION_ORDER}"
         )
         _require(cfg["x_max"] > cfg["x_min"], "x_max", "must exceed x_min")
-        _require(cfg["ps0"] == 0, "ps0", "the wavefunction oracle's Gaussian packet has ps0 = 0")
-        _require(cas is None, "casimir", "the wavefunction oracle's Gaussian packet has C = hbar^2/4; use null")
-        _require(not cfg["classical_mode"], "classical_mode", "the wavefunction oracle is quantum; use false")
     if "table_order" in cfg:
         table_bound(cfg["table_order"], cfg["pairs"], "table_order", "pairs")
 
 
 def integrator_config(cfg) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=cfg["method"],
-        rtol=cfg["rtol"],
-        atol=cfg["atol"],
-        step=cfg["step"],
-        max_steps=cfg["max_steps"],
-    )
+    """The config's solver keys; ``IntegratorConfig``'s defaults stand for
+    the keys a scenario lacks (without ``method``, rk45)."""
+    return IntegratorConfig(**{k: cfg[k] for k in ("method", "rtol", "atol", "step", "max_steps") if k in cfg})
 
 
 def _echo_inputs(cfg) -> dict:
@@ -424,20 +395,15 @@ def _casimir(cfg) -> float:
     return cfg["casimir"] if cfg["casimir"] is not None else uncertainty_floor(cfg["hbar"])
 
 
-def _initial_state(cfg, **overrides):
-    """Gaussian (Wick) state at the config's order; ``overrides`` replace
-    any of q0, p0, sigma and ps0."""
-    c = {**cfg, **overrides}
+def _initial_state(cfg, q0, p0, sigma, ps0=0.0):
+    """Gaussian (Wick) state at the config's hbar, order and Casimir."""
     return init_gaussian(
-        c["q0"],
-        c["p0"],
-        c["sigma"],
-        c["ps0"],
-        cfg["hbar"],
-        cfg["order"],
-        casimir=cfg["casimir"],
-        classical_mode=cfg["classical_mode"],
+        q0, p0, sigma, ps0, cfg["hbar"], cfg["order"], casimir=cfg["casimir"], classical_mode=cfg["classical_mode"]
     )
+
+
+def _packet_state(cfg):
+    return _initial_state(cfg, cfg["q0"], cfg["p0"], cfg["sigma"], cfg["ps0"])
 
 
 def _samples(cfg) -> np.ndarray:
@@ -498,7 +464,7 @@ _COLUMNS = {
 
 
 def run_free(cfg, out_dir) -> dict:
-    traj = _trajectory(cfg, _initial_state(cfg), _samples(cfg))
+    traj = _trajectory(cfg, _packet_state(cfg), _samples(cfg))
     traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     # exact free solution: Delta(q^2) is quadratic in t; for ps0 = 0 this is
     # the growth law s0 sqrt(1 + C t^2 / (m^2 s0^4))
@@ -517,7 +483,7 @@ def run_free(cfg, out_dir) -> dict:
 
 
 def run_harmonic(cfg, out_dir) -> dict:
-    traj = _trajectory(cfg, _initial_state(cfg), _samples(cfg))
+    traj = _trajectory(cfg, _packet_state(cfg), _samples(cfg))
     traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     drifts = _drifts(traj)
     ok = (
@@ -533,7 +499,7 @@ def _tunneling_start(cfg, q0: float, energy: float):
     energy.  Raises NoEquilibriumError or ValueError if there is none."""
     h = moment_field(cfg).hamiltonian
     s0 = s0_of_q(AdiabaticModel(h.potential, _casimir(cfg)), q0)
-    state0 = _initial_state(cfg, q0=q0, p0=0.0, sigma=s0, ps0=0.0)
+    state0 = _initial_state(cfg, q0, 0.0, s0)
     rest = h.evaluate(state0)
     if energy < rest:
         raise ValueError(f"energy {energy:g} below the rest energy {rest:g} at q0")
@@ -691,9 +657,7 @@ def sweep_records(cfg, q0s, energies) -> list:
 def run_sweep(cfg, out_dir) -> dict:
     """Grid of tunneling runs with per-cell classification (see
     ``sweep_records``).  Error cells carry nan in every figure column."""
-    sweep = cfg.get("sweep")
-    if sweep is None:
-        raise ConfigError("sweep: missing sweep ranges")
+    sweep = cfg["sweep"]
     q0s = _sweep_values(sweep["q0"], "q0")
     energies = _sweep_values(sweep["energy"], "energy")
     barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
@@ -866,7 +830,9 @@ def run_oracle_diff(cfg, out_dir) -> dict:
     """
     oracle, quality = wavefunction_trajectory(cfg)
     oracle.write_csv(_artifact(out_dir, "oracle_trajectory.csv"))
-    traj = _trajectory(cfg, _initial_state(cfg), oracle.times)
+    # the oracle's packet: ps0 = 0 and C = hbar^2/4
+    state0 = init_gaussian(cfg["q0"], cfg["p0"], cfg["sigma"], 0.0, cfg["hbar"], cfg["order"])
+    traj = _trajectory(cfg, state0, oracle.times)
     traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     deviations = oracle_deviations(
         *({col: t.column(var) for col, var in _COLUMNS.items()} for t in (oracle, traj))
@@ -908,7 +874,7 @@ def adiabatic_compare_run(cfg):
     if cfg["adiabatic_order"] >= 1:
         s_init += delta_s_correction(model, q0, 0.0, adiabatic_acceleration(model, q0, 0.0))
     times = _samples(cfg)
-    traj = _trajectory(cfg, _initial_state(cfg, q0=q0, p0=0.0, sigma=s_init, ps0=0.0), times)
+    traj = _trajectory(cfg, _initial_state(cfg, q0, 0.0, s_init), times)
     _, q_ad, _, _, _ = integrate_adiabatic(
         model, q0, 0.0, tuple(cfg["t_span"]), times, rtol=cfg["rtol"], atol=cfg["atol"]
     )

@@ -236,7 +236,7 @@ def test_criterion_07_tunneling_reproduction(tmp_path):
             break
     sweep_cfg = resolve_config(
         {
-            "scenario": "cubic-tunneling",
+            "scenario": "cubic-tunneling-sweep",
             "sweep": {
                 "q0": {"min": 0.05, "max": 0.6, "count": 32},
                 "energy": {"min": 0.6, "max": 1.8, "count": 32},

@@ -12,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
+from qmoments import cli, scenarios
 from qmoments.cli import main
 from qmoments.scenarios import (
-    _DEFAULTS,
     _KEYS,
     _SCENARIO_DEFAULTS,
     ORACLE_DEFAULTS,
@@ -76,6 +76,11 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad6.json", {"scenario": "oracle-diff", "order": 5})
     assert main(["simulate", "--config", cfg]) == 2
     assert "order: must be an integer in 2..4" in capsys.readouterr().err
+    # the sweep command's scenario runs only through `sweep`
+    cfg = write_cfg(tmp_path, "bad7.json", {"scenario": "cubic-tunneling-sweep", "sweep": _CELL})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "bad7")]) == 2
+    assert "scenario: cubic-tunneling-sweep is not runnable via simulate" in capsys.readouterr().err
+    assert not (tmp_path / "bad7").exists()
     # fields compared or thresholded as numbers must be numbers, a bool is
     # never a number and classical_mode takes only a bool; all are refused
     # before any file is written
@@ -217,7 +222,7 @@ def test_sweep_straddling_effective_saddle_has_both_classes(tmp_path):
     assert 0 < q_s < 10 / 3 and s_s > 0
     cfg = resolve_config(
         {
-            "scenario": "cubic-tunneling",
+            "scenario": "cubic-tunneling-sweep",
             "sweep": {"q0": [0.17], "energy": [w_s - 0.4, w_s + 0.4]},
             "t_span": [0.0, 40.0],
         }
@@ -232,7 +237,7 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, order):
     """Every row of a 2x4 grid has the same bytes when its cells run as
     one-cell sweeps, as a 1x4 row sweep and in the full grid."""
     q0s, energies = [0.15, 0.25], [0.9, 1.2, 1.5, 1.8]
-    base = {"scenario": "cubic-tunneling", "order": order, "t_span": [0.0, 30.0]}
+    base = {"scenario": "cubic-tunneling-sweep", "order": order, "t_span": [0.0, 30.0]}
 
     def grid_rows(name, q0s, energies):
         out = tmp_path / name
@@ -317,7 +322,7 @@ def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
 def test_sweep_records_unreachable_cells_as_errors(tmp_path):
     cfg = resolve_config(
         {
-            "scenario": "cubic-tunneling",
+            "scenario": "cubic-tunneling-sweep",
             "sweep": {"q0": [0.2], "energy": [0.1, 1.0]},
             "t_span": [0.0, 20.0],
         }
@@ -378,7 +383,7 @@ def test_oracle_subcommand(tmp_path):
     assert len(lines) == 6
     for name, digest in [
         ("oracle_trajectory.csv", "ef09c1b674404d87369044e0f107d635b8fde6aaece39796330f59754a2c22ca"),
-        ("oracle_summary.json", "cce95f1072b7622730fa8488f47635edfa17c8ea4221d978ec934a3463751be6"),
+        ("oracle_summary.json", "598533c0ab7ba11f6fd68d3431cc52add049d18f6a4deae58bbc581d061b97c2"),
     ]:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -405,7 +410,7 @@ def test_oracle_config_errors_exit_2(tmp_path, capsys, payload, field):
 )
 def test_oracle_refuses_states_it_cannot_represent(tmp_path, capsys, payload, field):
     """The oracle's packet is the pure Gaussian with ps0 = 0 and C = hbar^2/4,
-    so a config that runs the oracle may not ask for another state."""
+    so a config that runs the oracle takes no key for another state."""
     base = {"scenario": "oracle-diff", "grid_points": 1024, "t_span": [0, 0.5], "samples": 6}
     cfg = write_cfg(tmp_path, "od.json", {**base, **payload})
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "od")]) == 2
@@ -416,6 +421,7 @@ def test_oracle_refuses_states_it_cannot_represent(tmp_path, capsys, payload, fi
 
 
 _RANGE = {"min": 0, "max": 1, "count": 4}
+_CELL = {"q0": [0.2], "energy": [1.8]}
 
 
 @pytest.mark.parametrize(
@@ -430,6 +436,24 @@ _RANGE = {"min": 0, "max": 1, "count": 4}
         (["sweep"], {"sweep": {"q0": [0.2, "x"], "energy": [1.0]}}, "sweep.q0"),
         (["sweep"], {"sweep": {"q0": [0.2, math.nan], "energy": [1.0]}}, "sweep.q0"),
         (["simulate"], {"scenario": "brackets-dump", "table_order": 7, "pairs": 2}, "pairs"),
+        (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 10**15}, "energy": [1.0]}}, "sweep.q0.count"),
+        (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 257}, "energy": {**_RANGE, "count": 256}}}, "sweep"),
+        # keys a scenario's run does not read, or that its solver cannot
+        # honour (rk4 has no crossing event and samples no oracle times)
+        (["simulate"], {"scenario": "cubic-tunneling", "method": "rk4"}, "method"),
+        (["simulate"], {"scenario": "adiabatic-compare", "method": "rk4"}, "method"),
+        (["adiabatic-compare"], {"method": "rk4"}, "method"),
+        (["simulate"], {"scenario": "oracle-diff", "method": "rk4"}, "method"),
+        (["sweep"], {"method": "rk4", "sweep": _CELL}, "method"),
+        (["simulate"], {"scenario": "cubic-tunneling", "sigma": 0.3}, "sigma"),
+        (["simulate"], {"scenario": "cubic-tunneling", "samples": 7}, "samples"),
+        (["simulate"], {"scenario": "cubic-tunneling", "sweep": _CELL}, "sweep"),
+        (["sweep"], {"energy": 1.2, "sweep": _CELL}, "energy"),
+        (["sweep"], {}, "sweep"),
+        (["simulate"], {"scenario": "two-dof-limit", "hbar": 2}, "hbar"),
+        (["simulate"], {"scenario": "brackets-dump", "order": 3}, "order"),
+        (["oracle", "--scenario", "free"], {"out_dir": "elsewhere"}, "out_dir"),
+        (["oracle", "--scenario", "free"], {"rtol": 0.5}, "rtol"),
     ],
     ids=[
         "oracle-unknown-key",
@@ -441,6 +465,22 @@ _RANGE = {"min": 0, "max": 1, "count": 4}
         "sweep-list-not-numbers",
         "sweep-list-nan",
         "table-over-entry-ceiling",
+        "sweep-axis-over-cell-ceiling",
+        "sweep-grid-over-cell-ceiling",
+        "cubic-tunneling-method",
+        "adiabatic-compare-method",
+        "adiabatic-compare-command-method",
+        "oracle-diff-method",
+        "sweep-method",
+        "cubic-tunneling-sigma",
+        "cubic-tunneling-samples",
+        "cubic-tunneling-sweep-key",
+        "sweep-energy",
+        "sweep-missing",
+        "two-dof-limit-hbar",
+        "brackets-dump-order",
+        "oracle-out-dir",
+        "oracle-rtol",
     ],
 )
 def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, field):
@@ -449,6 +489,78 @@ def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, fie
     assert main([*argv, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not out.exists()
+
+
+class _ReadRecorder(dict):
+    """A resolved config that records every key its run looks up."""
+
+    def __init__(self, cfg, reads):
+        super().__init__(cfg)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+_SHORT_ORACLE = {"grid_points": 2048, "t_span": [0.0, 0.01], "samples": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, entry",
+    [
+        *((["simulate"], {"scenario": name, "t_span": [0.0, 0.1], "samples": 3}, name) for name in ("free", "harmonic")),
+        (["simulate"], {"scenario": "cubic-tunneling"}, "cubic-tunneling"),
+        (["sweep"], {"sweep": _CELL, "t_span": [0.0, 10.0]}, "cubic-tunneling-sweep"),
+        (["simulate"], {"scenario": "two-dof-limit"}, "two-dof-limit"),
+        (["adiabatic-compare"], {"t_span": [0.0, 1.0], "samples": 11}, "adiabatic-compare"),
+        (["simulate"], {"scenario": "brackets-dump"}, "brackets-dump"),
+        (["simulate"], {"scenario": "oracle-diff", **_SHORT_ORACLE}, "oracle-diff"),
+        *((["oracle", "--scenario", name], _SHORT_ORACLE, name) for name in ORACLE_DEFAULTS),
+    ],
+    ids=[
+        "free", "harmonic", "cubic-tunneling", "sweep", "two-dof-limit", "adiabatic-compare", "brackets-dump",
+        "oracle-diff", *(f"oracle-{name}" for name in ORACLE_DEFAULTS),
+    ],
+)
+def test_every_accepted_key_is_read(tmp_path, monkeypatch, argv, payload, entry):
+    """A run looks up every key its scenario accepts, and no other: no key
+    a config may give is inert.  The echo of the inputs is not a read, and
+    ``out_dir`` is read by the command line (here, for want of --out-dir)."""
+    reads = set()
+    resolve, echo = scenarios.resolve_config, scenarios._echo_inputs
+
+    def recording(*args, **kwargs):
+        return _ReadRecorder(resolve(*args, **kwargs), reads)
+
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    monkeypatch.setattr(scenarios, "resolve_config", recording)
+    monkeypatch.setattr(scenarios, "_echo_inputs", lambda cfg: echo({k: dict.__getitem__(cfg, k) for k in cfg}))
+    out = str(tmp_path / "out")
+    if argv[0] == "oracle":
+        argv, defaults = [*argv, "--out-dir", out], ORACLE_DEFAULTS
+    else:
+        payload, defaults = dict(payload, out_dir=out), _SCENARIO_DEFAULTS
+    assert main([*argv, "--config", write_cfg(tmp_path, "c.json", payload)]) in (0, 1)
+    assert os.listdir(out)
+    assert reads - {"scenario"} == set(defaults[entry])
+
+
+def test_tracer_installs_on_the_program(tmp_path):
+    """The benchmark's tracer rebinds names of cli, scenarios and the other
+    layers; a renamed one fails here rather than in the benchmark."""
+    import qmoments
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = os.path.dirname(os.path.dirname(qmoments.__file__))
+    script = "from tracer import Tracer\nTracer().install()\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(root / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_oracle_diff_scenario(tmp_path):
@@ -607,11 +719,25 @@ def test_resolve_config_rejects_subquantum_casimir():
 def test_every_config_key_has_one_check():
     """Every key of a default table has its entry in the gate's table, so
     a new key cannot skip the gate."""
-    keys = set(_DEFAULTS).union(*_SCENARIO_DEFAULTS.values(), *ORACLE_DEFAULTS.values())
+    keys = set().union(*_SCENARIO_DEFAULTS.values(), *ORACLE_DEFAULTS.values())
     assert set(_KEYS) == keys
 
 
+def _takers(key) -> str:
+    """The scenarios and commands that take ``key``, as README names them:
+    ``sweep`` for the sweep command's scenario and ``oracle`` for the
+    oracle command, whose scenarios take the same keys."""
+    names = ["sweep" if name == "cubic-tunneling-sweep" else name for name, d in _SCENARIO_DEFAULTS.items() if key in d]
+    oracle = {key in d for d in ORACLE_DEFAULTS.values()}
+    assert len(oracle) == 1
+    return ", ".join(names + ["oracle"] * oracle.pop())
+
+
 def test_readme_config_format_names_every_key():
+    """README's "Config format" table has one row per key, and its
+    scenarios column names exactly the scenarios and commands that take it."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("### Config format")[1].split("\n### ")[0]
-    assert sorted(re.findall(r"^\| `(\w+)` \|", section, re.M)) == sorted(_KEYS)
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
+    assert sorted(key for key, _ in rows) == sorted(_KEYS)
+    assert {key: takers for key, takers in rows} == {key: _takers(key) for key in _KEYS}
