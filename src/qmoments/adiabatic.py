@@ -107,12 +107,6 @@ def delta_s_correction(model: AdiabaticModel, q: float, qdot: float, qddot: floa
     return -model.mass * s0_ddot / curvature
 
 
-def stationarity_residual(model: AdiabaticModel, q: float) -> float:
-    """d/ds of the fluctuation energy at s0; zero at the equilibrium."""
-    s0 = s0_of_q(model, q)
-    return _vpp(model, q) * s0 - model.casimir / (model.mass * s0**3)
-
-
 def adiabatic_acceleration(model: AdiabaticModel, q: float, qdot: float) -> float:
     """qddot of the order-0 corrected-mass dynamics,
     m (1 + s0'^2) qddot = -dV_ad/dq - m s0' s0'' qdot^2."""

@@ -60,9 +60,6 @@ class PlaneState:
     def p_s(self) -> float:
         return (self.x * self.p_x + self.y * self.p_y) / self.radius
 
-    def kinetic_energy(self, mass: float) -> float:
-        return (self.p_x**2 + self.p_y**2) / (2.0 * mass)
-
 
 def to_darboux(delta_q2: float, delta_qp: float, delta_p2: float) -> DarbouxState1D:
     """(s, p_s, C) from the three second-order moments."""
@@ -187,13 +184,6 @@ def u1(alpha, p_alpha, beta, p_beta, c1, c2) -> float:
     return (p_alpha - p_beta) ** 2 + (
         (c1 - 4 * p_alpha**2) - math.sqrt(radicand) * math.sin(alpha + beta)
     ) / (2 * sb**2)
-
-
-def delta_p1_squared(s1: float, p_s1: float, u1_value: float) -> float:
-    """Delta(p1^2) = p_s1^2 + U1/s1^2."""
-    if s1 <= 0:
-        raise CoordinateSingularityError("s1 must be positive")
-    return p_s1**2 + u1_value / s1**2
 
 
 def u1_spherical_limit(beta, p_beta, c1) -> float:

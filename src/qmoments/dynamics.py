@@ -239,17 +239,20 @@ def _first_non_finite(layout, values) -> str:
     return f"first non-finite component {_csv_name(layout[i])}"
 
 
-def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, events=None):
+def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=None):
     """Integrate a moment vector field and record conservation monitors.
 
     One ``MomentState`` is integrated by scipy's RK45 (or the fixed-step
-    method) into a Trajectory.  A sequence of states, such as the cells of
-    a sweep, is integrated together by ``_integrate_batch`` into a
-    TrajectoryBatch.  The adaptive method keeps the local error below the
-    configured tolerances; a step budget and finite-state checks guard
-    runaway trajectories.  A failure names the last good time, the
-    truncation order and the component at fault.  The fixed-step method
-    records every step and ignores ``t_eval``.
+    method) into a Trajectory, sampled at ``t_eval`` if given.  A sequence
+    of states, such as the cells of a sweep or the one cell of a tunneling
+    run, is integrated together by ``_integrate_batch`` into a
+    TrajectoryBatch, which stops each cell at an upward zero crossing of
+    ``event``.  One state takes no event, and a batch no ``t_eval``.  The
+    adaptive method keeps the local error below the configured tolerances;
+    a step budget and finite-state checks guard runaway trajectories.  A
+    failure names the last good time, the truncation order and the
+    component at fault.  The fixed-step method records every step and
+    ignores ``t_eval``.
 
     The single-state path hands the generated field and energy function
     ``y.tolist()``: Python floats do the same IEEE operations in the same
@@ -259,7 +262,9 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, events=
     if not isinstance(state0, MomentState):
         if t_eval is not None:
             raise ValueError("a batch of states records its own steps; t_eval is not supported")
-        return _integrate_batch(field, list(state0), t_span, cfg, events)
+        return _integrate_batch(field, list(state0), t_span, cfg, event)
+    if event is not None:
+        raise ValueError("a single state takes no event; an event stops the cells of a batch")
     layout = field.layout
     order = state0.order
     y0 = state0.to_vector(layout)
@@ -267,8 +272,6 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, events=
     t0, t1 = float(t_span[0]), float(t_span[1])
 
     if cfg.method == "rk4":
-        if events:
-            raise ValueError("events require the adaptive method")
         times, ys = _rk4_fixed(rhs, y0, t0, t1, cfg.step, cfg.max_steps, layout, order)
         info = {"status": 0, "nfev": 4 * (len(times) - 1)}
     else:
@@ -302,17 +305,12 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, events=
             rtol=cfg.rtol,
             atol=cfg.atol,
             t_eval=t_eval,
-            events=events,
             dense_output=False,
         )
         if sol.status < 0:
             raise _failure(sol.message, t_last, order, _largest_rate(layout, last_out))
         times, ys = sol.t, sol.y.T
-        info = {
-            "status": sol.status,
-            "nfev": sol.nfev,
-            "t_events": [list(te) for te in (sol.t_events or [])],
-        }
+        info = {"status": sol.status, "nfev": sol.nfev}
 
     energy_fn = field.energy_function(state0.hbar)
     try:
@@ -478,33 +476,24 @@ def _event_root(event, interp, lo, hi, g_lo, g_hi):
         hi = np.where(active & ~right, mid, hi)
 
 
-def _crossing(g, g_new, direction):
-    """scipy's find_active_events for one event over the cells."""
-    if direction > 0:
-        return (g <= 0) & (g_new >= 0)
-    if direction < 0:
-        return (g >= 0) & (g_new <= 0)
-    return _crossing(g, g_new, 1) | _crossing(g, g_new, -1)
-
-
-def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, events) -> TrajectoryBatch:
+def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> TrajectoryBatch:
     """Dormand-Prince 5(4) over many states at once, with scipy RK45's step
     control cell by cell.
 
-    Every cell has its own step size, rejection rule, step budget,
-    finiteness check and terminal event, and leaves the active set when it
-    reaches t1, crosses an event or fails; the rest carry on.  All
-    arithmetic is elementwise or summed in a fixed order, so a cell's
-    trajectory has the same bytes in a batch of any size.
+    ``event(t, y)``, if given, maps the times and states of the active cells
+    to one value per cell; an accepted step over which it crosses zero
+    upward ends that cell at the root, with ``info["status"]`` 1, as a
+    terminal upward event ends scipy's RK45.  Every cell has its own step
+    size, rejection rule, step budget, finiteness check and event, and
+    leaves the active set when it reaches t1, crosses the event or fails;
+    the rest carry on.  All arithmetic is elementwise or summed in a fixed
+    order, so a cell's trajectory has the same bytes in a batch of any
+    size, a batch of one included.
     """
     if not states:
         return TrajectoryBatch([], {"nfev": 0})
     if cfg.method != "rk45":
         raise ValueError("a batch of states requires the adaptive method")
-    events = list(events or ())
-    if len(events) > 1 or not all(getattr(ev, "terminal", False) for ev in events):
-        raise ValueError("a batch supports one terminal event")
-    event = events[0] if events else None
     layout, first = field.layout, states[0]
     order = first.order
     rhs = field.compiled(first.hbar)
@@ -583,12 +572,12 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, events) -> Tr
             h = step * np.where(accepted, np.minimum(cap, growth), np.maximum(_MIN_FACTOR, growth))
             fresh = accepted
 
-            # a terminal event ends the cell's step at its root instead
+            # an upward crossing ends the cell's step at its root instead
             t_rec, y_rec = t_new, y_new
             stopped = np.zeros(len(ids), dtype=bool)
             if event:
                 g_new = event(t_new, y_new)
-                stopped = accepted & _crossing(g, g_new, getattr(event, "direction", 0))
+                stopped = accepted & (g <= 0) & (g_new >= 0)
                 if stopped.any():
                     sel = np.flatnonzero(stopped)
                     interp = _dense_output(t[sel], step[sel], y[:, sel], ks[..., sel])

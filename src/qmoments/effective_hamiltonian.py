@@ -83,43 +83,6 @@ class EffectiveHamiltonian:
     def mass(self):
         return self.potential.mass
 
-    def coupling_orders(self):
-        """Moment indices with nonzero coupling coefficients."""
-        out = [indices.single(0, 2)]
-        for a in range(2, min(self.truncation_order, self.potential.degree) + 1):
-            out.append(indices.single(a, 0))
-        return out
-
-    def coupling_value(self, idx, q: float) -> float:
-        """Coefficient of Delta(idx) at position q: (1/a!b!) d^{a+b}H/dq^a dp^b."""
-        (a, b) = idx[0]
-        if (a, b) == (0, 2):
-            return 0.5 / float(self.mass)
-        if b == 0 and a >= 2:
-            return self.potential.value(q, a) / factorial(a)
-        return 0.0
-
-    def classical(self, q: float, p: float) -> float:
-        return p * p / (2.0 * float(self.mass)) + self.potential.value(q)
-
-    def evaluate(self, state) -> float:
-        """Energy of a MomentState; exact for quadratic H at order 2."""
-        if state.order < self.truncation_order:
-            raise ValueError(
-                "state order %d below Hamiltonian truncation %d"
-                % (state.order, self.truncation_order)
-            )
-        total = self.classical(state.q, state.p)
-        for idx in self.coupling_orders():
-            if indices.order(idx) > self.truncation_order:
-                continue
-            try:
-                value = state.moments[idx]
-            except KeyError:
-                raise ValueError("state lacks moment %s" % indices.pretty(idx))
-            total += self.coupling_value(idx, state.q) * value
-        return total
-
     @lru_cache(maxsize=4)
     def moment_polynomial(self) -> MomentPolynomial:
         """H_eff as an exact polynomial in q, p and the moment symbols."""

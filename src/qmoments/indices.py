@@ -7,7 +7,6 @@ tuples ``((a1, b1), (a2, b2), ...)`` so they can be used as dict keys.
 
 from __future__ import annotations
 
-import itertools
 
 MomentIndex = tuple  # tuple[tuple[int, int], ...]
 
@@ -90,9 +89,3 @@ def pretty(idx: MomentIndex) -> str:
 
 def to_jsonable(idx: MomentIndex) -> list:
     return [list(pair) for pair in idx]
-
-
-def index_pairs(max_order: int, npairs: int = 1):
-    """Unordered pairs (i1 <= i2 by sort order) of indices up to max_order."""
-    idxs = iter_indices(max_order, npairs)
-    return list(itertools.combinations_with_replacement(idxs, 2))

@@ -2,11 +2,11 @@
 
 The equations of motion evaluate the closed-form bracket of two single-pair
 moments (bilinear terms plus a K-coefficient sum) for exactly the pairs the
-Leibniz rule touches; multi-pair brackets distribute the commutator across
-canonical pairs at the operator level.  ``BracketTable`` entries are
+Leibniz rule touches.  ``BracketTable`` entries, on any number of pairs, are
 computed by the first-principles ``bracket_oracle`` alone, which is
-authoritative; the tests prove the closed form and the operator-level
-assembly equal to it.
+authoritative.  The tests prove the closed form equal to it, and so is a
+reference in the tests that assembles multi-pair brackets from the
+centered-operator commutator, distributed across canonical pairs.
 
 Sign convention.  Evaluating the K sum literally with weights
 (i*hbar/2)^(n-1) yields {Delta(q^2), Delta(p^2)} = -4*Delta(qp) plus a
@@ -30,8 +30,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import indices
-from .exact import GaussianRational, MomentPolynomial, _accumulate, leibniz
-from .weyl_algebra import OperatorPoly, bracket_oracle, expectation, weyl_monomial
+from .exact import GaussianRational, MomentPolynomial, leibniz
+from .weyl_algebra import bracket_oracle
 
 
 class MomentAlgebraError(ValueError):
@@ -92,44 +92,6 @@ def closed_form_bracket(m1, m2) -> MomentPolynomial:
             1, {(h + n - 1, v): cc for (h, v), cc in mono.terms.items()}
         )
     return result
-
-
-@lru_cache(maxsize=None)
-def operator_bracket(m1, m2) -> MomentPolynomial:
-    """Bracket from the centered-operator commutator (any pair count).
-
-    {<A>, <B>} = <[A, B]>/(i hbar)
-                 + sum_i (<dA/dP_i><dB/dQ_i> - <dA/dQ_i><dB/dP_i>),
-    the correction terms coming from the state dependence of the centering.
-    The commutator distributes across canonical pairs (operators on
-    different pairs commute), which assembles multi-pair brackets from
-    single-pair blocks.
-    """
-    npairs = len(m1)
-    wa = weyl_monomial(m1)
-    wb = weyl_monomial(m2)
-    result = expectation(wa.commutator(wb).divide_ihbar())
-    for pair in range(npairs):
-        aq = expectation(_op_derivative(wa, pair, "q"))
-        ap = expectation(_op_derivative(wa, pair, "p"))
-        bq = expectation(_op_derivative(wb, pair, "q"))
-        bp = expectation(_op_derivative(wb, pair, "p"))
-        result = result + ap * bq - aq * bp
-    return result
-
-
-def _op_derivative(op: OperatorPoly, pair: int, kind: str) -> OperatorPoly:
-    terms = {}
-    slot = 0 if kind == "q" else 1
-    for (h, exps), c in op.terms.items():
-        e = exps[pair][slot]
-        if not e:
-            continue
-        new_pair = list(exps[pair])
-        new_pair[slot] = e - 1
-        new_exps = exps[:pair] + (tuple(new_pair),) + exps[pair + 1 :]
-        _accumulate(terms, (h, new_exps), c * e)
-    return OperatorPoly(op.npairs, terms)
 
 
 class BracketTable:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import indices
-from .adiabatic import AdiabaticModel, NoEquilibriumError, integrate_adiabatic, s0_of_q
+from .adiabatic import AdiabaticModel, NoEquilibriumError, adiabatic_potential, integrate_adiabatic, s0_of_q
 from .casimir_darboux import (
     DarbouxState1D,
     from_darboux,
@@ -411,7 +411,7 @@ def _samples(cfg) -> np.ndarray:
     return np.linspace(t0, t1, cfg["samples"])
 
 
-def _trajectory(cfg, state0, times=None, events=None):
+def _trajectory(cfg, state0, times=None, event=None):
     """Integrate the config's moment field from ``state0``, one state or a
     list of them (see ``dynamics.integrate``).
 
@@ -420,7 +420,7 @@ def _trajectory(cfg, state0, times=None, events=None):
     """
     span = (times[0], times[-1]) if times is not None else tuple(cfg["t_span"])
     return integrate(
-        moment_field(cfg), state0, span, integrator_config(cfg), t_eval=times, events=events
+        moment_field(cfg), state0, span, integrator_config(cfg), t_eval=times, event=event
     )
 
 
@@ -493,14 +493,19 @@ def run_harmonic(cfg, out_dir) -> dict:
     return _summary(cfg, traj, ok, checks=_checks(cfg, ok))
 
 
-def _tunneling_start(cfg, q0: float, energy: float):
+def _tunneling_start(cfg, energy_fn, q0: float, energy: float):
     """Initial state of a tunneling cell: the Gaussian state of equilibrium
     width s0(q0) at q0, with the momentum that gives it the requested
-    energy.  Raises NoEquilibriumError or ValueError if there is none."""
-    h = moment_field(cfg).hamiltonian
-    s0 = s0_of_q(AdiabaticModel(h.potential, _casimir(cfg)), q0)
+    energy.  Raises NoEquilibriumError or ValueError if there is none.
+
+    The rest energy is ``energy_fn`` on the state's ndarray: far out on the
+    potential it overflows to inf, where Python floats raise OverflowError.
+    """
+    field = moment_field(cfg)
+    s0 = s0_of_q(AdiabaticModel(field.hamiltonian.potential, _casimir(cfg)), q0)
     state0 = _initial_state(cfg, q0, 0.0, s0)
-    rest = h.evaluate(state0)
+    with np.errstate(over="ignore"):
+        rest = energy_fn(state0.to_vector(field.layout))
     if energy < rest:
         raise ValueError(f"energy {energy:g} below the rest energy {rest:g} at q0")
     state0.p = math.sqrt(2.0 * float(cfg["mass"]) * (energy - rest))
@@ -508,15 +513,35 @@ def _tunneling_start(cfg, q0: float, energy: float):
 
 
 def _crossing_event(barrier_q, cfg):
-    """Terminal event: q crosses the barrier plus ``stop_margin`` upward."""
+    """Event that crosses zero upward where q passes the barrier plus
+    ``stop_margin``."""
     stop = barrier_q + cfg["stop_margin"]
 
     def crossed(t, y):
         return y[0] - stop
 
-    crossed.terminal = True
-    crossed.direction = 1
     return crossed
+
+
+def tunneling_runs(cfg, cells, barrier_q) -> list:
+    """Outcome of each (q0, energy) cell, in order: its Trajectory up to the
+    barrier crossing (``info["status"]`` 1) or the end of ``t_span``, or the
+    error that stopped it.
+
+    Every cell that has an initial state is integrated in one batch (one
+    ``integrate`` call), and a cell's outcome does not depend on the other
+    cells: a single run is a one-cell sweep.
+    """
+    energy_fn = moment_field(cfg).energy_function(cfg["hbar"])
+    starts = []
+    for q0, energy in cells:
+        try:
+            starts.append(_tunneling_start(cfg, energy_fn, q0, energy))
+        except (NoEquilibriumError, ValueError) as exc:
+            starts.append(exc)
+    states = [s for s in starts if not isinstance(s, Exception)]
+    runs = iter(_trajectory(cfg, states, event=_crossing_event(barrier_q, cfg)))
+    return [s if isinstance(s, Exception) else next(runs) for s in starts]
 
 
 def _cell_record(q0, energy, barrier_v, outcome) -> dict:
@@ -536,17 +561,6 @@ def _cell_record(q0, energy, barrier_v, outcome) -> dict:
     return record
 
 
-def tunneling_cell(cfg, q0: float, energy: float):
-    """Classify one (q0, energy) cell: bypassed, trapped or error."""
-    barrier_q, barrier_v = cubic_barrier(moment_field(cfg).hamiltonian.potential)
-    try:
-        state0 = _tunneling_start(cfg, q0, energy)
-        traj = _trajectory(cfg, state0, events=[_crossing_event(barrier_q, cfg)])
-    except (IntegrationError, NoEquilibriumError, ValueError) as exc:
-        return _cell_record(q0, energy, barrier_v, exc), None
-    return _cell_record(q0, energy, barrier_v, traj), traj
-
-
 def cubic_barrier(pot: PolynomialPotential):
     """Position and height of the local maximum of a cubic-type potential."""
     coeffs = pot.derivative_coefficients(1)
@@ -563,53 +577,35 @@ def cubic_barrier(pot: PolynomialPotential):
 
 
 def effective_saddle(pot: PolynomialPotential, casimir: float):
-    """Saddle of V(q) + V''(q) s^2/2 + C/(2 m s^2) in the (q, s) plane.
+    """(q, s, W) at the saddle of W(q, s) = V(q) + V''(q) s^2/2 + C/(2 m s^2).
 
-    Critical points satisfy s^4 = C/(m V''(q)) and V'(q) + V'''(q) s^2/2 = 0;
-    the saddle is the higher-energy root.  Solved numerically by bisection
-    on q between the well and the classical barrier.
+    A critical point has s = s0(q), where W is the adiabatic potential
+    V + sqrt(C V''/m), and V' + V''' s^2/2 = 0.  Squared, that is a root of
+    4 m V'^2 V'' - C V'''^2 with V'' > 0 and V' V''' <= 0.  The saddle is
+    the critical point of highest W between 0 and the classical barrier.
     """
-    from scipy.optimize import brentq
-
-    m = float(pot.mass)
-
-    def s2_of(q):
-        vpp = pot.value(q, 2)
-        if vpp <= 0:
-            return None
-        return math.sqrt(casimir / (m * vpp))
-
-    def g(q):
-        s2 = s2_of(q)
-        if s2 is None:
-            return math.nan
-        return pot.value(q, 1) + 0.5 * pot.value(q, 3) * s2
-
     barrier_q, _ = cubic_barrier(pot)
-    qs = np.linspace(1e-3, barrier_q * 0.999, 2001)
-    vals = [g(q) for q in qs]
-    crossings = [
-        (qs[i], qs[i + 1])
-        for i in range(len(qs) - 1)
-        if math.isfinite(vals[i]) and math.isfinite(vals[i + 1]) and vals[i] * vals[i + 1] < 0
+    model = AdiabaticModel(pot, casimir)
+    vp, vpp, vppp = (
+        np.polynomial.Polynomial([float(c) for c in pot.derivative_coefficients(k)]) for k in (1, 2, 3)
+    )
+    roots = (4 * model.mass * vp**2 * vpp - casimir * vppp**2).roots()
+    points = [
+        (q, s0_of_q(model, q), adiabatic_potential(model, q))
+        for q in roots[abs(roots.imag) < 1e-12].real.tolist()
+        if 0 < q < barrier_q and vpp(q) > 0 and vp(q) * vppp(q) <= 0
     ]
-    if not crossings:
+    if not points:
         raise ConfigError("potential: no effective-potential critical points found")
-    points = []
-    for lo, hi in crossings:
-        q = brentq(g, lo, hi, xtol=1e-12)
-        s2 = s2_of(q)
-        w = pot.value(q) + 0.5 * pot.value(q, 2) * s2 + casimir / (2 * m * s2)
-        points.append((q, math.sqrt(s2), w))
-    points.sort(key=lambda t: t[2])
-    return points[-1]
+    return max(points, key=lambda point: point[2])
 
 
 def run_cubic_tunneling(cfg, out_dir) -> dict:
     barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
-    record, traj = tunneling_cell(cfg, cfg["q0"], cfg["energy"])
-    if traj is None:
-        raise IntegrationError("tunneling run failed: " + record.get("reason", ""))
+    (traj,) = tunneling_runs(cfg, [(cfg["q0"], cfg["energy"])], barrier_q)
+    if isinstance(traj, Exception):
+        raise IntegrationError(f"tunneling run failed: {traj}")
+    record = _cell_record(cfg["q0"], cfg["energy"], barrier_v, traj)
     traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     # The state must stay admissible: the Heisenberg margin may dip below
     # zero only by the 10x allowance run_harmonic gives the Casimir drift.
@@ -631,37 +627,18 @@ def run_cubic_tunneling(cfg, out_dir) -> dict:
 _GRID_COLUMNS = ("q0", "energy", "classification", "max_q", "t_final", "energy_drift", "casimir_drift")
 
 
-def sweep_records(cfg, q0s, energies) -> list:
-    """Records of the (q0, energy) grid cells, q0-major.
-
-    Every cell that has an initial state is integrated in one batch (one
-    ``integrate`` call); a cell's record does not depend on the other cells
-    of the grid.
-    """
-    barrier_q, barrier_v = cubic_barrier(moment_field(cfg).hamiltonian.potential)
-    cells = [(q0, e) for q0 in q0s for e in energies]
-    starts = []
-    for q0, e in cells:
-        try:
-            starts.append(_tunneling_start(cfg, q0, e))
-        except (NoEquilibriumError, ValueError) as exc:
-            starts.append(exc)
-    states = [s for s in starts if not isinstance(s, Exception)]
-    runs = iter(_trajectory(cfg, states, events=[_crossing_event(barrier_q, cfg)]))
-    return [
-        _cell_record(q0, e, barrier_v, s if isinstance(s, Exception) else next(runs))
-        for (q0, e), s in zip(cells, starts)
-    ]
-
-
 def run_sweep(cfg, out_dir) -> dict:
-    """Grid of tunneling runs with per-cell classification (see
-    ``sweep_records``).  Error cells carry nan in every figure column."""
+    """Grid of tunneling runs, q0-major, with per-cell classification (see
+    ``tunneling_runs``).  Error cells carry nan in every figure column."""
     sweep = cfg["sweep"]
     q0s = _sweep_values(sweep["q0"], "q0")
     energies = _sweep_values(sweep["energy"], "energy")
     barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
-    records = sweep_records(cfg, q0s, energies)
+    cells = [(q0, e) for q0 in q0s for e in energies]
+    records = [
+        _cell_record(q0, e, barrier_v, outcome)
+        for (q0, e), outcome in zip(cells, tunneling_runs(cfg, cells, barrier_q))
+    ]
     write_table(
         _artifact(out_dir, "sweep_grid.csv"),
         _GRID_COLUMNS,

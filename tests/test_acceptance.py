@@ -29,14 +29,10 @@ from qmoments.effective_hamiltonian import (
 )
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
-from qmoments.moment_algebra import (
-    build_bracket_table,
-    closed_form_bracket,
-    leibniz_bracket,
-    operator_bracket,
-)
-from qmoments.scenarios import MAX_ORDER, resolve_config, run_oracle, run_sweep, tunneling_cell
+from qmoments.moment_algebra import build_bracket_table, closed_form_bracket, leibniz_bracket
+from qmoments.scenarios import MAX_ORDER, resolve_config, run_cubic_tunneling, run_oracle, run_sweep
 from qmoments.weyl_algebra import bracket_oracle
+from test_moment_algebra import index_pairs, operator_bracket
 
 D = MomentPolynomial.moment
 
@@ -57,17 +53,18 @@ def test_criterion_01_bracket_oracle_equivalence():
     assert closed_form_bracket(single(2, 0), single(1, 1)) == D(single(2, 0), 2)
     assert closed_form_bracket(single(1, 1), single(0, 2)) == D(single(0, 2), 2)
     checked = 0
-    for m1, m2 in indices.index_pairs(6, 1):
+    for m1, m2 in index_pairs(6, 1):
         assert closed_form_bracket(m1, m2) == bracket_oracle(m1, m2), (
             f"single-pair mismatch at {m1}, {m2}"
         )
         checked += 1
-    for m1, m2 in indices.index_pairs(4, 2):
+    for m1, m2 in index_pairs(4, 2):
         assert operator_bracket(m1, m2) == bracket_oracle(m1, m2), (
             f"two-pair mismatch at {m1}, {m2}"
         )
         checked += 1
-    column = build_heff(PolynomialPotential([0] * MAX_ORDER + [1]), MAX_ORDER).coupling_orders()
+    heff = build_heff(PolynomialPotential([0] * MAX_ORDER + [1]), MAX_ORDER).moment_polynomial()
+    column = sorted(var[1] for var in heff.variables() if var[0] == "D")
     for m1 in indices.iter_indices(MAX_ORDER, 1):
         for m2 in column:
             if m1 != m2:
@@ -193,7 +190,8 @@ def test_criterion_06_centrifugal_lift():
         )
         mass = float(rng.uniform(0.2, 5.0))
         phi = float(rng.uniform(0, 2 * math.pi))
-        ke = lift_to_plane(d, phi).kinetic_energy(mass)
+        ps = lift_to_plane(d, phi)
+        ke = (ps.p_x**2 + ps.p_y**2) / (2 * mass)
         ref = d.p_s**2 / (2 * mass) + d.casimir / (2 * mass * d.s**2)
         worst = max(worst, abs(ke - ref) / abs(ref))
     h = build_heff(PolynomialPotential([], mass=1), 2)
@@ -225,14 +223,15 @@ def test_criterion_07_tunneling_reproduction(tmp_path):
     """Below the classical barrier an N=2 trajectory bypasses it with
     energy conserved, and a 32x32 sweep keeps a trapped region."""
     t0 = time.monotonic()
-    cfg = resolve_config({"scenario": "cubic-tunneling"})
     barrier_height = 1 / (54 * 0.1**2)
     bypass = None
     for energy in (1.2, 1.4, 1.6):
         assert energy < barrier_height
-        record, _ = tunneling_cell(cfg, cfg["q0"], energy)
-        if record["classification"] == "bypassed" and record["energy_drift"] <= 1e-8:
-            bypass = record
+        cfg = resolve_config({"scenario": "cubic-tunneling", "energy": energy})
+        run = run_cubic_tunneling(cfg, str(tmp_path / f"run-{energy}"))
+        drift = run["monitors"]["energy_drift"]
+        if run["checks"]["classification"] == "bypassed" and drift <= 1e-8:
+            bypass = {"energy": energy, "energy_drift": drift}
             break
     sweep_cfg = resolve_config(
         {

@@ -13,7 +13,6 @@ from qmoments.adiabatic import (
     delta_s_correction,
     ds0_dq,
     s0_of_q,
-    stationarity_residual,
 )
 from qmoments.effective_hamiltonian import PolynomialPotential
 from qmoments.scenarios import adiabatic_compare_run, resolve_config
@@ -63,7 +62,9 @@ def test_stationarity_residual_vanishes():
         c = float(rng.uniform(0.05, 2.0))
         q = float(rng.uniform(-1.0, 1.0))
         model = AdiabaticModel(pot, c)
-        assert abs(stationarity_residual(model, q)) < 1e-13
+        s0 = s0_of_q(model, q)
+        # d/ds of the fluctuation energy V'' s^2/2 + C/(2 m s^2) at s0
+        assert abs(pot.value(q, 2) * s0 - c / (model.mass * s0**3)) < 1e-13
 
 
 def test_adiabatic_energy_harmonic_shift_is_ground_energy():

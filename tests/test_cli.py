@@ -232,6 +232,61 @@ def test_sweep_straddling_effective_saddle_has_both_classes(tmp_path):
     assert counts["trapped"] == 1 and counts["bypassed"] == 1
 
 
+@pytest.mark.parametrize(
+    "coeffs, casimir",
+    [([0, 0, 0.5, -0.1], 0.25), ([0, 0, 0.5, -0.1], 0.05), ([0, 0, 1, -0.3], 0.25)],
+    ids=["default", "small-casimir", "steeper-cubic"],
+)
+def test_effective_saddle_is_a_saddle_of_w(coeffs, casimir):
+    """The gradient of W(q, s) = V + V'' s^2/2 + C/(2 m s^2) vanishes at the
+    returned point, whose Hessian has one negative and one positive
+    eigenvalue, and W there is the returned value."""
+    from qmoments.effective_hamiltonian import PolynomialPotential
+    from qmoments.scenarios import effective_saddle
+
+    pot = PolynomialPotential(coeffs)
+
+    def w(q, s):
+        return pot.value(q) + 0.5 * pot.value(q, 2) * s**2 + casimir / (2 * s**2)
+
+    q, s, w_s = effective_saddle(pot, casimir)
+    assert w(q, s) == pytest.approx(w_s, rel=1e-12)
+    h = 1e-5
+    gradient = ((w(q + h, s) - w(q - h, s)) / (2 * h), (w(q, s + h) - w(q, s - h)) / (2 * h))
+    assert max(map(abs, gradient)) < 1e-7
+    h = 1e-4
+    w_qq = (w(q + h, s) - 2 * w_s + w(q - h, s)) / h**2
+    w_ss = (w(q, s + h) - 2 * w_s + w(q, s - h)) / h**2
+    w_qs = (w(q + h, s + h) - w(q + h, s - h) - w(q - h, s + h) + w(q - h, s - h)) / (4 * h**2)
+    low, high = np.linalg.eigvalsh([[w_qq, w_qs], [w_qs, w_ss]])
+    assert low < 0 < high
+    if (coeffs, casimir) == ([0, 0, 0.5, -0.1], 0.25):
+        # the values of the earlier bisection on a 2001-point scan
+        assert (q, s, w_s) == pytest.approx((1.6125526329594346, 1.665787936423109, 0.9709417221777791), rel=1e-9)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_tunneling_run_is_its_one_cell_sweep(tmp_path, order):
+    """A cubic-tunneling run and the sweep of its one cell give the same
+    bits: the row's t_final and max_q are the run's last time and largest
+    q, and its drifts are the run's monitors."""
+    run_cfg = write_cfg(tmp_path, "run.json", {"scenario": "cubic-tunneling", "order": order})
+    sweep_cfg = write_cfg(
+        tmp_path, "sweep.json", {"scenario": "cubic-tunneling", "order": order, "sweep": {"q0": [0.17], "energy": [1.2]}}
+    )
+    # order 4 leaves the admissible states, so its run's check fails
+    assert main(["simulate", "--config", run_cfg, "--out-dir", str(tmp_path / "run")]) == (1 if order == 4 else 0)
+    main(["sweep", "--config", sweep_cfg, "--out-dir", str(tmp_path / "sweep")])
+    traj = np.genfromtxt(tmp_path / "run" / "trajectory.csv", delimiter=",", names=True)
+    monitors = json.loads((tmp_path / "run" / "summary.json").read_text())["monitors"]
+    row = np.genfromtxt(tmp_path / "sweep" / "sweep_grid.csv", delimiter=",", names=True, dtype=None, encoding="utf-8")
+    assert row["classification"] == "bypassed"
+    assert row["t_final"] == traj["t"][-1]
+    assert row["max_q"] == traj["q"].max()
+    assert row["energy_drift"] == monitors["energy_drift"]
+    assert row["casimir_drift"] == monitors["casimir_drift"]
+
+
 @pytest.mark.parametrize("order", [2, 3])
 def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, order):
     """Every row of a 2x4 grid has the same bytes when its cells run as
@@ -255,32 +310,54 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, order):
 
 
 def test_sweep_matches_the_scipy_path_cell_by_cell():
-    """The batched sweep classifies as tunneling_cell (scipy's RK45) does,
-    on a grid with unreachable cells and cells that exhaust max_steps; its
-    bypassed cells stop at the same time and its error cells give the same
-    reasons."""
-    from qmoments.scenarios import sweep_records, tunneling_cell
+    """The batched tunneling runs classify as scipy's RK45 with a terminal
+    upward event does from the same start states, on a grid with cells
+    below the rest energy and cells that exhaust max_steps: bypassed cells
+    stop at the same time and place, an unreachable cell names the rest
+    energy of the Hamiltonian polynomial, and scipy needs more than
+    max_steps evaluations where the batch ran out of them."""
+    from scipy.integrate import solve_ivp
+
+    from qmoments.adiabatic import AdiabaticModel, s0_of_q
+    from qmoments.dynamics import IntegrationError, init_gaussian
+    from qmoments.scenarios import cubic_barrier, moment_field, tunneling_runs
 
     cfg = resolve_config({"scenario": "cubic-tunneling", "t_span": [0.0, 20.0], "max_steps": 3000})
-    q0s, energies = [0.2, 0.5], [0.1, 1.0, 1.2, 1.8]
-    records = sweep_records(cfg, q0s, energies)
-    classes = [r["classification"] for r in records]
+    field = moment_field(cfg)
+    pot = field.hamiltonian.potential
+    heff = field.hamiltonian.moment_polynomial()
+    barrier_q, _ = cubic_barrier(pot)
+    cells = [(q0, e) for q0 in (0.2, 0.5) for e in (0.1, 1.0, 1.2, 1.8)]
+    outcomes = tunneling_runs(cfg, cells, barrier_q)
+
+    def crossed(t, y):
+        return y[0] - barrier_q - cfg["stop_margin"]
+
+    crossed.terminal, crossed.direction = True, 1
+    classes = []
+    for (q0, energy), outcome in zip(cells, outcomes):
+        state = init_gaussian(q0, 0.0, s0_of_q(AdiabaticModel(pot, 0.25), q0))
+        rest = heff.evaluate(1.0, {("q", 0): q0, ("p", 0): 0.0}, state.moments)
+        if energy < rest:
+            assert str(outcome) == f"energy {energy:g} below the rest energy {rest:g} at q0"
+            classes.append("error")
+            continue
+        state.p = math.sqrt(2.0 * (energy - rest))
+        ref = solve_ivp(
+            field.compiled(1.0), cfg["t_span"], state.to_vector(field.layout),
+            rtol=cfg["rtol"], atol=cfg["atol"], events=crossed,
+        )
+        if isinstance(outcome, IntegrationError):
+            assert str(outcome).startswith("step budget exhausted (3000 evaluations) (last good time t=")
+            assert ref.nfev > cfg["max_steps"]
+            classes.append("error")
+            continue
+        assert outcome.ys[0] == pytest.approx(ref.y[:, 0], rel=1e-12)
+        assert outcome.info["status"] == ref.status
+        assert outcome.times[-1] == pytest.approx(ref.t[-1], rel=1e-6)
+        assert outcome.ys[:, 0].max() == pytest.approx(ref.y[0].max(), rel=1e-6)
+        classes.append("bypassed" if ref.status == 1 else "trapped")
     assert classes == ["error", "error", "bypassed", "bypassed"] * 2
-    for record in records:
-        ref, _ = tunneling_cell(cfg, record["q0"], record["energy"])
-        assert record["classification"] == ref["classification"]
-        if record["classification"] == "bypassed":
-            assert record["t_final"] == pytest.approx(ref["t_final"], rel=1e-6)
-            assert record["max_q"] == pytest.approx(ref["max_q"], rel=1e-6)
-        elif record["energy"] == 0.1:
-            assert record["reason"] == ref["reason"]
-            assert record["reason"].startswith("energy 0.1 below the rest energy")
-        else:
-            ours, theirs = record["reason"], ref["reason"]
-            assert ours.startswith("step budget exhausted (3000 evaluations) (last good time t=")
-            assert ours.split(", ")[1:] == theirs.split(", ")[1:]  # order and component
-            t_ours, t_theirs = (float(r.split("t=")[1].split(",")[0]) for r in (ours, theirs))
-            assert t_ours == pytest.approx(t_theirs, rel=1e-3)
 
 
 def test_sweep_jobs_option_is_gone(tmp_path):
@@ -320,17 +397,37 @@ def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
 
 
 def test_sweep_records_unreachable_cells_as_errors(tmp_path):
+    """Cells below the rest energy are error cells, also where the rest
+    energy overflows to inf far out on the cubic."""
+    from qmoments.scenarios import cubic_barrier, moment_field, tunneling_runs
+
     cfg = resolve_config(
         {
             "scenario": "cubic-tunneling-sweep",
-            "sweep": {"q0": [0.2], "energy": [0.1, 1.0]},
+            "sweep": {"q0": [0.2, -1e103, -1e200], "energy": [0.1, 1.0]},
             "t_span": [0.0, 20.0],
         }
     )
     summary = run_sweep(cfg, str(tmp_path))
-    assert summary["classification_counts"]["error"] == 1
+    assert summary["classification_counts"]["error"] == 5
     lines = (tmp_path / "sweep_grid.csv").read_text().splitlines()[1:]
-    assert lines[0].split(",")[2] == "error"
+    assert [line.split(",")[2] for line in lines] == ["error", "trapped"] + ["error"] * 4
+    far = [(-1e103, 1.2), (-1e200, 1.2)]
+    for outcome in tunneling_runs(cfg, far, cubic_barrier(moment_field(cfg).hamiltonian.potential)[0]):
+        assert str(outcome).startswith("energy 1.2 below the rest energy")
+
+
+def test_tunneling_at_zero_casimir_fails_cell_by_cell(tmp_path, capsys):
+    """At C = 0 (classical_mode) no cell has a fluctuation equilibrium: a
+    run fails as a tunneling run, and a sweep records error cells."""
+    base = {"scenario": "cubic-tunneling", "classical_mode": True, "casimir": 0}
+    cfg = write_cfg(tmp_path, "c0.json", base)
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 3
+    assert "tunneling run failed: the Casimir must be positive" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "c0s.json", dict(base, sweep={"q0": [0.2], "energy": [1.0, 1.8]}))
+    assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "sweep")]) == 1
+    lines = (tmp_path / "sweep" / "sweep_grid.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == ["error", "error"]
 
 
 def test_brackets_dump(tmp_path, capsys):

@@ -83,13 +83,13 @@ def test_admissibility_floor_enforced():
 
 
 def test_monitors_arithmetic():
-    h, _ = _free_field()
+    _, field = _free_field()
     state = MomentState(
         0.0, 0.0, {single(2, 0): 4.0, single(1, 1): 2.0, single(0, 2): 2.0}, 1.0, 2
     )
     assert state.casimir() == pytest.approx(4.0)
     assert state.margin() == pytest.approx(3.75)
-    assert h.evaluate(state) == pytest.approx(1.0)
+    assert field.energy_function(1.0)(state.to_vector(field.layout)) == pytest.approx(1.0)
 
 
 def test_free_particle_matches_closed_form():
@@ -307,6 +307,20 @@ def test_batch_matches_scipy_harmonic():
         assert np.allclose(traj.ys[-1], ref.ys[-1], rtol=1e-6, atol=1e-8)
         assert np.allclose(traj.energy, traj.energy[0], rtol=1e-8)
         assert traj.casimir[0] == ref.casimir[0]
+
+
+@pytest.mark.parametrize(
+    "batch, kwargs, match",
+    [(False, {"event": lambda t, y: y[0] - 1.0}, "takes no event"), (True, {"t_eval": [0.0, 1.0]}, "t_eval")],
+    ids=["event-with-one-state", "t_eval-with-a-batch"],
+)
+def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
+    """One state is sampled and takes no event; a batch records its own
+    steps and takes no t_eval."""
+    _, field = _free_field()
+    state = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
+    with pytest.raises(ValueError, match=match):
+        integrate(field, [state] if batch else state, (0, 1), IntegratorConfig(), **kwargs)
 
 
 def test_rhs_on_floats_matches_the_ndarray_call():
