@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -242,8 +243,10 @@ def _first_non_finite(layout, values) -> str:
 def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=None):
     """Integrate a moment vector field and record conservation monitors.
 
-    One ``MomentState`` is integrated by scipy's RK45 (or the fixed-step
-    method) into a Trajectory, sampled at ``t_eval`` if given.  A sequence
+    One ``MomentState`` is integrated by ``_integrate_one`` (or the
+    fixed-step method) into a Trajectory, sampled at ``t_eval`` if given:
+    a generated Dormand-Prince 5(4) step on Python floats with scipy RK45's
+    step control, so no scipy is loaded.  A sequence
     of states, such as the cells of a sweep or the one cell of a tunneling
     run, is integrated together by ``_integrate_batch`` into a
     TrajectoryBatch, which stops each cell at an upward zero crossing of
@@ -254,10 +257,10 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     component at fault.  The fixed-step method records every step and
     ignores ``t_eval``.
 
-    The single-state path hands the generated field and energy function
-    ``y.tolist()``: Python floats do the same IEEE operations in the same
-    order as ``np.float64`` scalars, so the bytes are the same, and indexing
-    a list and adding floats is several times faster.
+    The single-state path runs on lists of Python floats: they do the same
+    IEEE operations in the same order as ``np.float64`` scalars, so the
+    bytes are the same, and indexing a list and adding floats is several
+    times faster.
     """
     if not isinstance(state0, MomentState):
         if t_eval is not None:
@@ -273,44 +276,10 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
 
     if cfg.method == "rk4":
         times, ys = _rk4_fixed(rhs, y0, t0, t1, cfg.step, cfg.max_steps, layout, order)
-        info = {"status": 0, "nfev": 4 * (len(times) - 1)}
+        nfev = 4 * (len(times) - 1)
     else:
-        from scipy.integrate import solve_ivp
-
-        nfev, t_last, last_out = 0, t0, None
-
-        def guarded(t, y):
-            nonlocal nfev, t_last, last_out
-            nfev += 1
-            if nfev > cfg.max_steps:
-                raise _failure(
-                    f"step budget exhausted ({cfg.max_steps} evaluations)",
-                    t_last,
-                    order,
-                    _largest_rate(layout, last_out),
-                )
-            out = _on_floats(rhs, t, y)
-            if not all(map(math.isfinite, out)):
-                raise _failure(
-                    f"non-finite state at t={t:.6g}", t_last, order, _first_non_finite(layout, out)
-                )
-            t_last, last_out = t, out
-            return out
-
-        sol = solve_ivp(
-            guarded,
-            (t0, t1),
-            y0,
-            method="RK45",
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            t_eval=t_eval,
-            dense_output=False,
-        )
-        if sol.status < 0:
-            raise _failure(sol.message, t_last, order, _largest_rate(layout, last_out))
-        times, ys = sol.t, sol.y.T
-        info = {"status": sol.status, "nfev": sol.nfev}
+        times, ys, nfev = _integrate_one(rhs, y0, t0, t1, cfg, t_eval, layout, order)
+    info = {"status": 0, "nfev": nfev}
 
     energy_fn = field.energy_function(state0.hbar)
     try:
@@ -321,18 +290,19 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
 
 
 def _on_floats(rhs, t, y):
-    """rhs(t, y) on the Python floats of ``y``, with the bits of the ndarray
-    call; ``float ** int`` raises OverflowError where float64 gives inf, so
-    only then is the call made on the ndarray."""
+    """rhs(t, y) on a list ``y`` of Python floats, which do the IEEE
+    operations of ``np.float64`` in the same order; ``float ** int`` raises
+    OverflowError where float64 gives inf, so only then is the call made on
+    the float64 values."""
     try:
-        return rhs(t, y.tolist())
-    except OverflowError:
         return rhs(t, y)
+    except OverflowError:
+        return rhs(t, np.array(y))
 
 
 def _rk4_fixed(rhs, y0, t0, t1, step, max_steps, layout, order):
     def f(t, y):
-        return np.array(_on_floats(rhs, t, y))
+        return np.array(_on_floats(rhs, t, y.tolist()))
 
     n = max(1, int(round((t1 - t0) / step)))
     if 4 * n > max_steps:
@@ -362,11 +332,11 @@ def _rk4_fixed(rhs, y0, t0, t1, step, max_steps, layout, order):
 
 
 # ---------------------------------------------------------------------------
-# Batched Dormand-Prince 5(4)
+# Dormand-Prince 5(4): one state on Python floats, or a batch on row arrays
 # ---------------------------------------------------------------------------
 
 # The tableau, error weights and quartic dense-output matrix of
-# scipy.integrate.RK45, written out so that the batch path needs no scipy
+# scipy.integrate.RK45, written out so that neither path needs scipy
 # (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6; Shampine's c6).
 _DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
 _DP_A = np.array(
@@ -399,6 +369,148 @@ _ERROR_EXPONENT = -1 / 5
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # scipy locates events with brentq at xtol = rtol = 4 EPS
 _EVENT_TOL = 4 * np.finfo(float).eps
+
+
+@functools.lru_cache(maxsize=8)  # orders 2..7 give six state sizes
+def _dp_kernels(n):
+    """Generated Dormand-Prince step and interpolant on lists of ``n``
+    Python floats.
+
+    ``step(rhs, t, t_new, y, f, h, atol, rtol)`` takes the step of size
+    ``h = t_new - t`` from ``y`` with ``f = rhs(t, y)`` and returns
+    ``(y_new, error norm, the seven stages)``, the last stage being
+    ``rhs(t_new, y_new)``.  ``sample(t_old, h, y_old, ks, t)`` is the
+    step's quartic at ``t``.  Every stage sum is written term by term in
+    stage order, zero coefficients kept, as ``_combine`` reduces it, the
+    norm adds the squares as ``_rms`` does and the quartic takes its powers
+    as ``_dense_output`` does, so both have the bits of the batch
+    arithmetic on a one-cell array.
+    """
+    comps = range(n)
+
+    def listed(name):
+        return ", ".join(f"{name}{i}" for i in comps)
+
+    def stage_sum(coeffs, i):
+        return " + ".join(f"{float(c)!r}*k{j}_{i}" for j, c in enumerate(coeffs))
+
+    stages = [listed(f"k{j}_") + "," for j in range(7)]
+    step = ["def step(rhs, t, t_new, y, f, h, atol, rtol):", f"    {listed('y')}, = y", f"    {stages[0]} = f"]
+    for j in range(1, 6):
+        args = ", ".join(f"y{i} + h*({stage_sum(_DP_A[j, :j], i)})" for i in comps)
+        step += [f"    k{j} = rhs(t + {float(_DP_C[j])!r}*h, [{args}])", f"    {stages[j]} = k{j}"]
+    step += [f"    n{i} = y{i} + h*({stage_sum(_DP_B, i)})" for i in comps]
+    step += [f"    k6 = rhs(t_new, [{listed('n')}])", f"    {stages[6]} = k6"]
+    for i in comps:
+        # abs() by a comparison: a -0.0 left as it is scales to atol all the same
+        step += [
+            f"    a = y{i} if y{i} >= 0 else -y{i}; b = n{i} if n{i} >= 0 else -n{i}",
+            f"    e{i} = h*({stage_sum(_DP_E, i)})/(atol + (a if a >= b else b)*rtol)",
+        ]
+    squares = " + ".join(f"e{i}*e{i}" for i in comps)
+    step.append(f"    return [{listed('n')}], sqrt({squares})/{n ** 0.5!r}, (f, k1, k2, k3, k4, k5, k6)")
+
+    sample = [
+        "def sample(t_old, h, y, ks, t):",
+        f"    {listed('y')}, = y",
+        f"    {', '.join(f'({names})' for names in stages)} = ks",
+        "    x1 = (t - t_old)/h; x2 = x1*x1; x3 = x2*x1; x4 = x3*x1",
+    ]
+    quartic = [" + ".join(f"({stage_sum(column, i)})*x{p + 1}" for p, column in enumerate(_DP_P.T)) for i in comps]
+    sample.append(f"    return [{', '.join(f'y{i} + h*({q})' for i, q in zip(comps, quartic))}]")
+    ns = {}
+    exec("\n".join(step + sample) + "\n", {"__builtins__": {}, "sqrt": math.sqrt}, ns)
+    return ns["step"], ns["sample"]
+
+
+def _integrate_one(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval, layout, order):
+    """One state by the generated Dormand-Prince step, with the step control
+    of ``_integrate_batch`` (scipy RK45's); returns the times, the states
+    (at ``t_eval`` by the quartic interpolant, else at every step) and the
+    number of evaluations.
+
+    A step normally runs on the bare ``rhs`` and is checked once: its error
+    norm is non-finite whenever a stage is, since ``0.0 * inf`` is nan.  A
+    step with a non-finite norm, one whose ``float ** int`` overflows, or
+    one that could cross the step budget is run again through ``guarded``,
+    which checks every evaluation and takes an overflowing one on float64
+    (``_on_floats``), so a failure names the evaluation and the last good
+    time that a check per call names.
+    """
+    if not t1 > t0:
+        raise ValueError("t_span must have t1 > t0")
+    samples = None if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
+    if samples and (samples[0] < t0 or samples[-1] > t1):
+        raise ValueError("t_eval must lie within t_span")
+    nfev, t_last, last_out = 0, t0, None
+
+    def guarded(t, y):
+        nonlocal nfev, t_last, last_out
+        nfev += 1
+        if nfev > cfg.max_steps:
+            raise _failure(
+                f"step budget exhausted ({cfg.max_steps} evaluations)",
+                t_last,
+                order,
+                _largest_rate(layout, last_out),
+            )
+        out = _on_floats(rhs, t, y)
+        if not all(map(math.isfinite, out)):
+            raise _failure(f"non-finite state at t={t:.6g}", t_last, order, _first_non_finite(layout, out))
+        t_last, last_out = t, out
+        return out
+
+    def evaluate(t, y, out):  # _initial_step on a one-cell array
+        out[:, 0] = guarded(float(t[0]), y[:, 0].tolist())
+        return out
+
+    t, y = t0, y0.tolist()
+    f = guarded(t, y)
+    with np.errstate(all="ignore"):
+        h_abs = float(_initial_step(evaluate, t0, t1, y0[:, None], np.array(f)[:, None], cfg.rtol, cfg.atol)[0])
+    step_fn, sample = _dp_kernels(len(y))
+    times, ys, next_sample = ([t0], [y], 0) if samples is None else ([], [], 0)
+    while t < t1:
+        # scipy's rule: a new step is at least 10 spacings of t long; a
+        # retry below that fails
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise _failure(_TOO_SMALL_STEP, t_last, order, _largest_rate(layout, last_out))
+            t_new = min(t + h_abs, t1)
+            step = t_new - t
+            args = (t, t_new, y, f, step, cfg.atol, cfg.rtol)
+            checked = nfev + 6 > cfg.max_steps
+            if not checked:
+                try:
+                    y_new, error, ks = step_fn(rhs, *args)
+                    checked = not math.isfinite(error)
+                except OverflowError:
+                    checked = True
+            if checked:
+                y_new, error, ks = step_fn(guarded, *args)
+            else:
+                nfev += 6
+                t_last, last_out = t_new, ks[6]
+            growth = _SAFETY * error**_ERROR_EXPONENT if error else math.inf
+            if error < 1:
+                h_abs = step * min(1.0 if rejected else _MAX_FACTOR, growth)
+                break
+            h_abs = step * max(_MIN_FACTOR, growth)
+            rejected = True
+
+        if samples is None:
+            times.append(t_new)
+            ys.append(y_new)
+        else:
+            while next_sample < len(samples) and samples[next_sample] <= t_new:
+                times.append(samples[next_sample])
+                ys.append(sample(t, step, y, ks, samples[next_sample]))
+                next_sample += 1
+        t, y, f = t_new, y_new, ks[6]
+    return np.array(times), np.array(ys), nfev
 
 
 class TrajectoryBatch(list):
@@ -439,7 +551,7 @@ def _initial_step(evaluate, t0, t1, y0, f0, rtol, atol):
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),
         np.maximum(1e-6, h0 * 1e-3),
-        (0.01 / np.maximum(d1, d2)) ** (1 / 5),
+        (0.01 / np.fmax(d1, d2)) ** (1 / 5),
     )
     return np.minimum(np.minimum(100 * h0, h1), interval)
 

@@ -114,6 +114,7 @@ class MomentVectorField:
         self.hamiltonian = hamiltonian
         self.positions = {var: i for i, var in enumerate(self.layout)}
         self._compiled = {}
+        self._energy = {}
 
     def expression(self, var) -> MomentPolynomial:
         return self.exprs[self.positions[var]]
@@ -121,30 +122,49 @@ class MomentVectorField:
     def compiled(self, hbar: float):
         """rhs(t, y) callable generated once per hbar value.
 
-        ``y`` is anything indexable by layout slot: the single-state
+        ``y`` is any sequence of one value per layout slot: the single-state
         integrator passes a list of Python floats, the batch integrator a
         list of row arrays (one value per cell).  It returns a list of the
-        derivatives in layout order.
+        derivatives in layout order.  The code unpacks ``y`` into locals
+        once and computes each distinct power once; every term keeps the
+        operand order of ``as_code``, so the bits are those of the
+        ``y[i]**k`` form.
         """
         key = float(hbar)
         fn = self._compiled.get(key)
         if fn is None:
-            body = ",\n        ".join(
-                expr.as_code(self.positions, key) for expr in self.exprs
-            )
-            src = f"def rhs(t, y):\n    return [\n        {body},\n    ]\n"
-            ns = {}
-            exec(src, {"__builtins__": {}}, ns)
-            fn = ns["rhs"]
-            self._compiled[key] = fn
+            fn = self._compiled[key] = self._generate("rhs(t, y)", self.exprs, key)
         return fn
 
     def energy_function(self, hbar: float):
-        expr = self.hamiltonian.moment_polynomial()
-        code = expr.as_code(self.positions, float(hbar))
+        """ham(y) = <H_eff> of a state vector, generated once per hbar value
+        like ``compiled``."""
+        key = float(hbar)
+        fn = self._energy.get(key)
+        if fn is None:
+            fn = self._energy[key] = self._generate("ham(y)", self.hamiltonian.moment_polynomial(), key)
+        return fn
+
+    def _generate(self, signature, exprs, hbar):
+        """``def signature`` returning the value of one MomentPolynomial, or
+        the list of values of a sequence of them."""
+        powers = set()
+
+        def factor(slot, power):
+            powers.add((slot, power))
+            return f"y{slot}" if power == 1 else f"y{slot}_{power}"
+
+        one = isinstance(exprs, MomentPolynomial)
+        codes = [expr.as_code(self.positions, hbar, factor) for expr in ([exprs] if one else exprs)]
+        lines = [f"def {signature}:", "    " + "".join(f"y{i}, " for i in range(len(self.layout))) + "= y"]
+        lines += [f"    y{slot}_{power} = y{slot}**{power}" for slot, power in sorted(powers) if power != 1]
+        if one:
+            lines.append(f"    return {codes[0]}")
+        else:
+            lines.append("    return [\n        " + ",\n        ".join(codes) + ",\n    ]")
         ns = {}
-        exec(f"def ham(y):\n    return {code}\n", {"__builtins__": {}}, ns)
-        return ns["ham"]
+        exec("\n".join(lines) + "\n", {"__builtins__": {}}, ns)
+        return ns[signature.split("(")[0]]
 
 
 def equations_of_motion(h: EffectiveHamiltonian) -> MomentVectorField:

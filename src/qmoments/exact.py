@@ -147,6 +147,10 @@ def mvar(idx) -> tuple:
     return ("D", idx)
 
 
+def _subscript(slot: int, power: int) -> str:
+    return f"y[{slot}]" if power == 1 else f"y[{slot}]**{power}"
+
+
 class MomentPolynomial:
     """Commutative polynomial in q, p, moment symbols and hbar.
 
@@ -353,11 +357,12 @@ class MomentPolynomial:
             total += val
         return total if any_imag else total.real
 
-    def as_code(self, positions: dict, hbar: float) -> str:
+    def as_code(self, positions: dict, hbar: float, factor=None) -> str:
         """Python expression with variables replaced by y[<slot>] lookups.
 
         Coefficients must be real; terms are emitted in sorted key order so
-        generated code is deterministic.
+        generated code is deterministic.  ``factor(slot, power)``, if given,
+        writes a variable's power instead of ``_subscript``.
         """
         parts = []
         for key in sorted(self.terms):
@@ -368,8 +373,7 @@ class MomentPolynomial:
             value = float(c.re) * (hbar**h if h else 1.0)
             factors = [repr(value)]
             for v, power in vars_:
-                ref = f"y[{positions[v]}]"
-                factors.append(ref if power == 1 else f"{ref}**{power}")
+                factors.append((factor or _subscript)(positions[v], power))
             parts.append("*".join(factors))
         return " + ".join(parts) if parts else "0.0"
 

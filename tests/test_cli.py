@@ -371,6 +371,8 @@ def test_sweep_jobs_option_is_gone(tmp_path):
 
 
 def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
+    """Neither a sweep, a bracket table nor a single moment run (harmonic or
+    free) loads scipy."""
     import qmoments
 
     cfg = write_cfg(
@@ -378,6 +380,11 @@ def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
         "s.json",
         {"scenario": "cubic-tunneling", "sweep": {"q0": [0.2], "energy": [1.8]}, "t_span": [0, 10]},
     )
+    short = {"t_span": [0, 0.1], "samples": 2}
+    harmonic = write_cfg(
+        tmp_path, "h.json", {"scenario": "harmonic", "potential": [0, 0, 0.5, 0, 0.05], "order": 5, **short}
+    )
+    free = write_cfg(tmp_path, "f.json", {"scenario": "free", **short})
     script = (
         "import sys\n"
         "from qmoments.cli import main\n"
@@ -386,14 +393,19 @@ def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
         "loaded.append('scipy' in sys.modules)\n"
         "main(['brackets', '--order', '2'])\n"
         "loaded.append('scipy' in sys.modules)\n"
+        f"assert main(['simulate', '--config', {harmonic!r}, '--out-dir', {str(tmp_path / 'h')!r}]) in (0, 1)\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        f"assert main(['simulate', '--config', {free!r}, '--out-dir', {str(tmp_path / 'f')!r}]) in (0, 1)\n"
+        "loaded.append('scipy' in sys.modules)\n"
         "print(loaded)\n"
     )
     src = os.path.dirname(os.path.dirname(qmoments.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[False, False, False]"
+    assert done.stdout.splitlines()[-1] == "[False, False, False, False, False]"
     assert (tmp_path / "out" / "sweep_grid.csv").exists()
+    assert (tmp_path / "h" / "trajectory.csv").exists() and (tmp_path / "f" / "trajectory.csv").exists()
 
 
 def test_sweep_records_unreachable_cells_as_errors(tmp_path):

@@ -324,22 +324,73 @@ def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
 
 
 def test_rhs_on_floats_matches_the_ndarray_call():
-    """The generated field gives the same bits on a list of Python floats
-    as on the ndarray it came from, at every order up to the ceiling."""
+    """The generated field and energy, which unpack y into locals and take
+    each distinct power once, give the bits of an un-hoisted exec of
+    ``as_code`` (y[i]**k in every term), on a list of Python floats and on
+    the ndarray it came from, at every order up to the ceiling."""
     rng = np.random.default_rng(8)
     for coeffs in ([0, 0, 0.5, 0, 0.05], [0, 0, 0.5, -0.1]):
         for order in range(2, 8):
             field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
-            rhs = field.compiled(1.0)
+            rhs, energy = field.compiled(1.0), field.energy_function(1.0)
+            body = ", ".join(expr.as_code(field.positions, 1.0) for expr in field.exprs)
+            ham = field.hamiltonian.moment_polynomial().as_code(field.positions, 1.0)
+            ns = {}
+            exec(f"def rhs(t, y):\n    return [{body}]\ndef ham(y):\n    return {ham}\n", {"__builtins__": {}}, ns)
             for y in rng.uniform(-2.0, 2.0, size=(50, len(field.layout))):
-                on_floats = np.array(rhs(0.0, y.tolist()))
-                on_array = np.array(rhs(0.0, y))
-                assert on_floats.tobytes() == on_array.tobytes(), (coeffs, order)
+                reference = np.array(ns["rhs"](0.0, y)).tobytes()
+                e_reference = np.float64(ns["ham"](y)).tobytes()
+                for arg in (y.tolist(), y):
+                    assert np.array(rhs(0.0, arg)).tobytes() == reference, (coeffs, order)
+                    assert np.array(ns["rhs"](0.0, arg)).tobytes() == reference, (coeffs, order)
+                    assert np.float64(energy(arg)).tobytes() == e_reference, (coeffs, order)
 
 
-def test_scalar_path_matches_an_ndarray_fed_solve_ivp():
-    """integrate's samples and energies have the bytes of a solve_ivp run
-    whose right-hand side is fed the ndarray."""
+@pytest.mark.parametrize("coeffs", [[0, 0, 0.5, 0, 0.05], [0.0, 0.0, 0.5, -0.1]], ids=["quartic", "cubic"])
+def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
+    """One generated Dormand-Prince step on Python floats has the bits of the
+    batch's own arithmetic (_combine, _rms, _dense_output) on a one-cell
+    array: the new state, all seven stages, the error norm and a sample of
+    the quartic."""
+    from qmoments.dynamics import _DP_A, _DP_B, _DP_C, _DP_E, _combine, _dense_output, _dp_kernels, _rms
+
+    rng = np.random.default_rng(17)
+    cfg = IntegratorConfig()
+    for order in range(2, 6):
+        field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
+        rhs = field.compiled(1.0)
+        step, sample = _dp_kernels(len(field.layout))
+
+        def column(t, y):
+            return np.array(rhs(float(t[0]), y[:, 0].tolist()))[:, None]
+
+        for y in rng.uniform(-1.0, 1.0, size=(10, len(field.layout))):
+            t = float(rng.uniform(0.0, 5.0))
+            t_new = t + 0.01
+            h = t_new - t
+            f = rhs(t, y.tolist())
+            y_new, error, ks = step(rhs, t, t_new, y.tolist(), f, h, cfg.atol, cfg.rtol)
+
+            T, H, Y = np.array([t]), np.array([h]), y[:, None]
+            K = np.empty((7,) + Y.shape)
+            K[0] = np.array(f)[:, None]
+            for i in range(1, 6):
+                K[i] = column(T + _DP_C[i] * H, Y + H * _combine(_DP_A[i, :i], K))
+            Y_new = Y + H * _combine(_DP_B, K)
+            K[6] = column(np.array([t_new]), Y_new)
+            scale = cfg.atol + np.maximum(np.abs(Y), np.abs(Y_new)) * cfg.rtol
+            assert np.array(y_new).tobytes() == Y_new[:, 0].tobytes()
+            assert np.array(ks).tobytes() == K[..., 0].tobytes()
+            assert np.array([error]).tobytes() == _rms(H * _combine(_DP_E, K) / scale).tobytes()
+            t_mid = t + 0.37 * h
+            dense = _dense_output(T, H, Y, K)(np.array([t_mid]))
+            assert np.array(sample(t, h, y.tolist(), ks, t_mid)).tobytes() == dense[:, 0].tobytes()
+
+
+def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
+    """A whole run takes scipy RK45's steps up to rounding in the step-size
+    factors: the evaluation count within 5% and the samples within rel 1e-8
+    of solve_ivp, and the end state within rel 1e-8 of a one-cell batch."""
     from scipy.integrate import solve_ivp
 
     field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5))
@@ -356,10 +407,54 @@ def test_scalar_path_matches_an_ndarray_fed_solve_ivp():
         atol=cfg.atol,
         t_eval=t_eval,
     )
-    assert traj.info["nfev"] == ref.nfev
-    assert np.array_equal(traj.ys, ref.y.T)
-    energy_fn = field.energy_function(1.0)
-    assert np.array_equal(traj.energy, [energy_fn(y) for y in ref.y.T])
+    assert abs(traj.info["nfev"] - ref.nfev) <= 0.05 * ref.nfev
+    assert np.array_equal(traj.times, ref.t)
+    size = np.max(np.abs(ref.y), axis=1)
+    assert np.all(np.abs(traj.ys - ref.y.T) <= 1e-8 * size)
+
+    single = integrate(field, state0, (0.0, 2.0), cfg)
+    (batch,) = integrate(field, [state0], (0.0, 2.0), cfg)
+    assert single.times[-1] == batch.times[-1] == 2.0
+    assert np.all(np.abs(single.ys[-1] - batch.ys[-1]) <= 1e-8 * np.abs(batch.ys[-1]))
+
+
+class _Wrapped:
+    """A field whose generated rhs is passed through ``wrap``."""
+
+    def __init__(self, field, wrap):
+        self.layout, self._field, self._wrap = field.layout, field, wrap
+
+    def compiled(self, hbar):
+        return self._wrap(self._field.compiled(hbar))
+
+    def energy_function(self, hbar):
+        return self._field.energy_function(hbar)
+
+
+def test_mid_step_blowup_names_the_evaluation_a_per_call_check_names():
+    """A step whose fourth evaluation is the first non-finite one fails at
+    that evaluation's time, with the evaluation before it as the last good
+    time, as a check of every call in order finds them."""
+    field, state0 = _blowup()
+    calls = []
+
+    def record(rhs):
+        def recorded(t, y):
+            out = rhs(t, y)
+            calls.append((t, all(map(math.isfinite, out))))
+            return out
+
+        return recorded
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(_Wrapped(field, record), state0, (0, 200), IntegratorConfig(rtol=1e-6, atol=1e-9))
+    first_bad = next(i for i, (_, finite) in enumerate(calls) if not finite)
+    # two calls choose the first step, then six per step
+    assert (first_bad - 2) % 6 == 3
+    head, last, order, component = _failure_parts(err.value)
+    assert head == f"non-finite state at t={calls[first_bad][0]:.6g}"
+    assert err.value.last_time == calls[first_bad - 1][0]
+    assert order == 2 and component.removeprefix("first non-finite component ") in _NAMES
 
 
 def test_float_power_overflow_reads_like_float64():
@@ -379,6 +474,43 @@ def test_float_power_overflow_reads_like_float64():
             sextic, init_gaussian(1e52, 0.0, 1.0, order=2), (0, 1e-3), IntegratorConfig(method="rk4")
         )
     assert np.isfinite(traj.ys).all() and np.isinf(traj.energy).all()
+
+
+def test_float_power_overflow_reads_like_float64_in_adaptive_steps():
+    """The adaptive path's twin: a step whose q**3 overflows on floats is
+    redone one checked evaluation at a time, the overflowing one on
+    float64, so the run fails with the message of a run whose field sees
+    only float64 values."""
+    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0, 0, -1.0]), 2))
+    state0 = init_gaussian(1e100, 1.0, 0.5, order=2)
+    cfg = IntegratorConfig(rtol=1e3, atol=1e3)
+    calls, overflows = [], []
+
+    def on_floats(rhs):
+        def call(t, y):
+            calls.append(t)
+            try:
+                return rhs(t, y)
+            except OverflowError:
+                overflows.append(len(calls) - 1)
+                raise
+
+        return call
+
+    def on_float64(rhs):
+        return lambda t, y: rhs(t, np.array(y))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as err:
+            integrate(_Wrapped(field, on_floats), state0, (0, 100), cfg)
+        with pytest.raises(IntegrationError) as ref:
+            integrate(_Wrapped(field, on_float64), state0, (0, 100), cfg)
+    # two calls choose the first step; the overflow is inside a step
+    assert overflows and overflows[0] >= 2
+    assert str(err.value) == str(ref.value) and err.value.last_time == ref.value.last_time
+    head, last, order, component = _failure_parts(err.value)
+    assert head.startswith("non-finite state at t=") and 0 < last
+    assert component == "first non-finite component p"
 
 
 def test_trajectory_requires_increasing_times():
