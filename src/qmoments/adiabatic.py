@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError
+from .dynamics import IntegratorConfig, integrate_one
+from .indices import state_layout
 
 
 class NoEquilibriumError(ValueError):
@@ -119,17 +120,20 @@ def adiabatic_acceleration(model: AdiabaticModel, q: float, qdot: float) -> floa
     return (-dvad - m * slope * curve * qdot**2) / (m * (1.0 + slope**2))
 
 
-def integrate_adiabatic(model: AdiabaticModel, q0, qdot0, t_span, t_eval, rtol=1e-10, atol=1e-12):
-    """Order-0 trajectory q(t); returns (t, q, qdot, qddot, s0(q)) arrays."""
-    from scipy.integrate import solve_ivp
+def integrate_adiabatic(model: AdiabaticModel, q0, qdot0, t_span, t_eval, cfg: IntegratorConfig):
+    """Order-0 trajectory q(t) at ``t_eval``; returns (t, q, qdot) arrays.
+
+    It integrates ``(q, p = m qdot)`` on the moment runs' Dormand-Prince
+    driver, so a failure names ``q`` or ``p`` as theirs do, and the order 2
+    of the truncation whose fluctuation the model slaves.
+    """
+    m = model.mass
 
     def rhs(t, y):
-        return [y[1], adiabatic_acceleration(model, y[0], y[1])]
+        q, p = y
+        return [p / m, m * adiabatic_acceleration(model, q, p / m)]
 
-    sol = solve_ivp(rhs, t_span, [q0, qdot0], method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
-    if sol.status != 0:
-        raise IntegrationError(sol.message, last_time=sol.t[-1] if len(sol.t) else t_span[0])
-    qs, qdots = sol.y
-    qddots = np.array([adiabatic_acceleration(model, q, qd) for q, qd in zip(qs, qdots)])
-    s0s = np.array([s0_of_q(model, q) for q in qs])
-    return sol.t, qs, qdots, qddots, s0s
+    times, ys, _ = integrate_one(
+        rhs, np.array([q0, m * qdot0], dtype=float), t_span, cfg, t_eval, state_layout(2)[:2], 2
+    )
+    return times, ys[:, 0], ys[:, 1] / m

@@ -153,19 +153,15 @@ def init_gaussian(
 
 
 class IntegratorConfig:
-    """method 'rk45' (embedded adaptive 4/5) or 'rk4' (fixed classical)."""
+    """Tolerances and evaluation budget of the Dormand-Prince 5(4) integrator."""
 
-    def __init__(self, method="rk45", rtol=1e-10, atol=1e-13, step=1e-3, max_steps=2_000_000):
-        if method not in ("rk45", "rk4"):
-            raise ValueError("method must be 'rk45' or 'rk4'")
-        if step <= 0 or rtol <= 0 or atol <= 0:
-            raise ValueError("step and tolerances must be positive")
+    def __init__(self, rtol=1e-10, atol=1e-13, max_steps=2_000_000):
+        if rtol <= 0 or atol <= 0:
+            raise ValueError("tolerances must be positive")
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        self.method = method
         self.rtol = float(rtol)
         self.atol = float(atol)
-        self.step = float(step)
         self.max_steps = int(max_steps)
 
 
@@ -243,19 +239,17 @@ def _first_non_finite(layout, values) -> str:
 def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=None):
     """Integrate a moment vector field and record conservation monitors.
 
-    One ``MomentState`` is integrated by ``_integrate_one`` (or the
-    fixed-step method) into a Trajectory, sampled at ``t_eval`` if given:
-    a generated Dormand-Prince 5(4) step on Python floats with scipy RK45's
-    step control, so no scipy is loaded.  A sequence
-    of states, such as the cells of a sweep or the one cell of a tunneling
-    run, is integrated together by ``_integrate_batch`` into a
-    TrajectoryBatch, which stops each cell at an upward zero crossing of
-    ``event``.  One state takes no event, and a batch no ``t_eval``.  The
-    adaptive method keeps the local error below the configured tolerances;
-    a step budget and finite-state checks guard runaway trajectories.  A
-    failure names the last good time, the truncation order and the
-    component at fault.  The fixed-step method records every step and
-    ignores ``t_eval``.
+    One ``MomentState`` is integrated by ``integrate_one`` into a
+    Trajectory, sampled at ``t_eval`` if given: a generated Dormand-Prince
+    5(4) step on Python floats with scipy RK45's step control, so no scipy
+    is loaded.  A sequence of states, such as the cells of a sweep or the
+    one cell of a tunneling run, is integrated together by
+    ``_integrate_batch`` into a TrajectoryBatch, which stops each cell at an
+    upward zero crossing of ``event``.  One state takes no event, and a
+    batch no ``t_eval``.  Both keep the local error below the configured
+    tolerances; a step budget and finite-state checks guard runaway
+    trajectories.  A failure names the last good time, the truncation order
+    and the component at fault.
 
     The single-state path runs on lists of Python floats: they do the same
     IEEE operations in the same order as ``np.float64`` scalars, so the
@@ -270,15 +264,8 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
         raise ValueError("a single state takes no event; an event stops the cells of a batch")
     layout = field.layout
     order = state0.order
-    y0 = state0.to_vector(layout)
     rhs = field.compiled(state0.hbar)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-
-    if cfg.method == "rk4":
-        times, ys = _rk4_fixed(rhs, y0, t0, t1, cfg.step, cfg.max_steps, layout, order)
-        nfev = 4 * (len(times) - 1)
-    else:
-        times, ys, nfev = _integrate_one(rhs, y0, t0, t1, cfg, t_eval, layout, order)
+    times, ys, nfev = integrate_one(rhs, state0.to_vector(layout), t_span, cfg, t_eval, layout, order)
     info = {"status": 0, "nfev": nfev}
 
     energy_fn = field.energy_function(state0.hbar)
@@ -298,37 +285,6 @@ def _on_floats(rhs, t, y):
         return rhs(t, y)
     except OverflowError:
         return rhs(t, np.array(y))
-
-
-def _rk4_fixed(rhs, y0, t0, t1, step, max_steps, layout, order):
-    def f(t, y):
-        return np.array(_on_floats(rhs, t, y.tolist()))
-
-    n = max(1, int(round((t1 - t0) / step)))
-    if 4 * n > max_steps:
-        raise _failure(
-            f"fixed-step plan needs {4*n} evaluations, budget is {max_steps}",
-            t0,
-            order,
-            _largest_rate(layout, f(t0, y0)),
-        )
-    h = (t1 - t0) / n
-    y = np.asarray(y0, dtype=float)
-    times = [t0]
-    ys = [y.copy()]
-    t = t0
-    for _ in range(n):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        if not np.all(np.isfinite(y)):
-            raise _failure(f"non-finite state at t={t:.6g}", t - h, order, _first_non_finite(layout, y))
-        times.append(t)
-        ys.append(y.copy())
-    return np.array(times), np.array(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +327,7 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _EVENT_TOL = 4 * np.finfo(float).eps
 
 
-@functools.lru_cache(maxsize=8)  # orders 2..7 give six state sizes
+@functools.lru_cache(maxsize=8)  # orders 2..7 give six state sizes, (q, p) a seventh
 def _dp_kernels(n):
     """Generated Dormand-Prince step and interpolant on lists of ``n``
     Python floats.
@@ -423,11 +379,13 @@ def _dp_kernels(n):
     return ns["step"], ns["sample"]
 
 
-def _integrate_one(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval, layout, order):
-    """One state by the generated Dormand-Prince step, with the step control
-    of ``_integrate_batch`` (scipy RK45's); returns the times, the states
-    (at ``t_eval`` by the quartic interpolant, else at every step) and the
-    number of evaluations.
+def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order):
+    """The state vector ``y0`` (an array) of ``rhs(t, y)`` by the generated
+    Dormand-Prince step, with the step control of ``_integrate_batch``
+    (scipy RK45's); returns the times, the states (at ``t_eval`` by the
+    quartic interpolant, else at every step) and the number of evaluations.
+    A failure names ``order`` and a component of ``layout``, the slots of
+    the state vector.
 
     A step normally runs on the bare ``rhs`` and is checked once: its error
     norm is non-finite whenever a stage is, since ``0.0 * inf`` is nan.  A
@@ -437,6 +395,7 @@ def _integrate_one(rhs, y0, t0, t1, cfg: IntegratorConfig, t_eval, layout, order
     (``_on_floats``), so a failure names the evaluation and the last good
     time that a check per call names.
     """
+    t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must have t1 > t0")
     samples = None if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
@@ -604,8 +563,6 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     """
     if not states:
         return TrajectoryBatch([], {"nfev": 0})
-    if cfg.method != "rk45":
-        raise ValueError("a batch of states requires the adaptive method")
     layout, first = field.layout, states[0]
     order = first.order
     rhs = field.compiled(first.hbar)

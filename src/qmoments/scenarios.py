@@ -120,15 +120,16 @@ _PACKET = {"q0": 0.0, "p0": 0.0, "sigma": 1.0}
 _CASIMIR = {"casimir": None, "classical_mode": False}
 _SOLVER = {"rtol": 1e-10, "atol": 1e-13, "max_steps": 2_000_000}
 _OUT = {"out_dir": "."}
-# free and harmonic: a packet of any ps0 and Casimir, sampled by either method
+# free and harmonic: a packet of any ps0 and Casimir, sampled at t_eval
 _PACKET_RUN = {
     **_MODEL, **_PACKET, **_CASIMIR, **_SOLVER, **_OUT,
-    "ps0": 0.0, "t_span": [0.0, 10.0], "samples": 201, "method": "rk45", "step": 1e-3, "check_threshold": 1e-8,
+    "ps0": 0.0, "t_span": [0.0, 10.0], "samples": 201, "check_threshold": 1e-8,
 }
 # cubic default: V = q^2/2 - lambda q^3 with lambda = 0.1, giving a classical
 # barrier of height 1/(54 lambda^2) ~ 1.85 at q = 10/3 in hbar = m = 1 units.
 # Documented configuration, not a quoted value.  A run starts at the
-# equilibrium width s0(q0) and records the rk45 steps to the crossing event.
+# equilibrium width s0(q0) and records the integrator's steps to the crossing
+# event.
 _TUNNELING = {
     **_MODEL, **_CASIMIR, **_SOLVER, **_OUT,
     "potential": [0.0, 0.0, 0.5, -0.1], "t_span": [0.0, 60.0], "stop_margin": 0.5,
@@ -166,6 +167,10 @@ _SCENARIO_DEFAULTS = {
         "potential": [0.0, 0.0, 0.5], "x_min": -12.0, "x_max": 12.0, "t_span": [0.0, 2.0], "check_threshold": 1e-4,
     },
 }
+
+# Scenarios whose runs start on, or compare with, the fluctuation equilibrium
+# s0(q) = (C/(m V''(q)))^(1/4), which exists only for a Casimir C > 0.
+_EQUILIBRIUM_SCENARIOS = ("cubic-tunneling", "cubic-tunneling-sweep", "adiabatic-compare")
 
 # Defaults of the ``oracle`` command's scenarios, the choices of its --scenario.
 ORACLE_DEFAULTS = {
@@ -289,10 +294,8 @@ _KEYS = {
         "must be [t0, t1] with t1 > t0",
     ),
     "samples": (lambda n: _is_int(n) and n >= 2, "must be an integer >= 2"),
-    "method": (lambda m: m in ("rk45", "rk4"), "must be 'rk45' or 'rk4'"),
     "rtol": _POSITIVE,
     "atol": _POSITIVE,
-    "step": _POSITIVE,
     "max_steps": (lambda n: _is_int(n) and n > 0, "must be a positive integer"),
     "out_dir": (lambda s: isinstance(s, str), "must be a path string"),
     "potential": (
@@ -342,6 +345,11 @@ def _validate(cfg):
         "casimir",
         "below hbar^2/4 requires classical_mode",
     )
+    _require(
+        cas != 0 or cfg["scenario"] not in _EQUILIBRIUM_SCENARIOS,
+        "casimir",
+        "must be > 0: at 0 there is no fluctuation equilibrium s0(q)",
+    )
     if "grid_points" in cfg:
         # a config with a grid runs the wavefunction oracle, which extracts
         # fewer orders
@@ -355,8 +363,8 @@ def _validate(cfg):
 
 def integrator_config(cfg) -> IntegratorConfig:
     """The config's solver keys; ``IntegratorConfig``'s defaults stand for
-    the keys a scenario lacks (without ``method``, rk45)."""
-    return IntegratorConfig(**{k: cfg[k] for k in ("method", "rtol", "atol", "step", "max_steps") if k in cfg})
+    the keys a scenario lacks."""
+    return IntegratorConfig(**{k: cfg[k] for k in ("rtol", "atol", "max_steps") if k in cfg})
 
 
 def _echo_inputs(cfg) -> dict:
@@ -852,9 +860,7 @@ def adiabatic_compare_run(cfg):
         s_init += delta_s_correction(model, q0, 0.0, adiabatic_acceleration(model, q0, 0.0))
     times = _samples(cfg)
     traj = _trajectory(cfg, _initial_state(cfg, q0, 0.0, s_init), times)
-    _, q_ad, _, _, _ = integrate_adiabatic(
-        model, q0, 0.0, tuple(cfg["t_span"]), times, rtol=cfg["rtol"], atol=cfg["atol"]
-    )
+    _, q_ad, _ = integrate_adiabatic(model, q0, 0.0, cfg["t_span"], times, integrator_config(cfg))
     s_full = np.sqrt(traj.column(_COLUMNS["Delta_q2"]))
     q_full = traj.column(_COLUMNS["q"])
     qdot_full = traj.column(_COLUMNS["p"]) / float(cfg["mass"])

@@ -14,8 +14,10 @@ from qmoments.adiabatic import (
     ds0_dq,
     s0_of_q,
 )
+from qmoments.dynamics import IntegrationError, IntegratorConfig
 from qmoments.effective_hamiltonian import PolynomialPotential
 from qmoments.scenarios import adiabatic_compare_run, resolve_config
+from test_dynamics import _failure_parts
 
 
 def _harmonic(mass=1.0, omega=1.0):
@@ -152,11 +154,57 @@ def test_adiabatic_acceleration_matches_energy_conservation():
 
     pot = PolynomialPotential([0, 0, 0.5, 0, 0.05])
     model = AdiabaticModel(pot, 0.25)
-    t, qs, qdots, _, _ = integrate_adiabatic(
-        model, 0.8, 0.0, (0, 10), np.linspace(0, 10, 101)
+    t, qs, qdots = integrate_adiabatic(
+        model, 0.8, 0.0, (0, 10), np.linspace(0, 10, 101), IntegratorConfig(rtol=1e-10, atol=1e-12)
     )
     energies = [adiabatic_energy(model, q, qd) for q, qd in zip(qs, qdots)]
     assert np.max(np.abs(np.array(energies) - energies[0])) < 1e-9
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.0])
+def test_adiabatic_run_agrees_with_solve_ivp(mass):
+    """The driver's (q, p = m qdot) trajectory against scipy's RK45 on
+    (q, qdot) at the same tolerances."""
+    from scipy.integrate import solve_ivp
+
+    from qmoments.adiabatic import adiabatic_acceleration, integrate_adiabatic
+
+    model = AdiabaticModel(PolynomialPotential([0, 0, 0.5, 0, 0.05], mass=mass), 0.25)
+    times = np.linspace(0, 12, 401)
+    _, qs, qdots = integrate_adiabatic(model, 1.0, 0.0, (0, 12), times, IntegratorConfig())
+    ref = solve_ivp(
+        lambda t, y: [y[1], adiabatic_acceleration(model, y[0], y[1])],
+        (0, 12),
+        [1.0, 0.0],
+        rtol=1e-10,
+        atol=1e-13,
+        t_eval=times,
+    )
+    assert np.max(np.abs(qs - ref.y[0])) < 1e-10
+    assert np.max(np.abs(qdots - ref.y[1])) < 1e-10
+
+
+def test_adiabatic_run_fails_like_a_moment_run():
+    """The adiabatic q(t) runs on the moment runs' driver: its step budget
+    and a blow-up fail with the cause, the last good time, the order and a
+    named component, q or p = m qdot."""
+    from qmoments.adiabatic import integrate_adiabatic
+
+    model = AdiabaticModel(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 0.25)
+    times = np.linspace(0, 10, 11)
+    with pytest.raises(IntegrationError) as err:
+        integrate_adiabatic(model, 0.8, 0.0, (0, 10), times, IntegratorConfig(max_steps=20))
+    head, last, order, component = _failure_parts(err.value)
+    assert head == "step budget exhausted (20 evaluations)"
+    # starting at rest, only p = m qdot moves at first
+    assert 0 < last < 10 and order == 2 and component.endswith(" in p")
+    # far out on the quartic, qdot**2 overflows within the first steps
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+        integrate_adiabatic(model, 1e100, 0.0, (0, 10), times, IntegratorConfig())
+    head, last, order, component = _failure_parts(err.value)
+    t_bad = float(head.removeprefix("non-finite state at t="))
+    assert 0 < last < t_bad and order == 2
+    assert component.removeprefix("first non-finite component ") in ("q", "p")
 
 
 def test_model_validation():

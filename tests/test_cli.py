@@ -371,8 +371,8 @@ def test_sweep_jobs_option_is_gone(tmp_path):
 
 
 def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
-    """Neither a sweep, a bracket table nor a single moment run (harmonic or
-    free) loads scipy."""
+    """Neither a sweep, a bracket table, a single moment run (harmonic or
+    free) nor an adiabatic comparison loads scipy."""
     import qmoments
 
     cfg = write_cfg(
@@ -385,6 +385,7 @@ def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
         tmp_path, "h.json", {"scenario": "harmonic", "potential": [0, 0, 0.5, 0, 0.05], "order": 5, **short}
     )
     free = write_cfg(tmp_path, "f.json", {"scenario": "free", **short})
+    adiabatic = write_cfg(tmp_path, "a.json", {"scenario": "adiabatic-compare", "t_span": [0, 0.5], "samples": 3})
     script = (
         "import sys\n"
         "from qmoments.cli import main\n"
@@ -397,15 +398,18 @@ def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
         "loaded.append('scipy' in sys.modules)\n"
         f"assert main(['simulate', '--config', {free!r}, '--out-dir', {str(tmp_path / 'f')!r}]) in (0, 1)\n"
         "loaded.append('scipy' in sys.modules)\n"
+        f"assert main(['simulate', '--config', {adiabatic!r}, '--out-dir', {str(tmp_path / 'a')!r}]) in (0, 1)\n"
+        "loaded.append('scipy' in sys.modules)\n"
         "print(loaded)\n"
     )
     src = os.path.dirname(os.path.dirname(qmoments.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[False, False, False, False, False]"
+    assert done.stdout.splitlines()[-1] == "[False, False, False, False, False, False]"
     assert (tmp_path / "out" / "sweep_grid.csv").exists()
     assert (tmp_path / "h" / "trajectory.csv").exists() and (tmp_path / "f" / "trajectory.csv").exists()
+    assert (tmp_path / "a" / "adiabatic_compare.csv").exists()
 
 
 def test_sweep_records_unreachable_cells_as_errors(tmp_path):
@@ -429,17 +433,22 @@ def test_sweep_records_unreachable_cells_as_errors(tmp_path):
         assert str(outcome).startswith("energy 1.2 below the rest energy")
 
 
-def test_tunneling_at_zero_casimir_fails_cell_by_cell(tmp_path, capsys):
-    """At C = 0 (classical_mode) no cell has a fluctuation equilibrium: a
-    run fails as a tunneling run, and a sweep records error cells."""
+def test_zero_casimir_is_refused_where_a_run_needs_an_equilibrium(tmp_path, capsys):
+    """At C = 0 (classical_mode) no cell has a fluctuation equilibrium
+    s0(q): a tunneling run and a sweep are refused as configs, with no out
+    dir, while free and harmonic packets still run at C = 0."""
     base = {"scenario": "cubic-tunneling", "classical_mode": True, "casimir": 0}
-    cfg = write_cfg(tmp_path, "c0.json", base)
-    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 3
-    assert "tunneling run failed: the Casimir must be positive" in capsys.readouterr().err
-    cfg = write_cfg(tmp_path, "c0s.json", dict(base, sweep={"q0": [0.2], "energy": [1.0, 1.8]}))
-    assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "sweep")]) == 1
-    lines = (tmp_path / "sweep" / "sweep_grid.csv").read_text().splitlines()[1:]
-    assert [line.split(",")[2] for line in lines] == ["error", "error"]
+    for command, payload in (("simulate", base), ("sweep", dict(base, sweep={"q0": [0.2], "energy": [1.0, 1.8]}))):
+        cfg = write_cfg(tmp_path, f"{command}.json", payload)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: casimir: must be > 0")
+        assert not out.exists()
+    for name in ("free", "harmonic"):
+        cfg = write_cfg(tmp_path, f"{name}.json", dict(base, scenario=name, t_span=[0, 0.1], samples=2))
+        # a run, passed or failed by its own checks, not a refusal
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / name)]) in (0, 1)
+        assert (tmp_path / name / "trajectory.csv").exists()
 
 
 def test_brackets_dump(tmp_path, capsys):
@@ -547,8 +556,12 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         (["simulate"], {"scenario": "brackets-dump", "table_order": 7, "pairs": 2}, "pairs"),
         (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 10**15}, "energy": [1.0]}}, "sweep.q0.count"),
         (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 257}, "energy": {**_RANGE, "count": 256}}}, "sweep"),
-        # keys a scenario's run does not read, or that its solver cannot
-        # honour (rk4 has no crossing event and samples no oracle times)
+        # keys no run reads (the integrator has no method or fixed step)
+        (["simulate"], {"scenario": "free", "method": "rk45"}, "method"),
+        (["simulate"], {"scenario": "harmonic", "method": "rk4"}, "method"),
+        (["simulate"], {"scenario": "free", "step": 1e-3}, "step"),
+        (["simulate"], {"scenario": "harmonic", "step": 1e-3}, "step"),
+        # keys a scenario's run does not read
         (["simulate"], {"scenario": "cubic-tunneling", "method": "rk4"}, "method"),
         (["simulate"], {"scenario": "adiabatic-compare", "method": "rk4"}, "method"),
         (["adiabatic-compare"], {"method": "rk4"}, "method"),
@@ -563,6 +576,9 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         (["simulate"], {"scenario": "brackets-dump", "order": 3}, "order"),
         (["oracle", "--scenario", "free"], {"out_dir": "elsewhere"}, "out_dir"),
         (["oracle", "--scenario", "free"], {"rtol": 0.5}, "rtol"),
+        # no fluctuation equilibrium s0(q) at C = 0
+        (["adiabatic-compare"], {"classical_mode": True, "casimir": 0}, "casimir"),
+        (["simulate"], {"scenario": "adiabatic-compare", "classical_mode": True, "casimir": 0}, "casimir"),
     ],
     ids=[
         "oracle-unknown-key",
@@ -576,6 +592,10 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         "table-over-entry-ceiling",
         "sweep-axis-over-cell-ceiling",
         "sweep-grid-over-cell-ceiling",
+        "free-method",
+        "harmonic-method",
+        "free-step",
+        "harmonic-step",
         "cubic-tunneling-method",
         "adiabatic-compare-method",
         "adiabatic-compare-command-method",
@@ -590,6 +610,8 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         "brackets-dump-order",
         "oracle-out-dir",
         "oracle-rtol",
+        "adiabatic-compare-command-zero-casimir",
+        "adiabatic-compare-zero-casimir",
     ],
 )
 def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, field):
