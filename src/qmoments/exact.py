@@ -3,7 +3,12 @@
 Coefficients live in Q[i] (Gaussian rationals); powers of hbar are kept as
 an explicit grading so a single symbolic table serves any numerical hbar.
 All arithmetic is exact and equality is decidable; i^2 = -1 folds into the
-rational sign.
+rational sign.  Each part of a coefficient is held in canonical form: a
+Python ``int`` when it is integral, a ``Fraction`` only when its denominator
+is not 1.  Nearly every product the bracket oracle makes has integral parts,
+and an int product skips the gcd and ``Fraction.__new__`` of a Fraction one;
+an int prints, converts to float and hashes like the equal Fraction, so
+tables and generated code do not depend on the form.
 """
 
 from __future__ import annotations
@@ -14,13 +19,14 @@ from . import indices
 
 
 class GaussianRational:
-    """Exact complex rational re + i*im with Fraction components."""
+    """Exact complex rational re + i*im; each part is an int when integral,
+    else a Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = _canonical(re)
+        self.im = _canonical(im)
 
     @property
     def is_zero(self) -> bool:
@@ -47,19 +53,20 @@ class GaussianRational:
 
     def __mul__(self, other):
         # Coefficients of the exact algebra are almost always purely real or
-        # purely imaginary; those products take one Fraction product.
-        other = _coerce(other)
+        # purely imaginary; those products take one product of parts.
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
         if not b:
             if not d:
-                return _gr(a * c, _ZERO)
+                return _gr(a * c, 0)
             if not c:
-                return _gr(_ZERO, a * d)
+                return _gr(0, a * d)
         elif not a:
             if not d:
-                return _gr(_ZERO, b * c)
+                return _gr(0, b * c)
             if not c:
-                return _gr(-(b * d), _ZERO)
+                return _gr(-(b * d), 0)
         return _gr(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -99,14 +106,21 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-_ZERO = Fraction(0)
+def _canonical(x):
+    """A part as an int when integral, else as a Fraction."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def _gr(re: Fraction, im: Fraction) -> GaussianRational:
-    """GaussianRational from two Fractions, without __init__'s coercion."""
+def _gr(re, im) -> GaussianRational:
+    """GaussianRational from two int or Fraction parts, without __init__'s
+    coercion; the canonical form is inlined, since every product ends here."""
     z = object.__new__(GaussianRational)
-    z.re = re
-    z.im = im
+    z.re = re if re.__class__ is int or re.denominator != 1 else re.numerator
+    z.im = im if im.__class__ is int or im.denominator != 1 else im.numerator
     return z
 
 

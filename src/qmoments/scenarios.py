@@ -436,7 +436,11 @@ def _drifts(traj) -> dict:
     e0 = traj.energy[0]
     c0 = traj.casimir[0]
     escale = max(abs(e0), 1e-300)
-    cscale = max(abs(c0), 1e-300)
+    # C = Δq²Δp² − Δqp² is a difference of products; at C0 = 0 its drift is
+    # relative to the run's largest product Δq²Δp² instead
+    cscale = max(abs(c0) or float(np.max(np.abs(
+        traj.column(_COLUMNS["Delta_q2"]) * traj.column(_COLUMNS["Delta_p2"])
+    ))), 1e-300)
     return {
         "energy_drift": float(np.max(np.abs(traj.energy - e0)) / escale),
         "casimir_drift": float(np.max(np.abs(traj.casimir - c0)) / cscale),

@@ -387,7 +387,12 @@ def _basic_alpha(pair, npairs, kind):
 
 @lru_cache(maxsize=None)
 def _epoly_pair_bracket(x, y):
-    """{E[x], E[y]} = <[T_x, T_y]>/(i*hbar), linear in the E-coordinates."""
+    """{E[x], E[y]} = <[T_x, T_y]>/(i*hbar), linear in the E-coordinates.
+
+    Only ``x <= y`` takes a commutator; a reversed pair is the negated
+    bracket, made once and then cached too."""
+    if x > y:
+        return -_epoly_pair_bracket(y, x)
     comm = OperatorPoly.monomial(x).commutator(OperatorPoly.monomial(y))
     return MomentPolynomial(
         len(x),
@@ -396,12 +401,6 @@ def _epoly_pair_bracket(x, y):
             for (h, exps), c in comm.divide_ihbar().terms.items()
         },
     )
-
-
-def _pair_bracket_canonical(x, y):
-    if x <= y:
-        return _epoly_pair_bracket(x, y)
-    return -_epoly_pair_bracket(y, x)
 
 
 @lru_cache(maxsize=None)
@@ -457,7 +456,7 @@ def bracket_oracle(m1, m2) -> MomentPolynomial:
     raw = leibniz(
         _index_as_origin_epoly(m1),
         _index_as_origin_epoly(m2),
-        _pair_bracket_canonical,
+        _epoly_pair_bracket,
     )
     terms = {}
     for (h, vars_), c in raw.terms.items():

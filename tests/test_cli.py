@@ -451,6 +451,27 @@ def test_zero_casimir_is_refused_where_a_run_needs_an_equilibrium(tmp_path, caps
         assert (tmp_path / name / "trajectory.csv").exists()
 
 
+def test_zero_casimir_drift_is_relative_to_the_largest_product(tmp_path):
+    """At C0 = 0 the Casimir drift is scaled by the run's largest
+    Delta_q2 * Delta_p2: a harmonic packet's rounding-level drift passes its
+    check, and a free packet, whose C stays exactly 0, reports 0."""
+    base = {"classical_mode": True, "casimir": 0, "t_span": [0, 0.1], "samples": 2}
+    for name in ("harmonic", "free"):
+        cfg = write_cfg(tmp_path, f"{name}.json", dict(base, scenario=name))
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+        drift = json.loads((out / "summary.json").read_text())["monitors"]["casimir_drift"]
+        cols = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+        c = cols["casimir"]
+        assert c[0] == 0
+        if name == "free":
+            assert drift == 0
+        else:
+            scale = np.max(np.abs(cols["Delta_q2"] * cols["Delta_p2"]))
+            assert 0 < drift == pytest.approx(np.max(np.abs(c)) / scale, rel=1e-12)
+            assert drift < 1e-9
+
+
 def test_brackets_dump(tmp_path, capsys):
     out = tmp_path / "br.json"
     assert main(["brackets", "--order", "2", "--pairs", "1", "--out", str(out)]) == 0
@@ -461,12 +482,13 @@ def test_brackets_dump(tmp_path, capsys):
     # stdout variant
     assert main(["brackets", "--order", "2", "--pairs", "1"]) == 0
     assert '"entries"' in capsys.readouterr().out
-    # the exact bytes of larger dumps: the benchmark's two tables and the
-    # largest table on one pair and on two
+    # the exact bytes of larger dumps: the benchmark's two tables, order 6
+    # and the largest table on one pair and on two
     for args, digest in [
         (["--order", "4"], "caed983d76a933bebe203c3bb2534dffd08e23fad8e66b1b97dadb23b2ea13c9"),
         (["--order", "2", "--pairs", "2"], "8999c0a2264e4f4d0a422eecbf98e1c5ac10c545d670a0a498b7a1d5cdbba062"),
         (["--order", "5"], "6c62fab1d4774215bcb5800114632454f6bd38f96f6d96c2bb05bbb93cf6bfea"),
+        (["--order", "6"], "fec24a70ab036dbc4509c4416b8afe394b09a7a0716cec0dde5f333414d30c55"),
         (["--order", "3", "--pairs", "2"], "d0992501bb091609ce31bbe3c39bac7fde66d4ea7a010b6489c93db5cd070854"),
         (["--order", "7"], "1549f561c6722eae668a0fbd61dde2c0b2a1d6eb191f381171fb2c0a14baf8c3"),
         (["--order", "4", "--pairs", "2"], "e91b0f621bb996ad1839480b4e767ce9fa1fd0c023714e34b6c09bff73669e46"),

@@ -11,10 +11,11 @@ import pytest
 from qmoments import indices
 from qmoments.exact import GaussianRational, MomentPolynomial, leibniz
 from qmoments.indices import single
+from qmoments.moment_algebra import build_bracket_table
 from qmoments.weyl_algebra import (
     OperatorPoly,
+    _epoly_pair_bracket,
     _index_as_epoly,
-    _pair_bracket_canonical,
     bracket_oracle,
     expectation,
     weyl_monomial,
@@ -24,6 +25,12 @@ from qmoments.weyl_algebra import (
 
 def GR(re, im=0):
     return GaussianRational(re, im)
+
+
+def canonical(part) -> bool:
+    """A coefficient part in canonical form: an int, or a Fraction whose
+    denominator is not 1."""
+    return type(part) is int or (type(part) is Fraction and part.denominator != 1)
 
 
 def test_multiply_already_ordered():
@@ -74,18 +81,25 @@ def test_multiply_associative_randomized():
 
 def test_gaussian_rational_arithmetic_matches_the_pair_formulas():
     """Every zero/nonzero pattern of the operands' real and imaginary parts,
-    with mixed signs, gives exactly the (re, im) reference formulas."""
+    with mixed signs and integral or fractional values, gives exactly the
+    (re, im) reference formulas, with every part in canonical form: an int,
+    or a Fraction whose denominator is not 1."""
     rng = random.Random(11)
 
     def part(nonzero):
         if not nonzero:
-            return Fraction(0)
-        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            return rng.choice((0, Fraction(0)))
+        n = rng.choice((-1, 1)) * rng.randint(1, 9)
+        # Fraction(n, d) is integral for some draws, e.g. 4/2
+        return rng.choice((n, Fraction(n, rng.randint(2, 9))))
 
+    integral = set()
     for pattern in itertools.product((False, True), repeat=4):
         for _ in range(10):
             a, b, c, d = (part(nonzero) for nonzero in pattern)
             x, y = GR(a, b), GR(c, d)
+            if a and c:
+                integral.add((type(x.re) is int, type(y.re) is int))
             for got, want in [
                 (x * y, (a * c - b * d, a * d + b * c)),
                 (x + y, (a + c, b + d)),
@@ -97,7 +111,9 @@ def test_gaussian_rational_arithmetic_matches_the_pair_formulas():
                 (x.mul_ipow(3), (b, -a)),
             ]:
                 assert (got.re, got.im) == want, (pattern, a, b, c, d)
-                assert type(got.re) is Fraction and type(got.im) is Fraction
+                assert canonical(got.re) and canonical(got.im)
+    # int x int, int x Fraction and Fraction x Fraction products all occur
+    assert integral == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_gaussian_rational_hashes_like_an_equal_number():
@@ -106,6 +122,20 @@ def test_gaussian_rational_hashes_like_an_equal_number():
     assert hash(GR(Fraction(-3, 4))) == hash(Fraction(-3, 4))
     assert {GR(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
     assert hash(GR(1, 2)) == hash(GR(Fraction(2, 2), 2))
+    two = GR(Fraction(4, 2))
+    assert type(two.re) is int and two.re == 2 and hash(two) == hash(2)
+
+
+def test_bracket_table_coefficients_are_canonical():
+    """Every coefficient part of a two-pair table is an int or a proper
+    Fraction, and the oracle is antisymmetric on every single-pair index
+    pair of order <= 4, which runs the cached reversed pair brackets."""
+    for poly in build_bracket_table(3, 2).entries.values():
+        for c in poly.terms.values():
+            assert canonical(c.re) and canonical(c.im), poly
+    idxs = indices.iter_indices(4, 1, min_order=1)
+    for m1, m2 in itertools.combinations(idxs, 2):
+        assert bracket_oracle(m2, m1) == -bracket_oracle(m1, m2), (m1, m2)
 
 
 def test_weyl_symmetrize_covariance():
@@ -305,7 +335,7 @@ def _epoly_to_moments(e: MomentPolynomial, npairs: int) -> MomentPolynomial:
 
 
 def _full_expansion_bracket(m1, m2) -> MomentPolynomial:
-    raw = leibniz(_index_as_epoly(m1), _index_as_epoly(m2), _pair_bracket_canonical)
+    raw = leibniz(_index_as_epoly(m1), _index_as_epoly(m2), _epoly_pair_bracket)
     return _epoly_to_moments(raw, len(m1))
 
 
