@@ -117,7 +117,9 @@ def adiabatic_acceleration(model: AdiabaticModel, q: float, qdot: float) -> floa
     dvad = model.potential.value(q, 1) + 0.5 * model.potential.value(q, 3) * math.sqrt(
         model.casimir / (m * _vpp(model, q))
     )
-    return (-dvad - m * slope * curve * qdot**2) / (m * (1.0 + slope**2))
+    # products, not **: far out a float product overflows to inf, where
+    # float ** raises OverflowError
+    return (-dvad - m * slope * curve * (qdot * qdot)) / (m * (1.0 + slope * slope))
 
 
 def integrate_adiabatic(model: AdiabaticModel, q0, qdot0, t_span, t_eval, cfg: IntegratorConfig):

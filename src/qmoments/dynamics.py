@@ -243,48 +243,34 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     Trajectory, sampled at ``t_eval`` if given: a generated Dormand-Prince
     5(4) step on Python floats with scipy RK45's step control, so no scipy
     is loaded.  A sequence of states, such as the cells of a sweep or the
-    one cell of a tunneling run, is integrated together by
-    ``_integrate_batch`` into a TrajectoryBatch, which stops each cell at an
-    upward zero crossing of ``event``.  One state takes no event, and a
-    batch no ``t_eval``.  Both keep the local error below the configured
-    tolerances; a step budget and finite-state checks guard runaway
-    trajectories.  A failure names the last good time, the truncation order
-    and the component at fault.
+    one cell of a tunneling run, is integrated into a TrajectoryBatch that
+    stops each cell at an upward zero crossing of ``event``: up to
+    ``_MAX_FLOAT_CELLS`` states one at a time by ``integrate_one``
+    (``_integrate_cells``), more together on row arrays
+    (``_integrate_batch``), with the same bytes either way.  One state
+    takes no event, and a batch no ``t_eval``.  Both keep the local error
+    below the configured tolerances; a step budget and finite-state checks
+    guard runaway trajectories.  A failure names the last good time, the
+    truncation order and the component at fault.
 
-    The single-state path runs on lists of Python floats: they do the same
-    IEEE operations in the same order as ``np.float64`` scalars, so the
-    bytes are the same, and indexing a list and adding floats is several
-    times faster.
+    Python floats do the same IEEE operations in the same order as
+    ``np.float64`` scalars and as each cell of a row array, so the bytes
+    are the same, and indexing a list and adding floats is several times
+    faster than a numpy call on a few cells.
     """
     if not isinstance(state0, MomentState):
         if t_eval is not None:
             raise ValueError("a batch of states records its own steps; t_eval is not supported")
-        return _integrate_batch(field, list(state0), t_span, cfg, event)
+        states = list(state0)
+        run = _integrate_cells if len(states) <= _MAX_FLOAT_CELLS else _integrate_batch
+        return run(field, states, t_span, cfg, event)
     if event is not None:
         raise ValueError("a single state takes no event; an event stops the cells of a batch")
     layout = field.layout
-    order = state0.order
     rhs = field.compiled(state0.hbar)
-    times, ys, nfev = integrate_one(rhs, state0.to_vector(layout), t_span, cfg, t_eval, layout, order)
-    info = {"status": 0, "nfev": nfev}
-
-    energy_fn = field.energy_function(state0.hbar)
-    try:
-        energy = np.array([energy_fn(y) for y in ys.tolist()])
-    except OverflowError:  # see _on_floats
-        energy = np.array([energy_fn(y) for y in ys])
-    return Trajectory(times, ys, layout, state0.hbar, order, state0.classical_mode, energy, info)
-
-
-def _on_floats(rhs, t, y):
-    """rhs(t, y) on a list ``y`` of Python floats, which do the IEEE
-    operations of ``np.float64`` in the same order; ``float ** int`` raises
-    OverflowError where float64 gives inf, so only then is the call made on
-    the float64 values."""
-    try:
-        return rhs(t, y)
-    except OverflowError:
-        return rhs(t, np.array(y))
+    times, ys, info = integrate_one(rhs, state0.to_vector(layout), t_span, cfg, t_eval, layout, state0.order)
+    energy = field.energy_function(state0.hbar)(ys.T)
+    return Trajectory(times, ys, layout, state0.hbar, state0.order, state0.classical_mode, energy, info)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +310,14 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # scipy locates events with brentq at xtol = rtol = 4 EPS
-_EVENT_TOL = 4 * np.finfo(float).eps
+_EVENT_TOL = 4 * math.ulp(1.0)
+# A batch of up to this many cells runs one cell at a time on Python floats.
+# A step of one cell costs about 18 us there; a step on row arrays costs
+# some 250 numpy calls of fixed overhead, about 395 us for 4x4 cells.  On a
+# 2-core VM, integrating criterion 07's ranges at order 2 on floats against
+# arrays takes 0.10 s against 0.20 s for 4x4 cells, 0.42 s against 0.41 s
+# for 8x8 and 5.8 s against 0.82 s for 32x32.
+_MAX_FLOAT_CELLS = 32
 
 
 @functools.lru_cache(maxsize=8)  # orders 2..7 give six state sizes, (q, p) a seventh
@@ -335,12 +328,13 @@ def _dp_kernels(n):
     ``step(rhs, t, t_new, y, f, h, atol, rtol)`` takes the step of size
     ``h = t_new - t`` from ``y`` with ``f = rhs(t, y)`` and returns
     ``(y_new, error norm, the seven stages)``, the last stage being
-    ``rhs(t_new, y_new)``.  ``sample(t_old, h, y_old, ks, t)`` is the
-    step's quartic at ``t``.  Every stage sum is written term by term in
-    stage order, zero coefficients kept, as ``_combine`` reduces it, the
-    norm adds the squares as ``_rms`` does and the quartic takes its powers
-    as ``_dense_output`` does, so both have the bits of the batch
-    arithmetic on a one-cell array.
+    ``rhs(t_new, y_new)``.  ``dense(t_old, h, y_old, ks)`` returns the
+    step's quartic as a function of ``t``.  Every stage sum is written term
+    by term in stage order, zero coefficients kept, as ``_combine`` reduces
+    it, and the norm adds the squares as ``_rms`` does, so the step has the
+    bits of the batch arithmetic on a one-cell array.  The quartic takes the
+    powers of its variable by products, as scipy's RkDenseOutput does; the
+    batch locates each cell's event crossing on it too.
     """
     comps = range(n)
 
@@ -366,34 +360,42 @@ def _dp_kernels(n):
     squares = " + ".join(f"e{i}*e{i}" for i in comps)
     step.append(f"    return [{listed('n')}], sqrt({squares})/{n ** 0.5!r}, (f, k1, k2, k3, k4, k5, k6)")
 
-    sample = [
-        "def sample(t_old, h, y, ks, t):",
+    dense = [
+        "def dense(t_old, h, y, ks):",
         f"    {listed('y')}, = y",
         f"    {', '.join(f'({names})' for names in stages)} = ks",
-        "    x1 = (t - t_old)/h; x2 = x1*x1; x3 = x2*x1; x4 = x3*x1",
     ]
-    quartic = [" + ".join(f"({stage_sum(column, i)})*x{p + 1}" for p, column in enumerate(_DP_P.T)) for i in comps]
-    sample.append(f"    return [{', '.join(f'y{i} + h*({q})' for i, q in zip(comps, quartic))}]")
+    dense += [f"    q{p}_{i} = {stage_sum(column, i)}" for p, column in enumerate(_DP_P.T) for i in comps]
+    quartic = ", ".join(f"y{i} + h*(q0_{i}*x1 + q1_{i}*x2 + q2_{i}*x3 + q3_{i}*x4)" for i in comps)
+    dense += [
+        "    def at(t):",
+        "        x1 = (t - t_old)/h; x2 = x1*x1; x3 = x2*x1; x4 = x3*x1",
+        f"        return [{quartic}]",
+        "    return at",
+    ]
     ns = {}
-    exec("\n".join(step + sample) + "\n", {"__builtins__": {}, "sqrt": math.sqrt}, ns)
-    return ns["step"], ns["sample"]
+    exec("\n".join(step + dense) + "\n", {"__builtins__": {}, "sqrt": math.sqrt}, ns)
+    return ns["step"], ns["dense"]
 
 
-def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order):
+def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order, event=None):
     """The state vector ``y0`` (an array) of ``rhs(t, y)`` by the generated
     Dormand-Prince step, with the step control of ``_integrate_batch``
     (scipy RK45's); returns the times, the states (at ``t_eval`` by the
-    quartic interpolant, else at every step) and the number of evaluations.
-    A failure names ``order`` and a component of ``layout``, the slots of
-    the state vector.
+    quartic interpolant, else at every step) and the info ``{"status",
+    "nfev"}`` of a Trajectory.  A failure names ``order`` and a component of
+    ``layout``, the slots of the state vector.
+
+    ``event(t, y)``, with ``t_eval`` None, ends the run as it ends a cell of
+    ``_integrate_batch``: at an accepted step with ``g <= 0 <= g_new`` the
+    last state is the step's quartic at the root, and the status is 1.
 
     A step normally runs on the bare ``rhs`` and is checked once: its error
     norm is non-finite whenever a stage is, since ``0.0 * inf`` is nan.  A
-    step with a non-finite norm, one whose ``float ** int`` overflows, or
-    one that could cross the step budget is run again through ``guarded``,
-    which checks every evaluation and takes an overflowing one on float64
-    (``_on_floats``), so a failure names the evaluation and the last good
-    time that a check per call names.
+    step with a non-finite norm, or one that could cross the step budget, is
+    run again through ``guarded``, which checks every evaluation, so a
+    failure names the evaluation and the last good time that a check per
+    call names.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -413,7 +415,7 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order)
                 order,
                 _largest_rate(layout, last_out),
             )
-        out = _on_floats(rhs, t, y)
+        out = rhs(t, y)
         if not all(map(math.isfinite, out)):
             raise _failure(f"non-finite state at t={t:.6g}", t_last, order, _first_non_finite(layout, out))
         t_last, last_out = t, out
@@ -427,8 +429,9 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order)
     f = guarded(t, y)
     with np.errstate(all="ignore"):
         h_abs = float(_initial_step(evaluate, t0, t1, y0[:, None], np.array(f)[:, None], cfg.rtol, cfg.atol)[0])
-    step_fn, sample = _dp_kernels(len(y))
+    step_fn, dense = _dp_kernels(len(y))
     times, ys, next_sample = ([t0], [y], 0) if samples is None else ([], [], 0)
+    g, status = event(t, y) if event else 0.0, 0
     while t < t1:
         # scipy's rule: a new step is at least 10 spacings of t long; a
         # retry below that fails
@@ -443,11 +446,8 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order)
             args = (t, t_new, y, f, step, cfg.atol, cfg.rtol)
             checked = nfev + 6 > cfg.max_steps
             if not checked:
-                try:
-                    y_new, error, ks = step_fn(rhs, *args)
-                    checked = not math.isfinite(error)
-                except OverflowError:
-                    checked = True
+                y_new, error, ks = step_fn(rhs, *args)
+                checked = not math.isfinite(error)
             if checked:
                 y_new, error, ks = step_fn(guarded, *args)
             else:
@@ -460,22 +460,32 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order)
             h_abs = step * max(_MIN_FACTOR, growth)
             rejected = True
 
+        if event:
+            g_new = event(t_new, y_new)
+            if g <= 0 <= g_new:
+                at = dense(t, step, y, ks)
+                root = _event_root(event, at, t, t_new, g, g_new)
+                times.append(root)
+                ys.append(at(root))
+                status = 1
+                break
+            g = g_new
         if samples is None:
             times.append(t_new)
             ys.append(y_new)
         else:
             while next_sample < len(samples) and samples[next_sample] <= t_new:
                 times.append(samples[next_sample])
-                ys.append(sample(t, step, y, ks, samples[next_sample]))
+                ys.append(dense(t, step, y, ks)(samples[next_sample]))
                 next_sample += 1
         t, y, f = t_new, y_new, ks[6]
-    return np.array(times), np.array(ys), nfev
+    return np.array(times), np.array(ys), {"status": status, "nfev": nfev}
 
 
 class TrajectoryBatch(list):
     """Results of one batched integration, in input order: a Trajectory
     per state, or the IntegrationError that stopped it.  ``info["nfev"]``
-    counts the batched right-hand-side calls."""
+    counts the right-hand-side calls, each on one cell or on a batch."""
 
     def __init__(self, results, info):
         super().__init__(results)
@@ -510,41 +520,54 @@ def _initial_step(evaluate, t0, t1, y0, f0, rtol, atol):
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),
         np.maximum(1e-6, h0 * 1e-3),
-        (0.01 / np.fmax(d1, d2)) ** (1 / 5),
+        # libm's pow, as Python floats take it: numpy's array ** differs
+        # from it in the last bit for some inputs
+        [x ** (1 / 5) for x in (0.01 / np.fmax(d1, d2)).tolist()],
     )
     return np.minimum(np.minimum(100 * h0, h1), interval)
 
 
-def _dense_output(t_old, step, y_old, ks):
-    """Quartic interpolant of one step per cell, as scipy's RkDenseOutput."""
-    q = [_combine(column, ks) for column in _DP_P.T]
-
-    def interp(t):
-        x = (t - t_old) / step
-        power = x
-        total = q[0] * power
-        for qk in q[1:]:
-            power = power * x
-            total += qk * power
-        return y_old + step * total
-
-    return interp
-
-
-def _event_root(event, interp, lo, hi, g_lo, g_hi):
-    """Bisect event(t, interp(t)) = 0 on [lo, hi] per cell, to the width
+def _event_root(event, at, lo, hi, g_lo, g_hi):
+    """Root of an upward crossing of ``event(t, at(t))`` on ``[lo, hi]``,
+    where ``g_lo <= 0 <= g_hi``, on Python floats: bisected to the width
     4 EPS (1 + |t|) of scipy's brentq; an endpoint where the event is 0 is
     the root, the lower one first."""
-    active = (g_lo != 0) & (g_hi != 0)
-    while True:
-        active &= hi - lo >= _EVENT_TOL * (1 + np.abs(hi))
-        if not active.any():
-            return np.where(g_lo == 0, lo, hi)
-        mid = lo + 0.5 * (hi - lo)
-        g_mid = event(mid, interp(mid))
-        right = active & (np.sign(g_mid) == np.sign(g_lo))
-        lo, g_lo = np.where(right, mid, lo), np.where(right, g_mid, g_lo)
-        hi = np.where(active & ~right, mid, hi)
+    if g_lo != 0 and g_hi != 0:
+        while hi - lo >= _EVENT_TOL * (1 + abs(hi)):
+            mid = lo + 0.5 * (hi - lo)
+            # the event stays below 0 at lo; a nan moves hi
+            if event(mid, at(mid)) < 0:
+                lo = mid
+            else:
+                hi = mid
+    return lo if g_lo == 0 else hi
+
+
+def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event) -> TrajectoryBatch:
+    """``_integrate_batch`` one cell at a time by ``integrate_one``, with the
+    same bytes in every result; ``info["nfev"]`` counts the right-hand-side
+    calls of all cells."""
+    if not states:
+        return TrajectoryBatch([], {"nfev": 0})
+    layout, first = field.layout, states[0]
+    rhs, energy_fn = field.compiled(first.hbar), field.energy_function(first.hbar)
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return rhs(t, y)
+
+    results = []
+    for state in states:
+        try:
+            times, ys, info = integrate_one(counted, state.to_vector(layout), t_span, cfg, None, layout, first.order, event)
+        except IntegrationError as err:
+            results.append(err)
+            continue
+        energy = energy_fn(ys.T)
+        results.append(Trajectory(times, ys, layout, state.hbar, state.order, state.classical_mode, energy, info))
+    return TrajectoryBatch(results, {"nfev": calls})
 
 
 def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> TrajectoryBatch:
@@ -552,20 +575,22 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     control cell by cell.
 
     ``event(t, y)``, if given, maps the times and states of the active cells
-    to one value per cell; an accepted step over which it crosses zero
-    upward ends that cell at the root, with ``info["status"]`` 1, as a
-    terminal upward event ends scipy's RK45.  Every cell has its own step
+    to one value per cell, and the time and list of floats of one cell to
+    its value; an accepted step over which it crosses zero upward ends that
+    cell at the root, with ``info["status"]`` 1, as a terminal upward event
+    ends scipy's RK45.  Every cell has its own step
     size, rejection rule, step budget, finiteness check and event, and
     leaves the active set when it reaches t1, crosses the event or fails;
     the rest carry on.  All arithmetic is elementwise or summed in a fixed
     order, so a cell's trajectory has the same bytes in a batch of any
-    size, a batch of one included.
+    size, a batch of one included, and in ``_integrate_cells``.
     """
     if not states:
         return TrajectoryBatch([], {"nfev": 0})
     layout, first = field.layout, states[0]
     order = first.order
     rhs = field.compiled(first.hbar)
+    dense = _dp_kernels(len(layout))[1]
     t0, t1 = float(t_span[0]), float(t_span[1])
     n = len(states)
     results = [None] * n
@@ -634,8 +659,9 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
             error = _rms(step * _combine(_DP_E, ks) / scale)
             # error 0 gives an infinite growth, capped like any other; no
-            # growth in a step that had a rejection
-            growth = _SAFETY * error**_ERROR_EXPONENT
+            # growth in a step that had a rejection.  Each cell's power is
+            # libm's, as in integrate_one (see _initial_step).
+            growth = np.array([_SAFETY * e**_ERROR_EXPONENT if e else math.inf for e in error.tolist()])
             accepted = (error < 1) & ~dead
             cap = np.where(fresh, _MAX_FACTOR, 1.0)
             h = step * np.where(accepted, np.minimum(cap, growth), np.maximum(_MIN_FACTOR, growth))
@@ -648,11 +674,11 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
                 g_new = event(t_new, y_new)
                 stopped = accepted & (g <= 0) & (g_new >= 0)
                 if stopped.any():
-                    sel = np.flatnonzero(stopped)
-                    interp = _dense_output(t[sel], step[sel], y[:, sel], ks[..., sel])
-                    root = _event_root(event, interp, t[sel], t_new[sel], g[sel], g_new[sel])
                     t_rec, y_rec = t_new.copy(), y_new.copy()
-                    t_rec[sel], y_rec[:, sel] = root, interp(root)
+                    for j in np.flatnonzero(stopped).tolist():
+                        at = dense(*(a[..., j].tolist() for a in (t, step, y, ks)))
+                        root = _event_root(event, at, *(a[j].item() for a in (t, t_new, g, g_new)))
+                        t_rec[j], y_rec[:, j] = root, at(root)
                 g = np.where(accepted, g_new, g)
 
             if accepted.all():

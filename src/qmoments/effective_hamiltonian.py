@@ -126,9 +126,9 @@ class MomentVectorField:
         integrator passes a list of Python floats, the batch integrator a
         list of row arrays (one value per cell).  It returns a list of the
         derivatives in layout order.  The code unpacks ``y`` into locals
-        once and computes each distinct power once; every term keeps the
-        operand order of ``as_code``, so the bits are those of the
-        ``y[i]**k`` form.
+        once and computes each power once, as a product, never by ``**``;
+        every term keeps the operand order of ``as_code``, so the bits are
+        those of its ``(y[i]*y[i]*...)`` form, on floats and on arrays alike.
         """
         key = float(hbar)
         fn = self._compiled.get(key)
@@ -148,16 +148,24 @@ class MomentVectorField:
     def _generate(self, signature, exprs, hbar):
         """``def signature`` returning the value of one MomentPolynomial, or
         the list of values of a sequence of them."""
-        powers = set()
+        top = {}  # the highest power of each slot
+
+        def name(slot, power):
+            return f"y{slot}" if power == 1 else f"y{slot}_{power}"
 
         def factor(slot, power):
-            powers.add((slot, power))
-            return f"y{slot}" if power == 1 else f"y{slot}_{power}"
+            top[slot] = max(power, top.get(slot, 1))
+            return name(slot, power)
 
         one = isinstance(exprs, MomentPolynomial)
         codes = [expr.as_code(self.positions, hbar, factor) for expr in ([exprs] if one else exprs)]
         lines = [f"def {signature}:", "    " + "".join(f"y{i}, " for i in range(len(self.layout))) + "= y"]
-        lines += [f"    y{slot}_{power} = y{slot}**{power}" for slot, power in sorted(powers) if power != 1]
+        # y_k = y_(k-1)*y: the left-associated product that as_code writes
+        lines += [
+            f"    {name(slot, k)} = {name(slot, k - 1)}*y{slot}"
+            for slot in sorted(top)
+            for k in range(2, top[slot] + 1)
+        ]
         if one:
             lines.append(f"    return {codes[0]}")
         else:

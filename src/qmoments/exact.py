@@ -162,7 +162,9 @@ def mvar(idx) -> tuple:
 
 
 def _subscript(slot: int, power: int) -> str:
-    return f"y[{slot}]" if power == 1 else f"y[{slot}]**{power}"
+    """y[slot], or its power as a left-associated product: numpy's array
+    ``**`` and libm's ``pow`` part in the last bit, a product does not."""
+    return f"y[{slot}]" if power == 1 else "(" + "*".join([f"y[{slot}]"] * power) + ")"
 
 
 class MomentPolynomial:

@@ -510,8 +510,8 @@ def _tunneling_start(cfg, energy_fn, q0: float, energy: float):
     width s0(q0) at q0, with the momentum that gives it the requested
     energy.  Raises NoEquilibriumError or ValueError if there is none.
 
-    The rest energy is ``energy_fn`` on the state's ndarray: far out on the
-    potential it overflows to inf, where Python floats raise OverflowError.
+    The rest energy is ``energy_fn`` on the state's ndarray; far out on the
+    potential it overflows to inf.
     """
     field = moment_field(cfg)
     s0 = s0_of_q(AdiabaticModel(field.hamiltonian.potential, _casimir(cfg)), q0)

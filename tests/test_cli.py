@@ -290,7 +290,11 @@ def test_tunneling_run_is_its_one_cell_sweep(tmp_path, order):
 @pytest.mark.parametrize("order", [2, 3])
 def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, order):
     """Every row of a 2x4 grid has the same bytes when its cells run as
-    one-cell sweeps, as a 1x4 row sweep and in the full grid."""
+    one-cell sweeps, as a 1x4 row sweep and in the full grid; so does every
+    row of a grid of more than _MAX_FLOAT_CELLS cells, which runs on row
+    arrays, and its one-cell sweeps, which run on Python floats."""
+    from qmoments.dynamics import _MAX_FLOAT_CELLS
+
     q0s, energies = [0.15, 0.25], [0.9, 1.2, 1.5, 1.8]
     base = {"scenario": "cubic-tunneling-sweep", "order": order, "t_span": [0.0, 30.0]}
 
@@ -307,6 +311,12 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, order):
         assert grid_rows(f"row{i}", [q0], energies) == row
         for j, energy in enumerate(energies):
             assert grid_rows(f"cell{i}{j}", [q0], [energy]) == [row[j]]
+
+    q0s, energies = [0.05, 0.2, 0.35, 0.5, 0.6], [0.6, 0.8, 0.95, 1.1, 1.25, 1.4, 1.6, 1.8]
+    large = grid_rows("large", q0s, energies)
+    assert len(large) > _MAX_FLOAT_CELLS
+    cells = [(q0, energy) for q0 in q0s for energy in energies]
+    assert [grid_rows(f"large{k}", [q0], [energy])[0] for k, (q0, energy) in enumerate(cells)] == large
 
 
 def test_sweep_matches_the_scipy_path_cell_by_cell():

@@ -237,8 +237,8 @@ def test_batch_tableau_is_scipy_rk45():
 
 
 def test_batch_failures_read_like_the_scalar_ones():
-    """A one-state batch fails with the message the scipy path gives, up to
-    rounding in the reported times."""
+    """A one-state batch fails with the message, and at the last good time,
+    of the single-state path."""
     field, state0 = _blowup()
     free_h, free_field = _free_field()
     free0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
@@ -252,7 +252,7 @@ def test_batch_failures_read_like_the_scalar_ones():
         assert isinstance(batch_err, IntegrationError)
         ours, theirs = _failure_parts(batch_err), _failure_parts(err.value)
         assert ours[0].split("=")[0] == theirs[0].split("=")[0]
-        assert ours[1] == pytest.approx(theirs[1], rel=1e-3)
+        assert ours[1] == theirs[1] and batch_err.last_time == err.value.last_time
         assert ours[2:] == theirs[2:]
 
 
@@ -291,8 +291,8 @@ def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
 def test_rhs_on_floats_matches_the_ndarray_call():
     """The generated field and energy, which unpack y into locals and take
     each distinct power once, give the bits of an un-hoisted exec of
-    ``as_code`` (y[i]**k in every term), on a list of Python floats and on
-    the ndarray it came from, at every order up to the ceiling."""
+    ``as_code`` ((y[i]*y[i]*...) in every term), on a list of Python floats
+    and on the ndarray it came from, at every order up to the ceiling."""
     rng = np.random.default_rng(8)
     for coeffs in ([0, 0, 0.5, 0, 0.05], [0, 0, 0.5, -0.1]):
         for order in range(2, 8):
@@ -311,13 +311,33 @@ def test_rhs_on_floats_matches_the_ndarray_call():
                     assert np.float64(energy(arg)).tobytes() == e_reference, (coeffs, order)
 
 
+def _dense_output(t_old, step, y_old, ks):
+    """Quartic interpolant of one step per cell on stacked stages ``ks``
+    (stage, component, cell), as scipy's RkDenseOutput; the reference for
+    the generated ``dense``."""
+    from qmoments.dynamics import _DP_P, _combine
+
+    q = [_combine(column, ks) for column in _DP_P.T]
+
+    def interp(t):
+        x = (t - t_old) / step
+        power = x
+        total = q[0] * power
+        for qk in q[1:]:
+            power = power * x
+            total += qk * power
+        return y_old + step * total
+
+    return interp
+
+
 @pytest.mark.parametrize("coeffs", [[0, 0, 0.5, 0, 0.05], [0.0, 0.0, 0.5, -0.1]], ids=["quartic", "cubic"])
 def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
     """One generated Dormand-Prince step on Python floats has the bits of the
-    batch's own arithmetic (_combine, _rms, _dense_output) on a one-cell
-    array: the new state, all seven stages, the error norm and a sample of
-    the quartic."""
-    from qmoments.dynamics import _DP_A, _DP_B, _DP_C, _DP_E, _combine, _dense_output, _dp_kernels, _rms
+    batch's own arithmetic (_combine, _rms) on a one-cell array: the new
+    state, all seven stages and the error norm; and a sample of the quartic
+    has the bits of scipy's dense output on that array (_dense_output)."""
+    from qmoments.dynamics import _DP_A, _DP_B, _DP_C, _DP_E, _combine, _dp_kernels, _rms
 
     rng = np.random.default_rng(17)
     cfg = IntegratorConfig()
@@ -349,13 +369,13 @@ def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
             assert np.array([error]).tobytes() == _rms(H * _combine(_DP_E, K) / scale).tobytes()
             t_mid = t + 0.37 * h
             dense = _dense_output(T, H, Y, K)(np.array([t_mid]))
-            assert np.array(sample(t, h, y.tolist(), ks, t_mid)).tobytes() == dense[:, 0].tobytes()
+            assert np.array(sample(t, h, y.tolist(), ks)(t_mid)).tobytes() == dense[:, 0].tobytes()
 
 
 def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
     """A whole run takes scipy RK45's steps up to rounding in the step-size
     factors: the evaluation count within 5% and the samples within rel 1e-8
-    of solve_ivp, and the end state within rel 1e-8 of a one-cell batch."""
+    of solve_ivp, and the bytes of a one-cell batch."""
     from scipy.integrate import solve_ivp
 
     field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5))
@@ -380,7 +400,62 @@ def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
     single = integrate(field, state0, (0.0, 2.0), cfg)
     (batch,) = integrate(field, [state0], (0.0, 2.0), cfg)
     assert single.times[-1] == batch.times[-1] == 2.0
-    assert np.all(np.abs(single.ys[-1] - batch.ys[-1]) <= 1e-8 * np.abs(batch.ys[-1]))
+    assert single.times.tobytes() == batch.times.tobytes() and single.ys.tobytes() == batch.ys.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_cells_on_floats_have_the_bytes_of_the_array_batch(order):
+    """A batch run one cell at a time on Python floats and the same batch
+    on row arrays give every cell the same bytes, on a grid below
+    _MAX_FLOAT_CELLS cells and on one above: the times, states, energy and
+    info of each Trajectory, and the message and last good time of each
+    failure.  Cells cross the event, run out of max_steps (q0 = 1e50) and
+    go non-finite (q0 = 1e153)."""
+    from qmoments.dynamics import _MAX_FLOAT_CELLS, _integrate_batch, _integrate_cells
+
+    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, -0.1]), order))
+    small = [(q0, p0) for q0 in (0.1, 0.2, 0.3) for p0 in (0.3, 0.9, 1.6)] + [(1e50, 0.0), (1e153, 0.0)]
+    large = small + [(q0, p0) for q0 in np.linspace(-0.5, 0.5, 6) for p0 in np.linspace(0.2, 2.0, 5)]
+    assert len(small) <= _MAX_FLOAT_CELLS < len(large)
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=2000)
+
+    def crossed(t, y):
+        return y[0] - 3.5
+
+    for cells in (small, large):
+        states = [init_gaussian(q0, p0, 0.7, order=order) for q0, p0 in cells]
+        with np.errstate(all="ignore"):
+            arrays = _integrate_batch(field, states, (0.0, 30.0), cfg, crossed)
+            floats = _integrate_cells(field, states, (0.0, 30.0), cfg, crossed)
+        outcomes = set()
+        for ours, theirs in zip(floats, arrays):
+            if isinstance(theirs, IntegrationError):
+                assert isinstance(ours, IntegrationError)
+                assert str(ours) == str(theirs) and ours.last_time == theirs.last_time
+                outcomes.add(str(ours).split(" ")[0])
+            else:
+                for name in ("times", "ys", "energy"):
+                    assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), name
+                assert ours.info == theirs.info
+                outcomes.add(ours.info["status"])
+        assert len(floats) == len(arrays) == len(cells)
+        assert outcomes >= {1, "step", "non-finite"}, outcomes
+
+
+def test_generated_code_takes_no_powers():
+    """Every power in the generated field and energy is a product, never
+    ``**``: the compiled functions hold no power operation and ``as_code``
+    writes none, at every order up to the ceiling."""
+    import dis
+
+    for coeffs in ([0, 0, 0.5, 0, 0.05], [0, 0, 0.5, -0.1]):
+        for order in range(2, 8):
+            field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
+            for fn in (field.compiled(1.0), field.energy_function(1.0)):
+                ops = [ins for ins in dis.get_instructions(fn) if ins.opname.startswith("BINARY")]
+                assert ops and not any("POWER" in ins.opname or ins.argrepr.startswith("**") for ins in ops)
+            for expr in (*field.exprs, field.hamiltonian.moment_polynomial()):
+                assert "**" not in expr.as_code(field.positions, 1.0)
 
 
 class _Wrapped:
@@ -423,9 +498,9 @@ def test_mid_step_blowup_names_the_evaluation_a_per_call_check_names():
 
 
 def test_float_power_overflow_reads_like_float64():
-    """float ** int raises OverflowError where float64 gives inf: an energy
-    past the float range still reads inf.  (A blow-up through q**3 is the
-    subject of the next test.)"""
+    """A product past the float range is inf on Python floats as on
+    float64: the energy reads inf.  (A blow-up through q*q*q is the subject
+    of the next test.)"""
     sextic = equations_of_motion(build_heff(PolynomialPotential([0] * 6 + [1e-300]), 2))
     with np.errstate(over="ignore"):
         traj = integrate(sextic, init_gaussian(1e52, 0.0, 1.0, order=2), (0, 1e-3), IntegratorConfig())
@@ -433,10 +508,9 @@ def test_float_power_overflow_reads_like_float64():
 
 
 def test_float_power_overflow_reads_like_float64_in_adaptive_steps():
-    """The adaptive path's twin: a step whose q**3 overflows on floats is
-    redone one checked evaluation at a time, the overflowing one on
-    float64, so the run fails with the message of a run whose field sees
-    only float64 values."""
+    """The adaptive path's twin: a step whose q*q*q overflows to inf on
+    floats fails with the message of a run whose field sees only float64
+    values."""
     field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0, 0, -1.0]), 2))
     state0 = init_gaussian(1e100, 1.0, 0.5, order=2)
     cfg = IntegratorConfig(rtol=1e3, atol=1e3)
@@ -461,8 +535,6 @@ def test_float_power_overflow_reads_like_float64_in_adaptive_steps():
             integrate(_Wrapped(field, on_floats), state0, (0, 100), cfg)
         with pytest.raises(IntegrationError) as ref:
             integrate(_Wrapped(field, on_float64), state0, (0, 100), cfg)
-    # two calls choose the first step; the overflow is inside a step
-    assert overflows and overflows[0] >= 2
     assert str(err.value) == str(ref.value) and err.value.last_time == ref.value.last_time
     head, last, order, component = _failure_parts(err.value)
     assert head.startswith("non-finite state at t=") and 0 < last
