@@ -125,9 +125,10 @@ def adiabatic_acceleration(model: AdiabaticModel, q: float, qdot: float) -> floa
 def integrate_adiabatic(model: AdiabaticModel, q0, qdot0, t_span, t_eval, cfg: IntegratorConfig):
     """Order-0 trajectory q(t) at ``t_eval``; returns (t, q, qdot) arrays.
 
-    It integrates ``(q, p = m qdot)`` on the moment runs' Dormand-Prince
-    driver, so a failure names ``q`` or ``p`` as theirs do, and the order 2
-    of the truncation whose fluctuation the model slaves.
+    It integrates ``(q, p = m qdot)`` on the moment runs' DOP853 driver,
+    sampled on its 7th-order interpolant, so a failure names ``q`` or ``p``
+    as theirs do, and the order 2 of the truncation whose fluctuation the
+    model slaves.
     """
     m = model.mass
 

@@ -153,7 +153,7 @@ def init_gaussian(
 
 
 class IntegratorConfig:
-    """Tolerances and evaluation budget of the Dormand-Prince 5(4) integrator."""
+    """Tolerances and evaluation budget of the DOP853 integrator."""
 
     def __init__(self, rtol=1e-10, atol=1e-13, max_steps=2_000_000):
         if rtol <= 0 or atol <= 0:
@@ -240,13 +240,13 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     """Integrate a moment vector field and record conservation monitors.
 
     One ``MomentState`` is integrated by ``integrate_one`` into a
-    Trajectory, sampled at ``t_eval`` if given: a generated Dormand-Prince
-    5(4) step on Python floats with scipy RK45's step control, so no scipy
-    is loaded.  A sequence of states, such as the cells of a sweep or the
-    one cell of a tunneling run, is integrated into a TrajectoryBatch that
-    stops each cell at an upward zero crossing of ``event``: up to
-    ``_MAX_FLOAT_CELLS`` states one at a time by ``integrate_one``
-    (``_integrate_cells``), more together on row arrays
+    Trajectory, sampled at ``t_eval`` if given: a generated DOP853 step on
+    Python floats with scipy DOP853's step control and 7th-order dense
+    output, so no scipy is loaded.  A sequence of states, such as the cells
+    of a sweep or the one cell of a tunneling run, is integrated into a
+    TrajectoryBatch that stops each cell at an upward zero crossing of
+    ``event``: up to ``_MAX_FLOAT_CELLS`` states one at a time by
+    ``integrate_one`` (``_integrate_cells``), more together on row arrays
     (``_integrate_batch``), with the same bytes either way.  One state
     takes no event, and a batch no ``t_eval``.  Both keep the local error
     below the configured tolerances; a step budget and finite-state checks
@@ -274,128 +274,243 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4): one state on Python floats, or a batch on row arrays
+# DOP853: one state on Python floats, or a batch on row arrays
 # ---------------------------------------------------------------------------
 
-# The tableau, error weights and quartic dense-output matrix of
-# scipy.integrate.RK45, written out so that neither path needs scipy
-# (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6; Shampine's c6).
-_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
-_DP_A = np.array(
-    [
-        [0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    ]
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) with the
+# values of scipy.integrate.DOP853, written out so that neither path needs
+# scipy.  Each row holds its nonzero entries as {stage: coefficient} in stage
+# order.  _C are the nodes.  Rows 1-11 of _A make the stages of a step, row
+# 12 is the 8th-order update (stage 12 is the FSAL rhs(t_new, y_new)), and
+# rows 13-15 make the three extra stages of the dense output.  _E5 and _E3
+# weigh the 5th- and 3rd-order error estimates, and _D gives the rows 3-6 of
+# the 7th-order interpolant.
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
 )
-_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-_DP_P = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
+_A = (
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {
+        0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+        5: -0.015319437748624402, 6: 0.008273789163814023,
+    },
+    {
+        0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+        5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996,
+    },
+    {
+        0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+        8: -0.020331201708508627,
+    },
+    {
+        0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+        5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+        8: 2.4936055526796523, 9: -3.0467644718982196,
+    },
+    {
+        0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+        5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+        8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636,
+    },
+    {
+        0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+        7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+        10: 0.20136540080403034, 11: 0.04471061572777259,
+    },
+    {
+        0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+        8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+        11: 0.007567897660545699, 12: -0.008298,
+    },
+    {
+        0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+        7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+        12: -0.00034046500868740456, 13: 0.1413124436746325,
+    },
+    {
+        0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+        7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+        13: 2.9475147891527724, 14: -9.15095847217987,
+    },
+)
+_E5 = {
+    0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502, 7: 1.6643771824549864,
+    8: -0.35032884874997366, 9: 0.3341791187130175, 10: 0.08192320648511571, 11: -0.022355307863886294,
+}
+_E3 = {
+    0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003, 7: -5.801203960010585,
+    8: -0.4226823213237919, 9: -0.1521609496625161, 10: 0.20136540080403034, 11: 0.02265179219836082,
+}
+_D = (
+    {
+        0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
+        8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883, 11: 0.6315787787694688,
+        12: -0.08899033645133331, 13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894,
+    },
+    {
+        0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
+        8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398, 11: -9.332130526430229,
+        12: 15.697238121770845, 13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408,
+    },
+    {
+        0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
+        8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
+        12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279,
+    },
+    {
+        0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
+        8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
+        12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564,
+    },
 )
 # scipy's step-size control: safety factor, factor bounds, error exponent
-# -1/(4 + 1) and the message of a step below 10 spacings of t
+# -1/(7 + 1) and the message of a step below 10 spacings of t
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 5
+_ERROR_EXPONENT = -1 / 8
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # scipy locates events with brentq at xtol = rtol = 4 EPS
 _EVENT_TOL = 4 * math.ulp(1.0)
 # A batch of up to this many cells runs one cell at a time on Python floats.
-# A step of one cell costs about 18 us there; a step on row arrays costs
-# some 250 numpy calls of fixed overhead, about 395 us for 4x4 cells.  On a
-# 2-core VM, integrating criterion 07's ranges at order 2 on floats against
-# arrays takes 0.10 s against 0.20 s for 4x4 cells, 0.42 s against 0.41 s
-# for 8x8 and 5.8 s against 0.82 s for 32x32.
+# On a 2-core VM, one CPU, integrating criterion 07's ranges at order 2 on
+# floats against row arrays takes 0.049 s against 0.105 s for 4x4 cells,
+# 0.146 s against 0.126 s for 8x8 and 2.8 s against 0.48 s for 32x32.  The
+# two meet near 50 cells at order 2 and above 64 at order 4; 32 keeps the
+# float path clear of the crossover at every order.
 _MAX_FLOAT_CELLS = 32
 
 
 @functools.lru_cache(maxsize=8)  # orders 2..7 give six state sizes, (q, p) a seventh
 def _dp_kernels(n):
-    """Generated Dormand-Prince step and interpolant on lists of ``n``
-    Python floats.
+    """Generated DOP853 step and dense output on lists of ``n`` Python floats.
 
     ``step(rhs, t, t_new, y, f, h, atol, rtol)`` takes the step of size
     ``h = t_new - t`` from ``y`` with ``f = rhs(t, y)`` and returns
-    ``(y_new, error norm, the seven stages)``, the last stage being
-    ``rhs(t_new, y_new)``.  ``dense(t_old, h, y_old, ks)`` returns the
-    step's quartic as a function of ``t``.  Every stage sum is written term
-    by term in stage order, zero coefficients kept, as ``_combine`` reduces
-    it, and the norm adds the squares as ``_rms`` does, so the step has the
-    bits of the batch arithmetic on a one-cell array.  The quartic takes the
-    powers of its variable by products, as scipy's RkDenseOutput does; the
-    batch locates each cell's event crossing on it too.
+    ``(y_new, error norm, the 13 stages, probe)``: the last stage is
+    ``rhs(t_new, y_new)``, and ``probe``, the sum of the stages that the
+    norm does not weigh, is non-finite when one of them is.
+    ``dense(rhs, t_old, h, y, y_new, ks)`` makes the three extra stages and
+    returns the step's 7th-order interpolant as a function of ``t``.  Every
+    stage sum is written term by term in stage order, zero coefficients
+    skipped, as ``_combine`` reduces it, and the norm adds the squares as
+    ``_sum_squares`` does, so the step has the bits of ``_step_arrays`` on a
+    one-cell array.  The two functions are compiled apart: at ``n = 20``
+    that raises the peak RSS by 1.9 MiB, against 4.4 MiB for one source.
     """
     comps = range(n)
 
-    def listed(name):
-        return ", ".join(f"{name}{i}" for i in comps)
+    def each(template, sep=", "):
+        """``template`` for every component, ``#`` standing for its index."""
+        return sep.join(template.replace("#", str(i)) for i in comps)
 
-    def stage_sum(coeffs, i):
-        return " + ".join(f"{float(c)!r}*k{j}_{i}" for j, c in enumerate(coeffs))
+    def stage_sum(row):
+        return " + ".join(f"{c!r}*k{j}_#" for j, c in row.items())
 
-    stages = [listed(f"k{j}_") + "," for j in range(7)]
-    step = ["def step(rhs, t, t_new, y, f, h, atol, rtol):", f"    {listed('y')}, = y", f"    {stages[0]} = f"]
-    for j in range(1, 6):
-        args = ", ".join(f"y{i} + h*({stage_sum(_DP_A[j, :j], i)})" for i in comps)
-        step += [f"    k{j} = rhs(t + {float(_DP_C[j])!r}*h, [{args}])", f"    {stages[j]} = k{j}"]
-    step += [f"    n{i} = y{i} + h*({stage_sum(_DP_B, i)})" for i in comps]
-    step += [f"    k6 = rhs(t_new, [{listed('n')}])", f"    {stages[6]} = k6"]
-    for i in comps:
-        # abs() by a comparison: a -0.0 left as it is scales to atol all the same
-        step += [
-            f"    a = y{i} if y{i} >= 0 else -y{i}; b = n{i} if n{i} >= 0 else -n{i}",
-            f"    e{i} = h*({stage_sum(_DP_E, i)})/(atol + (a if a >= b else b)*rtol)",
-        ]
-    squares = " + ".join(f"e{i}*e{i}" for i in comps)
-    step.append(f"    return [{listed('n')}], sqrt({squares})/{n ** 0.5!r}, (f, k1, k2, k3, k4, k5, k6)")
+    def stage(s, t):
+        return f"rhs({t}, [{each(f'y# + h*({stage_sum(_A[s])})')}])"
 
-    dense = [
-        "def dense(t_old, h, y, ks):",
-        f"    {listed('y')}, = y",
-        f"    {', '.join(f'({names})' for names in stages)} = ks",
+    step = [
+        "def step(rhs, t, t_new, y, f, h, atol, rtol):",
+        f"    {each('y#')}, = y",
+        f"    {each('k0_#')}, = f",
     ]
-    dense += [f"    q{p}_{i} = {stage_sum(column, i)}" for p, column in enumerate(_DP_P.T) for i in comps]
-    quartic = ", ".join(f"y{i} + h*(q0_{i}*x1 + q1_{i}*x2 + q2_{i}*x3 + q3_{i}*x4)" for i in comps)
+    for s in range(1, 12):
+        step += [f"    k{s} = {stage(s, f't + {_C[s]!r}*h')}", f"    {each(f'k{s}_#')}, = k{s}"]
+    step.append(each(f"    n# = y# + h*({stage_sum(_A[12])})", "\n"))
+    step += [f"    k12 = rhs(t_new, [{each('n#')}])", f"    {each('k12_#')}, = k12"]
+    unweighed = sorted(set(range(13)) - set(_E5) - set(_E3))  # the stages the norm does not weigh
+    # abs() by a comparison: a -0.0 left as it is scales to atol all the same
+    step += [
+        each(
+            "    a = y# if y# >= 0 else -y#; b = n# if n# >= 0 else -n#; s = atol + (a if a >= b else b)*rtol\n"
+            f"    u# = ({stage_sum(_E5)})/s; v# = ({stage_sum(_E3)})/s",
+            "\n",
+        ),
+        f"    s5 = {each('u#*u#', ' + ')}",
+        f"    s3 = {each('v#*v#', ' + ')}",
+        f"    probe = {' + '.join(each(f'k{s}_#', ' + ') for s in unweighed)}",
+        f"    error = h*s5/sqrt((s5 + 0.01*s3)*{n}) if s5 or s3 else 0.0",
+        f"    return [{each('n#')}], error, ({', '.join(['f'] + [f'k{s}' for s in range(1, 13)])}), probe",
+    ]
+
+    used = {j for row in (*_A[13:], *_D) for j in row if j < 13}  # the step's stages dense reads
+    horner = "((((((f6_#*x + f5_#)*u + f4_#)*x + f3_#)*u + f2_#)*x + f1_#)*u + d#)*x"
+    dense = [
+        "def dense(rhs, t_old, h, y, y_new, ks):",
+        f"    {each('y#')}, = y",
+        f"    {each('n#')}, = y_new",
+        f"    {', '.join('(' + each(f'k{s}_#') + ',)' if s in used else '_' for s in range(13))} = ks",
+    ]
+    dense += [f"    {each(f'k{s}_#')}, = {stage(s, f't_old + {_C[s]!r}*h')}" for s in (13, 14, 15)]
+    dense.append(
+        each(
+            "    d# = n# - y#; f1_# = h*k0_# - d#; f2_# = 2*d# - h*(k12_# + k0_#)\n"
+            + "\n".join(f"    f{r + 3}_# = h*({stage_sum(row)})" for r, row in enumerate(_D)),
+            "\n",
+        )
+    )
     dense += [
         "    def at(t):",
-        "        x1 = (t - t_old)/h; x2 = x1*x1; x3 = x2*x1; x4 = x3*x1",
-        f"        return [{quartic}]",
+        "        x = (t - t_old)/h; u = 1 - x",
+        f"        return [{each(f'y# + {horner}')}]",
         "    return at",
     ]
     ns = {}
-    exec("\n".join(step + dense) + "\n", {"__builtins__": {}, "sqrt": math.sqrt}, ns)
+    for lines in (step, dense):
+        code = compile("\n".join(lines) + "\n", f"<DOP853 on {n} floats>", "exec")
+        exec(code, {"__builtins__": {}, "sqrt": math.sqrt}, ns)
     return ns["step"], ns["dense"]
+
+
+class _Evaluations:
+    """The ``rhs`` calls of one state, each counted against ``budget`` and
+    checked for a finite result.  ``nfev`` counts the calls made, and ``t``
+    and ``out`` are the time and result of the last good one, which a
+    failure names."""
+
+    def __init__(self, rhs, budget, layout, order, nfev, t, out):
+        self.rhs, self.budget, self.layout, self.order = rhs, budget, layout, order
+        self.nfev, self.t, self.out = nfev, t, out
+
+    def __call__(self, t, y):
+        if self.nfev >= self.budget:
+            budget = f"step budget exhausted ({self.budget} evaluations)"
+            raise _failure(budget, self.t, self.order, _largest_rate(self.layout, self.out))
+        self.nfev += 1
+        out = self.rhs(t, y)
+        if not all(map(math.isfinite, out)):
+            raise _failure(f"non-finite state at t={t:.6g}", self.t, self.order, _first_non_finite(self.layout, out))
+        self.t, self.out = t, out
+        return out
 
 
 def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order, event=None):
     """The state vector ``y0`` (an array) of ``rhs(t, y)`` by the generated
-    Dormand-Prince step, with the step control of ``_integrate_batch``
-    (scipy RK45's); returns the times, the states (at ``t_eval`` by the
-    quartic interpolant, else at every step) and the info ``{"status",
-    "nfev"}`` of a Trajectory.  A failure names ``order`` and a component of
-    ``layout``, the slots of the state vector.
+    DOP853 step, with the step control of ``_integrate_batch`` (scipy
+    DOP853's); returns the times, the states (at ``t_eval`` by the 7th-order
+    interpolant, else at every step) and the info ``{"status", "nfev",
+    "naccept", "nreject"}`` of a Trajectory.  A failure names ``order`` and a
+    component of ``layout``, the slots of the state vector.
 
     ``event(t, y)``, with ``t_eval`` None, ends the run as it ends a cell of
     ``_integrate_batch``: at an accepted step with ``g <= 0 <= g_new`` the
-    last state is the step's quartic at the root, and the status is 1.
+    last state is the step's interpolant at the root, and the status is 1.
+    Only a step that holds a sample or the root makes the interpolant.
 
     A step normally runs on the bare ``rhs`` and is checked once: its error
-    norm is non-finite whenever a stage is, since ``0.0 * inf`` is nan.  A
-    step with a non-finite norm, or one that could cross the step budget, is
-    run again through ``guarded``, which checks every evaluation, so a
-    failure names the evaluation and the last good time that a check per
-    call names.
+    norm, or the probe of the stages the norm does not weigh, is non-finite
+    whenever a stage is.  A step with a non-finite norm or probe, or one that
+    could cross the step budget, is run again one checked evaluation at a
+    time, so a failure names the evaluation and the last good time that a
+    check per call names.  The interpolant's stages are always checked.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -403,35 +518,19 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     samples = None if t_eval is None else np.asarray(t_eval, dtype=float).tolist()
     if samples and (samples[0] < t0 or samples[-1] > t1):
         raise ValueError("t_eval must lie within t_span")
-    nfev, t_last, last_out = 0, t0, None
-
-    def guarded(t, y):
-        nonlocal nfev, t_last, last_out
-        nfev += 1
-        if nfev > cfg.max_steps:
-            raise _failure(
-                f"step budget exhausted ({cfg.max_steps} evaluations)",
-                t_last,
-                order,
-                _largest_rate(layout, last_out),
-            )
-        out = rhs(t, y)
-        if not all(map(math.isfinite, out)):
-            raise _failure(f"non-finite state at t={t:.6g}", t_last, order, _first_non_finite(layout, out))
-        t_last, last_out = t, out
-        return out
+    checked = _Evaluations(rhs, cfg.max_steps, layout, order, 0, t0, None)
 
     def evaluate(t, y, out):  # _initial_step on a one-cell array
-        out[:, 0] = guarded(float(t[0]), y[:, 0].tolist())
+        out[:, 0] = checked(float(t[0]), y[:, 0].tolist())
         return out
 
     t, y = t0, y0.tolist()
-    f = guarded(t, y)
+    f = checked(t, y)
     with np.errstate(all="ignore"):
         h_abs = float(_initial_step(evaluate, t0, t1, y0[:, None], np.array(f)[:, None], cfg.rtol, cfg.atol)[0])
     step_fn, dense = _dp_kernels(len(y))
     times, ys, next_sample = ([t0], [y], 0) if samples is None else ([], [], 0)
-    g, status = event(t, y) if event else 0.0, 0
+    g, status, naccept, nreject = event(t, y) if event else 0.0, 0, 0, 0
     while t < t1:
         # scipy's rule: a new step is at least 10 spacings of t long; a
         # retry below that fails
@@ -440,30 +539,33 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
         rejected = False
         while True:
             if h_abs < min_step:
-                raise _failure(_TOO_SMALL_STEP, t_last, order, _largest_rate(layout, last_out))
+                raise _failure(_TOO_SMALL_STEP, checked.t, order, _largest_rate(layout, checked.out))
             t_new = min(t + h_abs, t1)
             step = t_new - t
             args = (t, t_new, y, f, step, cfg.atol, cfg.rtol)
-            checked = nfev + 6 > cfg.max_steps
-            if not checked:
-                y_new, error, ks = step_fn(rhs, *args)
-                checked = not math.isfinite(error)
-            if checked:
-                y_new, error, ks = step_fn(guarded, *args)
+            replay = checked.nfev + 12 > cfg.max_steps
+            if not replay:
+                y_new, error, ks, probe = step_fn(rhs, *args)
+                replay = not math.isfinite(error + probe)
+            if replay:
+                y_new, error, ks, _ = step_fn(checked, *args)
             else:
-                nfev += 6
-                t_last, last_out = t_new, ks[6]
+                checked.nfev += 12
+                checked.t, checked.out = t_new, ks[12]
             growth = _SAFETY * error**_ERROR_EXPONENT if error else math.inf
             if error < 1:
                 h_abs = step * min(1.0 if rejected else _MAX_FACTOR, growth)
                 break
             h_abs = step * max(_MIN_FACTOR, growth)
             rejected = True
+            nreject += 1
+        naccept += 1
 
+        at = None  # the step's interpolant, made for its first sample or root
         if event:
             g_new = event(t_new, y_new)
             if g <= 0 <= g_new:
-                at = dense(t, step, y, ks)
+                at = dense(checked, t, step, y, y_new, ks)
                 root = _event_root(event, at, t, t_new, g, g_new)
                 times.append(root)
                 ys.append(at(root))
@@ -475,11 +577,16 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
             ys.append(y_new)
         else:
             while next_sample < len(samples) and samples[next_sample] <= t_new:
+                if at is None:
+                    at = dense(checked, t, step, y, y_new, ks)
+                    # the run goes on from y_new, its last good state
+                    checked.t, checked.out = t_new, ks[12]
                 times.append(samples[next_sample])
-                ys.append(dense(t, step, y, ks)(samples[next_sample]))
+                ys.append(at(samples[next_sample]))
                 next_sample += 1
-        t, y, f = t_new, y_new, ks[6]
-    return np.array(times), np.array(ys), {"status": status, "nfev": nfev}
+        t, y, f = t_new, y_new, ks[12]
+    info = {"status": status, "nfev": checked.nfev, "naccept": naccept, "nreject": nreject}
+    return np.array(times), np.array(ys), info
 
 
 class TrajectoryBatch(list):
@@ -492,25 +599,30 @@ class TrajectoryBatch(list):
         self.info = info
 
 
-def _combine(coeffs, ks):
-    """sum_j coeffs[j] * ks[j] over stacked stages ``ks`` (stage, component,
-    cell).  NumPy reduces an outer axis term by term in index order, so a
-    cell's bytes do not depend on the other cells of its batch."""
-    return np.add.reduce(coeffs[:, None, None] * ks[: len(coeffs)], axis=0)
+def _combine(row, ks):
+    """sum_j c * ks[j] over the {j: c} of a tableau row, on stacked stages
+    ``ks`` (stage, component, cell).  NumPy reduces an outer axis term by
+    term in index order, so a cell's bytes do not depend on the other cells
+    of its batch."""
+    return np.add.reduce(np.array(list(row.values()))[:, None, None] * ks[list(row)], axis=0)
 
 
-def _rms(x):
-    """RMS over the components (axis 0), summed in component order: a
+def _sum_squares(x):
+    """Sum of squares over the components (axis 0), in component order: a
     reduction over axis 0 of a one-cell array would be pairwise."""
     squares = x * x
     total = squares[0] + squares[1]
     for row in squares[2:]:
         total += row
-    return np.sqrt(total) / len(x) ** 0.5
+    return total
+
+
+def _rms(x):
+    return np.sqrt(_sum_squares(x)) / len(x) ** 0.5
 
 
 def _initial_step(evaluate, t0, t1, y0, f0, rtol, atol):
-    """scipy's select_initial_step for RK45, cell by cell."""
+    """scipy's select_initial_step for DOP853, cell by cell."""
     interval = t1 - t0
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
@@ -522,9 +634,26 @@ def _initial_step(evaluate, t0, t1, y0, f0, rtol, atol):
         np.maximum(1e-6, h0 * 1e-3),
         # libm's pow, as Python floats take it: numpy's array ** differs
         # from it in the last bit for some inputs
-        [x ** (1 / 5) for x in (0.01 / np.fmax(d1, d2)).tolist()],
+        [x ** -_ERROR_EXPONENT for x in (0.01 / np.fmax(d1, d2)).tolist()],
     )
     return np.minimum(np.minimum(100 * h0, h1), interval)
+
+
+def _step_arrays(evaluate, t, t_new, y, f, step, atol, rtol):
+    """One DOP853 step of every cell, a column of ``y``: returns ``(y_new,
+    error norm, the 13 stages)``.  The norm is scipy's blend of the 5th- and
+    3rd-order estimates, ``h e5^2 / sqrt((e5^2 + 0.01 e3^2) n)`` with the
+    squared norms of the scaled estimates, or 0 where both are 0."""
+    ks = np.empty((13,) + y.shape)
+    ks[0] = f
+    for s in range(1, 12):
+        evaluate(t + _C[s] * step, y + step * _combine(_A[s], ks), ks[s])
+    y_new = y + step * _combine(_A[12], ks)
+    evaluate(t_new, y_new, ks[12])
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    s5, s3 = _sum_squares(_combine(_E5, ks) / scale), _sum_squares(_combine(_E3, ks) / scale)
+    error = np.where((s5 == 0) & (s3 == 0), 0.0, step * s5 / np.sqrt((s5 + 0.01 * s3) * len(y)))
+    return y_new, error, ks
 
 
 def _event_root(event, at, lo, hi, g_lo, g_hi):
@@ -571,19 +700,22 @@ def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
 
 
 def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> TrajectoryBatch:
-    """Dormand-Prince 5(4) over many states at once, with scipy RK45's step
-    control cell by cell.
+    """DOP853 over many states at once, with scipy DOP853's step control
+    cell by cell.
 
     ``event(t, y)``, if given, maps the times and states of the active cells
     to one value per cell, and the time and list of floats of one cell to
     its value; an accepted step over which it crosses zero upward ends that
     cell at the root, with ``info["status"]`` 1, as a terminal upward event
-    ends scipy's RK45.  Every cell has its own step
-    size, rejection rule, step budget, finiteness check and event, and
-    leaves the active set when it reaches t1, crosses the event or fails;
-    the rest carry on.  All arithmetic is elementwise or summed in a fixed
-    order, so a cell's trajectory has the same bytes in a batch of any
-    size, a batch of one included, and in ``_integrate_cells``.
+    ends scipy's DOP853.  The root is bisected on the cell's 7th-order
+    interpolant, made on floats by ``integrate_one``'s generated ``dense``
+    with its stages checked.  Every cell has its own step size, rejection
+    rule, step budget, finiteness check and event, and leaves the active set
+    when it reaches t1, crosses the event or fails; the rest carry on.  All
+    arithmetic is elementwise or summed in a fixed order, so a cell's
+    trajectory and info ``{"status", "nfev", "naccept", "nreject"}`` have
+    the same bytes in a batch of any size, a batch of one included, and in
+    ``_integrate_cells``.
     """
     if not states:
         return TrajectoryBatch([], {"nfev": 0})
@@ -594,8 +726,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     t0, t1 = float(t_span[0]), float(t_span[1])
     n = len(states)
     results = [None] * n
-    status = np.zeros(n, dtype=int)
-    cell_nfev = np.zeros(n, dtype=int)
+    status, cell_nfev, naccept, nreject = (np.zeros(n, dtype=int) for _ in range(4))
 
     # The active set: cell ids and their integrator state, one column per
     # cell.  Cells only leave it, so every active cell has taken part in
@@ -605,7 +736,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     y = np.ascontiguousarray(np.array([s.to_vector(layout) for s in states]).T)
     dead = np.zeros(n, dtype=bool)
     t_last, f_last = t, None  # the last good evaluation of every live cell
-    nfev = 0
+    nfev = dense_calls = 0
     rows = [(ids, t, y)]
 
     def fail(j, message, component):
@@ -650,21 +781,18 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
                     fail(j, _TOO_SMALL_STEP, _largest_rate(layout, f_last[:, j]))
             t_new = np.minimum(t + h, t1)
             step = t_new - t
-            ks = np.empty((7,) + y.shape)
-            ks[0] = f
-            for i in range(1, 6):
-                evaluate(t + _DP_C[i] * step, y + step * _combine(_DP_A[i, :i], ks), ks[i])
-            y_new = y + step * _combine(_DP_B, ks)
-            evaluate(t_new, y_new, ks[6])
-            scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
-            error = _rms(step * _combine(_DP_E, ks) / scale)
+            y_new, error, ks = _step_arrays(evaluate, t, t_new, y, f, step, cfg.atol, cfg.rtol)
             # error 0 gives an infinite growth, capped like any other; no
-            # growth in a step that had a rejection.  Each cell's power is
+            # growth in a step that had a rejection; a nan norm (inf/inf from
+            # huge finite stages) shrinks by _MIN_FACTOR, as Python's max
+            # takes it in integrate_one and scipy.  Each cell's power is
             # libm's, as in integrate_one (see _initial_step).
             growth = np.array([_SAFETY * e**_ERROR_EXPONENT if e else math.inf for e in error.tolist()])
             accepted = (error < 1) & ~dead
+            naccept[ids] += accepted
+            nreject[ids] += ~accepted
             cap = np.where(fresh, _MAX_FACTOR, 1.0)
-            h = step * np.where(accepted, np.minimum(cap, growth), np.maximum(_MIN_FACTOR, growth))
+            h = step * np.where(accepted, np.minimum(cap, growth), np.fmax(_MIN_FACTOR, growth))
             fresh = accepted
 
             # an upward crossing ends the cell's step at its root instead
@@ -676,9 +804,16 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
                 if stopped.any():
                     t_rec, y_rec = t_new.copy(), y_new.copy()
                     for j in np.flatnonzero(stopped).tolist():
-                        at = dense(*(a[..., j].tolist() for a in (t, step, y, ks)))
-                        root = _event_root(event, at, *(a[j].item() for a in (t, t_new, g, g_new)))
-                        t_rec[j], y_rec[:, j] = root, at(root)
+                        last = f_last[:, j].tolist()
+                        checked = _Evaluations(rhs, cfg.max_steps, layout, order, nfev, t_last[j], last)
+                        try:
+                            at = dense(checked, *(a[..., j].tolist() for a in (t, step, y, y_new, ks)))
+                            root = _event_root(event, at, *(a[j].item() for a in (t, t_new, g, g_new)))
+                            t_rec[j], y_rec[:, j] = root, at(root)
+                        except IntegrationError as err:
+                            results[ids[j]], dead[j], stopped[j] = err, True, False
+                        dense_calls += checked.nfev - nfev
+                        cell_nfev[ids[j]] = checked.nfev
                 g = np.where(accepted, g_new, g)
 
             if accepted.all():
@@ -694,7 +829,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             if done.any():
                 ended = done & ~dead
                 status[ids[ended]] = stopped[ended]
-                cell_nfev[ids[ended]] = nfev
+                cell_nfev[ids[ended & ~stopped]] = nfev
                 keep = ~done
                 ids, t, y, f, h, fresh, dead, g, t_last, f_last = (
                     a[..., keep] for a in (ids, t, y, f, h, fresh, dead, g, t_last, f_last)
@@ -709,9 +844,10 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     ys = ys.T
     counts = np.bincount(cells, minlength=n)
     ends = np.cumsum(counts)
+    stats = {"status": status, "nfev": cell_nfev, "naccept": naccept, "nreject": nreject}
     for i, (start, end) in enumerate(zip(ends - counts, ends)):
         if results[i] is None:
-            info = {"status": int(status[i]), "nfev": int(cell_nfev[i])}
+            info = {name: int(values[i]) for name, values in stats.items()}
             state = states[i]
             results[i] = Trajectory(
                 times[start:end],
@@ -723,4 +859,4 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
                 energy[start:end],
                 info,
             )
-    return TrajectoryBatch(results, {"nfev": nfev})
+    return TrajectoryBatch(results, {"nfev": nfev + dense_calls})

@@ -97,10 +97,10 @@ def closed_form_bracket(m1, m2) -> MomentPolynomial:
 class BracketTable:
     """Antisymmetric table of moment brackets at a truncation order.
 
-    Entries are stored for canonically ordered index pairs; lookups flip the
-    sign for the reversed order.  Stored polynomials are truncated by the
-    semiclassical hbar-order filter.  ``validated`` records per entry that
-    the oracle computed it.
+    Entries are stored for canonically ordered index pairs; the bracket of
+    the reversed pair is the negated entry.  Stored polynomials are
+    truncated by the semiclassical hbar-order filter.  ``validated`` records
+    per entry that the oracle computed it.
     """
 
     def __init__(self, truncation_order: int, npairs: int):
@@ -109,29 +109,11 @@ class BracketTable:
         self.entries: dict = {}
         self.validated: dict = {}
 
-    @property
-    def moment_indices(self):
-        return indices.iter_indices(self.truncation_order, self.npairs)
-
     def store(self, m1, m2, poly: MomentPolynomial):
         if (m2, m1) in self.entries:
             raise MomentAlgebraError("duplicate table entry")
         self.entries[(m1, m2)] = poly
         self.validated[(m1, m2)] = True
-
-    def lookup(self, m1, m2) -> MomentPolynomial:
-        if m1 == m2:
-            return MomentPolynomial.zero(self.npairs)
-        entry = self.entries.get((m1, m2))
-        if entry is not None:
-            return entry
-        entry = self.entries.get((m2, m1))
-        if entry is not None:
-            return -entry
-        raise MomentAlgebraError(
-            "missing bracket for %s, %s (table order %d)"
-            % (indices.pretty(m1), indices.pretty(m2), self.truncation_order)
-        )
 
     def to_jsonable(self) -> dict:
         entries = []

@@ -163,21 +163,24 @@ def test_adiabatic_acceleration_matches_energy_conservation():
 
 @pytest.mark.parametrize("mass", [1.0, 2.0])
 def test_adiabatic_run_agrees_with_solve_ivp(mass):
-    """The driver's (q, p = m qdot) trajectory against scipy's RK45 on
-    (q, qdot) at the same tolerances."""
+    """The driver's (q, p = m qdot) trajectory against scipy's DOP853 on
+    (q, qdot) at the same tolerances, tight enough that the two step
+    sequences agree far below the bound."""
     from scipy.integrate import solve_ivp
 
     from qmoments.adiabatic import adiabatic_acceleration, integrate_adiabatic
 
     model = AdiabaticModel(PolynomialPotential([0, 0, 0.5, 0, 0.05], mass=mass), 0.25)
     times = np.linspace(0, 12, 401)
-    _, qs, qdots = integrate_adiabatic(model, 1.0, 0.0, (0, 12), times, IntegratorConfig())
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
+    _, qs, qdots = integrate_adiabatic(model, 1.0, 0.0, (0, 12), times, cfg)
     ref = solve_ivp(
         lambda t, y: [y[1], adiabatic_acceleration(model, y[0], y[1])],
         (0, 12),
         [1.0, 0.0],
-        rtol=1e-10,
-        atol=1e-13,
+        method="DOP853",
+        rtol=cfg.rtol,
+        atol=cfg.atol,
         t_eval=times,
     )
     assert np.max(np.abs(qs - ref.y[0])) < 1e-10
@@ -198,13 +201,14 @@ def test_adiabatic_run_fails_like_a_moment_run():
     assert head == "step budget exhausted (20 evaluations)"
     # starting at rest, only p = m qdot moves at first
     assert 0 < last < 10 and order == 2 and component.endswith(" in p")
-    # far out on the quartic, qdot**2 overflows within the first steps
+    # far out on the quartic the error norm of the first step squares
+    # estimates near 1e300 to inf, and inf/inf rejects every step down to
+    # the spacing of t
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
         integrate_adiabatic(model, 1e100, 0.0, (0, 10), times, IntegratorConfig())
     head, last, order, component = _failure_parts(err.value)
-    t_bad = float(head.removeprefix("non-finite state at t="))
-    assert 0 < last < t_bad and order == 2
-    assert component.removeprefix("first non-finite component ") in ("q", "p")
+    assert head == "Required step size is less than spacing between numbers."
+    assert 0 < last < 1e-300 and order == 2 and component.endswith(" in p")
 
 
 def test_model_validation():

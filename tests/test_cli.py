@@ -320,7 +320,7 @@ def test_sweep_rows_do_not_depend_on_the_batch(tmp_path, order):
 
 
 def test_sweep_matches_the_scipy_path_cell_by_cell():
-    """The batched tunneling runs classify as scipy's RK45 with a terminal
+    """The batched tunneling runs classify as scipy's DOP853 with a terminal
     upward event does from the same start states, on a grid with cells
     below the rest energy and cells that exhaust max_steps: bypassed cells
     stop at the same time and place, an unreachable cell names the rest
@@ -332,7 +332,7 @@ def test_sweep_matches_the_scipy_path_cell_by_cell():
     from qmoments.dynamics import IntegrationError, init_gaussian
     from qmoments.scenarios import cubic_barrier, moment_field, tunneling_runs
 
-    cfg = resolve_config({"scenario": "cubic-tunneling", "t_span": [0.0, 20.0], "max_steps": 3000})
+    cfg = resolve_config({"scenario": "cubic-tunneling", "t_span": [0.0, 20.0], "max_steps": 1000})
     field = moment_field(cfg)
     pot = field.hamiltonian.potential
     heff = field.hamiltonian.moment_polynomial()
@@ -355,10 +355,10 @@ def test_sweep_matches_the_scipy_path_cell_by_cell():
         state.p = math.sqrt(2.0 * (energy - rest))
         ref = solve_ivp(
             field.compiled(1.0), cfg["t_span"], state.to_vector(field.layout),
-            rtol=cfg["rtol"], atol=cfg["atol"], events=crossed,
+            method="DOP853", rtol=cfg["rtol"], atol=cfg["atol"], events=crossed,
         )
         if isinstance(outcome, IntegrationError):
-            assert str(outcome).startswith("step budget exhausted (3000 evaluations) (last good time t=")
+            assert str(outcome).startswith("step budget exhausted (1000 evaluations) (last good time t=")
             assert ref.nfev > cfg["max_steps"]
             classes.append("error")
             continue

@@ -221,19 +221,31 @@ def test_non_finite_blowup_reports_last_time():
     assert message.rstrip(")").split("first non-finite component ")[1] in names
 
 
-def test_batch_tableau_is_scipy_rk45():
-    from scipy.integrate import RK45
+def test_tableau_is_scipy_dop853():
+    """The written-out tableau is scipy's DOP853 entry for entry, zeros
+    included: the nodes C, the stage rows A (the update B as row 12, the
+    dense output's extra stages as rows 13-15), the error weights E5 and E3
+    and the interpolant rows D.  Every row holds only its nonzero entries,
+    in stage order, as the generated code and _combine take them."""
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp import dop853_coefficients as ref
 
     from qmoments import dynamics
 
-    for ours, theirs in (
-        (dynamics._DP_A, RK45.A),
-        (dynamics._DP_B, RK45.B),
-        (dynamics._DP_C, RK45.C),
-        (dynamics._DP_E, RK45.E),
-        (dynamics._DP_P, RK45.P),
-    ):
-        assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+    def full(row, width):
+        out = np.zeros(width)
+        out[list(row)] = list(row.values())
+        return out
+
+    a = np.array([full(row, 16) for row in dynamics._A])
+    assert np.array_equal(a, ref.A) and np.array_equal(dynamics._C, ref.C)
+    assert np.array_equal(a[:12, :12], DOP853.A) and np.array_equal(a[12, :12], DOP853.B)
+    assert np.array_equal(a[13:], DOP853.A_EXTRA) and np.array_equal(dynamics._C[13:], DOP853.C_EXTRA)
+    assert np.array_equal(full(dynamics._E5, 13), DOP853.E5)
+    assert np.array_equal(full(dynamics._E3, 13), DOP853.E3)
+    assert np.array_equal([full(row, 16) for row in dynamics._D], DOP853.D)
+    for row in (*dynamics._A, dynamics._E5, dynamics._E3, *dynamics._D):
+        assert all(row.values()) and list(row) == sorted(row)
 
 
 def test_batch_failures_read_like_the_scalar_ones():
@@ -257,21 +269,29 @@ def test_batch_failures_read_like_the_scalar_ones():
 
 
 def test_batch_matches_scipy_harmonic():
-    """Batched cells take scipy's steps up to rounding in the error norm,
-    land on the scipy path's end state within the tolerance, and carry
-    their own step counts and monitors."""
+    """Cells on row arrays take scipy DOP853's steps up to rounding in the
+    error norm, land on its end state within the tolerance, and carry their
+    own step counts, those of the single-state path, and monitors."""
+    from scipy.integrate import solve_ivp
+
+    from qmoments.dynamics import _integrate_batch
+
     field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5]), 3))
     states = [init_gaussian(q0, 0.3, 0.8, 0.0, 1.0, 3) for q0 in (0.0, 0.5, 1.5)]
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-11)
-    batch = integrate(field, states, (0, 5), cfg)
+    batch = _integrate_batch(field, states, (0, 5), cfg, None)
     for state, traj in zip(states, batch):
-        ref = integrate(field, state, (0, 5), cfg)
-        assert traj.info["status"] == 0 and traj.times[-1] == ref.times[-1] == 5
+        single = integrate(field, state, (0, 5), cfg)
+        ref = solve_ivp(
+            field.compiled(1.0), (0, 5), state.to_vector(field.layout), method="DOP853", rtol=cfg.rtol, atol=cfg.atol
+        )
+        assert traj.info["status"] == 0 and traj.times[-1] == single.times[-1] == 5
         assert 0 < traj.info["nfev"] <= batch.info["nfev"]
-        assert abs(traj.info["nfev"] - ref.info["nfev"]) <= 0.05 * ref.info["nfev"]
-        assert np.allclose(traj.ys[-1], ref.ys[-1], rtol=1e-6, atol=1e-8)
+        assert traj.info == single.info
+        assert abs(traj.info["nfev"] - ref.nfev) <= 0.05 * ref.nfev
+        assert np.allclose(traj.ys[-1], ref.y[:, -1], rtol=1e-6, atol=1e-8)
         assert np.allclose(traj.energy, traj.energy[0], rtol=1e-8)
-        assert traj.casimir[0] == ref.casimir[0]
+        assert traj.casimir[0] == single.casimir[0]
 
 
 @pytest.mark.parametrize(
@@ -311,69 +331,87 @@ def test_rhs_on_floats_matches_the_ndarray_call():
                     assert np.float64(energy(arg)).tobytes() == e_reference, (coeffs, order)
 
 
-def _dense_output(t_old, step, y_old, ks):
-    """Quartic interpolant of one step per cell on stacked stages ``ks``
-    (stage, component, cell), as scipy's RkDenseOutput; the reference for
-    the generated ``dense``."""
-    from qmoments.dynamics import _DP_P, _combine
+def _dense_output(rhs, t_old, h, y_old, y_new, ks):
+    """DOP853's 7th-order interpolant of one step on a one-cell array, with
+    _combine's stage sums and the arithmetic of scipy's Dop853DenseOutput:
+    the reference for the generated ``dense``."""
+    from qmoments.dynamics import _A, _C, _D, _combine
 
-    q = [_combine(column, ks) for column in _DP_P.T]
+    k = np.concatenate([ks, np.empty((3,) + ks.shape[1:])])
+    for s in (13, 14, 15):
+        y = y_old + h * _combine(_A[s], k)
+        k[s] = np.array(rhs(float(t_old[0] + _C[s] * h[0]), y[:, 0].tolist()))[:, None]
+    delta = y_new - y_old
+    rows = [delta, h * k[0] - delta, 2 * delta - h * (k[12] + k[0])] + [h * _combine(row, k) for row in _D]
 
     def interp(t):
-        x = (t - t_old) / step
-        power = x
-        total = q[0] * power
-        for qk in q[1:]:
-            power = power * x
-            total += qk * power
-        return y_old + step * total
+        x = (t - t_old) / h
+        y = np.zeros_like(y_old)
+        for i, row in enumerate(reversed(rows)):
+            y += row
+            y *= x if i % 2 == 0 else 1 - x
+        return y_old + y
 
     return interp
 
 
 @pytest.mark.parametrize("coeffs", [[0, 0, 0.5, 0, 0.05], [0.0, 0.0, 0.5, -0.1]], ids=["quartic", "cubic"])
 def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
-    """One generated Dormand-Prince step on Python floats has the bits of the
-    batch's own arithmetic (_combine, _rms) on a one-cell array: the new
-    state, all seven stages and the error norm; and a sample of the quartic
-    has the bits of scipy's dense output on that array (_dense_output)."""
-    from qmoments.dynamics import _DP_A, _DP_B, _DP_C, _DP_E, _combine, _dp_kernels, _rms
+    """One generated DOP853 step on Python floats has the bits of the batch
+    step (_step_arrays) on a one-cell array: the new state, all 13 stages
+    and the error norm; a sample of its interpolant has the bits of the
+    reference _dense_output.  Each is scipy DOP853's step from the same
+    state up to rounding: the new state, the error norm of scipy's
+    _estimate_error_norm on our stages and a sample of its dense output."""
+    from scipy.integrate import DOP853
+
+    from qmoments.dynamics import _dp_kernels, _step_arrays
 
     rng = np.random.default_rng(17)
     cfg = IntegratorConfig()
     for order in range(2, 6):
         field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
         rhs = field.compiled(1.0)
-        step, sample = _dp_kernels(len(field.layout))
+        step, dense = _dp_kernels(len(field.layout))
 
-        def column(t, y):
-            return np.array(rhs(float(t[0]), y[:, 0].tolist()))[:, None]
+        def column(t, y, out):
+            out[:, 0] = rhs(float(t[0]), y[:, 0].tolist())
+            return out
 
         for y in rng.uniform(-1.0, 1.0, size=(10, len(field.layout))):
             t = float(rng.uniform(0.0, 5.0))
-            t_new = t + 0.01
+            t_new = t + 0.05
             h = t_new - t
             f = rhs(t, y.tolist())
-            y_new, error, ks = step(rhs, t, t_new, y.tolist(), f, h, cfg.atol, cfg.rtol)
+            y_new, error, ks, probe = step(rhs, t, t_new, y.tolist(), f, h, cfg.atol, cfg.rtol)
 
             T, H, Y = np.array([t]), np.array([h]), y[:, None]
-            K = np.empty((7,) + Y.shape)
-            K[0] = np.array(f)[:, None]
-            for i in range(1, 6):
-                K[i] = column(T + _DP_C[i] * H, Y + H * _combine(_DP_A[i, :i], K))
-            Y_new = Y + H * _combine(_DP_B, K)
-            K[6] = column(np.array([t_new]), Y_new)
-            scale = cfg.atol + np.maximum(np.abs(Y), np.abs(Y_new)) * cfg.rtol
+            F = np.array(f)[:, None]
+            Y_new, errors, K = _step_arrays(column, T, np.array([t_new]), Y, F, H, cfg.atol, cfg.rtol)
             assert np.array(y_new).tobytes() == Y_new[:, 0].tobytes()
             assert np.array(ks).tobytes() == K[..., 0].tobytes()
-            assert np.array([error]).tobytes() == _rms(H * _combine(_DP_E, K) / scale).tobytes()
+            assert np.array([error]).tobytes() == errors.tobytes()
+            assert math.isfinite(probe)
             t_mid = t + 0.37 * h
-            dense = _dense_output(T, H, Y, K)(np.array([t_mid]))
-            assert np.array(sample(t, h, y.tolist(), ks)(t_mid)).tobytes() == dense[:, 0].tobytes()
+            at = dense(rhs, t, h, y.tolist(), y_new, ks)
+            reference = _dense_output(rhs, T, H, Y, Y_new, K)(np.array([t_mid]))
+            assert np.array(at(t_mid)).tobytes() == reference[:, 0].tobytes()
+
+            ref = DOP853(rhs, t, y, t + 1.0, rtol=cfg.rtol, atol=cfg.atol, first_step=h)
+            ref.step()
+            assert ref.t == t_new
+            size = np.max(np.abs(ref.K), axis=0)
+            assert np.all(np.abs(np.array(ks) - ref.K) <= 2e-13 * size)
+            assert np.allclose(y_new, ref.y, rtol=1e-13, atol=1e-16)
+            assert np.allclose(at(t_mid), ref.dense_output()(t_mid), rtol=1e-12, atol=1e-16)
+            # the estimates cancel the stages down to about 1e-11 of their
+            # size, so two summation orders agree to about 1e-5 of the norm
+            scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
+            assert error == pytest.approx(DOP853._estimate_error_norm(DOP853, K[..., 0], h, scale), rel=1e-4)
 
 
 def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
-    """A whole run takes scipy RK45's steps up to rounding in the step-size
+    """A whole run takes scipy DOP853's steps up to rounding in the step-size
     factors: the evaluation count within 5% and the samples within rel 1e-8
     of solve_ivp, and the bytes of a one-cell batch."""
     from scipy.integrate import solve_ivp
@@ -387,7 +425,7 @@ def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
         field.compiled(1.0),
         (0.0, 2.0),
         state0.to_vector(field.layout),
-        method="RK45",
+        method="DOP853",
         rtol=cfg.rtol,
         atol=cfg.atol,
         t_eval=t_eval,
@@ -403,18 +441,34 @@ def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
     assert single.times.tobytes() == batch.times.tobytes() and single.ys.tobytes() == batch.ys.tobytes()
 
 
+def test_anharmonic_order5_run_takes_dop853_steps():
+    """The anharmonic order-5 run of the benchmark (quartic V, t in [0, 20],
+    201 samples, the default tolerances) takes 244 DOP853 steps, 19 of them
+    rejected: 2 rhs calls choose the first step, each step makes 12, and
+    each of the 198 steps that hold samples makes 3 more for its
+    interpolant.  The run keeps its energy to 1e-11."""
+    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5))
+    state0 = init_gaussian(0.17, 0.5, 0.7, order=5)
+    traj = integrate(field, state0, (0.0, 20.0), IntegratorConfig(), t_eval=np.linspace(0.0, 20.0, 201))
+    assert traj.info == {"status": 0, "nfev": 2 + 12 * 244 + 3 * 198, "naccept": 225, "nreject": 19}
+    assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-11 * abs(traj.energy[0])
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_cells_on_floats_have_the_bytes_of_the_array_batch(order):
     """A batch run one cell at a time on Python floats and the same batch
     on row arrays give every cell the same bytes, on a grid below
     _MAX_FLOAT_CELLS cells and on one above: the times, states, energy and
     info of each Trajectory, and the message and last good time of each
-    failure.  Cells cross the event, run out of max_steps (q0 = 1e50) and
-    go non-finite (q0 = 1e153)."""
+    failure.  Cells cross the event, run out of max_steps (q0 = 1e50), fall
+    below the smallest step (q0 = 1e153: stages so large that the error
+    norm is inf/inf), go non-finite within a step (q0 = p0 = 1e100 at
+    order 4) and at the first evaluation (q0 = 1e160)."""
     from qmoments.dynamics import _MAX_FLOAT_CELLS, _integrate_batch, _integrate_cells
 
     field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, -0.1]), order))
-    small = [(q0, p0) for q0 in (0.1, 0.2, 0.3) for p0 in (0.3, 0.9, 1.6)] + [(1e50, 0.0), (1e153, 0.0)]
+    small = [(q0, p0) for q0 in (0.1, 0.2, 0.3) for p0 in (0.3, 0.9, 1.6)]
+    small += [(1e50, 0.0), (1e153, 0.0), (1e100, 1e100), (1e160, 0.0)]
     large = small + [(q0, p0) for q0 in np.linspace(-0.5, 0.5, 6) for p0 in np.linspace(0.2, 2.0, 5)]
     assert len(small) <= _MAX_FLOAT_CELLS < len(large)
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=2000)
@@ -439,7 +493,7 @@ def test_cells_on_floats_have_the_bytes_of_the_array_batch(order):
                 assert ours.info == theirs.info
                 outcomes.add(ours.info["status"])
         assert len(floats) == len(arrays) == len(cells)
-        assert outcomes >= {1, "step", "non-finite"}, outcomes
+        assert outcomes >= {1, "step", "Required", "non-finite"}, outcomes
 
 
 def test_generated_code_takes_no_powers():
@@ -472,7 +526,7 @@ class _Wrapped:
 
 
 def test_mid_step_blowup_names_the_evaluation_a_per_call_check_names():
-    """A step whose fourth evaluation is the first non-finite one fails at
+    """A step whose eighth evaluation is the first non-finite one fails at
     that evaluation's time, with the evaluation before it as the last good
     time, as a check of every call in order finds them."""
     field, state0 = _blowup()
@@ -489,8 +543,8 @@ def test_mid_step_blowup_names_the_evaluation_a_per_call_check_names():
     with pytest.raises(IntegrationError) as err:
         integrate(_Wrapped(field, record), state0, (0, 200), IntegratorConfig(rtol=1e-6, atol=1e-9))
     first_bad = next(i for i, (_, finite) in enumerate(calls) if not finite)
-    # two calls choose the first step, then six per step
-    assert (first_bad - 2) % 6 == 3
+    # two calls choose the first step, then twelve per step
+    assert (first_bad - 2) % 12 == 7
     head, last, order, component = _failure_parts(err.value)
     assert head == f"non-finite state at t={calls[first_bad][0]:.6g}"
     assert err.value.last_time == calls[first_bad - 1][0]
@@ -512,7 +566,7 @@ def test_float_power_overflow_reads_like_float64_in_adaptive_steps():
     floats fails with the message of a run whose field sees only float64
     values."""
     field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0, 0, -1.0]), 2))
-    state0 = init_gaussian(1e100, 1.0, 0.5, order=2)
+    state0 = init_gaussian(1e3, 1.0, 0.5, order=2)
     cfg = IntegratorConfig(rtol=1e3, atol=1e3)
     calls, overflows = [], []
 
