@@ -438,6 +438,7 @@ def _dp_kernels(n):
         f"    s3 = {each('v#*v#', ' + ')}",
         f"    probe = {' + '.join(each(f'k{s}_#', ' + ') for s in unweighed)}",
         f"    error = h*s5/sqrt((s5 + 0.01*s3)*{n}) if s5 or s3 else 0.0",
+        f"    if s5 + s3 == inf: error = overflowed(h, [{each('u#')}], [{each('v#')}], error)",
         f"    return [{each('n#')}], error, ({', '.join(['f'] + [f'k{s}' for s in range(1, 13)])}), probe",
     ]
 
@@ -466,7 +467,7 @@ def _dp_kernels(n):
     ns = {}
     for lines in (step, dense):
         code = compile("\n".join(lines) + "\n", f"<DOP853 on {n} floats>", "exec")
-        exec(code, {"__builtins__": {}, "sqrt": math.sqrt}, ns)
+        exec(code, {"__builtins__": {}, "sqrt": math.sqrt, "inf": math.inf, "overflowed": _overflowed_norm}, ns)
     return ns["step"], ns["dense"]
 
 
@@ -651,9 +652,31 @@ def _step_arrays(evaluate, t, t_new, y, f, step, atol, rtol):
     y_new = y + step * _combine(_A[12], ks)
     evaluate(t_new, y_new, ks[12])
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    s5, s3 = _sum_squares(_combine(_E5, ks) / scale), _sum_squares(_combine(_E3, ks) / scale)
+    u, v = _combine(_E5, ks) / scale, _combine(_E3, ks) / scale
+    s5, s3 = _sum_squares(u), _sum_squares(v)
     error = np.where((s5 == 0) & (s3 == 0), 0.0, step * s5 / np.sqrt((s5 + 0.01 * s3) * len(y)))
+    for j in np.flatnonzero(s5 + s3 == np.inf).tolist():
+        error[j] = _overflowed_norm(step[j].item(), u[:, j].tolist(), v[:, j].tolist(), error[j].item())
     return y_new, error, ks
+
+
+def _overflowed_norm(h, u, v, error):
+    """The error norm of a step whose squared estimates overflow: ``u`` and
+    ``v`` are the scaled 5th- and 3rd-order estimates of one cell, which
+    are divided by their largest magnitude ``m`` before they are squared,
+    so the norm is ``h m s5 / sqrt((s5 + 0.01 s3) n)`` on the quotients.
+    Non-finite estimates keep ``error``.  Both integrator paths call this
+    on Python floats, so the cell keeps the same bits on either."""
+    both = u + v
+    if not all(map(math.isfinite, both)):
+        return error
+    m = max(map(abs, both))
+    s5 = s3 = 0.0
+    for a, b in zip(u, v):
+        a, b = a / m, b / m
+        s5 += a * a
+        s3 += b * b
+    return h * m * s5 / math.sqrt((s5 + 0.01 * s3) * len(u))
 
 
 def _event_root(event, at, lo, hi, g_lo, g_hi):

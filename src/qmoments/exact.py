@@ -145,8 +145,8 @@ def _accumulate(terms: dict, key, c) -> None:
 
 # Variables of a MomentPolynomial: ("q", pair), ("p", pair) or ("D", index).
 # The string tags sort against each other, so mixed tuples are orderable.
-# The bracket oracle (weyl_algebra) uses raw expectation values instead: each
-# variable is an exponent tuple ((a_1, b_1), ..., (a_n, b_n)).
+# The tests' definition-level bracket reference uses raw expectation values
+# instead: each variable is an exponent tuple ((a_1, b_1), ..., (a_n, b_n)).
 
 
 def qvar(pair: int = 0):

@@ -4,9 +4,10 @@ The equations of motion evaluate the closed-form bracket of two single-pair
 moments (bilinear terms plus a K-coefficient sum) for exactly the pairs the
 Leibniz rule touches.  ``BracketTable`` entries, on any number of pairs, are
 computed by the first-principles ``bracket_oracle`` alone, which is
-authoritative.  The tests prove the closed form equal to it, and so is a
-reference in the tests that assembles multi-pair brackets from the
-centered-operator commutator, distributed across canonical pairs.
+authoritative.  The closed form takes its bilinear terms from the oracle's
+``centering_term``, and the tests prove its K sum equal to the oracle's
+commutator part.  The tests also prove the oracle equal to the definition
+of the bracket, expanded in raw expectation values.
 
 Sign convention.  Evaluating the K sum literally with weights
 (i*hbar/2)^(n-1) yields {Delta(q^2), Delta(p^2)} = -4*Delta(qp) plus a
@@ -31,7 +32,7 @@ from math import comb, factorial
 
 from . import indices
 from .exact import GaussianRational, MomentPolynomial, leibniz
-from .weyl_algebra import bracket_oracle
+from .weyl_algebra import bracket_oracle, centering_term
 
 
 class MomentAlgebraError(ValueError):
@@ -69,14 +70,7 @@ def closed_form_bracket(m1, m2) -> MomentPolynomial:
     if indices.order(m1) < 2 or indices.order(m2) < 2:
         raise MomentAlgebraError("closed form applies to moments of order >= 2")
     (a, b), (c, d) = m1[0], m2[0]
-    result = MomentPolynomial.moment(((a, b - 1),)) * MomentPolynomial.moment(
-        ((c - 1, d),)
-    )
-    result = result.scale(b * c)
-    lower = MomentPolynomial.moment(((a - 1, b),)) * MomentPolynomial.moment(
-        ((c, d - 1),)
-    )
-    result = result - lower.scale(a * d)
+    result = centering_term(m1, m2)
     nmax = min(a + c, b + d, a + b, c + d)
     for n in range(1, nmax + 1, 2):
         # odd n only: even n carries an imaginary prefactor after grading

@@ -8,22 +8,14 @@ cached triangular change-of-basis table; expectation values of Weyl-ordered
 centered monomials are the moment symbols Delta(q^a p^b).
 
 The module also provides ``bracket_oracle``, a first-principles evaluation
-of the Poisson bracket of two moments: each moment is expanded into a
-``MomentPolynomial`` whose variables are raw expectation values of
-operator monomials, the defining bracket {<A>, <B>} = <[A, B]>/(i*hbar)
-of two such variables comes from the symbolic commutator, and
-``exact.leibniz`` extends it to the polynomials.  The result is evaluated
-at the phase-space origin q = p = 0, where each raw expectation value is
-a central moment expression.  That is exact everywhere: central moments
-are Poisson orthogonal to q and p, so their brackets are the same
-polynomial at every point of the classical phase space.  Before the
-Leibniz step each expansion loses its terms whose order-1 coordinates
-E[q_i], E[p_i] have total power >= 2: one partial derivative leaves such a
-term with power >= 1, and the factors dg/dy and {x, y} only add powers, so
-every product made from it vanishes at the origin.  Terms of power 1 stay,
-since they survive when x is that coordinate.  The tests prove the origin
-evaluation equal to the full expansion around (q, p), and every closed-form
-bracket in the package equal to the oracle; bracket tables store its values.
+of the Poisson bracket of two central moments.  The defining bracket
+{<A>, <B>} = <[A, B]>/(i*hbar) (Bojowald & Skirzewski, Rev. Math. Phys. 18
+(2006)) holds for operators that do not depend on the state; a central
+moment's operator is centered at q = <q-hat> and p = <p-hat>, and that
+dependence adds ``centering_term``, the bilinear products of lower moments.
+The tests prove the oracle equal to the definition expanded in raw
+expectation values, and every closed-form bracket in the package equal to
+the oracle; bracket tables store its values.
 """
 
 from __future__ import annotations
@@ -34,14 +26,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import indices
-from .exact import (
-    GR_ONE,
-    GaussianRational,
-    MomentPolynomial,
-    _accumulate,
-    _coerce,
-    leibniz,
-)
+from .exact import GR_ONE, GaussianRational, MomentPolynomial, _accumulate, _coerce
 
 
 class NonHermitianError(ValueError):
@@ -323,155 +308,46 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
 # ---------------------------------------------------------------------------
 # First-principles bracket oracle
 # ---------------------------------------------------------------------------
-#
-# State-space coordinates for the oracle are the raw expectation values
-# E[alpha] = <prod_i q_i^{a_i} p_i^{b_i}> of normal-ordered, uncentered
-# monomials (alpha is an exps tuple).  A central moment is a MomentPolynomial
-# whose variables are these coordinates; brackets descend from
-# <[A,B]>/(i*hbar) on the coordinates plus the Leibniz rule, and are then
-# evaluated at q = p = 0.
 
 
-def _is_trivial(alpha) -> bool:
-    return all(a == 0 and b == 0 for a, b in alpha)
+def _lowered(idx, pair, slot):
+    """``idx`` with exponent ``slot`` (0 for q, 1 for p) of ``pair`` less one."""
+    exps = list(idx[pair])
+    exps[slot] -= 1
+    return idx[:pair] + (tuple(exps),) + idx[pair + 1 :]
 
 
-@lru_cache(maxsize=None)
-def _uncentered_expectation_epoly(idx):
-    """<W(idx)> expanded in raw expectation values and powers of q, p.
+def centering_term(m1, m2) -> MomentPolynomial:
+    """What the centering at (q, p) adds to <[W(m1), W(m2)]>/(i*hbar) in
+    {Delta(m1), Delta(m2)}: over each pair, with (a, b) and (c, d) the
+    exponents of m1 and m2 there,
 
-    The centered factors are expanded binomially; the scalars q, p are the
-    raw first-order expectation values themselves, so the result is a pure
-    polynomial in the E-coordinates.
-    """
-    npairs = len(idx)
-    terms = {}
-    for (h, exps), c in weyl_monomial(idx).terms.items():
-        per_pair = []
-        for pair, (al, be) in enumerate(exps):
-            opts = []
-            for j in range(al + 1):
-                for k in range(be + 1):
-                    coeff = GaussianRational(
-                        comb(al, j) * comb(be, k) * (-1) ** (al - j + be - k)
-                    )
-                    opts.append((pair, j, k, al - j, be - k, coeff))
-            per_pair.append(opts)
-        for combo in itertools.product(*per_pair):
-            coeff = c
-            raw = [None] * npairs
-            scal = []
-            for pair, j, k, qpow, ppow, c_i in combo:
-                coeff = coeff * c_i
-                raw[pair] = (j, k)
-                if qpow:
-                    scal.append((_basic_alpha(pair, npairs, "q"), qpow))
-                if ppow:
-                    scal.append((_basic_alpha(pair, npairs, "p"), ppow))
-            raw_alpha = tuple(raw)
-            vars_ = {}
-            for v, power in scal:
-                vars_[v] = vars_.get(v, 0) + power
-            if not _is_trivial(raw_alpha):
-                vars_[raw_alpha] = vars_.get(raw_alpha, 0) + 1
-            _accumulate(terms, (h, tuple(sorted(vars_.items()))), coeff)
-    return MomentPolynomial(npairs, terms)
+        b c Delta(m1 with b-1) Delta(m2 with c-1)
+        - a d Delta(m1 with a-1) Delta(m2 with d-1),
 
-
-def _basic_alpha(pair, npairs, kind):
-    return tuple(
-        ((1, 0) if kind == "q" else (0, 1)) if i == pair else (0, 0)
-        for i in range(npairs)
-    )
-
-
-@lru_cache(maxsize=None)
-def _epoly_pair_bracket(x, y):
-    """{E[x], E[y]} = <[T_x, T_y]>/(i*hbar), linear in the E-coordinates.
-
-    Only ``x <= y`` takes a commutator; a reversed pair is the negated
-    bracket, made once and then cached too."""
-    if x > y:
-        return -_epoly_pair_bracket(y, x)
-    comm = OperatorPoly.monomial(x).commutator(OperatorPoly.monomial(y))
-    return MomentPolynomial(
-        len(x),
-        {
-            (h, () if _is_trivial(exps) else ((exps, 1),)): c
-            for (h, exps), c in comm.divide_ihbar().terms.items()
-        },
-    )
-
-
-@lru_cache(maxsize=None)
-def _evar_at_origin(alpha) -> MomentPolynomial:
-    """Raw expectation E[alpha] at q = p = 0, where every raw monomial is
-    its centered one."""
-    return expectation(OperatorPoly.monomial(alpha))
-
-
-def _index_as_epoly(idx) -> MomentPolynomial:
-    n = indices.order(idx)
-    if n == 0:
-        return MomentPolynomial.constant(GR_ONE, len(idx))
-    if n == 1:
-        return MomentPolynomial.variable(idx, len(idx))
-    return _uncentered_expectation_epoly(idx)
-
-
-@lru_cache(maxsize=None)
-def _index_as_origin_epoly(idx) -> MomentPolynomial:
-    """``_index_as_epoly(idx)`` less its terms of order-1 power >= 2, none of
-    whose Leibniz products survives at the origin (see the module docstring).
-    """
-    return MomentPolynomial(
-        len(idx),
-        {
-            (h, vars_): c
-            for (h, vars_), c in _index_as_epoly(idx).terms.items()
-            if sum(p for alpha, p in vars_ if indices.order(alpha) == 1) < 2
-        },
-    )
+    because dW(a, b)/dQ = a W(a-1, b) and dW(a, b)/dP = b W(a, b-1)."""
+    moment = MomentPolynomial.moment
+    result = MomentPolynomial.zero(len(m1))
+    for pair, ((a, b), (c, d)) in enumerate(zip(m1, m2)):
+        if b * c:
+            result = result + moment(_lowered(m1, pair, 1), b * c) * moment(_lowered(m2, pair, 0))
+        if a * d:
+            result = result - moment(_lowered(m1, pair, 0), a * d) * moment(_lowered(m2, pair, 1))
+    return result
 
 
 @lru_cache(maxsize=None)
 def bracket_oracle(m1, m2) -> MomentPolynomial:
-    """Poisson bracket of two moments, from first principles.
-
-    ``m1`` and ``m2`` are moment indices of order >= 2, or order-1 indices
-    standing for the basic expectation values q and p.  The bracket of the
-    raw-expectation polynomials is evaluated at the phase-space origin
-    q = p = 0: terms holding an order-1 coordinate vanish there, and every
-    other E[alpha] is its centered moment expansion.  This is exact at every
-    point, because central moments are Poisson orthogonal to q and p, so
-    their brackets do not depend on q and p.  The Leibniz step runs on
-    ``_index_as_origin_epoly``, which has already dropped the terms with
-    order-1 power >= 2: no product made from them survives at the origin.
-    The order-1 filter below still removes the terms that brackets and
-    partials of the other coordinates leave with an order-1 factor.
-    """
-    npairs = len(m1)
-    if len(m2) != npairs:
+    """Poisson bracket of two moments of order >= 2, from first principles:
+    {<A>, <B>} = <[A, B]>/(i*hbar) on the Weyl-ordered centered monomials,
+    plus ``centering_term``.  A bracket with an imaginary part raises
+    NonHermitianError."""
+    if len(m1) != len(m2):
         raise ValueError("moment indices live on different pair counts")
-    raw = leibniz(
-        _index_as_origin_epoly(m1),
-        _index_as_origin_epoly(m2),
-        _epoly_pair_bracket,
-    )
-    terms = {}
-    for (h, vars_), c in raw.terms.items():
-        if any(indices.order(alpha) == 1 for alpha, _ in vars_):
-            continue
-        term = MomentPolynomial.constant(c, npairs, hbar_power=h)
-        for alpha, power in vars_:
-            for _ in range(power):
-                term = term * _evar_at_origin(alpha)
-        for key, cc in term.terms.items():
-            _accumulate(terms, key, cc)
-    result = MomentPolynomial(npairs, terms)
-    if not result.is_real:
-        raise AssertionError(
-            "bracket oracle produced an imaginary part for %s, %s"
+    if indices.order(m1) < 2 or indices.order(m2) < 2:
+        raise ValueError(
+            "the bracket oracle takes moments of order >= 2, not %s, %s"
             % (indices.pretty(m1), indices.pretty(m2))
         )
-    return result
+    comm = weyl_monomial(m1).commutator(weyl_monomial(m2)).divide_ihbar()
+    return expectation(comm, require_real=True) + centering_term(m1, m2)

@@ -520,6 +520,26 @@ def test_brackets_rejects_bad_arguments(capsys, args, flag):
     assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
 
 
+def test_non_real_bracket_is_a_runtime_error(monkeypatch, capsys):
+    """A bracket with an imaginary part exits 3 like any other runtime
+    error.  Scaling every Weyl monomial by 1 + i makes each commutator
+    2i times a real one."""
+    from qmoments import moment_algebra, weyl_algebra
+    from qmoments.exact import GaussianRational
+
+    weyl = weyl_algebra.weyl_monomial
+    monkeypatch.setattr(weyl_algebra, "weyl_monomial", lambda idx: weyl(idx).scale(GaussianRational(1, 1)))
+    for cached in (weyl_algebra.bracket_oracle, moment_algebra.build_bracket_table):
+        cached.cache_clear()
+    try:
+        assert main(["brackets", "--order", "2"]) == 3
+    finally:
+        monkeypatch.undo()
+        for cached in (weyl_algebra.bracket_oracle, moment_algebra.build_bracket_table):
+            cached.cache_clear()
+    assert capsys.readouterr().err.startswith("runtime error: expectation of a non-Hermitian operator")
+
+
 def test_oracle_subcommand(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -9,13 +9,11 @@ from fractions import Fraction
 import pytest
 
 from qmoments import indices
-from qmoments.exact import GaussianRational, MomentPolynomial, leibniz
+from qmoments.exact import GR_ONE, GaussianRational, MomentPolynomial, _accumulate, leibniz
 from qmoments.indices import single
-from qmoments.moment_algebra import build_bracket_table
+from qmoments.moment_algebra import _var_bracket, build_bracket_table
 from qmoments.weyl_algebra import (
     OperatorPoly,
-    _epoly_pair_bracket,
-    _index_as_epoly,
     bracket_oracle,
     expectation,
     weyl_monomial,
@@ -128,14 +126,18 @@ def test_gaussian_rational_hashes_like_an_equal_number():
 
 def test_bracket_table_coefficients_are_canonical():
     """Every coefficient part of a two-pair table is an int or a proper
-    Fraction, and the oracle is antisymmetric on every single-pair index
-    pair of order <= 4, which runs the cached reversed pair brackets."""
+    Fraction, and the bracket is antisymmetric on every single-pair index
+    pair of order <= 4: the oracle's on moments, and the reference's where
+    one index is q or p, which runs its cached reversed pair brackets."""
     for poly in build_bracket_table(3, 2).entries.values():
         for c in poly.terms.values():
             assert canonical(c.re) and canonical(c.im), poly
     idxs = indices.iter_indices(4, 1, min_order=1)
     for m1, m2 in itertools.combinations(idxs, 2):
-        assert bracket_oracle(m2, m1) == -bracket_oracle(m1, m2), (m1, m2)
+        if 1 in (indices.order(m1), indices.order(m2)):
+            assert _full_expansion_bracket(m2, m1) == -_full_expansion_bracket(m1, m2), (m1, m2)
+        else:
+            assert bracket_oracle(m2, m1) == -bracket_oracle(m1, m2), (m1, m2)
 
 
 def test_weyl_symmetrize_covariance():
@@ -245,11 +247,29 @@ def test_bracket_oracle_self_bracket_vanishes():
 
 
 def test_bracket_oracle_basic_orthogonality():
-    """q and p Poisson-commute with every central moment."""
+    """q and p Poisson-commute with every central moment, and
+    {q, p} = -{p, q} = 1, from the definition of the bracket."""
     for basic in (single(1, 0), single(0, 1)):
         for idx in indices.iter_indices(4, 1):
-            assert bracket_oracle(basic, idx).is_zero
-    assert bracket_oracle(single(1, 0), single(0, 1)) == MomentPolynomial.constant(1, 1)
+            assert _full_expansion_bracket(basic, idx).is_zero
+            assert _full_expansion_bracket(idx, basic).is_zero
+    assert _full_expansion_bracket(single(1, 0), single(0, 1)) == MomentPolynomial.constant(1, 1)
+    assert _full_expansion_bracket(single(0, 1), single(1, 0)) == MomentPolynomial.constant(-1, 1)
+
+
+def test_bracket_oracle_refuses_order_1_and_mixed_pair_counts():
+    """The oracle takes moments of order >= 2 on one pair count; the
+    equations of motion bracket q and p by moment_algebra._var_bracket."""
+    for m1, m2 in [
+        (single(1, 0), single(0, 2)),
+        (single(2, 0), single(0, 1)),
+        (single(1, 0), single(0, 1)),
+        (((1, 0), (0, 0)), ((0, 0), (0, 2))),
+        (single(0, 0), single(2, 0)),
+        (single(2, 0), ((0, 2), (0, 0))),
+    ]:
+        with pytest.raises(ValueError):
+            bracket_oracle(m1, m2)
 
 
 def test_bracket_oracle_antisymmetry_order_6():
@@ -291,9 +311,88 @@ def test_weyl_monomial_multi_pair_round_trip():
     assert expectation(weyl_monomial(idx)) == MomentPolynomial.moment(idx)
 
 
-# Reference: the oracle's bracket expanded around a general (q, p).  Every
-# raw coordinate is rewritten in q, p and central moments, and the q, p
-# terms must cancel; ``bracket_oracle`` evaluates at q = p = 0 instead.
+# Reference: the bracket from its definition.  The coordinates of the state
+# space are the raw expectation values E[alpha] = <prod_i q_i^a_i p_i^b_i> of
+# normal-ordered, uncentered monomials (alpha is an exps tuple); the order-1
+# ones are q and p themselves.  A central moment is a polynomial in them,
+# {E[x], E[y]} = <[T_x, T_y]>/(i hbar), and the Leibniz rule extends that to
+# the polynomials.  The result is rewritten in q, p and central moments, and
+# the q, p terms must cancel.
+
+
+def _is_trivial(alpha) -> bool:
+    return all(a == 0 and b == 0 for a, b in alpha)
+
+
+def _basic_alpha(pair, npairs, kind):
+    return tuple(((1, 0) if kind == "q" else (0, 1)) if i == pair else (0, 0) for i in range(npairs))
+
+
+@functools.lru_cache(maxsize=None)
+def _uncentered_expectation_epoly(idx):
+    """<W(idx)> expanded in raw expectation values and powers of q, p.
+
+    The centered factors are expanded binomially; the scalars q, p are the
+    raw first-order expectation values themselves, so the result is a pure
+    polynomial in the E-coordinates.
+    """
+    npairs = len(idx)
+    terms = {}
+    for (h, exps), c in weyl_monomial(idx).terms.items():
+        per_pair = []
+        for pair, (al, be) in enumerate(exps):
+            opts = []
+            for j in range(al + 1):
+                for k in range(be + 1):
+                    coeff = GaussianRational(math.comb(al, j) * math.comb(be, k) * (-1) ** (al - j + be - k))
+                    opts.append((pair, j, k, al - j, be - k, coeff))
+            per_pair.append(opts)
+        for combo in itertools.product(*per_pair):
+            coeff = c
+            raw = [None] * npairs
+            scal = []
+            for pair, j, k, qpow, ppow, c_i in combo:
+                coeff = coeff * c_i
+                raw[pair] = (j, k)
+                if qpow:
+                    scal.append((_basic_alpha(pair, npairs, "q"), qpow))
+                if ppow:
+                    scal.append((_basic_alpha(pair, npairs, "p"), ppow))
+            raw_alpha = tuple(raw)
+            vars_ = {}
+            for v, power in scal:
+                vars_[v] = vars_.get(v, 0) + power
+            if not _is_trivial(raw_alpha):
+                vars_[raw_alpha] = vars_.get(raw_alpha, 0) + 1
+            _accumulate(terms, (h, tuple(sorted(vars_.items()))), coeff)
+    return MomentPolynomial(npairs, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _epoly_pair_bracket(x, y):
+    """{E[x], E[y]} = <[T_x, T_y]>/(i*hbar), linear in the E-coordinates.
+
+    Only ``x <= y`` takes a commutator; a reversed pair is the negated
+    bracket, made once and then cached too."""
+    if x > y:
+        return -_epoly_pair_bracket(y, x)
+    comm = OperatorPoly.monomial(x).commutator(OperatorPoly.monomial(y))
+    return MomentPolynomial(
+        len(x),
+        {
+            (h, () if _is_trivial(exps) else ((exps, 1),)): c
+            for (h, exps), c in comm.divide_ihbar().terms.items()
+        },
+    )
+
+
+def _index_as_epoly(idx) -> MomentPolynomial:
+    n = indices.order(idx)
+    if n == 0:
+        return MomentPolynomial.constant(GR_ONE, len(idx))
+    if n == 1:
+        return MomentPolynomial.variable(idx, len(idx))
+    return _uncentered_expectation_epoly(idx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,7 +447,7 @@ def test_oracle_coordinate_round_trip():
         assert got == MomentPolynomial.moment(idx)
 
 
-def _origin_cases():
+def _reference_cases():
     """Every entry of the `brackets --order 5` and `--order 3 --pairs 2`
     tables, and every pair with an order-1 index at those sizes."""
     for order, npairs in ((5, 1), (3, 2)):
@@ -359,13 +458,29 @@ def _origin_cases():
                 yield m1, m2
 
 
-def test_oracle_origin_evaluation_equals_full_expansion():
+def _as_variable(idx):
+    """The variable of the equations of motion that an index stands for:
+    ("q", i) or ("p", i) at order 1, ("D", idx) above."""
+    if indices.order(idx) > 1:
+        return ("D", idx)
+    pair = next(i for i, exps in enumerate(idx) if exps != (0, 0))
+    return ("q" if idx[pair] == (1, 0) else "p", pair)
+
+
+def test_oracle_equals_full_expansion():
     """The bracket does not depend on q and p: the full expansion leaves no
-    q/p term, and the oracle's origin evaluation equals it exactly."""
+    q/p term.  It equals the oracle on every table entry, and where an index
+    is q or p it equals the q/p rules of moment_algebra._var_bracket, which
+    the equations of motion use; both are taken in either order."""
+
+    def bracket(m1, m2):
+        got = _var_bracket(_as_variable(m1), _as_variable(m2), bracket_oracle, len(m1))
+        return MomentPolynomial.zero(len(m1)) if got is None else got
+
     n = 0
-    for m1, m2 in _origin_cases():
+    for m1, m2 in _reference_cases():
         full = _full_expansion_bracket(m1, m2)
         assert not any(v[0] in ("q", "p") for v in full.variables()), (m1, m2)
-        assert bracket_oracle(m1, m2) == full, (m1, m2)
+        assert full == bracket(m1, m2) == -bracket(m2, m1), (m1, m2)
         n += 1
     assert n == 153 + 435 + 39 + 130
