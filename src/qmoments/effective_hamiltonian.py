@@ -27,6 +27,8 @@ class PolynomialPotential:
         self.mass = Fraction(mass)
         if self.mass <= 0:
             raise ValueError("mass must be positive")
+        # float coefficients of each derivative order ``value`` has taken
+        self._float_coefficients = {}
 
     @property
     def degree(self) -> int:
@@ -44,10 +46,13 @@ class PolynomialPotential:
         Horner starts from ``0.0 * q``, so an array of q gives an array of
         its shape even when the polynomial (or the derivative) is zero.
         """
-        coeffs = self.derivative_coefficients(derivative)
+        coeffs = self._float_coefficients.get(derivative)
+        if coeffs is None:
+            coeffs = [float(c) for c in self.derivative_coefficients(derivative)]
+            self._float_coefficients[derivative] = coeffs
         acc = 0.0 * q
         for c in reversed(coeffs):
-            acc = acc * q + float(c)
+            acc = acc * q + c
         return acc
 
     def as_polynomial(self, derivative: int = 0) -> MomentPolynomial:

@@ -40,7 +40,6 @@ from .dynamics import (
 from .effective_hamiltonian import PolynomialPotential, build_heff, equations_of_motion
 from .moment_algebra import MAX_TABLE_ENTRIES, build_bracket_table, table_entries
 from .schrodinger import (
-    MAX_EXTRACTION_ORDER,
     Grid,
     energy_expectation,
     evolve,
@@ -136,7 +135,7 @@ _TUNNELING = {
 }
 # the wavefunction oracle: a pure Gaussian packet (ps0 = 0, C = hbar^2/4)
 # evolved by Crank-Nicolson on a grid
-_WAVEFUNCTION = {**_MODEL, **_PACKET, "samples": 21, "grid_points": 4096, "dt": 1e-3}
+_WAVEFUNCTION = {**_MODEL, **_PACKET, "samples": 21, "grid_points": 1024, "dt": 1e-3}
 
 _SCENARIO_DEFAULTS = {
     "free": {**_PACKET_RUN, "potential": []},
@@ -351,11 +350,6 @@ def _validate(cfg):
         "must be > 0: at 0 there is no fluctuation equilibrium s0(q)",
     )
     if "grid_points" in cfg:
-        # a config with a grid runs the wavefunction oracle, which extracts
-        # fewer orders
-        _require(
-            cfg["order"] <= MAX_EXTRACTION_ORDER, "order", f"must be an integer in 2..{MAX_EXTRACTION_ORDER}"
-        )
         _require(cfg["x_max"] > cfg["x_min"], "x_max", "must exceed x_min")
     if "table_order" in cfg:
         table_bound(cfg["table_order"], cfg["pairs"], "table_order", "pairs")
@@ -790,9 +784,10 @@ def oracle_deviations(oracle: dict, moments: dict) -> dict:
     state keeps Delta(qp) = 0).  Cauchy-Schwarz bounds |Delta(qp)| by
     sqrt(Delta(q^2) Delta(p^2)), so the Delta_qp scale is floored at a
     tenth of sqrt(max Delta(q^2) max Delta(p^2)).  The oracle's
-    discretisation error, at most about 2e-5 of that bound at 2048 or
-    4096 points and dt = 1e-3, then reads as at most about 2e-4, while an
-    offset of 1e-3 of the bound reads as 1e-2.  The default free and harmonic packets reach
+    discretisation error, fourth order in space with spectral extraction,
+    is about 2e-6 of that bound on the default 1024-point grid with
+    dt = 1e-3 (mostly the time step), and then reads as about 2e-5, while
+    an offset of 1e-3 of the bound reads as 1e-2.  The default free and harmonic packets reach
     |Delta(qp)| of 0.71 and 0.37 of the bound, above the floor, so their
     deviations are unchanged.
     """

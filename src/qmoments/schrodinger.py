@@ -1,9 +1,11 @@
 """Desk-scale exact quantum evolution used to validate moment dynamics.
 
-Crank-Nicolson propagation on a uniform hard-wall grid (unconditionally
-stable, norm-preserving to rounding, second-order accurate in space and
-time), plus extraction of Weyl-ordered central moments from wavefunctions
-through the ordering change of basis of the operator algebra.
+Crank-Nicolson propagation on a uniform hard-wall grid with the Numerov
+(compact fourth-order) Laplacian: unconditionally stable, norm-preserving
+to rounding, fourth-order accurate in space and second-order in time.
+Weyl-ordered central moments are extracted from wavefunctions with the
+momentum operator applied spectrally (FFT), through the ordering change of
+basis of the operator algebra.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 from . import indices
 from .weyl_algebra import _weyl_in_normal
 
-# Repeated differencing loses accuracy; moments are extracted up to this order.
-MAX_EXTRACTION_ORDER = 4
+# The spectral momentum keeps full accuracy at every order a config takes
+# (scenarios.MAX_ORDER).
+MAX_EXTRACTION_ORDER = 7
 
 # Steps between wavepacket support checks in ``evolve``: a fixed count, so a
 # run split into short calls is not checked after every step.
@@ -72,12 +75,6 @@ class WaveFunction:
     def normalized(self) -> "WaveFunction":
         return WaveFunction(self.grid, self.values / self.norm, self.hbar, self.mass)
 
-    def apply_momentum(self, subtract: float = 0.0) -> np.ndarray:
-        """(-i hbar d/dx - subtract) applied via the centered stencil."""
-        return -1j * self.hbar * np.gradient(self.values, self.grid.dx, edge_order=2) - (
-            subtract * self.values
-        )
-
 
 def gaussian_wavepacket(grid: Grid, q0: float, p0: float, sigma: float, hbar: float = 1.0, mass: float = 1.0) -> WaveFunction:
     """Normalized Gaussian with position spread Delta(q^2) = sigma^2."""
@@ -94,15 +91,25 @@ def gaussian_wavepacket(grid: Grid, q0: float, p0: float, sigma: float, hbar: fl
 
 
 def hamiltonian_apply(wf: WaveFunction, potential) -> np.ndarray:
-    """H psi with the second-order accurate spatial second derivative."""
+    """H_N psi, the Numerov Hamiltonian that ``evolve`` steps.
+
+    H_N = kin M^-1 (-delta^2) + V with kin = hbar^2 / (2 m dx^2), the
+    second difference delta^2 and M = tridiag(1, 10, 1) / 12, both cut at
+    the hard walls (psi = 0 beyond the edges).  M and delta^2 commute, so
+    H_N is real symmetric; M^-1 is one real tridiagonal solve.
+    """
+    from scipy.linalg import solve_banded
+
     psi = wf.values
-    dx2 = wf.grid.dx**2
-    lap = np.empty_like(psi)
-    lap[1:-1] = psi[2:] - 2.0 * psi[1:-1] + psi[:-2]
-    lap[0] = psi[1] - 2.0 * psi[0]  # hard wall: psi = 0 beyond the edge
-    lap[-1] = psi[-2] - 2.0 * psi[-1]
+    kin = wf.hbar**2 / (2.0 * wf.mass * wf.grid.dx**2)
+    lap = -2.0 * psi
+    lap[:-1] += psi[1:]
+    lap[1:] += psi[:-1]
+    m = np.full((3, psi.size), 1.0 / 12.0)
+    m[1] = 10.0 / 12.0
+    re_im = solve_banded((1, 1), m, np.column_stack((lap.real, lap.imag)))
     v = potential.value(wf.grid.x)
-    return -(wf.hbar**2) / (2.0 * wf.mass) * lap / dx2 + v * psi
+    return -kin * (re_im[:, 0] + 1j * re_im[:, 1]) + v * psi
 
 
 def energy_expectation(wf: WaveFunction, potential) -> float:
@@ -114,14 +121,18 @@ def energy_expectation(wf: WaveFunction, potential) -> float:
 def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction:
     """Crank-Nicolson propagation over ``steps`` time steps.
 
-    The scheme is the Cayley form (1 + i dt H / 2 hbar) psi' =
-    (1 - i dt H / 2 hbar) psi, so the norm is preserved to rounding.  The
-    tridiagonal left-hand matrix is LU-factored once per call (LAPACK
-    ``zgttrf``) and each step is one ``zgttrs`` solve.  The documented step
-    heuristic warns when (dt |<H>| / hbar)^3 / 12 exceeds 1e-8, the target
-    local error per step.  Support is monitored: a wavepacket whose 5-sigma
-    interval touches the walls raises a BoundaryContactWarning; it is
-    checked every ``SUPPORT_CHECK_STEPS`` steps and after the last one.
+    Each step solves (M + i theta K) psi' = (M - i theta K) psi with
+    theta = dt / 2 hbar, M = tridiag(1, 10, 1) / 12 and
+    K = -kin delta^2 + M diag(V) (see ``hamiltonian_apply``).  As
+    M^-1 K = H_N, this is the Cayley form of the real symmetric Numerov
+    Hamiltonian, so the plain 2-norm is preserved to rounding and <H_N> is
+    conserved.  The tridiagonal left-hand matrix is LU-factored once per
+    call (LAPACK ``zgttrf``) and each step is one ``zgttrs`` solve.  The
+    documented step heuristic warns when (dt |<H_N>| / hbar)^3 / 12 exceeds
+    1e-8, the target local error per step.  Support is monitored: a
+    wavepacket whose 5-sigma interval touches the walls raises a
+    BoundaryContactWarning; it is checked every ``SUPPORT_CHECK_STEPS``
+    steps and after the last one.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -136,26 +147,29 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction
             AccuracyWarning,
             stacklevel=2,
         )
-    n = grid.n_points
     v = potential.value(grid.x)
     kin = hbar**2 / (2.0 * mass * grid.dx**2)
-    h_main = 2.0 * kin + v
-    h_off = -kin * np.ones(n - 1)
     theta = dt / (2.0 * hbar)
-    # LU factors of A = 1 + i theta H
-    a_off = 1j * theta * h_off
-    *factors, info = zgttrf(a_off, 1.0 + 1j * theta * h_main, a_off)
+    # the bands of K; the lower and upper ones differ by the potential
+    k_main = 2.0 * kin + v * (10.0 / 12.0)
+    k_lower = -kin + v[:-1] / 12.0
+    k_upper = -kin + v[1:] / 12.0
+    # LU factors of A = M + i theta K
+    *factors, info = zgttrf(
+        1.0 / 12.0 + 1j * theta * k_lower, 10.0 / 12.0 + 1j * theta * k_main, 1.0 / 12.0 + 1j * theta * k_upper
+    )
     if info != 0:
         raise np.linalg.LinAlgError(f"Crank-Nicolson matrix is singular (zgttrf info={info})")
-    b_main = 1.0 - 1j * theta * h_main
-    b_off = -1j * theta * h_off
+    b_main = 10.0 / 12.0 - 1j * theta * k_main
+    b_lower = 1.0 / 12.0 - 1j * theta * k_lower
+    b_upper = 1.0 / 12.0 - 1j * theta * k_upper
 
     psi = psi0.values.copy()
     rows = _support_rows(grid)
     for step in range(steps):
         rhs = b_main * psi
-        rhs[:-1] += b_off * psi[1:]
-        rhs[1:] += b_off * psi[:-1]
+        rhs[:-1] += b_upper * psi[1:]
+        rhs[1:] += b_lower * psi[:-1]
         psi, info = zgttrs(*factors, rhs)
         if info != 0:
             raise np.linalg.LinAlgError(f"Crank-Nicolson solve failed (zgttrs info={info})")
@@ -187,12 +201,13 @@ def _check_support(grid: Grid, rows: np.ndarray, psi: np.ndarray):
 def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float = 1e-4):
     """Weyl-ordered central moments up to ``order`` extracted from a state.
 
-    Normal-ordered centered expectations <(q-q0)^j (p-p0)^k> are computed by
-    repeated application of the centered momentum stencil; the ordering
-    change of basis then yields the Weyl moments.  The largest residual
-    imaginary part is returned as a quality metric (and warned about above
-    ``quality_tol``).  Accuracy degrades with repeated differencing; orders
-    above ``MAX_EXTRACTION_ORDER`` are rejected.
+    Normal-ordered centered expectations <(q-q0)^j (p-p0)^k> are computed
+    with (P - p0)^k applied spectrally, as ifft((hbar k - p0)^k fft(psi));
+    the ordering change of basis then yields the Weyl moments.  The largest
+    residual imaginary part is returned as a quality metric (and warned
+    about above ``quality_tol``): it stays at rounding for a packet the grid
+    resolves and grows for one that the walls cut or the grid aliases.
+    Orders above ``MAX_EXTRACTION_ORDER`` are rejected.
 
     Returns (MomentState, quality).
     """
@@ -205,14 +220,12 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
     dens = np.abs(psi) ** 2
     norm = np.trapezoid(dens, dx=dx)
     q0 = float(np.trapezoid(grid.x * dens, dx=dx) / norm)
-    pfield = wf.apply_momentum()
-    p0 = float(np.trapezoid(np.conj(psi) * pfield, dx=dx).real / norm)
+    hk = wf.hbar * 2.0 * np.pi * np.fft.fftfreq(grid.n_points, dx)
+    psi_k = np.fft.fft(psi)
+    p0 = float(np.trapezoid(np.conj(psi) * np.fft.ifft(hk * psi_k), dx=dx).real / norm)
 
     # chi_k = (P - p0)^k psi
-    chi = [psi]
-    for _ in range(order):
-        prev = WaveFunction(grid, chi[-1], wf.hbar, wf.mass)
-        chi.append(prev.apply_momentum(subtract=p0))
+    chi = [psi] + [np.fft.ifft((hk - p0) ** k * psi_k) for k in range(1, order + 1)]
     xc = grid.x - q0
     raw = {}
     for j in range(order + 1):

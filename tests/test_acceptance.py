@@ -130,9 +130,10 @@ def test_criterion_04_casimir_conservation():
 
 
 def test_criterion_05_wavefunction_oracle_cross_validation(tmp_path):
-    """Harmonic second moments from the wavefunction solver match N=2
-    dynamics to 1e-4 relative on the 4096-point, dt=1e-3 reference grid;
-    free-particle oracle spreading matches the closed form to 1e-4."""
+    """Harmonic second moments from the wavefunction solver (fourth order
+    in space, spectral extraction, on the default 1024-point grid with
+    dt = 1e-3) match N=2 dynamics to 1e-4 relative; free-particle oracle
+    spreading matches the closed form to 1e-6."""
     t0 = time.monotonic()
     span = (0.0, float(np.pi))
     samples = 22
@@ -167,12 +168,12 @@ def test_criterion_05_wavefunction_oracle_cross_validation(tmp_path):
     s_ref = free_particle_s(free["t"], 1.0, 0.25, 1.0)
     dev_free = float(np.max(np.abs(np.sqrt(free["Delta_q2"]) - s_ref) / s_ref))
     t_free = time.monotonic() - t0
-    ok = worst <= 1e-4 and dev_free <= 1e-4 and t_harm < 120 and t_free < 120
+    ok = worst <= 1e-4 and dev_free <= 1e-6 and t_harm < 120 and t_free < 120
     report(
         5,
         ok,
         f"harmonic moments dev {worst:.3e} in {t_harm:.0f}s, "
-        f"free spreading dev {dev_free:.3e} in {t_free:.0f}s (<= 1e-4, < 120s each)",
+        f"free spreading dev {dev_free:.3e} in {t_free:.0f}s (<= 1e-4 and 1e-6, < 120s each)",
     )
 
 

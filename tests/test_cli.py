@@ -68,14 +68,14 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad4.json", {"scenario": "free", "order": 8})
     assert main(["simulate", "--config", cfg]) == 2
     assert "order: must be an integer in 2..7" in capsys.readouterr().err
-    # the bracket-table bound of `brackets --order`, and the oracle's
-    # extraction limit whenever a config runs the oracle
+    # the bracket-table bound of `brackets --order`, and the same ceiling
+    # whenever a config runs the oracle
     cfg = write_cfg(tmp_path, "bad5.json", {"scenario": "brackets-dump", "table_order": 8})
     assert main(["simulate", "--config", cfg]) == 2
     assert "table_order: truncation order must be in 2..7, got 8" in capsys.readouterr().err
-    cfg = write_cfg(tmp_path, "bad6.json", {"scenario": "oracle-diff", "order": 5})
+    cfg = write_cfg(tmp_path, "bad6.json", {"scenario": "oracle-diff", "order": 8})
     assert main(["simulate", "--config", cfg]) == 2
-    assert "order: must be an integer in 2..4" in capsys.readouterr().err
+    assert "order: must be an integer in 2..7" in capsys.readouterr().err
     # the sweep command's scenario runs only through `sweep`
     cfg = write_cfg(tmp_path, "bad7.json", {"scenario": "cubic-tunneling-sweep", "sweep": _CELL})
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "bad7")]) == 2
@@ -552,15 +552,15 @@ def test_oracle_subcommand(tmp_path):
     assert lines[0] == "t,q,p,Delta_q2,Delta_qp,Delta_p2,energy,casimir,margin"
     assert len(lines) == 6
     for name, digest in [
-        ("oracle_trajectory.csv", "ef09c1b674404d87369044e0f107d635b8fde6aaece39796330f59754a2c22ca"),
-        ("oracle_summary.json", "598533c0ab7ba11f6fd68d3431cc52add049d18f6a4deae58bbc581d061b97c2"),
+        ("oracle_trajectory.csv", "128ff4fc71b8f7e4d25d11ab1de4c15f2c974f63437856218725c6f3271b6583"),
+        ("oracle_summary.json", "e271fd7c1d55f0b928d42b8c927c8c064d929fc0c17085fffe675ad4b56d0c27"),
     ]:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize(
     "payload, field",
-    [({"bogus": 1}, "bogus"), ({"grid_points": 10}, "grid_points"), ({"order": 5}, "order"), ([1], "config"),
+    [({"bogus": 1}, "bogus"), ({"grid_points": 10}, "grid_points"), ({"order": 8}, "order"), ([1], "config"),
      ({"dt": math.inf}, "dt")],
     ids=["unknown-key", "grid_points", "order", "not-an-object", "dt-infinity"],
 )
@@ -744,6 +744,23 @@ def test_tracer_installs_on_the_program(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(root / "perfbench")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_oracle_diff_at_order_5(tmp_path):
+    """The oracle extracts every order a config takes: a squeezed harmonic
+    packet at order 5 on the default grid passes its check, and its
+    fourth-order moments match the moment dynamics too."""
+    cfg = write_cfg(tmp_path, "o5.json", {"scenario": "oracle-diff", "order": 5, "q0": 0.5, "p0": 0.3, "sigma": 0.7})
+    out = tmp_path / "o5"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["passed"] and summary["checks"]["max_rel_deviation"] <= 1e-5
+    assert summary["oracle_quality"] < 1e-12
+    oracle = np.genfromtxt(out / "oracle_trajectory.csv", delimiter=",", names=True)
+    moments = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+    assert "Delta_p5" in moments.dtype.names
+    for col in ("Delta_q4", "Delta_q2p2", "Delta_p4"):
+        assert np.max(np.abs(oracle[col] - moments[col])) <= 1e-5 * np.max(np.abs(moments[col])), col
 
 
 def test_oracle_diff_scenario(tmp_path):

@@ -119,6 +119,26 @@ def test_potential_value_on_arrays_is_elementwise():
     assert np.array_equal(PolynomialPotential(CUBIC).value(x, 4), np.zeros_like(x))
 
 
+def test_potential_value_builds_each_derivative_once(monkeypatch):
+    """``value`` converts the exact coefficients of a derivative order to
+    floats once per potential, with the bits of Horner on ``float(c)``."""
+    pot = PolynomialPotential(QUARTIC)
+    built = []
+    exact = PolynomialPotential.derivative_coefficients
+    monkeypatch.setattr(
+        PolynomialPotential, "derivative_coefficients", lambda self, k: built.append(k) or exact(self, k)
+    )
+    for _ in range(3):
+        for k in range(6):
+            for q in (-1.3, 0.0, 0.8):
+                acc = 0.0
+                for c in reversed(exact(pot, k)):
+                    acc = acc * q + float(c)
+                assert pot.value(q, k) == acc
+    assert built == list(range(6))
+    assert pot.as_polynomial(2) == PolynomialPotential([1, 0, Fraction(3, 5)]).as_polynomial()
+
+
 def test_equations_of_motion_free_particle():
     h = build_heff(PolynomialPotential([], mass=2), 2)
     field = equations_of_motion(h)

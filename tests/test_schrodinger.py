@@ -11,7 +11,9 @@ from qmoments.casimir_darboux import free_particle_s
 from qmoments.dynamics import init_gaussian
 from qmoments.effective_hamiltonian import PolynomialPotential
 from qmoments.indices import single
+from qmoments.scenarios import MAX_ORDER, ORACLE_DEFAULTS, resolve_config
 from qmoments.schrodinger import (
+    MAX_EXTRACTION_ORDER,
     AccuracyWarning,
     BoundaryContactWarning,
     Grid,
@@ -55,57 +57,92 @@ def test_gaussian_packet_resolution_guard():
 
 
 def test_translation_covariance_of_central_moments():
-    """A momentum boost moves p but leaves the central moments alone,
-    up to the O(dx^2 p^2) bias of the differencing stencil."""
+    """A momentum boost moves p but leaves the central moments alone: the
+    spectral momentum shifts exactly, so only rounding is left."""
     grid = Grid(-20, 20, 4096)
     rest, _ = moments_from_wavefunction(gaussian_wavepacket(grid, 0, 0.0, 1.0), 2)
     boosted, _ = moments_from_wavefunction(gaussian_wavepacket(grid, 0, 1.7, 1.0), 2)
-    assert boosted.p == pytest.approx(1.7, rel=1e-4)
+    assert boosted.p == pytest.approx(1.7, rel=1e-12)
     for idx in (single(2, 0), single(1, 1), single(0, 2)):
-        assert boosted.moments[idx] == pytest.approx(rest.moments[idx], abs=2e-4)
+        assert boosted.moments[idx] == pytest.approx(rest.moments[idx], abs=1e-12)
 
 
 def test_extraction_matches_init_gaussian():
-    grid = Grid(-20, 20, 4096)
-    wf = gaussian_wavepacket(grid, 0.4, -0.6, 1.1)
-    state, quality = moments_from_wavefunction(wf, 2)
-    ref = init_gaussian(0.4, -0.6, 1.1, 0.0, 1.0, 2)
-    for idx in ref.moments:
-        assert state.moments[idx] == pytest.approx(ref.moments[idx], rel=2e-5, abs=2e-5)
-    assert quality < 1e-4
+    """Every Weyl moment of a Gaussian at orders 2..7, on the oracle-diff
+    interval at 512 and 1024 points, equals the Wick moments of
+    ``init_gaussian`` to 1e-10; the quality metric stays at rounding."""
+    assert MAX_EXTRACTION_ORDER == MAX_ORDER
+    for n_points in (512, 1024):
+        wf = gaussian_wavepacket(Grid(-12, 12, n_points), 0.5, 0.3, 0.7)
+        for order in range(2, MAX_ORDER + 1):
+            state, quality = moments_from_wavefunction(wf, order)
+            ref = init_gaussian(0.5, 0.3, 0.7, 0.0, 1.0, order)
+            assert state.q == pytest.approx(0.5, abs=1e-12)
+            assert state.p == pytest.approx(0.3, abs=1e-12)
+            assert state.moments.keys() == ref.moments.keys()
+            for idx in ref.moments:
+                assert state.moments[idx] == pytest.approx(ref.moments[idx], rel=1e-10, abs=1e-10)
+            assert quality < 1e-12
 
 
 def test_extraction_quality_on_reference_grid():
-    """Imaginary residue of the covariance extraction; the centered stencil
-    makes this O(dx^2) - about 6e-6 on the 4096-point reference grid."""
+    """Imaginary residue of the covariance extraction after free evolution:
+    with the spectral momentum it stays at rounding."""
     grid = Grid(-20, 20, 4096)
     wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
     wf = evolve(FREE, wf, 1e-3, 500)
     _, quality = moments_from_wavefunction(wf, 2)
-    assert quality < 1e-5
+    assert quality < 1e-12
 
 
 def test_extraction_order_cap():
     grid = Grid(-20, 20, 2048)
     wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        moments_from_wavefunction(wf, 5)
+        moments_from_wavefunction(wf, MAX_EXTRACTION_ORDER + 1)
 
 
 def test_extraction_warns_on_low_accuracy():
+    """A packet the walls cut (2 sigma from the edge) and one centred on the
+    grid's Nyquist momentum are not resolved; the default tolerance flags
+    both."""
     grid = Grid(-10, 10, 256)
-    wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
-    with pytest.warns(AccuracyWarning):
-        moments_from_wavefunction(wf, 4, quality_tol=1e-12)
+    cut = gaussian_wavepacket(grid, 8.0, 0.0, 1.0)
+    aliased = gaussian_wavepacket(grid, 0.0, math.pi / grid.dx, 1.0)
+    for wf in (cut, aliased):
+        with pytest.warns(AccuracyWarning):
+            moments_from_wavefunction(wf, 4)
 
 
 def test_free_spreading_matches_closed_form():
-    grid = Grid(-20, 20, 4096)
+    """The free packet's width follows free_particle_s to 1e-6 at every
+    half time unit on the default 1024-point grid."""
+    grid = Grid(-20, 20, resolve_config({}, "free", ORACLE_DEFAULTS)["grid_points"])
+    assert grid.n_points == 1024
     wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
-    wf = evolve(FREE, wf, 1e-3, 2000)
-    state, _ = moments_from_wavefunction(wf, 2)
-    expected = free_particle_s(2.0, 1.0, 0.25, 1.0)
-    assert math.sqrt(state.moments[single(2, 0)]) == pytest.approx(expected, rel=1e-4)
+    for t in (0.5, 1.0, 1.5, 2.0):
+        wf = evolve(FREE, wf, 1e-3, 500)
+        state, _ = moments_from_wavefunction(wf, 2)
+        expected = free_particle_s(t, 1.0, 0.25, 1.0)
+        assert math.sqrt(state.moments[single(2, 0)]) == pytest.approx(expected, rel=1e-6)
+
+
+def test_harmonic_packet_follows_the_exact_solution():
+    """On the default oracle-diff grid ([-12, 12], 1024 points, dt 1e-3) a
+    squeezed harmonic packet follows q(t) = q0 cos t + p0 sin t and
+    Delta(q^2)(t) = sigma^2 cos^2 t + sin^2 t / (4 sigma^2) to 1e-6."""
+    cfg = resolve_config({}, "oracle-diff")
+    grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
+    q0, p0, sigma = 0.5, 0.3, 0.7
+    wf = gaussian_wavepacket(grid, q0, p0, sigma)
+    for t in (0.5, 1.0, 1.5, 2.0):
+        wf = evolve(HARMONIC, wf, cfg["dt"], 500)
+        state, _ = moments_from_wavefunction(wf, 2)
+        c, s = math.cos(t), math.sin(t)
+        assert state.q == pytest.approx(q0 * c + p0 * s, abs=1e-6)
+        assert state.p == pytest.approx(p0 * c - q0 * s, abs=1e-6)
+        assert state.moments[single(2, 0)] == pytest.approx(sigma**2 * c**2 + s**2 / (4 * sigma**2), abs=1e-6)
+        assert state.moments[single(0, 2)] == pytest.approx(sigma**2 * s**2 + c**2 / (4 * sigma**2), abs=1e-6)
 
 
 def test_unitarity_norm_drift():
@@ -191,27 +228,31 @@ def test_ehrenfest_momentum_rate_matches_cubic_back_reaction():
 @pytest.mark.parametrize("potential", [HARMONIC, FREE], ids=["harmonic", "free"])
 def test_evolve_matches_banded_reference_bitwise(potential):
     """The factor-once solver gives the same bits as a per-step banded
-    solve of the same Crank-Nicolson system."""
+    solve of the same Numerov Crank-Nicolson system
+    (M + i theta K) psi' = (M - i theta K) psi, M = tridiag(1, 10, 1)/12,
+    K = -kin delta^2 + M diag(V)."""
     grid = Grid(-16, 16, 1024)
     wf = gaussian_wavepacket(grid, 0.5, 0.8, 1.0)
     dt, steps = 1e-3, 200
     n = grid.n_points
     v = potential.value(grid.x)
     kin = wf.hbar**2 / (2.0 * wf.mass * grid.dx**2)
-    h_main = 2.0 * kin + v
-    h_off = -kin * np.ones(n - 1)
     theta = dt / (2.0 * wf.hbar)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = 1j * theta * h_off
-    ab[1, :] = 1.0 + 1j * theta * h_main
-    ab[2, :-1] = 1j * theta * h_off
-    b_main = 1.0 - 1j * theta * h_main
-    b_off = -1j * theta * h_off
+    # rows of K and M in solve_banded's layout: upper, main, lower
+    k = np.zeros((3, n))
+    k[0, 1:] = -kin + v[1:] / 12.0
+    k[1, :] = 2.0 * kin + v * (10.0 / 12.0)
+    k[2, :-1] = -kin + v[:-1] / 12.0
+    m = np.zeros((3, n))
+    m[0, 1:] = m[2, :-1] = 1.0 / 12.0
+    m[1, :] = 10.0 / 12.0
+    ab = m + 1j * theta * k
+    b = m - 1j * theta * k
     psi = wf.values.copy()
     for _ in range(steps):
-        rhs = b_main * psi
-        rhs[:-1] += b_off * psi[1:]
-        rhs[1:] += b_off * psi[:-1]
+        rhs = b[1] * psi
+        rhs[:-1] += b[0, 1:] * psi[1:]
+        rhs[1:] += b[2, :-1] * psi[:-1]
         psi = solve_banded((1, 1), ab, rhs)
     assert np.array_equal(evolve(potential, wf, dt, steps).values, psi)
 
@@ -242,11 +283,19 @@ def test_evolve_warns_on_coarse_time_step():
 
 
 def test_energy_expectation_conserved():
-    grid = Grid(-16, 16, 2048)
-    wf = gaussian_wavepacket(grid, 1.0, 0.0, 1.0)
-    e0 = energy_expectation(wf, HARMONIC)
-    out = evolve(HARMONIC, wf, 1e-3, 2000)
-    assert energy_expectation(out, HARMONIC) == pytest.approx(e0, rel=1e-10)
+    """Over the default oracle-diff run (2000 steps in 20 calls), at rest
+    and from q0 = 1, the plain 2-norm drifts by at most 1e-12 and <H_N> by
+    at most 1e-10 relative: each step is Crank-Nicolson for the real
+    symmetric H_N that ``energy_expectation`` applies."""
+    cfg = resolve_config({}, "oracle-diff")
+    grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
+    for q0 in (cfg["q0"], 1.0):
+        wf = gaussian_wavepacket(grid, q0, cfg["p0"], cfg["sigma"])
+        norm0, e0 = np.linalg.norm(wf.values), energy_expectation(wf, HARMONIC)
+        for _ in range(20):
+            wf = evolve(HARMONIC, wf, cfg["dt"], 100)
+        assert abs(np.linalg.norm(wf.values) / norm0 - 1.0) <= 1e-12
+        assert energy_expectation(wf, HARMONIC) == pytest.approx(e0, rel=1e-10)
 
 
 def test_dt_halving_second_order_on_observable():
