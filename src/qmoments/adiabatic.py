@@ -32,13 +32,10 @@ class NoEquilibriumError(ValueError):
 class AdiabaticModel:
     potential: object  # needs .value(q, derivative) and .mass
     casimir: float
-    order: int = 0
 
     def __post_init__(self):
         if self.casimir <= 0:
             raise ValueError("the Casimir must be positive")
-        if self.order not in (0, 1):
-            raise ValueError("adiabatic order must be 0 or 1")
 
     @property
     def mass(self) -> float:
@@ -99,8 +96,6 @@ def delta_s_correction(model: AdiabaticModel, q: float, qdot: float, qddot: floa
     Solves the linearized p_s equation about the equilibrium; the curvature
     of the fluctuation potential at s0 is V'' + 3C/(m s0^4).
     """
-    if model.order < 1:
-        raise ValueError("delta_s requires an order-1 model")
     vpp = _vpp(model, q)
     s0 = s0_of_q(model, q)
     s0_ddot = d2s0_dq2(model, q) * qdot**2 + ds0_dq(model, q) * qddot

@@ -1,4 +1,4 @@
-"""Exact scalar and commutative-polynomial arithmetic.
+"""Exact scalars and the sparse polynomials built on them.
 
 Coefficients live in Q[i] (Gaussian rationals); powers of hbar are kept as
 an explicit grading so a single symbolic table serves any numerical hbar.
@@ -9,6 +9,10 @@ is not 1.  Nearly every product the bracket oracle makes has integral parts,
 and an int product skips the gcd and ``Fraction.__new__`` of a Fraction one;
 an int prints, converts to float and hashes like the equal Fraction, so
 tables and generated code do not depend on the form.
+
+``SparsePolynomial`` is the linear structure over these coefficients that
+the commutative ``MomentPolynomial`` here and the normal-ordered
+``weyl_algebra.OperatorPoly`` share; each subclass adds its own product.
 """
 
 from __future__ import annotations
@@ -143,37 +147,19 @@ def _accumulate(terms: dict, key, c) -> None:
         terms[key] = s
 
 
-# Variables of a MomentPolynomial: ("q", pair), ("p", pair) or ("D", index).
-# The string tags sort against each other, so mixed tuples are orderable.
-# The tests' definition-level bracket reference uses raw expectation values
-# instead: each variable is an exponent tuple ((a_1, b_1), ..., (a_n, b_n)).
-
-
-def qvar(pair: int = 0):
-    return ("q", pair)
-
-
-def pvar(pair: int = 0):
-    return ("p", pair)
-
-
-def mvar(idx) -> tuple:
-    return ("D", idx)
-
-
 def _subscript(slot: int, power: int) -> str:
     """y[slot], or its power as a left-associated product: numpy's array
     ``**`` and libm's ``pow`` part in the last bit, a product does not."""
     return f"y[{slot}]" if power == 1 else "(" + "*".join([f"y[{slot}]"] * power) + ")"
 
 
-class MomentPolynomial:
-    """Commutative polynomial in q, p, moment symbols and hbar.
+class SparsePolynomial:
+    """Sparse hbar-graded polynomial over Q[i] on ``npairs`` canonical pairs.
 
-    Terms map ``(hbar_power, variables)`` to a GaussianRational, where
-    ``variables`` is a sorted tuple of ``(var, power)``.  First-order central
-    moments never appear (they vanish identically) and the order-zero moment
-    is folded into the constant term.
+    Terms map ``(hbar_power, monomial)`` to a nonzero GaussianRational.  A
+    subclass fixes what a monomial is and how two of them multiply; the
+    linear structure is shared, and each result has the type of ``self``,
+    so polynomials of different subclasses never mix or compare equal.
     """
 
     __slots__ = ("npairs", "terms")
@@ -182,76 +168,91 @@ class MomentPolynomial:
         self.npairs = npairs
         self.terms = terms if terms is not None else {}
 
-    # -- constructors -----------------------------------------------------
-
     @classmethod
     def zero(cls, npairs: int = 1):
         return cls(npairs, {})
 
     @classmethod
-    def constant(cls, value, npairs: int = 1, hbar_power: int = 0):
-        value = _coerce(value)
-        if value.is_zero:
-            return cls(npairs, {})
-        return cls(npairs, {(hbar_power, ()): value})
-
-    @classmethod
-    def variable(cls, var, npairs: int = 1, coeff=1):
+    def term(cls, npairs: int, hbar_power: int, monomial, coeff=1):
+        """The one term coeff * hbar^hbar_power * monomial (zero if coeff is)."""
         coeff = _coerce(coeff)
-        if coeff.is_zero:
-            return cls(npairs, {})
-        return cls(npairs, {(0, ((var, 1),)): coeff})
-
-    @classmethod
-    def q(cls, pair: int = 0, npairs: int = 1):
-        return cls.variable(qvar(pair), npairs)
-
-    @classmethod
-    def p(cls, pair: int = 0, npairs: int = 1):
-        return cls.variable(pvar(pair), npairs)
-
-    @classmethod
-    def moment(cls, idx, coeff=1):
-        npairs = len(idx)
-        n = indices.order(idx)
-        if n == 0:
-            return cls.constant(coeff, npairs)
-        if n == 1:
-            return cls.zero(npairs)
-        return cls.variable(mvar(idx), npairs, coeff)
-
-    # -- ring operations ---------------------------------------------------
+        return cls(npairs, {(hbar_power, monomial): coeff} if coeff else {})
 
     def _check(self, other):
         if self.npairs != other.npairs:
             raise ValueError("mixing polynomials over different pair counts")
 
     def __add__(self, other):
-        if not isinstance(other, MomentPolynomial):
-            other = MomentPolynomial.constant(other, self.npairs)
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(terms, key, c)
-        return MomentPolynomial(self.npairs, terms)
+        return type(self)(self.npairs, terms)
 
     def __sub__(self, other):
-        if not isinstance(other, MomentPolynomial):
-            other = MomentPolynomial.constant(other, self.npairs)
         return self + (-other)
 
     def __neg__(self):
-        return MomentPolynomial(
-            self.npairs, {k: -c for k, c in self.terms.items()}
-        )
+        return type(self)(self.npairs, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor):
         factor = _coerce(factor)
         if factor.is_zero:
-            return MomentPolynomial.zero(self.npairs)
-        return MomentPolynomial(
-            self.npairs, {k: c * factor for k, c in self.terms.items()}
-        )
+            return self.zero(self.npairs)
+        return type(self)(self.npairs, {k: c * factor for k, c in self.terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.npairs == other.npairs and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.npairs, frozenset(self.terms.items())))
+
+
+class MomentPolynomial(SparsePolynomial):
+    """Commutative polynomial in q, p, moment symbols and hbar.
+
+    Terms map ``(hbar_power, variables)`` to a GaussianRational, where
+    ``variables`` is a sorted tuple of ``(var, power)``.  First-order central
+    moments never appear (they vanish identically) and the order-zero moment
+    is folded into the constant term.
+
+    A variable is ("q", pair), ("p", pair) or ("D", index); the string tags
+    sort against each other, so mixed tuples are orderable.  The tests'
+    definition-level bracket reference uses raw expectation values instead:
+    each variable is an exponent tuple ((a_1, b_1), ..., (a_n, b_n)).
+    """
+
+    __slots__ = ()
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def constant(cls, value, npairs: int = 1, hbar_power: int = 0):
+        return cls.term(npairs, hbar_power, (), value)
+
+    @classmethod
+    def q(cls, pair: int = 0, npairs: int = 1):
+        return cls.term(npairs, 0, ((("q", pair), 1),))
+
+    @classmethod
+    def p(cls, pair: int = 0, npairs: int = 1):
+        return cls.term(npairs, 0, ((("p", pair), 1),))
+
+    @classmethod
+    def moment(cls, idx, coeff=1, hbar_power: int = 0):
+        """coeff * hbar^hbar_power * Delta(idx)."""
+        n = indices.order(idx)
+        if n == 1:
+            return cls.zero(len(idx))
+        return cls.term(len(idx), hbar_power, ((("D", idx), 1),) if n else (), coeff)
+
+    # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, MomentPolynomial):
@@ -270,20 +271,6 @@ class MomentPolynomial:
         for _ in range(n):
             result = result * self
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, MomentPolynomial):
-            return self.terms == {} and _coerce(other).is_zero or (
-                self.terms == {(0, ()): _coerce(other)}
-            )
-        return self.npairs == other.npairs and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.npairs, frozenset(self.terms.items())))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_real(self) -> bool:

@@ -70,20 +70,13 @@ def csv_name(idx: MomentIndex) -> str:
 
 def pretty(idx: MomentIndex) -> str:
     """Human-readable form, e.g. Delta(q^2 p) or Delta(q1 p2^2)."""
-    if len(idx) == 1:
-        a, b = idx[0]
-        bits = []
-        if a:
-            bits.append("q" if a == 1 else f"q^{a}")
-        if b:
-            bits.append("p" if b == 1 else f"p^{b}")
-        return "Delta(%s)" % " ".join(bits)
     bits = []
     for i, (a, b) in enumerate(idx, start=1):
+        tag = "" if len(idx) == 1 else str(i)
         if a:
-            bits.append(f"q{i}" if a == 1 else f"q{i}^{a}")
+            bits.append(f"q{tag}" if a == 1 else f"q{tag}^{a}")
         if b:
-            bits.append(f"p{i}" if b == 1 else f"p{i}^{b}")
+            bits.append(f"p{tag}" if b == 1 else f"p{tag}^{b}")
     return "Delta(%s)" % " ".join(bits)
 
 

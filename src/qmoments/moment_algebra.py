@@ -79,12 +79,7 @@ def closed_form_bracket(m1, m2) -> MomentPolynomial:
             continue
         sign = -1 if ((n - 1) // 2) % 2 else 1
         coeff = GaussianRational(-sign * k * Fraction(1, 2 ** (n - 1)))
-        mono = MomentPolynomial.moment(((a + c - n, b + d - n),), coeff)
-        if mono.is_zero:
-            continue
-        result = result + MomentPolynomial(
-            1, {(h + n - 1, v): cc for (h, v), cc in mono.terms.items()}
-        )
+        result = result + MomentPolynomial.moment(((a + c - n, b + d - n),), coeff, n - 1)
     return result
 
 

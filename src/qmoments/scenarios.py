@@ -180,16 +180,27 @@ ORACLE_DEFAULTS = {
 }
 
 
+# The scenario each run of a forced scenario is, which its config may name:
+# every cell of a sweep is a cubic-tunneling run.
+_RUNS_AS = {"cubic-tunneling-sweep": "cubic-tunneling"}
+
+
 def resolve_config(raw: dict, scenario: str | None = None, defaults: dict = _SCENARIO_DEFAULTS) -> dict:
     """The scenario's entry of ``defaults``, then ``raw``; a key the entry
     lacks and an invalid value raise ConfigError naming the field.
 
-    ``scenario``, when given, overrides the config's own.  Every config of
-    ``simulate``, ``sweep``, ``adiabatic-compare`` and (with
+    ``scenario``, when given, is the one the command forces; the config's
+    own is then absent, the same, or that of its runs (``_RUNS_AS``).
+    Every config of ``simulate``, ``sweep``, ``adiabatic-compare`` and (with
     ``ORACLE_DEFAULTS``) ``oracle`` passes through here.
     """
     _require(isinstance(raw, dict), "config", "must be a JSON object")
-    scenario = scenario or raw.get("scenario")
+    given = raw.get("scenario")
+    if scenario is None:
+        scenario = given
+    else:
+        accepted = (None, scenario, _RUNS_AS.get(scenario))
+        _require(given in accepted, "scenario", f"{given!r} is not this command's {scenario!r}")
     _require(scenario is not None, "scenario", "missing")
     _require(
         isinstance(scenario, str) and scenario in defaults,
@@ -852,7 +863,7 @@ def adiabatic_compare_run(cfg):
     from .adiabatic import adiabatic_acceleration, delta_s_correction
 
     pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    model = AdiabaticModel(pot, _casimir(cfg), order=1)
+    model = AdiabaticModel(pot, _casimir(cfg))
     q0 = cfg["amplitude"]
     s_init = s0_of_q(model, q0)
     if cfg["adiabatic_order"] >= 1:

@@ -26,14 +26,14 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import indices
-from .exact import GR_ONE, GaussianRational, MomentPolynomial, _accumulate, _coerce
+from .exact import GR_ONE, GaussianRational, MomentPolynomial, SparsePolynomial, _accumulate
 
 
 class NonHermitianError(ValueError):
     """Raised when a Hermitian expectation retains an imaginary part."""
 
 
-class OperatorPoly:
+class OperatorPoly(SparsePolynomial):
     """Normal-ordered polynomial in centered canonical operators.
 
     Terms map ``(hbar_power, exps)`` to a GaussianRational where ``exps``
@@ -41,29 +41,17 @@ class OperatorPoly:
     commute; the zero polynomial has no terms.
     """
 
-    __slots__ = ("npairs", "terms")
-
-    def __init__(self, npairs: int = 1, terms: dict | None = None):
-        self.npairs = npairs
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, npairs: int = 1):
-        return cls(npairs, {})
-
-    @classmethod
     def identity(cls, npairs: int = 1):
-        zero_exps = tuple((0, 0) for _ in range(npairs))
-        return cls(npairs, {(0, zero_exps): GR_ONE})
+        return cls.monomial(((0, 0),) * npairs)
 
     @classmethod
     def monomial(cls, exps, coeff=1, hbar_power: int = 0):
-        coeff = _coerce(coeff)
-        if coeff.is_zero:
-            return cls(len(exps), {})
-        return cls(len(exps), {(hbar_power, tuple(exps)): coeff})
+        return cls.term(len(exps), hbar_power, tuple(exps), coeff)
 
     @classmethod
     def position(cls, pair: int = 0, npairs: int = 1):
@@ -74,33 +62,6 @@ class OperatorPoly:
     def momentum(cls, pair: int = 0, npairs: int = 1):
         exps = tuple((0, 1) if i == pair else (0, 0) for i in range(npairs))
         return cls.monomial(exps)
-
-    # -- linear structure ---------------------------------------------------
-
-    def _check(self, other):
-        if self.npairs != other.npairs:
-            raise ValueError("mixing operators over different pair counts")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(terms, key, c)
-        return OperatorPoly(self.npairs, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return OperatorPoly(self.npairs, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, factor):
-        factor = _coerce(factor)
-        if factor.is_zero:
-            return OperatorPoly.zero(self.npairs)
-        return OperatorPoly(
-            self.npairs, {k: c * factor for k, c in self.terms.items()}
-        )
 
     # -- operator product ---------------------------------------------------
 
@@ -127,17 +88,6 @@ class OperatorPoly:
                 raise ValueError("term without hbar cannot be divided by i*hbar")
             terms[(h - 1, exps)] = c.mul_ipow(3)
         return OperatorPoly(self.npairs, terms)
-
-    # -- inspection ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return self.npairs == other.npairs and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -294,9 +244,8 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
                 coeff = coeff * c_i
                 total_h += h_i
                 widx.append(pair_weyl)
-            mono = MomentPolynomial.moment(tuple(widx), coeff)
-            for (hk, v), cc in mono.terms.items():
-                _accumulate(terms, (hk + total_h, v), cc)
+            for key, cc in MomentPolynomial.moment(tuple(widx), coeff, total_h).terms.items():
+                _accumulate(terms, key, cc)
     result = MomentPolynomial(op.npairs, terms)
     if require_real and not result.is_real:
         raise NonHermitianError(

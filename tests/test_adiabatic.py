@@ -100,25 +100,19 @@ def test_quartic_shift_varies_with_position():
 
 
 def test_delta_s_zero_at_static_equilibrium():
-    model = AdiabaticModel(_harmonic(), 0.25, order=1)
+    model = AdiabaticModel(_harmonic(), 0.25)
     assert delta_s_correction(model, 0.7, 0.0, 0.0) == 0.0
 
 
 def test_delta_s_linear_in_acceleration():
     pot = PolynomialPotential([0, 0, 0.5, -0.1])
-    model = AdiabaticModel(pot, 0.25, order=1)
+    model = AdiabaticModel(pot, 0.25)
     q = 0.3
     base = delta_s_correction(model, q, 0.0, 1.0)
     for qddot in (-2.0, -0.5, 0.5, 3.0):
         assert delta_s_correction(model, q, 0.0, qddot) == pytest.approx(
             qddot * base, rel=1e-13
         )
-
-
-def test_delta_s_requires_order_1():
-    model = AdiabaticModel(_harmonic(), 0.25, order=0)
-    with pytest.raises(ValueError):
-        delta_s_correction(model, 0.0, 0.0, 1.0)
 
 
 def test_first_order_beats_order_zero_for_slow_driving():
@@ -215,5 +209,3 @@ def test_adiabatic_run_fails_like_a_moment_run():
 def test_model_validation():
     with pytest.raises(ValueError):
         AdiabaticModel(_harmonic(), 0.0)
-    with pytest.raises(ValueError):
-        AdiabaticModel(_harmonic(), 0.25, order=2)

@@ -631,6 +631,10 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         # no fluctuation equilibrium s0(q) at C = 0
         (["adiabatic-compare"], {"classical_mode": True, "casimir": 0}, "casimir"),
         (["simulate"], {"scenario": "adiabatic-compare", "classical_mode": True, "casimir": 0}, "casimir"),
+        # a command that forces a scenario refuses a config naming another
+        (["sweep"], {"scenario": "free", "sweep": _CELL}, "scenario"),
+        (["adiabatic-compare"], {"scenario": "harmonic"}, "scenario"),
+        (["oracle", "--scenario", "free"], {"scenario": "harmonic"}, "scenario"),
     ],
     ids=[
         "oracle-unknown-key",
@@ -664,6 +668,9 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         "oracle-rtol",
         "adiabatic-compare-command-zero-casimir",
         "adiabatic-compare-zero-casimir",
+        "sweep-other-scenario",
+        "adiabatic-compare-other-scenario",
+        "oracle-other-scenario",
     ],
 )
 def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, field):

@@ -86,6 +86,19 @@ def _op_derivative(op: OperatorPoly, pair: int, kind: str) -> OperatorPoly:
     return OperatorPoly(op.npairs, terms)
 
 
+@pytest.mark.parametrize(
+    "idx, text",
+    [
+        (single(2, 1), "Delta(q^2 p)"),
+        (single(0, 3), "Delta(p^3)"),
+        (((1, 0), (0, 2)), "Delta(q1 p2^2)"),
+        (((2, 1), (1, 0)), "Delta(q1^2 p1 q2)"),
+    ],
+)
+def test_pretty_tags_pairs_only_when_there_are_several(idx, text):
+    assert indices.pretty(idx) == text
+
+
 def test_kcoeff_values():
     assert kcoeff(1, 1, 1, 1, 1) == 0
     assert kcoeff(1, 2, 0, 0, 2) == -4

@@ -124,6 +124,44 @@ def test_gaussian_rational_hashes_like_an_equal_number():
     assert type(two.re) is int and two.re == 2 and hash(two) == hash(2)
 
 
+# one-pair and two-pair polynomials of each SparsePolynomial subclass
+_BOTH_TYPES = [
+    (OperatorPoly.position(), OperatorPoly.position(0, 2)),
+    (MomentPolynomial.q(), MomentPolynomial.q(0, 2)),
+]
+
+
+@pytest.mark.parametrize("one, two", _BOTH_TYPES, ids=["operator", "moment"])
+def test_sum_and_difference_refuse_different_pair_counts(one, two):
+    for a, b in ((one, two), (two, one)):
+        with pytest.raises(ValueError, match="pair counts"):
+            a + b
+        with pytest.raises(ValueError, match="pair counts"):
+            a - b
+
+
+@pytest.mark.parametrize("one, two", _BOTH_TYPES, ids=["operator", "moment"])
+def test_zero_and_scale_by_zero_keep_the_type(one, two):
+    cls = type(one)
+    for got in (cls.zero(2), one.scale(0), two.scale(0), one - one, -one, one + one):
+        assert type(got) is cls and not hasattr(got, "__dict__")
+    assert cls.zero(2).npairs == 2 and two.scale(0).npairs == 2 and one.scale(0).is_zero
+
+
+def test_operator_and_moment_polynomials_never_compare_equal():
+    op = OperatorPoly.monomial(((2, 0),), 3)
+    poly = MomentPolynomial(1, dict(op.terms))
+    assert op.terms == poly.terms
+    assert op != poly and poly != op
+    assert OperatorPoly.zero() != MomentPolynomial.zero()
+
+
+def test_moment_carries_its_hbar_power():
+    assert MomentPolynomial.moment(single(2, 1), 3, 2).terms == {(2, ((("D", single(2, 1)), 1),)): GR(3)}
+    assert MomentPolynomial.moment(((0, 0),), Fraction(1, 2), 1) == MomentPolynomial.constant(Fraction(1, 2), 1, 1)
+    assert MomentPolynomial.moment(single(0, 1), 5, 3).is_zero
+
+
 def test_bracket_table_coefficients_are_canonical():
     """Every coefficient part of a two-pair table is an int or a proper
     Fraction, and the bracket is antisymmetric on every single-pair index
@@ -391,7 +429,7 @@ def _index_as_epoly(idx) -> MomentPolynomial:
     if n == 0:
         return MomentPolynomial.constant(GR_ONE, len(idx))
     if n == 1:
-        return MomentPolynomial.variable(idx, len(idx))
+        return MomentPolynomial.term(len(idx), 0, ((idx, 1),))
     return _uncentered_expectation_epoly(idx)
 
 
