@@ -30,7 +30,7 @@ from .effective_hamiltonian import (
     build_heff,
     equations_of_motion,
 )
-from .exact import GaussianRational, MomentPolynomial
+from .exact import MomentPolynomial
 from .moment_algebra import (
     BracketTable,
     build_bracket_table,
@@ -47,7 +47,6 @@ __all__ = [
     "BracketTable",
     "DarbouxState1D",
     "EffectiveHamiltonian",
-    "GaussianRational",
     "Grid",
     "IntegratorConfig",
     "MomentPolynomial",

@@ -111,7 +111,7 @@ def free_particle_s(t, s0: float, casimir: float, mass: float):
     return value if value.ndim else float(value)
 
 
-def lift_trajectory(times, s, p_s, casimir: float, mass: float, phi0: float = 0.0):
+def lift_trajectory(times, s, p_s, casimir: float, mass: float):
     """Lift a sampled (s, p_s) trajectory to the plane.
 
     The spurious angle advances with phi_dot = sqrt(C)/(m s^2), integrated
@@ -126,7 +126,7 @@ def lift_trajectory(times, s, p_s, casimir: float, mass: float, phi0: float = 0.
     s = np.asarray(s, dtype=float)
     p_s = np.asarray(p_s, dtype=float)
     rate = math.sqrt(casimir) / (mass * s**2)
-    phi = phi0 + cumulative_simpson(rate, x=times, initial=0.0)
+    phi = cumulative_simpson(rate, x=times, initial=0.0)
     return [lift_to_plane(DarbouxState1D(si, psi, casimir), phii) for si, psi, phii in zip(s, p_s, phi)]
 
 

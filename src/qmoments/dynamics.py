@@ -22,6 +22,11 @@ class AdmissibilityError(ValueError):
     pass
 
 
+# how far below the uncertainty floor, relative to max(1, |C|), a state may
+# sit and still be admissible: rounding in the initial moments
+_FLOOR_TOL = 1e-12
+
+
 def uncertainty_floor(hbar, classical_mode=False) -> float:
     """Lower bound of Delta(q^2)*Delta(p^2) - Delta(qp)^2: hbar^2/4, or the
     classical 0 in ``classical_mode``."""
@@ -59,7 +64,7 @@ class MomentState:
     def margin(self) -> float:
         return self.casimir() - self.margin_floor
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         if self.hbar <= 0:
             raise AdmissibilityError("hbar must be positive")
         if self.moments[indices.single(2, 0)] < 0:
@@ -67,7 +72,7 @@ class MomentState:
         if self.moments[indices.single(0, 2)] < 0:
             raise AdmissibilityError("Delta(p^2) must be non-negative")
         scale = max(1.0, abs(self.casimir()))
-        if self.margin() < -tol * scale:
+        if self.margin() < -_FLOOR_TOL * scale:
             raise AdmissibilityError(
                 "state violates the uncertainty floor: C=%g < %g"
                 % (self.casimir(), self.margin_floor)

@@ -1,14 +1,12 @@
-"""Exact scalars and the sparse polynomials built on them.
+"""Exact coefficients and the sparse polynomials built on them.
 
-Coefficients live in Q[i] (Gaussian rationals); powers of hbar are kept as
-an explicit grading so a single symbolic table serves any numerical hbar.
-All arithmetic is exact and equality is decidable; i^2 = -1 folds into the
-rational sign.  Each part of a coefficient is held in canonical form: a
-Python ``int`` when it is integral, a ``Fraction`` only when its denominator
-is not 1.  Nearly every product the bracket oracle makes has integral parts,
-and an int product skips the gcd and ``Fraction.__new__`` of a Fraction one;
-an int prints, converts to float and hashes like the equal Fraction, so
-tables and generated code do not depend on the form.
+Polynomials are graded in powers of lambda = -i*hbar, in which the
+reordering rule P Q = Q P + lambda of a canonical pair is rational, so every
+coefficient is an ``int``, or a ``Fraction`` whose denominator is not 1 (an
+int product skips a Fraction's gcd, and an int prints, converts and hashes
+like the equal Fraction).  A term c * lambda^h is c * (-i)^h * hbar^h, real
+for even h and imaginary for odd h; only ``hbar_parts`` takes that step, so
+one symbolic table serves any numerical hbar.
 
 ``SparsePolynomial`` is the linear structure over these coefficients that
 the commutative ``MomentPolynomial`` here and the normal-ordered
@@ -22,127 +20,32 @@ from fractions import Fraction
 from . import indices
 
 
-class GaussianRational:
-    """Exact complex rational re + i*im; each part is an int when integral,
-    else a Fraction."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _canonical(re)
-        self.im = _canonical(im)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _gr(a + c if a and c else a or c, b + d if b and d else b or d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        a, b = self.re, self.im
-        return _gr(-a if a else a, -b if b else b)
-
-    def __mul__(self, other):
-        # Coefficients of the exact algebra are almost always purely real or
-        # purely imaginary; those products take one product of parts.
-        if other.__class__ is not GaussianRational:
-            other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            if not d:
-                return _gr(a * c, 0)
-            if not c:
-                return _gr(0, a * d)
-        elif not a:
-            if not d:
-                return _gr(0, b * c)
-            if not c:
-                return _gr(-(b * d), 0)
-        return _gr(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def mul_ipow(self, k: int) -> "GaussianRational":
-        """Multiply by i**k."""
-        k %= 4
-        if k == 0:
-            return self
-        if k == 1:
-            return _gr(-self.im, self.re)
-        if k == 2:
-            return -self
-        return _gr(self.im, -self.re)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        # a real value equals its Fraction, so it must hash like one
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def as_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+def hbar_parts(h: int, c):
+    """(re, im) of the hbar^h coefficient of c * lambda^h: c * (-i)^h."""
+    s = c if h % 4 in (0, 3) else -c
+    return (0, s) if h % 2 else (s, 0)
 
 
-def _canonical(x):
-    """A part as an int when integral, else as a Fraction."""
-    if x.__class__ is int:
-        return x
-    if x.__class__ is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+def hbar_str(h: int, c) -> str:
+    """The hbar^h coefficient of c * lambda^h as text: "3/2" or "-1/2*i"."""
+    re, im = hbar_parts(h, c)
+    return f"{im}*i" if im else str(re)
 
 
-def _gr(re, im) -> GaussianRational:
-    """GaussianRational from two int or Fraction parts, without __init__'s
-    coercion; the canonical form is inlined, since every product ends here."""
-    z = object.__new__(GaussianRational)
-    z.re = re if re.__class__ is int or re.denominator != 1 else re.numerator
-    z.im = im if im.__class__ is int or im.denominator != 1 else im.numerator
-    return z
-
-
-def _coerce(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
-
-
-GR_ONE = GaussianRational(1)
+def _rational(x):
+    """An exact coefficient: an int or Fraction as it is, else a Fraction."""
+    return x if x.__class__ is int or x.__class__ is Fraction else Fraction(x)
 
 
 def _accumulate(terms: dict, key, c) -> None:
-    """Add ``c`` to ``terms[key]``, dropping the key when the sum is zero."""
+    """Add ``c`` to ``terms[key]``, dropping the key when the sum is zero
+    and storing an integral sum as an int."""
     acc = terms.get(key)
     s = c if acc is None else acc + c
-    if s.is_zero:
+    if not s:
         terms.pop(key, None)
+    elif s.__class__ is Fraction and s.denominator == 1:
+        terms[key] = s.numerator
     else:
         terms[key] = s
 
@@ -154,12 +57,13 @@ def _subscript(slot: int, power: int) -> str:
 
 
 class SparsePolynomial:
-    """Sparse hbar-graded polynomial over Q[i] on ``npairs`` canonical pairs.
+    """Sparse polynomial over Q on ``npairs`` canonical pairs.
 
-    Terms map ``(hbar_power, monomial)`` to a nonzero GaussianRational.  A
-    subclass fixes what a monomial is and how two of them multiply; the
-    linear structure is shared, and each result has the type of ``self``,
-    so polynomials of different subclasses never mix or compare equal.
+    Terms map ``(hbar_power, monomial)`` to the nonzero coefficient of
+    lambda^hbar_power * monomial.  A subclass fixes what a monomial is and
+    how two of them multiply; the linear structure is shared, and each
+    result has the type of ``self``, so polynomials of different subclasses
+    never mix or compare equal.
     """
 
     __slots__ = ("npairs", "terms")
@@ -174,11 +78,14 @@ class SparsePolynomial:
 
     @classmethod
     def term(cls, npairs: int, hbar_power: int, monomial, coeff=1):
-        """The one term coeff * hbar^hbar_power * monomial (zero if coeff is)."""
-        coeff = _coerce(coeff)
-        return cls(npairs, {(hbar_power, monomial): coeff} if coeff else {})
+        """The one term coeff * lambda^hbar_power * monomial (zero if coeff is)."""
+        terms = {}
+        _accumulate(terms, (hbar_power, monomial), _rational(coeff))
+        return cls(npairs, terms)
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot mix {type(self).__name__} and {type(other).__name__}")
         if self.npairs != other.npairs:
             raise ValueError("mixing polynomials over different pair counts")
 
@@ -196,10 +103,11 @@ class SparsePolynomial:
         return type(self)(self.npairs, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor):
-        factor = _coerce(factor)
-        if factor.is_zero:
-            return self.zero(self.npairs)
-        return type(self)(self.npairs, {k: c * factor for k, c in self.terms.items()})
+        factor = _rational(factor)
+        terms = {}
+        for key, c in self.terms.items():
+            _accumulate(terms, key, c * factor)
+        return type(self)(self.npairs, terms)
 
     @property
     def is_zero(self) -> bool:
@@ -217,7 +125,7 @@ class SparsePolynomial:
 class MomentPolynomial(SparsePolynomial):
     """Commutative polynomial in q, p, moment symbols and hbar.
 
-    Terms map ``(hbar_power, variables)`` to a GaussianRational, where
+    Terms map ``(hbar_power, variables)`` to a coefficient, where
     ``variables`` is a sorted tuple of ``(var, power)``.  First-order central
     moments never appear (they vanish identically) and the order-zero moment
     is folded into the constant term.
@@ -274,14 +182,8 @@ class MomentPolynomial(SparsePolynomial):
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.terms.values())
-
-    def imag_part(self) -> "MomentPolynomial":
-        terms = {}
-        for k, c in self.terms.items():
-            if c.im:
-                terms[k] = GaussianRational(c.im)
-        return MomentPolynomial(self.npairs, terms)
+        """No odd power of lambda, the imaginary terms."""
+        return not any(h % 2 for h, _ in self.terms)
 
     # -- calculus and structure -------------------------------------------
 
@@ -339,16 +241,13 @@ class MomentPolynomial(SparsePolynomial):
 
     def evaluate(self, hbar: float, basic=None, moments=None):
         """Numeric value; ``basic`` maps ("q", i)/("p", i), ``moments`` maps
-        a moment index to its value.  Returns complex if any coefficient is
-        complex, else float."""
+        a moment index to its value.  Returns complex if any term is
+        imaginary, else float."""
         basic = basic or {}
         moments = moments or {}
         total = 0j
-        any_imag = False
         for (h, vars_), c in self.terms.items():
-            val = c.as_complex()
-            if c.im:
-                any_imag = True
+            val = complex(*hbar_parts(h, c))
             if h:
                 val *= hbar**h
             for v, power in vars_:
@@ -358,7 +257,7 @@ class MomentPolynomial(SparsePolynomial):
                     base = basic[v]
                 val *= base**power
             total += val
-        return total if any_imag else total.real
+        return total.real if self.is_real else total
 
     def as_code(self, positions: dict, hbar: float, factor=None) -> str:
         """Python expression with variables replaced by y[<slot>] lookups.
@@ -370,10 +269,10 @@ class MomentPolynomial(SparsePolynomial):
         parts = []
         for key in sorted(self.terms):
             h, vars_ = key
-            c = self.terms[key]
-            if c.im:
+            re, im = hbar_parts(h, self.terms[key])
+            if im:
                 raise ValueError("cannot compile complex coefficient")
-            value = float(c.re) * (hbar**h if h else 1.0)
+            value = float(re) * (hbar**h if h else 1.0)
             factors = [repr(value)]
             for v, power in vars_:
                 factors.append((factor or _subscript)(positions[v], power))
@@ -388,11 +287,8 @@ class MomentPolynomial(SparsePolynomial):
         bits = []
         for key in sorted(self.terms):
             h, vars_ = key
-            c = self.terms[key]
             factors = []
-            s = repr(c)
-            if ("+" in s[1:]) or ("-" in s[1:]):
-                s = f"({s})"
+            s = hbar_str(h, self.terms[key])
             if s != "1" or (not vars_ and not h):
                 factors.append(s)
             if h:
@@ -411,16 +307,16 @@ class MomentPolynomial(SparsePolynomial):
         out = []
         for key in sorted(self.terms):
             h, vars_ = key
-            c = self.terms[key]
+            re, im = hbar_parts(h, self.terms[key])
             entry = {
-                "coeff_re": str(c.re),
+                "coeff_re": str(re),
                 "hbar": h,
                 "q": {},
                 "p": {},
                 "moments": [],
             }
-            if c.im:
-                entry["coeff_im"] = str(c.im)
+            if im:
+                entry["coeff_im"] = str(im)
             for v, power in vars_:
                 if v[0] == "D":
                     entry["moments"].append(

@@ -9,19 +9,20 @@ authoritative.  The closed form takes its bilinear terms from the oracle's
 commutator part.  The tests also prove the oracle equal to the definition
 of the bracket, expanded in raw expectation values.
 
-Sign convention.  Evaluating the K sum literally with weights
-(i*hbar/2)^(n-1) yields {Delta(q^2), Delta(p^2)} = -4*Delta(qp) plus a
-spurious imaginary constant from n = 2, while the direct derivation from
-the defining bracket gives +4*Delta(qp).  Comparison with the oracle
-fixes the convention used here: even n (imaginary prefactor after grading)
-is dropped and the whole printed expression changes sign, i.e.
+Sign convention.  In lambda = -i*hbar, the grading of ``exact``, the K
+sum taken literally with weights (-lambda/2)^(n-1) yields {Delta(q^2),
+Delta(p^2)} = -4*Delta(qp) plus a spurious imaginary (odd-power) constant
+from n = 2, while the direct derivation from the defining bracket gives
++4*Delta(qp).  Comparison with the oracle fixes the convention used here:
+even n is dropped and the whole printed expression changes sign, i.e.
 
     {Delta(q^a p^b), Delta(q^c p^d)}
         = b c Delta(q^a p^(b-1)) Delta(q^(c-1) p^d)
         - a d Delta(q^(a-1) p^b) Delta(q^c p^(d-1))
-        - sum_{n odd} (i*hbar/2)^(n-1) K^n_abcd Delta(q^(a+c-n) p^(b+d-n)).
+        - sum_{n odd} (lambda/2)^(n-1) K^n_abcd Delta(q^(a+c-n) p^(b+d-n)),
 
-This reproduces the oracle exactly for all orders exercised by the tests.
+a rational -K^n / 2^(n-1) at lambda^(n-1).  This reproduces the oracle
+exactly for all orders exercised by the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import indices
-from .exact import GaussianRational, MomentPolynomial, leibniz
+from .exact import MomentPolynomial, leibniz
 from .weyl_algebra import bracket_oracle, centering_term
 
 
@@ -42,24 +43,16 @@ class MomentAlgebraError(ValueError):
 MAX_TABLE_ENTRIES = 50_000
 
 
-def kcoeff(n: int, a: int, b: int, c: int, d: int) -> Fraction:
+def kcoeff(n: int, a: int, b: int, c: int, d: int) -> int:
     """K^n_{abcd} = sum_m (-1)^m m!(n-m)! C(a,m) C(b,n-m) C(c,n-m) C(d,m)."""
     if n < 1 or n > min(a + c, b + d, a + b, c + d):
         raise MomentAlgebraError(
             f"n={n} outside 1..min(a+c, b+d, a+b, c+d) for (a,b,c,d)=({a},{b},{c},{d})"
         )
-    total = 0
-    for m in range(n + 1):
-        total += (
-            (-1) ** m
-            * factorial(m)
-            * factorial(n - m)
-            * comb(a, m)
-            * comb(b, n - m)
-            * comb(c, n - m)
-            * comb(d, m)
-        )
-    return Fraction(total)
+    return sum(
+        (-1) ** m * factorial(m) * factorial(n - m) * comb(a, m) * comb(b, n - m) * comb(c, n - m) * comb(d, m)
+        for m in range(n + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +66,11 @@ def closed_form_bracket(m1, m2) -> MomentPolynomial:
     result = centering_term(m1, m2)
     nmax = min(a + c, b + d, a + b, c + d)
     for n in range(1, nmax + 1, 2):
-        # odd n only: even n carries an imaginary prefactor after grading
+        # odd n only: even n brings an odd, imaginary power of lambda
         k = kcoeff(n, a, b, c, d)
-        if not k:
-            continue
-        sign = -1 if ((n - 1) // 2) % 2 else 1
-        coeff = GaussianRational(-sign * k * Fraction(1, 2 ** (n - 1)))
-        result = result + MomentPolynomial.moment(((a + c - n, b + d - n),), coeff, n - 1)
+        if k:
+            coeff = Fraction(-k, 2 ** (n - 1))
+            result = result + MomentPolynomial.moment(((a + c - n, b + d - n),), coeff, n - 1)
     return result
 
 

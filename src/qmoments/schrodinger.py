@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from . import indices
+from .exact import hbar_parts
 from .weyl_algebra import _weyl_in_normal
 
 # The spectral momentum keeps full accuracy at every order a config takes
@@ -239,7 +240,7 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
         a, b = idx[0]
         total = 0j
         for (h, (al, be)), coeff in _weyl_in_normal(a, b):
-            total += coeff.as_complex() * wf.hbar**h * raw[(al, be)]
+            total += complex(*hbar_parts(h, coeff)) * wf.hbar**h * raw[(al, be)]
         quality = max(quality, abs(total.imag))
         moments[idx] = total.real
     if quality > quality_tol:

@@ -3,9 +3,11 @@
 Operators are stored in normal order (every position factor left of every
 momentum factor, per canonical pair), which is the unique rewriting terminus
 of the commutation relation (p-hat - p)(q-hat - q) = (q-hat - q)(p-hat - p)
-- i*hbar.  Weyl (symmetric) ordering is a derived basis reached through a
-cached triangular change-of-basis table; expectation values of Weyl-ordered
-centered monomials are the moment symbols Delta(q^a p^b).
++ lambda, where lambda = -i*hbar grades every polynomial (see ``exact``), so
+each coefficient is rational.  Weyl (symmetric) ordering is a derived basis
+reached through a cached triangular change-of-basis table; expectation
+values of Weyl-ordered centered monomials are the moment symbols
+Delta(q^a p^b).
 
 The module also provides ``bracket_oracle``, a first-principles evaluation
 of the Poisson bracket of two central moments.  The defining bracket
@@ -23,10 +25,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import indices
-from .exact import GR_ONE, GaussianRational, MomentPolynomial, SparsePolynomial, _accumulate
+from .exact import MomentPolynomial, SparsePolynomial, _accumulate, hbar_str
 
 
 class NonHermitianError(ValueError):
@@ -36,8 +38,8 @@ class NonHermitianError(ValueError):
 class OperatorPoly(SparsePolynomial):
     """Normal-ordered polynomial in centered canonical operators.
 
-    Terms map ``(hbar_power, exps)`` to a GaussianRational where ``exps``
-    holds one ``(a, b)`` exponent pair per canonical pair.  Different pairs
+    Terms map ``(hbar_power, exps)`` to a coefficient of lambda^hbar_power
+    where ``exps`` holds one ``(a, b)`` exponent pair per canonical pair.  Different pairs
     commute; the zero polynomial has no terms.
     """
 
@@ -81,12 +83,12 @@ class OperatorPoly(SparsePolynomial):
         return self * other - other * self
 
     def divide_ihbar(self) -> "OperatorPoly":
-        """Exact division by i*hbar; every term must carry hbar."""
+        """Exact division by i*hbar = -lambda; every term must carry hbar."""
         terms = {}
         for (h, exps), c in self.terms.items():
             if h < 1:
                 raise ValueError("term without hbar cannot be divided by i*hbar")
-            terms[(h - 1, exps)] = c.mul_ipow(3)
+            terms[(h - 1, exps)] = -c
         return OperatorPoly(self.npairs, terms)
 
     def __repr__(self):
@@ -96,7 +98,7 @@ class OperatorPoly(SparsePolynomial):
         for key in sorted(self.terms):
             h, exps = key
             c = self.terms[key]
-            factors = [f"({c})"]
+            factors = [f"({hbar_str(h, c)})"]
             if h:
                 factors.append("hbar" if h == 1 else f"hbar^{h}")
             for i, (a, b) in enumerate(exps):
@@ -113,33 +115,22 @@ class OperatorPoly(SparsePolynomial):
 def _pair_product(b1: int, a2: int):
     """Reordering table for P^b1 * Q^a2 within one pair.
 
-    Returns tuples (k, coeff) meaning a contribution of
-    coeff * (-i*hbar)^k with k position and momentum exponents removed.
-    The coefficient includes the (-i)^k phase; hbar_power equals k.
+    Returns tuples (k, count) meaning a contribution of count * lambda^k
+    with k position and momentum exponents removed.
     """
-    out = []
-    for k in range(min(b1, a2) + 1):
-        count = comb(b1, k) * comb(a2, k) * factorial(k)
-        out.append((k, GaussianRational(count).mul_ipow(3 * k)))
-    return tuple(out)
+    return tuple((k, comb(b1, k) * comb(a2, k) * factorial(k)) for k in range(min(b1, a2) + 1))
 
 
 def _normal_products(e1, e2):
     """All normal-ordered contributions of a product of two monomials."""
-    per_pair = []
-    for (a1, b1), (a2, b2) in zip(e1, e2):
-        opts = [
-            (k, (a1 + a2 - k, b1 + b2 - k), c)
-            for k, c in _pair_product(b1, a2)
-        ]
-        per_pair.append(opts)
+    per_pair = [
+        [(k, (a1 + a2 - k, b1 + b2 - k), c) for k, c in _pair_product(b1, a2)]
+        for (a1, b1), (a2, b2) in zip(e1, e2)
+    ]
     for combo in itertools.product(*per_pair):
         h = sum(k for k, _, _ in combo)
         exps = tuple(e for _, e, _ in combo)
-        factor = GR_ONE
-        for _, _, c in combo:
-            factor = factor * c
-        yield h, exps, factor
+        yield h, exps, prod(c for _, _, c in combo)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +193,7 @@ def _embed(pair_exps, pair, npairs):
 
 @lru_cache(maxsize=None)
 def _weyl_in_normal(a: int, b: int):
-    """W(a,b) = sum of coeff * hbar^h * N(a-k, b-k), as a tuple of items."""
+    """W(a,b) = sum of coeff * lambda^h * N(a-k, b-k), as a tuple of items."""
     return tuple(
         ((h, exps[0]), c)
         for (h, exps), c in sorted(weyl_symmetrize(a, b).terms.items())
@@ -216,7 +207,7 @@ def _normal_in_weyl(a: int, b: int):
     Triangular inversion of _weyl_in_normal; returns tuple of
     ((hbar_power, (alpha, beta)), coeff) items.
     """
-    acc = {(0, (a, b)): GR_ONE}
+    acc = {(0, (a, b)): 1}
     for (h, (al, be)), c in _weyl_in_normal(a, b):
         if (al, be) == (a, b):
             continue
@@ -231,7 +222,8 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
     Each centered monomial is rewritten in the Weyl basis and the Weyl
     monomial (a, b) is mapped to Delta(q^a p^b); order-one moments vanish
     and the order-zero moment is the constant 1.  With ``require_real`` a
-    residual imaginary coefficient reports a non-Hermitian input.
+    residual imaginary term, an odd power of lambda, reports a non-Hermitian
+    input.
     """
     terms = {}
     for (h, exps), c in op.terms.items():
@@ -248,8 +240,10 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
                 _accumulate(terms, key, cc)
     result = MomentPolynomial(op.npairs, terms)
     if require_real and not result.is_real:
+        imaginary = {key: c for key, c in terms.items() if key[0] % 2}
         raise NonHermitianError(
-            "expectation of a non-Hermitian operator: %r" % result.imag_part()
+            "expectation of a non-Hermitian operator: %r"
+            % MomentPolynomial(op.npairs, imaginary)
         )
     return result
 

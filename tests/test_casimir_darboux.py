@@ -149,7 +149,7 @@ def test_lift_trajectory_free_particle_is_straight():
     times = np.linspace(0, 10, 2001)
     s = free_particle_s(times, s0, c, m)
     p_s = c * times / (m**2 * s0**2 * s)  # ds/dt * m
-    states = lift_trajectory(times, s, p_s, c, m, phi0=0.0)
+    states = lift_trajectory(times, s, p_s, c, m)
     xs = np.array([st.x for st in states])
     ys = np.array([st.y for st in states])
     phis = np.arctan2(ys, xs)

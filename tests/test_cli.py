@@ -522,13 +522,17 @@ def test_brackets_rejects_bad_arguments(capsys, args, flag):
 
 def test_non_real_bracket_is_a_runtime_error(monkeypatch, capsys):
     """A bracket with an imaginary part exits 3 like any other runtime
-    error.  Scaling every Weyl monomial by 1 + i makes each commutator
-    2i times a real one."""
+    error.  Multiplying every Weyl monomial by 1 + lambda (lambda = -i hbar)
+    makes each commutator (1 + 2 lambda + lambda^2) times a real one, and
+    the odd power of lambda is imaginary."""
     from qmoments import moment_algebra, weyl_algebra
-    from qmoments.exact import GaussianRational
+    from qmoments.weyl_algebra import OperatorPoly
+
+    def one_plus_lambda(npairs):
+        return OperatorPoly.identity(npairs) + OperatorPoly.monomial(((0, 0),) * npairs, 1, 1)
 
     weyl = weyl_algebra.weyl_monomial
-    monkeypatch.setattr(weyl_algebra, "weyl_monomial", lambda idx: weyl(idx).scale(GaussianRational(1, 1)))
+    monkeypatch.setattr(weyl_algebra, "weyl_monomial", lambda idx: weyl(idx) * one_plus_lambda(len(idx)))
     for cached in (weyl_algebra.bracket_oracle, moment_algebra.build_bracket_table):
         cached.cache_clear()
     try:
@@ -948,3 +952,12 @@ def test_readme_config_format_names_every_key():
     rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.M)
     assert sorted(key for key, _ in rows) == sorted(_KEYS)
     assert {key: takers for key, takers in rows} == {key: _takers(key) for key in _KEYS}
+
+
+def test_package_exports_resolve_once():
+    """Every name in ``qmoments.__all__`` is on the package, once."""
+    import qmoments
+
+    assert len(qmoments.__all__) == len(set(qmoments.__all__))
+    for name in qmoments.__all__:
+        assert hasattr(qmoments, name), name

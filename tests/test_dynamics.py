@@ -160,16 +160,13 @@ def test_cubic_order_4_hbar_terms_and_energy():
     equations of motion; the flow still conserves the energy exactly."""
     from fractions import Fraction
 
-    from qmoments.exact import MomentPolynomial
-
     pot = PolynomialPotential([0, 0, Fraction(1, 2), Fraction(-1, 10)], mass=1)
     h = build_heff(pot, 4)
     field = equations_of_motion(h)
     dp3 = field.expression(("D", single(0, 3)))
-    # the constant term is (V'''/6) * (3 hbar^2/2) = -3 hbar^2/20
-    assert dp3.terms[(2, ())] == MomentPolynomial.constant(
-        Fraction(-3, 20), 1
-    ).terms[(0, ())]
+    # the constant term is (V'''/6) * (3 hbar^2/2) = -3 hbar^2/20, which is
+    # 3/20 at lambda^2 (lambda = -i hbar)
+    assert dp3.terms[(2, ())] == Fraction(3, 20)
     state0 = init_gaussian(0.2, 0.4, 0.8, 0.0, 1.0, 4)
     traj = integrate(field, state0, (0, 8), IntegratorConfig(), t_eval=np.linspace(0, 8, 81))
     drift = np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0])

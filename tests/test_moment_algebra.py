@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from qmoments import indices
-from qmoments.exact import MomentPolynomial, _accumulate
+from qmoments.exact import MomentPolynomial, _accumulate, hbar_parts
 from qmoments.indices import single
 from qmoments.moment_algebra import (
     MomentAlgebraError,
@@ -121,12 +121,12 @@ def test_closed_form_second_order_block():
 def test_closed_form_matches_oracle_with_bilinear_terms():
     got = closed_form_bracket(single(2, 1), single(1, 2))
     assert got == bracket_oracle(single(2, 1), single(1, 2))
-    # bilinear products survive here:
+    # bilinear products survive here, and hbar^2/2 = -lambda^2/2:
     expected = (
         D(single(2, 0)) * D(single(0, 2))
         + D(single(1, 1), -4) * D(single(1, 1))
         + D(single(2, 2), 3)
-        + MomentPolynomial.constant(Fraction(1, 2), 1, hbar_power=2)
+        + MomentPolynomial.constant(Fraction(-1, 2), 1, hbar_power=2)
     )
     assert got == expected
 
@@ -326,3 +326,24 @@ def test_table_json_round_trip_structure():
         for t in e["terms"]
     ]
     assert ([[2, 0]], [[1, 1]], "2", [{"index": [[2, 0]], "power": 1}]) in flat
+
+
+def test_lambda_powers_meet_hbar_only_in_hbar_parts():
+    """A term c * lambda^h (lambda = -i hbar) is c * (-i)^h * hbar^h; the
+    JSON dump and the generated code print that hbar^h coefficient, and an
+    odd power, an imaginary term, is written under coeff_im and refused by
+    the code generator."""
+    assert [hbar_parts(h, 3) for h in range(4)] == [(3, 0), (0, -3), (-3, 0), (0, 3)]
+    bracket = closed_form_bracket(single(2, 1), single(1, 2))
+    assert bracket.terms[(2, ())] == Fraction(-1, 2)
+    assert [t for t in bracket.to_json_terms() if t["hbar"] == 2] == [
+        {"coeff_re": "1/2", "hbar": 2, "q": {}, "p": {}, "moments": []}
+    ]
+    positions = {v: i for i, v in enumerate(sorted(bracket.variables()))}
+    assert "2.0" in bracket.as_code(positions, 2.0).split(" + ")
+    odd = MomentPolynomial.constant(Fraction(1, 2), 1, hbar_power=1)
+    with pytest.raises(ValueError, match="complex"):
+        odd.as_code({}, 1.0)
+    assert odd.to_json_terms() == [
+        {"coeff_re": "0", "coeff_im": "-1/2", "hbar": 1, "q": {}, "p": {}, "moments": []}
+    ]

@@ -1,4 +1,7 @@
-"""Exact operator algebra and the first-principles bracket oracle."""
+"""Exact operator algebra and the first-principles bracket oracle.
+
+Every polynomial is graded in lambda = -i*hbar, so coefficients are rational:
+a term c at lambda^h is c * (-i)^h * hbar^h (lambda^2 = -hbar^2)."""
 
 import functools
 import itertools
@@ -9,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from qmoments import indices
-from qmoments.exact import GR_ONE, GaussianRational, MomentPolynomial, _accumulate, leibniz
+from qmoments.exact import MomentPolynomial, _accumulate, leibniz
 from qmoments.indices import single
 from qmoments.moment_algebra import _var_bracket, build_bracket_table
 from qmoments.weyl_algebra import (
@@ -21,40 +24,37 @@ from qmoments.weyl_algebra import (
 )
 
 
-def GR(re, im=0):
-    return GaussianRational(re, im)
-
-
-def canonical(part) -> bool:
-    """A coefficient part in canonical form: an int, or a Fraction whose
+def canonical(c) -> bool:
+    """A coefficient in canonical form: an int, or a Fraction whose
     denominator is not 1."""
-    return type(part) is int or (type(part) is Fraction and part.denominator != 1)
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def test_multiply_already_ordered():
     q = OperatorPoly.position()
     p = OperatorPoly.momentum()
-    assert (q * p).terms == {(0, ((1, 1),)): GR(1)}
+    assert (q * p).terms == {(0, ((1, 1),)): 1}
 
 
 def test_multiply_single_commutator():
     q = OperatorPoly.position()
     p = OperatorPoly.momentum()
-    # (p-hat - p)(q-hat - q) = (q-hat - q)(p-hat - p) - i hbar
+    # (p-hat - p)(q-hat - q) = (q-hat - q)(p-hat - p) - i hbar, and -i hbar = lambda
     assert (p * q).terms == {
-        (0, ((1, 1),)): GR(1),
-        (1, ((0, 0),)): GR(0, -1),
+        (0, ((1, 1),)): 1,
+        (1, ((0, 0),)): 1,
     }
 
 
 def test_commutator_q2_p2():
-    """[Q^2, P^2] = 2 i hbar (QP + PQ) = 4 i hbar QP + 2 hbar^2."""
+    """[Q^2, P^2] = 2 i hbar (QP + PQ) = 4 i hbar QP + 2 hbar^2
+    = -4 lambda QP - 2 lambda^2."""
     q = OperatorPoly.position()
     p = OperatorPoly.momentum()
     comm = (q * q).commutator(p * p)
     assert comm.terms == {
-        (1, ((1, 1),)): GR(0, 4),
-        (2, ((0, 0),)): GR(2),
+        (1, ((1, 1),)): -4,
+        (2, ((0, 0),)): -2,
     }
     # and the bracket of raw expectations follows Eq.-style normalization
     qp_sym = expectation(comm.divide_ihbar())
@@ -68,60 +68,13 @@ def test_multiply_associative_randomized():
         op = OperatorPoly.zero(1)
         for _ in range(3):
             exps = ((rng.randint(0, 2), rng.randint(0, 2)),)
-            coeff = GR(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
-            op = op + OperatorPoly.monomial(exps, coeff)
+            coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            op = op + OperatorPoly.monomial(exps, coeff, rng.randint(0, 1))
         return op
 
     for _ in range(25):
         a, b, c = random_op(), random_op(), random_op()
         assert (a * b) * c == a * (b * c)
-
-
-def test_gaussian_rational_arithmetic_matches_the_pair_formulas():
-    """Every zero/nonzero pattern of the operands' real and imaginary parts,
-    with mixed signs and integral or fractional values, gives exactly the
-    (re, im) reference formulas, with every part in canonical form: an int,
-    or a Fraction whose denominator is not 1."""
-    rng = random.Random(11)
-
-    def part(nonzero):
-        if not nonzero:
-            return rng.choice((0, Fraction(0)))
-        n = rng.choice((-1, 1)) * rng.randint(1, 9)
-        # Fraction(n, d) is integral for some draws, e.g. 4/2
-        return rng.choice((n, Fraction(n, rng.randint(2, 9))))
-
-    integral = set()
-    for pattern in itertools.product((False, True), repeat=4):
-        for _ in range(10):
-            a, b, c, d = (part(nonzero) for nonzero in pattern)
-            x, y = GR(a, b), GR(c, d)
-            if a and c:
-                integral.add((type(x.re) is int, type(y.re) is int))
-            for got, want in [
-                (x * y, (a * c - b * d, a * d + b * c)),
-                (x + y, (a + c, b + d)),
-                (x - y, (a - c, b - d)),
-                (-x, (-a, -b)),
-                (x * 3, (3 * a, 3 * b)),
-                (x.mul_ipow(1), (-b, a)),
-                (x.mul_ipow(2), (-a, -b)),
-                (x.mul_ipow(3), (b, -a)),
-            ]:
-                assert (got.re, got.im) == want, (pattern, a, b, c, d)
-                assert canonical(got.re) and canonical(got.im)
-    # int x int, int x Fraction and Fraction x Fraction products all occur
-    assert integral == {(True, True), (True, False), (False, True), (False, False)}
-
-
-def test_gaussian_rational_hashes_like_an_equal_number():
-    assert GR(2) == 2 and hash(GR(2)) == hash(2)
-    assert 2 in {GR(2)} and GR(2) in {2}
-    assert hash(GR(Fraction(-3, 4))) == hash(Fraction(-3, 4))
-    assert {GR(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
-    assert hash(GR(1, 2)) == hash(GR(Fraction(2, 2), 2))
-    two = GR(Fraction(4, 2))
-    assert type(two.re) is int and two.re == 2 and hash(two) == hash(2)
 
 
 # one-pair and two-pair polynomials of each SparsePolynomial subclass
@@ -137,6 +90,16 @@ def test_sum_and_difference_refuse_different_pair_counts(one, two):
         with pytest.raises(ValueError, match="pair counts"):
             a + b
         with pytest.raises(ValueError, match="pair counts"):
+            a - b
+
+
+def test_sum_and_difference_refuse_the_other_subclass():
+    op, poly = OperatorPoly.position(), MomentPolynomial.q()
+    for a, b in ((op, poly), (poly, op)):
+        names = (type(a).__name__, type(b).__name__)
+        with pytest.raises(TypeError, match="%s and %s" % names):
+            a + b
+        with pytest.raises(TypeError, match="%s and %s" % names):
             a - b
 
 
@@ -157,19 +120,19 @@ def test_operator_and_moment_polynomials_never_compare_equal():
 
 
 def test_moment_carries_its_hbar_power():
-    assert MomentPolynomial.moment(single(2, 1), 3, 2).terms == {(2, ((("D", single(2, 1)), 1),)): GR(3)}
+    assert MomentPolynomial.moment(single(2, 1), 3, 2).terms == {(2, ((("D", single(2, 1)), 1),)): 3}
     assert MomentPolynomial.moment(((0, 0),), Fraction(1, 2), 1) == MomentPolynomial.constant(Fraction(1, 2), 1, 1)
     assert MomentPolynomial.moment(single(0, 1), 5, 3).is_zero
 
 
 def test_bracket_table_coefficients_are_canonical():
-    """Every coefficient part of a two-pair table is an int or a proper
+    """Every coefficient of a two-pair table is an int or a proper
     Fraction, and the bracket is antisymmetric on every single-pair index
     pair of order <= 4: the oracle's on moments, and the reference's where
     one index is q or p, which runs its cached reversed pair brackets."""
     for poly in build_bracket_table(3, 2).entries.values():
         for c in poly.terms.values():
-            assert canonical(c.re) and canonical(c.im), poly
+            assert canonical(c), poly
     idxs = indices.iter_indices(4, 1, min_order=1)
     for m1, m2 in itertools.combinations(idxs, 2):
         if 1 in (indices.order(m1), indices.order(m2)):
@@ -184,15 +147,16 @@ def test_weyl_symmetrize_covariance():
     p = OperatorPoly.momentum()
     expected = (q * p + p * q).scale(Fraction(1, 2))
     assert weyl_symmetrize(1, 1) == expected
+    # QP + lambda/2 = QP - i hbar/2
     assert weyl_symmetrize(1, 1).terms == {
-        (0, ((1, 1),)): GR(1),
-        (1, ((0, 0),)): GR(0, Fraction(-1, 2)),
+        (0, ((1, 1),)): 1,
+        (1, ((0, 0),)): Fraction(1, 2),
     }
 
 
 def test_weyl_symmetrize_commuting_factors():
-    assert weyl_symmetrize(2, 0).terms == {(0, ((2, 0),)): GR(1)}
-    assert weyl_symmetrize(0, 3).terms == {(0, ((0, 3),)): GR(1)}
+    assert weyl_symmetrize(2, 0).terms == {(0, ((2, 0),)): 1}
+    assert weyl_symmetrize(0, 3).terms == {(0, ((0, 3),)): 1}
 
 
 def test_weyl_symmetrize_q2p_three_term_average():
@@ -201,10 +165,10 @@ def test_weyl_symmetrize_q2p_three_term_average():
     p = OperatorPoly.momentum()
     threeterm = (q * q * p + q * p * q + p * q * q).scale(Fraction(1, 3))
     assert weyl_symmetrize(2, 1) == threeterm
-    # normal form: Q^2 P - i hbar Q
+    # normal form: Q^2 P - i hbar Q = Q^2 P + lambda Q
     assert threeterm.terms == {
-        (0, ((2, 1),)): GR(1),
-        (1, ((1, 0),)): GR(0, -1),
+        (0, ((2, 1),)): 1,
+        (1, ((1, 0),)): 1,
     }
 
 
@@ -227,7 +191,7 @@ def test_weyl_symmetrize_is_the_mean_of_every_ordering():
 def test_weyl_leading_coefficient_is_one():
     for a in range(5):
         for b in range(5):
-            assert weyl_symmetrize(a, b).terms[(0, ((a, b),))] == GR(1)
+            assert weyl_symmetrize(a, b).terms[(0, ((a, b),))] == 1
 
 
 def test_expectation_single_variable():
@@ -235,9 +199,10 @@ def test_expectation_single_variable():
 
 
 def test_expectation_normal_qp():
+    # <N(1,1)> = Delta(qp) + i hbar/2 = Delta(qp) - lambda/2
     got = expectation(OperatorPoly.monomial(((1, 1),)))
     expected = MomentPolynomial.moment(single(1, 1)) + MomentPolynomial.constant(
-        GR(0, Fraction(1, 2)), 1, hbar_power=1
+        Fraction(-1, 2), 1, hbar_power=1
     )
     assert got == expected
 
@@ -249,13 +214,14 @@ def test_expectation_weyl_round_trip():
 
 def test_expectation_n22_frozen():
     # <N(2,2)> = Delta(q^2 p^2) + 2 i hbar Delta(qp) - hbar^2/2
+    #          = Delta(q^2 p^2) - 2 lambda Delta(qp) + lambda^2/2
     got = expectation(OperatorPoly.monomial(((2, 2),)))
     expected = MomentPolynomial(
         1,
         {
-            (0, ((("D", single(2, 2)), 1),)): GR(1),
-            (1, ((("D", single(1, 1)), 1),)): GR(0, 2),
-            (2, ()): GR(Fraction(-1, 2)),
+            (0, ((("D", single(2, 2)), 1),)): 1,
+            (1, ((("D", single(1, 1)), 1),)): -2,
+            (2, ()): Fraction(1, 2),
         },
     )
     assert got == expected
@@ -320,12 +286,13 @@ def test_bracket_oracle_frozen_higher_order_values():
     assert bracket_oracle(single(2, 1), single(0, 2)) == MomentPolynomial.moment(single(1, 2), 4)
     # {Delta(q^3), Delta(p^2)} = 6 Delta(q^2 p)
     assert bracket_oracle(single(3, 0), single(0, 2)) == MomentPolynomial.moment(single(2, 1), 6)
-    # {Delta(q^3), Delta(p^3)} closes on products and an hbar^2 constant
+    # {Delta(q^3), Delta(p^3)} closes on products and an hbar^2 constant,
+    # -3 hbar^2/2 = 3 lambda^2/2
     got = bracket_oracle(single(3, 0), single(0, 3))
     expected = (
         MomentPolynomial.moment(single(2, 0), -9) * MomentPolynomial.moment(single(0, 2))
         + MomentPolynomial.moment(single(2, 2), 9)
-        + MomentPolynomial.constant(Fraction(-3, 2), 1, hbar_power=2)
+        + MomentPolynomial.constant(Fraction(3, 2), 1, hbar_power=2)
     )
     assert got == expected
 
@@ -382,7 +349,7 @@ def _uncentered_expectation_epoly(idx):
             opts = []
             for j in range(al + 1):
                 for k in range(be + 1):
-                    coeff = GaussianRational(math.comb(al, j) * math.comb(be, k) * (-1) ** (al - j + be - k))
+                    coeff = math.comb(al, j) * math.comb(be, k) * (-1) ** (al - j + be - k)
                     opts.append((pair, j, k, al - j, be - k, coeff))
             per_pair.append(opts)
         for combo in itertools.product(*per_pair):
@@ -427,7 +394,7 @@ def _epoly_pair_bracket(x, y):
 def _index_as_epoly(idx) -> MomentPolynomial:
     n = indices.order(idx)
     if n == 0:
-        return MomentPolynomial.constant(GR_ONE, len(idx))
+        return MomentPolynomial.constant(1, len(idx))
     if n == 1:
         return MomentPolynomial.term(len(idx), 0, ((idx, 1),))
     return _uncentered_expectation_epoly(idx)
@@ -456,7 +423,7 @@ def _evar_as_moments(alpha) -> MomentPolynomial:
             if ppow:
                 basic[("p", pair)] = ppow
         centered = tuple((al, be) for _, al, be, _, _ in combo)
-        qp = MomentPolynomial(npairs, {(0, tuple(sorted(basic.items()))): GR(1)})
+        qp = MomentPolynomial(npairs, {(0, tuple(sorted(basic.items()))): 1})
         result = result + expectation(OperatorPoly.monomial(centered, coeff)) * qp
     return result
 
