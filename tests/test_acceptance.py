@@ -131,9 +131,10 @@ def test_criterion_04_casimir_conservation():
 
 def test_criterion_05_wavefunction_oracle_cross_validation(tmp_path):
     """Harmonic second moments from the wavefunction solver (fourth order
-    in space, spectral extraction, on the default 1024-point grid with
-    dt = 1e-3) match N=2 dynamics to 1e-4 relative; free-particle oracle
-    spreading matches the closed form to 1e-6."""
+    in space and in time, spectral extraction, on the default 1024-point
+    grid with the Padé (2,2) step dt = 2e-2) match N=2 dynamics to 1e-4
+    relative; free-particle oracle spreading matches the closed form to
+    1e-6."""
     t0 = time.monotonic()
     span = (0.0, float(np.pi))
     samples = 22

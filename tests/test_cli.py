@@ -556,7 +556,7 @@ def test_oracle_subcommand(tmp_path):
     assert lines[0] == "t,q,p,Delta_q2,Delta_qp,Delta_p2,energy,casimir,margin"
     assert len(lines) == 6
     for name, digest in [
-        ("oracle_trajectory.csv", "128ff4fc71b8f7e4d25d11ab1de4c15f2c974f63437856218725c6f3271b6583"),
+        ("oracle_trajectory.csv", "48a25da496af18eb90cda02746466f410906ad6faac32e4b4e2b6ecba60595c7"),
         ("oracle_summary.json", "e271fd7c1d55f0b928d42b8c927c8c064d929fc0c17085fffe675ad4b56d0c27"),
     ]:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
@@ -701,7 +701,18 @@ class _ReadRecorder(dict):
         return super().get(key, default)
 
 
-_SHORT_ORACLE = {"grid_points": 2048, "t_span": [0.0, 0.01], "samples": 2}
+# two steps of the default dt
+_SHORT_ORACLE = {"grid_points": 2048, "t_span": [0.0, 0.04], "samples": 2}
+
+
+def test_oracle_samples_closer_than_half_a_step_exit_3(tmp_path, capsys):
+    """At the default dt = 2e-2, an oracle sample 9e-3 after the last one
+    would share its step: the run exits 3, names it and writes nothing."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.json", {"scenario": "oracle-diff", "t_span": [0.0, 0.009], "samples": 2})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.strip() == "runtime error: oracle sample t=0.009 is closer than dt/2 to t=0 (dt=0.02)"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

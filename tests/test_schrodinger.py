@@ -1,4 +1,4 @@
-"""Crank-Nicolson propagation and moment extraction from wavefunctions."""
+"""Padé (2,2) propagation and moment extraction from wavefunctions."""
 
 import math
 
@@ -26,6 +26,42 @@ from qmoments.schrodinger import (
 
 FREE = PolynomialPotential([], mass=1)
 HARMONIC = PolynomialPotential([0, 0, 0.5], mass=1)
+# roots of the Padé (2,2) denominator 1 + z/2 + z^2/12, in the stage order
+ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
+
+
+def _pade_reference(potential, wf, dt, steps, stages):
+    """``steps`` steps of ``stages``, each a per-step banded solve of
+    (M + a K) psi' = (M + b K) psi for its pair (a, b), with
+    M = tridiag(1, 10, 1)/12 and K = -kin delta^2 + M diag(V)."""
+    grid = wf.grid
+    n = grid.n_points
+    v = potential.value(grid.x)
+    kin = wf.hbar**2 / (2.0 * wf.mass * grid.dx**2)
+    # rows of K and M in solve_banded's layout: upper, main, lower
+    k = np.zeros((3, n))
+    k[0, 1:] = -kin + v[1:] / 12.0
+    k[1, :] = 2.0 * kin + v * (10.0 / 12.0)
+    k[2, :-1] = -kin + v[:-1] / 12.0
+    m = np.zeros((3, n))
+    m[0, 1:] = m[2, :-1] = 1.0 / 12.0
+    m[1, :] = 10.0 / 12.0
+    psi = wf.values.copy()
+    for _ in range(steps):
+        for a, b in stages:
+            rhs_bands = m + b * k
+            rhs = rhs_bands[1] * psi
+            rhs[:-1] += rhs_bands[0, 1:] * psi[1:]
+            rhs[1:] += rhs_bands[2, :-1] * psi[:-1]
+            psi = solve_banded((1, 1), m + a * k, rhs)
+    return schrodinger.WaveFunction(grid, psi, wf.hbar, wf.mass)
+
+
+def _norm_drift(propagate, steps=10_000):
+    """|norm - 1| of the harmonic ground state after ``steps`` steps of
+    dt = 1e-3 on 1024 points."""
+    wf = gaussian_wavepacket(Grid(-16, 16, 1024), 0.0, 0.0, 1.0)
+    return abs(propagate(HARMONIC, wf, 1e-3, steps).norm - 1.0)
 
 
 def test_grid_validation():
@@ -127,34 +163,74 @@ def test_free_spreading_matches_closed_form():
         assert math.sqrt(state.moments[single(2, 0)]) == pytest.approx(expected, rel=1e-6)
 
 
-def test_harmonic_packet_follows_the_exact_solution():
-    """On the default oracle-diff grid ([-12, 12], 1024 points, dt 1e-3) a
-    squeezed harmonic packet follows q(t) = q0 cos t + p0 sin t and
-    Delta(q^2)(t) = sigma^2 cos^2 t + sin^2 t / (4 sigma^2) to 1e-6."""
+def _harmonic_packet_errors(dt, t_values):
+    """Largest error of q, p and the second moments of the squeezed packet
+    q0 = 0.5, p0 = 0.3, sigma = 0.7 on the default oracle-diff grid
+    ([-12, 12], 1024 points) against the exact harmonic solution
+    q(t) = q0 cos t + p0 sin t, Delta(q^2)(t) = sigma^2 cos^2 t + sin^2 t / (4 sigma^2)
+    and so on, at each of ``t_values`` (whole multiples of dt)."""
     cfg = resolve_config({}, "oracle-diff")
     grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
     q0, p0, sigma = 0.5, 0.3, 0.7
-    wf = gaussian_wavepacket(grid, q0, p0, sigma)
-    for t in (0.5, 1.0, 1.5, 2.0):
-        wf = evolve(HARMONIC, wf, cfg["dt"], 500)
+    a, b = sigma**2, 1.0 / (4.0 * sigma**2)
+    wf, t_now, errors = gaussian_wavepacket(grid, q0, p0, sigma), 0.0, []
+    for t in t_values:
+        wf = evolve(HARMONIC, wf, dt, int(round((t - t_now) / dt)))
+        t_now = t
         state, _ = moments_from_wavefunction(wf, 2)
         c, s = math.cos(t), math.sin(t)
-        assert state.q == pytest.approx(q0 * c + p0 * s, abs=1e-6)
-        assert state.p == pytest.approx(p0 * c - q0 * s, abs=1e-6)
-        assert state.moments[single(2, 0)] == pytest.approx(sigma**2 * c**2 + s**2 / (4 * sigma**2), abs=1e-6)
-        assert state.moments[single(0, 2)] == pytest.approx(sigma**2 * s**2 + c**2 / (4 * sigma**2), abs=1e-6)
+        exact = {
+            "q": (state.q, q0 * c + p0 * s),
+            "p": (state.p, p0 * c - q0 * s),
+            "Delta_q2": (state.moments[single(2, 0)], a * c**2 + b * s**2),
+            "Delta_qp": (state.moments[single(1, 1)], (b - a) * s * c),
+            "Delta_p2": (state.moments[single(0, 2)], a * s**2 + b * c**2),
+        }
+        errors.append(max(abs(got - want) for got, want in exact.values()))
+    return errors
+
+
+def test_harmonic_packet_follows_the_exact_solution():
+    """At the default dt a squeezed harmonic packet follows the exact
+    solution to 1e-6 at every half time unit."""
+    dt = resolve_config({}, "oracle-diff")["dt"]
+    assert max(_harmonic_packet_errors(dt, (0.5, 1.0, 1.5, 2.0))) <= 1e-6
+
+
+def test_harmonic_packet_error_is_fourth_order_in_dt():
+    """Against the exact solution at t = 2, halving dt from 0.1 to 0.05
+    divides the error by 16 (15.9 measured): the step is fourth order and
+    the spatial error is far below the time error at these steps."""
+    (coarse,), (fine,) = (_harmonic_packet_errors(dt, (2.0,)) for dt in (0.1, 0.05))
+    assert coarse / fine == pytest.approx(16.0, rel=0.03)
 
 
 def test_unitarity_norm_drift():
-    grid = Grid(-16, 16, 1024)
-    wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
-    out = evolve(HARMONIC, wf, 1e-3, 10_000)
-    assert abs(out.norm - 1.0) <= 1e-10
+    assert _norm_drift(evolve) <= 1e-10
+
+
+def test_swapped_stage_roots_break_unitarity(monkeypatch):
+    """A stage is unitary because its right-hand side takes the conjugate
+    of its own coefficient c.  With the two stages' roots swapped on the
+    right, conj(c2) = -c1 makes a stage (M + c1 K) psi' = (M - c1 K) psi,
+    whose norm the unitarity check catches.  The swapped stages multiply
+    to the same Padé approximant, so a whole step keeps its norm either
+    way: the check is made one stage at a time."""
+    c1, c2 = (-1j * 1e-3 / r for r in ROOTS)
+
+    def swapped(*stages):
+        return lambda potential, wf, dt, steps: _pade_reference(potential, wf, dt, steps, stages)
+
+    monkeypatch.setattr(schrodinger, "PADE_ROOTS", ROOTS[:1])  # evolve's first stage alone
+    assert _norm_drift(evolve, 500) <= 1e-10
+    assert _norm_drift(swapped((c1, c2.conjugate())), 500) > 1e-10
+    assert _norm_drift(swapped((c1, c2.conjugate()), (c2, c1.conjugate())), 500) <= 1e-10
 
 
 def test_coherent_state_richardson():
     """<q>(t) follows the classical cosine; Richardson against a fine-dt
-    run on the same grid isolates the second-order time error."""
+    run on the same grid isolates the fourth-order time error (the ratio
+    measures 15.9)."""
     grid = Grid(-16, 16, 1024)
     sigma0 = math.sqrt(0.5)  # ground-state width: the packet is coherent
     t_end = 1.0
@@ -165,12 +241,12 @@ def test_coherent_state_richardson():
         state, _ = moments_from_wavefunction(out, 2, quality_tol=1e-2)
         return state.q
 
-    q_ref = qval(2.5e-4)
+    q_ref = qval(1.0 / 160.0)
     assert q_ref == pytest.approx(math.cos(t_end), abs=5e-4)
-    with pytest.warns(AccuracyWarning):  # dt = 8e-3 is coarse on purpose
-        q_coarse = qval(8e-3)
-    ratio = (q_coarse - q_ref) / (qval(4e-3) - q_ref)
-    assert ratio == pytest.approx(4.0, rel=0.15)
+    with pytest.warns(AccuracyWarning):  # dt = 0.1 is coarse on purpose
+        q_coarse = qval(0.1)
+    ratio = (q_coarse - q_ref) / (qval(0.05) - q_ref)
+    assert ratio == pytest.approx(16.0, rel=0.03)
 
 
 def test_coherent_state_width_constant():
@@ -230,32 +306,12 @@ def test_ehrenfest_momentum_rate_matches_cubic_back_reaction():
 @pytest.mark.parametrize("potential", [HARMONIC, FREE], ids=["harmonic", "free"])
 def test_evolve_matches_banded_reference_bitwise(potential):
     """The factor-once solver gives the same bits as a per-step banded
-    solve of the same Numerov Crank-Nicolson system
-    (M + i theta K) psi' = (M - i theta K) psi, M = tridiag(1, 10, 1)/12,
-    K = -kin delta^2 + M diag(V)."""
-    grid = Grid(-16, 16, 1024)
-    wf = gaussian_wavepacket(grid, 0.5, 0.8, 1.0)
-    dt, steps = 1e-3, 200
-    n = grid.n_points
-    v = potential.value(grid.x)
-    kin = wf.hbar**2 / (2.0 * wf.mass * grid.dx**2)
-    theta = dt / (2.0 * wf.hbar)
-    # rows of K and M in solve_banded's layout: upper, main, lower
-    k = np.zeros((3, n))
-    k[0, 1:] = -kin + v[1:] / 12.0
-    k[1, :] = 2.0 * kin + v * (10.0 / 12.0)
-    k[2, :-1] = -kin + v[:-1] / 12.0
-    m = np.zeros((3, n))
-    m[0, 1:] = m[2, :-1] = 1.0 / 12.0
-    m[1, :] = 10.0 / 12.0
-    ab = m + 1j * theta * k
-    b = m - 1j * theta * k
-    psi = wf.values.copy()
-    for _ in range(steps):
-        rhs = b[1] * psi
-        rhs[:-1] += b[0, 1:] * psi[1:]
-        rhs[1:] += b[2, :-1] * psi[:-1]
-        psi = solve_banded((1, 1), ab, rhs)
+    solve of the two Padé stages (M + c K) psi' = (M + conj(c) K) psi,
+    c = -i dt / (hbar r), one per root r = -3 +- i sqrt(3)."""
+    wf = gaussian_wavepacket(Grid(-16, 16, 1024), 0.5, 0.8, 1.0)
+    dt, steps = 2e-2, 50
+    stages = [(c, c.conjugate()) for c in (-1j * dt / (wf.hbar * r) for r in ROOTS)]
+    psi = _pade_reference(potential, wf, dt, steps, stages).values
     assert np.array_equal(evolve(potential, wf, dt, steps).values, psi)
 
 
@@ -267,14 +323,18 @@ def test_evolve_warns_on_boundary_contact():
 
 
 def test_evolve_checks_support_on_a_fixed_step_cadence(monkeypatch):
-    """A short call is not checked after every step, and the returned state
-    is always checked."""
-    checked = []
-    monkeypatch.setattr(schrodinger, "_check_support", lambda grid, rows, psi: checked.append(psi))
-    grid = Grid(-16, 16, 512)
-    out = evolve(FREE, gaussian_wavepacket(grid, 0.0, 0.0, 1.0), 1e-3, 100)
-    assert 1 <= len(checked) <= 2
-    assert np.array_equal(checked[-1], out.values)
+    """Support is checked every SUPPORT_CHECK_STEPS steps, at least every
+    0.064 time units at the default dt, and the returned state is always
+    checked, so a call shorter than the cadence is checked once."""
+    dt = resolve_config({}, "oracle-diff")["dt"]
+    assert schrodinger.SUPPORT_CHECK_STEPS * dt <= 0.064
+    wf = gaussian_wavepacket(Grid(-16, 16, 512), 0.0, 0.0, 1.0)
+    for steps in (schrodinger.SUPPORT_CHECK_STEPS - 1, 10):
+        checked = []
+        monkeypatch.setattr(schrodinger, "_check_support", lambda grid, rows, psi: checked.append(psi))
+        out = evolve(FREE, wf, dt, steps)
+        assert len(checked) == steps // schrodinger.SUPPORT_CHECK_STEPS + 1
+        assert np.array_equal(checked[-1], out.values)
 
 
 def test_evolve_warns_on_coarse_time_step():
@@ -285,23 +345,28 @@ def test_evolve_warns_on_coarse_time_step():
 
 
 def test_energy_expectation_conserved():
-    """Over the default oracle-diff run (2000 steps in 20 calls), at rest
-    and from q0 = 1, the plain 2-norm drifts by at most 1e-12 and <H_N> by
-    at most 1e-10 relative: each step is Crank-Nicolson for the real
-    symmetric H_N that ``energy_expectation`` applies."""
+    """Over the default oracle-diff run (its 20 sample intervals, one call
+    each), at rest and from q0 = 1, the plain 2-norm drifts by at most
+    1e-12 and <H_N> by at most 1e-10 relative: each stage of a step is a
+    unitary function of the real symmetric H_N that
+    ``energy_expectation`` applies."""
     cfg = resolve_config({}, "oracle-diff")
     grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
+    (t0, t1), intervals = cfg["t_span"], cfg["samples"] - 1
+    steps = int(round((t1 - t0) / intervals / cfg["dt"]))
+    assert steps * intervals * cfg["dt"] == pytest.approx(t1 - t0, rel=1e-12)
     for q0 in (cfg["q0"], 1.0):
         wf = gaussian_wavepacket(grid, q0, cfg["p0"], cfg["sigma"])
         norm0, e0 = np.linalg.norm(wf.values), energy_expectation(wf, HARMONIC)
-        for _ in range(20):
-            wf = evolve(HARMONIC, wf, cfg["dt"], 100)
+        for _ in range(intervals):
+            wf = evolve(HARMONIC, wf, cfg["dt"], steps)
         assert abs(np.linalg.norm(wf.values) / norm0 - 1.0) <= 1e-12
         assert energy_expectation(wf, HARMONIC) == pytest.approx(e0, rel=1e-10)
 
 
-def test_dt_halving_second_order_on_observable():
-    """Crank-Nicolson is second order in time on a smooth observable."""
+def test_dt_halving_fourth_order_on_observable():
+    """The Padé (2,2) step is fourth order in time on a smooth observable
+    (the ratio measures 16.04)."""
     grid = Grid(-20, 20, 4096)
     t_end = 1.0
     ref = free_particle_s(t_end, 1.0, 0.25, 1.0) ** 2
@@ -312,8 +377,8 @@ def test_dt_halving_second_order_on_observable():
         state, _ = moments_from_wavefunction(out, 2)
         return state.moments[single(2, 0)] - ref
 
-    e1, e2 = err(8e-3), err(4e-3)
+    e1, e2 = err(0.1), err(0.05)
     # subtract the dt-independent spatial bias before comparing
-    e_space = err(1e-3)
+    e_space = err(0.0125)
     ratio = (e1 - e_space) / (e2 - e_space)
-    assert ratio == pytest.approx(4.0, rel=0.5)
+    assert ratio == pytest.approx(16.0, rel=0.03)
