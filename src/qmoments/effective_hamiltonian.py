@@ -63,14 +63,6 @@ class PolynomialPotential:
                 poly = poly + (q**k).scale(c)
         return poly
 
-    def __add__(self, other: "PolynomialPotential") -> "PolynomialPotential":
-        if self.mass != other.mass:
-            raise ValueError("potentials with different masses")
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = self.coefficients + [Fraction(0)] * (n - len(self.coefficients))
-        b = other.coefficients + [Fraction(0)] * (n - len(other.coefficients))
-        return PolynomialPotential([x + y for x, y in zip(a, b)], self.mass)
-
     def __repr__(self):
         return f"PolynomialPotential({[str(c) for c in self.coefficients]}, mass={self.mass})"
 

@@ -2,7 +2,8 @@
 
 Padé (2,2) propagation on a uniform hard-wall grid with the Numerov
 (compact fourth-order) Laplacian: unconditionally stable, norm-preserving
-to rounding, fourth-order accurate in space and in time.
+to rounding, fourth-order accurate in space and in time.  ``evolve`` and
+``energy_expectation`` read one operator, built once per configuration.
 Weyl-ordered central moments are extracted from wavefunctions with the
 momentum operator applied spectrally (FFT), through the ordering change of
 basis of the operator algebra.
@@ -10,6 +11,7 @@ basis of the operator algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -97,32 +99,55 @@ def gaussian_wavepacket(grid: Grid, q0: float, p0: float, sigma: float, hbar: fl
     return wf.normalized()
 
 
-def hamiltonian_apply(wf: WaveFunction, potential) -> np.ndarray:
-    """H_N psi, the Numerov Hamiltonian that ``evolve`` steps.
+@functools.lru_cache(maxsize=1)
+def _numerov(potential, grid: Grid, hbar: float, mass: float) -> tuple:
+    """The Numerov Hamiltonian H_N = M^-1 K of p^2/2m + V on ``grid``.
 
     H_N = kin M^-1 (-delta^2) + V with kin = hbar^2 / (2 m dx^2), the
     second difference delta^2 and M = tridiag(1, 10, 1) / 12, both cut at
-    the hard walls (psi = 0 beyond the edges).  M and delta^2 commute, so
-    H_N is real symmetric; M^-1 is one real tridiagonal solve.
+    the hard walls (psi = 0 beyond the edges), so K = -kin delta^2 +
+    M diag(V).  M and delta^2 commute, so H_N is real symmetric.  Returns
+    V on the grid, kin, K's bands, M's rows in ``solve_banded``'s layout and
+    the support rows: trapezoid weights times 1, x and x^2, whose product
+    with a density gives its integrals of 1, x and x^2.
     """
-    from scipy.linalg import solve_banded
+    v = potential.value(grid.x)
+    kin = hbar**2 / (2.0 * mass * grid.dx**2)
+    # the lower and upper bands of K differ by the potential
+    k_bands = (-kin + v[:-1] / 12.0, 2.0 * kin + v * (10.0 / 12.0), -kin + v[1:] / 12.0)
+    m_rows = np.repeat(np.array(M_BANDS[::-1])[:, None], grid.n_points, axis=1)
+    w = np.full(grid.n_points, grid.dx)
+    w[0] = w[-1] = 0.5 * grid.dx
+    return v, kin, k_bands, m_rows, np.vstack([w, w * grid.x, w * grid.x**2])
 
-    psi = wf.values
-    kin = wf.hbar**2 / (2.0 * wf.mass * wf.grid.dx**2)
-    lap = -2.0 * psi
-    lap[:-1] += psi[1:]
-    lap[1:] += psi[:-1]
-    m = np.full((3, psi.size), 1.0 / 12.0)
-    m[1] = 10.0 / 12.0
-    re_im = solve_banded((1, 1), m, np.column_stack((lap.real, lap.imag)))
-    v = potential.value(wf.grid.x)
-    return -kin * (re_im[:, 0] + 1j * re_im[:, 1]) + v * psi
+
+@functools.lru_cache(maxsize=1)
+def _pade_stages(potential, grid: Grid, hbar: float, mass: float, dt: float, roots: tuple) -> list:
+    """Per root r, the ``zgttrf`` factors of M + c K and the bands of
+    M + conj(c) K, c = -i dt / (hbar r), on ``_numerov``'s operator."""
+    from scipy.linalg.lapack import zgttrf
+
+    k_bands = _numerov(potential, grid, hbar, mass)[2]
+    stages = []
+    for c in (-1j * dt / (hbar * r) for r in roots):
+        lhs, rhs = ([m + a * k for m, k in zip(M_BANDS, k_bands)] for a in (c, c.conjugate()))
+        *factors, info = zgttrf(*lhs)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Padé stage matrix is singular (zgttrf info={info})")
+        stages.append((factors, rhs))
+    return stages
 
 
 def energy_expectation(wf: WaveFunction, potential) -> float:
-    hpsi = hamiltonian_apply(wf, potential)
-    val = np.trapezoid(np.conj(wf.values) * hpsi, dx=wf.grid.dx)
-    return float(val.real)
+    """<H_N> of ``wf``: -kin M^-1 (delta^2 psi) + V psi, with M^-1 one
+    real tridiagonal solve."""
+    from scipy.linalg import solve_banded
+
+    v, kin, _, m_rows, _ = _numerov(potential, wf.grid, wf.hbar, wf.mass)
+    lap = _tridiagonal(1.0, -2.0, 1.0, wf.values)
+    re_im = solve_banded((1, 1), m_rows, np.column_stack((lap.real, lap.imag)))
+    hpsi = -kin * (re_im[:, 0] + 1j * re_im[:, 1]) + v * wf.values
+    return float(np.trapezoid(np.conj(wf.values) * hpsi, dx=wf.grid.dx).real)
 
 
 def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction:
@@ -132,27 +157,22 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction
     fourth order in time (van Dijk & Toyama, Phys. Rev. E 75, 036707
     (2007)), as two stages, one per root r of its denominator
     1 + z/2 + z^2/12 (z = i dt H_N/hbar): (M + c K) psi' = (M + conj(c) K) psi
-    with c = -i dt/(hbar r), M = tridiag(1, 10, 1)/12 and
-    K = -kin delta^2 + M diag(V) (see ``hamiltonian_apply``).  As
-    M^-1 K = H_N is real symmetric, each stage is unitary: the plain 2-norm
-    is preserved to rounding and <H_N> is conserved.  Each stage's matrix
-    is LU-factored once per call (LAPACK ``zgttrf``) and solved once per
-    step (``zgttrs``).  The documented step heuristic warns when
+    with c = -i dt/(hbar r) and H_N = M^-1 K of ``_numerov``.  As H_N is
+    real symmetric, each stage is unitary: the plain 2-norm is preserved
+    to rounding and <H_N> is conserved.  Each stage's matrix is LU-factored
+    (LAPACK ``zgttrf``) once per potential, grid and dt, and solved once
+    per step (``zgttrs``).  The documented step heuristic warns when
     (dt |E| / hbar)^5 / 720, the Padé local error, exceeds 1e-8, with E the
     initial Rayleigh quotient psi^H K psi / psi^H M psi.  A wavepacket whose
     5-sigma interval touches the walls raises a BoundaryContactWarning; it
     is checked every ``SUPPORT_CHECK_STEPS`` steps and after the last one.
     """
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.linalg.lapack import zgttrs
 
     if dt <= 0 or steps < 0:
         raise ValueError("dt must be positive and steps non-negative")
-    grid = psi0.grid
-    hbar, mass = psi0.hbar, psi0.mass
-    v = potential.value(grid.x)
-    kin = hbar**2 / (2.0 * mass * grid.dx**2)
-    # the bands of K; the lower and upper ones differ by the potential
-    k_bands = (-kin + v[:-1] / 12.0, 2.0 * kin + v * (10.0 / 12.0), -kin + v[1:] / 12.0)
+    grid, hbar, mass = psi0.grid, psi0.hbar, psi0.mass
+    _, _, k_bands, _, rows = _numerov(potential, grid, hbar, mass)
     psi = psi0.values.copy()
     e0 = abs(np.vdot(psi, _tridiagonal(*k_bands, psi)).real / np.vdot(psi, _tridiagonal(*M_BANDS, psi)).real)
     if (dt * e0 / hbar) ** 5 / 720.0 > 1e-8:
@@ -161,15 +181,7 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction
             AccuracyWarning,
             stacklevel=2,
         )
-    stages = []
-    for r in PADE_ROOTS:
-        c = -1j * dt / (hbar * r)
-        *factors, info = zgttrf(*(m + c * k for m, k in zip(M_BANDS, k_bands)))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"Padé stage matrix is singular (zgttrf info={info})")
-        stages.append((factors, [m + c.conjugate() * k for m, k in zip(M_BANDS, k_bands)]))
-
-    rows = _support_rows(grid)
+    stages = _pade_stages(potential, grid, hbar, mass, dt, PADE_ROOTS)
     for step in range(steps):
         for factors, rhs_bands in stages:
             psi, info = zgttrs(*factors, _tridiagonal(*rhs_bands, psi))
@@ -187,14 +199,6 @@ def _tridiagonal(lower, main, upper, psi: np.ndarray) -> np.ndarray:
     out[:-1] += upper * psi[1:]
     out[1:] += lower * psi[:-1]
     return out
-
-
-def _support_rows(grid: Grid) -> np.ndarray:
-    """Trapezoid weights times 1, x and x^2: one product with a density
-    gives its integrals of 1, x and x^2."""
-    w = np.full(grid.n_points, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    return np.vstack([w, w * grid.x, w * grid.x**2])
 
 
 def _check_support(grid: Grid, rows: np.ndarray, psi: np.ndarray):

@@ -562,6 +562,23 @@ def test_oracle_subcommand(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_oracle_subcommand_pins_the_potential_term(tmp_path):
+    """The harmonic oracle on the same short config: V psi is not zero, so
+    these bytes also pin the potential term of <H_N> in the energy column."""
+    cfg = write_cfg(
+        tmp_path,
+        "o.json",
+        {"grid_points": 512, "dt": 4e-3, "t_span": [0.0, 0.4], "samples": 5},
+    )
+    out = tmp_path / "o"
+    assert main(["oracle", "--scenario", "harmonic", "--config", cfg, "--out-dir", str(out)]) == 0
+    for name, digest in [
+        ("oracle_trajectory.csv", "bdc560398c2b360d3d177acb22bed6dbb4b18c4b744de8a089a76a2784bff718"),
+        ("oracle_summary.json", "7d03a2ff14cfc53f39e7742d83602dcd1c624e8e9bc6921c00de000513eca186"),
+    ]:
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [({"bogus": 1}, "bogus"), ({"grid_points": 10}, "grid_points"), ({"order": 8}, "order"), ([1], "config"),
@@ -757,12 +774,25 @@ def test_every_accepted_key_is_read(tmp_path, monkeypatch, argv, payload, entry)
 
 def test_tracer_installs_on_the_program(tmp_path):
     """The benchmark's tracer rebinds names of cli, scenarios and the other
-    layers; a renamed one fails here rather than in the benchmark."""
+    layers; a renamed one fails here rather than in the benchmark.  A short
+    oracle run under it counts every ``evolve``, ``energy_expectation`` and
+    moment-extraction call, so the rebound names are the ones the oracle
+    calls."""
     import qmoments
 
     root = pathlib.Path(__file__).resolve().parents[1]
     src = os.path.dirname(os.path.dirname(qmoments.__file__))
-    script = "from tracer import Tracer\nTracer().install()\n"
+    cfg = write_cfg(tmp_path, "o.json", {"grid_points": 512, "dt": 4e-3, "t_span": [0.0, 0.4], "samples": 5})
+    script = (
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from qmoments.cli import main\n"
+        f"assert main(['oracle', '--scenario', 'harmonic', '--config', {cfg!r}, '--out-dir', 'o']) == 0\n"
+        "calls = [tracer.totals[f'schrodinger.{name}.calls']\n"
+        "         for name in ('evolve', 'energy_expectation', 'moments_from_wavefunction')]\n"
+        "assert calls == [4, 5, 5], calls\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(root / "perfbench")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

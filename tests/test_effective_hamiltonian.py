@@ -99,7 +99,9 @@ def test_evaluate_matches_wavefunction_energy():
 def test_linearity_of_build_heff():
     v1 = PolynomialPotential([0, 0, 0.3, 0.1], mass=1)
     v2 = PolynomialPotential([0.2, 0, 0.1, 0, 0.05], mass=1)
-    h12 = build_heff(v1 + v2, 4)
+    # the exact sum of the coefficients: v2's list is the longer one
+    v12 = PolynomialPotential([a + b for a, b in zip(v1.coefficients + [0], v2.coefficients)], mass=1)
+    h12 = build_heff(v12, 4)
     h1 = build_heff(v1, 4)
     h2 = build_heff(v2, 4)
     assert _couplings(h12) == {single(0, 2), single(2, 0), single(3, 0), single(4, 0)}

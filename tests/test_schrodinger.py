@@ -11,7 +11,7 @@ from qmoments.casimir_darboux import free_particle_s
 from qmoments.dynamics import init_gaussian
 from qmoments.effective_hamiltonian import PolynomialPotential
 from qmoments.indices import single
-from qmoments.scenarios import MAX_ORDER, ORACLE_DEFAULTS, resolve_config
+from qmoments.scenarios import MAX_ORDER, ORACLE_DEFAULTS, resolve_config, wavefunction_trajectory
 from qmoments.schrodinger import (
     MAX_EXTRACTION_ORDER,
     AccuracyWarning,
@@ -26,6 +26,8 @@ from qmoments.schrodinger import (
 
 FREE = PolynomialPotential([], mass=1)
 HARMONIC = PolynomialPotential([0, 0, 0.5], mass=1)
+QUARTIC = PolynomialPotential([0, 0, 0.5, 0, 0.05], mass=1)
+CUBIC = PolynomialPotential([0, 0, 0.5, -0.1], mass=1)
 # roots of the Padé (2,2) denominator 1 + z/2 + z^2/12, in the stage order
 ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 
@@ -55,6 +57,22 @@ def _pade_reference(potential, wf, dt, steps, stages):
             rhs[1:] += rhs_bands[2, :-1] * psi[:-1]
             psi = solve_banded((1, 1), m + a * k, rhs)
     return schrodinger.WaveFunction(grid, psi, wf.hbar, wf.mass)
+
+
+def _energy_reference(wf, potential):
+    """<H_N> of ``wf`` built from scratch: -kin M^-1 (delta^2 psi) + V psi
+    with kin = hbar^2 / (2 m dx^2), delta^2 psi by neighbour sums, V on the
+    grid and M^-1 one real ``solve_banded`` with M = tridiag(1, 10, 1)/12."""
+    psi = wf.values
+    kin = wf.hbar**2 / (2.0 * wf.mass * wf.grid.dx**2)
+    lap = -2.0 * psi
+    lap[:-1] += psi[1:]
+    lap[1:] += psi[:-1]
+    m = np.full((3, psi.size), 1.0 / 12.0)
+    m[1] = 10.0 / 12.0
+    re_im = solve_banded((1, 1), m, np.column_stack((lap.real, lap.imag)))
+    hpsi = -kin * (re_im[:, 0] + 1j * re_im[:, 1]) + potential.value(wf.grid.x) * psi
+    return float(np.trapezoid(np.conj(psi) * hpsi, dx=wf.grid.dx).real)
 
 
 def _norm_drift(propagate, steps=10_000):
@@ -215,14 +233,21 @@ def test_swapped_stage_roots_break_unitarity(monkeypatch):
     right, conj(c2) = -c1 makes a stage (M + c1 K) psi' = (M - c1 K) psi,
     whose norm the unitarity check catches.  The swapped stages multiply
     to the same Padé approximant, so a whole step keeps its norm either
-    way: the check is made one stage at a time."""
+    way: the check is made one stage at a time.  ``evolve`` run with the
+    first root alone keeps its norm and differs from the two-stage step on
+    the same potential, grid and dt."""
     c1, c2 = (-1j * 1e-3 / r for r in ROOTS)
 
     def swapped(*stages):
         return lambda potential, wf, dt, steps: _pade_reference(potential, wf, dt, steps, stages)
 
+    wf = gaussian_wavepacket(Grid(-16, 16, 1024), 0.0, 0.0, 1.0)
+    both = evolve(HARMONIC, wf, 1e-3, 500)
     monkeypatch.setattr(schrodinger, "PADE_ROOTS", ROOTS[:1])  # evolve's first stage alone
-    assert _norm_drift(evolve, 500) <= 1e-10
+    first = evolve(HARMONIC, wf, 1e-3, 500)
+    # the same potential, grid and dt: the stage factors follow the roots
+    assert np.max(np.abs(first.values - both.values)) > 1e-3
+    assert abs(first.norm - 1.0) <= 1e-10
     assert _norm_drift(swapped((c1, c2.conjugate())), 500) > 1e-10
     assert _norm_drift(swapped((c1, c2.conjugate()), (c2, c1.conjugate())), 500) <= 1e-10
 
@@ -313,6 +338,53 @@ def test_evolve_matches_banded_reference_bitwise(potential):
     stages = [(c, c.conjugate()) for c in (-1j * dt / (wf.hbar * r) for r in ROOTS)]
     psi = _pade_reference(potential, wf, dt, steps, stages).values
     assert np.array_equal(evolve(potential, wf, dt, steps).values, psi)
+
+
+@pytest.mark.parametrize("potential", [HARMONIC, QUARTIC, CUBIC], ids=["harmonic", "quartic", "cubic"])
+def test_energy_expectation_matches_reference_bitwise(potential):
+    """``energy_expectation`` gives the bits of a from-scratch
+    -kin M^-1 (delta^2 psi) + V psi, for a fresh packet and after ``evolve``
+    on the same operator."""
+    cfg = resolve_config({}, "oracle-diff")
+    wf = gaussian_wavepacket(Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"]), 0.5, 0.3, 0.7)
+    for state in (wf, evolve(potential, wf, cfg["dt"], 20)):
+        assert energy_expectation(state, potential) == _energy_reference(state, potential)
+
+
+def test_oracle_run_builds_the_operator_once(monkeypatch):
+    """One default oracle-diff wavefunction run factors each Padé stage once
+    (2 ``zgttrf`` calls for its 20 ``evolve`` calls) and evaluates V on the
+    grid once (for 20 ``evolve`` and 21 ``energy_expectation`` calls).  A
+    different dt or grid gets fresh factors, equal bitwise to a per-step
+    banded solve."""
+    from scipy.linalg import lapack
+
+    zgttrf, value = lapack.zgttrf, PolynomialPotential.value
+    calls = {"zgttrf": 0, "V on the grid": 0}
+
+    def counted_zgttrf(*args):
+        calls["zgttrf"] += 1
+        return zgttrf(*args)
+
+    def counted_value(pot, q, derivative=0):
+        calls["V on the grid"] += np.ndim(q) > 0
+        return value(pot, q, derivative)
+
+    monkeypatch.setattr(lapack, "zgttrf", counted_zgttrf)
+    monkeypatch.setattr(PolynomialPotential, "value", counted_value)
+    wavefunction_trajectory(resolve_config({}, "oracle-diff"))
+    assert calls == {"zgttrf": 2, "V on the grid": 1}
+
+    wf = gaussian_wavepacket(Grid(-16, 16, 512), 0.5, 0.8, 1.0)
+    finer = gaussian_wavepacket(Grid(-16, 16, 1024), 0.5, 0.8, 1.0)
+    # (state, dt, zgttrf calls so far): another state on the same grid and
+    # dt reuses the factors, another dt or grid makes new ones
+    runs = ((wf, 2e-2, 4), (wf, 2e-2, 4), (wf.normalized(), 2e-2, 4), (wf, 1e-2, 6), (finer, 1e-2, 8))
+    for state, dt, factored in runs:
+        stages = [(c, c.conjugate()) for c in (-1j * dt / (state.hbar * r) for r in ROOTS)]
+        reference = _pade_reference(HARMONIC, state, dt, 5, stages).values
+        assert np.array_equal(evolve(HARMONIC, state, dt, 5).values, reference)
+        assert calls["zgttrf"] == factored
 
 
 def test_evolve_warns_on_boundary_contact():
