@@ -24,12 +24,7 @@ from .dynamics import (
     init_gaussian,
     integrate,
 )
-from .effective_hamiltonian import (
-    EffectiveHamiltonian,
-    PolynomialPotential,
-    build_heff,
-    equations_of_motion,
-)
+from .effective_hamiltonian import PolynomialPotential, equations_of_motion
 from .exact import MomentPolynomial
 from .moment_algebra import (
     BracketTable,
@@ -46,7 +41,6 @@ __all__ = [
     "AdiabaticModel",
     "BracketTable",
     "DarbouxState1D",
-    "EffectiveHamiltonian",
     "Grid",
     "IntegratorConfig",
     "MomentPolynomial",
@@ -60,7 +54,6 @@ __all__ = [
     "adiabatic_energy",
     "bracket_oracle",
     "build_bracket_table",
-    "build_heff",
     "closed_form_bracket",
     "delta_s_correction",
     "equations_of_motion",

@@ -4,12 +4,12 @@ For H = p^2/2m + V(q) in symmetric ordering the expectation value expands
 into the classical energy plus moment couplings: Delta(p^2) couples with
 1/(2m) and Delta(q^a) with V^(a)(q)/a!.  For polynomial potentials the
 expansion is exact once the truncation order reaches the degree.
+``equations_of_motion`` builds H_eff and its vector field in one call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from . import indices
@@ -67,48 +67,14 @@ class PolynomialPotential:
         return f"PolynomialPotential({[str(c) for c in self.coefficients]}, mass={self.mass})"
 
 
-class EffectiveHamiltonian:
-    """Classical part plus moment couplings at a truncation order."""
-
-    def __init__(self, potential, truncation_order: int):
-        if truncation_order < 2:
-            raise ValueError("truncation order must be >= 2")
-        self.potential = potential
-        self.truncation_order = truncation_order
-
-    @property
-    def mass(self):
-        return self.potential.mass
-
-    @lru_cache(maxsize=4)
-    def moment_polynomial(self) -> MomentPolynomial:
-        """H_eff as an exact polynomial in q, p and the moment symbols."""
-        p = MomentPolynomial.p()
-        heff = (p * p).scale(Fraction(1, 2) / self.mass)
-        heff = heff + self.potential.as_polynomial(0)
-        heff = heff + MomentPolynomial.moment(indices.single(0, 2)).scale(
-            Fraction(1, 2) / self.mass
-        )
-        top = min(self.truncation_order, self.potential.degree)
-        for a in range(2, top + 1):
-            coupling = self.potential.as_polynomial(a).scale(
-                Fraction(1, factorial(a))
-            )
-            heff = heff + coupling * MomentPolynomial.moment(indices.single(a, 0))
-        return heff
-
-
-def build_heff(potential, truncation_order: int) -> EffectiveHamiltonian:
-    return EffectiveHamiltonian(potential, truncation_order)
-
-
 class MomentVectorField:
     """Hamiltonian vector field on (q, p, moments) at a truncation order."""
 
-    def __init__(self, layout, exprs, hamiltonian):
+    def __init__(self, layout, exprs, potential, heff):
         self.layout = tuple(layout)
         self.exprs = tuple(exprs)
-        self.hamiltonian = hamiltonian
+        self.potential = potential
+        self.heff = heff
         self.positions = {var: i for i, var in enumerate(self.layout)}
         self._compiled = {}
         self._energy = {}
@@ -139,7 +105,7 @@ class MomentVectorField:
         key = float(hbar)
         fn = self._energy.get(key)
         if fn is None:
-            fn = self._energy[key] = self._generate("ham(y)", self.hamiltonian.moment_polynomial(), key)
+            fn = self._energy[key] = self._generate("ham(y)", self.heff, key)
         return fn
 
     def _generate(self, signature, exprs, hbar):
@@ -172,18 +138,28 @@ class MomentVectorField:
         return ns[signature.split("(")[0]]
 
 
-def equations_of_motion(h: EffectiveHamiltonian) -> MomentVectorField:
+def equations_of_motion(potential, truncation_order: int) -> MomentVectorField:
     """Xdot = {X, H_eff} for every state coordinate, closed by truncation.
 
-    H_eff holds only Delta(p^2) and Delta(q^a), so the Leibniz rule needs
-    one column of moment brackets; the closed form supplies exactly those
-    (tests prove it equal to the oracle).  The q and p equations pick up
-    moment back-reaction through the (q, p)-dependence of the coupling
-    coefficients; results are filtered by the semiclassical truncation rule
-    so the system closes.
+    H_eff, an exact polynomial in q, p and the moment symbols, is built
+    once and kept on the field.  It holds only Delta(p^2) and Delta(q^a),
+    so the Leibniz rule needs one column of moment brackets; the closed
+    form supplies exactly those (tests prove it equal to the oracle).  The
+    q and p equations pick up moment back-reaction through the
+    (q, p)-dependence of the coupling coefficients; results are filtered by
+    the semiclassical truncation rule so the system closes.
     """
-    heff = h.moment_polynomial()
-    layout = indices.state_layout(h.truncation_order)
+    if truncation_order < 2:
+        raise ValueError("truncation order must be >= 2")
+    half_over_mass = Fraction(1, 2) / potential.mass
+    p = MomentPolynomial.p()
+    heff = (p * p).scale(half_over_mass)
+    heff = heff + potential.as_polynomial(0)
+    heff = heff + MomentPolynomial.moment(indices.single(0, 2)).scale(half_over_mass)
+    for a in range(2, min(truncation_order, potential.degree) + 1):
+        coupling = potential.as_polynomial(a).scale(Fraction(1, factorial(a)))
+        heff = heff + coupling * MomentPolynomial.moment(indices.single(a, 0))
+    layout = indices.state_layout(truncation_order)
     exprs = []
     for var in layout:
         if var[0] == "D":
@@ -193,5 +169,5 @@ def equations_of_motion(h: EffectiveHamiltonian) -> MomentVectorField:
         else:
             f = MomentPolynomial.p()
         xdot = leibniz_bracket(f, heff, closed_form_bracket)
-        exprs.append(xdot.truncate(h.truncation_order))
-    return MomentVectorField(layout, exprs, h)
+        exprs.append(xdot.truncate(truncation_order))
+    return MomentVectorField(layout, exprs, potential, heff)

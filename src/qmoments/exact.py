@@ -222,19 +222,10 @@ class MomentPolynomial(SparsePolynomial):
         """Drop monomials above the semiclassical truncation order.
 
         A moment of order k counts as hbar^(k/2), an explicit hbar^j as
-        hbar^j; monomials with total exceeding max_order/2 are removed, and
-        any surviving single moment of order > max_order is set to zero.
+        hbar^j; monomials with total exceeding max_order/2 are removed.  A
+        moment of order > max_order alone exceeds it, so none survives.
         """
-        terms = {}
-        for key, c in self.terms.items():
-            if self.hbar_order_doubled(key) > max_order:
-                continue
-            if any(
-                v[0] == "D" and indices.order(v[1]) > max_order
-                for v, _ in key[1]
-            ):
-                continue
-            terms[key] = c
+        terms = {key: c for key, c in self.terms.items() if self.hbar_order_doubled(key) <= max_order}
         return MomentPolynomial(self.npairs, terms)
 
     # -- evaluation ---------------------------------------------------------

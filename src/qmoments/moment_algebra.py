@@ -40,6 +40,11 @@ class MomentAlgebraError(ValueError):
     pass
 
 
+# The closed-form EOM brackets are proven equal to the oracle up to this
+# truncation order (acceptance criterion 01): the config ceiling, which also
+# bounds the wavefunction oracle's moment extraction.
+MAX_ORDER = 7
+
 MAX_TABLE_ENTRIES = 50_000
 
 

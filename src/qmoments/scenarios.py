@@ -18,7 +18,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import indices
-from .adiabatic import AdiabaticModel, NoEquilibriumError, adiabatic_potential, integrate_adiabatic, s0_of_q
+from .adiabatic import (
+    AdiabaticModel,
+    NoEquilibriumError,
+    adiabatic_acceleration,
+    adiabatic_potential,
+    delta_s_correction,
+    integrate_adiabatic,
+    s0_of_q,
+)
 from .casimir_darboux import (
     DarbouxState1D,
     from_darboux,
@@ -37,8 +45,8 @@ from .dynamics import (
     uncertainty_floor,
     write_table,
 )
-from .effective_hamiltonian import PolynomialPotential, build_heff, equations_of_motion
-from .moment_algebra import MAX_TABLE_ENTRIES, build_bracket_table, table_entries
+from .effective_hamiltonian import PolynomialPotential, equations_of_motion
+from .moment_algebra import MAX_ORDER, MAX_TABLE_ENTRIES, build_bracket_table, table_entries
 from .schrodinger import (
     Grid,
     energy_expectation,
@@ -102,10 +110,6 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
-
-# The closed-form EOM brackets are proven equal to the oracle up to this
-# order (acceptance criterion 01); higher orders are refused.
-MAX_ORDER = 7
 
 # A sweep grid has at most this many cells, 64 times the 32x32 grid of
 # acceptance criterion 07.
@@ -367,9 +371,8 @@ def _validate(cfg):
 
 
 def integrator_config(cfg) -> IntegratorConfig:
-    """The config's solver keys; ``IntegratorConfig``'s defaults stand for
-    the keys a scenario lacks."""
-    return IntegratorConfig(**{k: cfg[k] for k in ("rtol", "atol", "max_steps") if k in cfg})
+    """The config's solver keys, which every integrating scenario takes."""
+    return IntegratorConfig(rtol=cfg["rtol"], atol=cfg["atol"], max_steps=cfg["max_steps"])
 
 
 def _echo_inputs(cfg) -> dict:
@@ -392,7 +395,7 @@ def _echo_inputs(cfg) -> dict:
 
 @lru_cache(maxsize=16)
 def _field(potential: tuple, mass, order: int):
-    return equations_of_motion(build_heff(PolynomialPotential(potential, mass), order))
+    return equations_of_motion(PolynomialPotential(potential, mass), order)
 
 
 def moment_field(cfg):
@@ -519,7 +522,7 @@ def _tunneling_start(cfg, energy_fn, q0: float, energy: float):
     potential it overflows to inf.
     """
     field = moment_field(cfg)
-    s0 = s0_of_q(AdiabaticModel(field.hamiltonian.potential, _casimir(cfg)), q0)
+    s0 = s0_of_q(AdiabaticModel(field.potential, _casimir(cfg)), q0)
     state0 = _initial_state(cfg, q0, 0.0, s0)
     with np.errstate(over="ignore"):
         rest = energy_fn(state0.to_vector(field.layout))
@@ -863,8 +866,6 @@ def adiabatic_compare_run(cfg):
     the full trajectory's q(t); the independently integrated adiabatic
     q(t) quantifies the back-reaction error.
     """
-    from .adiabatic import adiabatic_acceleration, delta_s_correction
-
     pot = PolynomialPotential(cfg["potential"], cfg["mass"])
     model = AdiabaticModel(pot, _casimir(cfg))
     q0 = cfg["amplitude"]

@@ -19,11 +19,8 @@ import numpy as np
 
 from . import indices
 from .exact import hbar_parts
+from .moment_algebra import MAX_ORDER
 from .weyl_algebra import _weyl_in_normal
-
-# The spectral momentum keeps full accuracy at every order a config takes
-# (scenarios.MAX_ORDER).
-MAX_EXTRACTION_ORDER = 7
 
 # Steps between wavepacket support checks in ``evolve``: a fixed count, so a
 # run split into short calls is not checked after every step.  At the
@@ -221,14 +218,15 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
     residual imaginary part is returned as a quality metric (and warned
     about above ``quality_tol``): it stays at rounding for a packet the grid
     resolves and grows for one that the walls cut or the grid aliases.
-    Orders above ``MAX_EXTRACTION_ORDER`` are rejected.
+    Orders above ``MAX_ORDER``, the config ceiling, are rejected: up to it
+    the spectral momentum keeps full accuracy.
 
     Returns (MomentState, quality).
     """
     from .dynamics import MomentState
 
-    if order > MAX_EXTRACTION_ORDER:
-        raise ValueError(f"moment extraction is limited to order <= {MAX_EXTRACTION_ORDER}")
+    if order > MAX_ORDER:
+        raise ValueError(f"moment extraction is limited to order <= {MAX_ORDER}")
     grid, dx = wf.grid, wf.grid.dx
     psi = wf.values
     dens = np.abs(psi) ** 2

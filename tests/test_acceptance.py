@@ -22,11 +22,7 @@ from qmoments.casimir_darboux import (
     u1_spherical_limit,
 )
 from qmoments.dynamics import IntegratorConfig, init_gaussian, integrate
-from qmoments.effective_hamiltonian import (
-    PolynomialPotential,
-    build_heff,
-    equations_of_motion,
-)
+from qmoments.effective_hamiltonian import PolynomialPotential, equations_of_motion
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
 from qmoments.moment_algebra import build_bracket_table, closed_form_bracket, leibniz_bracket
@@ -63,7 +59,7 @@ def test_criterion_01_bracket_oracle_equivalence():
             f"two-pair mismatch at {m1}, {m2}"
         )
         checked += 1
-    heff = build_heff(PolynomialPotential([0] * MAX_ORDER + [1]), MAX_ORDER).moment_polynomial()
+    heff = equations_of_motion(PolynomialPotential([0] * MAX_ORDER + [1]), MAX_ORDER).heff
     column = sorted(var[1] for var in heff.variables() if var[0] == "D")
     for m1 in indices.iter_indices(MAX_ORDER, 1):
         for m2 in column:
@@ -104,8 +100,7 @@ def test_criterion_02_jacobi_identity():
 
 def test_criterion_03_free_particle_vs_closed_form():
     """sqrt(Delta(q^2))(t) matches the fluctuation growth law to 1e-8."""
-    h = build_heff(PolynomialPotential([], mass=1), 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(PolynomialPotential([], mass=1), 2)
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 10, 201)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(rtol=1e-10, atol=1e-13), t_eval=times)
@@ -120,8 +115,7 @@ def test_criterion_04_casimir_conservation():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-13)
     worst = 0.0
     for coeffs, span in (([], (0, 10)), ([0, 0, 0.5], (0, 10))):
-        h = build_heff(PolynomialPotential(coeffs, mass=1), 2)
-        field = equations_of_motion(h)
+        field = equations_of_motion(PolynomialPotential(coeffs, mass=1), 2)
         state0 = init_gaussian(1.0, 0.5, 1.0, 0.2, 1.0, 2)
         traj = integrate(field, state0, span, cfg, t_eval=np.linspace(*span, 201))
         drift = float(np.max(np.abs(traj.casimir - traj.casimir[0])) / traj.casimir[0])
@@ -144,8 +138,7 @@ def test_criterion_05_wavefunction_oracle_cross_validation(tmp_path):
         str(tmp_path),
     )
     data = np.genfromtxt(tmp_path / "oracle_trajectory.csv", delimiter=",", names=True)
-    h = build_heff(PolynomialPotential([0, 0, 0.5], mass=1), 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5], mass=1), 2)
     state0 = init_gaussian(1.0, 0.0, 1.0, 0.0, 1.0, 2)
     traj = integrate(
         field, state0, (data["t"][0], data["t"][-1]),
@@ -196,8 +189,7 @@ def test_criterion_06_centrifugal_lift():
         ke = (ps.p_x**2 + ps.p_y**2) / (2 * mass)
         ref = d.p_s**2 / (2 * mass) + d.casimir / (2 * mass * d.s**2)
         worst = max(worst, abs(ke - ref) / abs(ref))
-    h = build_heff(PolynomialPotential([], mass=1), 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(PolynomialPotential([], mass=1), 2)
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 10, 2001)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=times)
@@ -304,8 +296,7 @@ def test_criterion_09_adiabatic_ground_state():
 def test_criterion_10_classical_mode_contrast():
     """With the admissibility floor at C = 0 a classical free state does
     not spread: s(t) = s(0) to 1e-10."""
-    h = build_heff(PolynomialPotential([], mass=1), 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(PolynomialPotential([], mass=1), 2)
     state0 = init_gaussian(0.0, 0.7, 1.3, 0.0, 1.0, 2, casimir=0.0, classical_mode=True)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=np.linspace(0, 10, 101))
     s = np.sqrt(traj.column(("D", single(2, 0))))

@@ -334,8 +334,8 @@ def test_sweep_matches_the_scipy_path_cell_by_cell():
 
     cfg = resolve_config({"scenario": "cubic-tunneling", "t_span": [0.0, 20.0], "max_steps": 1000})
     field = moment_field(cfg)
-    pot = field.hamiltonian.potential
-    heff = field.hamiltonian.moment_polynomial()
+    pot = field.potential
+    heff = field.heff
     barrier_q, _ = cubic_barrier(pot)
     cells = [(q0, e) for q0 in (0.2, 0.5) for e in (0.1, 1.0, 1.2, 1.8)]
     outcomes = tunneling_runs(cfg, cells, barrier_q)
@@ -439,7 +439,7 @@ def test_sweep_records_unreachable_cells_as_errors(tmp_path):
     lines = (tmp_path / "sweep_grid.csv").read_text().splitlines()[1:]
     assert [line.split(",")[2] for line in lines] == ["error", "trapped"] + ["error"] * 4
     far = [(-1e103, 1.2), (-1e200, 1.2)]
-    for outcome in tunneling_runs(cfg, far, cubic_barrier(moment_field(cfg).hamiltonian.potential)[0]):
+    for outcome in tunneling_runs(cfg, far, cubic_barrier(moment_field(cfg).potential)[0]):
         assert str(outcome).startswith("energy 1.2 below the rest energy")
 
 
@@ -776,13 +776,17 @@ def test_tracer_installs_on_the_program(tmp_path):
     """The benchmark's tracer rebinds names of cli, scenarios and the other
     layers; a renamed one fails here rather than in the benchmark.  A short
     oracle run under it counts every ``evolve``, ``energy_expectation`` and
-    moment-extraction call, so the rebound names are the ones the oracle
-    calls."""
+    moment-extraction call, and a short moment run one field build and one
+    generated-rhs call per evaluation, so the rebound names are the ones
+    both paths call."""
     import qmoments
 
     root = pathlib.Path(__file__).resolve().parents[1]
     src = os.path.dirname(os.path.dirname(qmoments.__file__))
     cfg = write_cfg(tmp_path, "o.json", {"grid_points": 512, "dt": 4e-3, "t_span": [0.0, 0.4], "samples": 5})
+    moment_cfg = write_cfg(
+        tmp_path, "m.json", {"scenario": "harmonic", "order": 3, "t_span": [0.0, 0.2], "samples": 2}
+    )
     script = (
         "from tracer import Tracer\n"
         "tracer = Tracer()\n"
@@ -792,6 +796,10 @@ def test_tracer_installs_on_the_program(tmp_path):
         "calls = [tracer.totals[f'schrodinger.{name}.calls']\n"
         "         for name in ('evolve', 'energy_expectation', 'moments_from_wavefunction')]\n"
         "assert calls == [4, 5, 5], calls\n"
+        f"assert main(['simulate', '--config', {moment_cfg!r}, '--out-dir', 'm']) == 0\n"
+        "assert tracer.totals['effective_hamiltonian.equations_of_motion.calls'] == 1, dict(tracer.totals)\n"
+        "nfev, rhs = tracer.totals['dynamics.nfev'], tracer.totals['effective_hamiltonian.rhs.calls']\n"
+        "assert nfev == rhs > 0, (nfev, rhs)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(root / "perfbench")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True)

@@ -16,19 +16,13 @@ from qmoments.dynamics import (
     init_gaussian,
     integrate,
 )
-from qmoments.effective_hamiltonian import (
-    MomentVectorField,
-    PolynomialPotential,
-    build_heff,
-    equations_of_motion,
-)
+from qmoments.effective_hamiltonian import MomentVectorField, PolynomialPotential, equations_of_motion
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
 
 
 def _free_field(mass=1.0, order=2):
-    h = build_heff(PolynomialPotential([], mass=mass), order)
-    return h, equations_of_motion(h)
+    return equations_of_motion(PolynomialPotential([], mass=mass), order)
 
 
 def test_init_gaussian_minimal():
@@ -83,7 +77,7 @@ def test_admissibility_floor_enforced():
 
 
 def test_monitors_arithmetic():
-    _, field = _free_field()
+    field = _free_field()
     state = MomentState(
         0.0, 0.0, {single(2, 0): 4.0, single(1, 1): 2.0, single(0, 2): 2.0}, 1.0, 2
     )
@@ -93,7 +87,7 @@ def test_monitors_arithmetic():
 
 
 def test_free_particle_matches_closed_form():
-    h, field = _free_field()
+    field = _free_field()
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=np.linspace(0, 10, 201))
     s_num = np.sqrt(traj.column(("D", single(2, 0))))
@@ -104,8 +98,7 @@ def test_free_particle_matches_closed_form():
 def test_harmonic_breathing_period_and_monitors():
     """sigma=1 packet in a unit well: Delta(q^2)(t) = 1 - 0.75 sin^2 t."""
     pot = PolynomialPotential([0, 0, 0.5], mass=1)
-    h = build_heff(pot, 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(pot, 2)
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 2 * math.pi, 101)
     traj = integrate(field, state0, (0, 2 * math.pi), IntegratorConfig(), t_eval=times)
@@ -116,9 +109,9 @@ def test_harmonic_breathing_period_and_monitors():
 
 
 def test_zero_field_keeps_state():
-    h, field = _free_field()
+    field = _free_field()
     zero_field = MomentVectorField(
-        field.layout, [MomentPolynomial.zero(1)] * len(field.layout), h
+        field.layout, [MomentPolynomial.zero(1)] * len(field.layout), field.potential, field.heff
     )
     state0 = init_gaussian(0.3, -0.2, 1.1, 0.1, 1.0, 2)
     traj = integrate(zero_field, state0, (0, 5), IntegratorConfig(), t_eval=np.linspace(0, 5, 11))
@@ -127,7 +120,7 @@ def test_zero_field_keeps_state():
 
 def test_classical_mode_no_spreading():
     """A C=0 classical state keeps its width under free evolution."""
-    h, field = _free_field()
+    field = _free_field()
     state0 = init_gaussian(0, 1.0, 1.3, 0.0, 1.0, 2, casimir=0.0, classical_mode=True)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=np.linspace(0, 10, 51))
     s = np.sqrt(traj.column(("D", single(2, 0))))
@@ -137,8 +130,7 @@ def test_classical_mode_no_spreading():
 
 def test_quantum_admissibility_preserved():
     pot = PolynomialPotential([0, 0, 0.5, -0.05])
-    h = build_heff(pot, 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(pot, 2)
     state0 = init_gaussian(0.2, 0.5, 0.9, -0.3, 1.0, 2)
     traj = integrate(field, state0, (0, 8), IntegratorConfig(), t_eval=np.linspace(0, 8, 81))
     assert np.min(traj.margin) > -1e-10
@@ -146,8 +138,7 @@ def test_quantum_admissibility_preserved():
 
 def test_free_order_4_preserves_gaussian_closure():
     """The order-4 free system keeps Delta(q^4) = 3 Delta(q^2)^2."""
-    h = build_heff(PolynomialPotential([], mass=1), 4)
-    field = equations_of_motion(h)
+    field = equations_of_motion(PolynomialPotential([], mass=1), 4)
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 4)
     traj = integrate(field, state0, (0, 5), IntegratorConfig(), t_eval=np.linspace(0, 5, 51))
     dq2 = traj.column(("D", single(2, 0)))
@@ -161,8 +152,7 @@ def test_cubic_order_4_hbar_terms_and_energy():
     from fractions import Fraction
 
     pot = PolynomialPotential([0, 0, Fraction(1, 2), Fraction(-1, 10)], mass=1)
-    h = build_heff(pot, 4)
-    field = equations_of_motion(h)
+    field = equations_of_motion(pot, 4)
     dp3 = field.expression(("D", single(0, 3)))
     # the constant term is (V'''/6) * (3 hbar^2/2) = -3 hbar^2/20, which is
     # 3/20 at lambda^2 (lambda = -i hbar)
@@ -187,7 +177,7 @@ def _failure_parts(err):
 
 
 def test_step_budget_exhaustion():
-    h, field = _free_field()
+    field = _free_field()
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
     with pytest.raises(IntegrationError) as err:
         integrate(field, state0, (0, 10), IntegratorConfig(max_steps=10))
@@ -200,7 +190,7 @@ def test_step_budget_exhaustion():
 
 def _blowup():
     # inverted quadratic: moments blow up in finite time at machine scale
-    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, -8.0]), 2))
+    field = equations_of_motion(PolynomialPotential([0, 0, -8.0]), 2)
     return field, init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
 
 
@@ -249,7 +239,7 @@ def test_batch_failures_read_like_the_scalar_ones():
     """A one-state batch fails with the message, and at the last good time,
     of the single-state path."""
     field, state0 = _blowup()
-    free_h, free_field = _free_field()
+    free_field = _free_field()
     free0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
     for fld, state, span, cfg in (
         (field, state0, (0, 200), IntegratorConfig(rtol=1e-6, atol=1e-9)),
@@ -273,7 +263,7 @@ def test_batch_matches_scipy_harmonic():
 
     from qmoments.dynamics import _integrate_batch
 
-    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5]), 3))
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5]), 3)
     states = [init_gaussian(q0, 0.3, 0.8, 0.0, 1.0, 3) for q0 in (0.0, 0.5, 1.5)]
     cfg = IntegratorConfig(rtol=1e-8, atol=1e-11)
     batch = _integrate_batch(field, states, (0, 5), cfg, None)
@@ -299,7 +289,7 @@ def test_batch_matches_scipy_harmonic():
 def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
     """One state is sampled and takes no event; a batch records its own
     steps and takes no t_eval."""
-    _, field = _free_field()
+    field = _free_field()
     state = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     with pytest.raises(ValueError, match=match):
         integrate(field, [state] if batch else state, (0, 1), IntegratorConfig(), **kwargs)
@@ -313,10 +303,10 @@ def test_rhs_on_floats_matches_the_ndarray_call():
     rng = np.random.default_rng(8)
     for coeffs in ([0, 0, 0.5, 0, 0.05], [0, 0, 0.5, -0.1]):
         for order in range(2, 8):
-            field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
+            field = equations_of_motion(PolynomialPotential(coeffs), order)
             rhs, energy = field.compiled(1.0), field.energy_function(1.0)
             body = ", ".join(expr.as_code(field.positions, 1.0) for expr in field.exprs)
-            ham = field.hamiltonian.moment_polynomial().as_code(field.positions, 1.0)
+            ham = field.heff.as_code(field.positions, 1.0)
             ns = {}
             exec(f"def rhs(t, y):\n    return [{body}]\ndef ham(y):\n    return {ham}\n", {"__builtins__": {}}, ns)
             for y in rng.uniform(-2.0, 2.0, size=(50, len(field.layout))):
@@ -367,7 +357,7 @@ def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
     rng = np.random.default_rng(17)
     cfg = IntegratorConfig()
     for order in range(2, 6):
-        field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
+        field = equations_of_motion(PolynomialPotential(coeffs), order)
         rhs = field.compiled(1.0)
         step, dense = _dp_kernels(len(field.layout))
 
@@ -413,7 +403,7 @@ def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
     of solve_ivp, and the bytes of a one-cell batch."""
     from scipy.integrate import solve_ivp
 
-    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5))
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5)
     state0 = init_gaussian(0.17, 0.5, 0.7, order=5)
     t_eval = np.linspace(0.0, 2.0, 21)
     cfg = IntegratorConfig()
@@ -444,7 +434,7 @@ def test_anharmonic_order5_run_takes_dop853_steps():
     rejected: 2 rhs calls choose the first step, each step makes 12, and
     each of the 198 steps that hold samples makes 3 more for its
     interpolant.  The run keeps its energy to 1e-11."""
-    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5))
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 5)
     state0 = init_gaussian(0.17, 0.5, 0.7, order=5)
     traj = integrate(field, state0, (0.0, 20.0), IntegratorConfig(), t_eval=np.linspace(0.0, 20.0, 201))
     assert traj.info == {"status": 0, "nfev": 2 + 12 * 244 + 3 * 198, "naccept": 225, "nreject": 19}
@@ -463,7 +453,7 @@ def test_cells_on_floats_have_the_bytes_of_the_array_batch(order):
     (q0 = 1e160)."""
     from qmoments.dynamics import _MAX_FLOAT_CELLS, _integrate_batch, _integrate_cells
 
-    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, -0.1]), order))
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.1]), order)
     small = [(q0, p0) for q0 in (0.1, 0.2, 0.3) for p0 in (0.3, 0.9, 1.6)]
     small += [(1e50, 0.0), (1e153, 0.0), (1e100, 1e100), (1e160, 0.0)]
     large = small + [(q0, p0) for q0 in np.linspace(-0.5, 0.5, 6) for p0 in np.linspace(0.2, 2.0, 5)]
@@ -502,7 +492,7 @@ def test_overflowing_error_norm_steps_on_alike_on_both_paths():
     the same on floats and on row arrays."""
     from qmoments.dynamics import _integrate_batch, _integrate_cells
 
-    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, -0.1]), 2))
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.1]), 2)
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=2000)
     states = [init_gaussian(q0, 0.0, 1.0, order=2) for q0 in (1e100, 1e153)]
     with np.errstate(all="ignore"):
@@ -513,7 +503,7 @@ def test_overflowing_error_norm_steps_on_alike_on_both_paths():
         assert str(ours) == str(theirs) and ours.last_time == theirs.last_time
         head, last, order, _ = _failure_parts(ours)
         assert head == "step budget exhausted (2000 evaluations)" and last > 1e-300 and order == 2
-    blowup = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0.5, -1.0]), 2))
+    blowup = equations_of_motion(PolynomialPotential([0, 0, 0.5, -1.0]), 2)
     state = [init_gaussian(1.0, 0.0, 0.7, order=2)]
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=20000)
     with np.errstate(all="ignore"):
@@ -532,11 +522,11 @@ def test_generated_code_takes_no_powers():
 
     for coeffs in ([0, 0, 0.5, 0, 0.05], [0, 0, 0.5, -0.1]):
         for order in range(2, 8):
-            field = equations_of_motion(build_heff(PolynomialPotential(coeffs), order))
+            field = equations_of_motion(PolynomialPotential(coeffs), order)
             for fn in (field.compiled(1.0), field.energy_function(1.0)):
                 ops = [ins for ins in dis.get_instructions(fn) if ins.opname.startswith("BINARY")]
                 assert ops and not any("POWER" in ins.opname or ins.argrepr.startswith("**") for ins in ops)
-            for expr in (*field.exprs, field.hamiltonian.moment_polynomial()):
+            for expr in (*field.exprs, field.heff):
                 assert "**" not in expr.as_code(field.positions, 1.0)
 
 
@@ -583,7 +573,7 @@ def test_float_power_overflow_reads_like_float64():
     """A product past the float range is inf on Python floats as on
     float64: the energy reads inf.  (A blow-up through q*q*q is the subject
     of the next test.)"""
-    sextic = equations_of_motion(build_heff(PolynomialPotential([0] * 6 + [1e-300]), 2))
+    sextic = equations_of_motion(PolynomialPotential([0] * 6 + [1e-300]), 2)
     with np.errstate(over="ignore"):
         traj = integrate(sextic, init_gaussian(1e52, 0.0, 1.0, order=2), (0, 1e-3), IntegratorConfig())
     assert np.isfinite(traj.ys).all() and np.isinf(traj.energy).all()
@@ -593,7 +583,7 @@ def test_float_power_overflow_reads_like_float64_in_adaptive_steps():
     """The adaptive path's twin: a step whose q*q*q overflows to inf on
     floats fails with the message of a run whose field sees only float64
     values."""
-    field = equations_of_motion(build_heff(PolynomialPotential([0, 0, 0, 0, -1.0]), 2))
+    field = equations_of_motion(PolynomialPotential([0, 0, 0, 0, -1.0]), 2)
     state0 = init_gaussian(1e3, 1.0, 0.5, order=2)
     cfg = IntegratorConfig(rtol=1e3, atol=1e3)
     calls, overflows = [], []
@@ -637,7 +627,7 @@ def test_trajectory_requires_increasing_times():
 
 
 def test_csv_export_schema(tmp_path):
-    h, field = _free_field(order=3)
+    field = _free_field(order=3)
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 3)
     traj = integrate(field, state0, (0, 1), IntegratorConfig(), t_eval=np.linspace(0, 1, 5))
     path = tmp_path / "traj.csv"

@@ -1,16 +1,13 @@
 """Effective Hamiltonian construction and generated equations of motion."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qmoments.dynamics import MomentState, init_gaussian, integrate, IntegratorConfig
-from qmoments.effective_hamiltonian import (
-    PolynomialPotential,
-    build_heff,
-    equations_of_motion,
-)
+from qmoments.effective_hamiltonian import PolynomialPotential, equations_of_motion
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
 from qmoments.moment_algebra import build_bracket_table, leibniz_bracket
@@ -29,81 +26,86 @@ def _coordinate(var) -> MomentPolynomial:
     return MomentPolynomial.q() if var[0] == "q" else MomentPolynomial.p()
 
 
-def _couplings(h) -> set:
+def _heff(coefficients, order, mass=1) -> MomentPolynomial:
+    """H_eff of the potential with these coefficients at a truncation order."""
+    return equations_of_motion(PolynomialPotential(coefficients, mass=mass), order).heff
+
+
+def _couplings(heff) -> set:
     """The moment indices that H_eff couples to."""
-    return {var[1] for var in h.moment_polynomial().variables() if var[0] == "D"}
+    return {var[1] for var in heff.variables() if var[0] == "D"}
 
 
-def _coupling(h, idx, q: float) -> float:
+def _coupling(heff, idx, q: float) -> float:
     """Coefficient of Delta(idx) in H_eff at position q; H_eff is linear in
     the moments, so it is the derivative by Delta(idx)."""
-    return h.moment_polynomial().diff(("D", idx)).evaluate(1.0, {("q", 0): q, ("p", 0): 0.0})
+    return heff.diff(("D", idx)).evaluate(1.0, {("q", 0): q, ("p", 0): 0.0})
 
 
-def _energy(h, state) -> float:
-    """The generated energy function of h's field on the state's vector."""
-    field = equations_of_motion(h)
+def _energy(field, state) -> float:
+    """The field's generated energy function on the state's vector."""
     return field.energy_function(state.hbar)(state.to_vector(field.layout))
 
 
 def test_free_particle_couplings():
-    h = build_heff(PolynomialPotential([], mass=2), 2)
-    assert _couplings(h) == {single(0, 2)}
-    assert _coupling(h, single(0, 2), 0.0) == 0.25
-    poly = h.moment_polynomial()
+    heff = _heff([], 2, mass=2)
+    assert _couplings(heff) == {single(0, 2)}
+    assert _coupling(heff, single(0, 2), 0.0) == 0.25
     p = MomentPolynomial.p()
-    assert poly == (p * p).scale(Fraction(1, 4)) + D(single(0, 2), Fraction(1, 4))
+    assert heff == (p * p).scale(Fraction(1, 4)) + D(single(0, 2), Fraction(1, 4))
 
 
 def test_harmonic_coupling_is_half_m_omega_sq():
     m, omega = 2.0, 3.0
-    h = build_heff(PolynomialPotential([0, 0, 0.5 * m * omega**2], mass=m), 2)
-    assert _coupling(h, single(2, 0), 1.7) == pytest.approx(0.5 * m * omega**2)
+    heff = _heff([0, 0, 0.5 * m * omega**2], 2, mass=m)
+    assert _coupling(heff, single(2, 0), 1.7) == pytest.approx(0.5 * m * omega**2)
 
 
 def test_cubic_coupling_linear_in_q():
-    pot = PolynomialPotential([0, 0, 0.5, -0.1])
-    h = build_heff(pot, 2)
+    heff = _heff([0, 0, 0.5, -0.1], 2)
     for q in (-1.0, 0.0, 2.5):
-        assert _coupling(h, single(2, 0), q) == pytest.approx(0.5 * (1.0 - 0.6 * q))
+        assert _coupling(heff, single(2, 0), q) == pytest.approx(0.5 * (1.0 - 0.6 * q))
+
+
+def test_truncation_order_below_two_is_refused():
+    with pytest.raises(ValueError, match="truncation order must be >= 2"):
+        equations_of_motion(PolynomialPotential([0, 0, 0.5]), 1)
 
 
 def test_evaluate_free_particle_number():
-    h = build_heff(PolynomialPotential([], mass=1), 2)
+    field = equations_of_motion(PolynomialPotential([], mass=1), 2)
     state = MomentState(
         0.0, 2.0, {single(2, 0): 1.0, single(1, 1): 0.0, single(0, 2): 0.5},
         1.0, 2,
     )
-    assert _energy(h, state) == pytest.approx(2.25)
+    assert _energy(field, state) == pytest.approx(2.25)
 
 
 def test_evaluate_zero_state():
-    h = build_heff(PolynomialPotential([], mass=1), 2)
+    field = equations_of_motion(PolynomialPotential([], mass=1), 2)
     state = MomentState(
         0.0, 0.0, {single(2, 0): 0.0, single(1, 1): 0.0, single(0, 2): 0.0},
         1.0, 2, classical_mode=True,
     )
-    assert _energy(h, state) == 0.0
+    assert _energy(field, state) == 0.0
 
 
 def test_evaluate_matches_wavefunction_energy():
     """Gaussian in a harmonic well: <H> from moments equals the grid integral."""
     pot = PolynomialPotential([0, 0, 0.5], mass=1)
-    h = build_heff(pot, 2)
+    field = equations_of_motion(pot, 2)
     state = init_gaussian(0.7, -0.4, 1.2, 0.0, 1.0, 2)
     grid = Grid(-14, 14, 2048)
     wf = gaussian_wavepacket(grid, 0.7, -0.4, 1.2)
-    assert _energy(h, state) == pytest.approx(energy_expectation(wf, pot), rel=1e-5)
+    assert _energy(field, state) == pytest.approx(energy_expectation(wf, pot), rel=1e-5)
 
 
-def test_linearity_of_build_heff():
+def test_linearity_of_heff():
     v1 = PolynomialPotential([0, 0, 0.3, 0.1], mass=1)
     v2 = PolynomialPotential([0.2, 0, 0.1, 0, 0.05], mass=1)
     # the exact sum of the coefficients: v2's list is the longer one
     v12 = PolynomialPotential([a + b for a, b in zip(v1.coefficients + [0], v2.coefficients)], mass=1)
-    h12 = build_heff(v12, 4)
-    h1 = build_heff(v1, 4)
-    h2 = build_heff(v2, 4)
+    h12, h1, h2 = (equations_of_motion(v, 4).heff for v in (v12, v1, v2))
     assert _couplings(h12) == {single(0, 2), single(2, 0), single(3, 0), single(4, 0)}
     for idx in _couplings(h12) - {single(0, 2)}:
         # the kinetic coupling belongs to the shared mass term
@@ -142,8 +144,7 @@ def test_potential_value_builds_each_derivative_once(monkeypatch):
 
 
 def test_equations_of_motion_free_particle():
-    h = build_heff(PolynomialPotential([], mass=2), 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(PolynomialPotential([], mass=2), 2)
     assert field.expression(("D", single(2, 0))) == D(single(1, 1), 1)  # 2/m with m=2
     assert field.expression(("p", 0)).is_zero
     assert field.expression(("D", single(0, 2))).is_zero
@@ -153,8 +154,7 @@ def test_equations_of_motion_free_particle():
 def test_equations_of_motion_cubic_back_reaction():
     """dp/dt = -V'(q) - V'''(q) Delta(q^2)/2 at second order."""
     pot = PolynomialPotential([0, 0, Fraction(1, 2), Fraction(-1, 10)])
-    h = build_heff(pot, 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(pot, 2)
     q = MomentPolynomial.q()
     expected = (
         -pot.as_polynomial(1)
@@ -167,9 +167,7 @@ def test_equations_of_motion_cubic_back_reaction():
 
 
 def test_energy_conserved_along_trajectory():
-    pot = PolynomialPotential([0, 0, 0.5, -0.05])
-    h = build_heff(pot, 2)
-    field = equations_of_motion(h)
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.05]), 2)
     state0 = init_gaussian(0.3, 0.8, 0.8, 0.1, 1.0, 2)
     traj = integrate(field, state0, (0, 6), IntegratorConfig(), t_eval=np.linspace(0, 6, 61))
     drift = np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0])
@@ -178,12 +176,10 @@ def test_energy_conserved_along_trajectory():
 
 def test_quadratic_exactness_no_truncation_remainder():
     """At order 2 a quadratic Hamiltonian closes with no dropped terms."""
-    h = build_heff(PolynomialPotential([0, 0, 0.5], mass=1), 2)
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5], mass=1), 2)
     table = build_bracket_table(2, 1)
-    field = equations_of_motion(h)
-    heff = h.moment_polynomial()
     for var, expr in zip(field.layout, field.exprs):
-        untruncated = leibniz_bracket(_coordinate(var), heff, lookup(table))
+        untruncated = leibniz_bracket(_coordinate(var), field.heff, lookup(table))
         assert untruncated == expr
 
 
@@ -192,11 +188,35 @@ def test_quadratic_exactness_no_truncation_remainder():
 def test_equations_of_motion_match_oracle_validated_table(order, coefficients):
     """The closed-form EOM equals the Leibniz bracket over the
     oracle-validated table for every state coordinate."""
-    h = build_heff(PolynomialPotential(coefficients), order)
-    field = equations_of_motion(h)
-    heff = h.moment_polynomial()
+    field = equations_of_motion(PolynomialPotential(coefficients), order)
     table = build_bracket_table(order, 1)
     for var in field.layout:
-        expected = leibniz_bracket(_coordinate(var), heff, lookup(table)).truncate(order)
+        expected = leibniz_bracket(_coordinate(var), field.heff, lookup(table)).truncate(order)
         assert field.expression(var) == expected, var
 
+
+
+# sha256 of as_code(positions, 1.0) of every equation and of H_eff, at
+# orders 2..7 in turn, one per line: the bytes every generated rhs and ham
+# are made from
+_EQUATION_DIGESTS = {
+    "free": ([], "78ae2eae5e00e619a2858136e0ef78c3b9649a3b7425b372f93aabc63f9f5a9f"),
+    "harmonic": ([0, 0, 0.5], "927a6f24712827a6570fb8b63c4a85af540556ade04fef40ca04153aab3f4605"),
+    "cubic": ([0, 0, 0.5, -0.1], "277de5471dc1d2d8f70b214d542590f7993866e996663e8559045e7e3c91ad81"),
+    "quartic": ([0, 0, 0.5, 0, 0.05], "b3451a40aa6ba1137f252f5e67e2ef4b28d4047f07b047f7b9da0f487772556e"),
+    "sextic": ([0, 0, 0.5, 0, -0.05, 0, 0.002], "f5632f3a4b1ae55d4054d3acbb078cc7ac1b7321cb15ce5a7fa651b1933c38b6"),
+}
+
+
+@pytest.mark.parametrize("name", list(_EQUATION_DIGESTS))
+def test_generated_equations_are_pinned(name):
+    """The generated equations and H_eff keep their code, term for term, at
+    every order up to the ceiling; the oracle-table comparison above stops
+    at order 5."""
+    coefficients, digest = _EQUATION_DIGESTS[name]
+    h = hashlib.sha256()
+    for order in range(2, 8):
+        field = equations_of_motion(PolynomialPotential(coefficients), order)
+        for expr in (*field.exprs, field.heff):
+            h.update(expr.as_code(field.positions, 1.0).encode() + b"\n")
+    assert h.hexdigest() == digest

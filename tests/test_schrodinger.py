@@ -13,7 +13,6 @@ from qmoments.effective_hamiltonian import PolynomialPotential
 from qmoments.indices import single
 from qmoments.scenarios import MAX_ORDER, ORACLE_DEFAULTS, resolve_config, wavefunction_trajectory
 from qmoments.schrodinger import (
-    MAX_EXTRACTION_ORDER,
     AccuracyWarning,
     BoundaryContactWarning,
     Grid,
@@ -125,7 +124,6 @@ def test_extraction_matches_init_gaussian():
     """Every Weyl moment of a Gaussian at orders 2..7, on the oracle-diff
     interval at 512 and 1024 points, equals the Wick moments of
     ``init_gaussian`` to 1e-10; the quality metric stays at rounding."""
-    assert MAX_EXTRACTION_ORDER == MAX_ORDER
     for n_points in (512, 1024):
         wf = gaussian_wavepacket(Grid(-12, 12, n_points), 0.5, 0.3, 0.7)
         for order in range(2, MAX_ORDER + 1):
@@ -153,7 +151,7 @@ def test_extraction_order_cap():
     grid = Grid(-20, 20, 2048)
     wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        moments_from_wavefunction(wf, MAX_EXTRACTION_ORDER + 1)
+        moments_from_wavefunction(wf, MAX_ORDER + 1)
 
 
 def test_extraction_warns_on_low_accuracy():
