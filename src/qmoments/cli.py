@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 scenario check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,7 +41,10 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config: invalid JSON ({exc})")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="qmoments",
         description="Quasiclassical quantum dynamics via Weyl-ordered central moments",

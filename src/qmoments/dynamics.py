@@ -209,11 +209,18 @@ class Trajectory:
 
 def write_table(path, header, rows):
     """CSV with floats at 17 significant digits, which round-trip exactly;
-    string cells are written as they are."""
+    string cells are written as they are.  Each row is one %-format, made
+    once per pattern of cell types: %.17g per figure, %s per string."""
+    formats = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join("%s" if issubclass(k, str) else "%.17g" for k in kinds) + "\n"
+            fh.write(fmt % row)
 
 
 def _csv_name(var) -> str:

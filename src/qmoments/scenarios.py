@@ -755,6 +755,7 @@ def wavefunction_trajectory(cfg) -> tuple:
     grid = Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
     wf = gaussian_wavepacket(grid, cfg["q0"], cfg["p0"], cfg["sigma"], cfg["hbar"], cfg["mass"])
     dt, current_t = cfg["dt"], cfg["t_span"][0]
+    layout = indices.state_layout(cfg["order"])
     times, ys, energy = [], [], []
     quality_max = 0.0
     for target in _samples(cfg):
@@ -767,9 +768,9 @@ def wavefunction_trajectory(cfg) -> tuple:
         state, quality = moments_from_wavefunction(wf, cfg["order"])
         quality_max = max(quality_max, quality)
         times.append(current_t)
-        ys.append(state.to_vector())
+        ys.append(state.to_vector(layout))
         energy.append(energy_expectation(wf, pot))
-    traj = Trajectory(times, ys, state.layout(), state.hbar, state.order, state.classical_mode, energy)
+    traj = Trajectory(times, ys, layout, state.hbar, state.order, state.classical_mode, energy)
     return traj, quality_max
 
 

@@ -58,6 +58,10 @@ class Grid:
         self.n_points = int(n_points)
         self.x = np.linspace(x_min, x_max, n_points)
         self.dx = self.x[1] - self.x[0]
+        # trapezoid-rule weights dx (1/2, 1, ..., 1, 1/2): the integral of
+        # samples f is (f * weights).sum()
+        self.weights = np.full(n_points, self.dx)
+        self.weights[0] = self.weights[-1] = 0.5 * self.dx
 
     def __repr__(self):
         return f"Grid({self.x_min:g}, {self.x_max:g}, {self.n_points})"
@@ -104,18 +108,19 @@ def _numerov(potential, grid: Grid, hbar: float, mass: float) -> tuple:
     second difference delta^2 and M = tridiag(1, 10, 1) / 12, both cut at
     the hard walls (psi = 0 beyond the edges), so K = -kin delta^2 +
     M diag(V).  M and delta^2 commute, so H_N is real symmetric.  Returns
-    V on the grid, kin, K's bands, M's rows in ``solve_banded``'s layout and
-    the support rows: trapezoid weights times 1, x and x^2, whose product
-    with a density gives its integrals of 1, x and x^2.
+    V on the grid, kin, K's bands, M's bands (lower, main, upper) as arrays
+    for LAPACK ``dgtsv`` and the support rows: trapezoid weights times 1, x
+    and x^2, whose product with a density gives its integrals of 1, x and
+    x^2.
     """
     v = potential.value(grid.x)
     kin = hbar**2 / (2.0 * mass * grid.dx**2)
     # the lower and upper bands of K differ by the potential
     k_bands = (-kin + v[:-1] / 12.0, 2.0 * kin + v * (10.0 / 12.0), -kin + v[1:] / 12.0)
-    m_rows = np.repeat(np.array(M_BANDS[::-1])[:, None], grid.n_points, axis=1)
-    w = np.full(grid.n_points, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    return v, kin, k_bands, m_rows, np.vstack([w, w * grid.x, w * grid.x**2])
+    n = grid.n_points
+    m_bands = (np.full(n - 1, M_BANDS[0]), np.full(n, M_BANDS[1]), np.full(n - 1, M_BANDS[2]))
+    w = grid.weights
+    return v, kin, k_bands, m_bands, np.vstack([w, w * grid.x, w * grid.x**2])
 
 
 @functools.lru_cache(maxsize=1)
@@ -136,13 +141,20 @@ def _pade_stages(potential, grid: Grid, hbar: float, mass: float, dt: float, roo
 
 
 def energy_expectation(wf: WaveFunction, potential) -> float:
-    """<H_N> of ``wf``: -kin M^-1 (delta^2 psi) + V psi, with M^-1 one
-    real tridiagonal solve."""
-    from scipy.linalg import solve_banded
+    """<H_N> of ``wf``: -kin M^-1 (delta^2 psi) + V psi, integrated with
+    ``np.trapezoid``.  M^-1 is one real LAPACK ``dgtsv`` solve on M's cached
+    bands, with the real and imaginary parts as its two right-hand sides:
+    the call ``solve_banded((1, 1), ...)`` makes after its argument checks,
+    so the result has its bits."""
+    from scipy.linalg.lapack import dgtsv
 
-    v, kin, _, m_rows, _ = _numerov(potential, wf.grid, wf.hbar, wf.mass)
+    v, kin, _, m_bands, _ = _numerov(potential, wf.grid, wf.hbar, wf.mass)
     lap = _tridiagonal(1.0, -2.0, 1.0, wf.values)
-    re_im = solve_banded((1, 1), m_rows, np.column_stack((lap.real, lap.imag)))
+    re_im = np.empty((lap.size, 2), order="F")
+    re_im[:, 0], re_im[:, 1] = lap.real, lap.imag
+    *_, re_im, info = dgtsv(*m_bands, re_im, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"M solve failed (dgtsv info={info})")
     hpsi = -kin * (re_im[:, 0] + 1j * re_im[:, 1]) + v * wf.values
     return float(np.trapezoid(np.conj(wf.values) * hpsi, dx=wf.grid.dx).real)
 
@@ -158,11 +170,12 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction
     real symmetric, each stage is unitary: the plain 2-norm is preserved
     to rounding and <H_N> is conserved.  Each stage's matrix is LU-factored
     (LAPACK ``zgttrf``) once per potential, grid and dt, and solved once
-    per step (``zgttrs``).  The documented step heuristic warns when
-    (dt |E| / hbar)^5 / 720, the Padé local error, exceeds 1e-8, with E the
-    initial Rayleigh quotient psi^H K psi / psi^H M psi.  A wavepacket whose
-    5-sigma interval touches the walls raises a BoundaryContactWarning; it
-    is checked every ``SUPPORT_CHECK_STEPS`` steps and after the last one.
+    per step (``zgttrs``, in place on the stage's right-hand side).  The
+    documented step heuristic warns when (dt |E| / hbar)^5 / 720, the Padé
+    local error, exceeds 1e-8, with E the initial Rayleigh quotient
+    psi^H K psi / psi^H M psi.  A wavepacket whose 5-sigma interval
+    touches the walls raises a BoundaryContactWarning; it is checked every
+    ``SUPPORT_CHECK_STEPS`` steps and after the last one.
     """
     from scipy.linalg.lapack import zgttrs
 
@@ -181,7 +194,7 @@ def evolve(potential, psi0: WaveFunction, dt: float, steps: int) -> WaveFunction
     stages = _pade_stages(potential, grid, hbar, mass, dt, PADE_ROOTS)
     for step in range(steps):
         for factors, rhs_bands in stages:
-            psi, info = zgttrs(*factors, _tridiagonal(*rhs_bands, psi))
+            psi, info = zgttrs(*factors, _tridiagonal(*rhs_bands, psi), overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"Padé stage solve failed (zgttrs info={info})")
         if step % SUPPORT_CHECK_STEPS == SUPPORT_CHECK_STEPS - 1:
@@ -214,10 +227,14 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
 
     Normal-ordered centered expectations <(q-q0)^j (p-p0)^k> are computed
     with (P - p0)^k applied spectrally, as ifft((hbar k - p0)^k fft(psi));
-    the ordering change of basis then yields the Weyl moments.  The largest
-    residual imaginary part is returned as a quality metric (and warned
-    about above ``quality_tol``): it stays at rounding for a packet the grid
-    resolves and grows for one that the walls cut or the grid aliases.
+    the ordering change of basis then yields the Weyl moments.  Every
+    integral (the norm, q0, p0 and each <(q-q0)^j (p-p0)^k>) is the
+    trapezoid rule as one weighted sum (f * weights).sum() over the grid's
+    trapezoid weights, with conj(psi) * weights formed once and (q-q0)^j
+    accumulated once per j for every k.  The largest residual imaginary
+    part is returned as a quality metric (and warned about above
+    ``quality_tol``): it stays at rounding for a packet the grid resolves
+    and grows for one that the walls cut or the grid aliases.
     Orders above ``MAX_ORDER``, the config ceiling, are rejected: up to it
     the spectral momentum keeps full accuracy.
 
@@ -229,29 +246,31 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
         raise ValueError(f"moment extraction is limited to order <= {MAX_ORDER}")
     grid, dx = wf.grid, wf.grid.dx
     psi = wf.values
-    dens = np.abs(psi) ** 2
-    norm = np.trapezoid(dens, dx=dx)
-    q0 = float(np.trapezoid(grid.x * dens, dx=dx) / norm)
+    w_dens = np.abs(psi) ** 2 * grid.weights
+    norm = w_dens.sum()
+    q0 = float((w_dens * grid.x).sum() / norm)
+    w_psi = np.conj(psi) * grid.weights
     hk = wf.hbar * 2.0 * np.pi * np.fft.fftfreq(grid.n_points, dx)
     psi_k = np.fft.fft(psi)
-    p0 = float(np.trapezoid(np.conj(psi) * np.fft.ifft(hk * psi_k), dx=dx).real / norm)
+    p0 = float((w_psi * np.fft.ifft(hk * psi_k)).sum().real / norm)
 
     # chi_k = (P - p0)^k psi
     chi = [psi] + [np.fft.ifft((hk - p0) ** k * psi_k) for k in range(1, order + 1)]
     xc = grid.x - q0
     raw = {}
     for j in range(order + 1):
+        # w_psi is conj(psi) w (q - q0)^j
+        if j:
+            w_psi = w_psi * xc
         for k in range(order + 1 - j):
-            integrand = np.conj(psi) * xc**j * chi[k]
-            raw[(j, k)] = complex(np.trapezoid(integrand, dx=dx) / norm)
+            raw[(j, k)] = complex((w_psi * chi[k]).sum() / norm)
 
     quality = 0.0
     moments = {}
-    for idx in indices.iter_indices(order, 1):
-        a, b = idx[0]
+    for idx, terms in _weyl_terms(order):
         total = 0j
-        for (h, (al, be)), coeff in _weyl_in_normal(a, b):
-            total += complex(*hbar_parts(h, coeff)) * wf.hbar**h * raw[(al, be)]
+        for h, normal, coeff in terms:
+            total += coeff * wf.hbar**h * raw[normal]
         quality = max(quality, abs(total.imag))
         moments[idx] = total.real
     if quality > quality_tol:
@@ -262,3 +281,14 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
         )
     state = MomentState(q0, p0, moments, wf.hbar, order, validate=False)
     return state, quality
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_terms(order: int) -> tuple:
+    """Per moment index of orders 2..``order``, in sort order, its Weyl
+    moment in the normal-ordered ones: (hbar power, (j, k), complex
+    coefficient of hbar^h <(q-q0)^j (p-p0)^k>) per term."""
+    return tuple(
+        (idx, tuple((h, normal, complex(*hbar_parts(h, c))) for (h, normal), c in _weyl_in_normal(*idx[0])))
+        for idx in indices.iter_indices(order, 1)
+    )

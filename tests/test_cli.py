@@ -556,8 +556,8 @@ def test_oracle_subcommand(tmp_path):
     assert lines[0] == "t,q,p,Delta_q2,Delta_qp,Delta_p2,energy,casimir,margin"
     assert len(lines) == 6
     for name, digest in [
-        ("oracle_trajectory.csv", "48a25da496af18eb90cda02746466f410906ad6faac32e4b4e2b6ecba60595c7"),
-        ("oracle_summary.json", "e271fd7c1d55f0b928d42b8c927c8c064d929fc0c17085fffe675ad4b56d0c27"),
+        ("oracle_trajectory.csv", "2b1ae2bca21bf5f0b9e9bc50c1f20dfb785b54f4f48ff83e3334048cbf29dfd9"),
+        ("oracle_summary.json", "11481d6b21d9a78f6d1e01ef36a8930d6275b0c3811c6d7bae7b0f0f589e8f28"),
     ]:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -573,8 +573,8 @@ def test_oracle_subcommand_pins_the_potential_term(tmp_path):
     out = tmp_path / "o"
     assert main(["oracle", "--scenario", "harmonic", "--config", cfg, "--out-dir", str(out)]) == 0
     for name, digest in [
-        ("oracle_trajectory.csv", "bdc560398c2b360d3d177acb22bed6dbb4b18c4b744de8a089a76a2784bff718"),
-        ("oracle_summary.json", "7d03a2ff14cfc53f39e7742d83602dcd1c624e8e9bc6921c00de000513eca186"),
+        ("oracle_trajectory.csv", "03b3df596718b095ca9a69aff7e99950a2ec2927b33a1519cc7e7607f0de313a"),
+        ("oracle_summary.json", "3eaa97752bf32f8071b059e3ea48dc5392d764ba59358d634466b8e63a079f55"),
     ]:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 

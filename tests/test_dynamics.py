@@ -15,6 +15,7 @@ from qmoments.dynamics import (
     Trajectory,
     init_gaussian,
     integrate,
+    write_table,
 )
 from qmoments.effective_hamiltonian import MomentVectorField, PolynomialPotential, equations_of_motion
 from qmoments.exact import MomentPolynomial
@@ -639,3 +640,22 @@ def test_csv_export_schema(tmp_path):
     )
     assert len(lines) == 6
     assert all(len(line.split(",")) == 13 for line in lines[1:])
+
+
+def test_write_table_bytes_match_per_value_formatting(tmp_path):
+    """Rows like the sweep grid's (figures, a string cell, nan error cells)
+    and every kind of figure a table holds are written as per-value
+    f"{v:.17g}", with string cells as they are."""
+    rows = [
+        (0.05, 0.6, "trapped", 0.1 + 0.2, 40.0, 1e-300, -5e-324),
+        (0.6, 1.8, "error", math.nan, math.nan, math.nan, math.nan),
+        (-0.0, math.inf, "bypassed", -math.inf, 3, True, np.float64(1) / 3),
+        [np.float32(0.1), np.int64(-7), "", 10**20, False, 2.0**-1074, 1.7976931348623157e308],
+        ("a", "b", "c", "d", "e", "f", "g"),
+    ]
+    path = tmp_path / "table.csv"
+    write_table(path, ("q0", "energy", "classification", "max_q", "t", "drift", "casimir"), iter(rows))
+    expected = "q0,energy,classification,max_q,t,drift,casimir\n" + "".join(
+        ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()

@@ -1,5 +1,6 @@
 """Padé (2,2) propagation and moment extraction from wavefunctions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from qmoments import schrodinger
 from qmoments.casimir_darboux import free_particle_s
 from qmoments.dynamics import init_gaussian
 from qmoments.effective_hamiltonian import PolynomialPotential
-from qmoments.indices import single
+from qmoments.indices import iter_indices, single
 from qmoments.scenarios import MAX_ORDER, ORACLE_DEFAULTS, resolve_config, wavefunction_trajectory
 from qmoments.schrodinger import (
     AccuracyWarning,
@@ -74,6 +75,32 @@ def _energy_reference(wf, potential):
     return float(np.trapezoid(np.conj(psi) * hpsi, dx=wf.grid.dx).real)
 
 
+def _moments_reference(wf, order):
+    """(q0, p0, Weyl moments up to ``order``) of ``wf`` built from scratch:
+    Delta(q^a p^b) is the mean of <psi| w |psi> / <psi|psi> over every
+    distinct word w of a factors (q - q0) and b factors (p - p0), applied
+    right to left, with p = -i hbar d/dx by FFT and each integral an
+    ``np.trapezoid`` of its own integrand."""
+    psi, x, dx = wf.values, wf.grid.x, wf.grid.dx
+    norm = np.trapezoid(np.abs(psi) ** 2, dx=dx)
+    q0 = np.trapezoid(x * np.abs(psi) ** 2, dx=dx) / norm
+    hk = wf.hbar * 2.0 * np.pi * np.fft.fftfreq(psi.size, dx)
+    p0 = np.trapezoid(np.conj(psi) * np.fft.ifft(hk * np.fft.fft(psi)), dx=dx).real / norm
+    factor = {"q": lambda f: (x - q0) * f, "p": lambda f: np.fft.ifft((hk - p0) * np.fft.fft(f))}
+    moments = {}
+    for idx in iter_indices(order, 1):
+        a, b = idx[0]
+        words = set(itertools.permutations("q" * a + "p" * b))
+        total = 0j
+        for word in words:
+            f = psi
+            for letter in reversed(word):
+                f = factor[letter](f)
+            total += np.trapezoid(np.conj(psi) * f, dx=dx) / norm
+        moments[idx] = (total / len(words)).real
+    return q0, p0, moments
+
+
 def _norm_drift(propagate, steps=10_000):
     """|norm - 1| of the harmonic ground state after ``steps`` steps of
     dt = 1e-3 on 1024 points."""
@@ -135,6 +162,24 @@ def test_extraction_matches_init_gaussian():
             for idx in ref.moments:
                 assert state.moments[idx] == pytest.approx(ref.moments[idx], rel=1e-10, abs=1e-10)
             assert quality < 1e-12
+
+
+@pytest.mark.parametrize("steps", [0, 50], ids=["gaussian", "evolved-quartic"])
+def test_extraction_matches_reference(steps):
+    """Extraction at orders 2-7 agrees with the symmetrized-word reference
+    within 1e-13 x max(1, |value|) on every component, for a Gaussian
+    (q0 0.5, p0 0.4) and for it after 50 steps under a quartic V."""
+    cfg = resolve_config({}, "oracle-diff")
+    wf = gaussian_wavepacket(Grid(cfg["x_min"], cfg["x_max"], cfg["grid_points"]), 0.5, 0.4, cfg["sigma"])
+    wf = evolve(QUARTIC, wf, cfg["dt"], steps)
+    q0, p0, reference = _moments_reference(wf, 7)
+    for order in range(2, 8):
+        state, _ = moments_from_wavefunction(wf, order)
+        assert set(state.moments) == set(iter_indices(order, 1))
+        got = {"q": state.q, "p": state.p, **state.moments}
+        for key, want in {"q": q0, "p": p0, **reference}.items():
+            if key in got:
+                assert abs(got[key] - want) <= 1e-13 * max(1.0, abs(want)), (order, key)
 
 
 def test_extraction_quality_on_reference_grid():
