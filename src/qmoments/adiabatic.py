@@ -77,19 +77,6 @@ def adiabatic_potential(model: AdiabaticModel, q: float) -> float:
     )
 
 
-def adiabatic_energy(model: AdiabaticModel, q: float, qdot: float) -> float:
-    """Energy with the fluctuation slaved to q.
-
-    The kinetic term acquires a position-dependent mass through
-    p_s = m qdot ds0/dq; the potential term is the adiabatic potential.
-    For a harmonic well the fluctuation term is the constant shift
-    omega sqrt(C)/... = hbar omega/2 at C = hbar^2/4.
-    """
-    slope = ds0_dq(model, q)
-    m = model.mass
-    return 0.5 * m * qdot**2 * (1.0 + slope**2) + adiabatic_potential(model, q)
-
-
 def delta_s_correction(model: AdiabaticModel, q: float, qdot: float, qddot: float) -> float:
     """First-order deviation of s from s0 along a trajectory.
 

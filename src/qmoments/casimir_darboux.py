@@ -7,9 +7,9 @@ moments.  The C/(2 m s^2) energy is a centrifugal barrier: lifting to an
 auxiliary plane (X, Y) with angular momentum p_phi = sqrt(C) turns the
 free-particle fluctuation dynamics into straight-line motion.
 
-Two degrees of freedom: the printed canonical expressions for the three
-position moments and for Delta(p1^2) through U1, including the limit in
-which the kinetic form in spherical coordinates emerges.
+Two degrees of freedom: the printed canonical expression for Delta(p1^2)
+through U1, including the limit in which the kinetic form in spherical
+coordinates emerges.
 """
 
 from __future__ import annotations
@@ -155,12 +155,6 @@ class TwoDofCanonical:
             raise CoordinateSingularityError("s1 and s2 must be positive")
         if not 0 < self.beta < math.pi:
             raise DomainError("beta must lie in the open interval (0, pi)")
-
-
-def two_dof_position_moments(c: TwoDofCanonical) -> tuple:
-    """(Delta(x1^2), Delta(x2^2), Delta(x1 x2)); the position correlation
-    is carried by the angle beta."""
-    return (c.s1**2, c.s2**2, c.s1 * c.s2 * math.cos(c.beta))
 
 
 def u1(alpha, p_alpha, beta, p_beta, c1, c2) -> float:

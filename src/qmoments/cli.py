@@ -12,19 +12,30 @@ import json
 import os
 import sys
 
-from .dynamics import IntegrationError
-from .scenarios import (
-    ORACLE_DEFAULTS,
-    ConfigError,
-    dumps_json,
-    resolve_config,
-    run_oracle,
-    run_scenario,
-    run_sweep,
-    table_bound,
-    transform_trajectory,
-    write_json,
-)
+from .common import ORACLE_SCENARIOS, ConfigError, IntegrationError, dumps_json, write_json
+from .moment_algebra import table_bound
+
+# The names ``main`` calls from ``scenarios``, which imports numpy and every
+# numeric layer.  Each is bound into this module's globals at its first use,
+# by the commands that run a scenario or by attribute access from outside
+# (``cli.run_sweep``); a name already bound, by a caller that replaced it,
+# keeps its binding.
+_SCENARIO_NAMES = ("resolve_config", "run_scenario", "run_sweep", "run_oracle", "transform_trajectory")
+
+
+def _bind_scenarios():
+    from . import scenarios
+
+    for name in _SCENARIO_NAMES:
+        globals().setdefault(name, getattr(scenarios, name))
+
+
+def __getattr__(name):
+    if name in _SCENARIO_NAMES:
+        _bind_scenarios()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # The commands that run one resolved config, and the scenario each forces
 # (None: the config's own).
@@ -65,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     brk.add_argument("--out", default=None, help="output path (default: stdout)")
 
     orc = sub.add_parser("oracle", help="run a wavefunction-oracle scenario")
-    orc.add_argument("--scenario", required=True, choices=list(ORACLE_DEFAULTS))
+    orc.add_argument("--scenario", required=True, choices=ORACLE_SCENARIOS)
     orc.add_argument("--config", default=None)
     orc.add_argument("--out-dir", default=".")
 
@@ -84,18 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _CONFIG_COMMANDS:
-            raw = _load_config(args.config) if args.config else {}
-            cfg = resolve_config(raw, scenario=_CONFIG_COMMANDS[args.command])
-            out_dir = args.out_dir or cfg["out_dir"]
-            if args.command == "sweep":
-                summary = run_sweep(cfg, out_dir)
-                write_json(os.path.join(out_dir, "summary.json"), summary)
-            else:
-                summary = run_scenario(cfg, out_dir)
-            print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
-            return 0 if summary["ok"] else 1
-
         if args.command == "brackets":
             from .moment_algebra import build_bracket_table
 
@@ -108,6 +107,19 @@ def main(argv=None) -> int:
             else:
                 print(payload)
             return 0
+
+        _bind_scenarios()
+        if args.command in _CONFIG_COMMANDS:
+            raw = _load_config(args.config) if args.config else {}
+            cfg = resolve_config(raw, scenario=_CONFIG_COMMANDS[args.command])
+            out_dir = args.out_dir or cfg["out_dir"]
+            if args.command == "sweep":
+                summary = run_sweep(cfg, out_dir)
+                write_json(os.path.join(out_dir, "summary.json"), summary)
+            else:
+                summary = run_scenario(cfg, out_dir)
+            print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
+            return 0 if summary["ok"] else 1
 
         if args.command == "oracle":
             overrides = _load_config(args.config) if args.config else {}

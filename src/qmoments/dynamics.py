@@ -8,14 +8,7 @@ import math
 import numpy as np
 
 from . import indices
-
-
-class IntegrationError(RuntimeError):
-    """Integration failed; carries the last good time in .last_time."""
-
-    def __init__(self, message, last_time=None):
-        super().__init__(message)
-        self.last_time = last_time
+from .common import IntegrationError
 
 
 class AdmissibilityError(ValueError):

@@ -32,6 +32,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import indices
+from .common import ConfigError, is_int
 from .exact import MomentPolynomial, leibniz
 from .weyl_algebra import bracket_oracle, centering_term
 
@@ -126,6 +127,19 @@ def table_entries(truncation_order: int, npairs: int) -> int:
         for total in range(2, truncation_order + 1)
     )
     return n_indices * (n_indices - 1) // 2
+
+
+def table_bound(order, pairs, order_field, pairs_field):
+    """Refuse a bracket table of truncation order outside 2..MAX_ORDER, of
+    fewer than one pair or of more than MAX_TABLE_ENTRIES entries, raising
+    ConfigError that names the fields as the caller spells them."""
+    if not (is_int(order) and 2 <= order <= MAX_ORDER):
+        raise ConfigError(f"{order_field}: truncation order must be in 2..{MAX_ORDER}, got {order!r}")
+    if not (is_int(pairs) and pairs >= 1):
+        raise ConfigError(f"{pairs_field}: number of pairs must be >= 1, got {pairs!r}")
+    entries = table_entries(order, pairs)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"{pairs_field}: table with {entries} entries exceeds ceiling {MAX_TABLE_ENTRIES}")
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -36,8 +35,8 @@ from .casimir_darboux import (
     u1,
     u1_spherical_limit,
 )
+from .common import ConfigError, IntegrationError, is_int, write_json
 from .dynamics import (
-    IntegrationError,
     IntegratorConfig,
     Trajectory,
     init_gaussian,
@@ -46,7 +45,7 @@ from .dynamics import (
     write_table,
 )
 from .effective_hamiltonian import PolynomialPotential, equations_of_motion
-from .moment_algebra import MAX_ORDER, MAX_TABLE_ENTRIES, build_bracket_table, table_entries
+from .moment_algebra import MAX_ORDER, build_bracket_table, table_bound
 from .schrodinger import (
     Grid,
     energy_expectation,
@@ -56,55 +55,12 @@ from .schrodinger import (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# JSON with fixed float formatting
-# ---------------------------------------------------------------------------
-
-
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        return "null"
-    return f"{x:.17g}"
-
-
-def dumps_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k, v in obj.items():
-            items.append(f'{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 1)}')
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {dumps_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    return json.dumps(obj)
-
-
 def _artifact(out_dir, name) -> str:
     """Path of the artifact ``name`` in ``out_dir``, which is created at the
     first write: every refusal comes before it, so a refused config leaves
     no directory."""
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
-
-
-def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +131,8 @@ _SCENARIO_DEFAULTS = {
 # s0(q) = (C/(m V''(q)))^(1/4), which exists only for a Casimir C > 0.
 _EQUILIBRIUM_SCENARIOS = ("cubic-tunneling", "cubic-tunneling-sweep", "adiabatic-compare")
 
-# Defaults of the ``oracle`` command's scenarios, the choices of its --scenario.
+# Defaults of the ``oracle`` command's scenarios, one per name of
+# ``common.ORACLE_SCENARIOS``, the choices of its --scenario.
 ORACLE_DEFAULTS = {
     "free": {**_WAVEFUNCTION, "potential": [], "x_min": -20.0, "x_max": 20.0, "t_span": [0.0, 2.0]},
     "harmonic": {
@@ -230,29 +187,7 @@ def _is_number(x) -> bool:
     the float range has no float: none of them is a number."""
     if isinstance(x, float):
         return math.isfinite(x)
-    return _is_int(x) and abs(x) <= sys.float_info.max
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def table_bound(order, pairs, order_field, pairs_field):
-    """Refuse a bracket table of truncation order outside 2..MAX_ORDER, of
-    fewer than one pair or of more than MAX_TABLE_ENTRIES entries, naming
-    the fields as the caller spells them."""
-    _require(
-        _is_int(order) and 2 <= order <= MAX_ORDER,
-        order_field,
-        f"truncation order must be in 2..{MAX_ORDER}, got {order!r}",
-    )
-    _require(_is_int(pairs) and pairs >= 1, pairs_field, f"number of pairs must be >= 1, got {pairs!r}")
-    entries = table_entries(order, pairs)
-    _require(
-        entries <= MAX_TABLE_ENTRIES,
-        pairs_field,
-        f"table with {entries} entries exceeds ceiling {MAX_TABLE_ENTRIES}",
-    )
+    return is_int(x) and abs(x) <= sys.float_info.max
 
 
 def _sweep_values(spec, field):
@@ -263,7 +198,7 @@ def _sweep_values(spec, field):
         for key in ("min", "max"):
             _require(_is_number(spec[key]), f"sweep.{field}.{key}", "must be a number")
         _require(
-            _is_int(spec["count"]) and 1 <= spec["count"] <= MAX_SWEEP_CELLS,
+            is_int(spec["count"]) and 1 <= spec["count"] <= MAX_SWEEP_CELLS,
             f"sweep.{field}.count",
             f"must be an integer in 1..{MAX_SWEEP_CELLS}",
         )
@@ -289,14 +224,14 @@ def _is_sweep(spec) -> bool:
 _NUMBER = (_is_number, "must be a number")
 _POSITIVE = (lambda x: _is_number(x) and x > 0, "must be > 0")
 _NON_NEGATIVE = (lambda x: _is_number(x) and x >= 0, "must be a number >= 0")
-_INTEGER = (_is_int, "must be an integer")
+_INTEGER = (is_int, "must be an integer")
 
 # Every config key: a test of its value and the message that refuses it.
 # Which scenario takes a key, and its default, are in the tables above.
 _KEYS = {
     "mass": _POSITIVE,
     "hbar": _POSITIVE,
-    "order": (lambda n: _is_int(n) and 2 <= n <= MAX_ORDER, f"must be an integer in 2..{MAX_ORDER}"),
+    "order": (lambda n: is_int(n) and 2 <= n <= MAX_ORDER, f"must be an integer in 2..{MAX_ORDER}"),
     "q0": _NUMBER,
     "p0": _NUMBER,
     "sigma": _POSITIVE,
@@ -307,10 +242,10 @@ _KEYS = {
         lambda s: isinstance(s, (list, tuple)) and len(s) == 2 and all(map(_is_number, s)) and s[1] > s[0],
         "must be [t0, t1] with t1 > t0",
     ),
-    "samples": (lambda n: _is_int(n) and n >= 2, "must be an integer >= 2"),
+    "samples": (lambda n: is_int(n) and n >= 2, "must be an integer >= 2"),
     "rtol": _POSITIVE,
     "atol": _POSITIVE,
-    "max_steps": (lambda n: _is_int(n) and n > 0, "must be a positive integer"),
+    "max_steps": (lambda n: is_int(n) and n > 0, "must be a positive integer"),
     "out_dir": (lambda s: isinstance(s, str), "must be a path string"),
     "potential": (
         lambda c: isinstance(c, list) and all(map(_is_number, c)),
@@ -332,10 +267,10 @@ _KEYS = {
     ),
     "stability_ratio": _POSITIVE,
     "amplitude": _POSITIVE,
-    "adiabatic_order": (lambda n: _is_int(n) and n in (0, 1), "must be 0 or 1"),
+    "adiabatic_order": (lambda n: is_int(n) and n in (0, 1), "must be 0 or 1"),
     "table_order": _INTEGER,
     "pairs": _INTEGER,
-    "grid_points": (lambda n: _is_int(n) and n >= 64, "must be an integer >= 64"),
+    "grid_points": (lambda n: is_int(n) and n >= 64, "must be an integer >= 64"),
     "x_min": _NUMBER,
     "x_max": _NUMBER,
     "dt": _POSITIVE,

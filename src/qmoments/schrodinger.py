@@ -124,6 +124,15 @@ def _numerov(potential, grid: Grid, hbar: float, mass: float) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
+def _momenta(grid: Grid, hbar: float) -> np.ndarray:
+    """hbar k on ``grid`` in FFT order: the momentum ``moments_from_wavefunction``
+    applies spectrally, built once per grid and hbar (read-only)."""
+    hk = hbar * 2.0 * np.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+    hk.flags.writeable = False
+    return hk
+
+
+@functools.lru_cache(maxsize=1)
 def _pade_stages(potential, grid: Grid, hbar: float, mass: float, dt: float, roots: tuple) -> list:
     """Per root r, the ``zgttrf`` factors of M + c K and the bands of
     M + conj(c) K, c = -i dt / (hbar r), on ``_numerov``'s operator."""
@@ -226,8 +235,9 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
     """Weyl-ordered central moments up to ``order`` extracted from a state.
 
     Normal-ordered centered expectations <(q-q0)^j (p-p0)^k> are computed
-    with (P - p0)^k applied spectrally, as ifft((hbar k - p0)^k fft(psi));
-    the ordering change of basis then yields the Weyl moments.  Every
+    with (P - p0)^k applied spectrally, as ifft((hbar k - p0)^k fft(psi))
+    with hbar k built once per grid and hbar (``_momenta``); the ordering
+    change of basis then yields the Weyl moments.  Every
     integral (the norm, q0, p0 and each <(q-q0)^j (p-p0)^k>) is the
     trapezoid rule as one weighted sum (f * weights).sum() over the grid's
     trapezoid weights, with conj(psi) * weights formed once and (q-q0)^j
@@ -244,13 +254,13 @@ def moments_from_wavefunction(wf: WaveFunction, order: int, quality_tol: float =
 
     if order > MAX_ORDER:
         raise ValueError(f"moment extraction is limited to order <= {MAX_ORDER}")
-    grid, dx = wf.grid, wf.grid.dx
+    grid = wf.grid
     psi = wf.values
     w_dens = np.abs(psi) ** 2 * grid.weights
     norm = w_dens.sum()
     q0 = float((w_dens * grid.x).sum() / norm)
     w_psi = np.conj(psi) * grid.weights
-    hk = wf.hbar * 2.0 * np.pi * np.fft.fftfreq(grid.n_points, dx)
+    hk = _momenta(grid, wf.hbar)
     psi_k = np.fft.fft(psi)
     p0 = float((w_psi * np.fft.ifft(hk * psi_k)).sum().real / norm)
 

@@ -8,7 +8,6 @@ import pytest
 from qmoments.adiabatic import (
     AdiabaticModel,
     NoEquilibriumError,
-    adiabatic_energy,
     adiabatic_potential,
     delta_s_correction,
     ds0_dq,
@@ -18,6 +17,19 @@ from qmoments.dynamics import IntegrationError, IntegratorConfig
 from qmoments.effective_hamiltonian import PolynomialPotential
 from qmoments.scenarios import adiabatic_compare_run, resolve_config
 from test_dynamics import _failure_parts
+
+
+def adiabatic_energy(model: AdiabaticModel, q: float, qdot: float) -> float:
+    """Energy with the fluctuation slaved to q.
+
+    The kinetic term acquires a position-dependent mass through
+    p_s = m qdot ds0/dq; the potential term is the adiabatic potential.
+    For a harmonic well the fluctuation term is the constant shift
+    omega sqrt(C)/... = hbar omega/2 at C = hbar^2/4.
+    """
+    slope = ds0_dq(model, q)
+    m = model.mass
+    return 0.5 * m * qdot**2 * (1.0 + slope**2) + adiabatic_potential(model, q)
 
 
 def _harmonic(mass=1.0, omega=1.0):

@@ -15,10 +15,15 @@ from qmoments.casimir_darboux import (
     lift_to_plane,
     lift_trajectory,
     to_darboux,
-    two_dof_position_moments,
     u1,
     u1_spherical_limit,
 )
+
+
+def two_dof_position_moments(c: TwoDofCanonical) -> tuple:
+    """(Delta(x1^2), Delta(x2^2), Delta(x1 x2)); the position correlation
+    is carried by the angle beta."""
+    return (c.s1**2, c.s2**2, c.s1 * c.s2 * math.cos(c.beta))
 
 
 def test_to_darboux_worked_example():

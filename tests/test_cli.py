@@ -422,6 +422,83 @@ def test_sweep_and_brackets_do_not_import_scipy(tmp_path):
     assert (tmp_path / "a" / "adiabatic_compare.csv").exists()
 
 
+def test_brackets_import_no_numpy(tmp_path):
+    """``import qmoments`` and the ``brackets`` command load no numpy or
+    scipy: the command line and bracket tables load only the exact algebra
+    and ``common``, and the ``oracle --scenario`` choices need no
+    ``scenarios``.  A later ``simulate`` in the same interpreter runs, and
+    an unknown package attribute raises AttributeError."""
+    import qmoments
+    from qmoments.common import ORACLE_SCENARIOS
+
+    assert ORACLE_SCENARIOS == tuple(ORACLE_DEFAULTS)
+    free = write_cfg(tmp_path, "f.json", {"scenario": "free", "t_span": [0, 0.1], "samples": 2})
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy', 'qmoments'))\n"
+        "import qmoments\n"
+        "print(loaded())\n"
+        "try:\n"
+        "    qmoments.bogus\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "from qmoments.cli import main\n"
+        f"assert main(['brackets', '--order', '5', '--out', {str(tmp_path / 'b5.json')!r}]) == 0\n"
+        f"assert main(['brackets', '--order', '3', '--pairs', '2', '--out', {str(tmp_path / 'b32.json')!r}]) == 0\n"
+        "try:\n"
+        "    main(['oracle', '--scenario', 'bogus'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+        "print(loaded())\n"
+        f"assert main(['simulate', '--config', {free!r}, '--out-dir', {str(tmp_path / 'f')!r}]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qmoments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    exact_algebra = ["qmoments.exact", "qmoments.indices", "qmoments.moment_algebra", "qmoments.weyl_algebra"]
+    lines = done.stdout.splitlines()
+    assert lines[:4] == [
+        "['qmoments']",
+        "module 'qmoments' has no attribute 'bogus'",
+        "2",
+        str(sorted(["qmoments", "qmoments.cli", "qmoments.common", *exact_algebra])),
+    ]
+    assert lines[-1] == "True"
+    assert "invalid choice: 'bogus' (choose from 'free', 'harmonic')" in done.stderr
+    assert json.loads((tmp_path / "b32.json").read_text())["pairs"] == 2
+    assert (tmp_path / "f" / "trajectory.csv").exists()
+
+
+def test_main_calls_the_scenario_names_bound_on_cli(tmp_path, monkeypatch):
+    """A scenario function replaced on ``cli``, as the benchmark's tracer
+    does, is the one ``main`` calls: binding ``scenarios`` keeps it."""
+    calls = []
+    run = scenarios.run_scenario
+
+    def recording(cfg, out_dir):
+        calls.append(cfg["scenario"])
+        return run(cfg, out_dir)
+
+    monkeypatch.setattr(cli, "run_scenario", recording)
+    cfg = write_cfg(tmp_path, "f.json", {"scenario": "free", "t_span": [0, 0.1], "samples": 2})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "f")]) == 0
+    assert calls == ["free"]
+
+
+def test_package_exports_resolve():
+    """Every name of ``qmoments.__all__`` is its defining module's object."""
+    import importlib
+
+    import qmoments
+
+    for name, module in qmoments._EXPORTS.items():
+        assert getattr(qmoments, name) is getattr(importlib.import_module(f"qmoments.{module}"), name), name
+    assert set(qmoments.__all__) <= set(dir(qmoments))
+
+
 def test_sweep_records_unreachable_cells_as_errors(tmp_path):
     """Cells below the rest energy are error cells, also where the rest
     energy overflows to inf far out on the cubic."""
