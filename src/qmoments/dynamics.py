@@ -165,23 +165,39 @@ class IntegratorConfig:
 
 class Trajectory:
     """Sampled solution with per-sample conservation monitors: the energy
-    it is given, and the Casimir and uncertainty margin of its own
-    second-moment columns."""
+    it is given, and the Casimir and uncertainty margin (above the floor of
+    ``state0``) of its own second-moment columns; ``monitors`` sums them up."""
 
-    def __init__(self, times, ys, layout, hbar, order, classical_mode, energy, info=None):
+    def __init__(self, times, ys, layout, state0: MomentState, energy, info=None):
         self.times = np.asarray(times)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         self.ys = np.asarray(ys)
         self.layout = tuple(layout)
-        self.hbar = hbar
-        self.order = order
-        self.classical_mode = classical_mode
         self.energy = np.asarray(energy)
         q2, qp, p2 = (self.column(("D", indices.single(a, b))) for a, b in ((2, 0), (1, 1), (0, 2)))
         self.casimir = q2 * p2 - qp**2
-        self.margin = self.casimir - uncertainty_floor(hbar, classical_mode)
+        self.margin = self.casimir - state0.margin_floor
         self.info = info or {}
+
+    @functools.cached_property
+    def monitors(self) -> dict:
+        """The run's energy and Casimir drifts, each the largest deviation
+        from the first sample relative to it, and its smallest margin.
+        Computed at first use: an overflowed run's energy may hold inf."""
+        e0 = self.energy[0]
+        c0 = self.casimir[0]
+        escale = max(abs(e0), 1e-300)
+        # C = Δq²Δp² − Δqp² is a difference of products; at C0 = 0 its drift is
+        # relative to the run's largest product Δq²Δp² instead
+        cscale = max(abs(c0) or float(np.max(np.abs(
+            self.column(("D", indices.single(2, 0))) * self.column(("D", indices.single(0, 2)))
+        ))), 1e-300)
+        return {
+            "energy_drift": float(np.max(np.abs(self.energy - e0)) / escale),
+            "casimir_drift": float(np.max(np.abs(self.casimir - c0)) / cscale),
+            "margin_min": float(np.min(self.margin)),
+        }
 
     def __len__(self):
         return len(self.times)
@@ -275,7 +291,7 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     rhs = field.compiled(state0.hbar)
     times, ys, info = integrate_one(rhs, state0.to_vector(layout), t_span, cfg, t_eval, layout, state0.order)
     energy = field.energy_function(state0.hbar)(ys.T)
-    return Trajectory(times, ys, layout, state0.hbar, state0.order, state0.classical_mode, energy, info)
+    return Trajectory(times, ys, layout, state0, energy, info)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +739,7 @@ def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             results.append(err)
             continue
         energy = energy_fn(ys.T)
-        results.append(Trajectory(times, ys, layout, state.hbar, state.order, state.classical_mode, energy, info))
+        results.append(Trajectory(times, ys, layout, state, energy, info))
     return TrajectoryBatch(results, {"nfev": calls})
 
 
@@ -876,15 +892,5 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     for i, (start, end) in enumerate(zip(ends - counts, ends)):
         if results[i] is None:
             info = {name: int(values[i]) for name, values in stats.items()}
-            state = states[i]
-            results[i] = Trajectory(
-                times[start:end],
-                ys[start:end],
-                layout,
-                state.hbar,
-                state.order,
-                state.classical_mode,
-                energy[start:end],
-                info,
-            )
+            results[i] = Trajectory(times[start:end], ys[start:end], layout, states[i], energy[start:end], info)
     return TrajectoryBatch(results, {"nfev": nfev + dense_calls})

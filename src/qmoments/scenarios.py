@@ -375,22 +375,6 @@ def _trajectory(cfg, state0, times=None, event=None):
     )
 
 
-def _drifts(traj) -> dict:
-    e0 = traj.energy[0]
-    c0 = traj.casimir[0]
-    escale = max(abs(e0), 1e-300)
-    # C = Δq²Δp² − Δqp² is a difference of products; at C0 = 0 its drift is
-    # relative to the run's largest product Δq²Δp² instead
-    cscale = max(abs(c0) or float(np.max(np.abs(
-        traj.column(_COLUMNS["Delta_q2"]) * traj.column(_COLUMNS["Delta_p2"])
-    ))), 1e-300)
-    return {
-        "energy_drift": float(np.max(np.abs(traj.energy - e0)) / escale),
-        "casimir_drift": float(np.max(np.abs(traj.casimir - c0)) / cscale),
-        "margin_min": float(np.min(traj.margin)),
-    }
-
-
 def _checks(cfg, ok, **figures) -> dict:
     return {**figures, "threshold": cfg["check_threshold"], "passed": ok}
 
@@ -402,7 +386,7 @@ def _summary(cfg, traj, ok, artifacts=None, head=None, **body) -> dict:
         "scenario": cfg["scenario"],
         "inputs": _echo_inputs(cfg),
         **(head or {}),
-        "monitors": _drifts(traj),
+        "monitors": traj.monitors,
         **body,
         "artifacts": artifacts or {"trajectory_csv": "trajectory.csv"},
         "ok": bool(ok),
@@ -440,27 +424,24 @@ def run_free(cfg, out_dir) -> dict:
 def run_harmonic(cfg, out_dir) -> dict:
     traj = _trajectory(cfg, _packet_state(cfg), _samples(cfg))
     traj.write_csv(_artifact(out_dir, "trajectory.csv"))
-    drifts = _drifts(traj)
     ok = (
-        drifts["energy_drift"] <= cfg["check_threshold"]
-        and drifts["casimir_drift"] <= 10 * cfg["check_threshold"]
+        traj.monitors["energy_drift"] <= cfg["check_threshold"]
+        and traj.monitors["casimir_drift"] <= 10 * cfg["check_threshold"]
     )
     return _summary(cfg, traj, ok, checks=_checks(cfg, ok))
 
 
-def _tunneling_start(cfg, energy_fn, q0: float, energy: float):
+def _tunneling_start(cfg, model, layout, energy_fn, q0: float, energy: float):
     """Initial state of a tunneling cell: the Gaussian state of equilibrium
-    width s0(q0) at q0, with the momentum that gives it the requested
-    energy.  Raises NoEquilibriumError or ValueError if there is none.
+    width s0(q0) of ``model`` at q0, with the momentum that gives it the
+    requested energy.  Raises NoEquilibriumError or ValueError if there is
+    none.
 
-    The rest energy is ``energy_fn`` on the state's ndarray; far out on the
-    potential it overflows to inf.
+    The rest energy is ``energy_fn`` on the state's Python floats; far out
+    on the potential their products overflow to inf, which raises nothing.
     """
-    field = moment_field(cfg)
-    s0 = s0_of_q(AdiabaticModel(field.potential, _casimir(cfg)), q0)
-    state0 = _initial_state(cfg, q0, 0.0, s0)
-    with np.errstate(over="ignore"):
-        rest = energy_fn(state0.to_vector(field.layout))
+    state0 = _initial_state(cfg, q0, 0.0, s0_of_q(model, q0))
+    rest = energy_fn(state0.to_vector(layout).tolist())
     if energy < rest:
         raise ValueError(f"energy {energy:g} below the rest energy {rest:g} at q0")
     state0.p = math.sqrt(2.0 * float(cfg["mass"]) * (energy - rest))
@@ -483,15 +464,18 @@ def tunneling_runs(cfg, cells, barrier_q) -> list:
     barrier crossing (``info["status"]`` 1) or the end of ``t_span``, or the
     error that stopped it.
 
-    Every cell that has an initial state is integrated in one batch (one
-    ``integrate`` call), and a cell's outcome does not depend on the other
-    cells: a single run is a one-cell sweep.
+    The field, its energy function and the equilibrium model are built once
+    per run.  Every cell that has an initial state is integrated in one
+    batch (one ``integrate`` call), and a cell's outcome does not depend on
+    the other cells: a single run is a one-cell sweep.
     """
-    energy_fn = moment_field(cfg).energy_function(cfg["hbar"])
+    field = moment_field(cfg)
+    energy_fn = field.energy_function(cfg["hbar"])
+    model = AdiabaticModel(field.potential, _casimir(cfg))
     starts = []
     for q0, energy in cells:
         try:
-            starts.append(_tunneling_start(cfg, energy_fn, q0, energy))
+            starts.append(_tunneling_start(cfg, model, field.layout, energy_fn, q0, energy))
         except (NoEquilibriumError, ValueError) as exc:
             starts.append(exc)
     states = [s for s in starts if not isinstance(s, Exception)]
@@ -511,7 +495,7 @@ def _cell_record(q0, energy, barrier_v, outcome) -> dict:
         max_q=float(np.max(outcome.ys[:, 0])),
         t_final=float(outcome.times[-1]),
         below_classical_barrier=bool(energy < barrier_v),
-        **_drifts(outcome),
+        **outcome.monitors,
     )
     return record
 
@@ -556,7 +540,7 @@ def effective_saddle(pot: PolynomialPotential, casimir: float):
 
 
 def run_cubic_tunneling(cfg, out_dir) -> dict:
-    barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
+    barrier_q, barrier_v = cubic_barrier(moment_field(cfg).potential)
     (traj,) = tunneling_runs(cfg, [(cfg["q0"], cfg["energy"])], barrier_q)
     if isinstance(traj, Exception):
         raise IntegrationError(f"tunneling run failed: {traj}")
@@ -588,7 +572,7 @@ def run_sweep(cfg, out_dir) -> dict:
     sweep = cfg["sweep"]
     q0s = _sweep_values(sweep["q0"], "q0")
     energies = _sweep_values(sweep["energy"], "energy")
-    barrier_q, barrier_v = cubic_barrier(PolynomialPotential(cfg["potential"], cfg["mass"]))
+    barrier_q, barrier_v = cubic_barrier(moment_field(cfg).potential)
     cells = [(q0, e) for q0 in q0s for e in energies]
     records = [
         _cell_record(q0, e, barrier_v, outcome)
@@ -705,7 +689,7 @@ def wavefunction_trajectory(cfg) -> tuple:
         times.append(current_t)
         ys.append(state.to_vector(layout))
         energy.append(energy_expectation(wf, pot))
-    traj = Trajectory(times, ys, layout, state.hbar, state.order, state.classical_mode, energy)
+    traj = Trajectory(times, ys, layout, state, energy)
     return traj, quality_max
 
 

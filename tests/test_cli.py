@@ -538,6 +538,49 @@ def test_zero_casimir_is_refused_where_a_run_needs_an_equilibrium(tmp_path, caps
         assert (tmp_path / name / "trajectory.csv").exists()
 
 
+def test_failed_tunneling_run_exits_3_without_artifacts(tmp_path, capsys):
+    """A single tunneling run whose cell has no start state, here an energy
+    below the rest energy at q0, is a runtime error that names the cell's
+    reason, and it leaves no out dir."""
+    cfg = write_cfg(tmp_path, "low.json", {"scenario": "cubic-tunneling", "energy": 0.0})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "runtime error: tunneling run failed: energy 0 below the rest energy 0.487773 at q0"
+    )
+    assert not out.exists()
+
+
+def test_tunneling_run_builds_its_model_once(monkeypatch):
+    """A tunneling run builds its potential, equilibrium model and energy
+    function once, not once per cell: one ``PolynomialPotential`` (the
+    field's), one ``AdiabaticModel``, and two ``energy_function`` calls,
+    the rest energies' and the integrator's monitor, for one cell or a
+    grid."""
+    from qmoments.effective_hamiltonian import MomentVectorField, PolynomialPotential
+
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(scenarios, "AdiabaticModel", counting("model", scenarios.AdiabaticModel))
+    monkeypatch.setattr(scenarios, "PolynomialPotential", counting("potential", PolynomialPotential))
+    monkeypatch.setattr(MomentVectorField, "energy_function", counting("energy", MomentVectorField.energy_function))
+    base = {"scenario": "cubic-tunneling-sweep", "t_span": [0.0, 5.0]}
+    for sweep in ({"q0": [0.2], "energy": [1.2]}, {"q0": [0.2, 0.4], "energy": [0.1, 1.2, 1.6]}):
+        scenarios._field.cache_clear()
+        counts.clear()
+        cfg = resolve_config(dict(base, sweep=sweep))
+        barrier_q = scenarios.cubic_barrier(scenarios.moment_field(cfg).potential)[0]
+        scenarios.tunneling_runs(cfg, [(q, e) for q in sweep["q0"] for e in sweep["energy"]], barrier_q)
+        assert counts == {"potential": 1, "model": 1, "energy": 2}, sweep
+
+
 def test_zero_casimir_drift_is_relative_to_the_largest_product(tmp_path):
     """At C0 = 0 the Casimir drift is scaled by the run's largest
     Delta_q2 * Delta_p2: a harmonic packet's rounding-level drift passes its

@@ -75,6 +75,16 @@ def test_admissibility_floor_enforced():
         0, 0, {single(2, 0): 1.0, single(1, 1): 0.0, single(0, 2): 0.1},
         1.0, 2, classical_mode=True,
     )
+    # hbar and each variance are checked before the floor, by name
+    moments = {single(2, 0): 1.0, single(1, 1): 0.0, single(0, 2): 1.0}
+    for hbar, changed, message in (
+        (0.0, {}, "hbar must be positive"),
+        (1.0, {single(2, 0): -1.0}, "Delta(q^2) must be non-negative"),
+        (1.0, {single(0, 2): -1.0}, "Delta(p^2) must be non-negative"),
+    ):
+        with pytest.raises(AdmissibilityError) as err:
+            MomentState(0, 0, {**moments, **changed}, hbar, 2)
+        assert str(err.value) == message
 
 
 def test_monitors_arithmetic():
@@ -284,8 +294,13 @@ def test_batch_matches_scipy_harmonic():
 
 @pytest.mark.parametrize(
     "batch, kwargs, match",
-    [(False, {"event": lambda t, y: y[0] - 1.0}, "takes no event"), (True, {"t_eval": [0.0, 1.0]}, "t_eval")],
-    ids=["event-with-one-state", "t_eval-with-a-batch"],
+    [
+        (False, {"event": lambda t, y: y[0] - 1.0}, "takes no event"),
+        (True, {"t_eval": [0.0, 1.0]}, "t_eval"),
+        (False, {"t_eval": [0.0, 2.0]}, "^t_eval must lie within t_span$"),
+        (False, {"t_eval": [-1.0, 0.5]}, "^t_eval must lie within t_span$"),
+    ],
+    ids=["event-with-one-state", "t_eval-with-a-batch", "t_eval-past-t1", "t_eval-before-t0"],
 )
 def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
     """One state is sampled and takes no event; a batch records its own
@@ -294,6 +309,44 @@ def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
     state = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     with pytest.raises(ValueError, match=match):
         integrate(field, [state] if batch else state, (0, 1), IntegratorConfig(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "settings, t_span, message",
+    [
+        ({"rtol": 0.0}, (0, 1), "tolerances must be positive"),
+        ({"atol": -1e-13}, (0, 1), "tolerances must be positive"),
+        ({"max_steps": 0}, (0, 1), "max_steps must be positive"),
+        ({}, (1, 1), "t_span must have t1 > t0"),
+        ({}, (1, 0), "t_span must have t1 > t0"),
+    ],
+    ids=["rtol", "atol", "max_steps", "empty-t_span", "reversed-t_span"],
+)
+def test_integrator_refuses_invalid_settings(settings, t_span, message):
+    """The tolerances and the step budget must be positive, and the time
+    span must run forward; each refusal says which."""
+    field = _free_field()
+    state = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
+    with pytest.raises(ValueError) as err:
+        integrate(field, state, t_span, IntegratorConfig(**settings))
+    assert str(err.value) == message
+
+
+def test_monitors_are_computed_once_at_first_use():
+    """``Trajectory.monitors`` is computed from the sample arrays at its
+    first use and kept: the drifts relative to the first sample and the
+    smallest margin."""
+    pot = PolynomialPotential([0, 0, 0.5], mass=1)
+    state0 = init_gaussian(0.3, 0.0, 1.0, 0.0, 1.0, 2)
+    traj = integrate(equations_of_motion(pot, 2), state0, (0, 3), IntegratorConfig(), t_eval=np.linspace(0, 3, 31))
+    assert "monitors" not in vars(traj)
+    monitors = traj.monitors
+    assert traj.monitors is monitors
+    assert monitors == {
+        "energy_drift": float(np.max(np.abs(traj.energy - traj.energy[0])) / abs(traj.energy[0])),
+        "casimir_drift": float(np.max(np.abs(traj.casimir - traj.casimir[0])) / traj.casimir[0]),
+        "margin_min": float(np.min(traj.casimir - 0.25)),
+    }
 
 
 def test_rhs_on_floats_matches_the_ndarray_call():
@@ -620,9 +673,7 @@ def test_trajectory_requires_increasing_times():
             [0.0, 0.0, 1.0],
             np.zeros((3, 5)),
             (("q", 0), ("p", 0), ("D", single(2, 0)), ("D", single(1, 1)), ("D", single(0, 2))),
-            1.0,
-            2,
-            False,
+            init_gaussian(0.0, 0.0, 1.0),
             np.zeros(3),
         )
 
