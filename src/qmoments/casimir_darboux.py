@@ -1,4 +1,5 @@
-"""Canonical (Casimir-Darboux) coordinates for second-order moments.
+"""Canonical (Casimir-Darboux) coordinates for second-order moments, and
+the one definition of the Casimir and of the chart on every run path.
 
 One canonical pair: Delta(q^2) = s^2, Delta(qp) = s*p_s and
 Delta(p^2) = p_s^2 + C/s^2 with the Casimir C = Delta(q^2)*Delta(p^2)
@@ -61,6 +62,12 @@ class PlaneState:
         return (self.x * self.p_x + self.y * self.p_y) / self.radius
 
 
+def casimir_of(delta_q2, delta_qp, delta_p2):
+    """The Casimir C = Delta(q^2)*Delta(p^2) - Delta(qp)^2 of the three
+    second-order moments, on floats or elementwise on sample arrays."""
+    return delta_q2 * delta_p2 - delta_qp**2
+
+
 def to_darboux(delta_q2: float, delta_qp: float, delta_p2: float) -> DarbouxState1D:
     """(s, p_s, C) from the three second-order moments."""
     if delta_q2 <= 0:
@@ -69,8 +76,7 @@ def to_darboux(delta_q2: float, delta_qp: float, delta_p2: float) -> DarbouxStat
         )
     s = math.sqrt(delta_q2)
     p_s = delta_qp / s
-    casimir = delta_q2 * delta_p2 - delta_qp**2
-    return DarbouxState1D(s, p_s, casimir)
+    return DarbouxState1D(s, p_s, casimir_of(delta_q2, delta_qp, delta_p2))
 
 
 def from_darboux(d: DarbouxState1D) -> tuple:

@@ -128,11 +128,9 @@ def main(argv=None) -> int:
             print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
             return 0
 
-        if args.command == "transform":
-            transform_trajectory(args.input, args.output, args.to, mass=args.mass)
-            return 0
-
-        raise ConfigError(f"command: unknown {args.command!r}")
+        # argparse admits no command but the ones above and transform
+        transform_trajectory(args.input, args.output, args.to, mass=args.mass)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

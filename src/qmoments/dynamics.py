@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from . import indices
+from .casimir_darboux import DarbouxState1D, casimir_of, from_darboux
 from .common import IntegrationError
 
 
@@ -49,10 +50,7 @@ class MomentState:
         return uncertainty_floor(self.hbar, self.classical_mode)
 
     def casimir(self) -> float:
-        return (
-            self.moments[indices.single(2, 0)] * self.moments[indices.single(0, 2)]
-            - self.moments[indices.single(1, 1)] ** 2
-        )
+        return casimir_of(*(self.moments[indices.single(a, b)] for a, b in ((2, 0), (1, 1), (0, 2))))
 
     def margin(self) -> float:
         return self.casimir() - self.margin_floor
@@ -71,11 +69,7 @@ class MomentState:
                 % (self.casimir(), self.margin_floor)
             )
 
-    def layout(self):
-        return indices.state_layout(self.order)
-
-    def to_vector(self, layout=None) -> np.ndarray:
-        layout = layout or self.layout()
+    def to_vector(self, layout) -> np.ndarray:
         out = np.empty(len(layout))
         for i, var in enumerate(layout):
             if var[0] == "q":
@@ -126,22 +120,16 @@ def init_gaussian(
 ) -> MomentState:
     """Gaussian moment state of width sigma and fluctuation momentum p_s0.
 
-    Second moments are Delta(q^2) = sigma^2, Delta(qp) = sigma*p_s0 and
-    Delta(p^2) = p_s0^2 + C/sigma^2 with C = hbar^2/4 by default, which
-    saturates the uncertainty bound.  Passing ``casimir`` overrides C (the
-    classical bound C = 0 needs ``classical_mode``).  Higher Weyl-ordered
-    moments follow the Gaussian Wick rule, i.e. the phase-space averages of
-    the corresponding Gaussian distribution.
+    Second moments are the Casimir-Darboux chart at (s, p_s, C) = (sigma,
+    p_s0, C), with C = hbar^2/4 by default, which saturates the uncertainty
+    bound; the chart refuses sigma <= 0 and C < 0.  Passing ``casimir``
+    overrides C (the classical bound C = 0 needs ``classical_mode``).
+    Higher Weyl-ordered moments follow the Gaussian Wick rule, i.e. the
+    phase-space averages of the corresponding Gaussian distribution.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     if casimir is None:
         casimir = uncertainty_floor(hbar)
-    if casimir < 0:
-        raise AdmissibilityError("casimir must be non-negative")
-    sxx = sigma**2
-    sxy = sigma * p_s0
-    syy = p_s0**2 + casimir / sigma**2
+    sxx, sxy, syy = from_darboux(DarbouxState1D(sigma, p_s0, casimir))
     cache = {}
     moments = {}
     for idx in indices.iter_indices(order, 1):
@@ -175,8 +163,7 @@ class Trajectory:
         self.ys = np.asarray(ys)
         self.layout = tuple(layout)
         self.energy = np.asarray(energy)
-        q2, qp, p2 = (self.column(("D", indices.single(a, b))) for a, b in ((2, 0), (1, 1), (0, 2)))
-        self.casimir = q2 * p2 - qp**2
+        self.casimir = casimir_of(*(self.column(("D", indices.single(a, b))) for a, b in ((2, 0), (1, 1), (0, 2))))
         self.margin = self.casimir - state0.margin_floor
         self.info = info or {}
 
@@ -198,9 +185,6 @@ class Trajectory:
             "casimir_drift": float(np.max(np.abs(self.casimir - c0)) / cscale),
             "margin_min": float(np.min(self.margin)),
         }
-
-    def __len__(self):
-        return len(self.times)
 
     def column(self, var) -> np.ndarray:
         return self.ys[:, self.layout.index(var)]
@@ -272,13 +256,16 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     takes no event, and a batch no ``t_eval``.  Both keep the local error
     below the configured tolerances; a step budget and finite-state checks
     guard runaway trajectories.  A failure names the last good time, the
-    truncation order and the component at fault.
+    truncation order and the component at fault.  A ``t_span`` without
+    t1 > t0 is refused before either path is taken.
 
     Python floats do the same IEEE operations in the same order as
     ``np.float64`` scalars and as each cell of a row array, so the bytes
     are the same, and indexing a list and adding floats is several times
     faster than a numpy call on a few cells.
     """
+    if not float(t_span[1]) > float(t_span[0]):
+        raise ValueError("t_span must have t1 > t0")
     if not isinstance(state0, MomentState):
         if t_eval is not None:
             raise ValueError("a batch of states records its own steps; t_eval is not supported")
@@ -761,8 +748,6 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     the same bytes in a batch of any size, a batch of one included, and in
     ``_integrate_cells``.
     """
-    if not states:
-        return TrajectoryBatch([], {"nfev": 0})
     layout, first = field.layout, states[0]
     order = first.order
     rhs = field.compiled(first.hbar)

@@ -96,8 +96,6 @@ class BracketTable:
         self.validated: dict = {}
 
     def store(self, m1, m2, poly: MomentPolynomial):
-        if (m2, m1) in self.entries:
-            raise MomentAlgebraError("duplicate table entry")
         self.entries[(m1, m2)] = poly
         self.validated[(m1, m2)] = True
 

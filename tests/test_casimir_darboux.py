@@ -132,6 +132,22 @@ def test_free_particle_s_values():
     assert free_particle_s(2.0, 1.0, 0.25, 1.0) == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize(
+    "s0, casimir, mass",
+    [(1.0, 0.25, 1.0), (0.7, 0.0, 1.0), (1.3, 2.5, 0.4)],
+    ids=["free-defaults", "classical", "non-minimal"],
+)
+def test_free_particle_s_is_the_free_growth_of_the_chart(s0, casimir, mass):
+    """At p_s = 0 the growth law is the square root of the free particle's
+    Delta(q^2)(t) = Delta(q^2) + 2 Delta(qp) t/m + Delta(p^2) t^2/m^2 on
+    the chart's second moments, the closed form the ``free`` scenario
+    checks its run against."""
+    t = np.linspace(0.0, 10.0, 201)
+    dq2, dqp, dp2 = from_darboux(DarbouxState1D(s0, 0.0, casimir))
+    s_ref = np.sqrt(dq2 + 2 * dqp * t / mass + dp2 * t**2 / mass**2)
+    assert np.max(np.abs(free_particle_s(t, s0, casimir, mass) - s_ref)) < 1e-12 * float(np.max(s_ref))
+
+
 def test_free_particle_s_asymptotic_slope():
     """Large-time growth rate equals the plane momentum sqrt(C)/(m s0)."""
     s0, c, m = 0.8, 0.6, 1.3

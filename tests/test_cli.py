@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
-import hashlib
 import json
 import math
 import os
@@ -265,6 +264,18 @@ def test_effective_saddle_is_a_saddle_of_w(coeffs, casimir):
         assert (q, s, w_s) == pytest.approx((1.6125526329594346, 1.665787936423109, 0.9709417221777791), rel=1e-9)
 
 
+def test_effective_saddle_needs_a_critical_point():
+    """At a Casimir this large the cubic's W(q, s) has no critical point
+    between 0 and the barrier: 4 m V'^2 V'' stays below C times the square
+    of the third derivative there."""
+    from qmoments.effective_hamiltonian import PolynomialPotential
+    from qmoments.scenarios import effective_saddle
+
+    with pytest.raises(ConfigError) as err:
+        effective_saddle(PolynomialPotential([0, 0, 0.5, -0.1]), 5.0)
+    assert str(err.value) == "potential: no effective-potential critical points found"
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_tunneling_run_is_its_one_cell_sweep(tmp_path, order):
     """A cubic-tunneling run and the sweep of its one cell give the same
@@ -520,6 +531,28 @@ def test_sweep_records_unreachable_cells_as_errors(tmp_path):
         assert str(outcome).startswith("energy 1.2 below the rest energy")
 
 
+def test_budget_spent_in_the_crossing_interpolant_fails_alike_on_both_paths(tmp_path, capsys):
+    """The default tunneling run takes 401 evaluations, the last three for
+    the interpolant that locates its crossing.  With 400 it fails in that
+    interpolant, naming the budget and its last good evaluation: a single
+    run on floats, and each cell of a sweep too large for floats on row
+    arrays."""
+    from qmoments.dynamics import _MAX_FLOAT_CELLS
+    from qmoments.scenarios import cubic_barrier, moment_field, tunneling_runs
+
+    cfg = write_cfg(tmp_path, "run.json", {"scenario": "cubic-tunneling", "max_steps": 400})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err.strip()
+    prefix = "runtime error: tunneling run failed: "
+    assert err.startswith(prefix + "step budget exhausted (400 evaluations) (last good time t=5.08433, order 2, ")
+    sweep = resolve_config(
+        {"scenario": "cubic-tunneling-sweep", "max_steps": 400, "sweep": {"q0": [0.17], "energy": [1.2]}}
+    )
+    barrier_q, _ = cubic_barrier(moment_field(sweep).potential)
+    cells = tunneling_runs(sweep, [(0.17, 1.2)] * (_MAX_FLOAT_CELLS + 1), barrier_q)
+    assert [str(cell) for cell in cells] == [err.removeprefix(prefix)] * (_MAX_FLOAT_CELLS + 1)
+
+
 def test_zero_casimir_is_refused_where_a_run_needs_an_equilibrium(tmp_path, capsys):
     """At C = 0 (classical_mode) no cell has a fluctuation equilibrium
     s0(q): a tunneling run and a sweep are refused as configs, with no out
@@ -612,19 +645,6 @@ def test_brackets_dump(tmp_path, capsys):
     # stdout variant
     assert main(["brackets", "--order", "2", "--pairs", "1"]) == 0
     assert '"entries"' in capsys.readouterr().out
-    # the exact bytes of larger dumps: the benchmark's two tables, order 6
-    # and the largest table on one pair and on two
-    for args, digest in [
-        (["--order", "4"], "caed983d76a933bebe203c3bb2534dffd08e23fad8e66b1b97dadb23b2ea13c9"),
-        (["--order", "2", "--pairs", "2"], "8999c0a2264e4f4d0a422eecbf98e1c5ac10c545d670a0a498b7a1d5cdbba062"),
-        (["--order", "5"], "6c62fab1d4774215bcb5800114632454f6bd38f96f6d96c2bb05bbb93cf6bfea"),
-        (["--order", "6"], "fec24a70ab036dbc4509c4416b8afe394b09a7a0716cec0dde5f333414d30c55"),
-        (["--order", "3", "--pairs", "2"], "d0992501bb091609ce31bbe3c39bac7fde66d4ea7a010b6489c93db5cd070854"),
-        (["--order", "7"], "1549f561c6722eae668a0fbd61dde2c0b2a1d6eb191f381171fb2c0a14baf8c3"),
-        (["--order", "4", "--pairs", "2"], "e91b0f621bb996ad1839480b4e767ce9fa1fd0c023714e34b6c09bff73669e46"),
-    ]:
-        assert main(["brackets", *args, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -675,16 +695,12 @@ def test_oracle_subcommand(tmp_path):
     lines = (out / "oracle_trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,q,p,Delta_q2,Delta_qp,Delta_p2,energy,casimir,margin"
     assert len(lines) == 6
-    for name, digest in [
-        ("oracle_trajectory.csv", "2b1ae2bca21bf5f0b9e9bc50c1f20dfb785b54f4f48ff83e3334048cbf29dfd9"),
-        ("oracle_summary.json", "11481d6b21d9a78f6d1e01ef36a8930d6275b0c3811c6d7bae7b0f0f589e8f28"),
-    ]:
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_oracle_subcommand_pins_the_potential_term(tmp_path):
     """The harmonic oracle on the same short config: V psi is not zero, so
-    these bytes also pin the potential term of <H_N> in the energy column."""
+    its bytes, pinned as ``oracle-harmonic-short`` in the artifact manifest,
+    also pin the potential term of <H_N> in the energy column."""
     cfg = write_cfg(
         tmp_path,
         "o.json",
@@ -692,11 +708,6 @@ def test_oracle_subcommand_pins_the_potential_term(tmp_path):
     )
     out = tmp_path / "o"
     assert main(["oracle", "--scenario", "harmonic", "--config", cfg, "--out-dir", str(out)]) == 0
-    for name, digest in [
-        ("oracle_trajectory.csv", "03b3df596718b095ca9a69aff7e99950a2ec2927b33a1519cc7e7607f0de313a"),
-        ("oracle_summary.json", "3eaa97752bf32f8071b059e3ea48dc5392d764ba59358d634466b8e63a079f55"),
-    ]:
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize(
@@ -819,6 +830,38 @@ def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, fie
     out = tmp_path / "out"
     assert main([*argv, "--config", cfg, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["simulate", "--config", "{input}", "--out-dir", "{out}"], "{not json", "config error: config: invalid JSON ("),
+        (
+            ["sweep", "--config", "{input}", "--out-dir", "{out}"],
+            json.dumps({"sweep": {"q0": 3, "energy": [1.2]}}),
+            "config error: sweep.q0: must be a list or {min, max, count}\n",
+        ),
+        (
+            ["sweep", "--config", "{input}", "--out-dir", "{out}"],
+            json.dumps({"sweep": {"q0": [0.17], "energy": [1.2], "ps0": [0.0]}}),
+            "config error: sweep: expected exactly the keys 'q0' and 'energy'\n",
+        ),
+        (
+            ["transform", "--to", "darboux", "--input", "{input}", "--output", "{out}"],
+            "t,q,p,Delta_q2,Delta_qp,Delta_p2,energy,casimir,margin\n",
+            "config error: input: empty trajectory\n",
+        ),
+    ],
+    ids=["invalid-json", "sweep-range-not-a-range", "sweep-extra-key", "transform-header-only"],
+)
+def test_refused_input_names_its_cause(tmp_path, capsys, argv, text, message):
+    """Each refused input exits 2 with a message that names its cause, and
+    writes nothing."""
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_text(text)
+    assert main([arg.format(input=path, out=out) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qmoments.casimir_darboux import free_particle_s
+from qmoments.casimir_darboux import CoordinateSingularityError, DomainError, free_particle_s
 from qmoments.dynamics import (
     AdmissibilityError,
     IntegrationError,
@@ -65,6 +65,23 @@ def test_init_gaussian_correlated_wick():
 def test_init_gaussian_rejects_bad_width():
     with pytest.raises(ValueError):
         init_gaussian(0, 0, 0.0, 0, 1.0, 2)
+
+
+@pytest.mark.parametrize(
+    "sigma, casimir, error, message",
+    [
+        (0.0, None, CoordinateSingularityError, "s must be positive"),
+        (-1.0, 0.25, CoordinateSingularityError, "s must be positive"),
+        (1.0, -0.1, DomainError, "Casimir must be non-negative"),
+    ],
+    ids=["zero-width", "negative-width", "negative-casimir"],
+)
+def test_init_gaussian_refuses_what_the_chart_refuses(sigma, casimir, error, message):
+    """The second moments are the Casimir-Darboux chart's, and so are the
+    checks on the width and the Casimir."""
+    with pytest.raises(error) as err:
+        init_gaussian(0.0, 0.0, sigma, 0.0, 1.0, 2, casimir=casimir, classical_mode=True)
+    assert str(err.value) == message
 
 
 def test_admissibility_floor_enforced():
@@ -312,23 +329,28 @@ def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
 
 
 @pytest.mark.parametrize(
-    "settings, t_span, message",
+    "settings, t_span, cells, message",
     [
-        ({"rtol": 0.0}, (0, 1), "tolerances must be positive"),
-        ({"atol": -1e-13}, (0, 1), "tolerances must be positive"),
-        ({"max_steps": 0}, (0, 1), "max_steps must be positive"),
-        ({}, (1, 1), "t_span must have t1 > t0"),
-        ({}, (1, 0), "t_span must have t1 > t0"),
+        ({"rtol": 0.0}, (0, 1), None, "tolerances must be positive"),
+        ({"atol": -1e-13}, (0, 1), None, "tolerances must be positive"),
+        ({"max_steps": 0}, (0, 1), None, "max_steps must be positive"),
+        ({}, (1, 1), None, "t_span must have t1 > t0"),
+        ({}, (1, 0), None, "t_span must have t1 > t0"),
+        # a batch on floats and one on row arrays
+        ({}, (1, 0), 1, "t_span must have t1 > t0"),
+        ({}, (1, 0), 33, "t_span must have t1 > t0"),
     ],
-    ids=["rtol", "atol", "max_steps", "empty-t_span", "reversed-t_span"],
+    ids=["rtol", "atol", "max_steps", "empty-t_span", "reversed-t_span", "reversed-t_span-1-cell",
+         "reversed-t_span-33-cells"],
 )
-def test_integrator_refuses_invalid_settings(settings, t_span, message):
+def test_integrator_refuses_invalid_settings(settings, t_span, cells, message):
     """The tolerances and the step budget must be positive, and the time
-    span must run forward; each refusal says which."""
+    span must run forward; each refusal says which, for one state or a
+    batch of ``cells`` states of any size."""
     field = _free_field()
     state = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     with pytest.raises(ValueError) as err:
-        integrate(field, state, t_span, IntegratorConfig(**settings))
+        integrate(field, state if cells is None else [state] * cells, t_span, IntegratorConfig(**settings))
     assert str(err.value) == message
 
 
@@ -566,6 +588,23 @@ def test_overflowing_error_norm_steps_on_alike_on_both_paths():
     assert isinstance(ours, IntegrationError) and isinstance(theirs, IntegrationError)
     assert str(ours) == str(theirs) and ours.last_time == theirs.last_time
     assert _failure_parts(ours)[0] == "Required step size is less than spacing between numbers."
+
+
+def test_overflowed_norm_keeps_the_norm_of_non_finite_estimates():
+    """A step whose scaled error estimates are themselves infinite keeps
+    the norm it was given, scipy's h e5^2 / sqrt((e5^2 + 0.01 e3^2) n): 0
+    when only the 3rd-order estimate is infinite, nan when the 5th-order
+    one is.  No moment field of a config was found to get there; both
+    integrator paths call this one function."""
+    from qmoments.dynamics import _overflowed_norm
+
+    h = 0.1
+    with np.errstate(invalid="ignore"):
+        zero = float(h * 5.0 / np.sqrt((5.0 + 0.01 * np.inf) * 2))
+        nan = float(h * np.inf / np.sqrt((np.inf + 0.01 * 1.0) * 2))
+    assert zero == 0.0 and math.isnan(nan)
+    assert _overflowed_norm(h, [1.0, 2.0], [math.inf, 0.0], zero) == 0.0
+    assert math.isnan(_overflowed_norm(h, [math.inf, 1.0], [1.0, 0.0], nan))
 
 
 def test_generated_code_takes_no_powers():

@@ -115,6 +115,22 @@ def test_grid_validation():
         Grid(5, -5, 128)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda grid: schrodinger.WaveFunction(grid, np.ones(grid.n_points - 1)), "amplitude array does not match the grid"),
+        (lambda grid: gaussian_wavepacket(grid, 0.0, 0.0, 0.0), "sigma must be positive"),
+        (lambda grid: evolve(HARMONIC, gaussian_wavepacket(grid, 0.0, 0.0, 1.0), 0.0, 1), "dt must be positive and steps non-negative"),
+        (lambda grid: evolve(HARMONIC, gaussian_wavepacket(grid, 0.0, 0.0, 1.0), 1e-3, -1), "dt must be positive and steps non-negative"),
+    ],
+    ids=["amplitudes-off-grid", "zero-width", "zero-dt", "negative-steps"],
+)
+def test_wavefunction_inputs_are_refused_by_name(make, message):
+    with pytest.raises(ValueError) as err:
+        make(Grid(-10, 10, 256))
+    assert str(err.value) == message
+
+
 def test_gaussian_packet_norm_and_width():
     grid = Grid(-20, 20, 2048)
     wf = gaussian_wavepacket(grid, 0.0, 0.0, 1.0)
