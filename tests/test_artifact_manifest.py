@@ -1,13 +1,20 @@
 """Every default artifact's bytes and every command's exit code, checked
 against the committed ``artifact_manifest.json``.
 
-The runs: ``simulate`` on the defaults of every scenario, the benchmark's
-anharmonic-order5 config and its 4x4 tunneling sweep, ``oracle`` on both
-of its scenarios (at their defaults and on a short grid), ``brackets`` at
-orders 2..7 on one pair and at orders 2..4 on two, and ``transform`` of the
-free trajectory to the Darboux chart and to the plane.  The bytes depend on
-Python, numpy, scipy and libm, so the manifest records the versions it was
-made with, and on other versions the test fails naming both.
+The runs: ``simulate`` on the defaults of every scenario and on variants
+(``cubic-tunneling`` at order 4, ``harmonic`` in classical mode with
+``casimir 0``, ``free`` with ``ps0 0.3`` at order 4, ``oracle-diff`` at
+``q0 0.5``, ``brackets-dump`` on two pairs at order 3, a quartic at
+``hbar 0.5``), the benchmark's anharmonic-order5 config, sweeps over
+criterion 07's ranges (the benchmark's 4x4 on floats, 8x8 at order 2 and
+6x6 at order 4 on row arrays) and two sweeps of error cells, the
+``adiabatic-compare`` command, ``oracle`` on both of its scenarios (at
+their defaults and on a short grid), ``brackets`` at orders 2..7 on one
+pair and at orders 2..4 on two, and ``transform`` of the free trajectory
+to the Darboux chart and to the plane, and of that Darboux chart back to
+the moments.  The bytes depend on Python, numpy, scipy and libm, so the
+manifest records the versions it was made with, and on other versions the
+test fails naming both.
 
 Run as a script, the module prints a fresh manifest:
 
@@ -44,6 +51,36 @@ SWEEP = {
     "scenario": "cubic-tunneling", "t_span": [0.0, 40.0], "rtol": 1e-8, "atol": 1e-11,
     "sweep": {"q0": {"min": 0.05, "max": 0.6, "count": 4}, "energy": {"min": 0.6, "max": 1.8, "count": 4}},
 }
+
+
+def grid(count: int, order: int) -> dict:
+    """A sweep of count x count cells over criterion 07's ranges: more
+    than 32 cells run on row arrays, not on floats."""
+    ranges = {"q0": {"min": 0.05, "max": 0.6, "count": count}, "energy": {"min": 0.6, "max": 1.8, "count": count}}
+    return {**SWEEP, "order": order, "sweep": ranges}
+
+
+# scenario variants, each a config of ``simulate``
+VARIANTS = {
+    "cubic-tunneling-order4": {"scenario": "cubic-tunneling", "order": 4},
+    "harmonic-classical": {"scenario": "harmonic", "classical_mode": True, "casimir": 0},
+    "free-ps0-order4": {"scenario": "free", "ps0": 0.3, "order": 4},
+    "oracle-diff-q0": {"scenario": "oracle-diff", "q0": 0.5},
+    "brackets-dump-3-2": {"scenario": "brackets-dump", "table_order": 3, "pairs": 2},
+    "quartic-hbar-0.5": {**ANHARMONIC, "hbar": 0.5, "order": 4, "t_span": [0.0, 5.0]},
+}
+SWEEPS = {
+    "sweep-4x4": SWEEP,
+    "sweep-8x8-order2": grid(8, 2),
+    "sweep-6x6-order4": grid(6, 4),
+    # cells below the rest energy, also where it overflows far out on the cubic
+    "sweep-error-cells": {
+        "scenario": "cubic-tunneling", "t_span": [0.0, 20.0],
+        "sweep": {"q0": [0.2, -1e103, -1e200], "energy": [0.1, 1.0]},
+    },
+    # cells below the rest energy and past the well, where V'' < 0
+    "sweep-no-equilibrium": {"scenario": "cubic-tunneling", "sweep": {"q0": [0.1, 5.0], "energy": [0.0, 1.2]}},
+}
 # an oracle run of a few milliseconds
 SHORT_ORACLE = {"grid_points": 512, "dt": 4e-3, "t_span": [0.0, 0.4], "samples": 5}
 TABLES = [(order, 1) for order in range(2, 8)] + [(order, 2) for order in range(2, 5)]
@@ -65,7 +102,10 @@ def commands(root: pathlib.Path) -> list:
         return name, [verb, "--config", str(path), "--out-dir", str(out / name)]
 
     runs = [configured("simulate", name, {"scenario": name}) for name in SCENARIOS]
-    runs += [configured("simulate", "anharmonic-order5", ANHARMONIC), configured("sweep", "sweep-4x4", SWEEP)]
+    runs += [configured("simulate", name, payload) for name, payload in VARIANTS.items()]
+    runs.append(configured("simulate", "anharmonic-order5", ANHARMONIC))
+    runs += [configured("sweep", name, payload) for name, payload in SWEEPS.items()]
+    runs.append(("adiabatic-compare-command", ["adiabatic-compare", "--out-dir", str(out / "adiabatic-compare-command")]))
     short = config / "oracle-short.json"
     short.write_text(json.dumps(SHORT_ORACLE))
     for name in ("free", "harmonic"):
@@ -81,6 +121,8 @@ def commands(root: pathlib.Path) -> list:
         name = f"transform-{chart}"
         trajectory = str(out / "free" / "trajectory.csv")
         runs.append((name, ["transform", "--to", chart, "--input", trajectory, "--output", str(out / f"{name}.csv")]))
+    darboux = str(out / "transform-darboux.csv")
+    runs.append(("transform-moments", ["transform", "--to", "moments", "--input", darboux, "--output", str(out / "transform-moments.csv")]))
     return runs
 
 
