@@ -29,7 +29,7 @@ class DomainError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DarbouxState1D:
     s: float
     p_s: float
@@ -81,8 +81,6 @@ def to_darboux(delta_q2: float, delta_qp: float, delta_p2: float) -> DarbouxStat
 
 def from_darboux(d: DarbouxState1D) -> tuple:
     """The inverse chart: (Delta(q^2), Delta(qp), Delta(p^2))."""
-    if d.s <= 0:
-        raise CoordinateSingularityError("s must be positive")
     return (d.s**2, d.s * d.p_s, d.p_s**2 + d.casimir / d.s**2)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import indices
-from .exact import MomentPolynomial
+from .exact import MomentPolynomial, hbar_parts
 from .moment_algebra import closed_form_bracket, leibniz_bracket
 
 
@@ -76,66 +76,94 @@ class MomentVectorField:
         self.potential = potential
         self.heff = heff
         self.positions = {var: i for i, var in enumerate(self.layout)}
-        self._compiled = {}
-        self._energy = {}
+        self._generated = {}  # hbar -> (rhs, ham)
 
     def expression(self, var) -> MomentPolynomial:
         return self.exprs[self.positions[var]]
 
     def compiled(self, hbar: float):
-        """rhs(t, y) callable generated once per hbar value.
+        """rhs(t, y) of ``source(hbar)``, generated once per hbar value.
 
         ``y`` is any sequence of one value per layout slot: the single-state
         integrator passes a list of Python floats, the batch integrator a
         list of row arrays (one value per cell).  It returns a list of the
-        derivatives in layout order.  The code unpacks ``y`` into locals
-        once and computes each power once, as a product, never by ``**``;
-        every term keeps the operand order of ``as_code``, so the bits are
-        those of its ``(y[i]*y[i]*...)`` form, on floats and on arrays alike.
+        derivatives in layout order, with the same bits on floats and on
+        arrays.
         """
-        key = float(hbar)
-        fn = self._compiled.get(key)
-        if fn is None:
-            fn = self._compiled[key] = self._generate("rhs(t, y)", self.exprs, key)
-        return fn
+        return self._functions(hbar)[0]
 
     def energy_function(self, hbar: float):
-        """ham(y) = <H_eff> of a state vector, generated once per hbar value
-        like ``compiled``."""
+        """ham(y) = <H_eff> of a state vector, from ``source(hbar)`` like
+        ``compiled``."""
+        return self._functions(hbar)[1]
+
+    def _functions(self, hbar):
         key = float(hbar)
-        fn = self._energy.get(key)
-        if fn is None:
-            fn = self._energy[key] = self._generate("ham(y)", self.heff, key)
-        return fn
+        fns = self._generated.get(key)
+        if fns is None:
+            ns = {}
+            exec(self.source(key), {"__builtins__": {}}, ns)
+            fns = self._generated[key] = ns["rhs"], ns["ham"]
+        return fns
 
-    def _generate(self, signature, exprs, hbar):
-        """``def signature`` returning the value of one MomentPolynomial, or
-        the list of values of a sequence of them."""
-        top = {}  # the highest power of each slot
+    def source(self, hbar: float) -> str:
+        """The code of ``rhs(t, y)``, the list of ``exprs``, and ``ham(y)``,
+        ``heff``, at one hbar value.
 
-        def name(slot, power):
-            return f"y{slot}" if power == 1 else f"y{slot}_{power}"
+        Each function unpacks ``y`` into locals once and computes each power
+        it needs once, as a left-associated product ``y{i}_{k} =
+        y{i}_{k-1}*y{i}``, never by ``**``: numpy's array ``**`` and libm's
+        ``pow`` part in the last bit, a product does not.  A term is its
+        coefficient (lambda^h taken to hbar^h) times its variables' powers in
+        key order, multiplied left to right, and terms are summed in sorted
+        key order.  A coefficient of 1.0 is left out and a negative one is
+        subtracted: the same IEEE operations as multiplying by 1.0 and adding
+        the negated term.
+        """
+        hbar = float(hbar)
+        lines = []
+        for signature, exprs, value in (
+            ("rhs(t, y)", self.exprs, "[\n        {},\n    ]"),
+            ("ham(y)", [self.heff], "{}"),
+        ):
+            top = {}  # the highest power of each slot
+            codes = [self._code(expr, hbar, top) for expr in exprs]
+            lines += [f"def {signature}:", "    " + "".join(f"y{i}, " for i in range(len(self.layout))) + "= y"]
+            lines += [
+                f"    {_power(slot, k)} = {_power(slot, k - 1)}*y{slot}"
+                for slot in sorted(top)
+                for k in range(2, top[slot] + 1)
+            ]
+            lines.append("    return " + value.format(",\n        ".join(codes)))
+        return "\n".join(lines) + "\n"
 
-        def factor(slot, power):
-            top[slot] = max(power, top.get(slot, 1))
-            return name(slot, power)
+    def _code(self, poly, hbar, top) -> str:
+        """One real polynomial as an expression over the locals of ``source``,
+        raising in ``top`` the highest power it takes of each slot."""
+        code = ""
+        for key in sorted(poly.terms):
+            h, vars_ = key
+            re, im = hbar_parts(h, poly.terms[key])
+            if im:
+                raise ValueError("cannot compile complex coefficient")
+            value = repr(float(re) * (hbar**h if h else 1.0))
+            sign, value = ("-", value[1:]) if value[0] == "-" else ("+", value)
+            factors = [] if value == "1.0" and vars_ else [value]
+            for v, power in vars_:
+                slot = self.positions[v]
+                top[slot] = max(power, top.get(slot, 1))
+                factors.append(_power(slot, power))
+            term = "*".join(factors)
+            if code:
+                code += f" {sign} {term}"
+            else:
+                code = term if sign == "+" else "-" + term
+        return code or "0.0"
 
-        one = isinstance(exprs, MomentPolynomial)
-        codes = [expr.as_code(self.positions, hbar, factor) for expr in ([exprs] if one else exprs)]
-        lines = [f"def {signature}:", "    " + "".join(f"y{i}, " for i in range(len(self.layout))) + "= y"]
-        # y_k = y_(k-1)*y: the left-associated product that as_code writes
-        lines += [
-            f"    {name(slot, k)} = {name(slot, k - 1)}*y{slot}"
-            for slot in sorted(top)
-            for k in range(2, top[slot] + 1)
-        ]
-        if one:
-            lines.append(f"    return {codes[0]}")
-        else:
-            lines.append("    return [\n        " + ",\n        ".join(codes) + ",\n    ]")
-        ns = {}
-        exec("\n".join(lines) + "\n", {"__builtins__": {}}, ns)
-        return ns[signature.split("(")[0]]
+
+def _power(slot: int, power: int) -> str:
+    """The local that holds a power of the state's slot in ``source``."""
+    return f"y{slot}" if power == 1 else f"y{slot}_{power}"
 
 
 def equations_of_motion(potential, truncation_order: int) -> MomentVectorField:

@@ -50,12 +50,6 @@ def _accumulate(terms: dict, key, c) -> None:
         terms[key] = s
 
 
-def _subscript(slot: int, power: int) -> str:
-    """y[slot], or its power as a left-associated product: numpy's array
-    ``**`` and libm's ``pow`` part in the last bit, a product does not."""
-    return f"y[{slot}]" if power == 1 else "(" + "*".join([f"y[{slot}]"] * power) + ")"
-
-
 class SparsePolynomial:
     """Sparse polynomial over Q on ``npairs`` canonical pairs.
 
@@ -249,26 +243,6 @@ class MomentPolynomial(SparsePolynomial):
                 val *= base**power
             total += val
         return total.real if self.is_real else total
-
-    def as_code(self, positions: dict, hbar: float, factor=None) -> str:
-        """Python expression with variables replaced by y[<slot>] lookups.
-
-        Coefficients must be real; terms are emitted in sorted key order so
-        generated code is deterministic.  ``factor(slot, power)``, if given,
-        writes a variable's power instead of ``_subscript``.
-        """
-        parts = []
-        for key in sorted(self.terms):
-            h, vars_ = key
-            re, im = hbar_parts(h, self.terms[key])
-            if im:
-                raise ValueError("cannot compile complex coefficient")
-            value = float(re) * (hbar**h if h else 1.0)
-            factors = [repr(value)]
-            for v, power in vars_:
-                factors.append((factor or _subscript)(positions[v], power))
-            parts.append("*".join(factors))
-        return " + ".join(parts) if parts else "0.0"
 
     # -- presentation -------------------------------------------------------
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import indices
 from .adiabatic import (
     AdiabaticModel,
-    NoEquilibriumError,
     adiabatic_acceleration,
     adiabatic_potential,
     delta_s_correction,
@@ -473,7 +472,7 @@ def tunneling_runs(cfg, cells, barrier_q) -> list:
     for q0, energy in cells:
         try:
             starts.append(_tunneling_start(cfg, model, field.layout, energy_fn, q0, energy))
-        except (NoEquilibriumError, ValueError) as exc:
+        except ValueError as exc:
             starts.append(exc)
     states = [s for s in starts if not isinstance(s, Exception)]
     runs = iter(_trajectory(cfg, states, event=_crossing_event(barrier_q, cfg)))

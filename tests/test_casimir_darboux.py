@@ -1,5 +1,6 @@
 """Canonical charts, the plane lift and the two-DOF expressions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,13 @@ def test_to_darboux_minimal_gaussian():
 def test_from_darboux_inverse_example():
     assert from_darboux(DarbouxState1D(2.0, 1.0, 4.0)) == (4.0, 2.0, 2.0)
     assert from_darboux(DarbouxState1D(1.0, 0.0, 0.25)) == (1.0, 0.0, 0.25)
+
+
+def test_darboux_state_cannot_change_after_its_checks():
+    """A chart state is checked when it is built (s > 0, C >= 0) and cannot
+    be changed afterwards, so ``from_darboux`` needs no check of its own."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DarbouxState1D(1.0, 0.0, 0.25).s = -1.0
 
 
 def test_round_trip_random_admissible():

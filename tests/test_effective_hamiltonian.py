@@ -1,6 +1,7 @@
 """Effective Hamiltonian construction and generated equations of motion."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -196,27 +197,51 @@ def test_equations_of_motion_match_oracle_validated_table(order, coefficients):
 
 
 
-# sha256 of as_code(positions, 1.0) of every equation and of H_eff, at
-# orders 2..7 in turn, one per line: the bytes every generated rhs and ham
-# are made from
+# sha256 of the source of rhs and ham at hbar 1, the code that runs, at
+# orders 2..7 in turn
 _EQUATION_DIGESTS = {
-    "free": ([], "78ae2eae5e00e619a2858136e0ef78c3b9649a3b7425b372f93aabc63f9f5a9f"),
-    "harmonic": ([0, 0, 0.5], "927a6f24712827a6570fb8b63c4a85af540556ade04fef40ca04153aab3f4605"),
-    "cubic": ([0, 0, 0.5, -0.1], "277de5471dc1d2d8f70b214d542590f7993866e996663e8559045e7e3c91ad81"),
-    "quartic": ([0, 0, 0.5, 0, 0.05], "b3451a40aa6ba1137f252f5e67e2ef4b28d4047f07b047f7b9da0f487772556e"),
-    "sextic": ([0, 0, 0.5, 0, -0.05, 0, 0.002], "f5632f3a4b1ae55d4054d3acbb078cc7ac1b7321cb15ce5a7fa651b1933c38b6"),
+    "free": ([], "6e7994009a8a63c834bb5e90f8fa4fc370554a500d6c6311933d5e5c8cd8a22d"),
+    "harmonic": ([0, 0, 0.5], "c09c768d630412cb6c9bf519d795b6bd7764990fa9e24bdfda67391db4eb1fc4"),
+    "cubic": ([0, 0, 0.5, -0.1], "c6dd4d15f6d61a40c1980b30baf19d3c9d816ccf279ec77796b48f7461839de0"),
+    "quartic": ([0, 0, 0.5, 0, 0.05], "8be0dcb722f8f8254265db8ee342817d96c55e4d92945cd9f29efd5129f534f8"),
+    "sextic": ([0, 0, 0.5, 0, -0.05, 0, 0.002], "4273bbc9610acf21b6d8ca040f9e4114170ec74cf38e73f451e46f7f200aab8c"),
 }
 
 
 @pytest.mark.parametrize("name", list(_EQUATION_DIGESTS))
 def test_generated_equations_are_pinned(name):
-    """The generated equations and H_eff keep their code, term for term, at
-    every order up to the ceiling; the oracle-table comparison above stops
-    at order 5."""
+    """The generated rhs and ham keep their code, term for term, at every
+    order up to the ceiling; the oracle-table comparison above stops at
+    order 5.  No coefficient is a factor 1.0 and none is added negated."""
     coefficients, digest = _EQUATION_DIGESTS[name]
     h = hashlib.sha256()
     for order in range(2, 8):
-        field = equations_of_motion(PolynomialPotential(coefficients), order)
-        for expr in (*field.exprs, field.heff):
-            h.update(expr.as_code(field.positions, 1.0).encode() + b"\n")
+        source = equations_of_motion(PolynomialPotential(coefficients), order).source(1.0)
+        assert not re.search(r"(?<![\d.])1\.0\*", source) and "+ -" not in source
+        h.update(source.encode())
     assert h.hexdigest() == digest
+
+
+# the largest deviation measured, relative to max(1, |value|), was 1.2e-15
+_EVALUATE_TOL = 1e-14
+
+
+@pytest.mark.parametrize("name", list(_EQUATION_DIGESTS))
+def test_generated_code_evaluates_the_exact_polynomials(name):
+    """rhs and ham agree with ``MomentPolynomial.evaluate`` of the field's
+    exact expressions and H_eff on random states, at hbar 1 and at a
+    non-unit hbar whose powers the code folds into its coefficients, at
+    every order up to the ceiling."""
+    coefficients = _EQUATION_DIGESTS[name][0]
+    rng = np.random.default_rng(33)
+    for order in range(2, 8):
+        field = equations_of_motion(PolynomialPotential(coefficients), order)
+        for hbar in (1.0, 0.37):
+            rhs, ham = field.compiled(hbar), field.energy_function(hbar)
+            for y in rng.uniform(-1.5, 1.5, size=(4, len(field.layout))).tolist():
+                basic = {var: value for var, value in zip(field.layout, y) if var[0] != "D"}
+                moments = {var[1]: value for var, value in zip(field.layout, y) if var[0] == "D"}
+                pairs = list(zip(rhs(0.0, y), field.exprs)) + [(ham(y), field.heff)]
+                for value, expr in pairs:
+                    exact = expr.evaluate(hbar, basic, moments)
+                    assert abs(value - exact) <= _EVALUATE_TOL * max(1.0, abs(exact)), (order, hbar, expr)

@@ -9,6 +9,7 @@ from functools import lru_cache
 import pytest
 
 from qmoments import indices
+from qmoments.effective_hamiltonian import MomentVectorField
 from qmoments.exact import MomentPolynomial, _accumulate, hbar_parts
 from qmoments.indices import single
 from qmoments.moment_algebra import (
@@ -339,11 +340,12 @@ def test_lambda_powers_meet_hbar_only_in_hbar_parts():
     assert [t for t in bracket.to_json_terms() if t["hbar"] == 2] == [
         {"coeff_re": "1/2", "hbar": 2, "q": {}, "p": {}, "moments": []}
     ]
-    positions = {v: i for i, v in enumerate(sorted(bracket.variables()))}
-    assert "2.0" in bracket.as_code(positions, 2.0).split(" + ")
+    # Delta(p^2) Delta(q^2) - 4 Delta(qp)^2 + 3 Delta(q^2 p^2) + hbar^2/2 at hbar 2
+    field = MomentVectorField(sorted(bracket.variables()), [bracket], None, MomentPolynomial.zero())
+    assert "        y0*y2 - 4.0*y1_2 + 3.0*y3 + 2.0,\n" in field.source(2.0)
     odd = MomentPolynomial.constant(Fraction(1, 2), 1, hbar_power=1)
     with pytest.raises(ValueError, match="complex"):
-        odd.as_code({}, 1.0)
+        MomentVectorField([], [odd], None, odd).source(1.0)
     assert odd.to_json_terms() == [
         {"coeff_re": "0", "coeff_im": "-1/2", "hbar": 1, "q": {}, "p": {}, "moments": []}
     ]

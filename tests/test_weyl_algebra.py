@@ -46,6 +46,17 @@ def test_multiply_single_commutator():
     }
 
 
+def test_operator_repr_names_each_hbar_coefficient():
+    """An operator prints each normal-ordered term with its hbar^h
+    coefficient c * (-i)^h: P Q = Q P + lambda, with lambda = -i hbar."""
+    q, p = OperatorPoly.position(), OperatorPoly.momentum()
+    assert repr(p * q) == "(1)*Q*P + (-1*i)*hbar"
+    assert repr(p * q * p * q) == "(1)*Q^2*P^2 + (-3*i)*hbar*Q*P + (-1)*hbar^2"
+    two = OperatorPoly.position(1, 2) * OperatorPoly.momentum(0, 2) * OperatorPoly.position(0, 2)
+    assert repr(two) == "(1)*Q1*P1*Q2 + (-1*i)*hbar*Q2"
+    assert repr(OperatorPoly.zero()) == "0"
+
+
 def test_commutator_q2_p2():
     """[Q^2, P^2] = 2 i hbar (QP + PQ) = 4 i hbar QP + 2 hbar^2
     = -4 lambda QP - 2 lambda^2."""
