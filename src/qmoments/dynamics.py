@@ -152,19 +152,19 @@ class IntegratorConfig:
 
 
 class Trajectory:
-    """Sampled solution with per-sample conservation monitors: the energy
-    it is given, and the Casimir and uncertainty margin (above the floor of
-    ``state0``) of its own second-moment columns; ``monitors`` sums them up."""
+    """Sampled solution, its columns named as in the CSV, with per-sample
+    monitors: the energy it is given, and the Casimir and margin above
+    ``floor`` of its own second moments; ``monitors`` sums them up."""
 
-    def __init__(self, times, ys, layout, state0: MomentState, energy, info=None):
+    def __init__(self, times, ys, layout, floor, energy, info=None):
         self.times = np.asarray(times)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         self.ys = np.asarray(ys)
-        self.layout = tuple(layout)
+        self.names = [_csv_name(var) for var in layout]
         self.energy = np.asarray(energy)
-        self.casimir = casimir_of(*(self.column(("D", indices.single(a, b))) for a, b in ((2, 0), (1, 1), (0, 2))))
-        self.margin = self.casimir - state0.margin_floor
+        self.casimir = casimir_of(*map(self.column, ("Delta_q2", "Delta_qp", "Delta_p2")))
+        self.margin = self.casimir - floor
         self.info = info or {}
 
     @functools.cached_property
@@ -177,20 +177,19 @@ class Trajectory:
         escale = max(abs(e0), 1e-300)
         # C = Δq²Δp² − Δqp² is a difference of products; at C0 = 0 its drift is
         # relative to the run's largest product Δq²Δp² instead
-        cscale = max(abs(c0) or float(np.max(np.abs(
-            self.column(("D", indices.single(2, 0))) * self.column(("D", indices.single(0, 2)))
-        ))), 1e-300)
+        cscale = max(abs(c0) or float(np.max(np.abs(self.column("Delta_q2") * self.column("Delta_p2")))), 1e-300)
         return {
             "energy_drift": float(np.max(np.abs(self.energy - e0)) / escale),
             "casimir_drift": float(np.max(np.abs(self.casimir - c0)) / cscale),
             "margin_min": float(np.min(self.margin)),
         }
 
-    def column(self, var) -> np.ndarray:
-        return self.ys[:, self.layout.index(var)]
+    def column(self, name) -> np.ndarray:
+        """The samples of CSV column ``name``; ValueError if there is none."""
+        return self.ys[:, self.names.index(name)]
 
     def header(self) -> list:
-        return ["t"] + [_csv_name(var) for var in self.layout] + ["energy", "casimir", "margin"]
+        return ["t", *self.names, "energy", "casimir", "margin"]
 
     def rows(self):
         for i, t in enumerate(self.times):
@@ -244,41 +243,38 @@ def _first_non_finite(layout, values) -> str:
 def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=None):
     """Integrate a moment vector field and record conservation monitors.
 
-    One ``MomentState`` is integrated by ``integrate_one`` into a
-    Trajectory, sampled at ``t_eval`` if given: a generated DOP853 step on
-    Python floats with scipy DOP853's step control and 7th-order dense
-    output, so no scipy is loaded.  A sequence of states, such as the cells
-    of a sweep or the one cell of a tunneling run, is integrated into a
-    TrajectoryBatch that stops each cell at an upward zero crossing of
-    ``event``: up to ``_MAX_FLOAT_CELLS`` states one at a time by
-    ``integrate_one`` (``_integrate_cells``), more together on row arrays
-    (``_integrate_batch``), with the same bytes either way.  One state
+    One ``MomentState`` gives a Trajectory, sampled at ``t_eval`` if given,
+    and raises the IntegrationError that stops it.  A sequence of states,
+    such as the cells of a sweep or the one cell of a tunneling run, gives
+    a TrajectoryBatch that stops each cell at an upward zero crossing of
+    ``event``.  Up to ``_MAX_FLOAT_CELLS`` states, one state included, run
+    one at a time by ``_integrate_cells``: a generated DOP853 step on
+    Python floats (``integrate_one``) with scipy DOP853's step control and
+    7th-order dense output, so no scipy is loaded.  More run together on
+    row arrays (``_integrate_batch``), with the same bytes.  One state
     takes no event, and a batch no ``t_eval``.  Both keep the local error
     below the configured tolerances; a step budget and finite-state checks
     guard runaway trajectories.  A failure names the last good time, the
-    truncation order and the component at fault.  A ``t_span`` without
-    t1 > t0 is refused before either path is taken.
+    truncation order and the component at fault.  ``integrate_one`` and
+    ``_integrate_batch`` each refuse a ``t_span`` without t1 > t0.
 
     Python floats do the same IEEE operations in the same order as
     ``np.float64`` scalars and as each cell of a row array, so the bytes
     are the same, and indexing a list and adding floats is several times
     faster than a numpy call on a few cells.
     """
-    if not float(t_span[1]) > float(t_span[0]):
-        raise ValueError("t_span must have t1 > t0")
-    if not isinstance(state0, MomentState):
-        if t_eval is not None:
-            raise ValueError("a batch of states records its own steps; t_eval is not supported")
-        states = list(state0)
-        run = _integrate_cells if len(states) <= _MAX_FLOAT_CELLS else _integrate_batch
-        return run(field, states, t_span, cfg, event)
-    if event is not None:
-        raise ValueError("a single state takes no event; an event stops the cells of a batch")
-    layout = field.layout
-    rhs = field.compiled(state0.hbar)
-    times, ys, info = integrate_one(rhs, state0.to_vector(layout), t_span, cfg, t_eval, layout, state0.order)
-    energy = field.energy_function(state0.hbar)(ys.T)
-    return Trajectory(times, ys, layout, state0, energy, info)
+    if isinstance(state0, MomentState):
+        if event is not None:
+            raise ValueError("a single state takes no event; an event stops the cells of a batch")
+        (traj,) = _integrate_cells(field, [state0], t_span, cfg, None, t_eval)
+        if isinstance(traj, IntegrationError):
+            raise traj
+        return traj
+    if t_eval is not None:
+        raise ValueError("a batch of states records its own steps; t_eval is not supported")
+    states = list(state0)
+    run = _integrate_cells if len(states) <= _MAX_FLOAT_CELLS else _integrate_batch
+    return run(field, states, t_span, cfg, event)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +597,7 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
 class TrajectoryBatch(list):
     """Results of one batched integration, in input order: a Trajectory
     per state, or the IntegrationError that stopped it.  ``info["nfev"]``
-    counts the right-hand-side calls, each on one cell or on a batch."""
+    counts each batched rhs call once, or sums the finished cells' counts."""
 
     def __init__(self, results, info):
         super().__init__(results)
@@ -703,31 +699,23 @@ def _event_root(event, at, lo, hi, g_lo, g_hi):
     return lo if g_lo == 0 else hi
 
 
-def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event) -> TrajectoryBatch:
+def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event, t_eval=None) -> TrajectoryBatch:
     """``_integrate_batch`` one cell at a time by ``integrate_one``, with the
-    same bytes in every result; ``info["nfev"]`` counts the right-hand-side
-    calls of all cells."""
+    same bytes in every result; it also runs ``integrate``'s one state, at
+    ``t_eval``.  ``info["nfev"]`` sums the Trajectories' own counts."""
     if not states:
         return TrajectoryBatch([], {"nfev": 0})
     layout, first = field.layout, states[0]
     rhs, energy_fn = field.compiled(first.hbar), field.energy_function(first.hbar)
-    calls = 0
-
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        return rhs(t, y)
-
     results = []
     for state in states:
         try:
-            times, ys, info = integrate_one(counted, state.to_vector(layout), t_span, cfg, None, layout, first.order, event)
+            times, ys, info = integrate_one(rhs, state.to_vector(layout), t_span, cfg, t_eval, layout, first.order, event)
         except IntegrationError as err:
             results.append(err)
             continue
-        energy = energy_fn(ys.T)
-        results.append(Trajectory(times, ys, layout, state, energy, info))
-    return TrajectoryBatch(results, {"nfev": calls})
+        results.append(Trajectory(times, ys, layout, state.margin_floor, energy_fn(ys.T), info))
+    return TrajectoryBatch(results, {"nfev": sum(r.info["nfev"] for r in results if isinstance(r, Trajectory))})
 
 
 def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> TrajectoryBatch:
@@ -748,11 +736,13 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     the same bytes in a batch of any size, a batch of one included, and in
     ``_integrate_cells``.
     """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must have t1 > t0")
     layout, first = field.layout, states[0]
     order = first.order
     rhs = field.compiled(first.hbar)
     dense = _dp_kernels(len(layout))[1]
-    t0, t1 = float(t_span[0]), float(t_span[1])
     n = len(states)
     results = [None] * n
     status, cell_nfev, naccept, nreject = (np.zeros(n, dtype=int) for _ in range(4))
@@ -782,9 +772,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             budget = f"step budget exhausted ({cfg.max_steps} evaluations)"
             for j in np.flatnonzero(~dead):
                 fail(j, budget, _largest_rate(layout, f_last[:, j]))
-        # the generated code indexes y[i] many times; a list of the rows
-        # hands out the same views without building new ones
-        for i, v in enumerate(rhs(ts, list(ys))):
+        for i, v in enumerate(rhs(ts, ys)):
             out[i] = v
         if not math.isfinite(out.sum()):
             for j in np.flatnonzero(~np.isfinite(out).all(axis=0) & ~dead):
@@ -877,5 +865,6 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     for i, (start, end) in enumerate(zip(ends - counts, ends)):
         if results[i] is None:
             info = {name: int(values[i]) for name, values in stats.items()}
-            results[i] = Trajectory(times[start:end], ys[start:end], layout, states[i], energy[start:end], info)
+            floor = states[i].margin_floor
+            results[i] = Trajectory(times[start:end], ys[start:end], layout, floor, energy[start:end], info)
     return TrajectoryBatch(results, {"nfev": nfev + dense_calls})

@@ -68,6 +68,10 @@ def _artifact(out_dir, name) -> str:
 # A sweep grid has at most this many cells, 64 times the 32x32 grid of
 # acceptance criterion 07.
 MAX_SWEEP_CELLS = 65_536
+# A run has at most this many samples, and a wavefunction grid this many
+# points: 64 times the default grid, room for grids of 8192-16384 points.
+MAX_SAMPLES = 65_536
+MAX_GRID_POINTS = 65_536
 
 # Keys that share their defaults, in groups.  Each scenario's entry spreads
 # the groups its run reads and adds its own keys: every key a config may give
@@ -188,23 +192,30 @@ def _is_number(x) -> bool:
     return is_int(x) and abs(x) <= sys.float_info.max
 
 
-def _sweep_values(spec, field):
+def _range_size(spec, field) -> int:
+    """The number of values of a sweep range, which is checked, not built."""
     if isinstance(spec, list):
         _require(all(map(_is_number, spec)), f"sweep.{field}", "must list numbers")
-        values = spec
-    elif isinstance(spec, dict) and {"min", "max", "count"} <= set(spec):
-        for key in ("min", "max"):
-            _require(_is_number(spec[key]), f"sweep.{field}.{key}", "must be a number")
-        _require(
-            is_int(spec["count"]) and 1 <= spec["count"] <= MAX_SWEEP_CELLS,
-            f"sweep.{field}.count",
-            f"must be an integer in 1..{MAX_SWEEP_CELLS}",
-        )
-        values = list(np.linspace(spec["min"], spec["max"], spec["count"]))
-    else:
-        raise ConfigError(f"sweep.{field}: must be a list or {{min, max, count}}")
-    if not values:
-        raise ConfigError(f"sweep.{field}: empty range")
+        _require(spec, f"sweep.{field}", "empty range")
+        return len(spec)
+    _require(
+        isinstance(spec, dict) and {"min", "max", "count"} <= set(spec),
+        f"sweep.{field}",
+        "must be a list or {min, max, count}",
+    )
+    for key in ("min", "max"):
+        _require(_is_number(spec[key]), f"sweep.{field}.{key}", "must be a number")
+    _require(
+        is_int(spec["count"]) and 1 <= spec["count"] <= MAX_SWEEP_CELLS,
+        f"sweep.{field}.count",
+        f"must be an integer in 1..{MAX_SWEEP_CELLS}",
+    )
+    return spec["count"]
+
+
+def _sweep_values(spec) -> list:
+    """The floats of a sweep range that the config gate has checked."""
+    values = spec if isinstance(spec, list) else np.linspace(spec["min"], spec["max"], spec["count"])
     return [float(v) for v in values]
 
 
@@ -214,7 +225,7 @@ def _is_sweep(spec) -> bool:
     _require(spec is not None, "sweep", "missing sweep ranges")
     if not isinstance(spec, dict) or set(spec) != {"q0", "energy"}:
         return False
-    cells = len(_sweep_values(spec["q0"], "q0")) * len(_sweep_values(spec["energy"], "energy"))
+    cells = _range_size(spec["q0"], "q0") * _range_size(spec["energy"], "energy")
     _require(cells <= MAX_SWEEP_CELLS, "sweep", f"grid of {cells} cells exceeds ceiling {MAX_SWEEP_CELLS}")
     return True
 
@@ -240,7 +251,7 @@ _KEYS = {
         lambda s: isinstance(s, (list, tuple)) and len(s) == 2 and all(map(_is_number, s)) and s[1] > s[0],
         "must be [t0, t1] with t1 > t0",
     ),
-    "samples": (lambda n: is_int(n) and n >= 2, "must be an integer >= 2"),
+    "samples": (lambda n: is_int(n) and 2 <= n <= MAX_SAMPLES, f"must be an integer in 2..{MAX_SAMPLES}"),
     "rtol": _POSITIVE,
     "atol": _POSITIVE,
     "max_steps": (lambda n: is_int(n) and n > 0, "must be a positive integer"),
@@ -268,7 +279,7 @@ _KEYS = {
     "adiabatic_order": (lambda n: is_int(n) and n in (0, 1), "must be 0 or 1"),
     "table_order": _INTEGER,
     "pairs": _INTEGER,
-    "grid_points": (lambda n: is_int(n) and n >= 64, "must be an integer >= 64"),
+    "grid_points": (lambda n: is_int(n) and 64 <= n <= MAX_GRID_POINTS, f"must be an integer in 64..{MAX_GRID_POINTS}"),
     "x_min": _NUMBER,
     "x_max": _NUMBER,
     "dt": _POSITIVE,
@@ -392,22 +403,13 @@ def _summary(cfg, traj, ok, artifacts=None, head=None, **body) -> dict:
     }
 
 
-_COLUMNS = {
-    "Delta_q2": ("D", indices.single(2, 0)),
-    "Delta_qp": ("D", indices.single(1, 1)),
-    "Delta_p2": ("D", indices.single(0, 2)),
-    "q": ("q", 0),
-    "p": ("p", 0),
-}
-
-
 def run_free(cfg, out_dir) -> dict:
     traj = _trajectory(cfg, _packet_state(cfg), _samples(cfg))
     traj.write_csv(_artifact(out_dir, "trajectory.csv"))
     # exact free solution: Delta(q^2) is quadratic in t; for ps0 = 0 this is
     # the growth law s0 sqrt(1 + C t^2 / (m^2 s0^4)) of free_particle_s
     m = float(cfg["mass"])
-    dq2, dqp, dp2 = (traj.column(_COLUMNS[c]) for c in ("Delta_q2", "Delta_qp", "Delta_p2"))
+    dq2, dqp, dp2 = map(traj.column, ("Delta_q2", "Delta_qp", "Delta_p2"))
     tau = traj.times - cfg["t_span"][0]
     s_ref = np.sqrt(dq2[0] + 2 * dqp[0] * tau / m + dp2[0] * tau**2 / m**2)
     deviation = float(np.max(np.abs(np.sqrt(dq2) - s_ref) / s_ref))
@@ -566,8 +568,7 @@ def run_sweep(cfg, out_dir) -> dict:
     """Grid of tunneling runs, q0-major, with per-cell classification (see
     ``tunneling_runs``).  Error cells carry nan in every figure column."""
     sweep = cfg["sweep"]
-    q0s = _sweep_values(sweep["q0"], "q0")
-    energies = _sweep_values(sweep["energy"], "energy")
+    q0s, energies = _sweep_values(sweep["q0"]), _sweep_values(sweep["energy"])
     barrier_q, barrier_v = cubic_barrier(moment_field(cfg).potential)
     cells = [(q0, e) for q0 in q0s for e in energies]
     records = [
@@ -679,7 +680,7 @@ def wavefunction_trajectory(cfg) -> tuple:
         times.append(current_t)
         ys.append(state.to_vector(layout))
         energy.append(energy_expectation(wf, pot))
-    traj = Trajectory(times, ys, layout, state, energy)
+    traj = Trajectory(times, ys, layout, uncertainty_floor(cfg["hbar"]), energy)
     return traj, quality_max
 
 
@@ -745,9 +746,8 @@ def run_oracle_diff(cfg, out_dir) -> dict:
     state0 = init_gaussian(cfg["q0"], cfg["p0"], cfg["sigma"], 0.0, cfg["hbar"], cfg["order"])
     traj = _trajectory(cfg, state0, oracle.times)
     traj.write_csv(_artifact(out_dir, "trajectory.csv"))
-    deviations = oracle_deviations(
-        *({col: t.column(var) for col, var in _COLUMNS.items()} for t in (oracle, traj))
-    )
+    columns = ("Delta_q2", "Delta_qp", "Delta_p2", "q", "p")
+    deviations = oracle_deviations(*({col: t.column(col) for col in columns} for t in (oracle, traj)))
     worst = max(deviations.values())
     ok = worst <= cfg["check_threshold"]
     return _summary(
@@ -785,9 +785,9 @@ def adiabatic_compare_run(cfg):
     times = _samples(cfg)
     traj = _trajectory(cfg, _initial_state(cfg, q0, 0.0, s_init), times)
     _, q_ad, _ = integrate_adiabatic(model, q0, 0.0, cfg["t_span"], times, integrator_config(cfg))
-    s_full = np.sqrt(traj.column(_COLUMNS["Delta_q2"]))
-    q_full = traj.column(_COLUMNS["q"])
-    qdot_full = traj.column(_COLUMNS["p"]) / float(cfg["mass"])
+    s_full = np.sqrt(traj.column("Delta_q2"))
+    q_full = traj.column("q")
+    qdot_full = traj.column("p") / float(cfg["mass"])
     s_ad0 = np.array([s0_of_q(model, q) for q in q_full])
     ds = np.array(
         [
@@ -857,12 +857,19 @@ def transform_trajectory(in_path, out_path, target: str, mass: float = 1.0):
 
 
 def _read_csv(path):
+    """The rows of a CSV of figures, as dicts by the header's names; a row
+    of the wrong width or with a cell that is no number is refused by line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = []
-        for line in fh:
-            values = line.strip().split(",")
-            rows.append({k: float(v) for k, v in zip(header, values)})
+        for line_no, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            where = f"input: line {line_no}"
+            _require(len(cells) == len(header), where, f"expected {len(header)} cells, found {len(cells)}")
+            try:
+                rows.append(dict(zip(header, map(float, cells))))
+            except ValueError:
+                raise ConfigError(f"{where}: a cell is not a number") from None
     return rows
 
 

@@ -104,7 +104,7 @@ def test_criterion_03_free_particle_vs_closed_form():
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 10, 201)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(rtol=1e-10, atol=1e-13), t_eval=times)
-    s_num = np.sqrt(traj.column(("D", single(2, 0))))
+    s_num = np.sqrt(traj.column("Delta_q2"))
     s_ref = free_particle_s(times, 1.0, 0.25, 1.0)
     dev = float(np.max(np.abs(s_num - s_ref) / s_ref))
     report(3, dev <= 1e-8, f"max relative deviation {dev:.3e} (<= 1e-8)")
@@ -146,12 +146,8 @@ def test_criterion_05_wavefunction_oracle_cross_validation(tmp_path):
         t_eval=data["t"],
     )
     worst = 0.0
-    for col, var in (
-        ("Delta_q2", ("D", single(2, 0))),
-        ("Delta_qp", ("D", single(1, 1))),
-        ("Delta_p2", ("D", single(0, 2))),
-    ):
-        ref = traj.column(var)
+    for col in ("Delta_q2", "Delta_qp", "Delta_p2"):
+        ref = traj.column(col)
         scale = float(np.max(np.abs(ref)))
         worst = max(worst, float(np.max(np.abs(data[col] - ref)) / scale))
     t_harm = time.monotonic() - t0
@@ -193,8 +189,8 @@ def test_criterion_06_centrifugal_lift():
     state0 = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 10, 2001)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=times)
-    s = np.sqrt(traj.column(("D", single(2, 0))))
-    p_s = traj.column(("D", single(1, 1))) / s
+    s = np.sqrt(traj.column("Delta_q2"))
+    p_s = traj.column("Delta_qp") / s
     casimir = float(traj.casimir[0])
     states = lift_trajectory(times, s, p_s, casimir, 1.0)
     xs = np.array([st.x for st in states])
@@ -299,6 +295,6 @@ def test_criterion_10_classical_mode_contrast():
     field = equations_of_motion(PolynomialPotential([], mass=1), 2)
     state0 = init_gaussian(0.0, 0.7, 1.3, 0.0, 1.0, 2, casimir=0.0, classical_mode=True)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=np.linspace(0, 10, 101))
-    s = np.sqrt(traj.column(("D", single(2, 0))))
+    s = np.sqrt(traj.column("Delta_q2"))
     dev = float(np.max(np.abs(s - s[0])))
     report(10, dev <= 1e-10, f"max |s(t) - s(0)| = {dev:.3e} (<= 1e-10)")

@@ -17,6 +17,8 @@ from qmoments.scenarios import (
     _KEYS,
     _SCENARIO_DEFAULTS,
     ORACLE_DEFAULTS,
+    MAX_GRID_POINTS,
+    MAX_SAMPLES,
     ConfigError,
     oracle_deviations,
     resolve_config,
@@ -743,6 +745,7 @@ def test_oracle_refuses_states_it_cannot_represent(tmp_path, capsys, payload, fi
 
 
 _RANGE = {"min": 0, "max": 1, "count": 4}
+_MOMENTS_HEADER, _MOMENTS_ROW = "t,q,p,Delta_q2,Delta_qp,Delta_p2", "0,0,0,1,0,0.25"
 _CELL = {"q0": [0.2], "energy": [1.8]}
 
 
@@ -760,6 +763,8 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         (["simulate"], {"scenario": "brackets-dump", "table_order": 7, "pairs": 2}, "pairs"),
         (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 10**15}, "energy": [1.0]}}, "sweep.q0.count"),
         (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 257}, "energy": {**_RANGE, "count": 256}}}, "sweep"),
+        (["simulate"], {"scenario": "free", "samples": MAX_SAMPLES + 1}, "samples"),
+        (["oracle", "--scenario", "free"], {"grid_points": MAX_GRID_POINTS + 1}, "grid_points"),
         # keys no run reads (the integrator has no method or fixed step)
         (["simulate"], {"scenario": "free", "method": "rk45"}, "method"),
         (["simulate"], {"scenario": "harmonic", "method": "rk4"}, "method"),
@@ -800,6 +805,8 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         "table-over-entry-ceiling",
         "sweep-axis-over-cell-ceiling",
         "sweep-grid-over-cell-ceiling",
+        "samples-over-ceiling",
+        "grid_points-over-ceiling",
         "free-method",
         "harmonic-method",
         "free-step",
@@ -852,8 +859,43 @@ def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, fie
             "t,q,p,Delta_q2,Delta_qp,Delta_p2,energy,casimir,margin\n",
             "config error: input: empty trajectory\n",
         ),
+        (
+            ["transform", "--to", "darboux", "--input", "{input}", "--output", "{out}"],
+            f"{_MOMENTS_HEADER}\n{_MOMENTS_ROW}\n0,1,2\n",
+            "config error: input: line 3: expected 6 cells, found 3\n",
+        ),
+        (
+            ["transform", "--to", "darboux", "--input", "{input}", "--output", "{out}"],
+            f"{_MOMENTS_HEADER}\n{_MOMENTS_ROW},7\n",
+            "config error: input: line 2: expected 6 cells, found 7\n",
+        ),
+        (
+            ["transform", "--to", "plane", "--input", "{input}", "--output", "{out}"],
+            f"{_MOMENTS_HEADER}\n{_MOMENTS_ROW}\n\n{_MOMENTS_ROW}\n",
+            "config error: input: line 3: expected 6 cells, found 1\n",
+        ),
+        (
+            ["transform", "--to", "darboux", "--input", "{input}", "--output", "{out}"],
+            f"{_MOMENTS_HEADER}\n0,0,x,1,0,0.25\n",
+            "config error: input: line 2: a cell is not a number\n",
+        ),
+        (
+            ["transform", "--to", "moments", "--input", "{input}", "--output", "{out}"],
+            "t,s,p_s,casimir\n0,1,0,0.25\n0.1,1,,0.25\n",
+            "config error: input: line 3: a cell is not a number\n",
+        ),
     ],
-    ids=["invalid-json", "sweep-range-not-a-range", "sweep-extra-key", "transform-header-only"],
+    ids=[
+        "invalid-json",
+        "sweep-range-not-a-range",
+        "sweep-extra-key",
+        "transform-header-only",
+        "transform-short-row",
+        "transform-long-row",
+        "transform-blank-line",
+        "transform-not-a-number",
+        "transform-empty-cell",
+    ],
 )
 def test_refused_input_names_its_cause(tmp_path, capsys, argv, text, message):
     """Each refused input exits 2 with a message that names its cause, and

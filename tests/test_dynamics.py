@@ -118,7 +118,7 @@ def test_free_particle_matches_closed_form():
     field = _free_field()
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=np.linspace(0, 10, 201))
-    s_num = np.sqrt(traj.column(("D", single(2, 0))))
+    s_num = np.sqrt(traj.column("Delta_q2"))
     s_ref = free_particle_s(traj.times, 1.0, 0.25, 1.0)
     assert np.max(np.abs(s_num - s_ref) / s_ref) < 1e-12
 
@@ -130,7 +130,7 @@ def test_harmonic_breathing_period_and_monitors():
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 2)
     times = np.linspace(0, 2 * math.pi, 101)
     traj = integrate(field, state0, (0, 2 * math.pi), IntegratorConfig(), t_eval=times)
-    dq2 = traj.column(("D", single(2, 0)))
+    dq2 = traj.column("Delta_q2")
     assert np.max(np.abs(dq2 - (1 - 0.75 * np.sin(times) ** 2))) < 1e-9
     assert np.max(np.abs(traj.energy - traj.energy[0])) / traj.energy[0] < 1e-10
     assert np.max(np.abs(traj.casimir - traj.casimir[0])) / traj.casimir[0] < 1e-9
@@ -151,7 +151,7 @@ def test_classical_mode_no_spreading():
     field = _free_field()
     state0 = init_gaussian(0, 1.0, 1.3, 0.0, 1.0, 2, casimir=0.0, classical_mode=True)
     traj = integrate(field, state0, (0, 10), IntegratorConfig(), t_eval=np.linspace(0, 10, 51))
-    s = np.sqrt(traj.column(("D", single(2, 0))))
+    s = np.sqrt(traj.column("Delta_q2"))
     assert np.max(np.abs(s - s[0])) <= 1e-10
     assert np.max(np.abs(traj.margin - traj.casimir)) == 0.0
 
@@ -169,8 +169,8 @@ def test_free_order_4_preserves_gaussian_closure():
     field = equations_of_motion(PolynomialPotential([], mass=1), 4)
     state0 = init_gaussian(0, 0, 1.0, 0.0, 1.0, 4)
     traj = integrate(field, state0, (0, 5), IntegratorConfig(), t_eval=np.linspace(0, 5, 51))
-    dq2 = traj.column(("D", single(2, 0)))
-    dq4 = traj.column(("D", single(4, 0)))
+    dq2 = traj.column("Delta_q2")
+    dq4 = traj.column("Delta_q4")
     assert np.max(np.abs(dq4 - 3 * dq2**2)) < 1e-10
 
 
@@ -572,6 +572,32 @@ def test_cells_on_floats_have_the_bytes_of_the_array_batch(order):
                 outcomes.add(ours.info["status"])
         assert len(floats) == len(arrays) == len(cells)
         assert outcomes >= {1, "step", "non-finite"}, outcomes
+        finished = [traj for traj in floats if not isinstance(traj, IntegrationError)]
+        assert floats.info["nfev"] == sum(traj.info["nfev"] for traj in finished)
+
+
+def test_float_batch_counts_every_rhs_call():
+    """A float batch whose cells all finish, at t1 or at the event's root,
+    reports exactly the right-hand-side calls it made: those of the steps,
+    of the interpolants and of the root bisections."""
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.1]), 2)
+    calls = []
+
+    def count(rhs):
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        return counted
+
+    def crossed(t, y):
+        return y[0] - 3.5
+
+    states = [init_gaussian(q0, p0, 0.7, order=2) for q0 in (0.1, 0.3) for p0 in (0.3, 1.6)]
+    cfg = IntegratorConfig(rtol=1e-6, atol=1e-9)
+    batch = integrate(_Wrapped(field, count), states, (0.0, 30.0), cfg, event=crossed)
+    assert {traj.info["status"] for traj in batch} == {0, 1}
+    assert batch.info["nfev"] == len(calls) == sum(traj.info["nfev"] for traj in batch)
 
 
 def test_overflowing_error_norm_steps_on_alike_on_both_paths():
@@ -725,7 +751,7 @@ def test_trajectory_requires_increasing_times():
             [0.0, 0.0, 1.0],
             np.zeros((3, 5)),
             (("q", 0), ("p", 0), ("D", single(2, 0)), ("D", single(1, 1)), ("D", single(0, 2))),
-            init_gaussian(0.0, 0.0, 1.0),
+            0.25,
             np.zeros(3),
         )
 
@@ -743,6 +769,14 @@ def test_csv_export_schema(tmp_path):
     )
     assert len(lines) == 6
     assert all(len(line.split(",")) == 13 for line in lines[1:])
+    # every state column by its CSV name, and nothing else
+    header = lines[0].split(",")
+    written = dict(zip(header, zip(*([float(x) for x in line.split(",")] for line in lines[1:]))))
+    for name in header[1:-3]:
+        assert traj.column(name).tolist() == list(written[name]), name
+    for bad in (("D", single(2, 0)), ("q", 0), "Delta_q4", "t", "energy"):
+        with pytest.raises(ValueError):
+            traj.column(bad)
 
 
 def test_write_table_bytes_match_per_value_formatting(tmp_path):
