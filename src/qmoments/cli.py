@@ -100,12 +100,10 @@ def main(argv=None) -> int:
 
             table_bound(args.order, args.pairs, "--order", "--pairs")
             table = build_bracket_table(args.order, args.pairs)
-            payload = dumps_json(table.to_jsonable())
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(payload + "\n")
+                write_json(args.out, table.to_jsonable())
             else:
-                print(payload)
+                print(dumps_json(table.to_jsonable()))
             return 0
 
         _bind_scenarios()

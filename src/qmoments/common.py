@@ -40,27 +40,77 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
+# Writes a str as ``json.dumps`` does, with ASCII escapes.
+_encode_str = json.encoder.encode_basestring_ascii
+
+# The classes ``_write_json`` dispatches on exactly.
+_JSON_CLASSES = frozenset((str, float, int, dict, list, tuple, bool, type(None)))
+
+
+def _json_class(obj):
+    """The class whose JSON form ``obj`` takes, by isinstance: how a subclass
+    (``np.float64``, an ``OrderedDict``) is written.  ``object`` means
+    ``json.dumps``, which writes a str subclass as a str and refuses the
+    types JSON has no form for."""
+    for cls in (dict, list, tuple, int, float):
+        if isinstance(obj, cls):
+            return cls
+    return object
+
+
+def _write_json(obj, newline, out):
+    """Append the text of ``obj`` to ``out``; ``newline`` is a line break
+    followed by the indent of the line ``obj`` starts on."""
+    cls = obj.__class__
+    if cls is str:
+        out.append(_encode_str(obj))
+        return
+    if cls not in _JSON_CLASSES:
+        cls = _json_class(obj)
+    if cls is float:
+        out.append(format_float(obj))
+    elif cls is int:
+        out.append(str(obj))
+    elif cls is dict:
         if not obj:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
         for k, v in obj.items():
-            items.append(f'{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 1)}')
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+            out.append(sep)
+            out.append(_encode_str(str(k)))
+            out.append(": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif cls is list or cls is tuple:
         if not obj:
-            return "[]"
-        items = [f"{pad}  {dumps_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    return json.dumps(obj)
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif cls is bool:
+        out.append("true" if obj else "false")
+    else:
+        out.append(json.dumps(obj))
+
+
+def dumps_json(obj) -> str:
+    """``obj`` as JSON with two-space indents, the layout of
+    ``json.dumps(obj, indent=2)``, in one pass.  A float takes 17
+    significant digits, and a non-finite one is written null; a dict key
+    is written as its ``str``."""
+    out = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
 
 
 def write_json(path, obj):

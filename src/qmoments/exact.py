@@ -149,10 +149,10 @@ class MomentPolynomial(SparsePolynomial):
     @classmethod
     def moment(cls, idx, coeff=1, hbar_power: int = 0):
         """coeff * hbar^hbar_power * Delta(idx)."""
-        n = indices.order(idx)
-        if n == 1:
+        vars_ = moment_vars(idx)
+        if vars_ is None:
             return cls.zero(len(idx))
-        return cls.term(len(idx), hbar_power, ((("D", idx), 1),) if n else (), coeff)
+        return cls.term(len(idx), hbar_power, vars_, coeff)
 
     # -- ring operations ---------------------------------------------------
 
@@ -291,6 +291,16 @@ class MomentPolynomial(SparsePolynomial):
                     entry[v[0]][str(v[1])] = power
             out.append(entry)
         return out
+
+
+def moment_vars(idx):
+    """The variables of Delta(idx) in a ``MomentPolynomial`` term: none for
+    the order-zero moment, the constant 1, and None for a first-order
+    moment, which vanishes."""
+    n = indices.order(idx)
+    if n == 1:
+        return None
+    return ((("D", idx), 1),) if n else ()
 
 
 def _merge_vars(v1, v2):

@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from . import indices
-from .exact import MomentPolynomial, SparsePolynomial, _accumulate, hbar_str
+from .exact import MomentPolynomial, SparsePolynomial, _accumulate, _merge_vars, hbar_str, moment_vars
 
 
 class NonHermitianError(ValueError):
@@ -80,7 +80,23 @@ class OperatorPoly(SparsePolynomial):
         return OperatorPoly(self.npairs, terms)
 
     def commutator(self, other) -> "OperatorPoly":
-        return self * other - other * self
+        """[self, other] in one pass over the term pairs.  The lambda^0 part
+        of a product of two monomials is their merged monomial with factor
+        1 in either order, so it cancels; only the reorderings that carry
+        lambda (``extra_h`` >= 1) of the two products are summed."""
+        self._check(other)
+        terms = {}
+        for (h1, e1), c1 in self.terms.items():
+            for (h2, e2), c2 in other.terms.items():
+                base = c1 * c2
+                h = h1 + h2
+                for extra_h, exps, factor in _normal_products(e1, e2):
+                    if extra_h:
+                        _accumulate(terms, (h + extra_h, exps), base * factor)
+                for extra_h, exps, factor in _normal_products(e2, e1):
+                    if extra_h:
+                        _accumulate(terms, (h + extra_h, exps), -base * factor)
+        return OperatorPoly(self.npairs, terms)
 
     def divide_ihbar(self) -> "OperatorPoly":
         """Exact division by i*hbar = -lambda; every term must carry hbar."""
@@ -122,15 +138,17 @@ def _pair_product(b1: int, a2: int):
 
 
 def _normal_products(e1, e2):
-    """All normal-ordered contributions of a product of two monomials."""
-    per_pair = [
-        [(k, (a1 + a2 - k, b1 + b2 - k), c) for k, c in _pair_product(b1, a2)]
-        for (a1, b1), (a2, b2) in zip(e1, e2)
-    ]
-    for combo in itertools.product(*per_pair):
-        h = sum(k for k, _, _ in combo)
-        exps = tuple(e for _, e, _ in combo)
-        yield h, exps, prod(c for _, _, c in combo)
+    """All normal-ordered contributions of a product of two monomials, as
+    (extra hbar power, exponents, factor)."""
+    out = [(0, (), 1)]
+    for (a1, b1), (a2, b2) in zip(e1, e2):
+        a, b = a1 + a2, b1 + b2
+        out = [
+            (h + k, exps + ((a - k, b - k),), c * ck)
+            for h, exps, c in out
+            for k, ck in _pair_product(b1, a2)
+        ]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +234,27 @@ def _normal_in_weyl(a: int, b: int):
     return tuple(sorted(acc.items()))
 
 
+@lru_cache(maxsize=None)
+def _monomial_expectation(exps):
+    """Expectation of one normal-ordered centered monomial, as a tuple of
+    ((hbar_power, variables), coeff) items: the product over pairs of each
+    pair's Weyl expansion, the Weyl monomial of index w read as
+    Delta(w)."""
+    terms = {}
+    for combo in itertools.product(*(_normal_in_weyl(a, b) for a, b in exps)):
+        coeff = 1
+        total_h = 0
+        widx = []
+        for (h_i, pair_weyl), c_i in combo:
+            coeff = coeff * c_i
+            total_h += h_i
+            widx.append(pair_weyl)
+        vars_ = moment_vars(tuple(widx))
+        if vars_ is not None:
+            _accumulate(terms, (total_h, vars_), coeff)
+    return tuple(terms.items())
+
+
 def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomial:
     """Expectation value of a normal-ordered centered operator polynomial.
 
@@ -227,17 +266,8 @@ def expectation(op: OperatorPoly, require_real: bool = False) -> MomentPolynomia
     """
     terms = {}
     for (h, exps), c in op.terms.items():
-        conversions = [_normal_in_weyl(a, b) for a, b in exps]
-        for combo in itertools.product(*conversions):
-            coeff = c
-            total_h = h
-            widx = []
-            for (h_i, pair_weyl), c_i in combo:
-                coeff = coeff * c_i
-                total_h += h_i
-                widx.append(pair_weyl)
-            for key, cc in MomentPolynomial.moment(tuple(widx), coeff, total_h).terms.items():
-                _accumulate(terms, key, cc)
+        for (h_i, vars_), c_i in _monomial_expectation(exps):
+            _accumulate(terms, (h + h_i, vars_), c * c_i)
     result = MomentPolynomial(op.npairs, terms)
     if require_real and not result.is_real:
         imaginary = {key: c for key, c in terms.items() if key[0] % 2}
@@ -269,14 +299,20 @@ def centering_term(m1, m2) -> MomentPolynomial:
         - a d Delta(m1 with a-1) Delta(m2 with d-1),
 
     because dW(a, b)/dQ = a W(a-1, b) and dW(a, b)/dP = b W(a, b-1)."""
-    moment = MomentPolynomial.moment
-    result = MomentPolynomial.zero(len(m1))
+    terms = {}
     for pair, ((a, b), (c, d)) in enumerate(zip(m1, m2)):
         if b * c:
-            result = result + moment(_lowered(m1, pair, 1), b * c) * moment(_lowered(m2, pair, 0))
+            _add_moment_product(terms, b * c, _lowered(m1, pair, 1), _lowered(m2, pair, 0))
         if a * d:
-            result = result - moment(_lowered(m1, pair, 0), a * d) * moment(_lowered(m2, pair, 1))
-    return result
+            _add_moment_product(terms, -a * d, _lowered(m1, pair, 0), _lowered(m2, pair, 1))
+    return MomentPolynomial(len(m1), terms)
+
+
+def _add_moment_product(terms, coeff, x, y):
+    """Add the term coeff * Delta(x) * Delta(y) to ``terms``."""
+    vx, vy = moment_vars(x), moment_vars(y)
+    if vx is not None and vy is not None:
+        _accumulate(terms, (0, _merge_vars(vx, vy)), coeff)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,8 @@ import pytest
 
 from qmoments import cli, scenarios
 from qmoments.cli import main
+from qmoments.common import dumps_json
+from qmoments.moment_algebra import build_bracket_table
 from qmoments.scenarios import (
     _KEYS,
     _SCENARIO_DEFAULTS,
@@ -647,6 +649,53 @@ def test_brackets_dump(tmp_path, capsys):
     # stdout variant
     assert main(["brackets", "--order", "2", "--pairs", "1"]) == 0
     assert '"entries"' in capsys.readouterr().out
+
+
+def test_dumps_json_pins_every_kind_it_writes():
+    """The artifact writer's bytes: two-space indents, floats to 17
+    significant digits and non-finite ones as null, subclasses by their
+    base type, ASCII escapes and keys as their str.  Without floats it is
+    ``json.dumps(obj, indent=2)``."""
+    obj = {
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "scalars": (True, False, None, -12),
+        "floats": [-0.0, 1e-300, float("nan"), float("inf"), np.float64(0.1)],
+        "text": {'café "ψ"': "Δ(q^2)\n", 7: [[1, 2], {"x": "y"}]},
+    }
+    assert dumps_json(obj) == r"""{
+  "empty": {
+    "dict": {},
+    "list": [],
+    "tuple": []
+  },
+  "scalars": [
+    true,
+    false,
+    null,
+    -12
+  ],
+  "floats": [
+    -0,
+    1e-300,
+    null,
+    null,
+    0.10000000000000001
+  ],
+  "text": {
+    "caf\u00e9 \"\u03c8\"": "\u0394(q^2)\n",
+    "7": [
+      [
+        1,
+        2
+      ],
+      {
+        "x": "y"
+      }
+    ]
+  }
+}"""
+    table = build_bracket_table(3, 2).to_jsonable()
+    assert dumps_json(table) == json.dumps(table, indent=2)
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,27 @@ def test_multiply_associative_randomized():
         assert (a * b) * c == a * (b * c)
 
 
+def test_commutator_is_the_difference_of_the_two_products():
+    """The one-pass commutator, which skips the lambda^0 terms of both
+    products, is a*b - b*a on random polynomials of 1-3 pairs with int and
+    Fraction coefficients and lambda powers 0-3; each commutes with itself."""
+    rng = random.Random(13)
+
+    def random_op(npairs):
+        op = OperatorPoly.zero(npairs)
+        for _ in range(rng.randint(2, 4)):
+            exps = tuple((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(npairs))
+            coeff = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(2, 4))])
+            op = op + OperatorPoly.monomial(exps, coeff, rng.randint(0, 3))
+        return op
+
+    for npairs in (1, 2, 3):
+        for _ in range(15):
+            a, b = random_op(npairs), random_op(npairs)
+            assert a.commutator(b) == a * b - b * a
+            assert a.commutator(a).is_zero
+
+
 # one-pair and two-pair polynomials of each SparsePolynomial subclass
 _BOTH_TYPES = [
     (OperatorPoly.position(), OperatorPoly.position(0, 2)),
