@@ -3,8 +3,13 @@
 The equations of motion evaluate the closed-form bracket of two single-pair
 moments (bilinear terms plus a K-coefficient sum) for exactly the pairs the
 Leibniz rule touches.  ``BracketTable`` entries, on any number of pairs, are
-computed by the first-principles ``bracket_oracle`` alone, which is
-authoritative.  The closed form takes its bilinear terms from the oracle's
+the brackets of the first-principles ``bracket_oracle``, which is
+authoritative, truncated at the table order.  Counting a moment of order k
+as hbar^(k/2), every term of {Delta(m1), Delta(m2)} has doubled hbar order
+exactly order(m1) + order(m2) - 2 (each lambda of the commutator removes two
+operator factors), as the tests prove; so an entry is either the oracle's
+bracket whole or, above the truncation order, empty without an oracle
+call.  The closed form takes its bilinear terms from the oracle's
 ``centering_term``, and the tests prove its K sum equal to the oracle's
 commutator part.  The tests also prove the oracle equal to the definition
 of the bracket, expanded in raw expectation values.
@@ -86,7 +91,8 @@ class BracketTable:
     Entries are stored for canonically ordered index pairs; the bracket of
     the reversed pair is the negated entry.  Stored polynomials are
     truncated by the semiclassical hbar-order filter.  ``validated`` records
-    per entry that the oracle computed it.
+    per entry that it is the oracle's truncated bracket: computed by the
+    oracle, or empty by the hbar grading.
     """
 
     def __init__(self, truncation_order: int, npairs: int):
@@ -142,8 +148,13 @@ def table_bound(order, pairs, order_field, pairs_field):
 
 @lru_cache(maxsize=None)
 def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
-    """Brackets of all moment index pairs up to the order, each computed
-    once by ``bracket_oracle``.
+    """Brackets of all moment index pairs up to the order, each the
+    oracle's bracket truncated at the order.
+
+    Every term of {Delta(m1), Delta(m2)} has doubled hbar order
+    order(m1) + order(m2) - 2, so a pair above the truncation order stores
+    the zero polynomial without calling ``bracket_oracle``, and a computed
+    bracket needs no truncation.
 
     Results are cached per configuration and the table is immutable
     afterwards.
@@ -159,7 +170,10 @@ def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
     table = BracketTable(truncation_order, npairs)
     for i, m1 in enumerate(idxs):
         for m2 in idxs[i + 1 :]:
-            table.store(m1, m2, bracket_oracle(m1, m2).truncate(truncation_order))
+            if indices.order(m1) + indices.order(m2) - 2 > truncation_order:
+                table.store(m1, m2, MomentPolynomial.zero(npairs))
+            else:
+                table.store(m1, m2, bracket_oracle(m1, m2))
     return table
 
 

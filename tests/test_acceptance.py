@@ -28,7 +28,7 @@ from qmoments.indices import single
 from qmoments.moment_algebra import build_bracket_table, closed_form_bracket, leibniz_bracket
 from qmoments.scenarios import MAX_ORDER, resolve_config, run_cubic_tunneling, run_oracle, run_sweep
 from qmoments.weyl_algebra import bracket_oracle
-from test_moment_algebra import index_pairs, operator_bracket
+from test_moment_algebra import index_pairs, lookup, operator_bracket
 
 D = MomentPolynomial.moment
 
@@ -298,3 +298,40 @@ def test_criterion_10_classical_mode_contrast():
     s = np.sqrt(traj.column("Delta_q2"))
     dev = float(np.max(np.abs(s - s[0])))
     report(10, dev <= 1e-10, f"max |s(t) - s(0)| = {dev:.3e} (<= 1e-10)")
+
+
+def test_criterion_11_truncated_jacobi_identity():
+    """The bracket truncated at N is an exact Poisson algebra: with the
+    brackets of build_bracket_table(N), extended to products by
+    leibniz_bracket, and each bracket truncated at N, Jacobi holds on every
+    triple of distinct moments at orders 3..7.  On the finite order-N
+    coordinates, the table as their Poisson tensor and the outer bracket not
+    truncated, the Jacobiator is zero at order 3 and, at orders 4..7, not
+    zero from doubled hbar order exactly N + 1."""
+    t0 = time.monotonic()
+    counts = []
+    for order in range(3, 8):
+        bracket = lookup(build_bracket_table(order, 1))
+        triples = nonzero = 0
+        lowest = None
+        for a, b, c in itertools.combinations(indices.iter_indices(order, 1), 3):
+            jacobiator = (
+                leibniz_bracket(D(a), bracket(b, c), bracket)
+                + leibniz_bracket(D(b), bracket(c, a), bracket)
+                + leibniz_bracket(D(c), bracket(a, b), bracket)
+            )
+            assert jacobiator.truncate(order).is_zero, f"truncated Jacobi fails at N={order} for {a}, {b}, {c}"
+            triples += 1
+            if not jacobiator.is_zero:
+                nonzero += 1
+                grade = min(jacobiator.hbar_order_doubled(key) for key in jacobiator.terms)
+                lowest = grade if lowest is None else min(lowest, grade)
+        assert lowest == (None if order == 3 else order + 1), (order, lowest)
+        finite = f"{nonzero} nonzero from doubled order {lowest}" if nonzero else "0 nonzero"
+        counts.append(f"N={order}: {triples} triples, finite Jacobiator {finite}")
+    elapsed = time.monotonic() - t0
+    report(
+        11,
+        elapsed < 60.0,
+        f"truncated Jacobi exact ({'; '.join(counts)}) in {elapsed:.1f}s (< 60s)",
+    )

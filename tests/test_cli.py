@@ -135,6 +135,27 @@ def test_harmonic_scenario(tmp_path):
     assert summary["monitors"]["energy_drift"] < 1e-8
 
 
+def test_trailing_zero_coefficient_changes_no_trajectory_byte(tmp_path):
+    """PolynomialPotential trims trailing zero coefficients, so the potential
+    [0, 0, 0.5, 0] runs the harmonic oscillator of [0, 0, 0.5]: the same
+    trajectory bytes, and a summary that differs only in the echoed
+    potential."""
+    summaries = {}
+    for name, potential in (("trimmed", [0, 0, 0.5]), ("padded", [0, 0, 0.5, 0])):
+        cfg = write_cfg(
+            tmp_path,
+            f"{name}.json",
+            {"scenario": "harmonic", "potential": potential, "t_span": [0.0, 6.0], "samples": 61},
+        )
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+        summaries[name] = json.loads((tmp_path / name / "summary.json").read_text())
+    trajectory = [(tmp_path / name / "trajectory.csv").read_bytes() for name in summaries]
+    assert trajectory[0] == trajectory[1]
+    assert summaries["padded"]["inputs"].pop("potential") == [0, 0, 0.5, 0]
+    assert summaries["trimmed"]["inputs"].pop("potential") == [0, 0, 0.5]
+    assert summaries["padded"] == summaries["trimmed"]
+
+
 def test_cubic_tunneling_scenario(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"scenario": "cubic-tunneling"})
     out = tmp_path / "c"
@@ -1142,6 +1163,16 @@ def test_two_dof_limit_scenario(tmp_path):
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
     summary = json.loads((out / "two_dof_limit.json").read_text())
     assert summary["k_ratio"] < 1.3
+
+
+def test_two_dof_limit_at_the_pole_is_a_runtime_error(tmp_path, capsys):
+    """beta = 0 puts the reduced state on the pole, where C1/(2 sin^2 beta)
+    is singular: exit 3, the cause named, no artifacts."""
+    cfg = write_cfg(tmp_path, "t.json", {"scenario": "two-dof-limit", "beta": 0})
+    out = tmp_path / "t"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "runtime error: sin(beta) = 0 is singular\n"
+    assert not out.exists()
 
 
 def test_transform_round_trip(tmp_path):

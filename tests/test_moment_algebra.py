@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +20,7 @@ from qmoments.moment_algebra import (
     kcoeff,
     leibniz_bracket,
 )
-from qmoments.weyl_algebra import OperatorPoly, bracket_oracle, expectation, weyl_monomial
+from qmoments.weyl_algebra import OperatorPoly, bracket_oracle, expectation, weyl_monomial, weyl_symmetrize
 
 D = MomentPolynomial.moment
 
@@ -158,22 +159,84 @@ def test_validated_bracket_emits_no_warning():
 
 def test_tables_never_consult_the_closed_forms(monkeypatch):
     """Every table entry is the oracle's bracket, truncated at the table
-    order; closed forms that return zero change nothing."""
+    order; closed forms that return zero change nothing.  The oracle is
+    called for exactly the pairs whose grade order(m1) + order(m2) - 2 fits
+    the truncation; the others are stored empty."""
     from qmoments import moment_algebra as ma
 
     zero = lambda m1, m2: MomentPolynomial.zero(len(m1))
     monkeypatch.setattr(ma, "closed_form_bracket", zero)
+    called = []
+
+    def recording_oracle(m1, m2):
+        called.append((m1, m2))
+        return bracket_oracle(m1, m2)
+
+    monkeypatch.setattr(ma, "bracket_oracle", recording_oracle)
     build_bracket_table.cache_clear()
     try:
-        for order, npairs in [(2, 1), (3, 1), (2, 2)]:
+        for order, npairs in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
+            called.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 table = build_bracket_table(order, npairs)
             assert table.entries
             for (m1, m2), entry in table.entries.items():
                 assert entry == bracket_oracle(m1, m2).truncate(order)
+            within = [(m1, m2) for m1, m2 in table.entries if indices.order(m1) + indices.order(m2) - 2 <= order]
+            assert sorted(called) == sorted(within)
     finally:
         build_bracket_table.cache_clear()
+
+
+@pytest.mark.parametrize("order, npairs", [(7, 1), (4, 2)])
+def test_every_bracket_term_has_the_grade_of_its_pair(order, npairs):
+    """Counting a moment of order k as hbar^(k/2), every term of the
+    untruncated oracle bracket {Delta(m1), Delta(m2)} has doubled hbar order
+    exactly order(m1) + order(m2) - 2.  This is what lets build_bracket_table
+    store an empty entry above its truncation order without calling the
+    oracle, and keep a computed bracket whole."""
+    for m1, m2 in index_pairs(order, npairs):
+        grade = indices.order(m1) + indices.order(m2) - 2
+        bracket = bracket_oracle(m1, m2)
+        for key in bracket.terms:
+            assert bracket.hbar_order_doubled(key) == grade, (m1, m2, key)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: build_bracket_table(1), MomentAlgebraError, "truncation order must be >= 2"),
+        (
+            lambda: leibniz_bracket(MomentPolynomial.q(), MomentPolynomial.q(0, 2), bracket_oracle),
+            MomentAlgebraError,
+            "operands live on different pair counts",
+        ),
+        (
+            lambda: indices.csv_name(((2, 0), (0, 0))),
+            ValueError,
+            "csv_name is defined for single-pair indices only",
+        ),
+        (
+            lambda: OperatorPoly.position().divide_ihbar(),
+            ValueError,
+            "term without hbar cannot be divided by i*hbar",
+        ),
+        (lambda: weyl_symmetrize(-1, 0), ValueError, "exponents must be non-negative"),
+        (lambda: weyl_symmetrize(2, -1), ValueError, "exponents must be non-negative"),
+    ],
+    ids=[
+        "table-below-order-2",
+        "leibniz-pair-counts",
+        "csv-name-two-pairs",
+        "divide-without-hbar",
+        "negative-q-exponent",
+        "negative-p-exponent",
+    ],
+)
+def test_algebra_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_table_n2_single_pair_contents():
