@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .common import ORACLE_SCENARIOS, ConfigError, IntegrationError, dumps_json, write_json
@@ -37,8 +36,8 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# The commands that run one resolved config, and the scenario each forces
-# (None: the config's own).
+# The commands whose config ``main`` resolves, and the scenario each forces
+# (None: the config's own); ``oracle`` resolves its own in ``run_oracle``.
 _CONFIG_COMMANDS = {"simulate": None, "sweep": "cubic-tunneling-sweep", "adiabatic-compare": "adiabatic-compare"}
 
 
@@ -107,28 +106,19 @@ def main(argv=None) -> int:
             return 0
 
         _bind_scenarios()
-        if args.command in _CONFIG_COMMANDS:
-            raw = _load_config(args.config) if args.config else {}
-            cfg = resolve_config(raw, scenario=_CONFIG_COMMANDS[args.command])
-            out_dir = args.out_dir or cfg["out_dir"]
-            if args.command == "sweep":
-                summary = run_sweep(cfg, out_dir)
-                write_json(os.path.join(out_dir, "summary.json"), summary)
-            else:
-                summary = run_scenario(cfg, out_dir)
-            print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
-            return 0 if summary["ok"] else 1
-
-        if args.command == "oracle":
-            overrides = _load_config(args.config) if args.config else {}
-            summary = run_oracle(args.scenario, overrides, args.out_dir)
-            write_json(os.path.join(args.out_dir, "oracle_summary.json"), summary)
-            print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
+        if args.command == "transform":
+            transform_trajectory(args.input, args.output, args.to, mass=args.mass)
             return 0
 
-        # argparse admits no command but the ones above and transform
-        transform_trajectory(args.input, args.output, args.to, mass=args.mass)
-        return 0
+        raw = _load_config(args.config) if args.config else {}
+        if args.command == "oracle":
+            summary = run_oracle(args.scenario, raw, args.out_dir)
+        else:
+            cfg = resolve_config(raw, scenario=_CONFIG_COMMANDS[args.command])
+            runner = run_sweep if args.command == "sweep" else run_scenario
+            summary = runner(cfg, args.out_dir or cfg["out_dir"])
+        print(dumps_json({"scenario": summary["scenario"], "ok": summary["ok"]}))
+        return 0 if summary["ok"] else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -188,15 +188,9 @@ class Trajectory:
         """The samples of CSV column ``name``; ValueError if there is none."""
         return self.ys[:, self.names.index(name)]
 
-    def header(self) -> list:
-        return ["t", *self.names, "energy", "casimir", "margin"]
-
-    def rows(self):
-        for i, t in enumerate(self.times):
-            yield [t, *self.ys[i], self.energy[i], self.casimir[i], self.margin[i]]
-
     def write_csv(self, path):
-        write_table(path, self.header(), self.rows())
+        rows = ([t, *y, e, c, m] for t, y, e, c, m in zip(self.times, self.ys, self.energy, self.casimir, self.margin))
+        write_table(path, ["t", *self.names, "energy", "casimir", "margin"], rows)
 
 
 def write_table(path, header, rows):

@@ -320,15 +320,7 @@ def integrator_config(cfg) -> IntegratorConfig:
 
 
 def _echo_inputs(cfg) -> dict:
-    out = {}
-    for key in sorted(cfg):
-        if key == "out_dir":
-            continue
-        value = cfg[key]
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
+    return {key: cfg[key] for key in sorted(cfg) if key != "out_dir"}
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +439,13 @@ def _tunneling_start(cfg, model, layout, energy_fn, q0: float, energy: float):
 
 
 def _crossing_event(barrier_q, cfg):
-    """Event that crosses zero upward where q passes the barrier plus
-    ``stop_margin``."""
-    stop = barrier_q + cfg["stop_margin"]
+    """Event that crosses zero upward where q passes the barrier by
+    ``stop_margin``, away from the origin on whichever side it lies."""
+    side = 1.0 if barrier_q > 0 else -1.0
+    stop = barrier_q + side * cfg["stop_margin"]
 
     def crossed(t, y):
-        return y[0] - stop
+        return side * (y[0] - stop)
 
     return crossed
 
@@ -584,7 +577,7 @@ def run_sweep(cfg, out_dir) -> dict:
     for rec in records:
         counts[rec["classification"]] += 1
     drifts = [r["energy_drift"] for r in records if r["classification"] != "error"]
-    return _summary(
+    summary = _summary(
         cfg,
         None,
         counts["bypassed"] > 0 and counts["trapped"] > 0,
@@ -594,6 +587,8 @@ def run_sweep(cfg, out_dir) -> dict:
         classification_counts=counts,
         max_energy_drift=float(max(drifts)) if drifts else None,
     )
+    write_json(_artifact(out_dir, "summary.json"), summary)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +685,15 @@ def run_oracle(name: str, cfg_overrides: dict | None, out_dir: str) -> dict:
     cfg = resolve_config({} if cfg_overrides is None else cfg_overrides, name, ORACLE_DEFAULTS)
     traj, quality = wavefunction_trajectory(cfg)
     traj.write_csv(_artifact(out_dir, "oracle_trajectory.csv"))
-    return {
+    summary = {
         "scenario": f"oracle-{name}",
         "inputs": _echo_inputs(cfg),
         "extraction_quality_max": quality,
         "artifacts": {"oracle_csv": "oracle_trajectory.csv"},
         "ok": True,
     }
+    write_json(_artifact(out_dir, "oracle_summary.json"), summary)
+    return summary
 
 
 def oracle_deviations(oracle: dict, moments: dict) -> dict:
@@ -766,8 +763,8 @@ def run_oracle_diff(cfg, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def adiabatic_compare_run(cfg):
-    """Shared machinery for the adiabatic comparison.
+def run_adiabatic_compare(cfg, out_dir) -> dict:
+    """Full moment dynamics against the adiabatic approximation.
 
     The full moment trajectory starts at a turning point on the
     first-order slaved manifold s = s0(q) + delta_s, in the Gaussian state
@@ -776,8 +773,7 @@ def adiabatic_compare_run(cfg):
     the full trajectory's q(t); the independently integrated adiabatic
     q(t) quantifies the back-reaction error.
     """
-    pot = PolynomialPotential(cfg["potential"], cfg["mass"])
-    model = AdiabaticModel(pot, _casimir(cfg))
+    model = AdiabaticModel(moment_field(cfg).potential, _casimir(cfg))
     q0 = cfg["amplitude"]
     s_init = s0_of_q(model, q0)
     if cfg["adiabatic_order"] >= 1:
@@ -801,12 +797,6 @@ def adiabatic_compare_run(cfg):
         "max_s_error_order0": float(np.max(np.abs(s_full - s_ad0))),
         "max_s_error_order1": float(np.max(np.abs(s_full - s_ad1))),
     }
-    return traj, times, q_full, s_full, q_ad, s_ad0, s_ad1, errors
-
-
-def run_adiabatic_compare(cfg, out_dir) -> dict:
-    """Full moment dynamics against the adiabatic approximation."""
-    traj, times, q_full, s_full, q_ad, s_ad0, s_ad1, errors = adiabatic_compare_run(cfg)
     write_table(
         _artifact(out_dir, "adiabatic_compare.csv"),
         ("t", "q_full", "s_full", "q_adiabatic", "s_adiabatic0", "s_adiabatic1"),

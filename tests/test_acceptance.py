@@ -8,6 +8,7 @@ bound.
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -334,4 +335,100 @@ def test_criterion_11_truncated_jacobi_identity():
         11,
         elapsed < 60.0,
         f"truncated Jacobi exact ({'; '.join(counts)}) in {elapsed:.1f}s (< 60s)",
+    )
+
+
+def _census_monomials(order):
+    """The real monomials of doubled hbar order <= ``order`` in the moments of
+    orders 2..order and lambda^2 (doubled order 4), constants left out: each
+    product of one or more moments, times every even power of lambda that
+    fits."""
+    moments = indices.iter_indices(order, 1)
+    monomials = []
+    for size in range(1, order // 2 + 1):
+        for factors in itertools.combinations_with_replacement(moments, size):
+            grade = sum(map(indices.order, factors))
+            for h in range(0, (order - grade) // 2 + 1, 2):
+                product = MomentPolynomial.constant(1, 1, h)
+                for m in factors:
+                    product = product * D(m)
+                monomials.append(product)
+    return monomials
+
+
+def _kernel(columns):
+    """A basis of {c : sum_j c_j columns[j] = 0} over the rationals, each
+    column a dict of exact coefficients: Gauss-Jordan elimination on sparse
+    rows, one free column per basis vector."""
+    rows = {}
+    for j, column in enumerate(columns):
+        for key, c in column.items():
+            rows.setdefault(key, {})[j] = Fraction(c)
+    pivots = {}  # pivot column -> its row, zero in every other pivot column
+    for row in rows.values():
+        for col, pivot_row in pivots.items():
+            f = row.get(col)
+            if f:
+                for j, a in pivot_row.items():
+                    row[j] = row.get(j, 0) - f * a
+        row = {j: a for j, a in row.items() if a}
+        if not row:
+            continue
+        lead = min(row)
+        row = {j: a / row[lead] for j, a in row.items()}
+        for col, pivot_row in pivots.items():
+            f = pivot_row.get(lead)
+            if f:
+                reduced = dict(pivot_row)
+                for j, a in row.items():
+                    reduced[j] = reduced.get(j, 0) - f * a
+                pivots[col] = {j: a for j, a in reduced.items() if a}
+        pivots[lead] = row
+    basis = []
+    for free in range(len(columns)):
+        if free not in pivots:
+            vector = {free: Fraction(1)}
+            vector.update((col, -row[free]) for col, row in pivots.items() if free in row)
+            basis.append(vector)
+    return basis
+
+
+def test_criterion_12_casimir_census():
+    """The Casimirs of the truncated algebra at orders 3..7: the real
+    polynomials in the moments and lambda^2 of doubled hbar order <= N,
+    constants left out, whose bracket with every moment vanishes when
+    truncated at N, the brackets from build_bracket_table(N) extended by
+    leibniz_bracket.  There is none at orders 3, 5, 6 and 7, and at order 4
+    only C2 = Delta(q^2) Delta(p^2) - Delta(qp)^2 itself."""
+    t0 = time.monotonic()
+    counts, dims = [], []
+    for order in range(3, 8):
+        bracket = lookup(build_bracket_table(order, 1))
+        monomials = _census_monomials(order)
+        columns = [
+            {
+                (m, key): c
+                for m in indices.iter_indices(order, 1)
+                for key, c in leibniz_bracket(poly, D(m), bracket).truncate(order).terms.items()
+            }
+            for poly in monomials
+        ]
+        kernel = _kernel(columns)
+        counts.append(len(monomials))
+        dims.append(len(kernel))
+        if order == 4:
+            (vector,) = kernel
+            casimir = MomentPolynomial.zero()
+            for j, c in vector.items():
+                casimir = casimir + monomials[j] * c
+            c2 = D(single(2, 0)) * D(single(0, 2)) - D(single(1, 1)) ** 2
+            key = next(iter(c2.terms))
+            assert casimir.scale(Fraction(c2.terms[key], casimir.terms[key])) == c2, casimir
+    elapsed = time.monotonic() - t0
+    assert counts == [7, 18, 36, 81, 155], counts
+    census = ", ".join(f"N={n}: {dim} of {count}" for n, count, dim in zip(range(3, 8), counts, dims))
+    report(
+        12,
+        dims == [0, 1, 0, 0, 0],
+        f"Casimir kernel dimension per order ({census} monomials), C2 alone at N=4, in {elapsed:.1f}s",
     )

@@ -15,7 +15,7 @@ from qmoments.adiabatic import (
 )
 from qmoments.dynamics import IntegrationError, IntegratorConfig
 from qmoments.effective_hamiltonian import PolynomialPotential
-from qmoments.scenarios import adiabatic_compare_run, resolve_config
+from qmoments.scenarios import resolve_config, run_adiabatic_compare
 from test_dynamics import _failure_parts
 
 
@@ -127,7 +127,7 @@ def test_delta_s_linear_in_acceleration():
         )
 
 
-def test_first_order_beats_order_zero_for_slow_driving():
+def test_first_order_beats_order_zero_for_slow_driving(tmp_path):
     """Slaving with the delta-s correction tracks the full fluctuation
     more closely than the bare equilibrium on a gently driven well."""
     for amplitude in (0.4, 0.2):
@@ -140,16 +140,16 @@ def test_first_order_beats_order_zero_for_slow_driving():
                 "samples": 401,
             }
         )
-        *_, errors = adiabatic_compare_run(cfg)
+        errors = run_adiabatic_compare(cfg, str(tmp_path))["errors"]
         assert errors["max_s_error_order1"] < errors["max_s_error_order0"]
 
 
-def test_adiabatic_q_error_decreases_with_driving_timescale():
+def test_adiabatic_q_error_decreases_with_driving_timescale(tmp_path):
     """Quartic well driven at three timescales spanning 10x."""
     errs = []
     for amplitude in (1.0, 10**-0.5, 0.1):
         cfg = resolve_config({"scenario": "adiabatic-compare", "amplitude": amplitude})
-        *_, errors = adiabatic_compare_run(cfg)
+        errors = run_adiabatic_compare(cfg, str(tmp_path))["errors"]
         errs.append(errors["max_q_error"])
     assert errs[0] > errs[1] > errs[2]
 

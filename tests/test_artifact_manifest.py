@@ -5,8 +5,9 @@ The runs: ``simulate`` on the defaults of every scenario and on variants
 (``cubic-tunneling`` at order 4, ``harmonic`` in classical mode with
 ``casimir 0``, ``free`` with ``ps0 0.3`` at order 4, ``oracle-diff`` at
 ``q0 0.5``, ``brackets-dump`` on two pairs at order 3, a quartic at
-``hbar 0.5``), the benchmark's anharmonic-order5 config, sweeps over
-criterion 07's ranges (the benchmark's 4x4 on floats, 8x8 at order 2 and
+``hbar 0.5``, the default cubic mirrored through the origin), the
+benchmark's anharmonic-order5 config, sweeps over criterion 07's ranges
+(the benchmark's 4x4 on floats and its mirror image, 8x8 at order 2 and
 6x6 at order 4 on row arrays) and two sweeps of error cells, the
 ``adiabatic-compare`` command, ``oracle`` on both of its scenarios (at
 their defaults and on a short grid), ``brackets`` at orders 2..7 on one
@@ -68,9 +69,15 @@ VARIANTS = {
     "oracle-diff-q0": {"scenario": "oracle-diff", "q0": 0.5},
     "brackets-dump-3-2": {"scenario": "brackets-dump", "table_order": 3, "pairs": 2},
     "quartic-hbar-0.5": {**ANHARMONIC, "hbar": 0.5, "order": 4, "t_span": [0.0, 5.0]},
+    # the default cubic mirrored through the origin, its barrier at q = -10/3
+    "cubic-tunneling-mirrored": {"scenario": "cubic-tunneling", "potential": [0, 0, 0.5, 0.1], "q0": -0.17},
 }
 SWEEPS = {
     "sweep-4x4": SWEEP,
+    "sweep-4x4-mirrored": {
+        **SWEEP, "potential": [0, 0, 0.5, 0.1],
+        "sweep": {"q0": {"min": -0.6, "max": -0.05, "count": 4}, "energy": SWEEP["sweep"]["energy"]},
+    },
     "sweep-8x8-order2": grid(8, 2),
     "sweep-6x6-order4": grid(6, 4),
     # cells below the rest energy, also where it overflows far out on the cubic

@@ -218,6 +218,62 @@ def test_sweep_smoke_grid(tmp_path):
     assert (out / "sweep_grid.csv").read_bytes() == (out2 / "sweep_grid.csv").read_bytes()
 
 
+# The default cubic mirrored through the origin: its barrier is at q = -10/3.
+_MIRRORED = {"scenario": "cubic-tunneling", "potential": [0, 0, 0.5, 0.1]}
+
+
+def test_barrier_left_of_the_origin_is_crossed(tmp_path):
+    """The mirror image of the default run bypasses its barrier at q = -10/3
+    and stops at the margin past it, as the default does on the right; the
+    mirror of the benchmark's 4x4 sweep classifies 8 bypassed and 8 trapped
+    cells, as the sweep it mirrors does."""
+    cfg = write_cfg(tmp_path, "m.json", dict(_MIRRORED, q0=-0.17))
+    out = tmp_path / "m"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["classification"] == "bypassed"
+    assert summary["barrier"]["position"] == pytest.approx(-10 / 3)
+    assert summary["monitors"]["energy_drift"] < 1e-10
+    t, q = map(float, (out / "trajectory.csv").read_text().splitlines()[-1].split(",")[:2])
+    assert q == pytest.approx(-10 / 3 - 0.5) and t == pytest.approx(7.9465, abs=1e-4)
+    ranges = {"q0": {"min": -0.6, "max": -0.05, "count": 4}, "energy": {"min": 0.6, "max": 1.8, "count": 4}}
+    cfg = write_cfg(
+        tmp_path, "ms.json", dict(_MIRRORED, sweep=ranges, t_span=[0.0, 40.0], rtol=1e-8, atol=1e-11)
+    )
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out / "sweep")]) == 0
+    counts = json.loads((out / "sweep" / "summary.json").read_text())["classification_counts"]
+    assert counts == {"bypassed": 8, "trapped": 8, "error": 0}
+
+
+def test_runners_write_the_summaries_main_writes(tmp_path):
+    """``run_sweep`` and ``run_oracle`` called directly write the summary
+    files of their commands, with the bytes ``main`` writes."""
+    from qmoments.scenarios import run_oracle
+
+    sweep = {"scenario": "cubic-tunneling", "sweep": {"q0": [0.17], "energy": [0.8, 1.4]}, "t_span": [0.0, 40.0]}
+    oracle = {"grid_points": 512, "dt": 4e-3, "t_span": [0.0, 0.4], "samples": 5}
+    run_sweep(resolve_config(sweep, scenario="cubic-tunneling-sweep"), str(tmp_path / "api-sweep"))
+    run_oracle("free", oracle, str(tmp_path / "api-oracle"))
+    cfg = write_cfg(tmp_path, "s.json", sweep)
+    assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "cli-sweep")]) == 0
+    cfg = write_cfg(tmp_path, "o.json", oracle)
+    assert main(["oracle", "--scenario", "free", "--config", cfg, "--out-dir", str(tmp_path / "cli-oracle")]) == 0
+    for command, name in (("sweep", "summary.json"), ("oracle", "oracle_summary.json")):
+        api, cli_run = (tmp_path / f"{via}-{command}" / name for via in ("api", "cli"))
+        assert api.read_bytes() == cli_run.read_bytes(), command
+
+
+def test_main_writes_no_artifact_of_a_config_command(tmp_path, monkeypatch, capsys):
+    """``main`` prints the result of the runner it calls and writes nothing
+    itself: a sweep runner that writes nothing leaves no summary."""
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, out_dir: {"scenario": cfg["scenario"], "ok": True})
+    out = tmp_path / "s"
+    cfg = write_cfg(tmp_path, "s.json", {"sweep": _CELL})
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"scenario": "cubic-tunneling-sweep", "ok": True}
+    assert not out.exists()
+
+
 def test_sweep_far_above_barrier_all_bypassed(tmp_path):
     cfg = write_cfg(
         tmp_path,
