@@ -58,9 +58,11 @@ def _json_class(obj):
     return object
 
 
-def _write_json(obj, newline, out):
+def _write_json(obj, newline, out, memo):
     """Append the text of ``obj`` to ``out``; ``newline`` is a line break
-    followed by the indent of the line ``obj`` starts on."""
+    followed by the indent of the line ``obj`` starts on.  ``memo`` keeps a
+    tuple's text per indent by the tuple's identity, as ``(True,) == (1,)``
+    but their texts differ, and holds the tuple so that no id is reused."""
     cls = obj.__class__
     if cls is str:
         out.append(_encode_str(obj))
@@ -81,20 +83,19 @@ def _write_json(obj, newline, out):
             out.append(sep)
             out.append(_encode_str(str(k)))
             out.append(": ")
-            _write_json(v, inner, out)
+            _write_json(v, inner, out, memo)
             sep = "," + inner
         out.append(newline + "}")
-    elif cls is list or cls is tuple:
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for v in obj:
-            out.append(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
+    elif cls is tuple:
+        key = (id(obj), newline)
+        hit = memo.get(key)
+        if hit is None:
+            part = []
+            _write_array(obj, newline, part, memo)
+            hit = memo[key] = ("".join(part), obj)
+        out.append(hit[0])
+    elif cls is list:
+        _write_array(obj, newline, out, memo)
     elif obj is None:
         out.append("null")
     elif cls is bool:
@@ -103,13 +104,27 @@ def _write_json(obj, newline, out):
         out.append(json.dumps(obj))
 
 
+def _write_array(obj, newline, out, memo):
+    if not obj:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    sep = "[" + inner
+    for v in obj:
+        out.append(sep)
+        _write_json(v, inner, out, memo)
+        sep = "," + inner
+    out.append(newline + "]")
+
+
 def dumps_json(obj) -> str:
     """``obj`` as JSON with two-space indents, the layout of
     ``json.dumps(obj, indent=2)``, in one pass.  A float takes 17
     significant digits, and a non-finite one is written null; a dict key
-    is written as its ``str``."""
+    is written as its ``str``; a tuple is written as a list, its text
+    rendered once per indent however often the tuple object recurs."""
     out = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, {})
     return "".join(out)
 
 

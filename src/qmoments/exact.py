@@ -268,7 +268,7 @@ class MomentPolynomial(SparsePolynomial):
         return " + ".join(bits)
 
     def to_json_terms(self) -> list:
-        """Deterministic JSON-ready term list for table dumps."""
+        """Deterministic JSON-ready term list; a moment index stays a tuple."""
         out = []
         for key in sorted(self.terms):
             h, vars_ = key
@@ -284,9 +284,7 @@ class MomentPolynomial(SparsePolynomial):
                 entry["coeff_im"] = str(im)
             for v, power in vars_:
                 if v[0] == "D":
-                    entry["moments"].append(
-                        {"index": indices.to_jsonable(v[1]), "power": power}
-                    )
+                    entry["moments"].append({"index": v[1], "power": power})
                 else:
                     entry[v[0]][str(v[1])] = power
             out.append(entry)

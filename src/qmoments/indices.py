@@ -79,6 +79,3 @@ def pretty(idx: MomentIndex) -> str:
             bits.append(f"p{tag}" if b == 1 else f"p{tag}^{b}")
     return "Delta(%s)" % " ".join(bits)
 
-
-def to_jsonable(idx: MomentIndex) -> list:
-    return [list(pair) for pair in idx]

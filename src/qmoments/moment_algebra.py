@@ -106,16 +106,17 @@ class BracketTable:
         self.validated[(m1, m2)] = True
 
     def to_jsonable(self) -> dict:
-        entries = []
-        for (m1, m2) in sorted(self.entries, key=lambda p: tuple(map(indices.sort_key, p))):
-            entries.append(
-                {
-                    "lhs": indices.to_jsonable(m1),
-                    "rhs": indices.to_jsonable(m2),
-                    "validated": self.validated[(m1, m2)],
-                    "terms": self.entries[(m1, m2)].to_json_terms(),
-                }
-            )
+        """The table as JSON-ready data, its entries in stored order, which
+        ``build_bracket_table`` makes the index sort order of the pairs."""
+        entries = [
+            {
+                "lhs": pair[0],
+                "rhs": pair[1],
+                "validated": self.validated[pair],
+                "terms": poly.to_json_terms(),
+            }
+            for pair, poly in self.entries.items()
+        ]
         return {
             "truncation_order": self.truncation_order,
             "pairs": self.npairs,
@@ -167,10 +168,11 @@ def build_bracket_table(truncation_order: int, npairs: int = 1) -> BracketTable:
             f"table with {n_entries} entries exceeds ceiling {MAX_TABLE_ENTRIES}"
         )
     idxs = indices.iter_indices(truncation_order, npairs)
+    orders = [indices.order(m) for m in idxs]
     table = BracketTable(truncation_order, npairs)
     for i, m1 in enumerate(idxs):
-        for m2 in idxs[i + 1 :]:
-            if indices.order(m1) + indices.order(m2) - 2 > truncation_order:
+        for m2, order2 in zip(idxs[i + 1 :], orders[i + 1 :]):
+            if orders[i] + order2 - 2 > truncation_order:
                 table.store(m1, m2, MomentPolynomial.zero(npairs))
             else:
                 table.store(m1, m2, bracket_oracle(m1, m2))

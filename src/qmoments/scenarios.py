@@ -512,7 +512,8 @@ def effective_saddle(pot: PolynomialPotential, casimir: float):
     A critical point has s = s0(q), where W is the adiabatic potential
     V + sqrt(C V''/m), and V' + V''' s^2/2 = 0.  Squared, that is a root of
     4 m V'^2 V'' - C V'''^2 with V'' > 0 and V' V''' <= 0.  The saddle is
-    the critical point of highest W between 0 and the classical barrier.
+    the critical point of highest W strictly between 0 and the classical
+    barrier, on whichever side of 0 the barrier lies.
     """
     barrier_q, _ = cubic_barrier(pot)
     model = AdiabaticModel(pot, casimir)
@@ -523,7 +524,7 @@ def effective_saddle(pot: PolynomialPotential, casimir: float):
     points = [
         (q, s0_of_q(model, q), adiabatic_potential(model, q))
         for q in roots[abs(roots.imag) < 1e-12].real.tolist()
-        if 0 < q < barrier_q and vpp(q) > 0 and vp(q) * vppp(q) <= 0
+        if min(0, barrier_q) < q < max(0, barrier_q) and vpp(q) > 0 and vp(q) * vppp(q) <= 0
     ]
     if not points:
         raise ConfigError("potential: no effective-potential critical points found")

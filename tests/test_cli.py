@@ -357,6 +357,22 @@ def test_effective_saddle_needs_a_critical_point():
     assert str(err.value) == "potential: no effective-potential critical points found"
 
 
+@pytest.mark.parametrize(
+    "coeffs, casimir",
+    [([0, 0, 0.5, -0.1], 0.25), ([0, 0, 0.5, -0.1], 0.05), ([0, 0, 1, -0.3], 0.25)],
+    ids=["default", "small-casimir", "steeper-cubic"],
+)
+def test_effective_saddle_of_the_mirrored_cubic_is_the_mirrored_saddle(coeffs, casimir):
+    """V(-q) has its barrier left of the origin, and its W(q, s) is the
+    mirror image of that of V: the saddle is (-q, s, W)."""
+    from qmoments.effective_hamiltonian import PolynomialPotential
+    from qmoments.scenarios import effective_saddle
+
+    q, s, w_s = effective_saddle(PolynomialPotential(coeffs), casimir)
+    mirrored = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    assert effective_saddle(PolynomialPotential(mirrored), casimir) == pytest.approx((-q, s, w_s), rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_tunneling_run_is_its_one_cell_sweep(tmp_path, order):
     """A cubic-tunneling run and the sweep of its one cell give the same
@@ -773,6 +789,94 @@ def test_dumps_json_pins_every_kind_it_writes():
 }"""
     table = build_bracket_table(3, 2).to_jsonable()
     assert dumps_json(table) == json.dumps(table, indent=2)
+
+
+def test_dumps_json_writes_a_recurring_tuple_as_each_of_its_places_needs():
+    """The writer renders a tuple's text once per indent and keys it by the
+    tuple's identity: the same tuple object at two indents takes each
+    indent, and tuples that compare equal, ``(True,)`` and ``(1,)`` or
+    ``(-0.0,)`` and ``(0.0,)``, keep their own texts."""
+    index = ((2, 0), (0, 1))
+    obj = {
+        "index": index,
+        "nested": {"index": index, "again": [index, index]},
+        "alike": [(True,), (1,), (1.0,), (-0.0,), (0.0,)],
+        "holds_list": (["q", [0.5]], None),
+        "empty": (),
+    }
+    assert dumps_json(obj) == """{
+  "index": [
+    [
+      2,
+      0
+    ],
+    [
+      0,
+      1
+    ]
+  ],
+  "nested": {
+    "index": [
+      [
+        2,
+        0
+      ],
+      [
+        0,
+        1
+      ]
+    ],
+    "again": [
+      [
+        [
+          2,
+          0
+        ],
+        [
+          0,
+          1
+        ]
+      ],
+      [
+        [
+          2,
+          0
+        ],
+        [
+          0,
+          1
+        ]
+      ]
+    ]
+  },
+  "alike": [
+    [
+      true
+    ],
+    [
+      1
+    ],
+    [
+      1
+    ],
+    [
+      -0
+    ],
+    [
+      0
+    ]
+  ],
+  "holds_list": [
+    [
+      "q",
+      [
+        0.5
+      ]
+    ],
+    null
+  ],
+  "empty": []
+}"""
 
 
 @pytest.mark.parametrize(

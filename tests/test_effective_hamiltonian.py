@@ -245,3 +245,14 @@ def test_generated_code_evaluates_the_exact_polynomials(name):
                 for value, expr in pairs:
                     exact = expr.evaluate(hbar, basic, moments)
                     assert abs(value - exact) <= _EVALUATE_TOL * max(1.0, abs(exact)), (order, hbar, expr)
+
+
+def test_reprs_name_what_each_object_holds():
+    """The presentation-only reprs: a grid by its interval and point count,
+    a potential by its exact coefficients (trailing zeros trimmed) and
+    mass, a moment state by its centroid, order and Casimir."""
+    assert repr(Grid(-10.5, 25.0, 1024)) == "Grid(-10.5, 25, 1024)"
+    assert repr(PolynomialPotential([0, 0, Fraction(1, 2), -0.1, 0], mass=2)) == (
+        "PolynomialPotential(['0', '0', '1/2', '-3602879701896397/36028797018963968'], mass=2)"
+    )
+    assert repr(init_gaussian(0.5, -0.25, 0.7, order=3)) == "MomentState(q=0.5, p=-0.25, order=3, C=0.25)"

@@ -1,6 +1,7 @@
 """Closed-form brackets, tables and the Leibniz-extended Poisson bracket."""
 
 import itertools
+import json
 import random
 import re
 import warnings
@@ -10,6 +11,7 @@ from functools import lru_cache
 import pytest
 
 from qmoments import indices
+from qmoments.common import dumps_json
 from qmoments.effective_hamiltonian import MomentVectorField
 from qmoments.exact import MomentPolynomial, _accumulate, hbar_parts
 from qmoments.indices import single
@@ -377,7 +379,7 @@ def test_leibniz_bracket_with_oracle_backend():
 
 def test_table_json_round_trip_structure():
     table = build_bracket_table(2, 1)
-    payload = table.to_jsonable()
+    payload = json.loads(dumps_json(table.to_jsonable()))
     assert payload["truncation_order"] == 2
     assert payload["pairs"] == 1
     assert len(payload["entries"]) == 3
@@ -390,6 +392,20 @@ def test_table_json_round_trip_structure():
         for t in e["terms"]
     ]
     assert ([[2, 0]], [[1, 1]], "2", [{"index": [[2, 0]], "power": 1}]) in flat
+
+
+def test_two_pair_polynomial_names_each_variable_by_its_pair():
+    """On two pairs a basic variable carries its pair's number, 1-based in
+    the repr and 0-based in the JSON terms; the zero polynomial prints 0."""
+    assert repr(MomentPolynomial.zero()) == repr(MomentPolynomial.zero(2)) == "0"
+    poly = MomentPolynomial.q(0, 2) * MomentPolynomial.p(1, 2) ** 2 + MomentPolynomial.moment(
+        ((1, 0), (0, 1)), Fraction(3, 2), 2
+    )
+    assert repr(poly) == "p2^2*q1 + -3/2*hbar^2*Delta(q1 p2)"
+    assert json.loads(dumps_json(poly.to_json_terms())) == [
+        {"coeff_re": "1", "hbar": 0, "q": {"0": 1}, "p": {"1": 2}, "moments": []},
+        {"coeff_re": "-3/2", "hbar": 2, "q": {}, "p": {}, "moments": [{"index": [[1, 0], [0, 1]], "power": 1}]},
+    ]
 
 
 def test_lambda_powers_meet_hbar_only_in_hbar_parts():
