@@ -116,6 +116,8 @@ def integrate_adiabatic(model: AdiabaticModel, q0, qdot0, t_span, t_eval, cfg: I
 
     def rhs(t, y):
         q, p = y
+        if isinstance(q, np.ndarray):  # row arrays: each column on floats
+            return np.array([rhs(s, col) for s, col in zip(t.tolist(), zip(q.tolist(), p.tolist()))]).T
         return [p / m, m * adiabatic_acceleration(model, q, p / m)]
 
     times, ys, _ = integrate_one(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -189,7 +190,8 @@ class Trajectory:
         return self.ys[:, self.names.index(name)]
 
     def write_csv(self, path):
-        rows = ([t, *y, e, c, m] for t, y, e, c, m in zip(self.times, self.ys, self.energy, self.casimir, self.margin))
+        columns = (self.times, self.ys, self.energy, self.casimir, self.margin)
+        rows = ([t, *y, e, c, m] for t, y, e, c, m in zip(*(a.tolist() for a in columns)))
         write_table(path, ["t", *self.names, "energy", "casimir", "margin"], rows)
 
 
@@ -244,12 +246,13 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     ``event``.  Up to ``_MAX_FLOAT_CELLS`` states, one state included, run
     one at a time by ``_integrate_cells``: a generated DOP853 step on
     Python floats (``integrate_one``) with scipy DOP853's step control and
-    7th-order dense output, so no scipy is loaded.  More run together on
-    row arrays (``_integrate_batch``), with the same bytes.  One state
-    takes no event, and a batch no ``t_eval``.  Both keep the local error
-    below the configured tolerances; a step budget and finite-state checks
-    guard runaway trajectories.  A failure names the last good time, the
-    truncation order and the component at fault.  ``integrate_one`` and
+    7th-order dense output, so no scipy is loaded; the interpolants of the
+    steps that hold samples are built together on row arrays.  More states
+    run together on row arrays (``_integrate_batch``), with the same bytes.
+    One state takes no event, and a batch no ``t_eval``.  Both keep the
+    local error below the configured tolerances; a step budget and
+    finite-state checks guard runaway trajectories.  A failure names the
+    last good time, the truncation order and the component at fault.  ``integrate_one`` and
     ``_integrate_batch`` each refuse a ``t_span`` without t1 > t0.
 
     Python floats do the same IEEE operations in the same order as
@@ -386,87 +389,123 @@ _EVENT_TOL = 4 * math.ulp(1.0)
 _MAX_FLOAT_CELLS = 32
 
 
-@functools.lru_cache(maxsize=8)  # orders 2..7 give six state sizes, (q, p) a seventh
-def _dp_kernels(n):
-    """Generated DOP853 step and dense output on lists of ``n`` Python floats.
+# The stages of a step that its interpolant reads, in stage order: a step
+# whose interpolant waits to be built holds only these.
+_HELD = sorted({j for row in (*_A[13:], *_D) for j in row if j < 13})
+_held_stages = operator.itemgetter(*_HELD)
+# A sampled run builds the interpolants of this many held steps at a time,
+# and evaluates them this many samples at a time.  On a 2-core VM, the 198
+# held steps of the anharmonic order-5 run cost 2.3, 1.58, 1.22 and 1.04
+# times one build of all of them in chunks of 16, 32, 64 and 128 steps
+# (7.2 ms for all, against 17 ms one step at a time on floats); a chunk of
+# 128 steps at 35 components, order 7, holds about 2 MiB of arrays.
+_DENSE_CHUNK = 128
+
+
+def _each(n, template, sep=", "):
+    """``template`` for every component of ``n``, ``#`` standing for its index."""
+    return sep.join(template.replace("#", str(i)) for i in range(n))
+
+
+def _stage_sum(row):
+    return " + ".join(f"{c!r}*k{j}_#" for j, c in row.items())
+
+
+def _stage(n, s, t):
+    return f"rhs({t}, [{_each(n, f'y# + h*({_stage_sum(_A[s])})')}])"
+
+
+def _compile(n, lines):
+    """The function that ``lines`` define, on ``n`` floats."""
+    ns = {}
+    code = compile("\n".join(lines) + "\n", f"<DOP853 on {n} floats>", "exec")
+    exec(code, {"__builtins__": {}, "sqrt": math.sqrt, "inf": math.inf, "overflowed": _overflowed_norm}, ns)
+    (fn,) = ns.values()
+    return fn
+
+
+# orders 2..7 give six state sizes, (q, p) a seventh
+@functools.lru_cache(maxsize=8)
+def _dp_step(n):
+    """Generated DOP853 step on lists of ``n`` Python floats.
 
     ``step(rhs, t, t_new, y, f, h, atol, rtol)`` takes the step of size
     ``h = t_new - t`` from ``y`` with ``f = rhs(t, y)`` and returns
     ``(y_new, error norm, the 13 stages, probe)``: the last stage is
     ``rhs(t_new, y_new)``, and ``probe``, the sum of the stages that the
-    norm does not weigh, is non-finite when one of them is.
-    ``dense(rhs, t_old, h, y, y_new, ks)`` makes the three extra stages and
-    returns the step's 7th-order interpolant as a function of ``t``.  Every
-    stage sum is written term by term in stage order, zero coefficients
-    skipped, as ``_combine`` reduces it, and the norm adds the squares as
+    norm does not weigh, is non-finite when one of them is.  Every stage sum
+    is written term by term in stage order, zero coefficients skipped, as
+    ``_combine`` reduces it, and the norm adds the squares as
     ``_sum_squares`` does, so the step has the bits of ``_step_arrays`` on a
-    one-cell array.  The two functions are compiled apart: at ``n = 20``
-    that raises the peak RSS by 1.9 MiB, against 4.4 MiB for one source.
+    one-cell array.  It is compiled apart from ``_dp_dense``, which a
+    sampled run needs only to replay a failure: at ``n = 20`` the step takes
+    about 15 ms to compile and raises the peak RSS by about 1.4 MiB, and
+    both functions by 1.5 MiB, against 1.7 MiB when they were one builder.
     """
-    comps = range(n)
-
-    def each(template, sep=", "):
-        """``template`` for every component, ``#`` standing for its index."""
-        return sep.join(template.replace("#", str(i)) for i in comps)
-
-    def stage_sum(row):
-        return " + ".join(f"{c!r}*k{j}_#" for j, c in row.items())
-
-    def stage(s, t):
-        return f"rhs({t}, [{each(f'y# + h*({stage_sum(_A[s])})')}])"
-
     step = [
         "def step(rhs, t, t_new, y, f, h, atol, rtol):",
-        f"    {each('y#')}, = y",
-        f"    {each('k0_#')}, = f",
+        f"    {_each(n, 'y#')}, = y",
+        f"    {_each(n, 'k0_#')}, = f",
     ]
     for s in range(1, 12):
-        step += [f"    k{s} = {stage(s, f't + {_C[s]!r}*h')}", f"    {each(f'k{s}_#')}, = k{s}"]
-    step.append(each(f"    n# = y# + h*({stage_sum(_A[12])})", "\n"))
-    step += [f"    k12 = rhs(t_new, [{each('n#')}])", f"    {each('k12_#')}, = k12"]
+        step += [f"    k{s} = {_stage(n, s, f't + {_C[s]!r}*h')}", f"    {_each(n, f'k{s}_#')}, = k{s}"]
+    step.append(_each(n, f"    n# = y# + h*({_stage_sum(_A[12])})", "\n"))
+    step += [f"    k12 = rhs(t_new, [{_each(n, 'n#')}])", f"    {_each(n, 'k12_#')}, = k12"]
     unweighed = sorted(set(range(13)) - set(_E5) - set(_E3))  # the stages the norm does not weigh
     # abs() by a comparison: a -0.0 left as it is scales to atol all the same
     step += [
-        each(
+        _each(
+            n,
             "    a = y# if y# >= 0 else -y#; b = n# if n# >= 0 else -n#; s = atol + (a if a >= b else b)*rtol\n"
-            f"    u# = ({stage_sum(_E5)})/s; v# = ({stage_sum(_E3)})/s",
+            f"    u# = ({_stage_sum(_E5)})/s; v# = ({_stage_sum(_E3)})/s",
             "\n",
         ),
-        f"    s5 = {each('u#*u#', ' + ')}",
-        f"    s3 = {each('v#*v#', ' + ')}",
-        f"    probe = {' + '.join(each(f'k{s}_#', ' + ') for s in unweighed)}",
+        f"    s5 = {_each(n, 'u#*u#', ' + ')}",
+        f"    s3 = {_each(n, 'v#*v#', ' + ')}",
+        f"    probe = {' + '.join(_each(n, f'k{s}_#', ' + ') for s in unweighed)}",
         f"    error = h*s5/sqrt((s5 + 0.01*s3)*{n}) if s5 or s3 else 0.0",
-        f"    if s5 + s3 == inf: error = overflowed(h, [{each('u#')}], [{each('v#')}], error)",
-        f"    return [{each('n#')}], error, ({', '.join(['f'] + [f'k{s}' for s in range(1, 13)])}), probe",
+        f"    if s5 + s3 == inf: error = overflowed(h, [{_each(n, 'u#')}], [{_each(n, 'v#')}], error)",
+        f"    return [{_each(n, 'n#')}], error, ({', '.join(['f'] + [f'k{s}' for s in range(1, 13)])}), probe",
     ]
+    return _compile(n, step)
 
-    used = {j for row in (*_A[13:], *_D) for j in row if j < 13}  # the step's stages dense reads
+
+@functools.lru_cache(maxsize=8)
+def _dp_dense(n):
+    """Generated DOP853 dense output on lists of ``n`` Python floats.
+
+    ``dense(rhs, t_old, h, y, y_new, ks)``, with ``ks`` the step's stages
+    in ``_HELD``, makes the three extra stages and returns the step's
+    7th-order interpolant as a function of ``t``, with the sums of
+    ``_dp_step`` and the bits of ``_dense_rows``.  Event roots need it, as
+    their bisection runs on floats; a sampled run needs it only to build an
+    interpolant that fails, so that it fails as when checked call by call.
+    At ``n = 20`` it takes about 12 ms to compile and raises the peak RSS by
+    1.0 to 1.3 MiB.
+    """
     horner = "((((((f6_#*x + f5_#)*u + f4_#)*x + f3_#)*u + f2_#)*x + f1_#)*u + d#)*x"
     dense = [
         "def dense(rhs, t_old, h, y, y_new, ks):",
-        f"    {each('y#')}, = y",
-        f"    {each('n#')}, = y_new",
-        f"    {', '.join('(' + each(f'k{s}_#') + ',)' if s in used else '_' for s in range(13))} = ks",
+        f"    {_each(n, 'y#')}, = y",
+        f"    {_each(n, 'n#')}, = y_new",
+        f"    {', '.join('(' + _each(n, f'k{s}_#') + ',)' for s in _HELD)} = ks",
     ]
-    dense += [f"    {each(f'k{s}_#')}, = {stage(s, f't_old + {_C[s]!r}*h')}" for s in (13, 14, 15)]
+    dense += [f"    {_each(n, f'k{s}_#')}, = {_stage(n, s, f't_old + {_C[s]!r}*h')}" for s in (13, 14, 15)]
     dense.append(
-        each(
+        _each(
+            n,
             "    d# = n# - y#; f1_# = h*k0_# - d#; f2_# = 2*d# - h*(k12_# + k0_#)\n"
-            + "\n".join(f"    f{r + 3}_# = h*({stage_sum(row)})" for r, row in enumerate(_D)),
+            + "\n".join(f"    f{r + 3}_# = h*({_stage_sum(row)})" for r, row in enumerate(_D)),
             "\n",
         )
     )
     dense += [
         "    def at(t):",
         "        x = (t - t_old)/h; u = 1 - x",
-        f"        return [{each(f'y# + {horner}')}]",
+        f"        return [{_each(n, f'y# + {horner}')}]",
         "    return at",
     ]
-    ns = {}
-    for lines in (step, dense):
-        code = compile("\n".join(lines) + "\n", f"<DOP853 on {n} floats>", "exec")
-        exec(code, {"__builtins__": {}, "sqrt": math.sqrt, "inf": math.inf, "overflowed": _overflowed_norm}, ns)
-    return ns["step"], ns["dense"]
+    return _compile(n, dense)
 
 
 class _Evaluations:
@@ -497,7 +536,9 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     DOP853's); returns the times, the states (at ``t_eval`` by the 7th-order
     interpolant, else at every step) and the info ``{"status", "nfev",
     "naccept", "nreject"}`` of a Trajectory.  A failure names ``order`` and a
-    component of ``layout``, the slots of the state vector.
+    component of ``layout``, the slots of the state vector.  ``rhs`` takes a
+    list of Python floats, and a list of row arrays, one value per column,
+    with the same bits in each column.
 
     ``event(t, y)``, with ``t_eval`` None, ends the run as it ends a cell of
     ``_integrate_batch``: at an accepted step with ``g <= 0 <= g_new`` the
@@ -509,7 +550,14 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     whenever a stage is.  A step with a non-finite norm or probe, or one that
     could cross the step budget, is run again one checked evaluation at a
     time, so a failure names the evaluation and the last good time that a
-    check per call names.  The interpolant's stages are always checked.
+    check per call names.
+
+    The interpolants of the steps that hold samples are built together, up
+    to ``_DENSE_CHUNK`` steps at a time, by ``_held_samples``; the three
+    evaluations of each are counted as its step is taken.  A failure of
+    one of them, or an interpolant that would cross the step budget, raises
+    what checking its stages one at a time raises, before any later failure
+    of the run.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -527,65 +575,144 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     f = checked(t, y)
     with np.errstate(all="ignore"):
         h_abs = float(_initial_step(evaluate, t0, t1, y0[:, None], np.array(f)[:, None], cfg.rtol, cfg.atol)[0])
-    step_fn, dense = _dp_kernels(len(y))
+    step_fn = _dp_step(len(y))
     times, ys, next_sample = ([t0], [y], 0) if samples is None else ([], [], 0)
-    g, status, naccept, nreject = event(t, y) if event else 0.0, 0, 0, 0
-    while t < t1:
-        # scipy's rule: a new step is at least 10 spacings of t long; a
-        # retry below that fails
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise _failure(_TOO_SMALL_STEP, checked.t, order, _largest_rate(layout, checked.out))
-            t_new = min(t + h_abs, t1)
-            step = t_new - t
-            args = (t, t_new, y, f, step, cfg.atol, cfg.rtol)
-            replay = checked.nfev + 12 > cfg.max_steps
-            if not replay:
-                y_new, error, ks, probe = step_fn(rhs, *args)
-                replay = not math.isfinite(error + probe)
-            if replay:
-                y_new, error, ks, _ = step_fn(checked, *args)
-            else:
-                checked.nfev += 12
-                checked.t, checked.out = t_new, ks[12]
-            growth = _SAFETY * error**_ERROR_EXPONENT if error else math.inf
-            if error < 1:
-                h_abs = step * min(1.0 if rejected else _MAX_FACTOR, growth)
-                break
-            h_abs = step * max(_MIN_FACTOR, growth)
-            rejected = True
-            nreject += 1
-        naccept += 1
+    # the steps whose samples are in times but not yet in ys
+    held = []
 
-        at = None  # the step's interpolant, made for its first sample or root
-        if event:
-            g_new = event(t_new, y_new)
-            if g <= 0 <= g_new:
-                at = dense(checked, t, step, y, y_new, ks)
-                root = _event_root(event, at, t, t_new, g, g_new)
-                times.append(root)
-                ys.append(at(root))
-                status = 1
-                break
-            g = g_new
-        if samples is None:
-            times.append(t_new)
-            ys.append(y_new)
-        else:
-            while next_sample < len(samples) and samples[next_sample] <= t_new:
-                if at is None:
-                    at = dense(checked, t, step, y, y_new, ks)
-                    # the run goes on from y_new, its last good state
+    def build():
+        if held:
+            chunk = held[:]
+            held.clear()
+            ys.extend(_held_samples(rhs, chunk, cfg.max_steps, layout, order))
+
+    g, status, naccept, nreject = event(t, y) if event else 0.0, 0, 0, 0
+    try:
+        while t < t1:
+            # scipy's rule: a new step is at least 10 spacings of t long; a
+            # retry below that fails
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise _failure(_TOO_SMALL_STEP, checked.t, order, _largest_rate(layout, checked.out))
+                t_new = min(t + h_abs, t1)
+                step = t_new - t
+                args = (t, t_new, y, f, step, cfg.atol, cfg.rtol)
+                replay = checked.nfev + 12 > cfg.max_steps
+                if not replay:
+                    y_new, error, ks, probe = step_fn(rhs, *args)
+                    replay = not math.isfinite(error + probe)
+                if replay:
+                    y_new, error, ks, _ = step_fn(checked, *args)
+                else:
+                    checked.nfev += 12
                     checked.t, checked.out = t_new, ks[12]
-                times.append(samples[next_sample])
-                ys.append(at(samples[next_sample]))
-                next_sample += 1
-        t, y, f = t_new, y_new, ks[12]
+                growth = _SAFETY * error**_ERROR_EXPONENT if error else math.inf
+                if error < 1:
+                    h_abs = step * min(1.0 if rejected else _MAX_FACTOR, growth)
+                    break
+                h_abs = step * max(_MIN_FACTOR, growth)
+                rejected = True
+                nreject += 1
+            naccept += 1
+
+            if event:
+                g_new = event(t_new, y_new)
+                if g <= 0 <= g_new:
+                    at = _dp_dense(len(y))(checked, t, step, y, y_new, _held_stages(ks))
+                    root = _event_root(event, at, t, t_new, g, g_new)
+                    build()
+                    times.append(root)
+                    ys.append(at(root))
+                    status = 1
+                    break
+                g = g_new
+            if samples is None:
+                times.append(t_new)
+                ys.append(y_new)
+            else:
+                first = next_sample
+                while next_sample < len(samples) and samples[next_sample] <= t_new:
+                    next_sample += 1
+                sampled = samples[first:next_sample]
+                if sampled:
+                    times += sampled
+                    if checked.nfev + 3 > cfg.max_steps:
+                        # the interpolant runs out of budget: made here,
+                        # after the held ones, it raises that failure
+                        build()
+                        _dp_dense(len(y))(checked, t, step, y, y_new, _held_stages(ks))
+                    held.append((t, t_new, step, np.array([y, y_new, *_held_stages(ks)]), checked.nfev, sampled))
+                    checked.nfev += 3
+                    if len(held) == _DENSE_CHUNK:
+                        build()
+            t, y, f = t_new, y_new, ks[12]
+    finally:
+        build()  # after a failure too: an interpolant that fails was made before it
     info = {"status": status, "nfev": checked.nfev, "naccept": naccept, "nreject": nreject}
     return np.array(times), np.array(ys), info
+
+
+def _held_samples(rhs, held, budget, layout, order):
+    """The samples of the held steps, each ``(t, t_new, h, its rows y,
+    y_new and the stages in _HELD, nfev, its sample times)``, in order, as
+    lists of floats.  ``_dense_rows`` builds their interpolants together,
+    one column per step, and evaluates them ``_DENSE_CHUNK`` samples at a
+    time.  If ``rhs`` raises there or an extra stage is not finite, the
+    generated ``dense`` builds them again one step at a time, its
+    evaluations checked from the step's ``nfev``, ``t_new`` and last stage,
+    and raises what an interpolant built as its step was taken raises."""
+    t_old, h = np.array([step[0] for step in held]), np.array([step[2] for step in held])
+    rows = np.stack([step[3] for step in held], axis=-1)  # (row, component, step)
+    ks = np.empty((16,) + rows.shape[1:])
+    ks[_HELD] = rows[2:]
+    t = np.array([s for step in held for s in step[5]])
+    cols = np.array([i for i, step in enumerate(held) for _ in step[5]])
+    out = []
+    try:
+        with np.errstate(all="ignore"):
+            at = _dense_rows(rhs, t_old, h, rows[0], rows[1], ks)
+    except Exception:  # raised again below, by the step that meets it
+        pass
+    else:
+        if np.isfinite(ks[13:]).all():
+            with np.errstate(all="ignore"):
+                for i in range(0, len(t), _DENSE_CHUNK):
+                    out += at(t[i : i + _DENSE_CHUNK], cols[i : i + _DENSE_CHUNK]).T.tolist()
+            return out
+    dense = _dp_dense(len(layout))
+    for t_old, t_new, h, rows, nfev, sample_times in held:
+        y, y_new, *stages = rows.tolist()
+        checked = _Evaluations(rhs, budget, layout, order, nfev, t_new, stages[-1])
+        at = dense(checked, t_old, h, y, y_new, stages)
+        out += map(at, sample_times)
+    return out
+
+
+def _dense_rows(rhs, t_old, h, y, y_new, ks):
+    """DOP853's 7th-order interpolant of many steps, one per column: the
+    arithmetic of the generated ``dense`` on row arrays, with ``_combine``'s
+    stage sums, so every column has its bits.  ``ks`` stacks the stages
+    (stage, component, column); given stages 0 and 5-12, it gets 13-15 from
+    one call of ``rhs`` on row arrays each.  Returns the interpolants as a
+    function ``at(t, cols)`` of sample times and the columns of their
+    steps, one sample per column of its result."""
+    for s in (13, 14, 15):
+        for i, v in enumerate(rhs(t_old + _C[s] * h, list(y + h * _combine(_A[s], ks)))):
+            ks[s, i] = v
+    d = y_new - y
+    f1, f2 = h * ks[0] - d, 2 * d - h * (ks[12] + ks[0])
+    rows = (y, d, f1, f2, *(h * _combine(row, ks) for row in _D))
+
+    def at(t, cols):
+        y, d, f1, f2, f3, f4, f5, f6 = (row[:, cols] for row in rows)
+        x = (t - t_old[cols]) / h[cols]
+        u = 1 - x
+        return y + ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + d) * x
+
+    return at
 
 
 class TrajectoryBatch(list):
@@ -736,7 +863,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     layout, first = field.layout, states[0]
     order = first.order
     rhs = field.compiled(first.hbar)
-    dense = _dp_kernels(len(layout))[1]
+    dense = _dp_dense(len(layout))
     n = len(states)
     results = [None] * n
     status, cell_nfev, naccept, nreject = (np.zeros(n, dtype=int) for _ in range(4))
@@ -818,7 +945,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
                         last = f_last[:, j].tolist()
                         checked = _Evaluations(rhs, cfg.max_steps, layout, order, nfev, t_last[j], last)
                         try:
-                            at = dense(checked, *(a[..., j].tolist() for a in (t, step, y, y_new, ks)))
+                            at = dense(checked, *(a[..., j].tolist() for a in (t, step, y, y_new, ks[_HELD])))
                             root = _event_root(event, at, *(a[j].item() for a in (t, t_new, g, g_new)))
                             t_rec[j], y_rec[:, j] = root, at(root)
                         except IntegrationError as err:

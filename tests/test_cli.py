@@ -650,6 +650,41 @@ def test_budget_spent_in_the_crossing_interpolant_fails_alike_on_both_paths(tmp_
     assert [str(cell) for cell in cells] == [err.removeprefix(prefix)] * (_MAX_FLOAT_CELLS + 1)
 
 
+@pytest.mark.parametrize("max_steps, last_good", [(14, "0.00188092"), (15, "0.000188092"), (16, "0.000376184")])
+def test_budget_spent_in_a_sampled_interpolant_names_its_evaluation(tmp_path, capsys, max_steps, last_good):
+    """The default harmonic run's first step holds the sample at t = 0 and
+    ends at 14 evaluations, the two that choose it included; its
+    interpolant makes three more.  With a budget of 14, 15 or 16 the run
+    fails in that interpolant, exit 3, naming the step's end or the last
+    good extra stage (t0 + 0.1h, t0 + 0.2h)."""
+    cfg = write_cfg(tmp_path, "h.json", {"scenario": "harmonic", "max_steps": max_steps})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "h")]) == 3
+    assert capsys.readouterr().err == (
+        f"runtime error: step budget exhausted ({max_steps} evaluations) "
+        f"(last good time t={last_good}, order 2, largest |dX/dt| 0.75 in Delta_qp)\n"
+    )
+
+
+def test_samples_across_many_interpolant_chunks_keep_their_bytes(tmp_path):
+    """The harmonic run at order 3 with 4001 samples builds its
+    interpolants in many chunks of _DENSE_CHUNK samples or more, some steps
+    holding dozens of samples; its artifacts keep the bytes of interpolants
+    built one step at a time."""
+    import hashlib
+
+    from qmoments.dynamics import _DENSE_CHUNK
+
+    assert 4001 > 10 * _DENSE_CHUNK
+    cfg = write_cfg(tmp_path, "h.json", {"scenario": "harmonic", "order": 3, "samples": 4001})
+    out = tmp_path / "h"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in os.listdir(out)}
+    assert digests == {
+        "trajectory.csv": "208e999925f44a19b7d4946f6d837ed930163100bde041c61ee12c0aa091b527",
+        "summary.json": "6e7225ec9e0294f00cb09210e0e234d657fcca21dc6100a7d6a54beb58306458",
+    }
+
+
 def test_zero_casimir_is_refused_where_a_run_needs_an_equilibrium(tmp_path, capsys):
     """At C = 0 (classical_mode) no cell has a fluctuation equilibrium
     s0(q): a tunneling run and a sweep are refused as configs, with no out
@@ -1211,17 +1246,16 @@ def test_tracer_installs_on_the_program(tmp_path):
     """The benchmark's tracer rebinds names of cli, scenarios and the other
     layers; a renamed one fails here rather than in the benchmark.  A short
     oracle run under it counts every ``evolve``, ``energy_expectation`` and
-    moment-extraction call, and a short moment run one field build and one
-    generated-rhs call per evaluation, so the rebound names are the ones
+    moment-extraction call, and the default tunneling run, which stops at
+    its event and samples no interpolant on row arrays, one field build and
+    one generated-rhs call per evaluation, so the rebound names are the ones
     both paths call."""
     import qmoments
 
     root = pathlib.Path(__file__).resolve().parents[1]
     src = os.path.dirname(os.path.dirname(qmoments.__file__))
     cfg = write_cfg(tmp_path, "o.json", {"grid_points": 512, "dt": 4e-3, "t_span": [0.0, 0.4], "samples": 5})
-    moment_cfg = write_cfg(
-        tmp_path, "m.json", {"scenario": "harmonic", "order": 3, "t_span": [0.0, 0.2], "samples": 2}
-    )
+    moment_cfg = write_cfg(tmp_path, "m.json", {"scenario": "cubic-tunneling"})
     script = (
         "from tracer import Tracer\n"
         "tracer = Tracer()\n"

@@ -438,19 +438,22 @@ def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
     """One generated DOP853 step on Python floats has the bits of the batch
     step (_step_arrays) on a one-cell array: the new state, all 13 stages
     and the error norm; a sample of its interpolant has the bits of the
-    reference _dense_output.  Each is scipy DOP853's step from the same
-    state up to rounding: the new state, the error norm of scipy's
-    _estimate_error_norm on our stages and a sample of its dense output."""
+    reference _dense_output, and so have the interpolants of all the steps
+    built together on row arrays by _dense_rows, sampled twice each.  Each
+    is scipy DOP853's step from the same state up to rounding: the new
+    state, the error norm of scipy's _estimate_error_norm on our stages and
+    a sample of its dense output."""
     from scipy.integrate import DOP853
 
-    from qmoments.dynamics import _dp_kernels, _step_arrays
+    from qmoments.dynamics import _HELD, _dense_rows, _dp_dense, _dp_step, _held_stages, _step_arrays
 
     rng = np.random.default_rng(17)
     cfg = IntegratorConfig()
     for order in range(2, 6):
         field = equations_of_motion(PolynomialPotential(coeffs), order)
         rhs = field.compiled(1.0)
-        step, dense = _dp_kernels(len(field.layout))
+        step, dense = _dp_step(len(field.layout)), _dp_dense(len(field.layout))
+        held = []
 
         def column(t, y, out):
             out[:, 0] = rhs(float(t[0]), y[:, 0].tolist())
@@ -471,9 +474,12 @@ def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
             assert np.array([error]).tobytes() == errors.tobytes()
             assert math.isfinite(probe)
             t_mid = t + 0.37 * h
-            at = dense(rhs, t, h, y.tolist(), y_new, ks)
-            reference = _dense_output(rhs, T, H, Y, Y_new, K)(np.array([t_mid]))
+            at = dense(rhs, t, h, y.tolist(), y_new, _held_stages(ks))
+            interp = _dense_output(rhs, T, H, Y, Y_new, K)
+            reference = interp(np.array([t_mid]))
             assert np.array(at(t_mid)).tobytes() == reference[:, 0].tobytes()
+            t_late = t + 0.91 * h
+            held.append((t, h, y, y_new, ks, [at(t_mid), at(t_late)], [reference, interp(np.array([t_late]))]))
 
             ref = DOP853(rhs, t, y, t + 1.0, rtol=cfg.rtol, atol=cfg.atol, first_step=h)
             ref.step()
@@ -486,6 +492,17 @@ def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
             # size, so two summation orders agree to about 1e-5 of the norm
             scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
             assert error == pytest.approx(DOP853._estimate_error_norm(DOP853, K[..., 0], h, scale), rel=1e-4)
+
+        # one column per step, sampled twice each: at t_mid, then at t_late
+        ks = np.empty((16, len(field.layout), len(held)))
+        ks[_HELD] = np.array([np.array(c[4])[_HELD] for c in held]).transpose(1, 2, 0)
+        t_old, h, y, y_new = (np.array([c[i] for c in held]).T for i in range(4))
+        at = _dense_rows(rhs, t_old, h, y, y_new, ks)
+        times = np.array([c[0] + r * c[1] for r in (0.37, 0.91) for c in held])
+        rows = at(times, np.arange(len(times)) % len(held))
+        floats = np.array([c[5][i] for i in (0, 1) for c in held]).T
+        references = np.array([c[6][i][:, 0] for i in (0, 1) for c in held]).T
+        assert rows.tobytes() == floats.tobytes() == references.tobytes()
 
 
 def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
@@ -796,3 +813,92 @@ def test_write_table_bytes_match_per_value_formatting(tmp_path):
         ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n" for row in rows
     )
     assert path.read_bytes() == expected.encode()
+
+
+def _windowed_rhs(t_star, width, kind, later=None):
+    """The harmonic oscillator, on floats or row arrays, failing only within
+    ``width`` of ``t_star``: a nan in q, or a ValueError; past ``later`` it
+    raises a RuntimeError."""
+
+    def rhs(t, y):
+        q, p = y
+        if later is not None and np.any(np.asarray(t) > later):
+            raise RuntimeError("later failure")
+        hit = np.abs(np.asarray(t) - t_star) < width
+        if np.any(hit):
+            if kind == "raise":
+                raise ValueError(f"rhs undefined at t={t}")
+            return [np.where(hit, math.nan, p)[()], -q]
+        return [p, -q]
+
+    return rhs
+
+
+@pytest.mark.parametrize("later", [None, 0.5], ids=["alone", "then-later-failure"])
+@pytest.mark.parametrize(
+    "kind, error, message",
+    [
+        (
+            "nan",
+            IntegrationError,
+            "non-finite state at t=9.99001e-05 (last good time t=0.000999001, order 2, first non-finite component q)",
+        ),
+        ("raise", ValueError, "rhs undefined at t=9.99000999000999e-05"),
+    ],
+)
+def test_sampled_interpolant_failure_reads_as_when_it_is_met(kind, error, message, later):
+    """The first step of a harmonic run (h = 0.000999...) holds the sample at
+    t = 0; a rhs that fails only near its interpolant's first extra stage,
+    t0 + 0.1h, fails the run there, with the message of that evaluation
+    checked as it is met: a non-finite q, or the rhs's own ValueError.  A
+    later failure of the run (past t = 0.5) does not hide it."""
+    from qmoments.dynamics import integrate_one
+
+    layout, cfg, y0 = [("q",), ("p",)], IntegratorConfig(), np.array([1.0, 0.0])
+    times, _, _ = integrate_one(_windowed_rhs(-1.0, 0.0, kind), y0, (0.0, 2.0), cfg, None, layout, 2)
+    h = times[1] - times[0]
+    assert h == 0.000999000999000999
+    rhs = _windowed_rhs(0.1 * h, 1e-3 * h, kind, later)
+    with pytest.raises(error) as excinfo:
+        integrate_one(rhs, y0, (0.0, 2.0), cfg, np.linspace(0.0, 2.0, 5), layout, 2)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+    if error is IntegrationError:
+        assert excinfo.value.last_time == h
+
+
+def test_rhs_on_floats_alone_samples_a_run_alike():
+    """A rhs that refuses row arrays still samples a run, its interpolants
+    built one step at a time on floats, with the same bytes and count."""
+    from qmoments.dynamics import integrate_one
+
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, 0, 0.05]), 3)
+    rhs = field.compiled(1.0)
+
+    def floats_only(t, y):
+        if isinstance(t, np.ndarray):
+            raise TypeError("floats only")
+        return rhs(t, y)
+
+    y0 = init_gaussian(0.17, 0.5, 0.7, order=3).to_vector(field.layout)
+    runs = [
+        integrate_one(f, y0, (0.0, 20.0), IntegratorConfig(), np.linspace(0.0, 20.0, 401), field.layout, 3)
+        for f in (rhs, floats_only)
+    ]
+    (times, ys, info), (times_f, ys_f, info_f) = runs
+    assert times.tobytes() == times_f.tobytes() and ys.tobytes() == ys_f.tobytes() and info == info_f
+
+
+def test_sampled_run_compiles_no_float_interpolant():
+    """A sampled run whose interpolants all build on row arrays compiles
+    only the generated step; the float interpolant waits for a run that
+    needs it, here a failing one."""
+    from qmoments.dynamics import _dp_dense
+
+    field = _free_field()
+    state0 = init_gaussian(0.0, 0.3, 1.0, 0.0, 1.0, 2)
+    _dp_dense.cache_clear()
+    integrate(field, state0, (0.0, 2.0), IntegratorConfig(), t_eval=np.linspace(0.0, 2.0, 11))
+    assert _dp_dense.cache_info().currsize == 0
+    with pytest.raises(IntegrationError, match="step budget exhausted"):
+        integrate(field, state0, (0.0, 2.0), IntegratorConfig(max_steps=15), t_eval=np.linspace(0.0, 2.0, 11))
+    assert _dp_dense.cache_info().currsize == 1
