@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -246,13 +246,13 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     ``event``.  Up to ``_MAX_FLOAT_CELLS`` states, one state included, run
     one at a time by ``_integrate_cells``: a generated DOP853 step on
     Python floats (``integrate_one``) with scipy DOP853's step control and
-    7th-order dense output, so no scipy is loaded; the interpolants of the
-    steps that hold samples are built together on row arrays.  More states
-    run together on row arrays (``_integrate_batch``), with the same bytes.
-    One state takes no event, and a batch no ``t_eval``.  Both keep the
-    local error below the configured tolerances; a step budget and
-    finite-state checks guard runaway trajectories.  A failure names the
-    last good time, the truncation order and the component at fault.  ``integrate_one`` and
+    7th-order dense output, so no scipy is loaded.  More states run together
+    on row arrays (``_integrate_batch``), with the same bytes.  Both build
+    their interpolants together on row arrays.  One state takes no event,
+    and a batch no ``t_eval``.  Both keep the local error below the
+    configured tolerances; a step budget and finite-state checks guard
+    runaway trajectories.  A failure names the last good time, the
+    truncation order and the component at fault.  ``integrate_one`` and
     ``_integrate_batch`` each refuse a ``t_span`` without t1 > t0.
 
     Python floats do the same IEEE operations in the same order as
@@ -392,13 +392,12 @@ _MAX_FLOAT_CELLS = 32
 # The stages of a step that its interpolant reads, in stage order: a step
 # whose interpolant waits to be built holds only these.
 _HELD = sorted({j for row in (*_A[13:], *_D) for j in row if j < 13})
-_held_stages = operator.itemgetter(*_HELD)
-# A sampled run builds the interpolants of this many held steps at a time,
-# and evaluates them this many samples at a time.  On a 2-core VM, the 198
-# held steps of the anharmonic order-5 run cost 2.3, 1.58, 1.22 and 1.04
-# times one build of all of them in chunks of 16, 32, 64 and 128 steps
-# (7.2 ms for all, against 17 ms one step at a time on floats); a chunk of
-# 128 steps at 35 components, order 7, holds about 2 MiB of arrays.
+# Interpolants are built this many held steps at a time, and sampled this
+# many samples at a time.  On a 2-core VM, the 198 held steps of the
+# anharmonic order-5 run cost 2.3, 1.58, 1.22 and 1.04 times one build of
+# all of them in chunks of 16, 32, 64 and 128 steps (7.2 ms for all,
+# against 17 ms one step at a time on floats); a chunk of 128 steps at 35
+# components, order 7, holds about 2 MiB of arrays.
 _DENSE_CHUNK = 128
 
 
@@ -409,10 +408,6 @@ def _each(n, template, sep=", "):
 
 def _stage_sum(row):
     return " + ".join(f"{c!r}*k{j}_#" for j, c in row.items())
-
-
-def _stage(n, s, t):
-    return f"rhs({t}, [{_each(n, f'y# + h*({_stage_sum(_A[s])})')}])"
 
 
 def _compile(n, lines):
@@ -437,10 +432,8 @@ def _dp_step(n):
     is written term by term in stage order, zero coefficients skipped, as
     ``_combine`` reduces it, and the norm adds the squares as
     ``_sum_squares`` does, so the step has the bits of ``_step_arrays`` on a
-    one-cell array.  It is compiled apart from ``_dp_dense``, which a
-    sampled run needs only to replay a failure: at ``n = 20`` the step takes
-    about 15 ms to compile and raises the peak RSS by about 1.4 MiB, and
-    both functions by 1.5 MiB, against 1.7 MiB when they were one builder.
+    one-cell array.  At ``n = 20`` it takes about 15 ms to compile and
+    raises the peak RSS by about 1.4 MiB.
     """
     step = [
         "def step(rhs, t, t_new, y, f, h, atol, rtol):",
@@ -448,7 +441,8 @@ def _dp_step(n):
         f"    {_each(n, 'k0_#')}, = f",
     ]
     for s in range(1, 12):
-        step += [f"    k{s} = {_stage(n, s, f't + {_C[s]!r}*h')}", f"    {_each(n, f'k{s}_#')}, = k{s}"]
+        stage = f"rhs(t + {_C[s]!r}*h, [{_each(n, f'y# + h*({_stage_sum(_A[s])})')}])"
+        step += [f"    k{s} = {stage}", f"    {_each(n, f'k{s}_#')}, = k{s}"]
     step.append(_each(n, f"    n# = y# + h*({_stage_sum(_A[12])})", "\n"))
     step += [f"    k12 = rhs(t_new, [{_each(n, 'n#')}])", f"    {_each(n, 'k12_#')}, = k12"]
     unweighed = sorted(set(range(13)) - set(_E5) - set(_E3))  # the stages the norm does not weigh
@@ -468,44 +462,6 @@ def _dp_step(n):
         f"    return [{_each(n, 'n#')}], error, ({', '.join(['f'] + [f'k{s}' for s in range(1, 13)])}), probe",
     ]
     return _compile(n, step)
-
-
-@functools.lru_cache(maxsize=8)
-def _dp_dense(n):
-    """Generated DOP853 dense output on lists of ``n`` Python floats.
-
-    ``dense(rhs, t_old, h, y, y_new, ks)``, with ``ks`` the step's stages
-    in ``_HELD``, makes the three extra stages and returns the step's
-    7th-order interpolant as a function of ``t``, with the sums of
-    ``_dp_step`` and the bits of ``_dense_rows``.  Event roots need it, as
-    their bisection runs on floats; a sampled run needs it only to build an
-    interpolant that fails, so that it fails as when checked call by call.
-    At ``n = 20`` it takes about 12 ms to compile and raises the peak RSS by
-    1.0 to 1.3 MiB.
-    """
-    horner = "((((((f6_#*x + f5_#)*u + f4_#)*x + f3_#)*u + f2_#)*x + f1_#)*u + d#)*x"
-    dense = [
-        "def dense(rhs, t_old, h, y, y_new, ks):",
-        f"    {_each(n, 'y#')}, = y",
-        f"    {_each(n, 'n#')}, = y_new",
-        f"    {', '.join('(' + _each(n, f'k{s}_#') + ',)' for s in _HELD)} = ks",
-    ]
-    dense += [f"    {_each(n, f'k{s}_#')}, = {_stage(n, s, f't_old + {_C[s]!r}*h')}" for s in (13, 14, 15)]
-    dense.append(
-        _each(
-            n,
-            "    d# = n# - y#; f1_# = h*k0_# - d#; f2_# = 2*d# - h*(k12_# + k0_#)\n"
-            + "\n".join(f"    f{r + 3}_# = h*({_stage_sum(row)})" for r, row in enumerate(_D)),
-            "\n",
-        )
-    )
-    dense += [
-        "    def at(t):",
-        "        x = (t - t_old)/h; u = 1 - x",
-        f"        return [{_each(n, f'y# + {horner}')}]",
-        "    return at",
-    ]
-    return _compile(n, dense)
 
 
 class _Evaluations:
@@ -530,20 +486,24 @@ class _Evaluations:
         return out
 
 
-def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order, event=None):
+def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order, event=None, crossings=None):
     """The state vector ``y0`` (an array) of ``rhs(t, y)`` by the generated
     DOP853 step, with the step control of ``_integrate_batch`` (scipy
     DOP853's); returns the times, the states (at ``t_eval`` by the 7th-order
     interpolant, else at every step) and the info ``{"status", "nfev",
-    "naccept", "nreject"}`` of a Trajectory.  A failure names ``order`` and a
-    component of ``layout``, the slots of the state vector.  ``rhs`` takes a
-    list of Python floats, and a list of row arrays, one value per column,
+    "naccept", "nreject"}`` of a Trajectory.  A failure names ``order`` and
+    a component of ``layout``, the slots of the state vector.  ``rhs`` takes
+    a list of Python floats, and a list of row arrays, one value per column,
     with the same bits in each column.
 
     ``event(t, y)``, with ``t_eval`` None, ends the run as it ends a cell of
     ``_integrate_batch``: at an accepted step with ``g <= 0 <= g_new`` the
-    last state is the step's interpolant at the root, and the status is 1.
-    Only a step that holds a sample or the root makes the interpolant.
+    status is 1, and the states stop before that step, which ``crossings``
+    (a ``_Held`` of ``_roots``) holds; the caller appends its root.  The
+    steps that hold samples are held too.  The three evaluations of each
+    interpolant are counted as its step is taken.  A sampled step's
+    interpolant that fails, or would cross the step budget, raises what
+    checking its stages one at a time raises, before any later failure.
 
     A step normally runs on the bare ``rhs`` and is checked once: its error
     norm, or the probe of the stages the norm does not weigh, is non-finite
@@ -551,13 +511,6 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     could cross the step budget, is run again one checked evaluation at a
     time, so a failure names the evaluation and the last good time that a
     check per call names.
-
-    The interpolants of the steps that hold samples are built together, up
-    to ``_DENSE_CHUNK`` steps at a time, by ``_held_samples``; the three
-    evaluations of each are counted as its step is taken.  A failure of
-    one of them, or an interpolant that would cross the step budget, raises
-    what checking its stages one at a time raises, before any later failure
-    of the run.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -576,18 +529,13 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     with np.errstate(all="ignore"):
         h_abs = float(_initial_step(evaluate, t0, t1, y0[:, None], np.array(f)[:, None], cfg.rtol, cfg.atol)[0])
     step_fn = _dp_step(len(y))
-    times, ys, next_sample = ([t0], [y], 0) if samples is None else ([], [], 0)
-    # the steps whose samples are in times but not yet in ys
-    held = []
-
-    def build():
-        if held:
-            chunk = held[:]
-            held.clear()
-            ys.extend(_held_samples(rhs, chunk, cfg.max_steps, layout, order))
-
+    held = _Held(rhs, cfg.max_steps, layout, order, _samples)
+    # sampled, the states are those of the held steps, built in order
+    times, ys, next_sample = ([t0], [y], 0) if samples is None else ([], held.out, 0)
     g, status, naccept, nreject = event(t, y) if event else 0.0, 0, 0, 0
-    try:
+    # held steps are built after a failure too: an interpolant that fails,
+    # or crosses the budget and so fails the next step, was made before it
+    with held:
         while t < t1:
             # scipy's rule: a new step is at least 10 spacings of t long; a
             # retry below that fails
@@ -621,11 +569,8 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
             if event:
                 g_new = event(t_new, y_new)
                 if g <= 0 <= g_new:
-                    at = _dp_dense(len(y))(checked, t, step, y, y_new, _held_stages(ks))
-                    root = _event_root(event, at, t, t_new, g, g_new)
-                    build()
-                    times.append(root)
-                    ys.append(at(root))
+                    crossings.add(y, y_new, ks, t, t_new, step, checked.nfev, (g, g_new))
+                    checked.nfev += 3
                     status = 1
                     break
                 g = g_new
@@ -639,80 +584,109 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
                 sampled = samples[first:next_sample]
                 if sampled:
                     times += sampled
-                    if checked.nfev + 3 > cfg.max_steps:
-                        # the interpolant runs out of budget: made here,
-                        # after the held ones, it raises that failure
-                        build()
-                        _dp_dense(len(y))(checked, t, step, y, y_new, _held_stages(ks))
-                    held.append((t, t_new, step, np.array([y, y_new, *_held_stages(ks)]), checked.nfev, sampled))
+                    held.add(y, y_new, ks, t, t_new, step, checked.nfev, sampled)
                     checked.nfev += 3
-                    if len(held) == _DENSE_CHUNK:
-                        build()
             t, y, f = t_new, y_new, ks[12]
-    finally:
-        build()  # after a failure too: an interpolant that fails was made before it
     info = {"status": status, "nfev": checked.nfev, "naccept": naccept, "nreject": nreject}
     return np.array(times), np.array(ys), info
 
 
-def _held_samples(rhs, held, budget, layout, order):
-    """The samples of the held steps, each ``(t, t_new, h, its rows y,
-    y_new and the stages in _HELD, nfev, its sample times)``, in order, as
-    lists of floats.  ``_dense_rows`` builds their interpolants together,
-    one column per step, and evaluates them ``_DENSE_CHUNK`` samples at a
-    time.  If ``rhs`` raises there or an extra stage is not finite, the
-    generated ``dense`` builds them again one step at a time, its
-    evaluations checked from the step's ``nfev``, ``t_new`` and last stage,
-    and raises what an interpolant built as its step was taken raises."""
-    t_old, h = np.array([step[0] for step in held]), np.array([step[2] for step in held])
-    rows = np.stack([step[3] for step in held], axis=-1)  # (row, component, step)
-    ks = np.empty((16,) + rows.shape[1:])
-    ks[_HELD] = rows[2:]
-    t = np.array([s for step in held for s in step[5]])
-    cols = np.array([i for i, step in enumerate(held) for _ in step[5]])
-    out = []
-    try:
+class _Held(contextlib.AbstractContextManager):
+    """Up to ``_DENSE_CHUNK`` held steps of one ``rhs``: each step's ``y``,
+    ``y_new`` and stages in ``_HELD`` go into a chunk array, its ``t``,
+    ``t_new``, ``h``, ``nfev`` and what it is held for into ``steps``.  When
+    the chunk is full, and on leaving a ``with`` block, failure or not,
+    ``build`` extends ``out`` by ``use(steps, interpolants, errors)``.
+    ``nfev`` counts their evaluations as ``_Evaluations`` counts them, a
+    failing interpolant's up to its failure."""
+
+    def __init__(self, rhs, budget, layout, order, use):
+        self.rhs, self.budget, self.use = rhs, budget, use
+        self.evaluations = functools.partial(_Evaluations, rhs, budget, layout, order)
+        self.rows = np.empty((_DENSE_CHUNK, 2 + len(_HELD), len(layout)))
+        self.steps, self.out, self.nfev = [], [], 0
+
+    def __exit__(self, *exc):
+        if self.steps:
+            self.build()
+
+    def add(self, y, y_new, ks, t, t_new, h, nfev, what):
+        self.rows[len(self.steps)] = (y, y_new, *(ks[j] for j in _HELD))
+        self.steps.append((t, t_new, h, nfev, what))
+        if len(self.steps) == _DENSE_CHUNK:
+            self.build()
+
+    def build(self):
+        """Empty the chunk, its interpolants built together by ``_dense_rows``.
+        Where that raises, leaves an extra stage non-finite or a step would
+        cross the budget, each step is built again alone, its rhs checked by
+        ``_Evaluations`` as when the step was taken; ``errors`` holds what
+        each raised."""
+        steps, self.steps = self.steps, []
+        t_old, h, nfev = (np.array([step[i] for step in steps]) for i in (0, 2, 3))
+        rows = self.rows[: len(steps)].transpose(1, 2, 0)  # (row, component, step)
+        ks = np.empty((16,) + rows.shape[1:])
+        ks[_HELD] = rows[2:]
+        errors = [None] * len(steps)
+        self.nfev += 3 * len(steps)
         with np.errstate(all="ignore"):
-            at = _dense_rows(rhs, t_old, h, rows[0], rows[1], ks)
-    except Exception:  # raised again below, by the step that meets it
-        pass
-    else:
-        if np.isfinite(ks[13:]).all():
-            with np.errstate(all="ignore"):
-                for i in range(0, len(t), _DENSE_CHUNK):
-                    out += at(t[i : i + _DENSE_CHUNK], cols[i : i + _DENSE_CHUNK]).T.tolist()
-            return out
-    dense = _dp_dense(len(layout))
-    for t_old, t_new, h, rows, nfev, sample_times in held:
-        y, y_new, *stages = rows.tolist()
-        checked = _Evaluations(rhs, budget, layout, order, nfev, t_new, stages[-1])
-        at = dense(checked, t_old, h, y, y_new, stages)
-        out += map(at, sample_times)
-    return out
+            try:
+                coefs = _dense_rows(self.rhs, t_old, h, rows[0], rows[1], ks) if nfev.max() + 3 <= self.budget else None
+            except Exception:  # raised again below, by the step that meets it
+                coefs = None
+            if coefs is None or not np.isfinite(ks[13:]).all():
+                coefs = np.empty((8,) + rows.shape[1:])
+                for j, (_, t_new, _, count, _) in enumerate(steps):
+                    checked = self.evaluations(count, t_new, ks[12, :, j].tolist())
+                    col = slice(j, j + 1)
+                    try:
+                        coefs[..., col] = _dense_rows(
+                            lambda t, y: checked(t.item(), [v.item() for v in y]),
+                            t_old[col], h[col], rows[0, :, col], rows[1, :, col], ks[..., col],
+                        )
+                    except Exception as err:
+                        errors[j] = err
+                        self.nfev -= count + 3 - checked.nfev  # the evaluations it did not make
+            self.out += self.use(steps, coefs, errors)
+
+
+def _samples(steps, coefs, errors):
+    """Yields the samples of held steps, each held for its sample times, in
+    order, as lists of floats, evaluated ``_DENSE_CHUNK`` samples at a time;
+    raises the first failure of their interpolants."""
+    for err in filter(None, errors):
+        raise err
+    x = np.array([(s - t) / h for t, _, h, _, times in steps for s in times])
+    cols = np.array([i for i, step in enumerate(steps) for _ in step[4]])
+    for i in range(0, len(x), _DENSE_CHUNK):
+        (rows,) = _horner(x[i : i + _DENSE_CHUNK], [coefs[..., cols[i : i + _DENSE_CHUNK]]])
+        yield from rows.T.tolist()
 
 
 def _dense_rows(rhs, t_old, h, y, y_new, ks):
-    """DOP853's 7th-order interpolant of many steps, one per column: the
-    arithmetic of the generated ``dense`` on row arrays, with ``_combine``'s
-    stage sums, so every column has its bits.  ``ks`` stacks the stages
-    (stage, component, column); given stages 0 and 5-12, it gets 13-15 from
-    one call of ``rhs`` on row arrays each.  Returns the interpolants as a
-    function ``at(t, cols)`` of sample times and the columns of their
-    steps, one sample per column of its result."""
+    """DOP853's 7th-order interpolant of many steps, one per column, with
+    ``_combine``'s stage sums, so every column has the bits of its step
+    built alone.  ``ks`` stacks the stages (stage, component, column);
+    given 0 and 5-12, it gets 13-15 from one row call of ``rhs`` each.
+    Returns the rows ``(y, d, f1...f6)`` of ``_horner``, stacked alike."""
     for s in (13, 14, 15):
         for i, v in enumerate(rhs(t_old + _C[s] * h, list(y + h * _combine(_A[s], ks)))):
             ks[s, i] = v
     d = y_new - y
     f1, f2 = h * ks[0] - d, 2 * d - h * (ks[12] + ks[0])
-    rows = (y, d, f1, f2, *(h * _combine(row, ks) for row in _D))
+    return np.array((y, d, f1, f2, *(h * _combine(row, ks) for row in _D)))
 
-    def at(t, cols):
-        y, d, f1, f2, f3, f4, f5, f6 = (row[:, cols] for row in rows)
-        x = (t - t_old[cols]) / h[cols]
-        u = 1 - x
-        return y + ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + d) * x
 
-    return at
+def _horner(x, columns):
+    """The interpolant at the step fraction ``x = (t - t_old)/h`` of each
+    ``(y, d, f1...f6)`` in ``columns``: the rows of one component as Python
+    floats, or of every component as row arrays.  One call sums all the
+    components of a float state: a call per component triples the cost."""
+    u = 1 - x
+    return [
+        y + ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + d) * x
+        for y, d, f1, f2, f3, f4, f5, f6 in columns
+    ]
 
 
 class TrajectoryBatch(list):
@@ -804,38 +778,63 @@ def _overflowed_norm(h, u, v, error):
     return h * m * s5 / math.sqrt((s5 + 0.01 * s3) * len(u))
 
 
-def _event_root(event, at, lo, hi, g_lo, g_hi):
-    """Root of an upward crossing of ``event(t, at(t))`` on ``[lo, hi]``,
-    where ``g_lo <= 0 <= g_hi``, on Python floats: bisected to the width
-    4 EPS (1 + |t|) of scipy's brentq; an endpoint where the event is 0 is
-    the root, the lower one first."""
+def _roots(event, steps, coefs, errors):
+    """Yields the ends of held steps that ``event`` crosses, each held for
+    ``(g, g_new)``: the root and its state by ``_event_root``, or the
+    IntegrationError its interpolant raises; any other failure is raised."""
+    for (t, t_new, h, _, (g, g_new)), column, err in zip(steps, coefs.T.tolist(), errors):
+        if err is not None and not isinstance(err, IntegrationError):
+            raise err
+        yield err or _event_root(event, column, t, t_new, h, g, g_new)
+
+
+def _event_root(event, column, lo, hi, h, g_lo, g_hi):
+    """Root of an upward crossing of ``event(t, y)`` over the step from
+    ``lo`` to ``hi`` of size ``h``, where ``g_lo <= 0 <= g_hi``, and the
+    state there, on the step's interpolant: ``column`` holds its rows
+    ``(y, d, f1...f6)`` per component as floats.  Bisected on floats to the
+    width 4 EPS (1 + |t|) of scipy's brentq; an endpoint where the event is
+    0 is the root, the lower one first."""
+    t_old = lo
     if g_lo != 0 and g_hi != 0:
         while hi - lo >= _EVENT_TOL * (1 + abs(hi)):
             mid = lo + 0.5 * (hi - lo)
             # the event stays below 0 at lo; a nan moves hi
-            if event(mid, at(mid)) < 0:
+            if event(mid, _horner((mid - t_old) / h, column)) < 0:
                 lo = mid
             else:
                 hi = mid
-    return lo if g_lo == 0 else hi
+    root = lo if g_lo == 0 else hi
+    return root, _horner((root - t_old) / h, column)
 
 
 def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event, t_eval=None) -> TrajectoryBatch:
     """``_integrate_batch`` one cell at a time by ``integrate_one``, with the
     same bytes in every result; it also runs ``integrate``'s one state, at
-    ``t_eval``.  ``info["nfev"]`` sums the Trajectories' own counts."""
+    ``t_eval``.  The crossings of all cells are held together, and a run
+    ends at its root.  ``info["nfev"]`` sums the Trajectories' own counts."""
     if not states:
         return TrajectoryBatch([], {"nfev": 0})
-    layout, first = field.layout, states[0]
-    rhs, energy_fn = field.compiled(first.hbar), field.energy_function(first.hbar)
+    layout, order, hbar = field.layout, states[0].order, states[0].hbar
+    rhs, energy_fn = field.compiled(hbar), field.energy_function(hbar)
+    runs = []
+    with _Held(rhs, cfg.max_steps, layout, order, functools.partial(_roots, event)) as crossings:
+        for state in states:
+            try:
+                runs.append(integrate_one(rhs, state.to_vector(layout), t_span, cfg, t_eval, layout, order, event, crossings))
+            except IntegrationError as err:
+                runs.append(err)
+    ends = iter(crossings.out)  # the end of each run that crossed, in order
     results = []
-    for state in states:
-        try:
-            times, ys, info = integrate_one(rhs, state.to_vector(layout), t_span, cfg, t_eval, layout, first.order, event)
-        except IntegrationError as err:
-            results.append(err)
-            continue
-        results.append(Trajectory(times, ys, layout, state.margin_floor, energy_fn(ys.T), info))
+    for state, run in zip(states, runs):
+        if not isinstance(run, IntegrationError) and run[2]["status"]:
+            times, ys, info = run
+            end = next(ends)
+            run = end if isinstance(end, IntegrationError) else (np.append(times, end[0]), np.vstack((ys, end[1])), info)
+        if not isinstance(run, IntegrationError):
+            times, ys, info = run
+            run = Trajectory(times, ys, layout, state.margin_floor, energy_fn(ys.T), info)
+        results.append(run)
     return TrajectoryBatch(results, {"nfev": sum(r.info["nfev"] for r in results if isinstance(r, Trajectory))})
 
 
@@ -847,15 +846,15 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     to one value per cell, and the time and list of floats of one cell to
     its value; an accepted step over which it crosses zero upward ends that
     cell at the root, with ``info["status"]`` 1, as a terminal upward event
-    ends scipy's DOP853.  The root is bisected on the cell's 7th-order
-    interpolant, made on floats by ``integrate_one``'s generated ``dense``
-    with its stages checked.  Every cell has its own step size, rejection
-    rule, step budget, finiteness check and event, and leaves the active set
-    when it reaches t1, crosses the event or fails; the rest carry on.  All
-    arithmetic is elementwise or summed in a fixed order, so a cell's
-    trajectory and info ``{"status", "nfev", "naccept", "nreject"}`` have
-    the same bytes in a batch of any size, a batch of one included, and in
-    ``_integrate_cells``.
+    ends scipy's DOP853.  The crossing steps are held, their 7th-order
+    interpolants built together ``_DENSE_CHUNK`` at a time by ``_Held``,
+    and each root is bisected on floats.  Every cell has its own step size,
+    rejection rule, step budget, finiteness check and event, and leaves the
+    active set when it reaches t1, crosses the event or fails; the rest
+    carry on.  All arithmetic is elementwise or summed in a fixed order, so
+    a cell's trajectory and info ``{"status", "nfev", "naccept",
+    "nreject"}`` have the same bytes in a batch of any size, a batch of one
+    included, and in ``_integrate_cells``.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -863,7 +862,6 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     layout, first = field.layout, states[0]
     order = first.order
     rhs = field.compiled(first.hbar)
-    dense = _dp_dense(len(layout))
     n = len(states)
     results = [None] * n
     status, cell_nfev, naccept, nreject = (np.zeros(n, dtype=int) for _ in range(4))
@@ -876,8 +874,10 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     y = np.ascontiguousarray(np.array([s.to_vector(layout) for s in states]).T)
     dead = np.zeros(n, dtype=bool)
     t_last, f_last = t, None  # the last good evaluation of every live cell
-    nfev = dense_calls = 0
+    nfev = 0
     rows = [(ids, t, y)]
+    crossings = _Held(rhs, cfg.max_steps, layout, order, functools.partial(_roots, event))
+    crossed = []  # the cells whose crossings are held, in order
 
     def fail(j, message, component):
         results[ids[j]] = _failure(message, t_last[j], order, component)
@@ -904,7 +904,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     # every step of a cell is at least 10 spacings of t; no step above
     # this bound is below that
     min_step_bound = 10 * (np.finfo(float).eps * max(abs(t0), abs(t1)) + np.finfo(float).smallest_subnormal)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), crossings:
         f = evaluate(t, y, np.empty_like(y))
         h = _initial_step(evaluate, t0, t1, y, f, cfg.rtol, cfg.atol)
         g = event(t, y) if event else np.zeros(n)
@@ -933,32 +933,23 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             h = step * np.where(accepted, np.minimum(cap, growth), np.fmax(_MIN_FACTOR, growth))
             fresh = accepted
 
-            # an upward crossing ends the cell's step at its root instead
-            t_rec, y_rec = t_new, y_new
+            # a cell whose step the event crosses upward ends at its root
+            # instead, recorded when its crossing is rooted
             stopped = np.zeros(len(ids), dtype=bool)
             if event:
                 g_new = event(t_new, y_new)
                 stopped = accepted & (g <= 0) & (g_new >= 0)
-                if stopped.any():
-                    t_rec, y_rec = t_new.copy(), y_new.copy()
-                    for j in np.flatnonzero(stopped).tolist():
-                        last = f_last[:, j].tolist()
-                        checked = _Evaluations(rhs, cfg.max_steps, layout, order, nfev, t_last[j], last)
-                        try:
-                            at = dense(checked, *(a[..., j].tolist() for a in (t, step, y, y_new, ks[_HELD])))
-                            root = _event_root(event, at, *(a[j].item() for a in (t, t_new, g, g_new)))
-                            t_rec[j], y_rec[:, j] = root, at(root)
-                        except IntegrationError as err:
-                            results[ids[j]], dead[j], stopped[j] = err, True, False
-                        dense_calls += checked.nfev - nfev
-                        cell_nfev[ids[j]] = checked.nfev
+                for j in np.flatnonzero(stopped).tolist():
+                    step_j = (a[j].item() for a in (t, t_new, step))
+                    crossings.add(y[:, j], y_new[:, j], ks[..., j], *step_j, nfev, (g[j].item(), g_new[j].item()))
+                    crossed.append(ids[j].item())
                 g = np.where(accepted, g_new, g)
 
+            recorded = accepted & ~stopped
+            rows.append((ids[recorded], t_new[recorded], y_new[:, recorded]))
             if accepted.all():
-                rows.append((ids, t_rec, y_rec))
                 t, y, f = t_new, y_new, ks[-1]
             else:
-                rows.append((ids[accepted], t_rec[accepted], y_rec[:, accepted]))
                 t = np.where(accepted, t_new, t)
                 y = np.where(accepted, y_new, y)
                 f = np.where(accepted, ks[-1], f)
@@ -967,11 +958,16 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             if done.any():
                 ended = done & ~dead
                 status[ids[ended]] = stopped[ended]
-                cell_nfev[ids[ended & ~stopped]] = nfev
+                cell_nfev[ids[ended]] = nfev + 3 * stopped[ended]
                 keep = ~done
                 ids, t, y, f, h, fresh, dead, g, t_last, f_last = (
                     a[..., keep] for a in (ids, t, y, f, h, fresh, dead, g, t_last, f_last)
                 )
+    for cell, end in zip(crossed, crossings.out):
+        if isinstance(end, IntegrationError):
+            results[cell] = end
+        else:
+            rows.append(([cell], [end[0]], np.array(end[1])[:, None]))
 
     # each cell's rows in time order, with its monitors
     cells = np.concatenate([r[0] for r in rows])
@@ -988,4 +984,4 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             info = {name: int(values[i]) for name, values in stats.items()}
             floor = states[i].margin_floor
             results[i] = Trajectory(times[start:end], ys[start:end], layout, floor, energy[start:end], info)
-    return TrajectoryBatch(results, {"nfev": nfev + dense_calls})
+    return TrajectoryBatch(results, {"nfev": nfev + crossings.nfev})

@@ -85,11 +85,11 @@ class MomentVectorField:
         """rhs(t, y) of ``source(hbar)``, generated once per hbar value.
 
         ``y`` is any sequence of one value per layout slot: the single-state
-        integrator passes a list of Python floats for its steps and a list
-        of row arrays (one value per held step) for the interpolants of
-        its sampled steps, the batch integrator a list of row arrays (one
-        value per cell).  It returns a list of the derivatives in layout
-        order, with the same bits on floats and on arrays.
+        integrator passes a list of Python floats for its steps, the batch
+        integrator a list of row arrays (one value per cell), and both a
+        list of row arrays (one value per held step) for the interpolants
+        of their held steps.  It returns a list of the derivatives in
+        layout order, with the same bits on floats and on arrays.
         """
         return self._functions(hbar)[0]
 

@@ -112,9 +112,6 @@ class SparsePolynomial:
             return NotImplemented
         return self.npairs == other.npairs and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.npairs, frozenset(self.terms.items())))
-
 
 class MomentPolynomial(SparsePolynomial):
     """Commutative polynomial in q, p, moment symbols and hbar.

@@ -437,22 +437,21 @@ def _dense_output(rhs, t_old, h, y_old, y_new, ks):
 def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
     """One generated DOP853 step on Python floats has the bits of the batch
     step (_step_arrays) on a one-cell array: the new state, all 13 stages
-    and the error norm; a sample of its interpolant has the bits of the
-    reference _dense_output, and so have the interpolants of all the steps
-    built together on row arrays by _dense_rows, sampled twice each.  Each
-    is scipy DOP853's step from the same state up to rounding: the new
-    state, the error norm of scipy's _estimate_error_norm on our stages and
-    a sample of its dense output."""
+    and the error norm.  The interpolants of all the steps, built together
+    on row arrays by _dense_rows and sampled twice each, have the bits of
+    the reference _dense_output.  Each is scipy DOP853's step from the same
+    state up to rounding: the new state, the error norm of scipy's
+    _estimate_error_norm on our stages and a sample of its dense output."""
     from scipy.integrate import DOP853
 
-    from qmoments.dynamics import _HELD, _dense_rows, _dp_dense, _dp_step, _held_stages, _step_arrays
+    from qmoments.dynamics import _HELD, _dense_rows, _dp_step, _horner, _step_arrays
 
     rng = np.random.default_rng(17)
     cfg = IntegratorConfig()
     for order in range(2, 6):
         field = equations_of_motion(PolynomialPotential(coeffs), order)
         rhs = field.compiled(1.0)
-        step, dense = _dp_step(len(field.layout)), _dp_dense(len(field.layout))
+        step = _dp_step(len(field.layout))
         held = []
 
         def column(t, y, out):
@@ -473,13 +472,8 @@ def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
             assert np.array(ks).tobytes() == K[..., 0].tobytes()
             assert np.array([error]).tobytes() == errors.tobytes()
             assert math.isfinite(probe)
-            t_mid = t + 0.37 * h
-            at = dense(rhs, t, h, y.tolist(), y_new, _held_stages(ks))
             interp = _dense_output(rhs, T, H, Y, Y_new, K)
-            reference = interp(np.array([t_mid]))
-            assert np.array(at(t_mid)).tobytes() == reference[:, 0].tobytes()
-            t_late = t + 0.91 * h
-            held.append((t, h, y, y_new, ks, [at(t_mid), at(t_late)], [reference, interp(np.array([t_late]))]))
+            references = [interp(np.array([t + r * h]))[:, 0] for r in (0.37, 0.91)]
 
             ref = DOP853(rhs, t, y, t + 1.0, rtol=cfg.rtol, atol=cfg.atol, first_step=h)
             ref.step()
@@ -487,22 +481,24 @@ def test_generated_step_has_the_batch_arithmetic_bits(coeffs):
             size = np.max(np.abs(ref.K), axis=0)
             assert np.all(np.abs(np.array(ks) - ref.K) <= 2e-13 * size)
             assert np.allclose(y_new, ref.y, rtol=1e-13, atol=1e-16)
-            assert np.allclose(at(t_mid), ref.dense_output()(t_mid), rtol=1e-12, atol=1e-16)
             # the estimates cancel the stages down to about 1e-11 of their
             # size, so two summation orders agree to about 1e-5 of the norm
             scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
             assert error == pytest.approx(DOP853._estimate_error_norm(DOP853, K[..., 0], h, scale), rel=1e-4)
+            held.append((t, h, y, y_new, ks, references, ref.dense_output()(t + 0.37 * h)))
 
-        # one column per step, sampled twice each: at t_mid, then at t_late
+        # one column per step, sampled twice each: at 0.37h, then at 0.91h
         ks = np.empty((16, len(field.layout), len(held)))
         ks[_HELD] = np.array([np.array(c[4])[_HELD] for c in held]).transpose(1, 2, 0)
         t_old, h, y, y_new = (np.array([c[i] for c in held]).T for i in range(4))
-        at = _dense_rows(rhs, t_old, h, y, y_new, ks)
+        coefs = _dense_rows(rhs, t_old, h, y, y_new, ks)
         times = np.array([c[0] + r * c[1] for r in (0.37, 0.91) for c in held])
-        rows = at(times, np.arange(len(times)) % len(held))
-        floats = np.array([c[5][i] for i in (0, 1) for c in held]).T
-        references = np.array([c[6][i][:, 0] for i in (0, 1) for c in held]).T
-        assert rows.tobytes() == floats.tobytes() == references.tobytes()
+        cols = np.arange(len(times)) % len(held)
+        (rows,) = _horner((times - t_old[cols]) / h[cols], [coefs[..., cols]])
+        references = np.array([c[5][i] for i in (0, 1) for c in held]).T
+        assert rows.tobytes() == references.tobytes()
+        scipy_mid = np.array([c[6] for c in held]).T
+        assert np.allclose(rows[:, : len(held)], scipy_mid, rtol=1e-12, atol=1e-16)
 
 
 def test_single_path_agrees_with_solve_ivp_and_a_one_cell_batch():
@@ -595,14 +591,14 @@ def test_cells_on_floats_have_the_bytes_of_the_array_batch(order):
 
 def test_float_batch_counts_every_rhs_call():
     """A float batch whose cells all finish, at t1 or at the event's root,
-    reports exactly the right-hand-side calls it made: those of the steps,
-    of the interpolants and of the root bisections."""
+    reports exactly the right-hand-side evaluations it made, one per column
+    of a call on row arrays: those of the steps and of the interpolants."""
     field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.1]), 2)
     calls = []
 
     def count(rhs):
         def counted(t, y):
-            calls.append(t)
+            calls.append(np.size(t))
             return rhs(t, y)
 
         return counted
@@ -614,7 +610,7 @@ def test_float_batch_counts_every_rhs_call():
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9)
     batch = integrate(_Wrapped(field, count), states, (0.0, 30.0), cfg, event=crossed)
     assert {traj.info["status"] for traj in batch} == {0, 1}
-    assert batch.info["nfev"] == len(calls) == sum(traj.info["nfev"] for traj in batch)
+    assert batch.info["nfev"] == sum(calls) == sum(traj.info["nfev"] for traj in batch)
 
 
 def test_overflowing_error_norm_steps_on_alike_on_both_paths():
@@ -815,21 +811,26 @@ def test_write_table_bytes_match_per_value_formatting(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-def _windowed_rhs(t_star, width, kind, later=None):
-    """The harmonic oscillator, on floats or row arrays, failing only within
-    ``width`` of ``t_star``: a nan in q, or a ValueError; past ``later`` it
-    raises a RuntimeError."""
+def _harmonic(t, y):
+    q, p = y
+    return [p, -q]
+
+
+def _windowed_rhs(t_star, width, kind, later=None, inner=_harmonic):
+    """``inner``, by default the harmonic oscillator, on floats or row
+    arrays, failing only within ``width`` of ``t_star``: a nan in q's
+    derivative, or a ValueError; past ``later`` it raises a RuntimeError."""
 
     def rhs(t, y):
-        q, p = y
         if later is not None and np.any(np.asarray(t) > later):
             raise RuntimeError("later failure")
+        out = inner(t, y)
         hit = np.abs(np.asarray(t) - t_star) < width
         if np.any(hit):
             if kind == "raise":
                 raise ValueError(f"rhs undefined at t={t}")
-            return [np.where(hit, math.nan, p)[()], -q]
-        return [p, -q]
+            return [np.where(hit, math.nan, out[0])[()], *out[1:]]
+        return out
 
     return rhs
 
@@ -888,17 +889,69 @@ def test_rhs_on_floats_alone_samples_a_run_alike():
     assert times.tobytes() == times_f.tobytes() and ys.tobytes() == ys_f.tobytes() and info == info_f
 
 
-def test_sampled_run_compiles_no_float_interpolant():
-    """A sampled run whose interpolants all build on row arrays compiles
-    only the generated step; the float interpolant waits for a run that
-    needs it, here a failing one."""
-    from qmoments.dynamics import _dp_dense
+# The crossing of test_float_batch_counts_every_rhs_call's cell (0.3, 1.6):
+# its step ends at t_new = 3.26131 with evaluation 146, and the three extra
+# stages of its interpolant, at t + 0.1h, t + 0.2h and t + 0.78h, are
+# evaluations 147 to 149.
+_CROSSING_BUDGETS = [
+    (
+        budget,
+        f"step budget exhausted ({budget} evaluations) "
+        f"(last good time t={last}, order 2, largest |dX/dt| {rate} in Delta_p2)",
+        last_time,
+    )
+    for budget, last, rate, last_time in (
+        (146, "3.26131", "45.5", 3.261310583044982),
+        (147, "2.93342", "15.3", 2.9334234301615965),
+        (148, "2.96986", "17.1", 2.969855336037528),
+    )
+]
 
-    field = _free_field()
-    state0 = init_gaussian(0.0, 0.3, 1.0, 0.0, 1.0, 2)
-    _dp_dense.cache_clear()
-    integrate(field, state0, (0.0, 2.0), IntegratorConfig(), t_eval=np.linspace(0.0, 2.0, 11))
-    assert _dp_dense.cache_info().currsize == 0
-    with pytest.raises(IntegrationError, match="step budget exhausted"):
-        integrate(field, state0, (0.0, 2.0), IntegratorConfig(max_steps=15), t_eval=np.linspace(0.0, 2.0, 11))
-    assert _dp_dense.cache_info().currsize == 1
+
+def _crossing_runs(field, cfg):
+    """The batches of the cubic cell (0.3, 1.6) at order 2 run to q = 3.5,
+    one on floats and one on row arrays."""
+    from qmoments.dynamics import _integrate_batch, _integrate_cells
+
+    state = init_gaussian(0.3, 1.6, 0.7, order=2)
+
+    def crossed(t, y):
+        return y[0] - 3.5
+
+    with np.errstate(all="ignore"):
+        return [run(field, [state], (0.0, 30.0), cfg, crossed) for run in (_integrate_cells, _integrate_batch)]
+
+
+@pytest.mark.parametrize("budget, message, last_time", _CROSSING_BUDGETS, ids=["t_new", "first-extra", "second-extra"])
+def test_budget_spent_in_a_crossing_interpolant_names_its_evaluation(budget, message, last_time):
+    """A budget that ends inside the interpolant of the step over which the
+    event crosses fails the cell at the evaluation that crosses it, with
+    the last good time of the stage before it, on floats and on row arrays
+    alike; the row-array batch counts the evaluations made, the whole
+    budget.  One more evaluation finds the root."""
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.1]), 2)
+    batches = _crossing_runs(field, IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=budget))
+    for (cell,) in batches:
+        assert isinstance(cell, IntegrationError)
+        assert str(cell) == message and cell.last_time == last_time
+    assert batches[1].info["nfev"] == budget
+    for (cell,) in _crossing_runs(field, IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=149)):
+        assert cell.info == {"status": 1, "nfev": 149, "naccept": 8, "nreject": 4}
+
+
+def test_crossing_interpolant_failure_reads_as_when_it_is_met():
+    """A rhs that goes non-finite only at the crossing step's first extra
+    stage, t + 0.1h, fails the cell there, with the last good time t_new,
+    on floats and on row arrays alike; the row-array batch counts the
+    evaluations up to that stage's, 147."""
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.1]), 2)
+    t_star = _CROSSING_BUDGETS[1][2]
+    windowed = _Wrapped(field, lambda rhs: _windowed_rhs(t_star, 1e-9, "nan", inner=rhs))
+    batches = _crossing_runs(windowed, IntegratorConfig(rtol=1e-6, atol=1e-9))
+    assert batches[1].info["nfev"] == 147
+    for (cell,) in batches:
+        assert isinstance(cell, IntegrationError)
+        assert str(cell) == (
+            "non-finite state at t=2.93342 (last good time t=3.26131, order 2, first non-finite component q)"
+        )
+        assert cell.last_time == _CROSSING_BUDGETS[0][2]
