@@ -253,23 +253,32 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     configured tolerances; a step budget and finite-state checks guard
     runaway trajectories.  A failure names the last good time, the
     truncation order and the component at fault.  ``integrate_one`` and
-    ``_integrate_batch`` each refuse a ``t_span`` without t1 > t0.
+    ``_integrate_batch`` each refuse a ``t_span`` without t1 > t0, and
+    ``integrate`` a state of another order than the field's and a batch of
+    states that do not share one hbar, as the rhs is made for one hbar.
 
     Python floats do the same IEEE operations in the same order as
     ``np.float64`` scalars and as each cell of a row array, so the bytes
     are the same, and indexing a list and adding floats is several times
     faster than a numpy call on a few cells.
     """
-    if isinstance(state0, MomentState):
+    single = isinstance(state0, MomentState)
+    states = [state0] if single else list(state0)
+    order = indices.order(field.layout[-1][1])
+    for state in states:
+        if state.order != order:
+            raise ValueError(f"a state of order {state.order} on a field of order {order}")
+        if state.hbar != states[0].hbar:
+            raise ValueError(f"the states of a batch must share one hbar: {states[0].hbar!r} and {state.hbar!r}")
+    if single:
         if event is not None:
             raise ValueError("a single state takes no event; an event stops the cells of a batch")
-        (traj,) = _integrate_cells(field, [state0], t_span, cfg, None, t_eval)
+        (traj,) = _integrate_cells(field, states, t_span, cfg, None, t_eval)
         if isinstance(traj, IntegrationError):
             raise traj
         return traj
     if t_eval is not None:
         raise ValueError("a batch of states records its own steps; t_eval is not supported")
-    states = list(state0)
     run = _integrate_cells if len(states) <= _MAX_FLOAT_CELLS else _integrate_batch
     return run(field, states, t_span, cfg, event)
 
@@ -397,7 +406,7 @@ _HELD = sorted({j for row in (*_A[13:], *_D) for j in row if j < 13})
 # anharmonic order-5 run cost 2.3, 1.58, 1.22 and 1.04 times one build of
 # all of them in chunks of 16, 32, 64 and 128 steps (7.2 ms for all,
 # against 17 ms one step at a time on floats); a chunk of 128 steps at 35
-# components, order 7, holds about 2 MiB of arrays.
+# components, order 7, holds about 2 MiB, allocated at its first step.
 _DENSE_CHUNK = 128
 
 
@@ -408,15 +417,6 @@ def _each(n, template, sep=", "):
 
 def _stage_sum(row):
     return " + ".join(f"{c!r}*k{j}_#" for j, c in row.items())
-
-
-def _compile(n, lines):
-    """The function that ``lines`` define, on ``n`` floats."""
-    ns = {}
-    code = compile("\n".join(lines) + "\n", f"<DOP853 on {n} floats>", "exec")
-    exec(code, {"__builtins__": {}, "sqrt": math.sqrt, "inf": math.inf, "overflowed": _overflowed_norm}, ns)
-    (fn,) = ns.values()
-    return fn
 
 
 # orders 2..7 give six state sizes, (q, p) a seventh
@@ -461,7 +461,10 @@ def _dp_step(n):
         f"    if s5 + s3 == inf: error = overflowed(h, [{_each(n, 'u#')}], [{_each(n, 'v#')}], error)",
         f"    return [{_each(n, 'n#')}], error, ({', '.join(['f'] + [f'k{s}' for s in range(1, 13)])}), probe",
     ]
-    return _compile(n, step)
+    ns = {}
+    code = compile("\n".join(step) + "\n", f"<DOP853 on {n} floats>", "exec")
+    exec(code, {"__builtins__": {}, "sqrt": math.sqrt, "inf": math.inf, "overflowed": _overflowed_norm}, ns)
+    return ns["step"]
 
 
 class _Evaluations:
@@ -500,8 +503,8 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     ``_integrate_batch``: at an accepted step with ``g <= 0 <= g_new`` the
     status is 1, and the states stop before that step, which ``crossings``
     (a ``_Held`` of ``_roots``) holds; the caller appends its root.  The
-    steps that hold samples are held too.  The three evaluations of each
-    interpolant are counted as its step is taken.  A sampled step's
+    steps that hold samples are held too, in a ``_Held`` of their own.  The
+    three evaluations of each interpolant are counted as its step is taken.  A sampled step's
     interpolant that fails, or would cross the step budget, raises what
     checking its stages one at a time raises, before any later failure.
 
@@ -569,7 +572,7 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
             if event:
                 g_new = event(t_new, y_new)
                 if g <= 0 <= g_new:
-                    crossings.add(y, y_new, ks, t, t_new, step, checked.nfev, (g, g_new))
+                    crossings.add(y, y_new, ks, t, t_new, checked.nfev, (g, g_new))
                     checked.nfev += 3
                     status = 1
                     break
@@ -584,7 +587,7 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
                 sampled = samples[first:next_sample]
                 if sampled:
                     times += sampled
-                    held.add(y, y_new, ks, t, t_new, step, checked.nfev, sampled)
+                    held.add(y, y_new, ks, t, t_new, checked.nfev, sampled)
                     checked.nfev += 3
             t, y, f = t_new, y_new, ks[12]
     info = {"status": status, "nfev": checked.nfev, "naccept": naccept, "nreject": nreject}
@@ -593,26 +596,28 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
 
 class _Held(contextlib.AbstractContextManager):
     """Up to ``_DENSE_CHUNK`` held steps of one ``rhs``: each step's ``y``,
-    ``y_new`` and stages in ``_HELD`` go into a chunk array, its ``t``,
-    ``t_new``, ``h``, ``nfev`` and what it is held for into ``steps``.  When
-    the chunk is full, and on leaving a ``with`` block, failure or not,
-    ``build`` extends ``out`` by ``use(steps, interpolants, errors)``.
-    ``nfev`` counts their evaluations as ``_Evaluations`` counts them, a
-    failing interpolant's up to its failure."""
+    ``y_new`` and stages in ``_HELD`` go into a chunk array, allocated when
+    the first step arrives, and its ``t``, ``t_new``, ``nfev`` and what it
+    is held for into ``steps``; its size is ``t_new - t``, the subtraction
+    that made it.  When the chunk is full, and on leaving a ``with`` block,
+    failure or not, ``build`` extends ``out`` by ``use(steps, interpolants,
+    errors)``.  ``nfev`` counts their evaluations as ``_Evaluations``
+    counts them, a failing interpolant's up to its failure."""
 
     def __init__(self, rhs, budget, layout, order, use):
         self.rhs, self.budget, self.use = rhs, budget, use
         self.evaluations = functools.partial(_Evaluations, rhs, budget, layout, order)
-        self.rows = np.empty((_DENSE_CHUNK, 2 + len(_HELD), len(layout)))
-        self.steps, self.out, self.nfev = [], [], 0
+        self.rows, self.steps, self.out, self.nfev = None, [], [], 0
 
     def __exit__(self, *exc):
         if self.steps:
             self.build()
 
-    def add(self, y, y_new, ks, t, t_new, h, nfev, what):
+    def add(self, y, y_new, ks, t, t_new, nfev, what):
+        if self.rows is None:
+            self.rows = np.empty((_DENSE_CHUNK, 2 + len(_HELD), len(y)))
         self.rows[len(self.steps)] = (y, y_new, *(ks[j] for j in _HELD))
-        self.steps.append((t, t_new, h, nfev, what))
+        self.steps.append((t, t_new, nfev, what))
         if len(self.steps) == _DENSE_CHUNK:
             self.build()
 
@@ -623,7 +628,8 @@ class _Held(contextlib.AbstractContextManager):
         ``_Evaluations`` as when the step was taken; ``errors`` holds what
         each raised."""
         steps, self.steps = self.steps, []
-        t_old, h, nfev = (np.array([step[i] for step in steps]) for i in (0, 2, 3))
+        t_old, t_new, nfev = (np.array([step[i] for step in steps]) for i in range(3))
+        h = t_new - t_old
         rows = self.rows[: len(steps)].transpose(1, 2, 0)  # (row, component, step)
         ks = np.empty((16,) + rows.shape[1:])
         ks[_HELD] = rows[2:]
@@ -636,8 +642,8 @@ class _Held(contextlib.AbstractContextManager):
                 coefs = None
             if coefs is None or not np.isfinite(ks[13:]).all():
                 coefs = np.empty((8,) + rows.shape[1:])
-                for j, (_, t_new, _, count, _) in enumerate(steps):
-                    checked = self.evaluations(count, t_new, ks[12, :, j].tolist())
+                for j, (_, end, count, _) in enumerate(steps):
+                    checked = self.evaluations(count, end, ks[12, :, j].tolist())
                     col = slice(j, j + 1)
                     try:
                         coefs[..., col] = _dense_rows(
@@ -656,8 +662,8 @@ def _samples(steps, coefs, errors):
     raises the first failure of their interpolants."""
     for err in filter(None, errors):
         raise err
-    x = np.array([(s - t) / h for t, _, h, _, times in steps for s in times])
-    cols = np.array([i for i, step in enumerate(steps) for _ in step[4]])
+    x = np.array([(s - t) / (t_new - t) for t, t_new, _, times in steps for s in times])
+    cols = np.array([i for i, step in enumerate(steps) for _ in step[3]])
     for i in range(0, len(x), _DENSE_CHUNK):
         (rows,) = _horner(x[i : i + _DENSE_CHUNK], [coefs[..., cols[i : i + _DENSE_CHUNK]]])
         yield from rows.T.tolist()
@@ -782,20 +788,21 @@ def _roots(event, steps, coefs, errors):
     """Yields the ends of held steps that ``event`` crosses, each held for
     ``(g, g_new)``: the root and its state by ``_event_root``, or the
     IntegrationError its interpolant raises; any other failure is raised."""
-    for (t, t_new, h, _, (g, g_new)), column, err in zip(steps, coefs.T.tolist(), errors):
+    for (t, t_new, _, (g, g_new)), column, err in zip(steps, coefs.T.tolist(), errors):
         if err is not None and not isinstance(err, IntegrationError):
             raise err
-        yield err or _event_root(event, column, t, t_new, h, g, g_new)
+        yield err or _event_root(event, column, t, t_new, g, g_new)
 
 
-def _event_root(event, column, lo, hi, h, g_lo, g_hi):
+def _event_root(event, column, lo, hi, g_lo, g_hi):
     """Root of an upward crossing of ``event(t, y)`` over the step from
-    ``lo`` to ``hi`` of size ``h``, where ``g_lo <= 0 <= g_hi``, and the
-    state there, on the step's interpolant: ``column`` holds its rows
-    ``(y, d, f1...f6)`` per component as floats.  Bisected on floats to the
+    ``lo`` to ``hi``, where ``g_lo <= 0 <= g_hi``, and the state there, on
+    the step's interpolant: ``column`` holds its rows ``(y, d, f1...f6)``
+    per component as floats, in the step fraction ``(t - lo)/h`` with ``h =
+    hi - lo``, the step's size as it was taken.  Bisected on floats to the
     width 4 EPS (1 + |t|) of scipy's brentq; an endpoint where the event is
     0 is the root, the lower one first."""
-    t_old = lo
+    t_old, h = lo, hi - lo
     if g_lo != 0 and g_hi != 0:
         while hi - lo >= _EVENT_TOL * (1 + abs(hi)):
             mid = lo + 0.5 * (hi - lo)
@@ -859,9 +866,8 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must have t1 > t0")
-    layout, first = field.layout, states[0]
-    order = first.order
-    rhs = field.compiled(first.hbar)
+    layout, order, hbar = field.layout, states[0].order, states[0].hbar
+    rhs = field.compiled(hbar)
     n = len(states)
     results = [None] * n
     status, cell_nfev, naccept, nreject = (np.zeros(n, dtype=int) for _ in range(4))
@@ -901,9 +907,6 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
         t_last, f_last = ts, out
         return out
 
-    # every step of a cell is at least 10 spacings of t; no step above
-    # this bound is below that
-    min_step_bound = 10 * (np.finfo(float).eps * max(abs(t0), abs(t1)) + np.finfo(float).smallest_subnormal)
     with np.errstate(all="ignore"), crossings:
         f = evaluate(t, y, np.empty_like(y))
         h = _initial_step(evaluate, t0, t1, y, f, cfg.rtol, cfg.atol)
@@ -912,11 +915,10 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
         while len(ids):
             # a new step is at least 10 spacings of t long; a retry below
             # that fails the cell
-            if h.min() <= min_step_bound:
-                min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-                h = np.where(fresh, np.maximum(h, min_step), h)
-                for j in np.flatnonzero((h < min_step) & ~dead):
-                    fail(j, _TOO_SMALL_STEP, _largest_rate(layout, f_last[:, j]))
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            h = np.where(fresh, np.maximum(h, min_step), h)
+            for j in np.flatnonzero((h < min_step) & ~dead):
+                fail(j, _TOO_SMALL_STEP, _largest_rate(layout, f_last[:, j]))
             t_new = np.minimum(t + h, t1)
             step = t_new - t
             y_new, error, ks = _step_arrays(evaluate, t, t_new, y, f, step, cfg.atol, cfg.rtol)
@@ -940,19 +942,16 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
                 g_new = event(t_new, y_new)
                 stopped = accepted & (g <= 0) & (g_new >= 0)
                 for j in np.flatnonzero(stopped).tolist():
-                    step_j = (a[j].item() for a in (t, t_new, step))
+                    step_j = (a[j].item() for a in (t, t_new))
                     crossings.add(y[:, j], y_new[:, j], ks[..., j], *step_j, nfev, (g[j].item(), g_new[j].item()))
                     crossed.append(ids[j].item())
                 g = np.where(accepted, g_new, g)
 
             recorded = accepted & ~stopped
             rows.append((ids[recorded], t_new[recorded], y_new[:, recorded]))
-            if accepted.all():
-                t, y, f = t_new, y_new, ks[-1]
-            else:
-                t = np.where(accepted, t_new, t)
-                y = np.where(accepted, y_new, y)
-                f = np.where(accepted, ks[-1], f)
+            t = np.where(accepted, t_new, t)
+            y = np.where(accepted, y_new, y)
+            f = np.where(accepted, ks[-1], f)
 
             done = dead | stopped | (accepted & (t_new >= t1))
             if done.any():
@@ -974,7 +973,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     by_cell = np.argsort(cells, kind="stable")
     times = np.concatenate([r[1] for r in rows])[by_cell]
     ys = np.concatenate([r[2] for r in rows], axis=1)[:, by_cell]
-    energy = field.energy_function(first.hbar)(ys)
+    energy = field.energy_function(hbar)(ys)
     ys = ys.T
     counts = np.bincount(cells, minlength=n)
     ends = np.cumsum(counts)

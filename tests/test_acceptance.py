@@ -17,12 +17,14 @@ from qmoments.adiabatic import AdiabaticModel, adiabatic_potential, s0_of_q
 from qmoments.casimir_darboux import (
     DarbouxState1D,
     free_particle_s,
+    from_darboux,
     lift_to_plane,
     lift_trajectory,
+    to_darboux,
     u1,
     u1_spherical_limit,
 )
-from qmoments.dynamics import IntegratorConfig, init_gaussian, integrate
+from qmoments.dynamics import IntegratorConfig, init_gaussian, integrate, integrate_one
 from qmoments.effective_hamiltonian import PolynomialPotential, equations_of_motion
 from qmoments.exact import MomentPolynomial
 from qmoments.indices import single
@@ -168,10 +170,55 @@ def test_criterion_05_wavefunction_oracle_cross_validation(tmp_path):
     )
 
 
+def _chart_rhs(potential, casimir):
+    """The canonical equations of the paper's centrifugal chart at order 2,
+    H = p^2/2m + V + V'' s^2/2 + p_s^2/2m + C/(2m s^2), on ``(q, p, s,
+    p_s)`` as a list of floats or of row arrays (held interpolants are
+    built on rows).  It reads only V', V'', V''' and C: no bracket, H_eff
+    or generated code."""
+    m = float(potential.mass)
+
+    def rhs(t, y):
+        q, p, s, p_s = y
+        v1, v2, v3 = (potential.value(q, k) for k in (1, 2, 3))
+        return [p / m, -v1 - v3 * s * s / 2, p_s / m, -v2 * s + casimir / (m * s * s * s)]
+
+    return rhs
+
+
+def _chart_deviation(coefficients, q0, p0, sigma, p_s0=0.0, casimir=None, classical_mode=False):
+    """Largest deviation over q, p and the second moments, relative to
+    max(1, column scale), of the chart run mapped back by ``from_darboux``
+    from the order-2 moment run, at 201 samples over t in [0, 20]."""
+    potential = PolynomialPotential(coefficients)
+    cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
+    times = np.linspace(0.0, 20.0, 201)
+    state0 = init_gaussian(q0, p0, sigma, p_s0, order=2, casimir=casimir, classical_mode=classical_mode)
+    traj = integrate(equations_of_motion(potential, 2), state0, (0.0, 20.0), cfg, t_eval=times)
+    names = ("q", "p", "Delta_q2", "Delta_qp", "Delta_p2")
+    d = to_darboux(*(traj.column(name)[0] for name in names[2:]))
+    # the layout names only a failure's component, which no case meets
+    _, ys, _ = integrate_one(
+        _chart_rhs(potential, d.casimir), np.array([q0, p0, d.s, d.p_s]), (0.0, 20.0), cfg, times,
+        indices.state_layout(2)[:4], 2,
+    )
+    back = np.array([(q, p, *from_darboux(DarbouxState1D(s, p_s, d.casimir))) for q, p, s, p_s in ys.tolist()])
+    return max(
+        float(np.max(np.abs(back[:, i] - traj.column(name)))) / max(1.0, float(np.max(np.abs(traj.column(name)))))
+        for i, name in enumerate(names)
+    )
+
+
 def test_criterion_06_centrifugal_lift():
     """Plane kinetic energy reproduces the fluctuation energy to 1e-12 on
     1e4 random states; lifted free trajectories are straight lines with
-    p_phi = sqrt(C)."""
+    p_phi = sqrt(C).  The order-2 equations of motion are the canonical
+    dynamics of the chart: on a cubic, a quartic and a sextic (at C =
+    hbar^2/4), the quartic at C = 1 and, in classical mode at C = 0, a
+    quartic whose width grows away from the chart's singular s = 0, the
+    chart run agrees with the moment run to 1e-10.  Measured: 8.4e-12,
+    2.9e-12, 4.8e-12, 4.9e-12 and 7.2e-12; the bound leaves a margin of
+    about 12 over the largest."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(10_000):
@@ -201,12 +248,19 @@ def test_criterion_06_centrifugal_lift():
         coeffs = np.polyfit(times, arr, 1)
         resid = max(resid, float(np.max(np.abs(arr - np.polyval(coeffs, times)))))
     p_phi_dev = float(np.max(np.abs(np.array([st.p_phi for st in states]) - math.sqrt(casimir))))
-    ok = worst <= 1e-12 and resid <= 1e-8 and p_phi_dev <= 1e-9
+    chart_dev = max(
+        _chart_deviation([0, 0, 0.5, -0.1], 0.17, 0.6, 0.6),
+        _chart_deviation([0, 0, 0.5, 0, 0.05], 0.5, 0.3, 0.7),
+        _chart_deviation([0, 0, 0.5, 0.02, -0.03, 0, 0.004], 0.3, 0.4, 0.8),
+        _chart_deviation([0, 0, 0.5, 0, 0.05], 0.5, 0.3, 0.7, casimir=1.0),
+        _chart_deviation([0, 0, 0.05, -0.02, 0.002], 0.3, 0.2, 0.8, 0.2, casimir=0.0, classical_mode=True),
+    )
+    ok = worst <= 1e-12 and resid <= 1e-8 and p_phi_dev <= 1e-9 and chart_dev <= 1e-10
     report(
         6,
         ok,
         f"energy identity dev {worst:.2e} (<= 1e-12), line residual {resid:.2e} (<= 1e-8), "
-        f"p_phi dev {p_phi_dev:.2e} (<= 1e-9)",
+        f"p_phi dev {p_phi_dev:.2e} (<= 1e-9), chart dynamics dev {chart_dev:.2e} (<= 1e-10)",
     )
 
 

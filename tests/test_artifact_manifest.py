@@ -31,6 +31,7 @@ import io
 import json
 import pathlib
 import platform
+import re
 import sys
 import tempfile
 
@@ -162,6 +163,16 @@ def test_artifacts_match_the_manifest(tmp_path):
     paths = expected["artifacts"].keys() | actual["artifacts"].keys()
     moved = sorted(p for p in paths if expected["artifacts"].get(p) != actual["artifacts"].get(p))
     assert not moved, f"artifacts whose bytes differ from the manifest: {moved}"
+
+
+def test_the_ci_workflow_installs_the_manifests_versions():
+    """CI checks the artifacts against the manifest, which fails on any
+    other versions, so the workflow pins the manifest's: a regenerated
+    manifest must take the workflow along."""
+    workflow = (MANIFEST.parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    pinned = dict(re.findall(r"\b(numpy|scipy)==(\S+)", workflow))
+    pinned["python"] = re.search(r'python-version: "([^"]+)"', workflow).group(1)
+    assert pinned == json.loads(MANIFEST.read_text())["versions"]
 
 
 if __name__ == "__main__":

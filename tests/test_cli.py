@@ -826,6 +826,21 @@ def test_dumps_json_pins_every_kind_it_writes():
     assert dumps_json(table) == json.dumps(table, indent=2)
 
 
+def test_dumps_json_writes_a_str_subclass_and_refuses_what_json_does():
+    """A str subclass is written as its str, and an object JSON has no form
+    for raises the TypeError of ``json.dumps``."""
+
+    class Name(str):
+        pass
+
+    assert dumps_json({"name": Name("Δ(q^2)")}) == json.dumps({"name": "Δ(q^2)"}, indent=2)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(object)
+    with pytest.raises(TypeError) as ours:
+        dumps_json([1.0, {"cls": object}])
+    assert str(ours.value) == str(theirs.value)
+
+
 def test_dumps_json_writes_a_recurring_tuple_as_each_of_its_places_needs():
     """The writer renders a tuple's text once per indent and keys it by the
     tuple's identity: the same tuple object at two indents takes each
@@ -1417,6 +1432,17 @@ def test_transform_refuses_bad_mass(tmp_path, capsys, mass):
     assert main(["transform", "--to", "plane", "--input", str(traj), "--output", str(plane), "--mass", mass]) == 2
     assert capsys.readouterr().err.startswith("config error: --mass: ")
     assert not plane.exists()
+
+
+def test_transform_refuses_an_unknown_target(tmp_path):
+    """The command's choices refuse it first; the API names the targets and
+    writes nothing."""
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,Delta_q2,Delta_qp,Delta_p2\n0,1.0,0.0,0.25\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="^to: must be darboux, plane or moments$"):
+        scenarios.transform_trajectory(str(traj), str(out), "bogus")
+    assert not out.exists()
 
 
 def test_transform_missing_columns(tmp_path, capsys):

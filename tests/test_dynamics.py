@@ -328,6 +328,27 @@ def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
         integrate(field, [state] if batch else state, (0, 1), IntegratorConfig(), **kwargs)
 
 
+@pytest.mark.parametrize("cells", [2, 33], ids=["floats", "row-arrays"])
+def test_a_batch_runs_at_one_hbar_and_the_fields_order(cells):
+    """The field's rhs is generated at one hbar.  The quartic cell below
+    ends at q = -0.784724 alone, but ran at the first cell's hbar, and ended
+    at -0.820730, after a cell at hbar 1; such a batch is refused, on either
+    path.  So is a state whose order is not the field's, which ran at the
+    field's order."""
+    quartic = PolynomialPotential([0, 0, 0.5, 0, 0.1])
+    field = equations_of_motion(quartic, 4)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-13)
+    cell = init_gaussian(1.0, 0.0, 0.7, hbar=0.25, order=4)
+    (alone,) = integrate(field, [cell], (0, 2), cfg)
+    assert alone.column("q")[-1] == pytest.approx(-0.784724, abs=1e-6)
+    first = init_gaussian(1.0, 0.0, 0.7, hbar=1.0, order=4)
+    with pytest.raises(ValueError, match="^the states of a batch must share one hbar: 1.0 and 0.25$"):
+        integrate(field, [first] * (cells - 1) + [cell], (0, 2), cfg)
+    for states in (cell, [cell] * cells):
+        with pytest.raises(ValueError, match="^a state of order 4 on a field of order 2$"):
+            integrate(equations_of_motion(quartic, 2), states, (0, 2), cfg)
+
+
 @pytest.mark.parametrize(
     "settings, t_span, cells, message",
     [

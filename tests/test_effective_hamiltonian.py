@@ -114,6 +114,13 @@ def test_linearity_of_heff():
             assert _coupling(h12, idx, q) == pytest.approx(_coupling(h1, idx, q) + _coupling(h2, idx, q))
 
 
+@pytest.mark.parametrize("mass", [0, -1])
+def test_potential_refuses_a_mass_that_is_not_positive(mass):
+    """The config gate refuses such a mass first; the API refuses it too."""
+    with pytest.raises(ValueError, match="^mass must be positive$"):
+        PolynomialPotential([0, 1], mass=mass)
+
+
 def test_potential_value_on_arrays_is_elementwise():
     x = np.linspace(-2.0, 3.0, 7)
     for pot in (PolynomialPotential(CUBIC), PolynomialPotential([])):
