@@ -236,26 +236,27 @@ def _first_non_finite(layout, values) -> str:
     return f"first non-finite component {_csv_name(layout[i])}"
 
 
-def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=None):
+def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, stop=None):
     """Integrate a moment vector field and record conservation monitors.
 
     One ``MomentState`` gives a Trajectory, sampled at ``t_eval`` if given,
     and raises the IntegrationError that stops it.  A sequence of states,
     such as the cells of a sweep or the one cell of a tunneling run, gives
-    a TrajectoryBatch that stops each cell at an upward zero crossing of
-    ``event``.  Up to ``_MAX_FLOAT_CELLS`` states, one state included, run
-    one at a time by ``_integrate_cells``: a generated DOP853 step on
-    Python floats (``integrate_one``) with scipy DOP853's step control and
-    7th-order dense output, so no scipy is loaded.  More states run together
-    on row arrays (``_integrate_batch``), with the same bytes.  Both build
-    their interpolants together on row arrays.  One state takes no event,
-    and a batch no ``t_eval``.  Both keep the local error below the
-    configured tolerances; a step budget and finite-state checks guard
-    runaway trajectories.  A failure names the last good time, the
-    truncation order and the component at fault.  ``integrate_one`` and
-    ``_integrate_batch`` each refuse a ``t_span`` without t1 > t0, and
-    ``integrate`` a state of another order than the field's and a batch of
-    states that do not share one hbar, as the rhs is made for one hbar.
+    a TrajectoryBatch that stops each cell where q passes ``stop = (level,
+    side)`` (see ``_integrate_batch``).  Up to ``_MAX_FLOAT_CELLS`` states,
+    one state included, run one at a time by ``_integrate_cells``: a
+    generated DOP853 step on Python floats (``integrate_one``) with scipy
+    DOP853's step control and 7th-order dense output, so no scipy is
+    loaded.  More states run together on row arrays (``_integrate_batch``),
+    with the same bytes.  Both build their interpolants together on row
+    arrays.  One state takes no stop, and a batch no ``t_eval``.  Both keep
+    the local error below the configured tolerances; a step budget and
+    finite-state checks guard runaway trajectories.  A failure names the
+    last good time, the truncation order and the component at fault.
+    ``integrate_one`` and ``_integrate_batch`` each refuse a ``t_span``
+    without t1 > t0, and ``integrate`` a state of another order than the
+    field's and a batch of states that do not share one hbar, as the rhs
+    is made for one hbar.
 
     Python floats do the same IEEE operations in the same order as
     ``np.float64`` scalars and as each cell of a row array, so the bytes
@@ -271,8 +272,8 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
         if state.hbar != states[0].hbar:
             raise ValueError(f"the states of a batch must share one hbar: {states[0].hbar!r} and {state.hbar!r}")
     if single:
-        if event is not None:
-            raise ValueError("a single state takes no event; an event stops the cells of a batch")
+        if stop is not None:
+            raise ValueError("a single state takes no stop; a stop ends the cells of a batch")
         (traj,) = _integrate_cells(field, states, t_span, cfg, None, t_eval)
         if isinstance(traj, IntegrationError):
             raise traj
@@ -280,7 +281,7 @@ def integrate(field, state0, t_span, cfg: IntegratorConfig, t_eval=None, event=N
     if t_eval is not None:
         raise ValueError("a batch of states records its own steps; t_eval is not supported")
     run = _integrate_cells if len(states) <= _MAX_FLOAT_CELLS else _integrate_batch
-    return run(field, states, t_span, cfg, event)
+    return run(field, states, t_span, cfg, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +490,7 @@ class _Evaluations:
         return out
 
 
-def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order, event=None, crossings=None):
+def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order, stop=None, crossings=None):
     """The state vector ``y0`` (an array) of ``rhs(t, y)`` by the generated
     DOP853 step, with the step control of ``_integrate_batch`` (scipy
     DOP853's); returns the times, the states (at ``t_eval`` by the 7th-order
@@ -499,14 +500,15 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     a list of Python floats, and a list of row arrays, one value per column,
     with the same bits in each column.
 
-    ``event(t, y)``, with ``t_eval`` None, ends the run as it ends a cell of
-    ``_integrate_batch``: at an accepted step with ``g <= 0 <= g_new`` the
-    status is 1, and the states stop before that step, which ``crossings``
-    (a ``_Held`` of ``_roots``) holds; the caller appends its root.  The
-    steps that hold samples are held too, in a ``_Held`` of their own.  The
-    three evaluations of each interpolant are counted as its step is taken.  A sampled step's
-    interpolant that fails, or would cross the step budget, raises what
-    checking its stages one at a time raises, before any later failure.
+    ``stop``, with ``t_eval`` None, ends the run as it ends a cell of
+    ``_integrate_batch``: at the first accepted step over which q passes it
+    the status is 1, and the states stop before that step, which
+    ``crossings`` (a ``_Held`` of ``_roots``) holds; the caller appends its
+    root.  The steps that hold samples are held too, in a ``_Held`` of
+    their own.  The three evaluations of each interpolant are counted as
+    its step is taken.  A sampled step's interpolant that fails, or would
+    cross the step budget, raises what checking its stages one at a time
+    raises, before any later failure.
 
     A step normally runs on the bare ``rhs`` and is checked once: its error
     norm, or the probe of the stages the norm does not weigh, is non-finite
@@ -535,7 +537,7 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
     held = _Held(rhs, cfg.max_steps, layout, order, _samples)
     # sampled, the states are those of the held steps, built in order
     times, ys, next_sample = ([t0], [y], 0) if samples is None else ([], held.out, 0)
-    g, status, naccept, nreject = event(t, y) if event else 0.0, 0, 0, 0
+    status, naccept, nreject = 0, 0, 0
     # held steps are built after a failure too: an interpolant that fails,
     # or crosses the budget and so fails the next step, was made before it
     with held:
@@ -569,14 +571,14 @@ def integrate_one(rhs, y0, t_span, cfg: IntegratorConfig, t_eval, layout, order,
                 nreject += 1
             naccept += 1
 
-            if event:
-                g_new = event(t_new, y_new)
+            if stop:
+                level, side = stop
+                g, g_new = side * (y[0] - level), side * (y_new[0] - level)
                 if g <= 0 <= g_new:
                     crossings.add(y, y_new, ks, t, t_new, checked.nfev, (g, g_new))
                     checked.nfev += 3
                     status = 1
                     break
-                g = g_new
             if samples is None:
                 times.append(t_new)
                 ys.append(y_new)
@@ -784,30 +786,32 @@ def _overflowed_norm(h, u, v, error):
     return h * m * s5 / math.sqrt((s5 + 0.01 * s3) * len(u))
 
 
-def _roots(event, steps, coefs, errors):
-    """Yields the ends of held steps that ``event`` crosses, each held for
-    ``(g, g_new)``: the root and its state by ``_event_root``, or the
+def _roots(stop, steps, coefs, errors):
+    """Yields the ends of held steps over which q passes ``stop``, each held
+    for ``(g, g_new)``: the root and its state by ``_event_root``, or the
     IntegrationError its interpolant raises; any other failure is raised."""
     for (t, t_new, _, (g, g_new)), column, err in zip(steps, coefs.T.tolist(), errors):
         if err is not None and not isinstance(err, IntegrationError):
             raise err
-        yield err or _event_root(event, column, t, t_new, g, g_new)
+        yield err or _event_root(stop, column, t, t_new, g, g_new)
 
 
-def _event_root(event, column, lo, hi, g_lo, g_hi):
-    """Root of an upward crossing of ``event(t, y)`` over the step from
-    ``lo`` to ``hi``, where ``g_lo <= 0 <= g_hi``, and the state there, on
-    the step's interpolant: ``column`` holds its rows ``(y, d, f1...f6)``
-    per component as floats, in the step fraction ``(t - lo)/h`` with ``h =
-    hi - lo``, the step's size as it was taken.  Bisected on floats to the
-    width 4 EPS (1 + |t|) of scipy's brentq; an endpoint where the event is
-    0 is the root, the lower one first."""
-    t_old, h = lo, hi - lo
+def _event_root(stop, column, lo, hi, g_lo, g_hi):
+    """Root of ``g = side * (q - level)``, ``stop = (level, side)``, over
+    the step from ``lo`` to ``hi``, where ``g_lo <= 0 <= g_hi``, and the
+    state there, on the step's interpolant: ``column`` holds its rows ``(y,
+    d, f1...f6)`` per component as floats, in the step fraction ``(t -
+    lo)/h`` with ``h = hi - lo``, the step's size as it was taken.
+    Bisected on q's rows alone, whose sum is q's own, to the width 4 EPS
+    (1 + |t|) of scipy's brentq; an endpoint where g is 0 is the root, the
+    lower one first."""
+    (level, side), t_old, h = stop, lo, hi - lo
     if g_lo != 0 and g_hi != 0:
         while hi - lo >= _EVENT_TOL * (1 + abs(hi)):
             mid = lo + 0.5 * (hi - lo)
-            # the event stays below 0 at lo; a nan moves hi
-            if event(mid, _horner((mid - t_old) / h, column)) < 0:
+            (q,) = _horner((mid - t_old) / h, column[:1])
+            # g stays below 0 at lo; a nan moves hi
+            if side * (q - level) < 0:
                 lo = mid
             else:
                 hi = mid
@@ -815,7 +819,7 @@ def _event_root(event, column, lo, hi, g_lo, g_hi):
     return root, _horner((root - t_old) / h, column)
 
 
-def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event, t_eval=None) -> TrajectoryBatch:
+def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, stop, t_eval=None) -> TrajectoryBatch:
     """``_integrate_batch`` one cell at a time by ``integrate_one``, with the
     same bytes in every result; it also runs ``integrate``'s one state, at
     ``t_eval``.  The crossings of all cells are held together, and a run
@@ -825,10 +829,10 @@ def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event, t_eval
     layout, order, hbar = field.layout, states[0].order, states[0].hbar
     rhs, energy_fn = field.compiled(hbar), field.energy_function(hbar)
     runs = []
-    with _Held(rhs, cfg.max_steps, layout, order, functools.partial(_roots, event)) as crossings:
+    with _Held(rhs, cfg.max_steps, layout, order, functools.partial(_roots, stop)) as crossings:
         for state in states:
             try:
-                runs.append(integrate_one(rhs, state.to_vector(layout), t_span, cfg, t_eval, layout, order, event, crossings))
+                runs.append(integrate_one(rhs, state.to_vector(layout), t_span, cfg, t_eval, layout, order, stop, crossings))
             except IntegrationError as err:
                 runs.append(err)
     ends = iter(crossings.out)  # the end of each run that crossed, in order
@@ -845,19 +849,18 @@ def _integrate_cells(field, states, t_span, cfg: IntegratorConfig, event, t_eval
     return TrajectoryBatch(results, {"nfev": sum(r.info["nfev"] for r in results if isinstance(r, Trajectory))})
 
 
-def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> TrajectoryBatch:
+def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, stop) -> TrajectoryBatch:
     """DOP853 over many states at once, with scipy DOP853's step control
     cell by cell.
 
-    ``event(t, y)``, if given, maps the times and states of the active cells
-    to one value per cell, and the time and list of floats of one cell to
-    its value; an accepted step over which it crosses zero upward ends that
-    cell at the root, with ``info["status"]`` 1, as a terminal upward event
-    ends scipy's DOP853.  The crossing steps are held, their 7th-order
+    ``stop = (level, side)``, if given, ends a cell at the root of ``side *
+    (q - level)`` over the first accepted step over which it goes from <= 0
+    to >= 0, with ``info["status"]`` 1, as a terminal upward event ends
+    scipy's DOP853.  The crossing steps are held, their 7th-order
     interpolants built together ``_DENSE_CHUNK`` at a time by ``_Held``,
     and each root is bisected on floats.  Every cell has its own step size,
-    rejection rule, step budget, finiteness check and event, and leaves the
-    active set when it reaches t1, crosses the event or fails; the rest
+    rejection rule, step budget, finiteness check and stop, and leaves the
+    active set when it reaches t1, stops or fails; the rest
     carry on.  All arithmetic is elementwise or summed in a fixed order, so
     a cell's trajectory and info ``{"status", "nfev", "naccept",
     "nreject"}`` have the same bytes in a batch of any size, a batch of one
@@ -882,7 +885,7 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     t_last, f_last = t, None  # the last good evaluation of every live cell
     nfev = 0
     rows = [(ids, t, y)]
-    crossings = _Held(rhs, cfg.max_steps, layout, order, functools.partial(_roots, event))
+    crossings = _Held(rhs, cfg.max_steps, layout, order, functools.partial(_roots, stop))
     crossed = []  # the cells whose crossings are held, in order
 
     def fail(j, message, component):
@@ -910,7 +913,6 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
     with np.errstate(all="ignore"), crossings:
         f = evaluate(t, y, np.empty_like(y))
         h = _initial_step(evaluate, t0, t1, y, f, cfg.rtol, cfg.atol)
-        g = event(t, y) if event else np.zeros(n)
         fresh = np.ones(n, dtype=bool)
         while len(ids):
             # a new step is at least 10 spacings of t long; a retry below
@@ -935,17 +937,17 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
             h = step * np.where(accepted, np.minimum(cap, growth), np.fmax(_MIN_FACTOR, growth))
             fresh = accepted
 
-            # a cell whose step the event crosses upward ends at its root
+            # a cell over whose step q passes the stop ends at its root
             # instead, recorded when its crossing is rooted
             stopped = np.zeros(len(ids), dtype=bool)
-            if event:
-                g_new = event(t_new, y_new)
+            if stop:
+                level, side = stop
+                g, g_new = side * (y[0] - level), side * (y_new[0] - level)
                 stopped = accepted & (g <= 0) & (g_new >= 0)
                 for j in np.flatnonzero(stopped).tolist():
                     step_j = (a[j].item() for a in (t, t_new))
                     crossings.add(y[:, j], y_new[:, j], ks[..., j], *step_j, nfev, (g[j].item(), g_new[j].item()))
                     crossed.append(ids[j].item())
-                g = np.where(accepted, g_new, g)
 
             recorded = accepted & ~stopped
             rows.append((ids[recorded], t_new[recorded], y_new[:, recorded]))
@@ -959,8 +961,8 @@ def _integrate_batch(field, states, t_span, cfg: IntegratorConfig, event) -> Tra
                 status[ids[ended]] = stopped[ended]
                 cell_nfev[ids[ended]] = nfev + 3 * stopped[ended]
                 keep = ~done
-                ids, t, y, f, h, fresh, dead, g, t_last, f_last = (
-                    a[..., keep] for a in (ids, t, y, f, h, fresh, dead, g, t_last, f_last)
+                ids, t, y, f, h, fresh, dead, t_last, f_last = (
+                    a[..., keep] for a in (ids, t, y, f, h, fresh, dead, t_last, f_last)
                 )
     for cell, end in zip(crossed, crossings.out):
         if isinstance(end, IntegrationError):

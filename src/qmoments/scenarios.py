@@ -266,7 +266,7 @@ _KEYS = {
     "sweep": (_is_sweep, "expected exactly the keys 'q0' and 'energy'"),
     "alpha": _NUMBER,
     "p_alpha": _NUMBER,
-    "beta": _NUMBER,
+    "beta": (lambda b: _is_number(b) and 0 < b < math.pi, "must lie in the open interval (0, pi)"),
     "p_beta": _NUMBER,
     "c1": _NUMBER,
     "c2": _NUMBER,
@@ -363,7 +363,7 @@ def _samples(cfg) -> np.ndarray:
     return np.linspace(t0, t1, cfg["samples"])
 
 
-def _trajectory(cfg, state0, times=None, event=None):
+def _trajectory(cfg, state0, times=None, stop=None):
     """Integrate the config's moment field from ``state0``, one state or a
     list of them (see ``dynamics.integrate``).
 
@@ -372,7 +372,7 @@ def _trajectory(cfg, state0, times=None, event=None):
     """
     span = (times[0], times[-1]) if times is not None else tuple(cfg["t_span"])
     return integrate(
-        moment_field(cfg), state0, span, integrator_config(cfg), t_eval=times, event=event
+        moment_field(cfg), state0, span, integrator_config(cfg), t_eval=times, stop=stop
     )
 
 
@@ -438,16 +438,12 @@ def _tunneling_start(cfg, model, layout, energy_fn, q0: float, energy: float):
     return state0
 
 
-def _crossing_event(barrier_q, cfg):
-    """Event that crosses zero upward where q passes the barrier by
-    ``stop_margin``, away from the origin on whichever side it lies."""
+def _crossing_stop(barrier_q, cfg):
+    """The stop ``(level, side)`` of ``dynamics.integrate``: q passes the
+    barrier by ``stop_margin``, away from the origin on whichever side it
+    lies."""
     side = 1.0 if barrier_q > 0 else -1.0
-    stop = barrier_q + side * cfg["stop_margin"]
-
-    def crossed(t, y):
-        return side * (y[0] - stop)
-
-    return crossed
+    return barrier_q + side * cfg["stop_margin"], side
 
 
 def tunneling_runs(cfg, cells, barrier_q) -> list:
@@ -470,7 +466,7 @@ def tunneling_runs(cfg, cells, barrier_q) -> list:
         except ValueError as exc:
             starts.append(exc)
     states = [s for s in starts if not isinstance(s, Exception)]
-    runs = iter(_trajectory(cfg, states, event=_crossing_event(barrier_q, cfg)))
+    runs = iter(_trajectory(cfg, states, stop=_crossing_stop(barrier_q, cfg)))
     return [s if isinstance(s, Exception) else next(runs) for s in starts]
 
 

@@ -249,6 +249,8 @@ def test_u1_spherical_kinetic_form():
 def test_u1_domain_errors():
     with pytest.raises(CoordinateSingularityError):
         u1(0.0, 0.0, 0.0, 1.0, 2.0, 0.0)
+    with pytest.raises(CoordinateSingularityError, match=r"^sin\(beta\) = 0 is singular$"):
+        u1_spherical_limit(0.0, 1.3, 0.0)
     with pytest.raises(DomainError):
         # positive C1 with the eps-scaling path leaves the real domain
         u1(0.4, 0.07, 1.1, 1.3, 2.0, 2.5e-4)

@@ -1374,13 +1374,16 @@ def test_two_dof_limit_scenario(tmp_path):
     assert summary["k_ratio"] < 1.3
 
 
-def test_two_dof_limit_at_the_pole_is_a_runtime_error(tmp_path, capsys):
-    """beta = 0 puts the reduced state on the pole, where C1/(2 sin^2 beta)
-    is singular: exit 3, the cause named, no artifacts."""
-    cfg = write_cfg(tmp_path, "t.json", {"scenario": "two-dof-limit", "beta": 0})
+@pytest.mark.parametrize("beta", [0, math.pi, 4.0, -1.1])
+def test_two_dof_limit_refuses_a_beta_off_the_chart(tmp_path, capsys, beta):
+    """The chart's beta lies in the open interval (0, pi).  At 0 the reduced
+    state sits on the pole, where C1/(2 sin^2 beta) is singular, and ran to
+    a runtime error (exit 3); 4.0 ran and reported ok.  Each is a config
+    error now: exit 2, beta named, no artifacts."""
+    cfg = write_cfg(tmp_path, "t.json", {"scenario": "two-dof-limit", "beta": beta})
     out = tmp_path / "t"
-    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 3
-    assert capsys.readouterr().err == "runtime error: sin(beta) = 0 is singular\n"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: beta: must lie in the open interval (0, pi)\n"
     assert not out.exists()
 
 

@@ -312,15 +312,15 @@ def test_batch_matches_scipy_harmonic():
 @pytest.mark.parametrize(
     "batch, kwargs, match",
     [
-        (False, {"event": lambda t, y: y[0] - 1.0}, "takes no event"),
+        (False, {"stop": (1.0, 1.0)}, "takes no stop"),
         (True, {"t_eval": [0.0, 1.0]}, "t_eval"),
         (False, {"t_eval": [0.0, 2.0]}, "^t_eval must lie within t_span$"),
         (False, {"t_eval": [-1.0, 0.5]}, "^t_eval must lie within t_span$"),
     ],
-    ids=["event-with-one-state", "t_eval-with-a-batch", "t_eval-past-t1", "t_eval-before-t0"],
+    ids=["stop-with-one-state", "t_eval-with-a-batch", "t_eval-past-t1", "t_eval-before-t0"],
 )
 def test_integrate_refuses_what_its_path_cannot_do(batch, kwargs, match):
-    """One state is sampled and takes no event; a batch records its own
+    """One state is sampled and takes no stop; a batch records its own
     steps and takes no t_eval."""
     field = _free_field()
     state = init_gaussian(0.0, 0.0, 1.0, 0.0, 1.0, 2)
@@ -585,14 +585,11 @@ def test_cells_on_floats_have_the_bytes_of_the_array_batch(order):
     assert len(small) <= _MAX_FLOAT_CELLS < len(large)
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, max_steps=2000)
 
-    def crossed(t, y):
-        return y[0] - 3.5
-
     for cells in (small, large):
         states = [init_gaussian(q0, p0, 0.7, order=order) for q0, p0 in cells]
         with np.errstate(all="ignore"):
-            arrays = _integrate_batch(field, states, (0.0, 30.0), cfg, crossed)
-            floats = _integrate_cells(field, states, (0.0, 30.0), cfg, crossed)
+            arrays = _integrate_batch(field, states, (0.0, 30.0), cfg, (3.5, 1.0))
+            floats = _integrate_cells(field, states, (0.0, 30.0), cfg, (3.5, 1.0))
         outcomes = set()
         for ours, theirs in zip(floats, arrays):
             if isinstance(theirs, IntegrationError):
@@ -624,12 +621,9 @@ def test_float_batch_counts_every_rhs_call():
 
         return counted
 
-    def crossed(t, y):
-        return y[0] - 3.5
-
     states = [init_gaussian(q0, p0, 0.7, order=2) for q0 in (0.1, 0.3) for p0 in (0.3, 1.6)]
     cfg = IntegratorConfig(rtol=1e-6, atol=1e-9)
-    batch = integrate(_Wrapped(field, count), states, (0.0, 30.0), cfg, event=crossed)
+    batch = integrate(_Wrapped(field, count), states, (0.0, 30.0), cfg, stop=(3.5, 1.0))
     assert {traj.info["status"] for traj in batch} == {0, 1}
     assert batch.info["nfev"] == sum(calls) == sum(traj.info["nfev"] for traj in batch)
 
@@ -936,11 +930,8 @@ def _crossing_runs(field, cfg):
 
     state = init_gaussian(0.3, 1.6, 0.7, order=2)
 
-    def crossed(t, y):
-        return y[0] - 3.5
-
     with np.errstate(all="ignore"):
-        return [run(field, [state], (0.0, 30.0), cfg, crossed) for run in (_integrate_cells, _integrate_batch)]
+        return [run(field, [state], (0.0, 30.0), cfg, (3.5, 1.0)) for run in (_integrate_cells, _integrate_batch)]
 
 
 @pytest.mark.parametrize("budget, message, last_time", _CROSSING_BUDGETS, ids=["t_new", "first-extra", "second-extra"])
@@ -976,3 +967,19 @@ def test_crossing_interpolant_failure_reads_as_when_it_is_met():
             "non-finite state at t=2.93342 (last good time t=3.26131, order 2, first non-finite component q)"
         )
         assert cell.last_time == _CROSSING_BUDGETS[0][2]
+
+
+def test_crossing_interpolant_raising_another_error_raises_it():
+    """A rhs that raises a ValueError only at the crossing step's first
+    extra stage, t + 0.1h, is not a failure of the cell: both runners raise
+    it, with the time of that evaluation, and record no cell."""
+    from qmoments.dynamics import _integrate_batch, _integrate_cells
+
+    field = equations_of_motion(PolynomialPotential([0, 0, 0.5, -0.1]), 2)
+    t_star = _CROSSING_BUDGETS[1][2]
+    windowed = _Wrapped(field, lambda rhs: _windowed_rhs(t_star, 1e-9, "raise", inner=rhs))
+    state = init_gaussian(0.3, 1.6, 0.7, order=2)
+    for run in (_integrate_cells, _integrate_batch):
+        with pytest.raises(ValueError) as excinfo, np.errstate(all="ignore"):
+            run(windowed, [state], (0.0, 30.0), IntegratorConfig(rtol=1e-6, atol=1e-9), (3.5, 1.0))
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == f"rhs undefined at t={t_star}"
