@@ -18,8 +18,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "adiabatic": "AdiabaticModel delta_s_correction s0_of_q",
-        "casimir_darboux": "DarbouxState1D PlaneState TwoDofCanonical free_particle_s from_darboux lift_to_plane "
-        "to_darboux u1",
+        "casimir_darboux": "DarbouxState1D PlaneState free_particle_s from_darboux lift_to_plane to_darboux u1",
         "dynamics": "IntegratorConfig MomentState Trajectory init_gaussian integrate",
         "effective_hamiltonian": "PolynomialPotential equations_of_motion",
         "exact": "MomentPolynomial",

@@ -139,28 +139,6 @@ def lift_trajectory(times, s, p_s, casimir: float, mass: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TwoDofCanonical:
-    """Canonical quadruples plus the two Casimirs of the ten-moment system."""
-
-    s1: float
-    p_s1: float
-    s2: float
-    p_s2: float
-    alpha: float
-    p_alpha: float
-    beta: float
-    p_beta: float
-    c1: float
-    c2: float
-
-    def __post_init__(self):
-        if self.s1 <= 0 or self.s2 <= 0:
-            raise CoordinateSingularityError("s1 and s2 must be positive")
-        if not 0 < self.beta < math.pi:
-            raise DomainError("beta must lie in the open interval (0, pi)")
-
-
 def u1(alpha, p_alpha, beta, p_beta, c1, c2) -> float:
     """Momentum-sector invariant U1 entering Delta(p1^2).
 

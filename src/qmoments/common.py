@@ -43,20 +43,6 @@ def format_float(x: float) -> str:
 # Writes a str as ``json.dumps`` does, with ASCII escapes.
 _encode_str = json.encoder.encode_basestring_ascii
 
-# The classes ``_write_json`` dispatches on exactly.
-_JSON_CLASSES = frozenset((str, float, int, dict, list, tuple, bool, type(None)))
-
-
-def _json_class(obj):
-    """The class whose JSON form ``obj`` takes, by isinstance: how a subclass
-    (``np.float64``, an ``OrderedDict``) is written.  ``object`` means
-    ``json.dumps``, which writes a str subclass as a str and refuses the
-    types JSON has no form for."""
-    for cls in (dict, list, tuple, int, float):
-        if isinstance(obj, cls):
-            return cls
-    return object
-
 
 def _write_json(obj, newline, out, memo):
     """Append the text of ``obj`` to ``out``; ``newline`` is a line break
@@ -66,10 +52,7 @@ def _write_json(obj, newline, out, memo):
     cls = obj.__class__
     if cls is str:
         out.append(_encode_str(obj))
-        return
-    if cls not in _JSON_CLASSES:
-        cls = _json_class(obj)
-    if cls is float:
+    elif cls is float:
         out.append(format_float(obj))
     elif cls is int:
         out.append(str(obj))
@@ -101,7 +84,7 @@ def _write_json(obj, newline, out, memo):
     elif cls is bool:
         out.append("true" if obj else "false")
     else:
-        out.append(json.dumps(obj))
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _write_array(obj, newline, out, memo):
@@ -122,7 +105,10 @@ def dumps_json(obj) -> str:
     ``json.dumps(obj, indent=2)``, in one pass.  A float takes 17
     significant digits, and a non-finite one is written null; a dict key
     is written as its ``str``; a tuple is written as a list, its text
-    rendered once per indent however often the tuple object recurs."""
+    rendered once per indent however often the tuple object recurs.  Only
+    str, float, int, bool, None, dict, list and tuple are written, by
+    exact class: any other object, a subclass of one of them included,
+    raises TypeError."""
     out = []
     _write_json(obj, "\n", out, {})
     return "".join(out)

@@ -66,9 +66,8 @@ def kcoeff(n: int, a: int, b: int, c: int, d: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
 def closed_form_bracket(m1, m2) -> MomentPolynomial:
-    """Closed-form {Delta(m1), Delta(m2)} for single-pair moments (cached)."""
+    """Closed-form {Delta(m1), Delta(m2)} for single-pair moments."""
     if len(m1) != 1 or len(m2) != 1:
         raise MomentAlgebraError("closed form applies to single-pair moments")
     if indices.order(m1) < 2 or indices.order(m2) < 2:

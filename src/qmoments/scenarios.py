@@ -72,6 +72,12 @@ MAX_SWEEP_CELLS = 65_536
 # points: 64 times the default grid, room for grids of 8192-16384 points.
 MAX_SAMPLES = 65_536
 MAX_GRID_POINTS = 65_536
+# A wavefunction oracle run does at most this much work, counted in grid
+# points times Padé steps, each sample's moment extraction and energy as 16
+# steps.  On a 2-core VM a step costs 62-82 ns per grid point from 1024 to
+# 65536 points, and a sample at order 7 costs 13-15 steps; a run at the
+# ceiling took 71 s at 65536 points and order 7, and 66 s at 1024 points.
+MAX_ORACLE_WORK = 1e9
 
 # Keys that share their defaults, in groups.  Each scenario's entry spreads
 # the groups its run reads and adds its own keys: every key a config may give
@@ -310,6 +316,14 @@ def _validate(cfg):
     )
     if "grid_points" in cfg:
         _require(cfg["x_max"] > cfg["x_min"], "x_max", "must exceed x_min")
+        # in floats: a dt near 0 gives inf, which is refused
+        t0, t1 = cfg["t_span"]
+        work = cfg["grid_points"] * ((float(t1) - float(t0)) / cfg["dt"] + 16 * cfg["samples"])
+        _require(
+            work <= MAX_ORACLE_WORK,
+            "dt",
+            f"grid_points * ((t1 - t0) / dt + 16 * samples) = {work:.3g} exceeds ceiling {MAX_ORACLE_WORK:.0e}",
+        )
     if "table_order" in cfg:
         table_bound(cfg["table_order"], cfg["pairs"], "table_order", "pairs")
 

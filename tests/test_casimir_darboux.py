@@ -10,7 +10,6 @@ from qmoments.casimir_darboux import (
     CoordinateSingularityError,
     DarbouxState1D,
     DomainError,
-    TwoDofCanonical,
     free_particle_s,
     from_darboux,
     lift_to_plane,
@@ -19,12 +18,6 @@ from qmoments.casimir_darboux import (
     u1,
     u1_spherical_limit,
 )
-
-
-def two_dof_position_moments(c: TwoDofCanonical) -> tuple:
-    """(Delta(x1^2), Delta(x2^2), Delta(x1 x2)); the position correlation
-    is carried by the angle beta."""
-    return (c.s1**2, c.s2**2, c.s1 * c.s2 * math.cos(c.beta))
 
 
 def test_to_darboux_worked_example():
@@ -189,39 +182,6 @@ def test_lift_trajectory_free_particle_is_straight():
     assert np.max(np.abs(ys - np.polyval(coeffs, times))) < 1e-8
     p_phis = np.array([st.p_phi for st in states])
     assert np.max(np.abs(p_phis - math.sqrt(c))) < 1e-9
-
-
-def test_two_dof_position_moments():
-    c = TwoDofCanonical(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, math.pi / 2, 0.0, 1.0, 0.0)
-    assert two_dof_position_moments(c)[2] == pytest.approx(0.0, abs=1e-15)
-    c = TwoDofCanonical(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, math.pi / 3, 0.0, 1.0, 0.0)
-    assert two_dof_position_moments(c)[2] == pytest.approx(0.5)
-
-
-def test_two_dof_cauchy_schwarz():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        c = TwoDofCanonical(
-            float(rng.uniform(0.1, 3.0)),
-            0.0,
-            float(rng.uniform(0.1, 3.0)),
-            0.0,
-            0.0,
-            0.0,
-            float(rng.uniform(1e-3, math.pi - 1e-3)),
-            0.0,
-            1.0,
-            0.0,
-        )
-        dx1, dx2, dx12 = two_dof_position_moments(c)
-        assert abs(dx12) <= math.sqrt(dx1 * dx2) + 1e-12
-
-
-def test_two_dof_validation():
-    with pytest.raises(DomainError):
-        TwoDofCanonical(1, 0, 1, 0, 0, 0, math.pi, 0, 1, 0)
-    with pytest.raises(CoordinateSingularityError):
-        TwoDofCanonical(0, 0, 1, 0, 0, 0, 1.0, 0, 1, 0)
 
 
 def test_u1_worked_example():

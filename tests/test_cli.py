@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
+import collections
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -607,6 +609,24 @@ def test_package_exports_resolve():
     assert set(qmoments.__all__) <= set(dir(qmoments))
 
 
+def test_cli_binds_the_scenario_names_at_first_use(monkeypatch):
+    """Reading ``cli.run_sweep`` from outside, with the scenario names
+    unbound, binds every name ``main`` calls from ``scenarios``; a name
+    already bound, by a caller that replaced it, keeps its binding, and any
+    other name raises AttributeError."""
+    sentinel = object()
+    kept, *unbound = cli._SCENARIO_NAMES
+    for name in unbound:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    monkeypatch.setitem(vars(cli), kept, sentinel)
+    assert cli.run_sweep is scenarios.run_sweep
+    for name in unbound:
+        assert vars(cli)[name] is getattr(scenarios, name), name
+    assert vars(cli)[kept] is sentinel
+    with pytest.raises(AttributeError):
+        cli.bogus
+
+
 def test_sweep_records_unreachable_cells_as_errors(tmp_path):
     """Cells below the rest energy are error cells, also where the rest
     energy overflows to inf far out on the cubic."""
@@ -781,13 +801,12 @@ def test_brackets_dump(tmp_path, capsys):
 
 def test_dumps_json_pins_every_kind_it_writes():
     """The artifact writer's bytes: two-space indents, floats to 17
-    significant digits and non-finite ones as null, subclasses by their
-    base type, ASCII escapes and keys as their str.  Without floats it is
-    ``json.dumps(obj, indent=2)``."""
+    significant digits and non-finite ones as null, ASCII escapes and keys
+    as their str.  Without floats it is ``json.dumps(obj, indent=2)``."""
     obj = {
         "empty": {"dict": {}, "list": [], "tuple": ()},
         "scalars": (True, False, None, -12),
-        "floats": [-0.0, 1e-300, float("nan"), float("inf"), np.float64(0.1)],
+        "floats": [-0.0, 1e-300, float("nan"), float("inf"), 0.1],
         "text": {'café "ψ"': "Δ(q^2)\n", 7: [[1, 2], {"x": "y"}]},
     }
     assert dumps_json(obj) == r"""{
@@ -826,18 +845,21 @@ def test_dumps_json_pins_every_kind_it_writes():
     assert dumps_json(table) == json.dumps(table, indent=2)
 
 
-def test_dumps_json_writes_a_str_subclass_and_refuses_what_json_does():
-    """A str subclass is written as its str, and an object JSON has no form
-    for raises the TypeError of ``json.dumps``."""
+def test_dumps_json_refuses_every_type_but_the_eight_it_writes():
+    """Only the exact classes str, float, int, bool, None, dict, list and
+    tuple are written.  Any other object, a subclass of one of them
+    included, raises a TypeError naming its type, as ``json.dumps`` names
+    a type it has no form for."""
 
     class Name(str):
         pass
 
-    assert dumps_json({"name": Name("Δ(q^2)")}) == json.dumps({"name": "Δ(q^2)"}, indent=2)
     with pytest.raises(TypeError) as theirs:
-        json.dumps(object)
-    with pytest.raises(TypeError) as ours:
-        dumps_json([1.0, {"cls": object}])
+        json.dumps(object())
+    for value in (np.float64(0.1), Name("Δ(q^2)"), collections.OrderedDict(a=1), object()):
+        with pytest.raises(TypeError) as ours:
+            dumps_json([1.0, {"value": value}])
+        assert str(ours.value) == f"Object of type {type(value).__name__} is not JSON serializable"
     assert str(ours.value) == str(theirs.value)
 
 
@@ -1045,6 +1067,11 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 257}, "energy": {**_RANGE, "count": 256}}}, "sweep"),
         (["simulate"], {"scenario": "free", "samples": MAX_SAMPLES + 1}, "samples"),
         (["oracle", "--scenario", "free"], {"grid_points": MAX_GRID_POINTS + 1}, "grid_points"),
+        # days of Padé steps, or of moment extractions, pass each key's own check
+        (["oracle", "--scenario", "harmonic"], {"t_span": [0, 1e8]}, "dt"),
+        (["simulate"], {"scenario": "oracle-diff", "t_span": [0, 1e8], "samples": 2}, "dt"),
+        (["oracle", "--scenario", "free"], {"dt": 1e-300}, "dt"),
+        (["oracle", "--scenario", "free"], {"grid_points": MAX_GRID_POINTS, "samples": 1000}, "dt"),
         # keys no run reads (the integrator has no method or fixed step)
         (["simulate"], {"scenario": "free", "method": "rk45"}, "method"),
         (["simulate"], {"scenario": "harmonic", "method": "rk4"}, "method"),
@@ -1087,6 +1114,10 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         "sweep-grid-over-cell-ceiling",
         "samples-over-ceiling",
         "grid_points-over-ceiling",
+        "oracle-steps-over-work-ceiling",
+        "oracle-diff-steps-over-work-ceiling",
+        "oracle-dt-near-zero",
+        "oracle-samples-over-work-ceiling",
         "free-method",
         "harmonic-method",
         "free-step",
@@ -1113,9 +1144,13 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
     ],
 )
 def test_refused_config_leaves_no_directory(tmp_path, capsys, argv, payload, field):
+    """A refusal names the field, comes before any work, in under a
+    second, and creates no out dir."""
     cfg = write_cfg(tmp_path, "c.json", payload)
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert main([*argv, "--config", cfg, "--out-dir", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not out.exists()
 
@@ -1345,6 +1380,20 @@ def test_oracle_diff_scenario(tmp_path):
     assert np.max(np.abs(moment_cols["Delta_qp"])) < 1e-12 * bound
     oracle_cols["Delta_qp"] = oracle_cols["Delta_qp"] + 1e-3 * bound
     assert oracle_deviations(oracle_cols, moment_cols)["Delta_qp"] > 5e-4
+
+
+def test_oracle_deviations_floors_the_scales_as_documented():
+    """The floors ``oracle_deviations`` states, at unit widths: the Delta_qp
+    scale is a tenth of the Cauchy-Schwarz bound, so an offset of 1e-3 of
+    the bound reads 1e-2, and a centroid at rest takes sqrt(eps) times the
+    width, so an offset of 1e-12 reads 1e-12 / sqrt(eps)."""
+    ones, zeros = np.ones(2), np.zeros(2)
+    moments = {"q": zeros, "p": zeros, "Delta_q2": ones, "Delta_qp": zeros, "Delta_p2": ones}
+    oracle = {**moments, "q": np.array([0.0, 1e-12]), "Delta_qp": np.array([0.0, 1e-3])}
+    deviations = oracle_deviations(oracle, moments)
+    assert deviations["Delta_qp"] == pytest.approx(1e-2, rel=1e-12)
+    assert deviations["q"] == pytest.approx(1e-12 / math.sqrt(np.finfo(float).eps), rel=1e-12)
+    assert deviations["p"] == deviations["Delta_q2"] == deviations["Delta_p2"] == 0
 
 
 @pytest.mark.parametrize(

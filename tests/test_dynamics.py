@@ -241,9 +241,12 @@ def test_tableau_is_scipy_dop853():
     included: the nodes C, the stage rows A (the update B as row 12, the
     dense output's extra stages as rows 13-15), the error weights E5 and E3
     and the interpolant rows D.  Every row holds only its nonzero entries,
-    in stage order, as the generated code and _combine take them."""
+    in stage order, as the generated code and _combine take them.  The
+    step control is scipy's too: the safety factor, the factor bounds and
+    the error exponent -1/(7 + 1)."""
     from scipy.integrate import DOP853
     from scipy.integrate._ivp import dop853_coefficients as ref
+    from scipy.integrate._ivp import rk
 
     from qmoments import dynamics
 
@@ -261,6 +264,50 @@ def test_tableau_is_scipy_dop853():
     assert np.array_equal([full(row, 16) for row in dynamics._D], DOP853.D)
     for row in (*dynamics._A, dynamics._E5, dynamics._E3, *dynamics._D):
         assert all(row.values()) and list(row) == sorted(row)
+    assert (dynamics._SAFETY, dynamics._MIN_FACTOR, dynamics._MAX_FACTOR) == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+    assert dynamics._ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+
+def test_a_rejected_step_shrinks_by_at_most_the_factor_floor():
+    """A jump of 1e6 in p' at t = 1 fails the steps that meet it by more
+    than a step can shrink.  Every retry after a rejection is then at
+    least scipy's floor, 0.2 times the rejected step, and the first is
+    exactly that, the bits of ``t + h * 0.2``, on floats and on row arrays
+    alike.  Each attempted step is recovered from the times of the rhs
+    calls: 2 choose the first step, and each step makes 12, the last at
+    its end; a step whose end is passed by the next one's was accepted."""
+    from scipy.integrate._ivp import rk
+
+    from qmoments.dynamics import _integrate_batch, _integrate_cells
+
+    def kicked(rhs):
+        def kicked_rhs(t, y):
+            times.append(float(np.ravel(t)[0]))
+            out = rhs(t, y)
+            return [out[0], out[1] + np.where(np.asarray(t) >= 1.0, 1e6, 0.0)[()], *out[2:]]
+
+        return kicked_rhs
+
+    state = init_gaussian(1.0, 0.0, 1.0, order=2)
+    cfg = IntegratorConfig(rtol=1e-8, atol=1e-11)
+    runs = []
+    for run in (_integrate_cells, _integrate_batch):
+        times = []
+        (traj,) = run(_Wrapped(_free_field(), kicked), [state], (0.0, 2.0), cfg, None)
+        ends = times[13::12]
+        assert len(times) == 2 + 12 * len(ends) == traj.info["nfev"]
+        t, floored, nreject = 0.0, [], 0
+        for end, retry in zip(ends, ends[1:]):
+            if retry < end:
+                nreject += 1
+                floor = t + (end - t) * rk.MIN_FACTOR
+                assert retry >= floor
+                floored.append(retry == floor)
+            else:
+                t = end
+        assert nreject == traj.info["nreject"] and floored[0] and sum(floored) > 1
+        runs.append((times, traj.info))
+    assert runs[0] == runs[1]
 
 
 def test_batch_failures_read_like_the_scalar_ones():
