@@ -97,7 +97,7 @@ def main(argv=None) -> int:
         if args.command == "brackets":
             from .moment_algebra import build_bracket_table
 
-            table_bound(args.order, args.pairs, "--order", "--pairs")
+            table_bound(args.order, args.pairs)
             table = build_bracket_table(args.order, args.pairs)
             if args.out:
                 write_json(args.out, table.to_jsonable())

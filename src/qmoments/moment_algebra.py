@@ -133,17 +133,17 @@ def table_entries(truncation_order: int, npairs: int) -> int:
     return n_indices * (n_indices - 1) // 2
 
 
-def table_bound(order, pairs, order_field, pairs_field):
+def table_bound(order, pairs):
     """Refuse a bracket table of truncation order outside 2..MAX_ORDER, of
     fewer than one pair or of more than MAX_TABLE_ENTRIES entries, raising
-    ConfigError that names the fields as the caller spells them."""
+    ConfigError that names the ``brackets`` command's flag."""
     if not (is_int(order) and 2 <= order <= MAX_ORDER):
-        raise ConfigError(f"{order_field}: truncation order must be in 2..{MAX_ORDER}, got {order!r}")
+        raise ConfigError(f"--order: truncation order must be in 2..{MAX_ORDER}, got {order!r}")
     if not (is_int(pairs) and pairs >= 1):
-        raise ConfigError(f"{pairs_field}: number of pairs must be >= 1, got {pairs!r}")
+        raise ConfigError(f"--pairs: number of pairs must be >= 1, got {pairs!r}")
     entries = table_entries(order, pairs)
     if entries > MAX_TABLE_ENTRIES:
-        raise ConfigError(f"{pairs_field}: table with {entries} entries exceeds ceiling {MAX_TABLE_ENTRIES}")
+        raise ConfigError(f"--pairs: table with {entries} entries exceeds ceiling {MAX_TABLE_ENTRIES}")
 
 
 @lru_cache(maxsize=None)

@@ -4,16 +4,15 @@ against the committed ``artifact_manifest.json``.
 The runs: ``simulate`` on the defaults of every scenario and on variants
 (``cubic-tunneling`` at order 4, ``harmonic`` in classical mode with
 ``casimir 0``, ``free`` with ``ps0 0.3`` at order 4, ``oracle-diff`` at
-``q0 0.5``, ``brackets-dump`` on two pairs at order 3, a quartic at
-``hbar 0.5``, the default cubic mirrored through the origin), the
-benchmark's anharmonic-order5 config, sweeps over criterion 07's ranges
-(the benchmark's 4x4 on floats and its mirror image, 8x8 at order 2 and
-6x6 at order 4 on row arrays) and two sweeps of error cells, the
-``adiabatic-compare`` command, ``oracle`` on both of its scenarios (at
-their defaults and on a short grid), ``brackets`` at orders 2..7 on one
-pair and at orders 2..4 on two, and ``transform`` of the free trajectory
-to the Darboux chart and to the plane, and of that Darboux chart back to
-the moments.  The bytes depend on Python, numpy, scipy and libm, so the
+``q0 0.5``, a quartic at ``hbar 0.5``, the default cubic mirrored
+through the origin), the benchmark's anharmonic-order5 config, sweeps
+over criterion 07's ranges (the benchmark's 4x4 on floats and its mirror
+image, 8x8 at order 2 and 6x6 at order 4 on row arrays) and two sweeps of
+error cells, the ``adiabatic-compare`` command, ``oracle`` on both of its
+scenarios (at their defaults and on a short grid), ``brackets`` at orders
+2..7 on one pair and at orders 2..4 on two, and ``transform`` of the free
+trajectory to the Darboux chart and to the plane, and of that Darboux
+chart back to the moments.  The bytes depend on Python, numpy, scipy and libm, so the
 manifest records the versions it was made with, and on other versions the
 test fails naming both.
 
@@ -25,6 +24,7 @@ A change that moves bytes on purpose commits the new manifest, and its
 diff names every artifact that moved.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -39,11 +39,12 @@ import numpy
 import pytest
 import scipy
 
-from qmoments.cli import main
+from qmoments import scenarios
+from qmoments.cli import build_parser, main
 
 MANIFEST = pathlib.Path(__file__).with_name("artifact_manifest.json")
 
-SCENARIOS = ("free", "harmonic", "cubic-tunneling", "two-dof-limit", "adiabatic-compare", "brackets-dump", "oracle-diff")
+SCENARIOS = ("free", "harmonic", "cubic-tunneling", "two-dof-limit", "adiabatic-compare", "oracle-diff")
 # the benchmark's anharmonic-order5 and tunneling-sweep configs at seed 0
 ANHARMONIC = {
     "scenario": "harmonic", "potential": [0, 0, 0.5, 0, 0.05], "q0": 0.17, "p0": 0.5, "sigma": 0.7, "order": 5,
@@ -68,7 +69,6 @@ VARIANTS = {
     "harmonic-classical": {"scenario": "harmonic", "classical_mode": True, "casimir": 0},
     "free-ps0-order4": {"scenario": "free", "ps0": 0.3, "order": 4},
     "oracle-diff-q0": {"scenario": "oracle-diff", "q0": 0.5},
-    "brackets-dump-3-2": {"scenario": "brackets-dump", "table_order": 3, "pairs": 2},
     "quartic-hbar-0.5": {**ANHARMONIC, "hbar": 0.5, "order": 4, "t_span": [0.0, 5.0]},
     # the default cubic mirrored through the origin, its barrier at q = -10/3
     "cubic-tunneling-mirrored": {"scenario": "cubic-tunneling", "potential": [0, 0, 0.5, 0.1], "q0": -0.17},
@@ -163,6 +163,14 @@ def test_artifacts_match_the_manifest(tmp_path):
     paths = expected["artifacts"].keys() | actual["artifacts"].keys()
     moved = sorted(p for p in paths if expected["artifacts"].get(p) != actual["artifacts"].get(p))
     assert not moved, f"artifacts whose bytes differ from the manifest: {moved}"
+
+
+def test_the_manifest_runs_every_scenario_and_subcommand(tmp_path):
+    """A scenario or subcommand without a manifest run fails here, and so
+    does a run of one that is gone."""
+    assert sorted(SCENARIOS) == sorted(scenarios._RUNNERS)
+    (subcommands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for _, argv in commands(tmp_path)} == set(subcommands)
 
 
 def test_the_ci_workflow_installs_the_manifests_versions():

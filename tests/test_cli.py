@@ -73,11 +73,11 @@ def test_simulate_config_error_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad4.json", {"scenario": "free", "order": 8})
     assert main(["simulate", "--config", cfg]) == 2
     assert "order: must be an integer in 2..7" in capsys.readouterr().err
-    # the bracket-table bound of `brackets --order`, and the same ceiling
-    # whenever a config runs the oracle
-    cfg = write_cfg(tmp_path, "bad5.json", {"scenario": "brackets-dump", "table_order": 8})
+    # `brackets --out` is the one writer of a bracket table
+    cfg = write_cfg(tmp_path, "bad5.json", {"scenario": "brackets-dump"})
     assert main(["simulate", "--config", cfg]) == 2
-    assert "table_order: truncation order must be in 2..7, got 8" in capsys.readouterr().err
+    assert "scenario: unknown name 'brackets-dump'" in capsys.readouterr().err
+    # the order ceiling holds whenever a config runs the oracle
     cfg = write_cfg(tmp_path, "bad6.json", {"scenario": "oracle-diff", "order": 8})
     assert main(["simulate", "--config", cfg]) == 2
     assert "order: must be an integer in 2..7" in capsys.readouterr().err
@@ -648,6 +648,19 @@ def test_sweep_records_unreachable_cells_as_errors(tmp_path):
         assert str(outcome).startswith("energy 1.2 below the rest energy")
 
 
+def test_sweep_names_each_error_cells_cause(tmp_path, capsys):
+    """Each error cell names its q0, its energy and its cause in one stderr
+    line, in grid order; the grid and the summary only count it."""
+    payload = {"scenario": "cubic-tunneling", "sweep": {"q0": [0.1, 5.0], "energy": [0.0, 1.2]}}
+    cfg = write_cfg(tmp_path, "s.json", payload)
+    assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error cell q0=0.1 energy=0: energy 0 below the rest energy 0.489668 at q0",
+        "error cell q0=5 energy=0: V''(5) = -2 <= 0: no fluctuation equilibrium",
+        "error cell q0=5 energy=1.2: V''(5) = -2 <= 0: no fluctuation equilibrium",
+    ]
+
+
 def test_budget_spent_in_the_crossing_interpolant_fails_alike_on_both_paths(tmp_path, capsys):
     """The default tunneling run takes 401 evaluations, the last three for
     the interpolant that locates its crossing.  With 400 it fails in that
@@ -1062,7 +1075,6 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         (["sweep"], {"sweep": {"q0": [0.2], "energy": {**_RANGE, "min": "a"}}}, "sweep.energy.min"),
         (["sweep"], {"sweep": {"q0": [0.2, "x"], "energy": [1.0]}}, "sweep.q0"),
         (["sweep"], {"sweep": {"q0": [0.2, math.nan], "energy": [1.0]}}, "sweep.q0"),
-        (["simulate"], {"scenario": "brackets-dump", "table_order": 7, "pairs": 2}, "pairs"),
         (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 10**15}, "energy": [1.0]}}, "sweep.q0.count"),
         (["sweep"], {"sweep": {"q0": {"min": 0.1, "max": 0.2, "count": 257}, "energy": {**_RANGE, "count": 256}}}, "sweep"),
         (["simulate"], {"scenario": "free", "samples": MAX_SAMPLES + 1}, "samples"),
@@ -1089,7 +1101,6 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         (["sweep"], {"energy": 1.2, "sweep": _CELL}, "energy"),
         (["sweep"], {}, "sweep"),
         (["simulate"], {"scenario": "two-dof-limit", "hbar": 2}, "hbar"),
-        (["simulate"], {"scenario": "brackets-dump", "order": 3}, "order"),
         (["oracle", "--scenario", "free"], {"out_dir": "elsewhere"}, "out_dir"),
         (["oracle", "--scenario", "free"], {"rtol": 0.5}, "rtol"),
         # no fluctuation equilibrium s0(q) at C = 0
@@ -1109,7 +1120,6 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         "sweep-min-not-number",
         "sweep-list-not-numbers",
         "sweep-list-nan",
-        "table-over-entry-ceiling",
         "sweep-axis-over-cell-ceiling",
         "sweep-grid-over-cell-ceiling",
         "samples-over-ceiling",
@@ -1133,7 +1143,6 @@ _CELL = {"q0": [0.2], "energy": [1.8]}
         "sweep-energy",
         "sweep-missing",
         "two-dof-limit-hbar",
-        "brackets-dump-order",
         "oracle-out-dir",
         "oracle-rtol",
         "adiabatic-compare-command-zero-casimir",
@@ -1260,13 +1269,12 @@ def test_oracle_samples_closer_than_half_a_step_exit_3(tmp_path, capsys):
         (["sweep"], {"sweep": _CELL, "t_span": [0.0, 10.0]}, "cubic-tunneling-sweep"),
         (["simulate"], {"scenario": "two-dof-limit"}, "two-dof-limit"),
         (["adiabatic-compare"], {"t_span": [0.0, 1.0], "samples": 11}, "adiabatic-compare"),
-        (["simulate"], {"scenario": "brackets-dump"}, "brackets-dump"),
         (["simulate"], {"scenario": "oracle-diff", **_SHORT_ORACLE}, "oracle-diff"),
         *((["oracle", "--scenario", name], _SHORT_ORACLE, name) for name in ORACLE_DEFAULTS),
     ],
     ids=[
-        "free", "harmonic", "cubic-tunneling", "sweep", "two-dof-limit", "adiabatic-compare", "brackets-dump",
-        "oracle-diff", *(f"oracle-{name}" for name in ORACLE_DEFAULTS),
+        "free", "harmonic", "cubic-tunneling", "sweep", "two-dof-limit", "adiabatic-compare", "oracle-diff",
+        *(f"oracle-{name}" for name in ORACLE_DEFAULTS),
     ],
 )
 def test_every_accepted_key_is_read(tmp_path, monkeypatch, argv, payload, entry):
@@ -1419,8 +1427,25 @@ def test_two_dof_limit_scenario(tmp_path):
     cfg = write_cfg(tmp_path, "t.json", {"scenario": "two-dof-limit"})
     out = tmp_path / "t"
     assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
-    summary = json.loads((out / "two_dof_limit.json").read_text())
+    assert os.listdir(out) == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["k_ratio"] < 1.3
+
+
+def test_two_dof_limit_on_the_limit_passes(tmp_path):
+    """At p_alpha = 0 and C2 = 0, U1 is its limit at every epsilon: every
+    fitted slope is 0, and equal slopes read a ratio of 1, not inf."""
+    cfg = write_cfg(tmp_path, "t.json", {"scenario": "two-dof-limit", "p_alpha": 0, "c2": 0})
+    out = tmp_path / "t"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [row["fitted_k"] for row in summary["rows"]] == [0, 0, 0]
+    assert summary["k_ratio"] == 1
+    # off the limit at p_alpha = 0, the C2 eps^4 term vanishes in rounding
+    # at eps = 1e-8 but not at 0.1: a mix of zero and nonzero slopes fails
+    cfg = write_cfg(tmp_path, "m.json", {"scenario": "two-dof-limit", "p_alpha": 0, "epsilons": [0.1, 1e-8]})
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "m")]) == 1
+    assert json.loads((tmp_path / "m" / "summary.json").read_text())["k_ratio"] is None
 
 
 @pytest.mark.parametrize("beta", [0, math.pi, 4.0, -1.1])
@@ -1521,8 +1546,25 @@ def test_adiabatic_compare_subcommand(tmp_path):
     assert main(["adiabatic-compare", "--config", cfg, "--out-dir", str(out)]) == 0
     lines = (out / "adiabatic_compare.csv").read_text().splitlines()
     assert lines[0] == "t,q_full,s_full,q_adiabatic,s_adiabatic0,s_adiabatic1"
-    errors = json.loads((out / "adiabatic_errors.json").read_text())
+    assert sorted(os.listdir(out)) == ["adiabatic_compare.csv", "summary.json"]
+    errors = json.loads((out / "summary.json").read_text())["errors"]
     assert errors["max_q_error"] < 0.05
+
+
+def test_adiabatic_order_sets_the_initial_width(tmp_path):
+    """The full run starts on the slaved width of ``adiabatic_order``: at 0
+    its first ``s_full`` is ``s_adiabatic0``, at 1 ``s_adiabatic1``, bit for
+    bit, and the two starts give different trajectories."""
+    columns = {}
+    for order, start, column in ((0, 0.62871671484146774, "s_adiabatic0"), (1, 0.60260767053513442, "s_adiabatic1")):
+        cfg = write_cfg(tmp_path, f"a{order}.json", {"t_span": [0.0, 2.0], "samples": 21, "adiabatic_order": order})
+        out = tmp_path / f"a{order}"
+        assert main(["adiabatic-compare", "--config", cfg, "--out-dir", str(out)]) == 0
+        header, *rows = (line.split(",") for line in (out / "adiabatic_compare.csv").read_text().splitlines())
+        table = {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
+        assert table["s_full"][0] == table[column][0] == start
+        columns[order] = table["q_full"]
+    assert columns[0] != columns[1]
 
 
 def test_resolve_config_rejects_subquantum_casimir():
